@@ -24,10 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .energysolver import configuration_from_dict, encost_report, solve_configuration
+from .energysolver import configuration_from_dict, solve_configuration
 from .errors import FormatError, FreePDError
 from .extend import central_extension, toeplitz_step
 from .pdcore import (
+    DEFAULT_TOL,
     check_pd,
     load_function,
     random_nspd,
@@ -162,11 +163,15 @@ def _cmd_solve(args) -> CommandResult:
         )
     for name, fn in extensions.items():
         save_function(fn, outdir / f"{name}.json")
-    cost = encost_report(config, extensions, args.epsilon)
     payload = report.to_dict()
     payload["config"] = str(cfg_path)
-    payload["encost_recomputed"] = cost
     write_json_atomic(payload, outdir / "report.json")
+    bad = report.over_budget(args.epsilon)
+    if bad:
+        return CommandResult(
+            1, f"solve failed: restriction energies exceed 1 + eps for: {bad}",
+            str(outdir / "report.json"),
+        )
     summary = (
         f"solved {cfg_path} to Ball({args.radius}): encost {_fmt(report.encost)}"
         f" over {len(extensions)} vertices"
@@ -219,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify positive definiteness of a stored function")
     p.add_argument("pdf", help="function JSON file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--brute-force", action="store_true")
     p.set_defaults(run=_cmd_check)
 

@@ -30,6 +30,8 @@ from the root outward, which is the same dependency order.
 Conventions: stage functions are partial-domain PDFunctions; a configuration
 of radius r carries data on Ball(2r) so that its edge energies over the index
 set B_r x [d] are computable, matching the transport module's convention.
+Every completed-stage pencil is solved by transport._top_generalized_eig,
+the package's one generalized-eigenvalue kernel.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .pdcore import (
     mix_with_delta,
     restrict_to_ball,
 )
-from .transport import COND_LIMIT, partial_relative_energy, relative_energy
+from .transport import _top_generalized_eig, partial_relative_energy, relative_energy
 from .words import inverse, mul, next_novel, word_to_str
 
 __all__ = [
@@ -150,44 +152,6 @@ def _filled(space, rd, zeta: complex) -> np.ndarray:
     return G
 
 
-def _pencil(G_C: np.ndarray, G_D: np.ndarray, tol: float):
-    """All generalized eigenvalues of (G_D, G_C) plus the top achiever.
-
-    The achiever is returned in base coordinates, scaled so its squared norm
-    x* G_C x is one, with its largest coordinate rotated to the positive real
-    axis so repeated calls agree.  The pencil is solved against G_D - G_C and
-    shifted back by one (same eigenvectors, exact at equal Grams, no digits
-    lost to the identity part near one).  Badly conditioned G_C falls back
-    from Cholesky whitening to the symmetric-definite LAPACK driver.
-    """
-    lam = scipy.linalg.eigvalsh(G_C)
-    if lam[0] <= tol * G_C.shape[0]:
-        raise NotStrictError(
-            f"stage Gram is not strictly positive (min eigenvalue {lam[0]:.3e})"
-        )
-    if lam[-1] / lam[0] <= COND_LIMIT:
-        L = scipy.linalg.cholesky(G_C, lower=True)
-        A = scipy.linalg.solve_triangular(L, G_D - G_C, lower=True)
-        W = scipy.linalg.solve_triangular(L, A.conj().T, lower=True).conj().T
-        W = 0.5 * (W + W.conj().T)
-        vals, vecs = scipy.linalg.eigh(W)
-        x = scipy.linalg.solve_triangular(L.conj().T, vecs[:, -1], lower=False)
-    else:  # pragma: no cover - only near-degenerate bases come here
-        vals, vecs = scipy.linalg.eigh(G_D - G_C, G_C)
-        x = vecs[:, -1]
-    vals = vals + 1.0
-    x = x / math.sqrt(float(np.real(np.conj(x) @ G_C @ x)))
-    i = int(np.argmax(np.abs(x)))
-    x = x * (np.conj(x[i]) / abs(x[i]))
-    top = float(vals[-1])
-    rayleigh = float(np.real(np.conj(x) @ G_D @ x))
-    if abs(rayleigh - top) > 1e-8 * max(1.0, abs(top)):
-        raise FreePDError(
-            f"achiever fails its Rayleigh certificate: {rayleigh!r} vs {top!r}"
-        )
-    return vals, x
-
-
 def _coord_product(vals, x, m: int):
     """Top energy and conj(x[m]) * x[m+1] of the achiever, degeneracy-aware.
 
@@ -220,7 +184,7 @@ def stage_energy(C: PDFunction, D: PDFunction, zeta, mu,
     spC, rdC, spD, rdD = _pair_data(C, D, tol)
     G_C = _filled(spC, rdC, _zval(zeta))
     G_D = _filled(spD, rdD, _zval(mu))
-    vals, _ = _pencil(G_C, G_D, tol)
+    vals, _ = _top_generalized_eig(G_C, G_D, tol)
     return float(vals[-1])
 
 
@@ -263,7 +227,7 @@ def extension_components(C: PDFunction, D: PDFunction, zeta, mu,
     spC, rdC, spD, rdD = _pair_data(C, D, tol)
     G_C = _filled(spC, rdC, _zval(zeta))
     G_D = _filled(spD, rdD, _zval(mu))
-    vals, x = _pencil(G_C, G_D, tol)
+    vals, x = _top_generalized_eig(G_C, G_D, tol)
     m = spC.core_size
     top, product = _coord_product(vals, x, m)
     if product is None:
@@ -558,13 +522,13 @@ def _solve_edge_impl(C, D, mu, tol_edge, max_iter, seed, inits, tol,
         # eigensolver certifies; such a candidate is never a keeper, so any
         # evaluation failure just reads as an infinite energy
         try:
-            vals, _ = _pencil(_filled(spC, rdC, z), G_D, tol)
+            vals, _ = _top_generalized_eig(_filled(spC, rdC, z), G_D, tol)
         except FreePDError:
             return np.inf
         return float(vals[-1])
 
     def value_and_pair(z):
-        vals, x = _pencil(_filled(spC, rdC, z), G_D, tol)
+        vals, x = _top_generalized_eig(_filled(spC, rdC, z), G_D, tol)
         top, product = _coord_product(vals, x, m)
         return top, (0j if product is None else product * scale)
 
@@ -712,7 +676,8 @@ def _solve_cycle_impl(family, base_energies, tol_edge, max_iter, seed, tol):
     def edge_value(i, zc, zd):
         spC, rdC, spD, rdD = data[i]
         try:
-            vals, _ = _pencil(_filled(spC, rdC, zc), _filled(spD, rdD, zd), tol)
+            vals, _ = _top_generalized_eig(
+                _filled(spC, rdC, zc), _filled(spD, rdD, zd), tol)
         except FreePDError:
             return np.inf
         return float(vals[-1])
@@ -736,7 +701,7 @@ def _solve_cycle_impl(family, base_energies, tol_edge, max_iter, seed, tol):
         J = np.zeros((n_fam, 2 * n_fam))
         for i in range(n_fam):
             spC, rdC, spD, rdD = data[i]
-            vals, x = _pencil(
+            vals, x = _top_generalized_eig(
                 _filled(spC, rdC, zs[i]),
                 _filled(spD, rdD, zs[(i + 1) % n_fam]),
                 tol,
@@ -962,67 +927,57 @@ class Configuration:
                 )
             if check_pd(C).status != "strict":
                 raise NotStrictError(f"the function at vertex {v!r} is not strict")
-        if self.shape == "tree":
-            if self.root not in vset:
-                raise ParameterError("a tree configuration needs a root vertex")
-            self._tree_order()
-        else:
-            if self.root is not None:
-                raise ParameterError("a cycle configuration takes no root")
-            self._cycle_order()
+        self.edge_order()
 
-    def _tree_order(self):
-        """Vertices in parent-first order plus the parent map; validates shape."""
-        parent = {}
-        for v, w in self.edges:
-            if v == self.root:
-                raise ParameterError("the root must have no outgoing edge")
-            if v in parent:
-                raise ParameterError(f"vertex {v!r} has two outgoing edges")
-            parent[v] = w
-        for v in self.vertices:
-            if v != self.root and v not in parent:
-                raise ParameterError(f"vertex {v!r} has no path toward the root")
-        children = {}
-        for v, w in parent.items():
-            children.setdefault(w, []).append(v)
-        order = [self.root]
-        i = 0
-        while i < len(order):
-            order.extend(sorted(children.get(order[i], ())))
-            i += 1
-        if len(order) != len(self.vertices):
-            raise ParameterError("the edges do not form a tree toward the root")
-        return order, parent
+    def edge_order(self) -> list:
+        """The edges in solve order; validates the declared shape.
 
-    def _cycle_order(self):
-        """Vertices in cycle order starting from the first; validates shape."""
-        if len(self.vertices) < 2:
-            raise ParameterError("a cycle needs at least two vertices")
+        A tree lists each vertex's edge toward the root, parents before
+        children and siblings by name; a cycle lists its edges around the
+        cycle from the first vertex.
+        """
         succ = {}
-        indeg = Counter()
         for v, w in self.edges:
             if v in succ:
                 raise ParameterError(f"vertex {v!r} has two outgoing edges")
             succ[v] = w
-            indeg[w] += 1
+        if self.shape == "tree":
+            if self.root not in self.vertices:
+                raise ParameterError("a tree configuration needs a root vertex")
+            if self.root in succ:
+                raise ParameterError("the root must have no outgoing edge")
+            for v in self.vertices:
+                if v != self.root and v not in succ:
+                    raise ParameterError(f"vertex {v!r} has no path toward the root")
+            children = {}
+            for v, w in succ.items():
+                children.setdefault(w, []).append(v)
+            order = [self.root]
+            i = 0
+            while i < len(order):
+                order.extend(sorted(children.get(order[i], ())))
+                i += 1
+            if len(order) != len(self.vertices):
+                raise ParameterError("the edges do not form a tree toward the root")
+            return [(v, succ[v]) for v in order[1:]]
+        if self.root is not None:
+            raise ParameterError("a cycle configuration takes no root")
+        if len(self.vertices) < 2:
+            raise ParameterError("a cycle needs at least two vertices")
+        indeg = Counter(succ.values())
         for v in self.vertices:
             if v not in succ or indeg[v] != 1:
                 raise ParameterError(
                     f"vertex {v!r} must have exactly one outgoing and one "
                     "incoming edge"
                 )
+        # every vertex has in- and out-degree one, so the walk closes up
         order = [self.vertices[0]]
-        while True:
-            nxt = succ[order[-1]]
-            if nxt == order[0]:
-                break
-            if nxt in order:  # pragma: no cover - guarded by degree checks
-                raise ParameterError("the edges do not form a single cycle")
-            order.append(nxt)
+        while succ[order[-1]] != order[0]:
+            order.append(succ[order[-1]])
         if len(order) != len(self.vertices):
             raise ParameterError("the edges do not form a single cycle")
-        return order
+        return [(v, succ[v]) for v in order]
 
 
 def configuration_from_dict(obj, functions) -> Configuration:
@@ -1141,6 +1096,11 @@ class SolverReport:
             "iterations_total": self.iterations_total,
         }
 
+    def over_budget(self, eps: float) -> str:
+        """Each vertex whose restriction energy exceeds 1 + eps, with that
+        energy, in one comma-separated listing; empty when there is none."""
+        return _over_budget(self.restriction_energy, eps)
+
 
 def _stage_list(r2: int, R: int, d: int) -> list:
     stages = []
@@ -1218,13 +1178,8 @@ def solve_configuration(config: Configuration, R: int, eps: float,
 
     verts = config.vertices
     pos = {v: i for i, v in enumerate(verts)}
-    if config.shape == "tree":
-        order, parent = config._tree_order()
-        edge_seq = [(v, parent[v]) for v in order[1:]]
-        cyc = None
-    else:
-        cyc = config._cycle_order()
-        edge_seq = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
+    edge_seq = config.edge_order()
+    cyc = [v for v, _ in edge_seq]
 
     rng = np.random.default_rng(seed)
     stages = _stage_list(r2, R, config.d)
@@ -1374,23 +1329,9 @@ def solve_configuration(config: Configuration, R: int, eps: float,
         entries = {w: a for w, a in cur[v].canonical_items() if len(w) <= R}
         outputs[v] = PDFunction(config.d, Domain.ball(R), entries)
 
-    energies_before = {
-        e: relative_energy(config.functions[e[0]], config.functions[e[1]],
-                           r=config.r, tol=tol).energy
-        for e in edge_seq
-    }
-    energies_after = {
-        e: relative_energy(outputs[e[0]], outputs[e[1]], r=R // 2, tol=tol).energy
-        for e in edge_seq
-    }
-    restriction_drift = {}
-    restriction_energy = {}
-    for v in verts:
-        cut = restrict_to_ball(outputs[v], r2)
-        restriction_drift[v] = l1_distance(cut, config.functions[v])
-        forward = relative_energy(config.functions[v], cut, r=config.r, tol=tol).energy
-        backward = relative_energy(cut, config.functions[v], r=config.r, tol=tol).energy
-        restriction_energy[v] = max(forward, backward)
+    energies_before, energies_after, restriction_drift, restriction_energy = (
+        _final_energies(config, outputs, R, tol)
+    )
     report = SolverReport(
         edges=tuple(edge_seq),
         energies_before=energies_before,
@@ -1418,6 +1359,39 @@ def _encost(before: dict, after: dict) -> float:
     return float(worst)
 
 
+def _final_energies(config: Configuration, extensions, R: int, tol: float):
+    """Edge energies before (over B_r) and after (over B_{R//2}), then per
+    vertex the l1 distance and two-sided relative energy between the
+    extension cut back to Ball(2r) and the original."""
+    edges = config.edge_order()
+    before = {
+        e: relative_energy(config.functions[e[0]], config.functions[e[1]],
+                           r=config.r, tol=tol).energy
+        for e in edges
+    }
+    after = {
+        e: relative_energy(extensions[e[0]], extensions[e[1]], r=R // 2,
+                           tol=tol).energy
+        for e in edges
+    }
+    drift = {}
+    restriction = {}
+    for v in config.vertices:
+        C = config.functions[v]
+        cut = restrict_to_ball(extensions[v], 2 * config.r)
+        drift[v] = l1_distance(cut, C)
+        forward = relative_energy(C, cut, r=config.r, tol=tol).energy
+        backward = relative_energy(cut, C, r=config.r, tol=tol).energy
+        restriction[v] = max(forward, backward)
+    return before, after, drift, restriction
+
+
+def _over_budget(restriction_energy: dict, eps: float) -> str:
+    return ", ".join(
+        f"{v!r} at {x:.6g}" for v, x in restriction_energy.items() if x > 1.0 + eps
+    )
+
+
 def encost_report(config: Configuration, extensions, eps: float,
                   tol: float = DEFAULT_TOL) -> float:
     """Extension energy cost of a set of extensions against a configuration.
@@ -1433,39 +1407,14 @@ def encost_report(config: Configuration, extensions, eps: float,
         raise ParameterError("encost_report needs a Configuration")
     if set(extensions) != set(config.vertices):
         raise ParameterError("extensions must be keyed exactly by the vertices")
-    r2 = 2 * config.r
     domains = {extensions[v].domain for v in config.vertices}
     if len(domains) != 1 or next(iter(domains)).kind != "ball":
         raise DomainError("extensions must share one common ball domain")
     R = next(iter(domains)).r
-    if R < r2:
-        raise DomainError(f"extensions must cover the data ball Ball({r2})")
-    bad = []
-    for v in config.vertices:
-        cut = restrict_to_ball(extensions[v], r2)
-        forward = relative_energy(config.functions[v], cut, r=config.r, tol=tol).energy
-        backward = relative_energy(cut, config.functions[v], r=config.r, tol=tol).energy
-        if max(forward, backward) > 1.0 + eps:
-            bad.append((v, max(forward, backward)))
+    if R < 2 * config.r:
+        raise DomainError(f"extensions must cover the data ball Ball({2 * config.r})")
+    before, after, _, restriction = _final_energies(config, extensions, R, tol)
+    bad = _over_budget(restriction, eps)
     if bad:
-        listing = ", ".join(f"{v!r} at {x:.6g}" for v, x in bad)
-        raise ParameterError(
-            f"restriction energies exceed 1 + eps for: {listing}"
-        )
-    if config.shape == "tree":
-        order, parent = config._tree_order()
-        edge_seq = [(v, parent[v]) for v in order[1:]]
-    else:
-        cyc = config._cycle_order()
-        edge_seq = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-    before = {
-        e: relative_energy(config.functions[e[0]], config.functions[e[1]],
-                           r=config.r, tol=tol).energy
-        for e in edge_seq
-    }
-    after = {
-        e: relative_energy(extensions[e[0]], extensions[e[1]], r=R // 2,
-                           tol=tol).energy
-        for e in edge_seq
-    }
+        raise ParameterError(f"restriction energies exceed 1 + eps for: {bad}")
     return _encost(before, after)

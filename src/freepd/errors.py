@@ -17,18 +17,23 @@ class DomainError(FreePDError):
     """A function was asked for entries outside its specified domain."""
 
 
-class MissingEntryError(DomainError):
-    """A Gram assembly needed an entry the function does not specify.
+class EntryError(DomainError):
+    """A function entry does not fit its domain or the other entries.
 
     Attributes
     ----------
     word : str
-        Text form of the first offending group element.
+        Text form of the first offending group element, spelled as the
+        caller keyed it.
     """
 
     def __init__(self, word, message=None):
         self.word = word
         super().__init__(message or f"entry for {word!r} is not specified")
+
+
+class MissingEntryError(EntryError):
+    """A function or a Gram assembly needs an entry that is not specified."""
 
 
 class NotPositiveError(FreePDError):

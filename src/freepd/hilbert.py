@@ -31,10 +31,9 @@ from .errors import (
     NotStrictError,
     ParameterError,
 )
-from .pdcore import PDFunction
+from .pdcore import DEFAULT_TOL, PDFunction
 from .words import Word, inverse, mul
 
-DEFAULT_TOL = 1e-10
 DEGENERACY_TOL = 1e-12
 
 

@@ -36,8 +36,8 @@ from scipy.stats import unitary_group
 from . import words
 from .errors import (
     DomainError,
+    EntryError,
     FormatError,
-    FreePDError,
     MissingEntryError,
     NotPositiveError,
     NotStrictError,
@@ -140,15 +140,9 @@ def canonical_words(domain: Domain) -> tuple:
     return tuple(w for w in domain_words(domain) if w and is_novel(w))
 
 
-def _defined_slot(domain: Domain, w: Word, j: int, k: int) -> bool:
-    """Whether C(w)_{j,k} exists in this domain (1-based coordinates)."""
-    if domain.kind != "partial":
-        return True
-    if w == domain.g:
-        return (j, k) < (domain.j, domain.k)
-    if w == inverse(domain.g):
-        return (k, j) < (domain.j, domain.k)
-    return True
+def _undefined_top(domain: Domain, d: int) -> np.ndarray:
+    """The d x d mask of the slots of C(g) a partial domain leaves undefined."""
+    return np.arange(d * d).reshape(d, d) >= (domain.j - 1) * d + domain.k - 1
 
 
 def _mirror_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -182,12 +176,14 @@ class PDFunction:
             raise ParameterError("domain must be a Domain")
         if domain.kind == "partial" and (domain.j > d or domain.k > d):
             raise ParameterError("partial stage coordinates exceed d")
-        members = set(domain_words(domain))
+        members = _domain_iset(domain).members
         canon = {}
+        given = {}
         for key, raw in entries.items():
-            w = _as_word(key)
+            w = key if key in members else _as_word(key)
             if w not in members:
-                raise DomainError(f"{word_to_str(w)} is outside the domain")
+                text = word_to_str(w)
+                raise EntryError(text, f"{text} is outside the domain")
             arr = np.array(raw, dtype=complex)
             if arr.shape == () and d == 1:
                 arr = arr.reshape(1, 1)
@@ -197,46 +193,43 @@ class PDFunction:
                 )
             c = canonical_rep(w)
             val = arr if c == w else arr.conj().T
-            if c in canon:
-                if _mirror_gap(canon[c], val) > MIRROR_TOL:
-                    raise DomainError(
-                        f"entries for {word_to_str(w)} and its inverse are not "
-                        "conjugate transposes of each other"
-                    )
-            else:
-                canon[c] = val
+            if c not in canon:
+                canon[c], given[c] = val, w
+            elif _mirror_gap(canon[c], val) > MIRROR_TOL:
+                raise EntryError(
+                    word_to_str(w),
+                    f"entries for {word_to_str(w)} and its inverse are not "
+                    "conjugate transposes of each other",
+                )
         ident = canon.pop((), None)
-        if ident is not None:
-            if np.isnan(ident).any() or np.max(np.abs(ident - np.eye(d))) > MIRROR_TOL:
-                raise DomainError("C(e) must be the d x d identity")
-        if domain.kind == "partial" and domain.g not in canon:
-            if (domain.j, domain.k) == (1, 1):
-                canon[domain.g] = np.full((d, d), complex("nan"), dtype=complex)
-            else:
+        if ident is not None and not np.max(np.abs(ident - np.eye(d))) <= MIRROR_TOL:
+            raise EntryError(word_to_str(given[()]), "C(e) must be the d x d identity")
+        top = domain.g if domain.kind == "partial" else None
+        if top is not None and top not in canon:
+            # an absent top is all NaN, which only stage (1, 1) accepts
+            canon[top], given[top] = np.full((d, d), complex("nan")), top
+        if len(canon) < len(canonical_words(domain)):
+            w = next(w for w in canonical_words(domain) if w not in canon)
+            raise MissingEntryError(
+                word_to_str(w), f"domain requires an entry for {word_to_str(w)}"
+            )
+        # One pass over every stored value: NaN marks exactly the undefined
+        # slots, which only the top of a partial domain has.
+        keys = list(canon)
+        undefined = np.isnan(np.array(list(canon.values())).reshape(-1, d, d))
+        expected = np.zeros_like(undefined)
+        if top is not None:
+            expected[keys.index(top)] = _undefined_top(domain, d)
+        for i, l, m in np.argwhere(undefined != expected)[:1]:
+            where = f"C({word_to_str(keys[i])})[{l + 1},{m + 1}]"
+            if undefined[i, l, m]:
                 raise MissingEntryError(
-                    word_to_str(domain.g), "the partial top row is missing"
+                    word_to_str(given[keys[i]]), f"{where} is defined but not given"
                 )
-        for w in canonical_words(domain):
-            if w not in canon:
-                raise MissingEntryError(
-                    word_to_str(w), f"domain requires an entry for {word_to_str(w)}"
-                )
-        if domain.kind == "partial":
-            top = canon[domain.g]
-            for l in range(d):
-                for m in range(d):
-                    defined = _defined_slot(domain, domain.g, l + 1, m + 1)
-                    if defined and np.isnan(top[l, m]):
-                        raise MissingEntryError(
-                            word_to_str(domain.g),
-                            f"C({word_to_str(domain.g)})[{l + 1},{m + 1}] is required "
-                            "by the stage position but was not given",
-                        )
-                    if not defined and not np.isnan(top[l, m]):
-                        raise DomainError(
-                            f"C({word_to_str(domain.g)})[{l + 1},{m + 1}] lies beyond "
-                            "the declared stage position and must be NaN"
-                        )
+            raise EntryError(
+                word_to_str(given[keys[i]]),
+                f"{where} lies beyond the declared stage position and must be NaN",
+            )
         for arr in canon.values():
             arr.setflags(write=False)
         self.d = d
@@ -286,9 +279,11 @@ class PDFunction:
         w = _as_word(w)
         if w == ():
             return True
-        if canonical_rep(w) not in self._entries:
+        c = canonical_rep(w)
+        arr = self._entries.get(c)
+        if arr is None:
             return False
-        return _defined_slot(self.domain, w, j, k)
+        return not np.isnan(arr[j - 1, k - 1] if c == w else arr[k - 1, j - 1])
 
     def canonical_items(self):
         """(word, matrix) pairs of the stored representatives, shortlex order."""
@@ -315,15 +310,9 @@ class PDFunction:
 
 def delta(d: int, domain: Domain) -> PDFunction:
     """The normalized point mass at e: identity there, zero elsewhere."""
-    entries = {}
-    for w in canonical_words(domain):
-        z = np.zeros((d, d), dtype=complex)
-        if domain.kind == "partial" and w == domain.g:
-            for l in range(d):
-                for m in range(d):
-                    if not _defined_slot(domain, w, l + 1, m + 1):
-                        z[l, m] = complex("nan")
-        entries[w] = z
+    entries = {w: np.zeros((d, d), dtype=complex) for w in canonical_words(domain)}
+    if domain.kind == "partial":
+        entries[domain.g][_undefined_top(domain, d)] = np.nan
     return PDFunction(d, domain, entries)
 
 
@@ -581,11 +570,9 @@ def restrict_to_stage(C: PDFunction, g, j: int, k: int) -> PDFunction:
                 f"stage domain needs {word_to_str(w)}, outside the source domain"
             )
         if w == dom.g:
-            top = np.full((C.d, C.d), complex("nan"), dtype=complex)
-            for l in range(C.d):
-                for m in range(C.d):
-                    if _defined_slot(dom, w, l + 1, m + 1):
-                        top[l, m] = C.scalar(w, l + 1, m + 1)
+            top = np.full((C.d, C.d), complex("nan"))
+            for l, m in np.argwhere(~_undefined_top(dom, C.d)):
+                top[l, m] = C.scalar(w, l + 1, m + 1)
             entries[w] = top
         else:
             entries[w] = C.entry(w)
@@ -665,15 +652,9 @@ def _domain_from_dict(dd) -> Domain:
     raise FormatError("domain.kind", f"unknown domain kind {kind!r}")
 
 
-def _cell_to_complex(cell, defined: bool, path: str, l: int, m: int) -> complex:
+def _cell_to_complex(cell, path: str, l: int, m: int) -> complex:
     if cell is None:
-        if defined:
-            raise FormatError(path, f"null at defined position ({l},{m})")
         return complex("nan")
-    if not defined:
-        raise FormatError(
-            path, f"position ({l},{m}) lies beyond the declared stage and must be null"
-        )
     ok = (
         isinstance(cell, (list, tuple))
         and len(cell) == 2
@@ -681,13 +662,20 @@ def _cell_to_complex(cell, defined: bool, path: str, l: int, m: int) -> complex:
         and all(np.isfinite(x) for x in cell)
     )
     if not ok:
-        raise FormatError(path, f"position ({l},{m}) must be a finite [re, im] pair")
+        raise FormatError(
+            path, f"position ({l},{m}) must be a finite [re, im] pair or null"
+        )
     return complex(cell[0], cell[1])
 
 
 def function_from_dict(obj) -> PDFunction:
-    """Parse and validate the JSON object form; FormatError names the first
-    offending key."""
+    """Parse the JSON object form; FormatError names the first offending key.
+
+    This parses only: the JSON types, the word text, the d x d shape and the
+    cells, with null read as an undefined (NaN) slot.  The constructor
+    validates the result, and its errors are reported at the entry key they
+    concern, or at "domain.j" for stage coordinates beyond d.
+    """
     if not isinstance(obj, dict):
         raise FormatError("$", "top level must be an object")
     for key in ("d", "domain", "entries"):
@@ -698,12 +686,9 @@ def function_from_dict(obj) -> PDFunction:
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise FormatError("d", "d must be a positive integer")
     domain = _domain_from_dict(obj["domain"])
-    if domain.kind == "partial" and (domain.j > d or domain.k > d):
-        raise FormatError("domain.j", "stage coordinates exceed d")
     ent = obj["entries"]
     if not isinstance(ent, dict):
         raise FormatError("entries", "entries must be an object")
-    members = set(domain_words(domain))
     parsed = {}
     for key, mat in ent.items():
         path = f"entries.{key}"
@@ -711,41 +696,20 @@ def function_from_dict(obj) -> PDFunction:
             w = word_from_str(key)
         except WordError as exc:
             raise FormatError(path, str(exc))
-        if w not in members:
-            raise FormatError(path, "word lies outside the declared domain")
         if not isinstance(mat, list) or len(mat) != d or any(
             not isinstance(row, list) or len(row) != d for row in mat
         ):
             raise FormatError(path, f"entry must be a {d} x {d} array")
-        arr = np.empty((d, d), dtype=complex)
-        for l in range(d):
-            for m in range(d):
-                defined = _defined_slot(domain, w, l + 1, m + 1)
-                arr[l, m] = _cell_to_complex(mat[l][m], defined, path, l + 1, m + 1)
-        if w == ():
-            if np.max(np.abs(arr - np.eye(d))) > MIRROR_TOL:
-                raise FormatError(path, "C(e) must be the identity")
-            continue
-        c = canonical_rep(w)
-        val = arr if c == w else arr.conj().T
-        if c in parsed:
-            prev_key, prev = parsed[c]
-            if _mirror_gap(prev, val) > MIRROR_TOL:
-                raise FormatError(
-                    path, f"inconsistent with {prev_key!r} under conjugate transpose"
-                )
-        else:
-            parsed[c] = (key, val)
-    for w in canonical_words(domain):
-        if w in parsed:
-            continue
-        if domain.kind == "partial" and w == domain.g and (domain.j, domain.k) == (1, 1):
-            continue
-        raise FormatError(f"entries.{word_to_str(w)}", "missing required entry")
+        parsed[w] = [
+            [_cell_to_complex(cell, path, l + 1, m + 1) for m, cell in enumerate(row)]
+            for l, row in enumerate(mat)
+        ]
     try:
-        return PDFunction(d, domain, {w: arr for w, (_, arr) in parsed.items()})
-    except FreePDError as exc:  # pragma: no cover - loader checks precede
-        raise FormatError("entries", str(exc))
+        return PDFunction(d, domain, parsed)
+    except EntryError as exc:
+        raise FormatError(f"entries.{exc.word}", str(exc)) from None
+    except ParameterError as exc:
+        raise FormatError("domain.j", str(exc)) from None
 
 
 def write_json_atomic(obj, path):

@@ -46,13 +46,21 @@ _GRAPH_KEYS = ("n", "perm_a", "perm_b")
 _INSERTED_CLASSES = ("D", "D_prime", "E", "E_prime", "B")
 
 
+class _FieldError(SurgeryError):
+    """A SurgeryError that names the graph field at fault."""
+
+    def __init__(self, key, message):
+        self.key = key
+        super().__init__(message)
+
+
 def _as_perm(name, values, n):
     try:
         perm = tuple(int(x) for x in values)
     except (TypeError, ValueError):
-        raise SurgeryError(f"{name} must be a sequence of integers") from None
+        raise _FieldError(name, f"{name} must be a sequence of integers") from None
     if len(perm) != n or sorted(perm) != list(range(n)):
-        raise SurgeryError(f"{name} is not a bijection of range({n})")
+        raise _FieldError(name, f"{name} is not a bijection of range({n})")
     return perm
 
 
@@ -66,7 +74,9 @@ class LabeledGraph:
 
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n <= 0:
-            raise SurgeryError(f"vertex count must be a positive integer, got {self.n!r}")
+            raise _FieldError(
+                "n", f"vertex count must be a positive integer, got {self.n!r}"
+            )
         object.__setattr__(self, "perm_a", _as_perm("perm_a", self.perm_a, self.n))
         object.__setattr__(self, "perm_b", _as_perm("perm_b", self.perm_b, self.n))
 
@@ -94,8 +104,8 @@ class LabeledGraph:
                 raise FormatError(key, f"{key} must be a list of integers")
         try:
             return cls(n, tuple(data["perm_a"]), tuple(data["perm_b"]))
-        except SurgeryError as exc:
-            raise FormatError("perm_a", str(exc)) from exc
+        except _FieldError as exc:
+            raise FormatError(exc.key, str(exc)) from exc
 
     def steps(self):
         """The four labeled step maps: a, b, then their inverses."""
@@ -302,84 +312,67 @@ def perform_surgery(g, R, r):
         set_edge(out, x, w)
         set_edge(out, w, t)
 
+    def shorten_cycles(label, bypass, anchor_ok):
+        # Cut every label-cycle at gamma-separated anchors p, those with
+        # anchor_ok(cyc[p], cyc[p + 2]), and plant the two bypass classes
+        # on the other label's edges.  Insertion points are read off the
+        # frozen cycle list, not the mutating edge maps.
+        out, other = (a_out, b_out) if label == "a" else (b_out, a_out)
+        total = 0
+        for cyc in _orbit_cycles(dict(out)):
+            length = len(cyc)
+            total += length
+            if length < min_len:
+                raise SurgeryError(
+                    f"{label}-cycle through vertex {cyc[0]} has length {length};"
+                    f" every cycle entering its stage needs length >= {min_len}"
+                )
+            cand = [
+                i for i in range(length) if anchor_ok(cyc[i], cyc[(i + 2) % length])
+            ]
+            marks = _greedy_positions(length, gamma, cand)
+            if len(marks) < 2:
+                raise SurgeryError(
+                    f"{label}-cycle through vertex {cyc[0]} offers {len(marks)} usable"
+                    " anchor(s); the rewiring needs two"
+                )
+            for i, p in enumerate(marks):
+                q = marks[i - 1]
+                set_edge(out, cyc[p], cyc[(q + 1) % length])
+            first, second = {}, {}
+            for p in marks:
+                v = cyc[p]
+                x1 = new_vertex(bypass[0])
+                x2 = new_vertex(bypass[1])
+                first[v], second[v] = x1, x2
+                split_edge(other, v, x1)
+                split_edge(other, cyc[(p + 2) % length], x2)
+                set_edge(out, x1, x2)
+            for group in _pairs_and_triple([cyc[p] for p in marks]):
+                for x, y in _ring_edges(group):
+                    set_edge(out, second[x], first[y])
+        stage = f"the {label}-cycle stage"
+        _check_rewiring(a_out, b_out, stage, fresh[0])
+        if len(inserted[bypass[0]]) + len(inserted[bypass[1]]) > 2 * total / gamma:
+            raise SurgeryError(f"{stage} exceeded its insertion budget")
+
     # ---- stage 1: shorten the a-cycles, plant D/D' bypasses ----
-    for cyc in _orbit_cycles(dict(a_out)):
-        length = len(cyc)
-        if length < min_len:
-            raise SurgeryError(
-                f"a-cycle through vertex {cyc[0]} has length {length};"
-                f" every input cycle needs length >= {min_len}"
-            )
-        marks = _greedy_positions(length, gamma, list(range(length)))
-        for i, p in enumerate(marks):
-            q = marks[i - 1]
-            set_edge(a_out, cyc[p], cyc[(q + 1) % length])
-        first, second = {}, {}
-        for p in marks:
-            v = cyc[p]
-            d1 = new_vertex("D")
-            d2 = new_vertex("D_prime")
-            first[v], second[v] = d1, d2
-            split_edge(b_out, v, d1)
-            split_edge(b_out, cyc[(p + 2) % length], d2)
-            set_edge(a_out, d1, d2)
-        for group in _pairs_and_triple([cyc[p] for p in marks]):
-            for x, y in _ring_edges(group):
-                set_edge(a_out, second[x], first[y])
-    _check_rewiring(a_out, b_out, "stage 1", fresh[0])
+    shorten_cycles("a", ("D", "D_prime"), lambda v, w: True)
     worst = max(len(c) for c in _orbit_cycles(dict(a_out)))
     if worst > 2 * gamma:
         raise SurgeryError(f"stage 1 left an a-cycle of length {worst} (> {2 * gamma})")
-    if len(inserted["D"]) + len(inserted["D_prime"]) > 2 * n0 / gamma:
-        raise SurgeryError("stage 1 exceeded its insertion budget")
 
     # ---- stage 2: the same treatment for b-cycles, classes E/E' ----
     # Anchors are restricted to original vertices whose second b-successor
     # is also original, so both fresh vertices end up adjacent to
-    # originals.  Bypass insertion points are read off the frozen cycle
-    # list, not the mutating edge maps.
-    stage2_total = 0
-    for cyc in _orbit_cycles(dict(b_out)):
-        length = len(cyc)
-        stage2_total += length
-        if length < min_len:
-            raise SurgeryError(
-                f"b-cycle through vertex {cyc[0]} has length {length}"
-                f" entering stage 2 (needs >= {min_len})"
-            )
-        cand = [
-            i for i in range(length) if cyc[i] < n0 and cyc[(i + 2) % length] < n0
-        ]
-        marks = _greedy_positions(length, gamma, cand)
-        if len(marks) < 2:
-            raise SurgeryError(
-                f"b-cycle through vertex {cyc[0]} offers {len(marks)} usable"
-                " anchor(s); the rewiring needs two"
-            )
-        for i, p in enumerate(marks):
-            q = marks[i - 1]
-            set_edge(b_out, cyc[p], cyc[(q + 1) % length])
-        first, second = {}, {}
-        for p in marks:
-            v = cyc[p]
-            e1 = new_vertex("E")
-            e2 = new_vertex("E_prime")
-            first[v], second[v] = e1, e2
-            split_edge(a_out, v, e1)
-            split_edge(a_out, cyc[(p + 2) % length], e2)
-            set_edge(b_out, e1, e2)
-        for group in _pairs_and_triple([cyc[p] for p in marks]):
-            for x, y in _ring_edges(group):
-                set_edge(b_out, second[x], first[y])
-    _check_rewiring(a_out, b_out, "stage 2", fresh[0])
+    # originals.
+    shorten_cycles("b", ("E", "E_prime"), lambda v, w: v < n0 and w < n0)
     for label, out in (("a", a_out), ("b", b_out)):
         worst = max(len(c) for c in _orbit_cycles(dict(out)))
         if worst > 4 * gamma:
             raise SurgeryError(
                 f"stage 2 left a {label}-cycle of length {worst} (> {4 * gamma})"
             )
-    if len(inserted["E"]) + len(inserted["E_prime"]) > 2 * stage2_total / gamma:
-        raise SurgeryError("stage 2 exceeded its insertion budget")
 
     # ---- stage 3: the B-ring and the b-cycle splices ----
     # The ring set A is grown on the frozen stage-2 graph: a greedy

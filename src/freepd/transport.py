@@ -14,10 +14,15 @@ to 2r: callers hold functions on Ball(R) and may request any r with 2r <= R.
 Stage energies use the two one-vector enlargements X_g and X_e of the stage
 core (indexed by the clique K_g, never by a ball: translated index sets have
 identical Grams) and report the larger of the two.
+
+The pencil kernel _top_generalized_eig is the package's only
+generalized-eigenvalue solver; the energy solver uses it for every
+completed-stage pencil.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,50 +65,55 @@ class EnergyReport:
     indices: tuple
 
 
-def _strictness(G: np.ndarray, tol: float, what: str) -> np.ndarray:
-    lam = scipy.linalg.eigvalsh(G)
-    if lam[0] <= tol * G.shape[0]:
-        raise NotStrictError(
-            f"{what} is not strictly positive (min eigenvalue {lam[0]:.3e})"
-        )
-    return lam
-
-
 def _top_generalized_eig(G_C, G_D, tol: float):
-    """Largest lambda with G_D x = lambda G_C x, and a unit achieving x.
+    """All generalized eigenvalues of G_D x = lambda G_C x plus the top achiever.
 
-    The pencil is solved against the difference G_D - G_C and the result
-    shifted back by one: the eigenvectors agree, equal Grams give exactly
-    one, and the near-one energies this package lives on lose no digits to
-    the identity part.  Whitening by the Cholesky factor of G_C is the
-    primary route; badly conditioned bases fall back to the LAPACK
-    symmetric-definite solver.  The returned pair is certified by its
+    The pencil is solved against G_D - G_C and shifted back by one (same
+    eigenvectors, exact at equal Grams, no digits lost to the identity part
+    near one), by Cholesky whitening of G_C or, when G_C is badly
+    conditioned, by the LAPACK symmetric-definite solver.  The achiever is
+    scaled so that x* G_C x = 1, its largest coordinate rotated to the
+    positive real axis so repeated calls agree, and certified by its
     Rayleigh quotient.
     """
-    lam_c = _strictness(G_C, tol, "the base Gram matrix")
-    cond = lam_c[-1] / lam_c[0]
-    if cond <= COND_LIMIT:
+    lam = scipy.linalg.eigvalsh(G_C)
+    if lam[0] <= tol * G_C.shape[0]:
+        raise NotStrictError(
+            f"the base Gram matrix is not strictly positive (min eigenvalue {lam[0]:.3e})"
+        )
+    if lam[-1] / lam[0] <= COND_LIMIT:
         L = scipy.linalg.cholesky(G_C, lower=True)
         A = scipy.linalg.solve_triangular(L, G_D - G_C, lower=True)
         W = scipy.linalg.solve_triangular(L, A.conj().T, lower=True).conj().T
         W = 0.5 * (W + W.conj().T)
         vals, vecs = scipy.linalg.eigh(W)
-        energy = 1.0 + float(vals[-1])
         x = scipy.linalg.solve_triangular(L.conj().T, vecs[:, -1], lower=False)
     else:  # pragma: no cover - exercised only by near-degenerate bases
         vals, vecs = scipy.linalg.eigh(G_D - G_C, G_C)
-        energy = 1.0 + float(vals[-1])
         x = vecs[:, -1]
-    x = x / np.linalg.norm(x)
-    num = float(np.real(x.conj() @ G_D @ x))
-    den = float(np.real(x.conj() @ G_C @ x))
-    rayleigh = num / den
-    if abs(rayleigh - energy) > RAYLEIGH_TOL * max(1.0, abs(energy)):
+    vals = vals + 1.0
+    x = x / math.sqrt(float(np.real(np.conj(x) @ G_C @ x)))
+    i = int(np.argmax(np.abs(x)))
+    x = x * (np.conj(x[i]) / abs(x[i]))
+    top = float(vals[-1])
+    rayleigh = float(np.real(np.conj(x) @ G_D @ x))
+    if abs(rayleigh - top) > RAYLEIGH_TOL * max(1.0, abs(top)):
         raise FreePDError(
-            f"achieving vector fails its Rayleigh certificate: "
-            f"{rayleigh!r} vs {energy!r}"
+            f"achieving vector fails its Rayleigh certificate: {rayleigh!r} vs {top!r}"
         )
-    return energy, x
+    return vals, x
+
+
+def _energy_report(G_C, G_D, tol: float, restriction: str, pairs) -> EnergyReport:
+    """The top pencil energy with a unit achiever; G_D must be strict too."""
+    lam = scipy.linalg.eigvalsh(G_D)
+    if lam[0] <= tol * G_D.shape[0]:
+        raise NotStrictError(
+            f"the comparison Gram ({restriction}) is not strictly positive "
+            f"(min eigenvalue {lam[0]:.3e})"
+        )
+    vals, x = _top_generalized_eig(G_C, G_D, tol)
+    return EnergyReport(float(vals[-1]), x / np.linalg.norm(x), restriction, tuple(pairs))
 
 
 def _ball_pairs(r: int, d: int) -> list:
@@ -133,9 +143,7 @@ def relative_energy(
     pairs = _ball_pairs(r, C.d)
     G_C = gram_indexed(C, pairs)
     G_D = gram_indexed(D, pairs)
-    _strictness(G_D, tol, "the comparison Gram matrix")
-    energy, x = _top_generalized_eig(G_C, G_D, tol)
-    return EnergyReport(energy, x, "full", tuple(pairs))
+    return _energy_report(G_C, G_D, tol, "full", pairs)
 
 
 def partial_relative_energy(
@@ -156,16 +164,10 @@ def partial_relative_energy(
     idx = sC.indices
     core = list(idx.P)
     sides = (
-        ("X_g", core + [(idx.g, idx.j)], sC.x_g_gram, sD.x_g_gram),
-        ("X_e", core + [((), idx.k)], sC.x_e_gram, sD.x_e_gram),
+        _energy_report(sC.x_g_gram, sD.x_g_gram, tol, "X_g", core + [(idx.g, idx.j)]),
+        _energy_report(sC.x_e_gram, sD.x_e_gram, tol, "X_e", core + [((), idx.k)]),
     )
-    best = None
-    for label, pairs, gc, gd in sides:
-        _strictness(gd, tol, f"the comparison Gram on {label}")
-        energy, x = _top_generalized_eig(gc, gd, tol)
-        if best is None or energy > best.energy:
-            best = EnergyReport(energy, x, label, tuple(pairs))
-    return best
+    return max(sides, key=lambda rep: rep.energy)
 
 
 def energy_schedule(

@@ -77,11 +77,6 @@ def shortlex_key(w: Word):
     return (len(w), w)
 
 
-def shortlex_compare(u: Word, v: Word) -> int:
-    ku, kv = shortlex_key(u), shortlex_key(v)
-    return -1 if ku < kv else (0 if ku == kv else 1)
-
-
 # Letters allowed after a given letter (anything but its inverse), ascending.
 _ALLOWED_AFTER = {None: (0, 1, 2, 3)}
 for _x in range(4):

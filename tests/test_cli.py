@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from freepd import cli
 from freepd.cli import dispatch, main
 from freepd.extend import toeplitz_step
 from freepd.pdcore import load_function
@@ -90,24 +92,62 @@ def test_toeplitz_rejects_bad_input():
     assert run("toeplitz", "--seq", "x", "--zeta", "0,0").code == 2
 
 
-def test_solve_tree_round_trip(tmp_path):
-    fn = tmp_path / "vfn.json"
-    run("random", "--r", 2, "--d", 1, "--seed", 9, "--out", fn)
+def _tree_config(tmp_path):
+    run("random", "--r", 2, "--d", 1, "--seed", 9, "--out", tmp_path / "vfn.json")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "shape": "tree", "r": 1, "d": 1, "root": "c",
         "vertices": {"a": "vfn.json", "b": "vfn.json", "c": "vfn.json"},
         "edges": [["a", "b"], ["b", "c"]],
     }))
+    return cfg
+
+
+def test_solve_tree_round_trip(tmp_path):
+    cfg = _tree_config(tmp_path)
     out = tmp_path / "solved"
     res = run("solve", "--config", cfg, "--radius", 3, "--epsilon", 0.01, "--out", out)
     assert res.code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["encost"] == pytest.approx(1.0, abs=1e-9)
-    assert report["encost_recomputed"] == pytest.approx(report["encost"], abs=1e-9)
+    assert set(report["restriction_energy"]) == {"a", "b", "c"}
+    assert all(x <= 1.0 + 0.01 for x in report["restriction_energy"].values())
     for name in ("a", "b", "c"):
         ext = load_function(out / f"{name}.json")
         assert ext.domain.r == 3
+
+
+def test_solve_restriction_failure_still_writes_report(tmp_path, monkeypatch):
+    real = cli.solve_configuration
+
+    def over_budget(config, R, eps, seed=0):
+        extensions, report = real(config, R, eps, seed=seed)
+        worse = {v: 1.0 + 10 * eps for v in report.restriction_energy}
+        worse["c"] = report.restriction_energy["c"]
+        return extensions, dataclasses.replace(report, restriction_energy=worse)
+
+    monkeypatch.setattr(cli, "solve_configuration", over_budget)
+    cfg = _tree_config(tmp_path)
+    out = tmp_path / "solved"
+    res = run("solve", "--config", cfg, "--radius", 3, "--epsilon", 0.01, "--out", out)
+    assert res.code == 1
+    assert res.report_path == str(out / "report.json")
+    assert "'a'" in res.summary and "'b'" in res.summary and "'c'" not in res.summary
+    report = json.loads((out / "report.json").read_text())
+    assert report["restriction_energy"]["a"] == pytest.approx(1.1)
+    for name in ("a", "b", "c"):
+        assert (out / f"{name}.json").exists()
+
+
+def test_solve_same_seed_gives_identical_files(tmp_path):
+    cfg = _tree_config(tmp_path)
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for out in outs:
+        res = run("solve", "--config", cfg, "--radius", 3, "--epsilon", 0.01,
+                  "--seed", 4, "--out", out)
+        assert res.code == 0
+    for name in ("report.json", "a.json", "b.json", "c.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_solve_malformed_config(tmp_path):

@@ -97,6 +97,23 @@ def test_constructor_rejects_bad_input():
         PDFunction(0, Domain.ball(0), {})
     with pytest.raises(WordError):
         Domain.partial("bA", 1, 1)  # that level adds no edge
+    # NaN marks an undefined slot, which only the top of a partial domain has
+    with pytest.raises(MissingEntryError) as err:
+        PDFunction(1, Domain.ball(1), {"a": np.nan, "b": 0.2})
+    assert err.value.word == "a"
+    with pytest.raises(MissingEntryError) as err:
+        PDFunction(1, Domain.ball(1), {"a": 0.1, "B": complex("nan")})
+    assert err.value.word == "B"
+    top = np.array([[0.1, np.nan], [np.nan, np.nan]])
+    dom = Domain.partial("aa", 1, 2)
+    entries = {"a": np.eye(2) * 0.1, "b": np.zeros((2, 2)), "aa": top}
+    assert not PDFunction(2, dom, entries).defined("aa", 1, 2)
+    with pytest.raises(MissingEntryError):
+        PDFunction(2, dom, dict(entries, b=np.full((2, 2), np.nan)))
+    with pytest.raises(MissingEntryError):
+        PDFunction(2, Domain.partial("aa", 2, 1), entries)
+    with pytest.raises(DomainError):
+        PDFunction(2, Domain.partial("aa", 1, 1), entries)
 
 
 def test_check_pd_hand_examples():

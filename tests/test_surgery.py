@@ -116,6 +116,16 @@ def test_graph_json_round_trip():
         LabeledGraph.from_dict({**d, "perm_a": "nope"})
     with pytest.raises(FormatError):
         LabeledGraph.from_dict({**d, "perm_a": d["perm_a"][:-1]})
+    cases = (
+        ({**d, "n": 0, "perm_a": [], "perm_b": []}, "n"),
+        ({**d, "perm_a": d["perm_a"][:-1]}, "perm_a"),
+        ({**d, "perm_b": d["perm_b"][:-1]}, "perm_b"),
+        ({**d, "perm_b": [0] * d["n"]}, "perm_b"),
+    )
+    for broken, key in cases:
+        with pytest.raises(FormatError) as info:
+            LabeledGraph.from_dict(broken)
+        assert info.value.key == key
 
 
 def test_result_json_round_trip():
