@@ -146,14 +146,17 @@ def _cmd_solve(args) -> CommandResult:
         if not isinstance(src, str):
             raise FormatError("vertices", f"vertex {name!r} must name a file")
         functions[name] = load_function(cfg_path.parent / src)
-    config = configuration_from_dict(obj, functions)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
+        config = configuration_from_dict(obj, functions)
+        outdir.mkdir(parents=True, exist_ok=True)
         extensions, report = solve_configuration(
             config, args.radius, args.epsilon, seed=args.seed
         )
+    except FormatError:
+        raise
     except FreePDError as exc:
+        outdir.mkdir(parents=True, exist_ok=True)
         write_json_atomic(
             {"config": str(cfg_path), "error": str(exc), "type": type(exc).__name__},
             outdir / "report.json",

@@ -20,12 +20,14 @@ relative energy close to where it started.  Three ingredients make that work:
   Armijo backtracking on one parameter (tree edge, the target parameter being
   already fixed) or jointly on all cycle parameters.
 
-The driver solve_configuration walks the extension stages in shortlex order,
-budgets a sigma per stage, converts it into an l1 perturbation allowance
-through the transport perturbation bound, and records everything it consumed
-in a SolverReport.  Within a stage the tree edges are independent once the
-parent parameters are known; the implementation processes them sequentially
-from the root outward, which is the same dependency order.
+The driver solve_configuration drives the extend module's one stage walk for
+every vertex at once, reading each stage off the current stage domain, so it
+visits the stages extend_ball visits.  Per stage it budgets a sigma, converts
+it into an l1 perturbation allowance through the transport perturbation
+bound, and records everything it consumed in a SolverReport.  Within a stage
+the tree edges are independent once the parent parameters are known; the
+implementation processes them sequentially from the root outward, which is
+the same dependency order.
 
 Conventions: stage functions are partial-domain PDFunctions; a configuration
 of radius r carries data on Ball(2r) so that its edge energies over the index
@@ -55,7 +57,7 @@ from .errors import (
     SingularizationError,
     SolveError,
 )
-from .extend import DELTA_MIN, SzegoParameter, extend_entry
+from .extend import DELTA_MIN, SzegoParameter, _close_walk, _open_walk, extend_entry
 from .hilbert import build_partial_space, ortho_matrices, residual_data
 from .pdcore import (
     DEFAULT_TOL,
@@ -68,7 +70,7 @@ from .pdcore import (
     restrict_to_ball,
 )
 from .transport import _top_generalized_eig, partial_relative_energy, relative_energy
-from .words import inverse, mul, next_novel, word_to_str
+from .words import inverse, mul, word_to_str
 
 __all__ = [
     "Configuration",
@@ -506,12 +508,10 @@ PAIR_STOP = 5e-6
 CHAIN_ROUNDS = 24
 
 
-def _solve_edge_impl(C, D, mu, tol_edge, max_iter, seed, inits, tol,
+def _solve_edge_impl(C, D, mu, base, tol_edge, max_iter, seed, inits, tol,
                      grad_tol=GRAD_TOL):
     spC, rdC, spD, rdD = _pair_data(C, D, tol)
-    mu_v = _zval(mu)
-    G_D = _filled(spD, rdD, mu_v)
-    base = partial_relative_energy(C, D, tol=tol).energy
+    G_D = _filled(spD, rdD, _zval(mu))
     target = base + tol_edge
     rng = np.random.default_rng(seed)
     m = spC.core_size
@@ -649,7 +649,8 @@ def solve_edge(C: PDFunction, D: PDFunction, mu, certificate=None,
     iterates compact.  Exceeding max_iter raises a SolveError carrying the
     best parameter seen.
     """
-    zeta, _, _ = _solve_edge_impl(C, D, mu, tol_edge, max_iter, seed, inits, tol)
+    base = partial_relative_energy(C, D, tol=tol).energy
+    zeta, _, _ = _solve_edge_impl(C, D, mu, base, tol_edge, max_iter, seed, inits, tol)
     return zeta
 
 
@@ -658,15 +659,13 @@ def _solve_cycle_impl(family, base_energies, tol_edge, max_iter, seed, tol):
     n_fam = len(fam)
     if n_fam < 2:
         raise ParameterError("a cycle needs at least two functions")
-    data = []
-    for i in range(n_fam):
-        spC, rdC, spD, rdD = _pair_data(fam[i], fam[(i + 1) % n_fam], tol)
-        data.append((spC, rdC, spD, rdD))
+    data = [_pair_data(fam[i], fam[(i + 1) % n_fam], tol) for i in range(n_fam)]
+    partial = [
+        partial_relative_energy(fam[i], fam[(i + 1) % n_fam], tol=tol).energy
+        for i in range(n_fam)
+    ]
     if base_energies is None:
-        base = [
-            partial_relative_energy(fam[i], fam[(i + 1) % n_fam], tol=tol).energy
-            for i in range(n_fam)
-        ]
+        base = partial
     else:
         base = [float(b) for b in base_energies]
         if len(base) != n_fam:
@@ -756,7 +755,7 @@ def _solve_cycle_impl(family, base_energies, tol_edge, max_iter, seed, tol):
             budget = max(1, min(400, max_iter // 2 - used))
             try:
                 zeta, _, it = _solve_edge_impl(
-                    fam[n], fam[(n + 1) % n_fam], zs[(n + 1) % n_fam],
+                    fam[n], fam[(n + 1) % n_fam], zs[(n + 1) % n_fam], partial[n],
                     chain_tol, budget, seed, (zs[n],), tol, grad_tol=np.inf)
             except SolveError as exc:
                 zeta, it = exc.best, budget
@@ -875,6 +874,14 @@ def solve_cycle_params(family, base_energies=None, tol_edge: float = 1e-6,
 # ---------------------------------------------------------------------------
 
 
+class _FieldError(ParameterError):
+    """A ParameterError that names the configuration field at fault."""
+
+    def __init__(self, key, message):
+        self.key = key
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class Configuration:
     """A family of strict functions on the vertices of a directed graph.
@@ -896,25 +903,26 @@ class Configuration:
 
     def __post_init__(self):
         if self.shape not in ("tree", "cycle"):
-            raise ParameterError(f"unknown shape {self.shape!r}")
+            raise _FieldError("shape", f"unknown shape {self.shape!r}")
         if isinstance(self.r, bool) or not isinstance(self.r, int) or self.r < 0:
-            raise ParameterError("the radius must be a nonnegative integer")
+            raise _FieldError("r", "the radius must be a nonnegative integer")
         if not self.vertices:
-            raise ParameterError("a configuration needs at least one vertex")
+            raise _FieldError("vertices", "a configuration needs at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
-            raise ParameterError("vertex names must be distinct")
+            raise _FieldError("vertices", "vertex names must be distinct")
         vset = set(self.vertices)
         seen = set()
         for edge in self.edges:
             if len(edge) != 2 or edge[0] not in vset or edge[1] not in vset:
-                raise ParameterError(f"edge {edge!r} has an unknown endpoint")
+                raise _FieldError("edges", f"edge {edge!r} has an unknown endpoint")
             if edge[0] == edge[1]:
-                raise ParameterError(f"self-loop at {edge[0]!r}")
+                raise _FieldError("edges", f"self-loop at {edge[0]!r}")
             if edge in seen:
-                raise ParameterError(f"duplicate edge {edge!r}")
+                raise _FieldError("edges", f"duplicate edge {edge!r}")
             seen.add(edge)
         if set(self.functions) != vset:
-            raise ParameterError("functions must be given exactly on the vertices")
+            raise _FieldError(
+                "vertices", "functions must be given exactly on the vertices")
         want = Domain.ball(2 * self.r)
         for v in self.vertices:
             C = self.functions[v]
@@ -939,16 +947,17 @@ class Configuration:
         succ = {}
         for v, w in self.edges:
             if v in succ:
-                raise ParameterError(f"vertex {v!r} has two outgoing edges")
+                raise _FieldError("edges", f"vertex {v!r} has two outgoing edges")
             succ[v] = w
         if self.shape == "tree":
             if self.root not in self.vertices:
-                raise ParameterError("a tree configuration needs a root vertex")
+                raise _FieldError("root", "a tree configuration needs a root vertex")
             if self.root in succ:
-                raise ParameterError("the root must have no outgoing edge")
+                raise _FieldError("root", "the root must have no outgoing edge")
             for v in self.vertices:
                 if v != self.root and v not in succ:
-                    raise ParameterError(f"vertex {v!r} has no path toward the root")
+                    raise _FieldError(
+                        "edges", f"vertex {v!r} has no path toward the root")
             children = {}
             for v, w in succ.items():
                 children.setdefault(w, []).append(v)
@@ -958,25 +967,27 @@ class Configuration:
                 order.extend(sorted(children.get(order[i], ())))
                 i += 1
             if len(order) != len(self.vertices):
-                raise ParameterError("the edges do not form a tree toward the root")
+                raise _FieldError(
+                    "edges", "the edges do not form a tree toward the root")
             return [(v, succ[v]) for v in order[1:]]
         if self.root is not None:
-            raise ParameterError("a cycle configuration takes no root")
+            raise _FieldError("root", "a cycle configuration takes no root")
         if len(self.vertices) < 2:
-            raise ParameterError("a cycle needs at least two vertices")
+            raise _FieldError("vertices", "a cycle needs at least two vertices")
         indeg = Counter(succ.values())
         for v in self.vertices:
             if v not in succ or indeg[v] != 1:
-                raise ParameterError(
+                raise _FieldError(
+                    "edges",
                     f"vertex {v!r} must have exactly one outgoing and one "
-                    "incoming edge"
+                    "incoming edge",
                 )
         # every vertex has in- and out-degree one, so the walk closes up
         order = [self.vertices[0]]
         while succ[order[-1]] != order[0]:
             order.append(succ[order[-1]])
         if len(order) != len(self.vertices):
-            raise ParameterError("the edges do not form a single cycle")
+            raise _FieldError("edges", "the edges do not form a single cycle")
         return [(v, succ[v]) for v in order]
 
 
@@ -985,7 +996,9 @@ def configuration_from_dict(obj, functions) -> Configuration:
 
     The JSON form references functions by name through the "vertices"
     mapping; the caller resolves those references (file paths, usually) and
-    passes the loaded functions keyed by vertex name.
+    passes the loaded functions keyed by vertex name.  A malformed field, a
+    graph of the wrong shape included, raises FormatError naming it; a
+    function that does not fit raises the constructor's error.
     """
     if not isinstance(obj, dict):
         raise FormatError("configuration", "the configuration must be an object")
@@ -1020,15 +1033,18 @@ def configuration_from_dict(obj, functions) -> Configuration:
     missing = [v for v in names if v not in functions]
     if missing:
         raise FormatError("vertices", f"no function supplied for {missing[0]!r}")
-    return Configuration(
-        shape=shape,
-        r=r,
-        d=d,
-        vertices=names,
-        edges=tuple(edges),
-        functions={v: functions[v] for v in names},
-        root=root,
-    )
+    try:
+        return Configuration(
+            shape=shape,
+            r=r,
+            d=d,
+            vertices=names,
+            edges=tuple(edges),
+            functions={v: functions[v] for v in names},
+            root=root,
+        )
+    except _FieldError as exc:
+        raise FormatError(exc.key, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -1102,17 +1118,6 @@ class SolverReport:
         return _over_budget(self.restriction_energy, eps)
 
 
-def _stage_list(r2: int, R: int, d: int) -> list:
-    stages = []
-    g = next_novel((3,) * r2)
-    while len(g) <= R:
-        for j in range(1, d + 1):
-            for k in range(1, d + 1):
-                stages.append((g, j, k))
-        g = next_novel(g)
-    return stages
-
-
 def _eta_budget(family, eta_prime: float, tol: float) -> float:
     """Function-l1 allowance keeping two-sided stage energies under 1+eta_prime.
 
@@ -1151,15 +1156,16 @@ def solve_configuration(config: Configuration, R: int, eps: float,
                         tol: float = DEFAULT_TOL):
     """Extend every vertex function to Ball(R) with controlled edge energies.
 
-    Walks the extension stages beyond the data ball in shortlex times
-    coordinate order.  Each stage consumes a sigma from the schedule (default
-    geometric, eps/4 * 2^-t): on long enough levels the family is first made
-    singular within an l1 allowance derived from sigma through the transport
-    perturbation bound (verified a posteriori and retried smaller if needed),
-    then the parameters are chosen by per-edge descent from the root outward
-    (trees) or one joint cycle descent.  Short levels skip the perturbation,
-    start the descent from several initial points, and may absorb a capped
-    solve into the stage's sigma slack.
+    Drives extend's stage walk beyond the data ball for every vertex at once
+    (novel levels in shortlex order, coordinates row-major).  Each stage
+    consumes a sigma from the schedule (default geometric, eps/4 * 2^-t): on
+    long enough levels the family is first made singular within an l1
+    allowance derived from sigma through the transport perturbation bound
+    (verified a posteriori and retried smaller if needed), then the
+    parameters are chosen by per-edge descent from the root outward (trees)
+    or one joint cycle descent.  Short levels skip the perturbation, start
+    the descent from several initial points, and may absorb a capped solve
+    into the stage's sigma slack.
 
     Returns (extensions, report): the extensions on Ball(R) keyed by vertex,
     and a SolverReport with per-stage and per-edge records.
@@ -1182,75 +1188,54 @@ def solve_configuration(config: Configuration, R: int, eps: float,
     cyc = [v for v, _ in edge_seq]
 
     rng = np.random.default_rng(seed)
-    stages = _stage_list(r2, R, config.d)
-    cur = {}
-    for v in verts:
-        C = config.functions[v]
-        cur[v] = PDFunction(
-            config.d,
-            Domain.partial(next_novel((3,) * r2), 1, 1),
-            dict(C.canonical_items()),
-        )
-
+    cur = {v: _open_walk(config.functions[v]) for v in verts}
     records = []
-    sigmas = []
-    iterations_total = 0
-    for t, (g, j, k) in enumerate(stages):
+    while len(cur[verts[0]].domain.g) <= R:
+        g, j, k = _stage_of(cur[verts[0]])
+        stage_name = f"({word_to_str(g)}, {j}, {k})"
+        t = len(records)
         if sigma_schedule is None:
             sigma_t = eps / 4.0 * 2.0 ** (-t)
         elif t < len(sigma_schedule):
             sigma_t = sigma_schedule[t]
         else:
-            raise BudgetError(
-                f"sigma schedule exhausted at stage ({word_to_str(g)}, {j}, {k})"
-            )
-        stage_name = f"({word_to_str(g)}, {j}, {k})"
+            raise BudgetError(f"sigma schedule exhausted at stage {stage_name}")
         pe = {
             e: partial_relative_energy(cur[e[0]], cur[e[1]], tol=tol).energy
             for e in edge_seq
         }
-        emax = max(pe.values())
 
         eta_func = 0.0
         drift = 0.0
         certs = {}
+        work, ppe = cur, pe
         if len(g) >= MIN_SINGULAR_LENGTH:
-            eta_prime = math.sqrt(1.0 + sigma_t / emax) - 1.0
+            eta_prime = math.sqrt(1.0 + sigma_t / max(pe.values())) - 1.0
             eta_func = _eta_budget([cur[v] for v in verts], eta_prime, tol)
-            placed = None
             for _ in range(6):
-                fam, certs = make_singular(
-                    [cur[v] for v in verts],
-                    eta_func,
-                    seed=int(rng.integers(2 ** 31)),
-                    tol=tol,
-                )
-                trial = dict(zip(verts, fam))
-                ok = True
-                for v in verts:
-                    forward = partial_relative_energy(cur[v], trial[v], tol=tol).energy
-                    backward = partial_relative_energy(trial[v], cur[v], tol=tol).energy
-                    if max(forward, backward) > 1.0 + eta_prime * (1.0 + 1e-9):
-                        ok = False
-                        break
-                if ok:
-                    placed = trial
+                fam, certs = make_singular([cur[v] for v in verts], eta_func,
+                                           seed=int(rng.integers(2 ** 31)), tol=tol)
+                work = dict(zip(verts, fam))
+                # each member's two-sided stage energy against its original
+                if not any(
+                    max(partial_relative_energy(cur[v], work[v], tol=tol).energy,
+                        partial_relative_energy(work[v], cur[v], tol=tol).energy)
+                    > 1.0 + eta_prime * (1.0 + 1e-9)
+                    for v in verts
+                ):
                     break
                 eta_func /= 4.0
-            if placed is None:
+            else:
                 raise SolveError(
                     f"stage {stage_name}: the singular perturbation kept "
                     "overshooting its energy allowance"
                 )
-            drift = max(l1_distance(placed[v], cur[v]) for v in verts)
-            work = placed
-        else:
-            work = dict(cur)
+            drift = max(l1_distance(work[v], cur[v]) for v in verts)
+            ppe = {
+                e: partial_relative_energy(work[e[0]], work[e[1]], tol=tol).energy
+                for e in edge_seq
+            }
 
-        ppe = {
-            e: partial_relative_energy(work[e[0]], work[e[1]], tol=tol).energy
-            for e in edge_seq
-        }
         slack_allowance = max(tol_edge, sigma_t / (4.0 * max(1, len(edge_seq))))
         slack_used = 0.0
         iters = 0
@@ -1261,7 +1246,7 @@ def solve_configuration(config: Configuration, R: int, eps: float,
                 inits = (0j,) if cert is not None else (0j, zetas[w])
                 try:
                     zv, _, it = _solve_edge_impl(
-                        work[v], work[w], zetas[w], tol_edge, max_iter,
+                        work[v], work[w], zetas[w], ppe[(v, w)], tol_edge, max_iter,
                         int(rng.integers(2 ** 31)), inits, tol,
                     )
                 except SolveError as exc:
@@ -1306,10 +1291,7 @@ def solve_configuration(config: Configuration, R: int, eps: float,
             e: stage_energy(work[e[0]], work[e[1]], zetas[e[0]], zetas[e[1]], tol=tol)
             for e in edge_seq
         }
-        for v in verts:
-            cur[v] = extend_entry(work[v], zetas[v], tol=tol)
-        sigmas.append(sigma_t)
-        iterations_total += iters
+        cur = {v: extend_entry(work[v], zetas[v], tol=tol) for v in verts}
         records.append(
             {
                 "stage": (g, j, k),
@@ -1324,10 +1306,7 @@ def solve_configuration(config: Configuration, R: int, eps: float,
             }
         )
 
-    outputs = {}
-    for v in verts:
-        entries = {w: a for w, a in cur[v].canonical_items() if len(w) <= R}
-        outputs[v] = PDFunction(config.d, Domain.ball(R), entries)
+    outputs = {v: _close_walk(cur[v], R) for v in verts}
 
     energies_before, energies_after, restriction_drift, restriction_energy = (
         _final_energies(config, outputs, R, tol)
@@ -1337,11 +1316,11 @@ def solve_configuration(config: Configuration, R: int, eps: float,
         energies_before=energies_before,
         energies_after=energies_after,
         encost=_encost(energies_before, energies_after),
-        sigma_consumed=tuple(sigmas),
+        sigma_consumed=tuple(rec["sigma"] for rec in records),
         stage_records=tuple(records),
         restriction_drift=restriction_drift,
         restriction_energy=restriction_energy,
-        iterations_total=iterations_total,
+        iterations_total=sum(rec["iterations"] for rec in records),
     )
     return outputs, report
 

@@ -11,8 +11,11 @@ value = zeta * radius + center.  We keep |zeta| <= 1 - DELTA_MIN so every
 step stays strictly inside, which preserves strictness of the extended
 function and keeps later stages nondegenerate.
 
-extend_entry performs one such step and advances the stage bookkeeping;
-extend_ball drives the walk over all novel levels up to a target radius.
+extend_entry performs one such step and advances the stage bookkeeping.
+This module owns the one stage walk: _open_walk starts it beyond Ball(r),
+_write_and_advance alone orders the stages, and _close_walk cuts the result
+onto Ball(R).  extend_ball drives it with a parameter policy, and the energy
+solver drives it for a whole family of functions.
 The zeta = 0 choice at every stage is the central (maximal entropy)
 extension, which on two letters reproduces the multiplicative values
 C(uv) = C(u) C(v) along reduced products.
@@ -174,11 +177,25 @@ def _policy_step(C: PDFunction, policy: ParameterPolicy, tol: float) -> PDFuncti
     return _write_and_advance(C, rd, z)
 
 
+def _open_walk(C: PDFunction) -> PDFunction:
+    """The data of a Ball(r) function at the first novel stage beyond Ball(r)."""
+    return PDFunction(
+        C.d,
+        Domain.partial(next_novel((3,) * C.domain.r), 1, 1),
+        dict(C.canonical_items()),
+    )
+
+
+def _close_walk(C: PDFunction, R: int) -> PDFunction:
+    """The entries of a walked function up to length R, on Ball(R)."""
+    entries = {w: a for w, a in C.canonical_items() if len(w) <= R}
+    return PDFunction(C.d, Domain.ball(R), entries)
+
+
 def extend_ball(
     C: PDFunction,
     R: int,
     policy: ParameterPolicy | None = None,
-    keep: str = "ball",
     tol: float = DEFAULT_TOL,
 ) -> PDFunction:
     """Extend a function on Ball(r) to Ball(R) stage by stage.
@@ -187,34 +204,19 @@ def extend_ball(
     of each in row-major order; non-novel levels are mirrors and need no
     choice.  The walk is deterministic given the policy, and the output
     restricted to B_r equals C bitwise.
-
-    keep="ball" labels the output with the Ball(R) domain; keep="prefix"
-    returns the same data on the prefix domain of the last word of B_R,
-    convenient when the result feeds further stagewise work.
     """
     if C.domain.kind != "ball":
         raise DomainError("extend_ball starts from a fully specified ball")
-    if keep not in ("ball", "prefix"):
-        raise ParameterError(f"unknown output form {keep!r}")
     R = int(R)
     r = C.domain.r
     if R < r:
         raise ParameterError(f"target radius {R} is below the source radius {r}")
     if policy is None:
         policy = central_policy()
-    if R > r:
-        cur = PDFunction(
-            C.d,
-            Domain.partial(next_novel((3,) * r), 1, 1),
-            dict(C.canonical_items()),
-        )
-        while len(cur.domain.g) <= R:
-            cur = _policy_step(cur, policy, tol)
-        entries = {w: a for w, a in cur.canonical_items() if len(w) <= R}
-    else:
-        entries = dict(C.canonical_items())
-    dom = Domain.ball(R) if keep == "ball" else Domain.prefix((3,) * R)
-    return PDFunction(C.d, dom, entries)
+    cur = _open_walk(C)
+    while len(cur.domain.g) <= R:
+        cur = _policy_step(cur, policy, tol)
+    return _close_walk(cur, R)
 
 
 def central_extension(C: PDFunction, R: int, tol: float = DEFAULT_TOL) -> PDFunction:

@@ -37,7 +37,6 @@ __all__ = [
     "LabeledGraph",
     "SurgeryResult",
     "cycles",
-    "r_separated",
     "perform_surgery",
     "verify_conditions",
 ]
@@ -167,25 +166,6 @@ def _greedy_positions(length, gap, candidates):
     while len(marks) > 1 and marks[0] + length - marks[-1] < gap:
         marks.pop()
     return marks
-
-
-def r_separated(cycle, R):
-    """Greedy maximal R-separated subset of a directed cycle.
-
-    The walk starts at the least vertex of the cycle, so consecutive gaps
-    sit in [R, 2R] and at least two vertices survive.  Two picks need room
-    for two gaps, so cycles shorter than 2R are rejected.
-    """
-    if isinstance(R, bool) or not isinstance(R, int) or R < 1:
-        raise SurgeryError(f"separation must be a positive integer, got {R!r}")
-    length = len(cycle)
-    if length < 2 * R:
-        raise SurgeryError(
-            f"cycle of length {length} is too short to {R}-separate (needs >= {2 * R})"
-        )
-    start = cycle.index(min(cycle))
-    rotated = list(cycle[start:]) + list(cycle[:start])
-    return [rotated[p] for p in _greedy_positions(length, R, list(range(length)))]
 
 
 @dataclass(frozen=True)

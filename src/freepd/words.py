@@ -270,38 +270,3 @@ def maximal_cliques(vertices, iset: IndexSet):
     expand(set(), set(verts), set())
     return out
 
-
-def predecessor_clique(g: Word):
-    """The shortlex-least level h at which K_g minus its top works, with a translate.
-
-    Returns (h, t) where K_g \\ {g} is a clique in the level-h graph and
-    K_g \\ {g} is contained in t * K_h.  Scans h upward from a; both conditions
-    are required, and existence is a theorem we simply rely on (bounded scan).
-    """
-    kg = clique(g)
-    rest = [v for v in kg.vertices if v != g]
-    h = (0,)
-    # The scan cannot need to pass g itself: K_g \ {g} is a clique at level g's
-    # predecessor already. Cap generously and fail loudly if exceeded.  Only
-    # novel levels are visited: a non-novel level has the same graph as some
-    # earlier one, so it can never be the least level, and K_h needs novelty.
-    for _ in range(4 * len(index_set(g).prefixes) + 8):
-        if not is_novel(h):
-            h = successor(h)
-            continue
-        iset_h = index_set(h)
-        ok = all(
-            adjacent(u, v, iset_h) for i, u in enumerate(rest) for v in rest[i + 1:]
-        )
-        if ok:
-            kh = clique(h).vertices
-            kh_inv = [inverse(x) for x in kh]
-            candidates = [mul(rest[0], x) for x in kh_inv] if rest else [()]
-            for t in sorted(set(candidates), key=shortlex_key):
-                t_inv = inverse(t)
-                if all(mul(t_inv, v) in kh for v in rest):
-                    return h, t
-        h = successor(h)
-    raise WordError(
-        f"no translate level found for {word_to_str(g)}"
-    )  # pragma: no cover - contradicts the containment theorem

@@ -2,8 +2,21 @@
 
 import numpy as np
 
+from freepd.errors import SurgeryError, WordError
 from freepd.pdcore import Domain, PDFunction
-from freepd.words import index_set, is_novel, shortlex_key
+from freepd.surgery import _greedy_positions
+from freepd.words import (
+    adjacent,
+    ball,
+    clique,
+    index_set,
+    inverse,
+    is_novel,
+    mul,
+    shortlex_key,
+    successor,
+    word_to_str,
+)
 
 
 def embed_toeplitz(c, n_target):
@@ -38,6 +51,69 @@ def letter_weights_function(ca, cb, r=1):
 
 def sorted_novel(words_iter):
     return sorted((w for w in words_iter if is_novel(w)), key=shortlex_key)
+
+
+def novel_stages(r, R, d):
+    """The extension stages from Ball(r) to Ball(R), from the word tables alone.
+
+    Novel levels of length r+1..R in shortlex order, each with its d*d
+    coordinates (j, k) in row-major order.
+    """
+    levels = sorted_novel(w for w in ball(R) if len(w) > r)
+    return [(g, j, k) for g in levels for j in range(1, d + 1) for k in range(1, d + 1)]
+
+
+def predecessor_clique(g):
+    """The shortlex-least level h at which K_g minus its top works, with a translate.
+
+    Returns (h, t) where K_g \\ {g} is a clique in the level-h graph and
+    K_g \\ {g} is contained in t * K_h.  Scans h upward from a; both conditions
+    are required, and existence is a theorem we simply rely on (bounded scan).
+    """
+    kg = clique(g)
+    rest = [v for v in kg.vertices if v != g]
+    h = (0,)
+    # The scan cannot need to pass g itself: K_g \ {g} is a clique at level g's
+    # predecessor already. Cap generously and fail loudly if exceeded.  Only
+    # novel levels are visited: a non-novel level has the same graph as some
+    # earlier one, so it can never be the least level, and K_h needs novelty.
+    for _ in range(4 * len(index_set(g).prefixes) + 8):
+        if not is_novel(h):
+            h = successor(h)
+            continue
+        iset_h = index_set(h)
+        ok = all(
+            adjacent(u, v, iset_h) for i, u in enumerate(rest) for v in rest[i + 1:]
+        )
+        if ok:
+            kh = clique(h).vertices
+            kh_inv = [inverse(x) for x in kh]
+            candidates = [mul(rest[0], x) for x in kh_inv] if rest else [()]
+            for t in sorted(set(candidates), key=shortlex_key):
+                t_inv = inverse(t)
+                if all(mul(t_inv, v) in kh for v in rest):
+                    return h, t
+        h = successor(h)
+    raise WordError(f"no translate level found for {word_to_str(g)}")
+
+
+def r_separated(cycle, R):
+    """Greedy maximal R-separated subset of a directed cycle.
+
+    The walk starts at the least vertex of the cycle, so consecutive gaps
+    sit in [R, 2R] and at least two vertices survive.  Two picks need room
+    for two gaps, so cycles shorter than 2R are rejected.
+    """
+    if isinstance(R, bool) or not isinstance(R, int) or R < 1:
+        raise SurgeryError(f"separation must be a positive integer, got {R!r}")
+    length = len(cycle)
+    if length < 2 * R:
+        raise SurgeryError(
+            f"cycle of length {length} is too short to {R}-separate (needs >= {2 * R})"
+        )
+    start = cycle.index(min(cycle))
+    rotated = list(cycle[start:]) + list(cycle[:start])
+    return [rotated[p] for p in _greedy_positions(length, R, list(range(length)))]
 
 
 def random_unit_complex(rng):

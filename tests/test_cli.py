@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +149,65 @@ def test_solve_same_seed_gives_identical_files(tmp_path):
         assert res.code == 0
     for name in ("report.json", "a.json", "b.json", "c.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["extend", "check", "energy", "surgery"])
+def test_other_commands_give_identical_files(tmp_path, command):
+    fn, other = tmp_path / "fn.json", tmp_path / "other.json"
+    run("random", "--r", 2, "--d", 1, "--seed", 3, "--out", fn)
+    run("random", "--r", 2, "--d", 1, "--seed", 8, "--out", other)
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(random_labeled_graph(240, 2, seed=5).to_dict()))
+    argv = {
+        "extend": lambda out: ("extend", fn, "--radius", 4, "--out", out),
+        "check": lambda out: ("check", fn),
+        "energy": lambda out: ("energy", fn, other),
+        "surgery": lambda out: ("surgery", graph, "--R", 2, "--r", 1,
+                                "--out", out, "--verify"),
+    }[command]
+    outputs = []
+    for tag in ("one", "two"):
+        res = run(*argv(tmp_path / f"{tag}.json"))
+        assert res.code == 0
+        outputs.append(Path(res.report_path).read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def _write_config(tmp_path, **fields):
+    """A path configuration over vfn.json; a field given as None is left out."""
+    obj = {
+        "shape": "tree", "r": 1, "d": 1, "root": "c",
+        "vertices": {"a": "vfn.json", "b": "vfn.json", "c": "vfn.json"},
+        "edges": [["a", "b"], ["b", "c"]], **fields,
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: v for k, v in obj.items() if v is not None}))
+    return cfg
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"root": None}, "root"),
+    ({"edges": [["a", "b"], ["b", "z"]]}, "edges"),
+], ids=["rootless-tree", "unknown-endpoint"])
+def test_solve_misshapen_config_names_the_field(tmp_path, fields, key):
+    run("random", "--r", 2, "--d", 1, "--seed", 9, "--out", tmp_path / "vfn.json")
+    cfg = _write_config(tmp_path, **fields)
+    out = tmp_path / "x"
+    res = run("solve", "--config", cfg, "--radius", 3, "--epsilon", 0.01, "--out", out)
+    assert res.code == 2
+    assert res.summary.startswith(f"malformed input at {key!r}")
+    assert not out.exists()
+
+
+def test_solve_wrong_data_ball_still_writes_report(tmp_path):
+    run("random", "--r", 1, "--d", 1, "--seed", 9, "--out", tmp_path / "vfn.json")
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "x"
+    res = run("solve", "--config", cfg, "--radius", 3, "--epsilon", 0.01, "--out", out)
+    assert res.code == 1
+    assert res.report_path == str(out / "report.json")
+    report = json.loads((out / "report.json").read_text())
+    assert report["type"] == "DomainError" and "Ball(2)" in report["error"]
 
 
 def test_solve_malformed_config(tmp_path):

@@ -27,7 +27,7 @@ from freepd.errors import (
 from freepd.extend import SzegoParameter, central_extension
 from freepd.pdcore import PDFunction, check_pd, l1_distance, random_nspd
 from freepd.transport import partial_relative_energy, relative_energy
-from helpers import mix_functions, stage_function
+from helpers import mix_functions, novel_stages, stage_function
 
 
 def _singular_pair(seed, eta=0.02):
@@ -336,6 +336,16 @@ def test_configuration_from_dict_round_trip_and_errors():
         configuration_from_dict({**obj, "edges": [["a"]]}, functions)
     with pytest.raises(FormatError):
         configuration_from_dict([1, 2], functions)
+
+
+def test_solve_configuration_walks_the_novel_stages_in_order():
+    fns = _ball2_family()
+    cfg = Configuration(
+        shape="tree", r=1, d=1, vertices=("a", "b"), edges=(("a", "b"),),
+        functions={"a": fns[0], "b": fns[1]}, root="b",
+    )
+    _, report = solve_configuration(cfg, R=3, eps=1e-3, seed=0)
+    assert [rec["stage"] for rec in report.stage_records] == novel_stages(2, 3, 1)
 
 
 def test_solve_configuration_identical_functions_fixed_point():

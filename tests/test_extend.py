@@ -27,7 +27,7 @@ from freepd.pdcore import (
     stage_pairs,
 )
 from freepd.words import is_novel, next_novel, word_from_str
-from helpers import embed_toeplitz, letter_weights_function
+from helpers import embed_toeplitz, letter_weights_function, novel_stages
 
 
 def test_szego_parameter_validation():
@@ -129,25 +129,11 @@ def test_extend_ball_matches_central_and_is_deterministic():
     assert restrict_to_ball(a, 1) == C
 
 
-def test_extend_ball_prefix_output_option():
-    C = random_nspd(1, 1, seed=9)
-    ball_out = extend_ball(C, 2, keep="ball")
-    pref_out = extend_ball(C, 2, keep="prefix")
-    assert pref_out.domain == Domain.prefix("BB")
-    items_b = dict(ball_out.canonical_items())
-    items_p = dict(pref_out.canonical_items())
-    assert set(items_b) == set(items_p)
-    for w, arr in items_b.items():
-        assert np.array_equal(arr, items_p[w])
-
-
 def test_extend_ball_same_radius_and_errors():
     C = random_nspd(1, 1, seed=2)
     assert extend_ball(C, 1) == C
     with pytest.raises(ParameterError):
         extend_ball(C, 0)
-    with pytest.raises(ParameterError):
-        extend_ball(C, 2, keep="sphere")
     with pytest.raises(DomainError):
         extend_ball(delta(1, Domain.partial("a", 1, 1)), 2)
 
@@ -182,6 +168,17 @@ def test_policy_context_carries_the_disk():
     center, radius = seen[(word_from_str("aa"), 1, 1)]
     assert center == pytest.approx(0.25)
     assert radius == pytest.approx(0.75)
+
+
+def test_extend_ball_visits_the_novel_stages_in_order():
+    visited = []
+
+    def record(stage, current, context):
+        visited.append(stage)
+        return 0j
+
+    extend_ball(random_nspd(1, 2, seed=4), 3, policy=ParameterPolicy(record))
+    assert visited == novel_stages(1, 3, 2)
 
 
 def test_random_walks_stay_strict():

@@ -9,10 +9,9 @@ from freepd.surgery import (
     SurgeryResult,
     cycles,
     perform_surgery,
-    r_separated,
     verify_conditions,
 )
-from helpers import girth_permutation, random_labeled_graph
+from helpers import girth_permutation, r_separated, random_labeled_graph
 
 
 def cyclic_gaps(cycle, picks):

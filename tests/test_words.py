@@ -15,12 +15,12 @@ from freepd.words import (
     maximal_cliques,
     mul,
     predecessor,
-    predecessor_clique,
     reduce_word,
     successor,
     word_from_str,
     word_to_str,
 )
+from helpers import predecessor_clique
 
 A, B, Ai, Bi = 0, 1, 2, 3
 
