@@ -58,7 +58,7 @@ from .errors import (
     SolveError,
 )
 from .extend import DELTA_MIN, SzegoParameter, _close_walk, _open_walk, extend_entry
-from .hilbert import build_partial_space, ortho_matrices, residual_data
+from .hilbert import _cholesky, build_partial_space, ortho_matrices, residual_data
 from .pdcore import (
     DEFAULT_TOL,
     Domain,
@@ -362,8 +362,8 @@ def _min_core_norm(C: PDFunction, tol: float) -> float:
     sp = build_partial_space(C)
     if sp.core_size == 0:
         return np.inf
-    _, Nm = ortho_matrices(np.array(sp.core_gram), tol)
-    return float(np.min(1.0 / np.abs(np.diag(Nm))))
+    _, pivots = _cholesky(sp.core_gram, tol)
+    return float(np.min(pivots))
 
 
 def _pairs_separated(rows) -> bool:
@@ -508,9 +508,9 @@ PAIR_STOP = 5e-6
 CHAIN_ROUNDS = 24
 
 
-def _solve_edge_impl(C, D, mu, base, tol_edge, max_iter, seed, inits, tol,
+def _solve_edge_impl(pair, mu, base, tol_edge, max_iter, seed, inits, tol,
                      grad_tol=GRAD_TOL):
-    spC, rdC, spD, rdD = _pair_data(C, D, tol)
+    spC, rdC, spD, rdD = pair
     G_D = _filled(spD, rdD, _zval(mu))
     target = base + tol_edge
     rng = np.random.default_rng(seed)
@@ -650,7 +650,8 @@ def solve_edge(C: PDFunction, D: PDFunction, mu, certificate=None,
     best parameter seen.
     """
     base = partial_relative_energy(C, D, tol=tol).energy
-    zeta, _, _ = _solve_edge_impl(C, D, mu, base, tol_edge, max_iter, seed, inits, tol)
+    zeta, _, _ = _solve_edge_impl(_pair_data(C, D, tol), mu, base, tol_edge, max_iter,
+                                  seed, inits, tol)
     return zeta
 
 
@@ -660,12 +661,11 @@ def _solve_cycle_impl(family, base_energies, tol_edge, max_iter, seed, tol):
     if n_fam < 2:
         raise ParameterError("a cycle needs at least two functions")
     data = [_pair_data(fam[i], fam[(i + 1) % n_fam], tol) for i in range(n_fam)]
-    partial = [
-        partial_relative_energy(fam[i], fam[(i + 1) % n_fam], tol=tol).energy
-        for i in range(n_fam)
-    ]
     if base_energies is None:
-        base = partial
+        base = [
+            partial_relative_energy(fam[i], fam[(i + 1) % n_fam], tol=tol).energy
+            for i in range(n_fam)
+        ]
     else:
         base = [float(b) for b in base_energies]
         if len(base) != n_fam:
@@ -755,7 +755,7 @@ def _solve_cycle_impl(family, base_energies, tol_edge, max_iter, seed, tol):
             budget = max(1, min(400, max_iter // 2 - used))
             try:
                 zeta, _, it = _solve_edge_impl(
-                    fam[n], fam[(n + 1) % n_fam], zs[(n + 1) % n_fam], partial[n],
+                    data[n], zs[(n + 1) % n_fam], base[n],
                     chain_tol, budget, seed, (zs[n],), tol, grad_tol=np.inf)
             except SolveError as exc:
                 zeta, it = exc.best, budget
@@ -1246,8 +1246,8 @@ def solve_configuration(config: Configuration, R: int, eps: float,
                 inits = (0j,) if cert is not None else (0j, zetas[w])
                 try:
                     zv, _, it = _solve_edge_impl(
-                        work[v], work[w], zetas[w], ppe[(v, w)], tol_edge, max_iter,
-                        int(rng.integers(2 ** 31)), inits, tol,
+                        _pair_data(work[v], work[w], tol), zetas[w], ppe[(v, w)],
+                        tol_edge, max_iter, int(rng.integers(2 ** 31)), inits, tol,
                     )
                 except SolveError as exc:
                     if exc.value is not None and exc.value <= ppe[(v, w)] + slack_allowance:

@@ -10,12 +10,15 @@ cross term <p Theta(g)_j, p Theta(e)_k>.  The extension engine fills the
 unknown entry as zeta * n_g * n_e + cross with a parameter zeta from the
 closed unit disk; this module computes everything the engine consumes.
 
-Gram-Schmidt is done in Gram arithmetic: vectors never materialize, only
-coefficient rows over the input basis, with inner products evaluated through
-the Gram matrix.  The orthogonalization matrix G maps old coordinates to
-orthogonal ones (unit upper triangular in the processing order), and the
-orthonormalization matrix N additionally scales by the residual norms, so
-that (N^-1)* (N^-1) reproduces the input matrix.
+Every number here comes from a lower Cholesky factor M = L L* of a Gram
+matrix M[i, j] = <y_i, y_j>: row i of L holds the coordinates of y_i in an
+orthonormal basis whose first i + 1 vectors span y_0, ..., y_i, and the
+pivot L[i, i] is the norm of y_i's residual after projection onto y_0, ...,
+y_{i-1}.  Factoring the core plus one working vector therefore yields that
+vector's residual norm as the last pivot and its projection's coordinates as
+the last row; one such factor per working vector gives all three stage
+numbers.  This is one Schur-complement step, the one-step Szego-parameter
+extension of Bakonyi and Timotin.  Vectors never materialize.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import pdcore
 from .errors import (
@@ -122,46 +126,49 @@ def build_partial_space(C: PDFunction) -> PartialHilbertSpace:
     return PartialHilbertSpace(indices=idx, gram=G)
 
 
-def _ip(M: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
-    # <sum u_i y_i, sum v_j y_j> with M[i, j] = <y_i, y_j>
-    return u @ M @ np.conj(v)
+def _cholesky(M, tol: float, leading: int | None = None):
+    """Lower Cholesky factor L of a Hermitian matrix (M = L L*) and its pivots.
 
-
-def ortho_matrices(M, tol: float = DEFAULT_TOL):
-    """Gram-Schmidt in input order, in Gram arithmetic.
-
-    Returns (G, N): G is the unit upper triangular orthogonalization matrix
-    (its column k holds the coefficients turning y-coordinates into the k-th
-    orthogonal vector's coordinates, conjugated), N the orthonormalization
-    matrix, scaled so that (N^-1)* (N^-1) equals M.  Modified Gram-Schmidt
-    with one re-orthogonalization pass keeps the columns orthogonal even for
-    small margins.  An intermediate squared norm at or below tol^2 raises.
+    The pivots are the diagonal of L; a pivot LAPACK could not take reads 0,
+    as does every pivot after it.  NotStrictError is raised when one of the
+    first `leading` pivots (all of them by default) is at or below tol.
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
     if M.ndim != 2 or M.shape != (n, n):
-        raise ParameterError("ortho_matrices needs a square matrix")
+        raise ParameterError("a Cholesky factor needs a square matrix")
     scale = max(1.0, float(np.max(np.abs(M)))) if n else 1.0
     if n and float(np.max(np.abs(M - M.conj().T))) > 1e-10 * scale:
-        raise ParameterError("ortho_matrices needs a Hermitian matrix")
-    B = np.zeros((n, n), dtype=complex)
-    norms = np.zeros(n)
-    for t in range(n):
-        b = np.zeros(n, dtype=complex)
-        b[t] = 1.0
-        for _ in range(2):
-            for i in range(t):
-                b = b - (_ip(M, b, B[i]) / (norms[i] ** 2)) * B[i]
-        nsq = _ip(M, b, b).real
-        if nsq <= tol * tol:
-            raise NotStrictError(
-                f"Gram-Schmidt norm collapsed at position {t} (squared norm {nsq:.3e})"
-            )
-        B[t] = b
-        norms[t] = np.sqrt(nsq)
-    G = B.conj().T
-    N = G / norms
-    return G, N
+        raise ParameterError("a Cholesky factor needs a Hermitian matrix")
+    L, info = scipy.linalg.lapack.zpotrf(M, lower=1, clean=1)
+    pivots = np.diag(L).real.copy()
+    if info > 0:
+        pivots[info - 1:] = 0.0
+    bad = np.flatnonzero(pivots[:leading] <= tol)
+    if bad.size:
+        t = int(bad[0])
+        raise NotStrictError(
+            f"Cholesky pivot collapsed at position {t} (pivot {pivots[t]:.3e})"
+        )
+    return L, pivots
+
+
+def ortho_matrices(M, tol: float = DEFAULT_TOL):
+    """Orthogonalization matrices of M in input order, from its Cholesky factor.
+
+    Returns (G, N): G is the unit upper triangular orthogonalization matrix
+    (its column k holds the coefficients turning y-coordinates into the k-th
+    orthogonal vector's coordinates, conjugated), N = L^-* the
+    orthonormalization matrix, so that (N^-1)* (N^-1) equals M and
+    G = N diag(L).  A pivot (residual norm) at or below tol raises.
+    """
+    L, pivots = _cholesky(M, tol)
+    if not pivots.size:
+        return L, L.copy()
+    # inverting the unit lower triangular L diag(L)^-1 keeps G's diagonal
+    # exactly one
+    G = scipy.linalg.lapack.ztrtri(L / pivots, lower=1, unitdiag=1)[0].conj().T
+    return G, G / pivots
 
 
 def residual_from_gram(G: np.ndarray, core_size: int,
@@ -169,32 +176,30 @@ def residual_from_gram(G: np.ndarray, core_size: int,
     """Residual data of a stage Gram: core at the front, the two working
     vectors in the last two rows (g-side first, e-side last).
 
-    Only defined entries are touched: the projections need core rows alone,
-    so the NaN corner never enters.  The outcome does not depend on the core
-    ordering, since an orthogonal projection is basis-free.
+    The core plus one working vector is factored per side, so the NaN
+    corner never enters: the last pivot is the residual norm and the last
+    row the projection's coordinates.  A core pivot at or below DEFAULT_TOL
+    raises NotStrictError, a residual at or below tol DegenerateStageError.
+    The outcome does not depend on the core ordering, since an orthogonal
+    projection is basis-free.
     """
     n = G.shape[0]
     if core_size != n - 2:
         raise ParameterError("core_size must be the matrix size minus two")
     m = core_size
-    if m:
-        _, N = ortho_matrices(np.array(G[:m, :m]))
-        U = N.conj().T  # row i: coefficients of the i-th orthonormal vector
-        coeff_g = G[n - 2, :m] @ U.conj().T
-        coeff_e = G[n - 1, :m] @ U.conj().T
-    else:
-        coeff_g = np.zeros(0, dtype=complex)
-        coeff_e = np.zeros(0, dtype=complex)
-    p_g = float(np.sum(np.abs(coeff_g) ** 2))
-    p_e = float(np.sum(np.abs(coeff_e) ** 2))
-    n_g = np.sqrt(max(G[n - 2, n - 2].real - p_g, 0.0))
-    n_e = np.sqrt(max(G[n - 1, n - 1].real - p_e, 0.0))
+    rows, norms = [], []
+    for last in (m, m + 1):
+        keep = list(range(m)) + [last]
+        L, pivots = _cholesky(G[np.ix_(keep, keep)], DEFAULT_TOL, leading=m)
+        rows.append(L[m, :m])
+        norms.append(float(pivots[m]))
+    n_g, n_e = norms
     if n_g <= tol or n_e <= tol:
         raise DegenerateStageError(
             f"residual norm collapsed (n_g={n_g:.3e}, n_e={n_e:.3e})"
         )
-    cross = complex(coeff_g @ np.conj(coeff_e))
-    return ResidualData(n_g=float(n_g), n_e=float(n_e), cross=cross)
+    cross = complex(rows[0] @ np.conj(rows[1]))
+    return ResidualData(n_g=n_g, n_e=n_e, cross=cross)
 
 
 def residual_data(space: PartialHilbertSpace,

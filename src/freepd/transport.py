@@ -16,7 +16,8 @@ core (indexed by the clique K_g, never by a ball: translated index sets have
 identical Grams) and report the larger of the two.
 
 The pencil kernel _top_generalized_eig is the package's only
-generalized-eigenvalue solver; the energy solver uses it for every
+generalized-eigenvalue solver, one call to LAPACK's symmetric-definite
+routine (scipy.linalg.eigh(A, B)); the energy solver uses it for every
 completed-stage pencil.
 """
 
@@ -41,10 +42,6 @@ __all__ = [
     "perturbation_bound_check",
 ]
 
-# Above this condition number of G_C the Cholesky-whitening route loses too
-# many digits; we switch to the symmetric-definite pencil solver instead.
-COND_LIMIT = 1e8
-
 RAYLEIGH_TOL = 1e-8
 
 
@@ -68,29 +65,20 @@ class EnergyReport:
 def _top_generalized_eig(G_C, G_D, tol: float):
     """All generalized eigenvalues of G_D x = lambda G_C x plus the top achiever.
 
-    The pencil is solved against G_D - G_C and shifted back by one (same
-    eigenvectors, exact at equal Grams, no digits lost to the identity part
-    near one), by Cholesky whitening of G_C or, when G_C is badly
-    conditioned, by the LAPACK symmetric-definite solver.  The achiever is
-    scaled so that x* G_C x = 1, its largest coordinate rotated to the
-    positive real axis so repeated calls agree, and certified by its
-    Rayleigh quotient.
+    The pencil (G_D - G_C, G_C) is handed to LAPACK's symmetric-definite
+    solver and shifted back by one (same eigenvectors, exact at equal Grams,
+    no digits lost to the identity part near one).  The achiever is scaled
+    so that x* G_C x = 1, its largest coordinate rotated to the positive
+    real axis so repeated calls agree, and certified by its Rayleigh
+    quotient.
     """
     lam = scipy.linalg.eigvalsh(G_C)
     if lam[0] <= tol * G_C.shape[0]:
         raise NotStrictError(
             f"the base Gram matrix is not strictly positive (min eigenvalue {lam[0]:.3e})"
         )
-    if lam[-1] / lam[0] <= COND_LIMIT:
-        L = scipy.linalg.cholesky(G_C, lower=True)
-        A = scipy.linalg.solve_triangular(L, G_D - G_C, lower=True)
-        W = scipy.linalg.solve_triangular(L, A.conj().T, lower=True).conj().T
-        W = 0.5 * (W + W.conj().T)
-        vals, vecs = scipy.linalg.eigh(W)
-        x = scipy.linalg.solve_triangular(L.conj().T, vecs[:, -1], lower=False)
-    else:  # pragma: no cover - exercised only by near-degenerate bases
-        vals, vecs = scipy.linalg.eigh(G_D - G_C, G_C)
-        x = vecs[:, -1]
+    vals, vecs = scipy.linalg.eigh(G_D - G_C, G_C)
+    x = vecs[:, -1]
     vals = vals + 1.0
     x = x / math.sqrt(float(np.real(np.conj(x) @ G_C @ x)))
     i = int(np.argmax(np.abs(x)))

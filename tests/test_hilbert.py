@@ -1,7 +1,8 @@
 """Stage spaces, Gram-Schmidt matrices and residual data.
 
 The two-by-two Gram-Schmidt example and the stage residuals are checked by
-hand; determinant formulas act as an independent oracle for the matrices.
+hand; determinant formulas act as an independent oracle for the matrices,
+and explicit least-squares projections for the residual data.
 """
 
 import numpy as np
@@ -187,6 +188,40 @@ def test_residual_continuity_under_entry_perturbation():
 def test_residual_from_gram_validates_core_size():
     with pytest.raises(ParameterError):
         residual_from_gram(np.eye(4), 1)
+
+
+def _stage_gram(vectors):
+    """The stage Gram of explicit vectors (rows), working corner masked."""
+    G = vectors @ vectors.conj().T
+    G[-2, -1] = G[-1, -2] = complex("nan")
+    return G
+
+
+def test_residual_collapsed_core_is_not_strict():
+    rng = np.random.default_rng(41)
+    V = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
+    V[2] = V[1]  # the core spans fewer dimensions than it has vectors
+    indefinite = _stage_gram(rng.normal(size=(5, 7)) + 0j)
+    indefinite[1, 1] = -1.0  # a core no vectors can realize
+    tiny = _stage_gram(np.diag([1.0, 1e-11, 1.0, 1.0]) + 0j)  # pivot 1e-11 > 0
+    for G in (_stage_gram(V), indefinite, tiny):
+        with pytest.raises(NotStrictError) as info:
+            residual_from_gram(G, G.shape[0] - 2)
+        assert not isinstance(info.value, DegenerateStageError)
+
+
+def test_residual_matches_projection_oracle():
+    rng = np.random.default_rng(29)
+    for m in range(31):
+        n = m + 2
+        V = rng.normal(size=(n, 2 * n)) + 1j * rng.normal(size=(n, 2 * n))
+        V /= np.sqrt(2 * n)
+        rd = residual_from_gram(_stage_gram(V), m)
+        core = V[:m].T
+        proj = [core @ np.linalg.lstsq(core, v, rcond=None)[0] for v in V[m:]]
+        assert rd.n_g == pytest.approx(np.linalg.norm(V[m] - proj[0]), abs=1e-12)
+        assert rd.n_e == pytest.approx(np.linalg.norm(V[m + 1] - proj[1]), abs=1e-12)
+        assert abs(rd.cross - proj[0] @ proj[1].conj()) <= 1e-12
 
 
 def test_stage_index_sets_constructor():

@@ -1,10 +1,15 @@
+import os
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from freepd.errors import DomainError, NotStrictError, ParameterError
 from freepd.extend import central_extension
+from freepd.hilbert import residual_from_gram
 from freepd.pdcore import (
+    DEFAULT_TOL,
     Domain,
     PDFunction,
     delta,
@@ -16,6 +21,7 @@ from freepd.pdcore import (
 )
 from freepd.transport import (
     EnergyReport,
+    _top_generalized_eig,
     energy_schedule,
     partial_relative_energy,
     perturbation_bound_check,
@@ -73,6 +79,41 @@ def test_whitening_agrees_with_pencil_solver():
         G_D = gram_indexed(D, rep.indices)
         lam = scipy.linalg.eigh(G_D, G_C, eigvals_only=True)[-1]
         assert abs(lam - rep.energy) <= 1e-9 * max(1.0, lam)
+
+
+def test_pencil_on_an_ill_conditioned_base_matches_closed_form():
+    # G_C has condition number 1e9; a rank-one raise u u* on top of it has
+    # the single nontrivial generalized eigenvalue 1 + u* G_C^-1 u
+    rng = np.random.default_rng(13)
+    n = 8
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    lam = np.ones(n)
+    lam[-1] = 1e-9
+    G_C = (Q * lam) @ Q.conj().T
+    u = rng.normal(size=n) + 1j * rng.normal(size=n)
+    G_D = G_C + np.outer(u, u.conj())
+    vals, x = _top_generalized_eig(G_C, G_D, DEFAULT_TOL)
+    expected = 1.0 + float(np.sum(np.abs(Q.conj().T @ u) ** 2 / lam))
+    assert vals[-1] == pytest.approx(expected, rel=1e-6)
+    assert np.real(x.conj() @ G_C @ x) == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="a BLAS worker thread needs a second CPU")
+def test_small_kernels_leave_no_blas_thread_spinning():
+    # level-3 BLAS calls wake an OpenBLAS worker that then spins for about
+    # 0.13 s of CPU; the pencil and residual kernels must not make them
+    rng = np.random.default_rng(3)
+    A, B, V = (rng.normal(size=(n, 2 * n)) + 1j * rng.normal(size=(n, 2 * n))
+               for n in (12, 12, 34))
+    G_C, G_D, G = (M @ M.conj().T for M in (A, B, V))
+    G[-2, -1] = G[-1, -2] = complex("nan")
+    time.sleep(0.3)  # let any worker woken before this test fall idle
+    _top_generalized_eig(G_C, G_D, DEFAULT_TOL)
+    residual_from_gram(G, 32)
+    start = time.process_time()
+    time.sleep(0.3)
+    assert time.process_time() - start < 0.03
 
 
 def test_random_search_oracle_single_letter_example():
