@@ -342,16 +342,9 @@ def _wprime_ratio(C: PDFunction, g1, g2, j: int, k: int) -> float:
     the four perturbed scalars, which is what makes the rejection sampling
     succeed almost surely.
     """
-    g = C.domain.g
-    GV = pdcore.gram_indexed(C, [(g1, 1), (g2, 1)])
-    X = np.array(
-        [
-            [C.scalar(mul(inverse(g1), g), j, 1), C.scalar(inverse(g1), k, 1)],
-            [C.scalar(mul(inverse(g2), g), j, 1), C.scalar(inverse(g2), k, 1)],
-        ],
-        dtype=complex,
-    )
-    W = scipy.linalg.solve(GV, X)
+    # row i of G[2:, :2].T is <Theta(g)_j, Theta(g_i)_1>, <Theta(e)_k, Theta(g_i)_1>
+    G = pdcore._gram(C, [(g1, 1), (g2, 1), (C.domain.g, j), ((), k)], corner=True)
+    W = scipy.linalg.solve(G[:2, :2], G[2:, :2].T)
     sv = np.linalg.svd(W, compute_uv=False)
     if sv[0] <= 0.0:
         return 0.0
@@ -1134,19 +1127,17 @@ def _eta_budget(family, eta_prime: float, tol: float) -> float:
     for C in family:
         sp = build_partial_space(C)
         m = sp.core_size
-        pairs = list(sp.indices.Q)
+        # a (stack slot, c1, c2) key is one oriented entry (quotient, c1, c2)
+        _, slots, coords = pdcore._gram_slots(sp.indices.Q)
+        keys = (slots * C.d + coords[:, None]) * C.d + coords[None, :]
         for G, last in ((sp.x_g_gram, m), (sp.x_e_gram, m + 1)):
             lam = scipy.linalg.eigvalsh(G)
             if lam[0] <= tol * G.shape[0]:
                 raise NotStrictError("a stage restriction Gram lost strictness")
             budget = min(budget, s * float(lam[0]) / 2.0)
-            sub = pairs[:m] + [pairs[last]]
-            counts = Counter(
-                (mul(inverse(w2), w1), c1, c2)
-                for (w1, c1) in sub
-                for (w2, c2) in sub
-            )
-            mult = max(mult, max(counts.values()))
+            sub = np.r_[:m, last]
+            counts = np.unique(keys[np.ix_(sub, sub)], return_counts=True)[1]
+            mult = max(mult, int(counts.max()))
     return float(budget / mult)
 
 

@@ -242,24 +242,13 @@ def toeplitz_step(seq, zeta, tol: float = DEFAULT_TOL) -> complex:
         raise ParameterError(f"c_0 must equal 1, got {c[0]}")
     z = _as_zeta(zeta)
     N = c.size - 1
-    T = scipy.linalg.toeplitz(c)
-    lam = scipy.linalg.eigvalsh(T)
+    T = scipy.linalg.toeplitz(np.append(c, complex("nan")))
+    lam = scipy.linalg.eigvalsh(T[:N + 1, :N + 1])
     if lam[0] <= tol * c.size:
         raise NotStrictError(
             f"the Toeplitz matrix is not strictly positive (min eig {lam[0]:.3e})"
         )
-
-    def val(m: int) -> complex:
-        return c[m] if m >= 0 else np.conj(c[-m])
-
-    order = list(range(1, N + 1)) + [N + 1, 0]
-    G = np.empty((N + 2, N + 2), dtype=complex)
-    for p, ip in enumerate(order):
-        for q, iq in enumerate(order):
-            diff = ip - iq
-            if abs(diff) == N + 1:
-                G[p, q] = complex("nan")
-            else:
-                G[p, q] = val(diff)
+    order = list(range(1, N + 2)) + [0]
+    G = T[np.ix_(order, order)]
     rd = residual_from_gram(G, core_size=N, tol=tol)
     return complex(z.value * (rd.n_g * rd.n_e) + rd.cross)

@@ -18,7 +18,8 @@ y_{i-1}.  Factoring the core plus one working vector therefore yields that
 vector's residual norm as the last pivot and its projection's coordinates as
 the last row; one such factor per working vector gives all three stage
 numbers.  This is one Schur-complement step, the one-step Szego-parameter
-extension of Bakonyi and Timotin.  Vectors never materialize.
+extension of Bakonyi and Timotin.  Vectors never materialize: the stage
+Gram is pdcore's one Gram gather, its corner the undefined stage slot (NaN).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     ParameterError,
 )
 from .pdcore import DEFAULT_TOL, PDFunction
-from .words import Word, inverse, mul
+from .words import Word
 
 DEGENERACY_TOL = 1e-12
 
@@ -112,16 +113,7 @@ def build_partial_space(C: PDFunction) -> PartialHilbertSpace:
         raise DomainError("build_partial_space needs a partial-domain function")
     dom = C.domain
     idx = StageIndexSets.at(dom.g, C.d, dom.j, dom.k)
-    pairs = idx.Q
-    n = len(pairs)
-    invs = [inverse(w) for w, _ in pairs]
-    G = np.empty((n, n), dtype=complex)
-    for i1, (w1, c1) in enumerate(pairs):
-        for i2, (_, c2) in enumerate(pairs):
-            if (i1, i2) in ((n - 2, n - 1), (n - 1, n - 2)):
-                G[i1, i2] = complex("nan")
-            else:
-                G[i1, i2] = C._scalar_fast(mul(invs[i2], w1), c1, c2)
+    G = pdcore._gram(C, idx.Q, corner=True)
     G.setflags(write=False)
     return PartialHilbertSpace(indices=idx, gram=G)
 

@@ -18,8 +18,9 @@ midway through an extension stage) is checked through the stage restriction
 matrices, which are exactly its fully defined principal submatrices.
 
 Only one of {g, g^-1} is stored, the shortlex-smaller one; the mirror is
-materialized on read.  Stored arrays are marked read-only, and an undefined
-slot of a partial top row is a complex NaN.
+materialized on read, and every Gram of the package is one gather (_gram)
+through a quotient table cached per word list.  Stored arrays are marked
+read-only, and an undefined slot of a partial top row is a complex NaN.
 """
 
 from __future__ import annotations
@@ -240,10 +241,7 @@ class PDFunction:
         """C(w)_{j,k} with 1-based coordinates, mirroring as needed."""
         if not (1 <= j <= self.d and 1 <= k <= self.d):
             raise ParameterError(f"coordinates ({j},{k}) out of range for d={self.d}")
-        return self._scalar_fast(_as_word(w), j, k)
-
-    def _scalar_fast(self, w: Word, j: int, k: int) -> complex:
-        # trusted path for Gram assembly: w reduced, coordinates in range
+        w = _as_word(w)
         if w == ():
             return 1 + 0j if j == k else 0j
         c = canonical_rep(w)
@@ -259,21 +257,11 @@ class PDFunction:
         return complex(v)
 
     def entry(self, w) -> np.ndarray:
-        """The full matrix C(w); fails on the partially defined top level."""
-        w = _as_word(w)
-        if w == ():
-            return np.eye(self.d, dtype=complex)
-        c = canonical_rep(w)
-        arr = self._entries.get(c)
-        if arr is None:
-            raise MissingEntryError(word_to_str(c))
-        out = np.array(arr if c == w else arr.conj().T)
-        if np.isnan(out).any():
-            raise MissingEntryError(
-                word_to_str(c),
-                f"C({word_to_str(w)}) is only partially defined; read it by scalar()",
-            )
-        return out
+        """The full matrix C(w), read as the Gram block <Phi(w), Phi(e)>;
+        fails on the partially defined top level."""
+        E = range(1, self.d + 1)
+        return _gram(self, [(_as_word(w), m) for m in E] + [((), m) for m in E])[
+            :self.d, self.d:]
 
     def defined(self, w, j: int, k: int) -> bool:
         w = _as_word(w)
@@ -316,6 +304,55 @@ def delta(d: int, domain: Domain) -> PDFunction:
     return PDFunction(d, domain, entries)
 
 
+@lru_cache(maxsize=None)
+def _quotient_table(ws: tuple):
+    """(quotients, slots) of the distinct words ws: the canonical l^-1 h
+    (h, l in ws), e first, and slots[a, b], where C(ws[b]^-1 ws[a]) sits in
+    their stacked entries followed by their conjugate transposes."""
+    position = {(): 0}
+    slots = np.zeros((len(ws), len(ws)), dtype=np.intp)
+    mirrored = np.zeros(slots.shape, dtype=bool)
+    invs = [inverse(w) for w in ws]
+    for a, b in zip(*np.triu_indices(len(ws), 1)):
+        # the (b, a) quotient is the inverse of the (a, b) one, never equal
+        q, q_inv = mul(invs[b], ws[a]), mul(invs[a], ws[b])
+        flip = shortlex_key(q_inv) < shortlex_key(q)
+        slots[a, b] = slots[b, a] = position.setdefault(q_inv if flip else q, len(position))
+        mirrored[a, b], mirrored[b, a] = flip, not flip
+    slots += mirrored * len(position)
+    slots.setflags(write=False)
+    return tuple(position), slots
+
+
+def _gram_slots(pairs):
+    """The quotients, the stack slot of every Gram entry and the 0-based
+    coordinates of validated (word, coordinate) pairs."""
+    ws = tuple(dict.fromkeys(w for w, _ in pairs))
+    quotients, slots = _quotient_table(ws)
+    row = {w: a for a, w in enumerate(ws)}
+    rows = [row[w] for w, _ in pairs]
+    return quotients, slots[np.ix_(rows, rows)], np.array([c - 1 for _, c in pairs], int)
+
+
+def _gram(C: PDFunction, pairs, corner: bool = False) -> np.ndarray:
+    """The one Gram assembly: G[i1, i2] = C(w2^-1 w1)[c1, c2] as one gather
+    over validated pairs.  A NaN (a quotient outside the domain, an undefined
+    slot) raises, except at the corner of the last two pairs if corner is set."""
+    quotients, slots, coords = _gram_slots(pairs)
+    missing = np.full((C.d, C.d), complex("nan"))
+    stack = np.array([np.eye(C.d, dtype=complex)]
+                     + [C._entries.get(q, missing) for q in quotients[1:]])
+    stack = np.concatenate([stack, stack.conj().transpose(0, 2, 1)])
+    G = stack[slots, coords[:, None], coords]
+    undefined = np.isnan(G)
+    if corner:
+        undefined[-2, -1] = undefined[-1, -2] = False
+    for i1, i2 in np.argwhere(undefined)[:1]:
+        c = word_to_str(quotients[slots[i1, i2] % len(quotients)])
+        raise MissingEntryError(c, f"the Gram reads C({c}), which is missing or partial")
+    return G
+
+
 def gram_indexed(C: PDFunction, pairs) -> np.ndarray:
     """Gram matrix over explicit (word, coordinate) pairs, coordinates 1-based.
 
@@ -326,13 +363,7 @@ def gram_indexed(C: PDFunction, pairs) -> np.ndarray:
     for _, c in pairs:
         if not (isinstance(c, int) and 1 <= c <= C.d):
             raise ParameterError(f"coordinate {c!r} out of range for d={C.d}")
-    n = len(pairs)
-    G = np.empty((n, n), dtype=complex)
-    inverses = [inverse(w) for w, _ in pairs]
-    for i1, (w1, c1) in enumerate(pairs):
-        for i2, (_, c2) in enumerate(pairs):
-            G[i1, i2] = C._scalar_fast(mul(inverses[i2], w1), c1, c2)
-    return G
+    return _gram(C, pairs)
 
 
 def gram(C: PDFunction, E) -> np.ndarray:

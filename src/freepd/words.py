@@ -157,18 +157,13 @@ class IndexSet:
 
 @lru_cache(maxsize=None)
 def index_set(g: Word) -> IndexSet:
-    prefixes = []
-    w = ()
-    while True:
-        prefixes.append(w)
-        if w == g:
-            break
-        w = successor(w)
-        if len(w) > len(g) + 1:  # pragma: no cover - guards a malformed g
-            raise WordError(f"{word_to_str(g)!r} never reached; is it reduced?")
+    words = ball(len(g))
+    if g not in words:
+        raise WordError(f"{g!r} is not a reduced word")
+    prefixes = words[:words.index(g) + 1]
     members = set(prefixes)
     members.update(inverse(h) for h in prefixes)
-    return IndexSet(origin=g, prefixes=tuple(prefixes), members=frozenset(members))
+    return IndexSet(origin=g, prefixes=prefixes, members=frozenset(members))
 
 
 def adjacent(h: Word, l: Word, iset: IndexSet) -> bool:
@@ -206,6 +201,7 @@ class Clique:
     vertices: tuple  # shortlex order
 
 
+@lru_cache(maxsize=None)
 def clique(g: Word) -> Clique:
     """The unique maximal clique K_g containing the edge (e, g).
 

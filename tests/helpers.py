@@ -116,6 +116,21 @@ def r_separated(cycle, R):
     return [rotated[p] for p in _greedy_positions(length, R, list(range(length)))]
 
 
+def reference_gram(C, pairs):
+    """Gram over (word, coordinate) pairs read entry by entry: C(w2^-1 w1)[c1, c2].
+
+    A plain double loop over the word arithmetic and C.scalar, independent of
+    the library's Gram assembly; an undefined slot reads NaN.
+    """
+    pairs = list(pairs)
+    G = np.empty((len(pairs), len(pairs)), dtype=complex)
+    for i1, (w1, c1) in enumerate(pairs):
+        for i2, (w2, c2) in enumerate(pairs):
+            q = mul(inverse(w2), w1)
+            G[i1, i2] = C.scalar(q, c1, c2) if C.defined(q, c1, c2) else complex("nan")
+    return G
+
+
 def random_unit_complex(rng):
     phi = rng.uniform(0.0, 2.0 * np.pi)
     return complex(np.cos(phi), np.sin(phi))

@@ -20,14 +20,13 @@ from freepd.pdcore import (
     PDFunction,
     check_pd,
     delta,
-    gram_indexed,
     random_nspd,
     restrict_to_ball,
     restrict_to_stage,
     stage_pairs,
 )
 from freepd.words import is_novel, next_novel, word_from_str
-from helpers import embed_toeplitz, letter_weights_function, novel_stages
+from helpers import embed_toeplitz, letter_weights_function, novel_stages, reference_gram
 
 
 def test_szego_parameter_validation():
@@ -246,7 +245,7 @@ def test_disk_membership_decides_positivity():
         for rho, should_pass in ((0.5, True), (0.999, True), (1.001, False)):
             v = center + rho * radius * np.exp(1j * phi)
             cand = _successor_stage_function(stage, gs, j, k, v)
-            gq = gram_indexed(cand, q_pairs)
+            gq = reference_gram(cand, q_pairs)
             min_eig = scipy.linalg.eigvalsh(gq)[0]
             verdict = check_pd(cand)
             if should_pass:
@@ -256,7 +255,7 @@ def test_disk_membership_decides_positivity():
                 assert min_eig < 0, (seed, rho, min_eig)
                 assert verdict.status == "not_pd"
                 alpha = verdict.witness_vector
-                g_w = gram_indexed(cand, verdict.witness_indices)
+                g_w = reference_gram(cand, verdict.witness_indices)
                 quad = alpha.conj() @ g_w @ alpha
                 assert quad.real < 0
         # extend_entry with the matching zeta lands on the same point.

@@ -4,10 +4,12 @@ Hand-computed oracles come first; randomized checks are seeded loops so a
 failure always reproduces.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
-from freepd import pdcore
+from freepd import pdcore, words
 from freepd.errors import (
     DomainError,
     FormatError,
@@ -19,6 +21,7 @@ from freepd.errors import (
 from freepd.pdcore import (
     Domain,
     PDFunction,
+    canonical_words,
     check_pd,
     delta,
     function_from_dict,
@@ -31,10 +34,13 @@ from freepd.pdcore import (
     random_nspd,
     realize,
     restrict_to_ball,
+    restrict_to_stage,
     save_function,
     stage_pairs,
 )
-from freepd.words import ball, clique, inverse, mul, word_from_str
+from freepd.hilbert import build_partial_space
+from freepd.words import ball, clique, inverse, mul, word_from_str, word_to_str
+from helpers import reference_gram
 
 W = word_from_str
 
@@ -68,6 +74,87 @@ def test_gram_indexed_rejects_bad_coordinates():
     C = delta(1, Domain.ball(1))
     with pytest.raises(ParameterError):
         gram_indexed(C, [((), 0)])
+
+
+def _same_bits(A, B):
+    """Equal shapes, NaN in the same slots, and bit-identical values elsewhere."""
+    if A.shape != B.shape or not np.array_equal(np.isnan(A), np.isnan(B)):
+        return False
+    defined = ~np.isnan(A)
+    return A[defined].tobytes() == B[defined].tobytes()
+
+
+def _shuffled_pairs(rng, E, d):
+    """Index pairs over E with its last word and e repeated, in a seeded order."""
+    E = list(E) + [E[-1], ()]
+    pairs = [(h, m) for h in E for m in range(1, d + 1)]
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["ball", "prefix", "partial"])
+def test_gram_gather_matches_entrywise_reference(kind, d):
+    rng = np.random.default_rng(10 * d + len(kind))
+    C2 = random_nspd(2, d, seed=d)
+    if kind == "ball":
+        # quotients of Ball(1) words, mirrored pairs a, A and b, B among
+        # them, stay inside Ball(2)
+        G_pairs = _shuffled_pairs(rng, ball(1), d)
+        assert _same_bits(gram_indexed(C2, G_pairs), reference_gram(C2, G_pairs))
+        return
+    for text in ("aa", "ab", "aB", "bb"):
+        g = W(text)
+        if kind == "prefix":
+            dom = Domain.prefix(g)
+            keep = set(canonical_words(dom))
+            C = PDFunction(d, dom, {w: a for w, a in C2.canonical_items() if w in keep})
+            G_pairs = _shuffled_pairs(rng, clique(g).vertices, d)
+            assert _same_bits(gram_indexed(C, G_pairs), reference_gram(C, G_pairs))
+            continue
+        j, k = (int(x) for x in rng.integers(1, d + 1, size=2))
+        stage = restrict_to_stage(C2, g, j, k)
+        _, Q = stage_pairs(g, d, j, k)
+        G = build_partial_space(stage).gram
+        assert _same_bits(G, reference_gram(stage, Q))
+        corner = np.zeros(G.shape, dtype=bool)
+        corner[-2, -1] = corner[-1, -2] = True
+        assert np.array_equal(np.isnan(G), corner)
+        with pytest.raises(MissingEntryError) as err:
+            gram_indexed(stage, [((), k), (g, j)])
+        assert err.value.word == word_to_str(g)
+
+
+def _library_caches():
+    """The functools caches of every loaded freepd module, collected as the
+    benchmark collects them to clear between rounds."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "freepd" or name.startswith("freepd.")):
+            continue
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)) and hasattr(value, "cache_info"):
+                found[id(value)] = value
+    return list(found.values())
+
+
+def test_cleared_caches_give_the_same_grams():
+    caches = _library_caches()
+    assert any(c is pdcore._quotient_table for c in caches)
+    assert any(c is words.clique for c in caches)
+    C = random_nspd(3, 2, seed=5)
+    stage = restrict_to_stage(C, "aab", 1, 2)
+    pairs = [(h, m) for h in ball(1) for m in (1, 2)]
+
+    def grams():
+        return [gram_indexed(C, pairs), build_partial_space(stage).gram]
+
+    before = grams()
+    for cache in caches:
+        cache.cache_clear()
+    assert pdcore._quotient_table.cache_info().currsize == 0
+    assert words.clique.cache_info().currsize == 0
+    after = grams()
+    assert all(_same_bits(a, b) for a, b in zip(before, after))
 
 
 def test_constructor_canonicalizes_and_mirrors():

@@ -127,6 +127,12 @@ def test_index_set_examples():
     assert index_set(w("aa")).prefixes == tuple(ball(1)) + (w("aa"),)
 
 
+def test_index_set_rejects_non_reduced_words():
+    for g in ((0, 2), (1, 0, 2, 0), (4,)):
+        with pytest.raises(WordError):
+            index_set(g)
+
+
 def test_ball_is_a_prefix_domain():
     # The ball of radius r is the index set of the shortlex-last word of length r.
     for r in range(1, 5):
