@@ -22,8 +22,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .energysolver import configuration_from_dict, solve_configuration
 from .errors import FormatError, FreePDError
 from .extend import central_extension, toeplitz_step

@@ -57,13 +57,12 @@ from .errors import (
     SingularizationError,
     SolveError,
 )
-from .extend import DELTA_MIN, SzegoParameter, _close_walk, _open_walk, extend_entry
+from .extend import DELTA_MIN, SzegoParameter, _open_walk, extend_entry
 from .hilbert import _cholesky, build_partial_space, ortho_matrices, residual_data
 from .pdcore import (
     DEFAULT_TOL,
     Domain,
     PDFunction,
-    canonical_rep,
     check_pd,
     l1_distance,
     mix_with_delta,
@@ -322,18 +321,6 @@ def _l1_ball_sample(rng, n: int, radius: float) -> np.ndarray:
     return moduli * phases
 
 
-def _bump_entries(C: PDFunction, slots, lam: np.ndarray) -> PDFunction:
-    """Add lam[i] to the scalar C(word_i)_{row_i, 1} for the four slots."""
-    new = {w: np.array(a) for w, a in C.canonical_items()}
-    for (word, row), dv in zip(slots, lam):
-        c = canonical_rep(word)
-        if c == word:
-            new[c][row - 1, 0] += dv
-        else:
-            new[c][0, row - 1] += np.conj(dv)
-    return PDFunction(C.d, C.domain, new)
-
-
 def _wprime_ratio(C: PDFunction, g1, g2, j: int, k: int) -> float:
     """Singular-value ratio of the 2x2 restricted projection matrix W'.
 
@@ -408,11 +395,11 @@ def make_singular(family, eta: float, seed=0, tol: float = DEFAULT_TOL,
 
     rng = np.random.default_rng(seed)
     g1, g2 = g[:1], g[:2]
-    slots = (
-        (mul(inverse(g1), g), j),
-        (mul(inverse(g2), g), j),
-        (inverse(g1), k),
-        (inverse(g2), k),
+    cells = (
+        (mul(inverse(g1), g), j, 1),
+        (mul(inverse(g2), g), j, 1),
+        (inverse(g1), k, 1),
+        (inverse(g2), k, 1),
     )
 
     primed = []
@@ -423,7 +410,7 @@ def make_singular(family, eta: float, seed=0, tol: float = DEFAULT_TOL,
                 lam = np.zeros(4, dtype=complex)
             else:
                 lam = _l1_ball_sample(rng, 4, eta / 4.0)
-            cand = _bump_entries(C, slots, lam)
+            cand = pdcore.add_to_entries(C, cells, lam)
             if _wprime_ratio(cand, g1, g2, j, k) < DET_TOL:
                 continue
             if check_pd(cand, tol).status != "strict":
@@ -1297,7 +1284,7 @@ def solve_configuration(config: Configuration, R: int, eps: float,
             }
         )
 
-    outputs = {v: _close_walk(cur[v], R) for v in verts}
+    outputs = {v: restrict_to_ball(cur[v], R) for v in verts}
 
     energies_before, energies_after, restriction_drift, restriction_energy = (
         _final_energies(config, outputs, R, tol)

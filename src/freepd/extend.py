@@ -13,9 +13,9 @@ function and keeps later stages nondegenerate.
 
 extend_entry performs one such step and advances the stage bookkeeping.
 This module owns the one stage walk: _open_walk starts it beyond Ball(r),
-_write_and_advance alone orders the stages, and _close_walk cuts the result
-onto Ball(R).  extend_ball drives it with a parameter policy, and the energy
-solver drives it for a whole family of functions.
+_write_and_advance alone orders the stages, and restrict_to_ball cuts the
+result onto Ball(R).  extend_ball drives it with a parameter policy, and the
+energy solver drives it for a whole family of functions.
 The zeta = 0 choice at every stage is the central (maximal entropy)
 extension, which on two letters reproduces the multiplicative values
 C(uv) = C(u) C(v) along reduced products.
@@ -36,7 +36,14 @@ import scipy.linalg
 
 from .errors import DomainError, NotStrictError, ParameterError
 from .hilbert import build_partial_space, residual_data, residual_from_gram
-from .pdcore import DEFAULT_TOL, Domain, PDFunction
+from .pdcore import (
+    DEFAULT_TOL,
+    Domain,
+    PDFunction,
+    fill_stage,
+    restrict_to_ball,
+    restrict_to_stage,
+)
 from .words import next_novel, word_to_str
 
 __all__ = [
@@ -133,20 +140,15 @@ def _write_and_advance(C: PDFunction, rd, zeta: SzegoParameter) -> PDFunction:
     dom = C.domain
     d = C.d
     value = zeta.value * (rd.n_g * rd.n_e) + rd.cross
-    top = np.array(C._entries[dom.g])
-    top[dom.j - 1, dom.k - 1] = value
-    entries = dict(C.canonical_items())
-    entries[dom.g] = top
-    if (dom.j, dom.k) == (d, d):
+    slot = (dom.j - 1) * d + dom.k  # the next slot, row-major
+    if slot == d * d:
         # Level complete; the value at the inverse is forced by symmetry and
         # lives in the same stored matrix.  Skip ahead to the next novel
         # level, whose top matrix starts out fully undefined.
         new_dom = Domain.partial(next_novel(dom.g), 1, 1)
-    elif dom.k < d:
-        new_dom = Domain.partial(dom.g, dom.j, dom.k + 1)
     else:
-        new_dom = Domain.partial(dom.g, dom.j + 1, 1)
-    return PDFunction(d, new_dom, entries)
+        new_dom = Domain.partial(dom.g, slot // d + 1, slot % d + 1)
+    return fill_stage(C, value, new_dom)
 
 
 def extend_entry(C: PDFunction, zeta, tol: float = DEFAULT_TOL) -> PDFunction:
@@ -179,17 +181,7 @@ def _policy_step(C: PDFunction, policy: ParameterPolicy, tol: float) -> PDFuncti
 
 def _open_walk(C: PDFunction) -> PDFunction:
     """The data of a Ball(r) function at the first novel stage beyond Ball(r)."""
-    return PDFunction(
-        C.d,
-        Domain.partial(next_novel((3,) * C.domain.r), 1, 1),
-        dict(C.canonical_items()),
-    )
-
-
-def _close_walk(C: PDFunction, R: int) -> PDFunction:
-    """The entries of a walked function up to length R, on Ball(R)."""
-    entries = {w: a for w, a in C.canonical_items() if len(w) <= R}
-    return PDFunction(C.d, Domain.ball(R), entries)
+    return restrict_to_stage(C, next_novel((3,) * C.domain.r), 1, 1)
 
 
 def extend_ball(
@@ -216,7 +208,7 @@ def extend_ball(
     cur = _open_walk(C)
     while len(cur.domain.g) <= R:
         cur = _policy_step(cur, policy, tol)
-    return _close_walk(cur, R)
+    return restrict_to_ball(cur, R)
 
 
 def central_extension(C: PDFunction, R: int, tol: float = DEFAULT_TOL) -> PDFunction:

@@ -107,15 +107,18 @@ def build_partial_space(C: PDFunction) -> PartialHilbertSpace:
 
     Every entry except the working corner comes from C; a genuinely missing
     value (the domain does not cover a needed quotient) raises the usual
-    missing-entry error.
+    missing-entry error.  A function never changes, so its space is built
+    once and kept in its _stage_space slot.
     """
     if C.domain.kind != "partial":
         raise DomainError("build_partial_space needs a partial-domain function")
-    dom = C.domain
-    idx = StageIndexSets.at(dom.g, C.d, dom.j, dom.k)
-    G = pdcore._gram(C, idx.Q, corner=True)
-    G.setflags(write=False)
-    return PartialHilbertSpace(indices=idx, gram=G)
+    if C._stage_space is None:
+        dom = C.domain
+        idx = StageIndexSets.at(dom.g, C.d, dom.j, dom.k)
+        G = pdcore._gram(C, idx.Q, corner=True)
+        G.setflags(write=False)
+        C._stage_space = PartialHilbertSpace(indices=idx, gram=G)
+    return C._stage_space
 
 
 def _cholesky(M, tol: float, leading: int | None = None):

@@ -17,17 +17,21 @@ reduction stays falsifiable.  A partially specified top level (the state
 midway through an extension stage) is checked through the stage restriction
 matrices, which are exactly its fully defined principal submatrices.
 
-Only one of {g, g^-1} is stored, the shortlex-smaller one; the mirror is
-materialized on read, and every Gram of the package is one gather (_gram)
-through a quotient table cached per word list.  Stored arrays are marked
-read-only, and an undefined slot of a partial top row is a complex NaN.
+Only one of {g, g^-1} is stored, the shortlex-smaller (canonical) one, and
+the mirror is materialized on read.  A function is one read-only (N, d, d)
+stack ranked in the global shortlex order of canonical words, which every
+domain's words begin (words.canonical_ball); a partial top is the last row,
+its undefined slots a complex NaN.  Restrictions are slices and every Gram
+is one gather (_gram) from [I, stack, NaN] through words.quotient_table.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,12 +51,14 @@ from .errors import (
 )
 from .words import (
     Word,
+    canonical_ball,
+    canonical_ranks,
     clique,
     index_set,
     inverse,
     is_novel,
     maximal_cliques,
-    mul,
+    quotient_table,
     reduce_word,
     shortlex_key,
     word_from_str,
@@ -121,24 +127,17 @@ class Domain:
         return Domain("partial", g=w, j=j, k=k)
 
 
-@lru_cache(maxsize=None)
-def _domain_iset(domain: Domain):
-    """The index set whose members are exactly the domain's words."""
-    if domain.kind == "ball":
-        return index_set((3,) * domain.r)
-    return index_set(domain.g)
+def _radius(domain: Domain) -> int:
+    """The length of the longest word the domain stores."""
+    return domain.r if domain.kind == "ball" else len(domain.g)
 
 
-@lru_cache(maxsize=None)
-def domain_words(domain: Domain) -> tuple:
-    """Every word of the domain, shortlex sorted (mirrors included)."""
-    return tuple(sorted(_domain_iset(domain).members, key=shortlex_key))
-
-
-@lru_cache(maxsize=None)
 def canonical_words(domain: Domain) -> tuple:
-    """The canonical (novel) representatives a total function must specify."""
-    return tuple(w for w in domain_words(domain) if w and is_novel(w))
+    """The canonical (novel) representatives a total function must specify,
+    shortlex sorted: the first canonical words, up to (3,) * r or up to g."""
+    last = (3,) * domain.r if domain.kind == "ball" else domain.g
+    ws = canonical_ball(len(last))
+    return ws[:bisect_right(ws, shortlex_key(last), key=shortlex_key)]
 
 
 def _undefined_top(domain: Domain, d: int) -> np.ndarray:
@@ -146,43 +145,44 @@ def _undefined_top(domain: Domain, d: int) -> np.ndarray:
     return np.arange(d * d).reshape(d, d) >= (domain.j - 1) * d + domain.k - 1
 
 
-def _mirror_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest deviation between two candidate values for the same entry."""
-    na, nb = np.isnan(a), np.isnan(b)
-    if not np.array_equal(na, nb):
-        return np.inf
-    if na.all():
-        return 0.0
-    return float(np.nanmax(np.abs(a - b)))
+def _check_header(d: int, domain: Domain) -> int:
+    """Validate d and the domain; returns the domain's row count N."""
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ParameterError("d must be a positive integer")
+    if not isinstance(domain, Domain):
+        raise ParameterError("domain must be a Domain")
+    if domain.kind == "partial" and (domain.j > d or domain.k > d):
+        raise ParameterError("partial stage coordinates exceed d")
+    return len(canonical_words(domain))
 
 
 class PDFunction:
     """An immutable matrix-valued function on a Domain.
 
-    entries maps words (tuples or text) to d x d arrays; scalars are accepted
-    when d = 1.  Whichever of {g, g^-1} arrives, the canonical representative
-    is stored; supplying both is allowed when they agree under conjugate
-    transposition to within 1e-12.  The function must be total on its domain,
-    except that the top level of a partial domain carries NaN beyond the
-    stage position.  Positivity is NOT checked here: check_pd passes verdicts,
-    constructors pass data.
+    Its values are one read-only complex (N, d, d) stack: row i is C(w) for
+    the i-th word w of canonical_words(domain), and an undefined slot of a
+    partial top row is NaN.  The constructor parses outside input: entries
+    maps words (tuples or text) to d x d arrays, scalars when d = 1.  Either
+    of {g, g^-1} may arrive, or both when they agree under conjugate
+    transposition to within 1e-12.  The function must be total on its
+    domain, except beyond the stage position of a partial top.  Parsed and
+    computed stacks pass one validator (_adopt).  Positivity is NOT checked
+    here: check_pd passes verdicts, constructors pass data.  _stage_space
+    keeps the stage space hilbert.build_partial_space builds, once.
     """
 
-    __slots__ = ("d", "domain", "_entries")
+    __slots__ = ("d", "domain", "_stack", "_stage_space")
 
     def __init__(self, d: int, domain: Domain, entries):
-        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-            raise ParameterError("d must be a positive integer")
-        if not isinstance(domain, Domain):
-            raise ParameterError("domain must be a Domain")
-        if domain.kind == "partial" and (domain.j > d or domain.k > d):
-            raise ParameterError("partial stage coordinates exceed d")
-        members = _domain_iset(domain).members
-        canon = {}
-        given = {}
+        n = _check_header(d, domain)
+        rank = canonical_ranks(_radius(domain))
+        stack = np.full((n, d, d), complex("nan"))
+        given = {}  # row -> the word it was given as
         for key, raw in entries.items():
-            w = key if key in members else _as_word(key)
-            if w not in members:
+            w = _as_word(key)
+            c = canonical_rep(w)
+            i = rank.get(c, n) if c else -1
+            if i >= n:
                 text = word_to_str(w)
                 raise EntryError(text, f"{text} is outside the domain")
             arr = np.array(raw, dtype=complex)
@@ -192,143 +192,118 @@ class PDFunction:
                 raise ParameterError(
                     f"entry for {word_to_str(w)} has shape {arr.shape}, expected {(d, d)}"
                 )
-            c = canonical_rep(w)
             val = arr if c == w else arr.conj().T
-            if c not in canon:
-                canon[c], given[c] = val, w
-            elif _mirror_gap(canon[c], val) > MIRROR_TOL:
+            if i < 0:
+                if not np.max(np.abs(val - np.eye(d))) <= MIRROR_TOL:
+                    raise EntryError(word_to_str(w), "C(e) must be the d x d identity")
+            elif i not in given:
+                stack[i], given[i] = val, w
+            elif not np.allclose(stack[i], val, rtol=0, atol=MIRROR_TOL, equal_nan=True):
                 raise EntryError(
                     word_to_str(w),
                     f"entries for {word_to_str(w)} and its inverse are not "
                     "conjugate transposes of each other",
                 )
-        ident = canon.pop((), None)
-        if ident is not None and not np.max(np.abs(ident - np.eye(d))) <= MIRROR_TOL:
-            raise EntryError(word_to_str(given[()]), "C(e) must be the d x d identity")
-        top = domain.g if domain.kind == "partial" else None
-        if top is not None and top not in canon:
-            # an absent top is all NaN, which only stage (1, 1) accepts
-            canon[top], given[top] = np.full((d, d), complex("nan")), top
-        if len(canon) < len(canonical_words(domain)):
-            w = next(w for w in canonical_words(domain) if w not in canon)
-            raise MissingEntryError(
-                word_to_str(w), f"domain requires an entry for {word_to_str(w)}"
-            )
-        # One pass over every stored value: NaN marks exactly the undefined
-        # slots, which only the top of a partial domain has.
-        keys = list(canon)
-        undefined = np.isnan(np.array(list(canon.values())).reshape(-1, d, d))
+        self._adopt(d, domain, stack, given)  # an absent row stays NaN
+
+    @classmethod
+    def _from_stack(cls, d: int, domain: Domain, stack: np.ndarray) -> "PDFunction":
+        """A function from a computed stack, through the constructor's validator."""
+        self = object.__new__(cls)
+        self._adopt(d, domain, stack, {})
+        return self
+
+    def _adopt(self, d: int, domain: Domain, stack: np.ndarray, given: dict):
+        """The one validator of every function, parsed or computed: the
+        complex (N, d, d) shape, and NaN exactly at the undefined slots of a
+        partial top.  Errors name the word given for the row, if any."""
+        n = _check_header(d, domain)
+        if stack.shape != (n, d, d) or stack.dtype != complex:
+            raise ParameterError(f"the domain needs a complex array of shape {(n, d, d)}")
+        undefined = np.isnan(stack)
         expected = np.zeros_like(undefined)
-        if top is not None:
-            expected[keys.index(top)] = _undefined_top(domain, d)
+        if domain.kind == "partial":
+            expected[-1] = _undefined_top(domain, d)
         for i, l, m in np.argwhere(undefined != expected)[:1]:
-            where = f"C({word_to_str(keys[i])})[{l + 1},{m + 1}]"
+            w = canonical_words(domain)[i]
+            name = word_to_str(given.get(i, w))
+            where = f"C({word_to_str(w)})[{l + 1},{m + 1}]"
             if undefined[i, l, m]:
-                raise MissingEntryError(
-                    word_to_str(given[keys[i]]), f"{where} is defined but not given"
-                )
+                raise MissingEntryError(name, f"{where} is undefined, but the domain defines it")
             raise EntryError(
-                word_to_str(given[keys[i]]),
-                f"{where} lies beyond the declared stage position and must be NaN",
+                name, f"{where} lies beyond the declared stage position and must be NaN"
             )
-        for arr in canon.values():
-            arr.setflags(write=False)
-        self.d = d
-        self.domain = domain
-        self._entries = canon
+        stack.setflags(write=False)
+        self.d, self.domain, self._stack, self._stage_space = d, domain, stack, None
+
+    def _row(self, w: Word):
+        """(row, mirrored) of a nonempty word: the stack row of its canonical
+        representative (None outside the domain), and whether w is its inverse."""
+        c = canonical_rep(w)
+        i = canonical_ranks(_radius(self.domain)).get(c, len(self._stack))
+        return (i if i < len(self._stack) else None), c != w
+
+    def _value(self, w: Word, j: int, k: int) -> complex:
+        """C(w)_{j,k} as stored, mirrored as needed; NaN outside the domain."""
+        if w == ():
+            return complex(j == k)
+        i, flip = self._row(w)
+        if i is None:
+            return complex("nan")
+        return np.conj(self._stack[i, k - 1, j - 1]) if flip else self._stack[i, j - 1, k - 1]
 
     def scalar(self, w, j: int, k: int) -> complex:
         """C(w)_{j,k} with 1-based coordinates, mirroring as needed."""
         if not (1 <= j <= self.d and 1 <= k <= self.d):
             raise ParameterError(f"coordinates ({j},{k}) out of range for d={self.d}")
         w = _as_word(w)
-        if w == ():
-            return 1 + 0j if j == k else 0j
-        c = canonical_rep(w)
-        arr = self._entries.get(c)
-        if arr is None:
-            raise MissingEntryError(word_to_str(c))
-        v = arr[j - 1, k - 1] if c == w else np.conj(arr[k - 1, j - 1])
+        v = self._value(w, j, k)
         if np.isnan(v):
             raise MissingEntryError(
-                word_to_str(c),
-                f"C({word_to_str(w)})[{j},{k}] is beyond the defined part of the stage",
+                word_to_str(canonical_rep(w)),
+                f"C({word_to_str(w)})[{j},{k}] is outside the domain or beyond the "
+                "defined part of the stage",
             )
         return complex(v)
 
     def entry(self, w) -> np.ndarray:
-        """The full matrix C(w), read as the Gram block <Phi(w), Phi(e)>;
-        fails on the partially defined top level."""
+        """The full matrix C(w); fails on the partially defined top level."""
         E = range(1, self.d + 1)
-        return _gram(self, [(_as_word(w), m) for m in E] + [((), m) for m in E])[
-            :self.d, self.d:]
+        return np.array([[self.scalar(w, j, k) for k in E] for j in E])
 
     def defined(self, w, j: int, k: int) -> bool:
-        w = _as_word(w)
-        if w == ():
-            return True
-        c = canonical_rep(w)
-        arr = self._entries.get(c)
-        if arr is None:
-            return False
-        return not np.isnan(arr[j - 1, k - 1] if c == w else arr[k - 1, j - 1])
+        return not np.isnan(self._value(_as_word(w), j, k))
 
     def canonical_items(self):
         """(word, matrix) pairs of the stored representatives, shortlex order."""
-        for w in sorted(self._entries, key=shortlex_key):
-            yield w, self._entries[w]
+        return zip(canonical_words(self.domain), self._stack)
 
     def __eq__(self, other):
         if not isinstance(other, PDFunction):
             return NotImplemented
-        if self.d != other.d or self.domain != other.domain:
-            return False
-        if set(self._entries) != set(other._entries):
-            return False
-        return all(
-            np.array_equal(a, other._entries[w], equal_nan=True)
-            for w, a in self._entries.items()
-        )
+        return (self.d == other.d and self.domain == other.domain
+                and np.array_equal(self._stack, other._stack, equal_nan=True))
 
     __hash__ = None
 
     def __repr__(self):
-        return f"<PDFunction d={self.d} {self.domain} with {len(self._entries)} entries>"
+        return f"<PDFunction d={self.d} {self.domain} with {len(self._stack)} entries>"
 
 
 def delta(d: int, domain: Domain) -> PDFunction:
     """The normalized point mass at e: identity there, zero elsewhere."""
-    entries = {w: np.zeros((d, d), dtype=complex) for w in canonical_words(domain)}
+    stack = np.zeros((_check_header(d, domain), d, d), dtype=complex)
     if domain.kind == "partial":
-        entries[domain.g][_undefined_top(domain, d)] = np.nan
-    return PDFunction(d, domain, entries)
-
-
-@lru_cache(maxsize=None)
-def _quotient_table(ws: tuple):
-    """(quotients, slots) of the distinct words ws: the canonical l^-1 h
-    (h, l in ws), e first, and slots[a, b], where C(ws[b]^-1 ws[a]) sits in
-    their stacked entries followed by their conjugate transposes."""
-    position = {(): 0}
-    slots = np.zeros((len(ws), len(ws)), dtype=np.intp)
-    mirrored = np.zeros(slots.shape, dtype=bool)
-    invs = [inverse(w) for w in ws]
-    for a, b in zip(*np.triu_indices(len(ws), 1)):
-        # the (b, a) quotient is the inverse of the (a, b) one, never equal
-        q, q_inv = mul(invs[b], ws[a]), mul(invs[a], ws[b])
-        flip = shortlex_key(q_inv) < shortlex_key(q)
-        slots[a, b] = slots[b, a] = position.setdefault(q_inv if flip else q, len(position))
-        mirrored[a, b], mirrored[b, a] = flip, not flip
-    slots += mirrored * len(position)
-    slots.setflags(write=False)
-    return tuple(position), slots
+        stack[-1][_undefined_top(domain, d)] = np.nan
+    return PDFunction._from_stack(d, domain, stack)
 
 
 def _gram_slots(pairs):
-    """The quotients, the stack slot of every Gram entry and the 0-based
-    coordinates of validated (word, coordinate) pairs."""
-    ws = tuple(dict.fromkeys(w for w, _ in pairs))
-    quotients, slots = _quotient_table(ws)
+    """The quotients, the quotient slot of every Gram entry (see
+    words.quotient_table) and the 0-based coordinates of validated
+    (word, coordinate) pairs."""
+    ws = tuple(sorted({w for w, _ in pairs}, key=shortlex_key))
+    quotients, slots = quotient_table(ws)
     row = {w: a for a, w in enumerate(ws)}
     rows = [row[w] for w, _ in pairs]
     return quotients, slots[np.ix_(rows, rows)], np.array([c - 1 for _, c in pairs], int)
@@ -336,19 +311,25 @@ def _gram_slots(pairs):
 
 def _gram(C: PDFunction, pairs, corner: bool = False) -> np.ndarray:
     """The one Gram assembly: G[i1, i2] = C(w2^-1 w1)[c1, c2] as one gather
-    over validated pairs.  A NaN (a quotient outside the domain, an undefined
-    slot) raises, except at the corner of the last two pairs if corner is set."""
+    over validated pairs from [I, stack, NaN], each quotient at its rank's
+    row; a quotient outside the domain reads the NaN pad.  A NaN (outside
+    the domain, an undefined slot) raises, except at the corner of the last
+    two pairs if corner is set."""
     quotients, slots, coords = _gram_slots(pairs)
-    missing = np.full((C.d, C.d), complex("nan"))
-    stack = np.array([np.eye(C.d, dtype=complex)]
-                     + [C._entries.get(q, missing) for q in quotients[1:]])
-    stack = np.concatenate([stack, stack.conj().transpose(0, 2, 1)])
-    G = stack[slots, coords[:, None], coords]
+    n, N, d = len(quotients), len(C._stack), C.d
+    rank = canonical_ranks(_radius(C.domain))
+    rows = np.array([0] + [1 + min(rank.get(q, N), N) for q in quotients[1:]])
+    table = np.concatenate([np.eye(d, dtype=complex)[None], C._stack,
+                            np.full((1, d, d), complex("nan"))])
+    at = rows[slots % n]
+    # a mirrored slot reads the conjugate transpose of its quotient's value
+    G = np.where(slots < n, table[at, coords[:, None], coords],
+                 np.conj(table[at, coords, coords[:, None]]))
     undefined = np.isnan(G)
     if corner:
         undefined[-2, -1] = undefined[-1, -2] = False
     for i1, i2 in np.argwhere(undefined)[:1]:
-        c = word_to_str(quotients[slots[i1, i2] % len(quotients)])
+        c = word_to_str(quotients[slots[i1, i2] % n])
         raise MissingEntryError(c, f"the Gram reads C({c}), which is missing or partial")
     return G
 
@@ -428,11 +409,12 @@ def _partial_stage_families(C: PDFunction):
 def _gram_families(C: PDFunction, brute_force: bool, cap: int):
     yield tuple(((), m) for m in range(1, C.d + 1))
     dom = C.domain
-    if dom.kind == "partial":
-        base = index_set(words.predecessor(dom.g))
-    else:
-        base = _domain_iset(dom)
     if brute_force:
+        if dom.kind == "partial":
+            ws = words.ball(len(dom.g))  # I_g before its top level g
+            base = index_set(ws[ws.index(dom.g) - 1])
+        else:
+            base = index_set((3,) * dom.r if dom.kind == "ball" else dom.g)
         verts = sorted(base.members, key=shortlex_key)
         found = sorted(
             (tuple(sorted(cl, key=shortlex_key)) for cl in maximal_cliques(verts, base)),
@@ -445,11 +427,10 @@ def _gram_families(C: PDFunction, brute_force: bool, cap: int):
                 )
             yield tuple((h, m) for h in E for m in range(1, C.d + 1))
     else:
-        for h in base.prefixes:
-            if h and is_novel(h):
-                yield tuple(
-                    (w, m) for w in clique(h).vertices for m in range(1, C.d + 1)
-                )
+        # the novel levels of the domain, the partial top excepted
+        levels = canonical_words(dom)
+        for h in levels[:-1] if dom.kind == "partial" else levels:
+            yield tuple((w, m) for w in clique(h).vertices for m in range(1, C.d + 1))
     if dom.kind == "partial":
         yield from _partial_stage_families(C)
 
@@ -549,15 +530,15 @@ def random_nspd(r: int, d: int, seed=0, margin: float = 0.1) -> PDFunction:
     u_b = unitary_group.rvs(dim, random_state=rng)
     gens = (u_a, u_b, u_a.conj().T, u_b.conj().T)
     reps = {(): np.eye(dim, dtype=complex)}
-    entries = {}
+    rows = []
     for w in words.ball(r):
         if not w:
             continue
         reps[w] = reps[w[:-1]] @ gens[w[-1]]
         if is_novel(w):
             # <pi(w) e_j, e_k> is the (k, j) entry, hence the transpose
-            entries[w] = (1.0 - margin) * reps[w][:d, :d].T
-    out = PDFunction(d, Domain.ball(r), entries)
+            rows.append((1.0 - margin) * reps[w][:d, :d].T)
+    out = PDFunction._from_stack(d, Domain.ball(r), np.array(rows, complex).reshape(-1, d, d))
     verdict = check_pd(out)
     if verdict.status != "strict" or verdict.min_eigenvalue < margin / 2:
         raise NotStrictError(  # pragma: no cover - structurally impossible
@@ -570,18 +551,36 @@ def mix_with_delta(C: PDFunction, s: float) -> PDFunction:
     """The convex mixture (1 - s) C + s Delta on the same domain."""
     if not 0 <= s <= 1:
         raise ParameterError("mixture weight must lie in [0, 1]")
-    entries = {w: (1.0 - s) * a for w, a in C.canonical_items()}
-    return PDFunction(C.d, C.domain, entries)
+    return PDFunction._from_stack(C.d, C.domain, (1.0 - s) * C._stack)
+
+
+def add_to_entries(C: PDFunction, cells, values) -> PDFunction:
+    """C with values[i] added to C(w)[j, k] for cells[i] = (w, j, k),
+    coordinates 1-based; the mirror C(w^-1) moves with it."""
+    stack = np.array(C._stack)
+    for (w, j, k), v in zip(cells, values):
+        i, flip = C._row(_as_word(w))
+        if i is None:
+            raise MissingEntryError(word_to_str(canonical_rep(_as_word(w))))
+        if flip:
+            stack[i, k - 1, j - 1] += np.conj(v)
+        else:
+            stack[i, j - 1, k - 1] += v
+    return PDFunction._from_stack(C.d, C.domain, stack)
 
 
 def restrict_to_ball(C: PDFunction, r: int) -> PDFunction:
-    """Forget all data beyond radius r of a ball-domain function."""
-    if C.domain.kind != "ball":
-        raise DomainError("restrict_to_ball needs a ball domain")
-    if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= C.domain.r:
-        raise ParameterError(f"target radius must lie in [0, {C.domain.r}]")
-    entries = {w: a for w, a in C.canonical_items() if len(w) <= r}
-    return PDFunction(C.d, Domain.ball(r), entries)
+    """Forget all data beyond radius r: of a ball-domain function, or of an
+    extension walk's partial function past radius r, whose levels up to r
+    are complete.  The result is the leading rows of the stack."""
+    dom = C.domain
+    if dom.kind == "prefix":
+        raise DomainError("restrict_to_ball needs a ball domain or a stage beyond it")
+    top = dom.r if dom.kind == "ball" else len(dom.g) - 1
+    if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= top:
+        raise ParameterError(f"target radius must lie in [0, {top}]")
+    ball = Domain.ball(r)
+    return PDFunction._from_stack(C.d, ball, C._stack[:len(canonical_words(ball))])
 
 
 def restrict_to_stage(C: PDFunction, g, j: int, k: int) -> PDFunction:
@@ -589,25 +588,33 @@ def restrict_to_stage(C: PDFunction, g, j: int, k: int) -> PDFunction:
 
     Keeps the full entries at every level before g and the leading part of
     C(g) strictly before position (j, k); everything later becomes undefined.
-    The source domain must cover I_g; a partial source works as long as every
-    slot the target keeps is defined in it (scalar() raises otherwise).
+    The source domain must cover the levels before g, and level g too unless
+    the stage is (g, 1, 1); a partial source works as long as every slot the
+    target keeps is defined in it (the validator raises otherwise).
     """
     dom = Domain.partial(g, j, k)
-    have = set(domain_words(C.domain))
-    entries = {}
-    for w in canonical_words(dom):
-        if w not in have:
-            raise DomainError(
-                f"stage domain needs {word_to_str(w)}, outside the source domain"
-            )
-        if w == dom.g:
-            top = np.full((C.d, C.d), complex("nan"))
-            for l, m in np.argwhere(~_undefined_top(dom, C.d)):
-                top[l, m] = C.scalar(w, l + 1, m + 1)
-            entries[w] = top
-        else:
-            entries[w] = C.entry(w)
-    return PDFunction(C.d, dom, entries)
+    n = _check_header(C.d, dom)
+    keep = ~_undefined_top(dom, C.d)
+    if len(C._stack) < (n if keep.any() else n - 1):
+        w = word_to_str(canonical_words(dom)[len(C._stack)])
+        raise DomainError(f"stage domain needs {w}, outside the source domain")
+    top = np.full((1, C.d, C.d), complex("nan"))
+    if keep.any():
+        top[0][keep] = C._stack[n - 1][keep]
+    return PDFunction._from_stack(C.d, dom, np.concatenate([C._stack[:n - 1], top]))
+
+
+def fill_stage(C: PDFunction, value: complex, nxt: Domain) -> PDFunction:
+    """C with its working slot set to value, on the stage domain nxt that
+    follows: a later stage of the same level, or a later level whose rows
+    start out undefined (the validator checks that nxt fits)."""
+    dom = C.domain
+    grow = _check_header(C.d, nxt) - len(C._stack)
+    if dom.kind != "partial" or grow < 0:
+        raise DomainError("fill_stage moves a partial function to a later stage")
+    stack = np.concatenate([C._stack, np.full((grow, C.d, C.d), complex("nan"))])
+    stack[len(C._stack) - 1, dom.j - 1, dom.k - 1] = value
+    return PDFunction._from_stack(C.d, nxt, stack)
 
 
 def l1_distance(C: PDFunction, D: PDFunction) -> float:
@@ -618,11 +625,8 @@ def l1_distance(C: PDFunction, D: PDFunction) -> float:
     """
     if C.d != D.d or C.domain != D.domain:
         raise DomainError("l1_distance needs two functions on the same domain")
-    total = 0.0
-    for w, a in C.canonical_items():
-        diff = np.abs(a - D._entries[w])
-        total += 2.0 * float(np.nansum(diff))
-    return total
+    # summed row by row, in row order
+    return float(sum(2.0 * np.nansum(np.abs(C._stack - D._stack), axis=(1, 2)), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +671,9 @@ def _domain_from_dict(dd) -> Domain:
         _expect_keys(dd, {"kind", "g"} | ({"j", "k"} if kind == "partial" else set()),
                      "domain")
         try:
-            g = word_from_str(dd.get("g", ""))
+            if not isinstance(dd.get("g"), str):
+                raise WordError("the level g must be word text")
+            g = word_from_str(dd["g"])
         except WordError as exc:
             raise FormatError("domain.g", str(exc))
         if kind == "prefix":
@@ -683,15 +689,18 @@ def _domain_from_dict(dd) -> Domain:
     raise FormatError("domain.kind", f"unknown domain kind {kind!r}")
 
 
+def _finite_number(x) -> bool:
+    """A finite float, or an integer in the int64 range: wider JSON integers
+    are refused, as many JSON readers refuse them."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return -2 ** 63 <= x < 2 ** 63
+    return isinstance(x, float) and math.isfinite(x)
+
+
 def _cell_to_complex(cell, path: str, l: int, m: int) -> complex:
     if cell is None:
         return complex("nan")
-    ok = (
-        isinstance(cell, (list, tuple))
-        and len(cell) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
-        and all(np.isfinite(x) for x in cell)
-    )
+    ok = isinstance(cell, (list, tuple)) and len(cell) == 2 and all(map(_finite_number, cell))
     if not ok:
         raise FormatError(
             path, f"position ({l},{m}) must be a finite [re, im] pair or null"

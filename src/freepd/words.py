@@ -9,13 +9,18 @@ The generalized Cayley graph at level g has vertex set the whole group and an
 edge between distinct h, l whenever l^-1 h lies in the symmetric index set I_g.
 Everything downstream (positive definiteness checks, extension stages) reduces
 to cliques of these graphs, so the combinatorics here is deliberately small,
-exhaustively tested, and free of numerical content.
+exhaustively tested, and free of floating point.  The canonical words of
+a ball, an index set or an extension stage form a prefix of the shortlex
+order of all canonical words (see is_novel), so that order ranks storage.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import WordError
 
@@ -83,44 +88,6 @@ for _x in range(4):
     _ALLOWED_AFTER[_x] = tuple(y for y in range(4) if y != inv_letter(_x))
 
 
-def successor(w: Word) -> Word:
-    """The next reduced word in shortlex order (odometer with a varying alphabet)."""
-    letters = list(w)
-    # Try to bump some position, rightmost first; positions to its right are
-    # refilled with the smallest letter the reducedness constraint allows.
-    for i in range(len(letters) - 1, -1, -1):
-        prev = letters[i - 1] if i > 0 else None
-        allowed = _ALLOWED_AFTER[prev]
-        larger = [y for y in allowed if y > letters[i]]
-        if larger:
-            letters[i] = larger[0]
-            for j in range(i + 1, len(letters)):
-                letters[j] = _ALLOWED_AFTER[letters[j - 1]][0]
-            return tuple(letters)
-    # Carried past the front: the first word of the next length is a, aa, aaa, ...
-    return (0,) * (len(w) + 1)
-
-
-def predecessor(w: Word) -> Word:
-    """The previous reduced word in shortlex order; the identity has none."""
-    if not w:
-        raise WordError("the identity has no shortlex predecessor")
-    letters = list(w)
-    for i in range(len(letters) - 1, -1, -1):
-        prev = letters[i - 1] if i > 0 else None
-        allowed = _ALLOWED_AFTER[prev]
-        smaller = [y for y in allowed if y < letters[i]]
-        if smaller:
-            letters[i] = smaller[-1]
-            # Refill the suffix with the largest allowed letters.
-            for j in range(i + 1, len(letters)):
-                letters[j] = _ALLOWED_AFTER[letters[j - 1]][-1]
-            return tuple(letters)
-    # w is the least word of its length (a^n); the predecessor is the greatest
-    # word one letter shorter, which is (b^-1)^(n-1).
-    return (3,) * (len(w) - 1)
-
-
 @lru_cache(maxsize=None)
 def ball(r: int) -> tuple:
     """All reduced words of length <= r, in shortlex order."""
@@ -143,6 +110,24 @@ def ball_size(r: int) -> int:
     return 1 if r == 0 else 2 * 3 ** r - 1
 
 
+@lru_cache(maxsize=None)
+def _ball_inverses(r: int) -> tuple:
+    """The inverses of ball(r), in the same order."""
+    return tuple(inverse(w) for w in ball(r))
+
+
+@lru_cache(maxsize=None)
+def canonical_ball(r: int) -> tuple:
+    """The canonical words of Ball(r) (novel, so e excluded), shortlex order."""
+    return tuple(w for w in ball(r) if is_novel(w))
+
+
+@lru_cache(maxsize=None)
+def canonical_ranks(r: int) -> dict:
+    """The 0-based rank of each word of canonical_ball(r), the same for all r."""
+    return {w: i for i, w in enumerate(canonical_ball(r))}
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """The symmetric set I_g of all h with h or h^-1 shortlex-preceding g."""
@@ -151,19 +136,16 @@ class IndexSet:
     prefixes: tuple  # all h with h <= g, in shortlex order
     members: frozenset
 
-    def __contains__(self, w: Word) -> bool:
-        return w in self.members
-
 
 @lru_cache(maxsize=None)
 def index_set(g: Word) -> IndexSet:
     words = ball(len(g))
     if g not in words:
         raise WordError(f"{g!r} is not a reduced word")
-    prefixes = words[:words.index(g) + 1]
-    members = set(prefixes)
-    members.update(inverse(h) for h in prefixes)
-    return IndexSet(origin=g, prefixes=prefixes, members=frozenset(members))
+    n = words.index(g) + 1
+    prefixes = words[:n]
+    members = frozenset(prefixes + _ball_inverses(len(g))[:n])
+    return IndexSet(origin=g, prefixes=prefixes, members=members)
 
 
 def adjacent(h: Word, l: Word, iset: IndexSet) -> bool:
@@ -183,16 +165,15 @@ def is_novel(g: Word) -> bool:
 
 
 def next_novel(w: Word) -> Word:
-    """The first novel word strictly after w in shortlex order.
+    """The first novel word strictly after w in shortlex order: the next
+    canonical word, or a^(n+1) after the last canonical word of length n.
 
     Extension walks visit novel levels only, so the stage after completing
-    level g starts here rather than at successor(g).  Novel words make up
-    half of every sphere, so the loop below takes at most a few steps.
+    level g starts here rather than at the next word of the order.
     """
-    g = successor(w)
-    while not is_novel(g):
-        g = successor(g)
-    return g
+    ws = canonical_ball(len(w))
+    i = bisect_right(ws, shortlex_key(w), key=shortlex_key)
+    return ws[i] if i < len(ws) else (0,) * (len(w) + 1)
 
 
 @dataclass(frozen=True)
@@ -213,7 +194,8 @@ def clique(g: Word) -> Clique:
     h is kept when both h and g^-1 h lie in I_g.  Uniqueness of the maximal
     clique through (e, g) forces this set to be a clique, but that is a
     theorem about the group, not about this code, so we assert pairwise
-    adjacency before returning.
+    adjacency before returning.  The assertion reads the vertices' quotient
+    table, which the Gram matrices over K_g then reuse.
     """
     if not g:
         raise WordError("K_g is defined for g != e only")
@@ -230,15 +212,40 @@ def clique(g: Word) -> Clique:
             continue
         if mul(g_inv, h) in iset.members:
             members.append(h)
-    members.sort(key=shortlex_key)
-    for i, h in enumerate(members):
-        for l in members[i + 1:]:
-            if not adjacent(h, l, iset):
-                raise WordError(
-                    f"common neighborhood of (e, {word_to_str(g)}) is not a clique: "
-                    f"({word_to_str(h)}, {word_to_str(l)}) not adjacent"
-                )
-    return Clique(level=g, vertices=tuple(members))
+    vertices = tuple(sorted(members, key=shortlex_key))
+    quotients, slots = quotient_table(vertices)
+    outside = np.array([q not in iset.members for q in quotients])
+    for a, b in np.argwhere(outside[slots % len(quotients)])[:1]:
+        raise WordError(
+            f"common neighborhood of (e, {word_to_str(g)}) is not a clique: "
+            f"({word_to_str(vertices[a])}, {word_to_str(vertices[b])}) not adjacent"
+        )
+    return Clique(level=g, vertices=vertices)
+
+
+@lru_cache(maxsize=None)
+def quotient_table(ws: tuple):
+    """(quotients, slots) of shortlex-sorted distinct words ws.
+
+    quotients lists the canonical representatives of the l^-1 h (h, l in ws),
+    e first; slots[a, b] is the position of ws[b]^-1 ws[a] in that list, plus
+    len(quotients) where the quotient is the inverse of the listed word.
+    Keying by the sorted words lets a level's clique, its stage Grams and
+    its positivity Gram share one table.
+    """
+    position = {(): 0}
+    slots = np.zeros((len(ws), len(ws)), dtype=np.intp)
+    mirrored = np.zeros(slots.shape, dtype=bool)
+    invs = [inverse(w) for w in ws]
+    for a, b in zip(*np.triu_indices(len(ws), 1)):
+        # the (b, a) quotient is the inverse of the (a, b) one, never equal
+        q, q_inv = mul(invs[b], ws[a]), mul(invs[a], ws[b])
+        flip = shortlex_key(q_inv) < shortlex_key(q)
+        slots[a, b] = slots[b, a] = position.setdefault(q_inv if flip else q, len(position))
+        mirrored[a, b], mirrored[b, a] = flip, not flip
+    slots += mirrored * len(position)
+    slots.setflags(write=False)
+    return tuple(position), slots
 
 
 def maximal_cliques(vertices, iset: IndexSet):

@@ -6,6 +6,7 @@ from freepd.errors import SurgeryError, WordError
 from freepd.pdcore import Domain, PDFunction
 from freepd.surgery import _greedy_positions
 from freepd.words import (
+    _ALLOWED_AFTER,
     adjacent,
     ball,
     clique,
@@ -14,9 +15,48 @@ from freepd.words import (
     is_novel,
     mul,
     shortlex_key,
-    successor,
     word_to_str,
 )
+
+
+# Shortlex neighbours by letter arithmetic: an oracle for the library's
+# enumeration order (ball, canonical_ball, next_novel).
+def successor(w):
+    """The next reduced word in shortlex order (odometer with a varying alphabet)."""
+    letters = list(w)
+    # Try to bump some position, rightmost first; positions to its right are
+    # refilled with the smallest letter the reducedness constraint allows.
+    for i in range(len(letters) - 1, -1, -1):
+        prev = letters[i - 1] if i > 0 else None
+        allowed = _ALLOWED_AFTER[prev]
+        larger = [y for y in allowed if y > letters[i]]
+        if larger:
+            letters[i] = larger[0]
+            for j in range(i + 1, len(letters)):
+                letters[j] = _ALLOWED_AFTER[letters[j - 1]][0]
+            return tuple(letters)
+    # Carried past the front: the first word of the next length is a, aa, aaa, ...
+    return (0,) * (len(w) + 1)
+
+
+def predecessor(w):
+    """The previous reduced word in shortlex order; the identity has none."""
+    if not w:
+        raise WordError("the identity has no shortlex predecessor")
+    letters = list(w)
+    for i in range(len(letters) - 1, -1, -1):
+        prev = letters[i - 1] if i > 0 else None
+        allowed = _ALLOWED_AFTER[prev]
+        smaller = [y for y in allowed if y < letters[i]]
+        if smaller:
+            letters[i] = smaller[-1]
+            # Refill the suffix with the largest allowed letters.
+            for j in range(i + 1, len(letters)):
+                letters[j] = _ALLOWED_AFTER[letters[j - 1]][-1]
+            return tuple(letters)
+    # w is the least word of its length (a^n); the predecessor is the greatest
+    # word one letter shorter, which is (b^-1)^(n-1).
+    return (3,) * (len(w) - 1)
 
 
 def embed_toeplitz(c, n_target):

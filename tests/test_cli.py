@@ -269,6 +269,18 @@ def test_surgery_cli_precondition_failure(tmp_path):
     assert res.code == 1
 
 
+@pytest.mark.parametrize("number", ["100000000000000000000", "1" + "0" * 400])
+def test_check_huge_integer_cell_exits_2_naming_the_entry(tmp_path, number):
+    # 10**20 is no int64 and 10**400 no float; both once escaped as TypeError
+    fn = tmp_path / "huge.json"
+    fn.write_text('{"d": 1, "domain": {"kind": "ball", "r": 1}, "entries": '
+                  '{"a": [[[0.1, 0.0]]], "b": [[[' + number + ', 0.0]]]}}')
+    res = run("check", fn)
+    assert res.code == 2
+    assert "'entries.b'" in res.summary
+    assert not (tmp_path / "huge.report.json").exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     assert run("check", tmp_path / "missing.json").code == 2
 

@@ -1,0 +1,122 @@
+"""Mutation fuzz of the three JSON loaders: whatever a file holds, a loader
+raises nothing but FormatError (the CLI's exit 2), except for the documented
+unfit-function errors of a well-formed configuration."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from freepd.energysolver import configuration_from_dict
+from freepd.errors import DomainError, FormatError, ParameterError
+from freepd.pdcore import function_from_dict, function_to_dict, random_nspd, restrict_to_stage
+from freepd.surgery import LabeledGraph
+
+FUZZ = settings(derandomize=True, max_examples=120, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+# numbers a JSON reader may hand over: huge integers, non-finite floats
+NUMBERS = st.integers() | st.floats() | st.sampled_from([10 ** 20, -10 ** 400, 2 ** 63])
+KEYS = st.text(alphabet="abABex", max_size=4)
+LEAVES = st.none() | st.booleans() | NUMBERS | st.text(max_size=3)
+JSON = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mutate(data, value):
+    """A copy of a JSON value with one edit somewhere inside it: a node
+    replaced (a number mostly by another number), or a key or item dropped,
+    added or duplicated."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return data.draw(NUMBERS | JSON)
+    if not isinstance(value, (dict, list)) or not value or data.draw(st.integers(0, 5)) == 0:
+        return data.draw(JSON)
+    op = data.draw(st.sampled_from(["edit", "edit", "drop", "add"]))
+    if isinstance(value, dict):
+        out = dict(value)
+        key = data.draw(st.sampled_from(sorted(out)))
+        if op == "drop":
+            del out[key]
+        elif op == "add":
+            out[data.draw(KEYS)] = data.draw(JSON)
+        else:
+            out[key] = mutate(data, out[key])
+        return out
+    out = list(value)
+    i = data.draw(st.integers(0, len(out) - 1))
+    if op == "drop":
+        del out[i]
+    elif op == "add":
+        out.insert(i, out[i])
+    else:
+        out[i] = mutate(data, out[i])
+    return out
+
+
+def _base_functions():
+    C = random_nspd(2, 2, seed=3)
+    return [function_to_dict(random_nspd(1, 2, seed=1)),
+            function_to_dict(restrict_to_stage(C, "ab", 2, 1))]
+
+
+BASE_FUNCTIONS = _base_functions()
+BASE_GRAPH = {"n": 5, "perm_a": [1, 2, 3, 4, 0], "perm_b": [2, 0, 4, 1, 3]}
+VERTEX_FUNCTIONS = {v: random_nspd(2, 1, seed=i) for i, v in enumerate("abc")}
+BASE_CONFIGS = [
+    {"shape": "tree", "r": 1, "d": 1, "vertices": {v: f"{v}.json" for v in "abc"},
+     "edges": [["a", "b"], ["b", "c"]], "root": "c"},
+    {"shape": "cycle", "r": 1, "d": 1, "vertices": {v: f"{v}.json" for v in "abc"},
+     "edges": [["a", "b"], ["b", "c"], ["c", "a"]]},
+]
+
+
+def test_unmutated_bases_load():
+    for obj in BASE_FUNCTIONS:
+        function_from_dict(obj)
+    LabeledGraph.from_dict(BASE_GRAPH)
+    for obj in BASE_CONFIGS:
+        configuration_from_dict(obj, VERTEX_FUNCTIONS)
+
+
+@FUZZ
+@given(st.data())
+def test_function_loader_raises_only_format_errors(data):
+    obj = mutate(data, data.draw(st.sampled_from(BASE_FUNCTIONS)))
+    try:
+        function_from_dict(obj)
+    except FormatError:
+        pass
+
+
+@FUZZ
+@given(st.data())
+def test_graph_loader_raises_only_format_errors(data):
+    obj = mutate(data, BASE_GRAPH)
+    try:
+        LabeledGraph.from_dict(obj)
+    except FormatError:
+        pass
+
+
+@FUZZ
+@given(st.data())
+def test_configuration_loader_raises_only_format_errors(data):
+    obj = mutate(data, data.draw(st.sampled_from(BASE_CONFIGS)))
+    try:
+        configuration_from_dict(obj, VERTEX_FUNCTIONS)
+    except FormatError:
+        pass
+    except (ParameterError, DomainError):
+        # a well-formed file whose d or r the Ball(2), d = 1 functions do not fit
+        assert (obj["r"], obj["d"]) != (1, 1)
+
+
+@pytest.mark.parametrize("cell", [[10 ** 20, 0.0], [0.0, 10 ** 400], [float("nan"), 0.0]])
+def test_function_loader_refuses_unreadable_numbers(cell):
+    obj = function_to_dict(random_nspd(1, 1, seed=0))
+    obj["entries"]["b"] = [[cell]]
+    with pytest.raises(FormatError) as info:
+        function_from_dict(obj)
+    assert info.value.key == "entries.b"

@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from freepd import pdcore, words
+from freepd import words
 from freepd.errors import (
     DomainError,
+    EntryError,
     FormatError,
     MissingEntryError,
     NotPositiveError,
@@ -21,9 +22,11 @@ from freepd.errors import (
 from freepd.pdcore import (
     Domain,
     PDFunction,
+    add_to_entries,
     canonical_words,
     check_pd,
     delta,
+    fill_stage,
     function_from_dict,
     function_to_dict,
     gram,
@@ -139,19 +142,20 @@ def _library_caches():
 
 def test_cleared_caches_give_the_same_grams():
     caches = _library_caches()
-    assert any(c is pdcore._quotient_table for c in caches)
+    assert any(c is words.quotient_table for c in caches)
     assert any(c is words.clique for c in caches)
     C = random_nspd(3, 2, seed=5)
-    stage = restrict_to_stage(C, "aab", 1, 2)
     pairs = [(h, m) for h in ball(1) for m in (1, 2)]
 
     def grams():
+        # a fresh stage function, since a function keeps its stage space
+        stage = restrict_to_stage(C, "aab", 1, 2)
         return [gram_indexed(C, pairs), build_partial_space(stage).gram]
 
     before = grams()
     for cache in caches:
         cache.cache_clear()
-    assert pdcore._quotient_table.cache_info().currsize == 0
+    assert words.quotient_table.cache_info().currsize == 0
     assert words.clique.cache_info().currsize == 0
     after = grams()
     assert all(_same_bits(a, b) for a, b in zip(before, after))
@@ -510,3 +514,51 @@ def test_check_pd_of_loaded_equals_original(tmp_path):
     D = load_function(path)
     assert check_pd(D).status == "strict"
     assert l1_distance(C, D) == 0.0
+
+
+def test_computed_functions_pass_the_constructor_validator():
+    C = random_nspd(2, 2, seed=6)
+    # stage (aaa, 1, 1) opens one undefined row beyond Ball(2); (aaa, 1, 2) needs it
+    walk = restrict_to_stage(C, "aaa", 1, 1)
+    assert walk == PDFunction(2, walk.domain, dict(C.canonical_items()))
+    with pytest.raises(DomainError):
+        restrict_to_stage(C, "aaa", 1, 2)
+    nxt = fill_stage(walk, 0.1j, Domain.partial("aaa", 1, 2))
+    assert nxt.scalar("aaa", 1, 1) == 0.1j and nxt.scalar("AAA", 1, 1) == -0.1j
+    assert not nxt.defined("aaa", 1, 2)
+    # a next stage that skips a slot leaves a defined NaN; one that does not
+    # move leaves a written slot beyond the stage; an earlier level shrinks
+    with pytest.raises(MissingEntryError):
+        fill_stage(walk, 0.1j, Domain.partial("aaa", 2, 1))
+    with pytest.raises(EntryError) as info:
+        fill_stage(walk, 0.1j, Domain.partial("aaa", 1, 1))
+    assert type(info.value) is EntryError
+    with pytest.raises(DomainError):
+        fill_stage(walk, 0.1j, Domain.partial("ab", 1, 1))
+    # a walk's partial function cuts back to the ball its levels complete
+    assert restrict_to_ball(walk, 2) == C
+    with pytest.raises(ParameterError):
+        restrict_to_ball(walk, 3)
+    with pytest.raises(ParameterError):
+        PDFunction._from_stack(2, Domain.ball(1), np.zeros((3, 2, 2), dtype=complex))
+    # a shift at a mirrored word lands conjugated on its canonical word
+    D = add_to_entries(C, [("A", 1, 2), ("ab", 2, 1)], [0.01j, 0.02])
+    assert D.scalar("a", 2, 1) == C.scalar("a", 2, 1) - 0.01j
+    assert D.scalar("ab", 2, 1) == C.scalar("ab", 2, 1) + 0.02
+    assert l1_distance(D, C) == pytest.approx(2 * 0.03)
+
+
+def test_stage_space_is_built_once_per_function():
+    stage = restrict_to_stage(random_nspd(2, 1, seed=1), "ab", 1, 1)
+    assert build_partial_space(stage) is build_partial_space(stage)
+
+
+def test_l1_distance_matches_the_row_loop_bit_for_bit():
+    for d, seed in ((1, 0), (2, 1), (3, 2)):
+        C, D = random_nspd(3, d, seed=seed), random_nspd(3, d, seed=seed + 50)
+        stages = (restrict_to_stage(C, "aab", 1, d), restrict_to_stage(D, "aab", 1, d))
+        for A, B in ((C, D), stages):
+            total = 0.0
+            for (_, a), (_, b) in zip(A.canonical_items(), B.canonical_items()):
+                total += 2.0 * float(np.nansum(np.abs(a - b)))
+            assert l1_distance(A, B) == total

@@ -14,13 +14,11 @@ from freepd.words import (
     is_novel,
     maximal_cliques,
     mul,
-    predecessor,
     reduce_word,
-    successor,
     word_from_str,
     word_to_str,
 )
-from helpers import predecessor_clique
+from helpers import predecessor, predecessor_clique, successor
 
 A, B, Ai, Bi = 0, 1, 2, 3
 
@@ -239,3 +237,61 @@ def test_predecessor_clique_containment_b3():
                 assert adjacent(u, v, iset_h)
         kh = set(clique(h).vertices)
         assert all(mul(inverse(t), v) in kh for v in kg_rest)
+
+
+def test_next_novel_matches_a_successor_scan():
+    for w in ball(4):
+        g = successor(w)
+        while not is_novel(g):
+            g = successor(g)
+        assert words.next_novel(w) == g
+
+
+def test_canonical_order_ranks_every_index_set():
+    # the canonical words of I_g are a prefix of the global canonical order,
+    # and a novel g is the last of them
+    order = words.canonical_ball(5)
+    assert words.canonical_ranks(5) == {w: i for i, w in enumerate(order)}
+    for g in ball(4)[1:]:
+        canon = sorted((h for h in index_set(g).members if is_novel(h)),
+                       key=lambda h: (len(h), h))
+        assert tuple(canon) == order[:len(canon)]
+        if is_novel(g):
+            assert canon[-1] == g
+
+
+def test_index_set_inverts_each_radius_once(monkeypatch):
+    calls = []
+    real = words.inverse
+    monkeypatch.setattr(words, "inverse", lambda w: calls.append(w) or real(w))
+    words.index_set.cache_clear()
+    words._ball_inverses.cache_clear()
+    for g in ball(4)[1:]:
+        index_set(g)
+    words.index_set.cache_clear()
+    # one inverse per word of each ball, not one per prefix per level
+    assert len(calls) == sum(ball_size(r) for r in range(1, 5))
+
+
+def test_clique_and_its_grams_share_one_quotient_table():
+    from freepd.hilbert import build_partial_space
+    from freepd.pdcore import check_pd, random_nspd, restrict_to_stage
+
+    C = random_nspd(3, 2, seed=2)
+    g = word_from_str("ab")
+    words.clique.cache_clear()
+    words.quotient_table.cache_clear()
+    words.clique(g)
+    assert words.quotient_table.cache_info().misses == 1
+    # the d^2 stage Grams of level ab read the clique's own table
+    for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        build_partial_space(restrict_to_stage(C, g, j, k))
+    assert words.quotient_table.cache_info().misses == 1
+    # and check_pd's Gram over K_ab adds no table of its own
+    words.clique.cache_clear()
+    words.quotient_table.cache_clear()
+    for h in words.canonical_ball(3):
+        words.clique(h)
+    tables = words.quotient_table.cache_info().misses
+    check_pd(C)
+    assert words.quotient_table.cache_info().misses == tables + 1  # the e block
