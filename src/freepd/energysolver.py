@@ -1115,7 +1115,7 @@ def _eta_budget(family, eta_prime: float, tol: float) -> float:
         sp = build_partial_space(C)
         m = sp.core_size
         # a (stack slot, c1, c2) key is one oriented entry (quotient, c1, c2)
-        _, slots, coords = pdcore._gram_slots(sp.indices.Q)
+        _, slots, coords = pdcore._gram_slots(C, sp.indices.Q)
         keys = (slots * C.d + coords[:, None]) * C.d + coords[None, :]
         for G, last in ((sp.x_g_gram, m), (sp.x_e_gram, m + 1)):
             lam = scipy.linalg.eigvalsh(G)

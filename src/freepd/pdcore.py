@@ -22,7 +22,8 @@ the mirror is materialized on read.  A function is one read-only (N, d, d)
 stack ranked in the global shortlex order of canonical words, which every
 domain's words begin (words.canonical_ball); a partial top is the last row,
 its undefined slots a complex NaN.  Restrictions are slices and every Gram
-is one gather (_gram) from [I, stack, NaN] through words.quotient_table.
+is one gather (_gram) from [I, stack, NaN] through words.quotient_table,
+whose quotient ranks words.canonical_rows maps to rows.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .words import (
     inverse,
     is_novel,
     maximal_cliques,
+    mul,
     quotient_table,
     reduce_word,
     shortlex_key,
@@ -298,12 +300,21 @@ def delta(d: int, domain: Domain) -> PDFunction:
     return PDFunction._from_stack(d, domain, stack)
 
 
-def _gram_slots(pairs):
-    """The quotients, the quotient slot of every Gram entry (see
+def _gram_slots(C: PDFunction, pairs):
+    """The quotient ranks, the quotient slot of every Gram entry (see
     words.quotient_table) and the 0-based coordinates of validated
-    (word, coordinate) pairs."""
-    ws = tuple(sorted({w for w, _ in pairs}, key=shortlex_key))
-    quotients, slots = quotient_table(ws)
+    (word, coordinate) pairs; None when the words, moved so that the least
+    is e, leave C's radius.  A moved word is itself a quotient, so then the
+    Gram reads outside C, and no table is built for it."""
+    ws = sorted({w for w, _ in pairs}, key=shortlex_key) or [()]
+    if ws[0]:
+        t = inverse(ws[0])
+        moved = {w: mul(t, w) for w in ws}
+        pairs = [(moved[w], c) for w, c in pairs]
+        ws = sorted(moved.values(), key=shortlex_key)
+    if len(ws[-1]) > _radius(C.domain):
+        return None
+    quotients, slots = quotient_table(tuple(ws))
     row = {w: a for a, w in enumerate(ws)}
     rows = [row[w] for w, _ in pairs]
     return quotients, slots[np.ix_(rows, rows)], np.array([c - 1 for _, c in pairs], int)
@@ -311,25 +322,32 @@ def _gram_slots(pairs):
 
 def _gram(C: PDFunction, pairs, corner: bool = False) -> np.ndarray:
     """The one Gram assembly: G[i1, i2] = C(w2^-1 w1)[c1, c2] as one gather
-    over validated pairs from [I, stack, NaN], each quotient at its rank's
-    row; a quotient outside the domain reads the NaN pad.  A NaN (outside
-    the domain, an undefined slot) raises, except at the corner of the last
-    two pairs if corner is set."""
-    quotients, slots, coords = _gram_slots(pairs)
-    n, N, d = len(quotients), len(C._stack), C.d
-    rank = canonical_ranks(_radius(C.domain))
-    rows = np.array([0] + [1 + min(rank.get(q, N), N) for q in quotients[1:]])
-    table = np.concatenate([np.eye(d, dtype=complex)[None], C._stack,
-                            np.full((1, d, d), complex("nan"))])
-    at = rows[slots % n]
-    # a mirrored slot reads the conjugate transpose of its quotient's value
-    G = np.where(slots < n, table[at, coords[:, None], coords],
-                 np.conj(table[at, coords, coords[:, None]]))
+    over validated pairs from [I, stack, NaN], each quotient rank at its
+    canonical row (words.canonical_rows); a quotient outside the domain
+    reads the NaN pad.  A NaN (outside the domain, an undefined slot)
+    raises, except at the corner of the last two pairs if corner is set."""
+    table = _gram_slots(C, pairs)
+    if table is None:  # read entry by entry, to name the first missing quotient
+        q = [[mul(inverse(w2), w1) for w2, _ in pairs] for w1, _ in pairs]
+        G = np.array([[C._value(q[i1][i2], c1, c2) for i2, (_, c2) in enumerate(pairs)]
+                      for i1, (_, c1) in enumerate(pairs)])
+    else:
+        quotients, slots, coords = table
+        n, N, d = len(quotients), len(C._stack), C.d
+        lookup = words.canonical_rows(_radius(C.domain))
+        rows = 1 + np.minimum(lookup[np.minimum(quotients, len(lookup) - 1)], N)
+        stack = np.concatenate([np.eye(d, dtype=complex)[None], C._stack,
+                                np.full((1, d, d), complex("nan"))])
+        at = rows[slots % n]
+        # a mirrored slot reads the conjugate transpose of its quotient's value
+        G = np.where(slots < n, stack[at, coords[:, None], coords],
+                     np.conj(stack[at, coords, coords[:, None]]))
     undefined = np.isnan(G)
     if corner:
         undefined[-2, -1] = undefined[-1, -2] = False
     for i1, i2 in np.argwhere(undefined)[:1]:
-        c = word_to_str(quotients[slots[i1, i2] % n])
+        c = word_to_str(canonical_rep(q[i1][i2]) if table is None
+                        else words.word_of_rank(quotients[slots[i1, i2] % n]))
         raise MissingEntryError(c, f"the Gram reads C({c}), which is missing or partial")
     return G
 
@@ -448,7 +466,7 @@ def check_pd(C: PDFunction, tol: float = DEFAULT_TOL, brute_force: bool = False,
     worst = None
     strict = True
     for pairs in _gram_families(C, brute_force, cap):
-        G = gram_indexed(C, pairs)
+        G = _gram(C, pairs)
         vals, vecs = np.linalg.eigh(G)
         lam = float(vals[0])
         thr = tol * len(pairs)
@@ -492,7 +510,7 @@ def realize(C: PDFunction, tol: float = DEFAULT_TOL) -> Realization:
     else:
         raise DomainError("cannot realize a partially specified function")
     pairs = tuple((h, m) for h in E for m in range(1, C.d + 1))
-    G = gram_indexed(C, pairs)
+    G = _gram(C, pairs)
     vals, vecs = np.linalg.eigh(G)
     thr = tol * len(pairs)
     if vals[0] < -thr:

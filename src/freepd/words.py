@@ -12,6 +12,15 @@ to cliques of these graphs, so the combinatorics here is deliberately small,
 exhaustively tested, and free of floating point.  The canonical words of
 a ball, an index set or an extension stage form a prefix of the shortlex
 order of all canonical words (see is_novel), so that order ranks storage.
+
+Level arithmetic runs on integers.  A word's shortlex rank is its position
+in ball(r), the same for every r that holds it, and each radius has cached
+tree arrays indexed by rank (_tree): letters, length, the ranks of suffixes
+and of the inverse.  Since the Cayley graph is the 4-regular tree, a
+quotient l^-1 h is s^-1 t for the suffixes s, t of l and h after their
+longest common prefix, and its rank follows from the pieces' ranks by
+arithmetic (_canonical_quotients).  Left translation does not change
+quotients, so a word list is moved to start at e before it is ranked.
 """
 
 from __future__ import annotations
@@ -128,6 +137,106 @@ def canonical_ranks(r: int) -> dict:
     return {w: i for i, w in enumerate(canonical_ball(r))}
 
 
+_POW3 = 3 ** np.arange(40, dtype=np.int64)
+# _OFFSET[n] is the shortlex rank of the first word of length n, ball_size(n - 1)
+_OFFSET = np.concatenate([[0], 2 * _POW3 - 1])
+_AFTER = np.array([_ALLOWED_AFTER[x] for x in range(4)])
+
+
+def _ranks(L: np.ndarray) -> np.ndarray:
+    """Shortlex ranks of the rows of a letter matrix, each row a word padded
+    with -1.  Within its length a word is a numeral: the first letter is a
+    base-4 digit, each later one a base-3 digit (its place among the three
+    letters allowed after its predecessor)."""
+    n = (L >= 0).sum(1)
+    prev = np.concatenate([np.full((len(L), 1), -1), L[:, :-1]], axis=1)
+    digit = np.where(prev < 0, L, L - (L > (prev + 2) % 4))
+    place = n[:, None] - 1 - np.arange(L.shape[1])
+    return _OFFSET[n] + np.where(place >= 0, digit * _POW3[np.maximum(place, 0)], 0).sum(1)
+
+
+def word_of_rank(rank) -> Word:
+    """The word at a shortlex rank (the inverse of a word's position in ball)."""
+    rank, n = int(rank), 0
+    while _OFFSET[n + 1] <= rank:
+        n += 1
+    rest, out = rank - int(_OFFSET[n]), []
+    for place in range(n - 1, -1, -1):
+        digit, rest = divmod(rest, 3 ** place)
+        out.append(_ALLOWED_AFTER[out[-1] if out else None][digit])
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class _Tree:
+    """The words of ball(r) as arrays indexed by shortlex rank: letters
+    (padded with -1, one spare column), length, suffix[i, k] (the rank of
+    word i without its first k letters) and inv (the rank of the inverse)."""
+
+    letters: np.ndarray
+    length: np.ndarray
+    suffix: np.ndarray
+    inv: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _tree(r: int) -> _Tree:
+    L = np.full((ball_size(r), r + 1), -1)
+    level, at = np.arange(4)[:, None], 1
+    for n in range(1, r + 1):
+        if n > 1:  # each word of length n - 1 has three children, in order
+            level = np.column_stack([np.repeat(level, 3, axis=0),
+                                     _AFTER[level[:, -1]].ravel()])
+        L[at:at + len(level), :n] = level
+        at += len(level)
+    n = (L >= 0).sum(1)
+    suffix = np.column_stack([_ranks(np.pad(L[:, k:], ((0, 0), (0, k)), constant_values=-1))
+                              for k in range(r + 1)])
+    back = n[:, None] - 1 - np.arange(r + 1)
+    inv = _ranks(np.where(back >= 0, (np.take_along_axis(L, np.maximum(back, 0), 1) + 2) % 4, -1))
+    for a in (L, n, suffix, inv):
+        a.setflags(write=False)
+    return _Tree(letters=L, length=n, suffix=suffix, inv=inv)
+
+
+def _product(tree: _Tree, u, v, x, y):
+    """Rank of the product u v of two tree words that does not cancel: x is
+    the first letter of u^-1, y the first letter of v, and x != y."""
+    nu, nv = tree.length[u], tree.length[v]
+    head = (u - _OFFSET[nu]) * 3 - (y > x)  # y's digit after the last letter of u
+    joined = _OFFSET[nu + nv] + head * _POW3[np.maximum(nv - 1, 0)] + v - _OFFSET[nv]
+    return np.where(nu == 0, v, np.where(nv == 0, u, joined))
+
+
+def _canonical_quotients(tree: _Tree, a, b):
+    """For broadcast rank arrays a, b of tree words: the rank of the canonical
+    representative of b^-1 a, and whether b^-1 a is the inverse of it.
+
+    With s, t the suffixes of b and a after their longest common prefix,
+    b^-1 a = s^-1 t and its inverse is t^-1 s; s and t differ in their first
+    letters, so neither product cancels and both ranks are arithmetic."""
+    La, Lb = tree.letters[a], tree.letters[b]
+    p = np.cumprod(La[..., :-1] == Lb[..., :-1], axis=-1).sum(-1)
+    s, t = tree.suffix[b, p], tree.suffix[a, p]
+    x, y = tree.letters[b, p], tree.letters[a, p]
+    q, q_inv = _product(tree, tree.inv[s], t, x, y), _product(tree, tree.inv[t], s, y, x)
+    return np.minimum(q, q_inv), q > q_inv
+
+
+@lru_cache(maxsize=None)
+def canonical_rows(r: int) -> np.ndarray:
+    """A lookup from shortlex rank to storage row, one entry per word of
+    ball(r) and one past them: the rank's position in canonical_ball(r),
+    -1 at e, and ball_size(r) at a non-canonical rank and past the ball."""
+    inv = _tree(r).inv
+    novel = np.arange(len(inv)) < inv
+    rows = np.where(novel, np.cumsum(novel) - 1, len(inv))
+    rows[0] = -1
+    rows = np.append(rows, len(inv))
+    rows.setflags(write=False)
+    return rows
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """The symmetric set I_g of all h with h or h^-1 shortlex-preceding g."""
@@ -190,12 +299,14 @@ def clique(g: Word) -> Clique:
     is unchanged and the unique-maximal-clique property genuinely fails
     (e.g. two maximal cliques contain the edge (e, b·a^-1)).
 
-    Computed as {e, g} together with the common neighborhood of e and g:
-    h is kept when both h and g^-1 h lie in I_g.  Uniqueness of the maximal
-    clique through (e, g) forces this set to be a clique, but that is a
-    theorem about the group, not about this code, so we assert pairwise
-    adjacency before returning.  The assertion reads the vertices' quotient
-    table, which the Gram matrices over K_g then reuse.
+    Computed as {e, g} together with the common neighborhood of e and g,
+    in one scan of the ranks of ball(|g|): h is kept when both h and g^-1 h
+    lie in I_g, i.e. when the canonical representative of each has rank at
+    most rank g.  Uniqueness of the maximal clique through (e, g) forces
+    this set to be a clique, but that is a theorem about the group, not
+    about this code, so we assert pairwise adjacency before returning: every
+    canonical quotient in the vertices' quotient table, which the Gram
+    matrices over K_g then reuse, has rank at most rank g.
     """
     if not g:
         raise WordError("K_g is defined for g != e only")
@@ -204,18 +315,15 @@ def clique(g: Word) -> Clique:
             f"level {word_to_str(g)} adds no new edge (its inverse precedes it); "
             "K_g is defined for novel levels only"
         )
-    iset = index_set(g)
-    g_inv = inverse(g)
-    members = [(), g]
-    for h in iset.members:
-        if h == () or h == g:
-            continue
-        if mul(g_inv, h) in iset.members:
-            members.append(h)
-    vertices = tuple(sorted(members, key=shortlex_key))
+    ws, top = ball(len(g)), int(_ranks(np.array([g + (-1,)]))[0])
+    if not 0 <= top < len(ws) or ws[top] != g:
+        raise WordError(f"{g!r} is not a reduced word")
+    tree = _tree(len(g))
+    h = np.flatnonzero(np.minimum(np.arange(len(ws)), tree.inv) <= top)  # I_g
+    moved, _ = _canonical_quotients(tree, h, top)
+    vertices = tuple(ws[i] for i in h[moved <= top])
     quotients, slots = quotient_table(vertices)
-    outside = np.array([q not in iset.members for q in quotients])
-    for a, b in np.argwhere(outside[slots % len(quotients)])[:1]:
+    for a, b in np.argwhere(quotients[slots % len(quotients)] > top)[:1]:
         raise WordError(
             f"common neighborhood of (e, {word_to_str(g)}) is not a clique: "
             f"({word_to_str(vertices[a])}, {word_to_str(vertices[b])}) not adjacent"
@@ -225,27 +333,32 @@ def clique(g: Word) -> Clique:
 
 @lru_cache(maxsize=None)
 def quotient_table(ws: tuple):
-    """(quotients, slots) of shortlex-sorted distinct words ws.
+    """(quotients, slots) of distinct words ws, passed shortlex sorted so
+    that one list has one table.
 
-    quotients lists the canonical representatives of the l^-1 h (h, l in ws),
-    e first; slots[a, b] is the position of ws[b]^-1 ws[a] in that list, plus
-    len(quotients) where the quotient is the inverse of the listed word.
-    Keying by the sorted words lets a level's clique, its stage Grams and
-    its positivity Gram share one table.
+    quotients holds the sorted shortlex ranks of the canonical
+    representatives of the l^-1 h (h, l in ws), so e (rank 0) first;
+    slots[a, b] is the position of ws[b]^-1 ws[a] in it, plus
+    len(quotients) where the quotient is the inverse of the ranked word.
+    The list is first moved by ws[0]^-1, which changes no quotient, so the
+    tree arrays go up to the longest moved word only.  Keying by the words
+    lets a level's clique, its stage Grams and its positivity Gram share
+    one table.
     """
-    position = {(): 0}
-    slots = np.zeros((len(ws), len(ws)), dtype=np.intp)
-    mirrored = np.zeros(slots.shape, dtype=bool)
-    invs = [inverse(w) for w in ws]
-    for a, b in zip(*np.triu_indices(len(ws), 1)):
-        # the (b, a) quotient is the inverse of the (a, b) one, never equal
-        q, q_inv = mul(invs[b], ws[a]), mul(invs[a], ws[b])
-        flip = shortlex_key(q_inv) < shortlex_key(q)
-        slots[a, b] = slots[b, a] = position.setdefault(q_inv if flip else q, len(position))
-        mirrored[a, b], mirrored[b, a] = flip, not flip
-    slots += mirrored * len(position)
+    if ws[0]:
+        t = inverse(ws[0])
+        ws = [mul(t, w) for w in ws]
+    m = max(map(len, ws))
+    L = np.full((len(ws), m + 1), -1)
+    for i, w in enumerate(ws):
+        L[i, :len(w)] = w
+    r = _ranks(L)
+    canon, mirrored = _canonical_quotients(_tree(m), r[:, None], r[None, :])
+    quotients, at = np.unique(canon.ravel(), return_inverse=True)
+    slots = at.reshape(canon.shape) + mirrored * len(quotients)
+    quotients.setflags(write=False)
     slots.setflags(write=False)
-    return tuple(position), slots
+    return quotients, slots
 
 
 def maximal_cliques(vertices, iset: IndexSet):

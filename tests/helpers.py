@@ -156,6 +156,21 @@ def r_separated(cycle, R):
     return [rotated[p] for p in _greedy_positions(length, R, list(range(length)))]
 
 
+def reference_quotients(ws):
+    """The quotient table of a word list by word arithmetic alone.
+
+    Entry (a, b) is (c, mirrored): c the shortlex-smaller of ws[b]^-1 ws[a]
+    and its inverse, mirrored whether the quotient is the inverse of c.
+    """
+    out = {}
+    for a, h in enumerate(ws):
+        for b, l in enumerate(ws):
+            q = mul(inverse(l), h)
+            c = min(q, inverse(q), key=shortlex_key)
+            out[a, b] = (c, c != q)
+    return out
+
+
 def reference_gram(C, pairs):
     """Gram over (word, coordinate) pairs read entry by entry: C(w2^-1 w1)[c1, c2].
 

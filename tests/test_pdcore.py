@@ -5,6 +5,7 @@ failure always reproduces.
 """
 
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -71,6 +72,25 @@ def test_gram_missing_entry_names_the_canonical_word():
     with pytest.raises(MissingEntryError) as err:
         gram(C, ["e", "a", "aa"])
     assert err.value.word == "aa"
+
+
+def test_gram_is_invariant_under_a_long_translation():
+    C = random_nspd(4, 2, seed=3)
+    t = (0, 1) * 12 + (0,)  # (ab)^12 a, of length 25
+    for g in words.canonical_ball(4)[::9]:
+        K = clique(g).vertices
+        G = gram(C, K)
+        assert _same_bits(gram(C, [mul(t, h) for h in K]), G)
+        assert _same_bits(gram(C, [mul(inverse(t), h) for h in K]), G)
+
+
+def test_gram_of_far_apart_words_names_the_first_missing_quotient():
+    C = random_nspd(4, 1, seed=0)
+    start = time.perf_counter()
+    with pytest.raises(MissingEntryError) as err:
+        gram(C, ["a" * 12, "b" * 12])
+    assert time.perf_counter() - start < 0.1
+    assert err.value.word == "A" * 12 + "b" * 12
 
 
 def test_gram_indexed_rejects_bad_coordinates():

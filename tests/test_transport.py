@@ -266,6 +266,12 @@ def test_perturbation_vacuous_and_errors():
         perturbation_bound_check(L[:2], M, 0.1)
 
 
+def test_perturbation_premise_admits_a_singular_m_once_sigma_reaches_two():
+    # eta = sigma / 2 = 1 = ||I - 0||_1, so the premise holds, while the
+    # backward operator L M^-1 does not exist: the bound fails
+    assert perturbation_bound_check(np.eye(1), np.zeros((1, 1)), 2.0) is False
+
+
 def test_mixing_toward_delta_lowers_energy_to_one():
     C = random_nspd(2, 1, seed=5)
     D = delta(1, Domain.ball(2))

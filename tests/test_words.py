@@ -1,6 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freepd import words
 from freepd.errors import WordError
@@ -18,7 +21,7 @@ from freepd.words import (
     word_from_str,
     word_to_str,
 )
-from helpers import predecessor, predecessor_clique, successor
+from helpers import predecessor, predecessor_clique, reference_quotients, successor
 
 A, B, Ai, Bi = 0, 1, 2, 3
 
@@ -295,3 +298,76 @@ def test_clique_and_its_grams_share_one_quotient_table():
     tables = words.quotient_table.cache_info().misses
     check_pd(C)
     assert words.quotient_table.cache_info().misses == tables + 1  # the e block
+
+
+def test_rank_decode_follows_the_ball_order():
+    for r in range(6):
+        assert tuple(words.word_of_rank(i) for i in range(ball_size(r))) == ball(r)
+        tree = words._tree(r)
+        for i, w in enumerate(ball(r)):
+            assert tuple(x for x in tree.letters[i] if x >= 0) == w
+            assert tree.length[i] == len(w)
+            assert ball(r)[tree.inv[i]] == inverse(w)
+            assert [ball(r)[s] for s in tree.suffix[i]] == [w[k:] for k in range(r + 1)]
+    # ranks past any tree: a length-25 word and its neighbours in the order
+    w = (0, 1) * 12 + (2,)
+    L = np.array([list(w) + [-1]])
+    rank = int(words._ranks(L)[0])
+    assert words.word_of_rank(rank) == w
+    assert words.word_of_rank(rank + 1) == successor(w)
+    assert words.word_of_rank(rank - 1) == predecessor(w)
+
+
+@st.composite
+def _long_word(draw, n=25):
+    """A reduced word of length n: a first letter, then n - 1 choices among
+    the three letters allowed after the previous one."""
+    out = [draw(st.integers(0, 3))]
+    for choice in draw(st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1)):
+        out.append(words._ALLOWED_AFTER[out[-1]][choice])
+    return tuple(out)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    picked=st.lists(st.sampled_from(ball(4)), min_size=1, max_size=10, unique=True),
+    with_e=st.booleans(),
+    shift=st.one_of(st.just(()), _long_word()),
+)
+def test_rank_table_matches_word_arithmetic(picked, with_e, shift):
+    ws = tuple(sorted({mul(shift, w) for w in picked + [()] * with_e},
+                      key=lambda w: (len(w), w)))
+    quotients, slots = words.quotient_table(ws)
+    n = len(quotients)
+    assert quotients[0] == 0 and np.all(np.diff(quotients) > 0)
+    seen = {}
+    for (a, b), (c, mirrored) in reference_quotients(ws).items():
+        assert words.word_of_rank(quotients[slots[a, b] % n]) == c
+        assert (slots[a, b] >= n) == mirrored
+        # equal quotients share a slot, and different ones do not
+        assert seen.setdefault((c, mirrored), slots[a, b]) == slots[a, b]
+    assert len(set(seen.values())) == len(seen)
+
+
+def test_clique_assertion_names_the_pair_outside_the_index_set(monkeypatch):
+    g = word_from_str("aab")
+    vertices = clique(g).vertices
+    real = words.quotient_table
+
+    def corrupt(ws):
+        quotients, slots = real(ws)
+        wrong = np.array(quotients)
+        wrong[-1] = words.canonical_rows(len(g)).size  # a rank past Ball(|g|)
+        return wrong, slots
+
+    quotients, slots = real(vertices)
+    a, b = np.argwhere(slots % len(quotients) == len(quotients) - 1)[0]
+    words.clique.cache_clear()
+    monkeypatch.setattr(words, "quotient_table", corrupt)
+    try:
+        with pytest.raises(WordError) as err:
+            clique(g)
+    finally:
+        words.clique.cache_clear()
+    pair = f"({word_to_str(vertices[a])}, {word_to_str(vertices[b])}) not adjacent"
+    assert pair in str(err.value)
