@@ -121,12 +121,20 @@ def _cmd_energy(args) -> CommandResult:
         radii = list(range(1, min(A.domain.r, B.domain.r) // 2 + 1)) or [None]
     lines = []
     values = {}
-    for r in radii:
-        rep = relative_energy(A, B, r=r)
-        key = min(A.domain.r, B.domain.r) // 2 if r is None else r
-        values[str(key)] = rep.energy
-        lines.append(f"r={key}: {_fmt(rep.energy)}")
     path = _report_path(args.a)
+    try:
+        for r in radii:
+            rep = relative_energy(A, B, r=r)
+            key = min(A.domain.r, B.domain.r) // 2 if r is None else r
+            values[str(key)] = rep.energy
+            lines.append(f"r={key}: {_fmt(rep.energy)}")
+    except FreePDError as exc:
+        write_json_atomic(
+            {"a": str(args.a), "b": str(args.b), "error": str(exc),
+             "type": type(exc).__name__},
+            path,
+        )
+        return CommandResult(1, f"energy failed: {exc}", str(path))
     write_json_atomic({"a": str(args.a), "b": str(args.b), "energies": values}, path)
     return CommandResult(0, "\n".join(lines), str(path))
 

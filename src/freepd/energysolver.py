@@ -68,7 +68,13 @@ from .pdcore import (
     mix_with_delta,
     restrict_to_ball,
 )
-from .transport import _top_generalized_eig, partial_relative_energy, relative_energy
+from .transport import (
+    _eigvalsh,
+    _strict_min_eig,
+    _top_generalized_eig,
+    partial_relative_energy,
+    relative_energy,
+)
 from .words import inverse, mul, word_to_str
 
 __all__ = [
@@ -350,7 +356,7 @@ def _pairs_separated(rows) -> bool:
     for l in range(len(rows)):
         for m in range(l + 1, len(rows)):
             H = rows[l].conj().T @ rows[l] + rows[m].conj().T @ rows[m]
-            w = scipy.linalg.eigvalsh(H)
+            w = _eigvalsh(H)
             if w[0] < PAIR_TOL * max(w[-1], 0.0):
                 return False
     return True
@@ -1118,10 +1124,8 @@ def _eta_budget(family, eta_prime: float, tol: float) -> float:
         _, slots, coords = pdcore._gram_slots(C, sp.indices.Q)
         keys = (slots * C.d + coords[:, None]) * C.d + coords[None, :]
         for G, last in ((sp.x_g_gram, m), (sp.x_e_gram, m + 1)):
-            lam = scipy.linalg.eigvalsh(G)
-            if lam[0] <= tol * G.shape[0]:
-                raise NotStrictError("a stage restriction Gram lost strictness")
-            budget = min(budget, s * float(lam[0]) / 2.0)
+            lam = _strict_min_eig(G, tol, "a stage restriction Gram")
+            budget = min(budget, s * lam / 2.0)
             sub = np.r_[:m, last]
             counts = np.unique(keys[np.ix_(sub, sub)], return_counts=True)[1]
             mult = max(mult, int(counts.max()))

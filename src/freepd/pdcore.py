@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from . import words
 from .errors import (
@@ -542,6 +541,9 @@ def random_nspd(r: int, d: int, seed=0, margin: float = 0.1) -> PDFunction:
         raise ParameterError("d must be a positive integer")
     if not 0 < margin <= 1:
         raise ParameterError("margin must lie in (0, 1]")
+    # scipy.stats costs most of a cold import, and only this function uses it
+    from scipy.stats import unitary_group
+
     rng = np.random.default_rng(seed)
     dim = max(2 * d, 3)
     u_a = unitary_group.rvs(dim, random_state=rng)

@@ -16,18 +16,23 @@ core (indexed by the clique K_g, never by a ball: translated index sets have
 identical Grams) and report the larger of the two.
 
 The pencil kernel _top_generalized_eig is the package's only
-generalized-eigenvalue solver, one call to LAPACK's symmetric-definite
-routine (scipy.linalg.eigh(A, B)); the energy solver uses it for every
-completed-stage pencil.
+generalized-eigenvalue solver; the energy solver uses it for every
+completed-stage pencil.  It calls LAPACK directly: zheevr for the
+strictness check of the base Gram and zhegvd for the pencil, with the
+arguments scipy.linalg.eigvalsh and scipy.linalg.eigh(A, B) pass for complex
+input.  The results are identical bit for bit; what goes is SciPy's
+per-call validation, dtype dispatch and work-size query, which at the
+pencil sizes of a solve (3 to 12 rows) cost several times the LAPACK work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import zheevr, zheevr_lwork, zhegvd
 
 from . import pdcore
 from .errors import DomainError, FreePDError, NotStrictError, ParameterError
@@ -63,22 +68,62 @@ class EnergyReport:
     indices: tuple
 
 
+def _require_finite(A) -> None:
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+@lru_cache(maxsize=None)
+def _heevr_work(n: int) -> tuple:
+    """zheevr's optimal (lwork, lrwork, liwork) for order n, which SciPy queries per call.
+
+    A failed query would leave sizes that the zheevr call itself rejects.
+    """
+    work, rwork, iwork, _ = zheevr_lwork(n, lower=1)
+    return int(work.real), int(rwork), int(iwork)
+
+
+def _eigvalsh(G) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian G, bit for bit scipy.linalg.eigvalsh.
+
+    One zheevr call on the lower triangle, without eigenvectors; a
+    non-finite entry raises ValueError as SciPy's check_finite does.
+    """
+    _require_finite(G)
+    lwork, lrwork, liwork = _heevr_work(G.shape[0])
+    w, _, _, _, info = zheevr(G, compute_v=0, lower=1, lwork=lwork, lrwork=lrwork,
+                              liwork=liwork)
+    if info:
+        raise np.linalg.LinAlgError(f"zheevr failed to converge (info {info})")
+    return w
+
+
+def _strict_min_eig(G, tol: float, name: str) -> float:
+    """The least eigenvalue of G; NotStrictError unless it exceeds tol * n."""
+    lam = float(_eigvalsh(G)[0])
+    if lam <= tol * G.shape[0]:
+        raise NotStrictError(f"{name} is not strictly positive (min eigenvalue {lam:.3e})")
+    return lam
+
+
 def _top_generalized_eig(G_C, G_D, tol: float):
     """All generalized eigenvalues of G_D x = lambda G_C x plus the top achiever.
 
-    The pencil (G_D - G_C, G_C) is handed to LAPACK's symmetric-definite
-    solver and shifted back by one (same eigenvectors, exact at equal Grams,
-    no digits lost to the identity part near one).  The achiever is scaled
-    so that x* G_C x = 1, its largest coordinate rotated to the positive
-    real axis so repeated calls agree, and certified by its Rayleigh
-    quotient.
+    G_C must be strict (checked by zheevr).  The pencil (G_D - G_C, G_C) is
+    handed to LAPACK's divide-and-conquer symmetric-definite solver zhegvd
+    (itype 1, eigenvectors, lower triangle: what scipy.linalg.eigh(A, B)
+    calls, called here without its per-call validation) and shifted back by
+    one (same eigenvectors, exact at equal Grams, no digits lost to the
+    identity part near one).  The achiever is scaled so that x* G_C x = 1,
+    its largest coordinate rotated to the positive real axis so repeated
+    calls agree, and certified by its Rayleigh quotient.
     """
-    lam = scipy.linalg.eigvalsh(G_C)
-    if lam[0] <= tol * G_C.shape[0]:
-        raise NotStrictError(
-            f"the base Gram matrix is not strictly positive (min eigenvalue {lam[0]:.3e})"
-        )
-    vals, vecs = scipy.linalg.eigh(G_D - G_C, G_C)
+    _strict_min_eig(G_C, tol, "the base Gram matrix")
+    A = G_D - G_C
+    _require_finite(A)
+    vals, vecs, info = zhegvd(A, G_C, itype=1, jobz="V", uplo="L")
+    if info:
+        raise np.linalg.LinAlgError(f"zhegvd failed (info {info})")
     x = vecs[:, -1]
     vals = vals + 1.0
     x = x / math.sqrt(float(np.real(np.conj(x) @ G_C @ x)))
@@ -95,12 +140,7 @@ def _top_generalized_eig(G_C, G_D, tol: float):
 
 def _energy_report(G_C, G_D, tol: float, restriction: str, pairs) -> EnergyReport:
     """The top pencil energy with a unit achiever; G_D must be strict too."""
-    lam = scipy.linalg.eigvalsh(G_D)
-    if lam[0] <= tol * G_D.shape[0]:
-        raise NotStrictError(
-            f"the comparison Gram ({restriction}) is not strictly positive "
-            f"(min eigenvalue {lam[0]:.3e})"
-        )
+    _strict_min_eig(G_D, tol, f"the comparison Gram ({restriction})")
     vals, x = _top_generalized_eig(G_C, G_D, tol)
     return EnergyReport(float(vals[-1]), x / np.linalg.norm(x), restriction, tuple(pairs))
 

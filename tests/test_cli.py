@@ -1,13 +1,18 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import freepd
 from freepd import cli
 from freepd.cli import dispatch, main
 from freepd.extend import toeplitz_step
-from freepd.pdcore import load_function
+from freepd.pdcore import Domain, PDFunction, load_function, save_function
+from freepd.words import ball
 from helpers import random_labeled_graph
 
 
@@ -76,6 +81,41 @@ def test_energy_explicit_radii(tmp_path):
     value = float(res.summary.split()[-1])
     assert value >= 1.0
     assert run("energy", a, b, "--radii", "one").code == 2
+
+
+@pytest.mark.parametrize("case, error", [
+    ("singular", "NotStrictError"),
+    ("domains", "DomainError"),
+    ("radius", "ParameterError"),
+])
+def test_energy_failure_still_writes_a_report(tmp_path, case, error):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run("random", "--r", 4 if case == "radius" else 2, "--d", 1, "--seed", 2, "--out", a)
+    extra = ()
+    if case == "singular":
+        # the all-ones function is positive definite but singular
+        save_function(PDFunction(1, Domain.ball(2), {w: [[1.0]] for w in ball(2)}), b)
+    else:
+        run("random", "--r", 4, "--d", 1, "--seed", 5, "--out", b)
+    if case == "radius":
+        extra = ("--radii", "3")
+    res = run("energy", a, b, *extra)
+    assert res.code == 1
+    assert res.report_path == str(tmp_path / "a.report.json")
+    report = json.loads((tmp_path / "a.report.json").read_text())
+    assert report["a"] == str(a) and report["b"] == str(b)
+    assert report["type"] == error
+    assert report["error"] and "energies" not in report
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(freepd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, freepd.cli; print('scipy.stats' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_toeplitz_matches_library():

@@ -4,6 +4,8 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freepd.errors import DomainError, NotStrictError, ParameterError
 from freepd.extend import central_extension
@@ -20,6 +22,7 @@ from freepd.pdcore import (
 )
 from freepd.transport import (
     EnergyReport,
+    _eigvalsh,
     _top_generalized_eig,
     energy_schedule,
     partial_relative_energy,
@@ -98,6 +101,52 @@ def test_pencil_on_an_ill_conditioned_base_matches_closed_form():
     expected = 1.0 + float(np.sum(np.abs(Q.conj().T @ u) ** 2 / lam))
     assert vals[-1] == pytest.approx(expected, rel=1e-6)
     assert np.real(x.conj() @ G_C @ x) == pytest.approx(1.0, rel=1e-6)
+
+
+def _random_hpd(rng, n):
+    M = rng.normal(size=(n, 2 * n)) + 1j * rng.normal(size=(n, 2 * n))
+    return M @ M.conj().T
+
+
+def test_kernel_matches_scipy_bit_for_bit():
+    # the kernel calls zheevr and zhegvd itself, with zheevr's work sizes
+    # cached per order; orders past LAPACK's block size (32) are where a
+    # smaller work array would change the reduction, and so the bits
+    rng = np.random.default_rng(29)
+    for n in range(1, 41):
+        G_C, G_D = _random_hpd(rng, n), _random_hpd(rng, n)
+        for G in (G_C, G_D):
+            assert np.array_equal(_eigvalsh(G), scipy.linalg.eigvalsh(G))
+        vals, x = _top_generalized_eig(G_C, G_D, DEFAULT_TOL)
+        ref_vals, ref_vecs = scipy.linalg.eigh(G_D - G_C, G_C)
+        assert np.array_equal(vals, ref_vals + 1.0)
+        y = ref_vecs[:, -1]
+        y = y / np.sqrt(np.real(np.conj(y) @ G_C @ y))
+        i = int(np.argmax(np.abs(y)))
+        assert np.array_equal(x, y * (np.conj(y[i]) / abs(y[i])))
+
+
+def test_kernel_rejects_non_finite_grams():
+    G = np.eye(3, dtype=complex)
+    bad = G.copy()
+    bad[2, 1] = complex("nan")
+    with pytest.raises(ValueError):
+        _eigvalsh(bad)
+    with pytest.raises(ValueError):
+        _top_generalized_eig(bad, G, DEFAULT_TOL)
+    bad[2, 1] = complex("inf")
+    with pytest.raises(ValueError):
+        _top_generalized_eig(G, bad, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_kernel_rejects_a_base_at_the_strictness_floor(scale):
+    n = 3
+    floor = scale * DEFAULT_TOL * n
+    G_C = np.diag([floor, 1.0, 2.0]).astype(complex)
+    assert _eigvalsh(G_C)[0] == floor
+    with pytest.raises(NotStrictError, match="base Gram"):
+        _top_generalized_eig(G_C, np.eye(n, dtype=complex), DEFAULT_TOL)
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
@@ -278,3 +327,20 @@ def test_mixing_toward_delta_lowers_energy_to_one():
     e_full = relative_energy(C, D, r=1).energy
     e_half = relative_energy(mix_with_delta(C, 0.5), D, r=1).energy
     assert 1.0 - 1e-12 <= e_half <= e_full + 1e-12
+
+
+_seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(seeds=st.tuples(_seeds, _seeds, _seeds), d=st.sampled_from([1, 2]))
+def test_energy_axioms_hold_on_random_functions(seeds, d):
+    A, B, C = (random_nspd(4, d, seed=s) for s in seeds)
+    schedule = [rep.energy for rep in energy_schedule(A, C, radii=[0, 1, 2])]
+    assert all(e >= 1.0 - 1e-10 for e in schedule)
+    assert all(b >= a for a, b in zip(schedule, schedule[1:]))
+    assert abs(relative_energy(C, C).energy - 1.0) <= 1e-10
+    e_ab = relative_energy(A, B).energy
+    e_bc = relative_energy(B, C).energy
+    assert min(e_ab, e_bc) >= 1.0 - 1e-10
+    assert schedule[-1] <= e_ab * e_bc * (1.0 + 1e-9)
