@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .energysolver import configuration_from_dict, solve_configuration
-from .errors import FormatError, FreePDError
+from .errors import FormatError, FreePDError, SurgeryError
 from .extend import central_extension, toeplitz_step
 from .pdcore import (
     DEFAULT_TOL,
@@ -190,7 +190,14 @@ def _cmd_solve(args) -> CommandResult:
 
 def _cmd_surgery(args) -> CommandResult:
     g = LabeledGraph.from_dict(_load_json(args.graph))
-    result = perform_surgery(g, args.R, args.r)
+    try:
+        result = perform_surgery(g, args.R, args.r)
+    except SurgeryError as exc:
+        write_json_atomic(
+            {"graph": str(args.graph), "error": str(exc), "type": type(exc).__name__},
+            args.out,
+        )
+        return CommandResult(1, f"surgery failed: {exc}", str(args.out))
     payload = result.to_dict()
     code = 0
     inserted = result.graph.n - g.n

@@ -521,7 +521,7 @@ def realize(C: PDFunction, tol: float = DEFAULT_TOL) -> Realization:
     F = vecs[:, keep] * np.sqrt(lam[keep])
     err = float(np.max(np.abs(F @ F.conj().T - G))) if len(pairs) else 0.0
     bound = 1e-10 * max(float(np.max(np.abs(G))), 1.0)
-    if err > bound:  # pragma: no cover - eigh is far more accurate than this
+    if err > bound:
         raise NotPositiveError(f"factorization failed to reproduce the Gram ({err:.3e})")
     return Realization(indices=pairs, gram=G, factors=F, reconstruction_error=err)
 
@@ -561,7 +561,7 @@ def random_nspd(r: int, d: int, seed=0, margin: float = 0.1) -> PDFunction:
     out = PDFunction._from_stack(d, Domain.ball(r), np.array(rows, complex).reshape(-1, d, d))
     verdict = check_pd(out)
     if verdict.status != "strict" or verdict.min_eigenvalue < margin / 2:
-        raise NotStrictError(  # pragma: no cover - structurally impossible
+        raise NotStrictError(
             "random instance failed its strictness guarantee"
         )
     return out

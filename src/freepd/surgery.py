@@ -15,7 +15,9 @@ directed b-walk meets the whole ring.
 
 ``verify_conditions`` re-derives the seven advertised guarantees G-1..G-7
 from the output by direct graph search and reports a measured constant
-next to each pass flag; nothing is trusted from the construction.
+next to each pass flag; nothing is trusted from the construction.  Every
+distance search, here and in the rewiring, is one breadth-first sweep
+(``_sweep``) over rows of the permutation arrays, a whole level at a time.
 
 Vertices are plain integers.  Originals are ``0..n-1``; inserted vertices
 are numbered consecutively from ``n`` in creation order, which together
@@ -25,7 +27,6 @@ bit for bit.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -366,7 +367,7 @@ def perform_surgery(g, R, r):
     a_cyc_id, a_cyc_len = _cycle_index(a_out, count)
     b_cyc_id, b_cyc_len = _cycle_index(b_out, count)
     inv_a = {w: v for v, w in a_out.items()}
-    adj = _undirected_adjacency(a_out, b_out, count)
+    nbrs = _step_rows([a_out[v] for v in range(count)], [b_out[v] for v in range(count)])
     cap = 2 * (4 * R + 1)
     a_load = {}
     claimed = set()
@@ -384,7 +385,7 @@ def perform_surgery(g, R, r):
             return False
         return True
 
-    dist_to_ring = [float("inf")] * count
+    dist_to_ring = np.full(count, np.inf)
 
     def seat(v):
         ring.append(v)
@@ -393,9 +394,8 @@ def perform_surgery(g, R, r):
         a_load[ca] = a_load.get(ca, 0) + 1
         claimed.add(b_cyc_id[v])
         claimed.add(b_cyc_id[u])
-        for x, d in _bfs_layers(adj, [v]):
-            if d < dist_to_ring[x]:
-                dist_to_ring[x] = d
+        dist = _sweep(nbrs, [v])
+        np.minimum(dist_to_ring, np.where(dist < 0, np.inf, dist), out=dist_to_ring)
 
     for v in range(n0):
         if dist_to_ring[v] >= 10 * R and admissible(v):
@@ -499,50 +499,53 @@ def _cycle_index(out, count):
     return cyc_id, cyc_len
 
 
-def _undirected_adjacency(a_out, b_out, count):
-    adj = [[] for _ in range(count)]
-    for out in (a_out, b_out):
-        for v, w in out.items():
-            adj[v].append(w)
-            adj[w].append(v)
-    return adj
+def _step_rows(perm_a, perm_b):
+    """Neighbour rows for ``_sweep``: a, b, then their inverses.
+
+    The first two rows alone give the directed search.
+    """
+    rows = np.array([perm_a, perm_b], dtype=np.intp)
+    inv = np.empty_like(rows)
+    np.put_along_axis(inv, rows, np.arange(rows.shape[1]), axis=1)
+    return np.concatenate([rows, inv])
 
 
-def _bfs_layers(adj, sources):
-    seen = {v: 0 for v in sources}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        d = seen[v]
-        yield v, d
-        for w in adj[v]:
-            if w not in seen:
-                seen[w] = d + 1
-                queue.append(w)
+def _sweep(nbrs, sources, blocked=None, depth=None):
+    """Breadth-first distances from ``sources`` along the rows of ``nbrs``.
+
+    ``nbrs`` is a ``(k, n)`` integer array whose row ``i`` maps every vertex
+    to its ``i``-th neighbour.  Each level gathers the frontier's neighbours,
+    keeps the unvisited ones and stops after ``depth`` levels when that is
+    given.  Blocked vertices are never entered, not even as sources.
+    Returns the distances, -1 where a vertex was not reached.
+    """
+    dist = np.full(nbrs.shape[1], -1, dtype=np.intp)
+    if blocked is not None:
+        dist[np.asarray(blocked, dtype=np.intp)] = -2
+    frontier = np.asarray(sources, dtype=np.intp)
+    frontier = frontier[dist[frontier] == -1]
+    dist[frontier] = 0
+    level = 0
+    while frontier.size and level != depth:
+        level += 1
+        reached = nbrs[:, frontier].ravel()
+        dist[reached[dist[reached] == -1]] = level
+        frontier = np.flatnonzero(dist == level)
+    dist[dist == -2] = -1
+    return dist
 
 
 def _undisturbed_set(before, after, touched, r):
     """Originals farther than r from every rewired edge.
 
-    Distance is measured in the union of the old and new edge sets, so a
-    vertex that only lost an edge still counts as disturbed nearby.
+    Distance is meant in the union of the old and new edge sets, so that a
+    vertex that only lost an edge still counts as disturbed nearby.  Both
+    ends of every lost edge are touched, so the lost edges shorten no
+    distance and the search runs on the new graph alone.
     """
-    count = after.n
-    adj = [set() for _ in range(count)]
-    for perm in (after.perm_a, after.perm_b):
-        for v, w in enumerate(perm):
-            adj[v].add(w)
-            adj[w].add(v)
-    for perm in (before.perm_a, before.perm_b):
-        for v in range(before.n):
-            adj[v].add(perm[v])
-            adj[perm[v]].add(v)
-    near = set()
-    for v, d in _bfs_layers([sorted(s) for s in adj], sorted(touched)):
-        if d > r:
-            break
-        near.add(v)
-    return [v for v in range(before.n) if v not in near]
+    nbrs = _step_rows(after.perm_a, after.perm_b)
+    near = _sweep(nbrs, list(touched), depth=r)
+    return np.flatnonzero(near[: before.n] < 0).tolist()
 
 
 def _ball_match(steps0, steps1, root, radius):
@@ -582,37 +585,6 @@ def _ball_match(steps0, steps1, root, radius):
     return True
 
 
-def _directed_distances(graph, sources, blocked=()):
-    dist = [-1] * graph.n
-    queue = deque()
-    block = set(blocked)
-    for v in sources:
-        if v not in block and dist[v] < 0:
-            dist[v] = 0
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for w in (graph.perm_a[v], graph.perm_b[v]):
-            if w not in block and dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
-def _undirected_distances(adj, source, blocked=()):
-    dist = {source: 0}
-    if source in blocked:
-        return dist
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in dist and w not in blocked:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
 def _apply_word(steps, word, v):
     # letters act right to left, codes 0..3 index the step table directly
     for letter in reversed(word):
@@ -623,8 +595,10 @@ def _apply_word(steps, word, v):
 def verify_conditions(original, result, r, R, samples=200, seed=0):
     """Re-derive the G-1..G-7 guarantees from a surgery output.
 
-    Every condition is checked by direct graph search on the result;
-    distance-ratio and labeled-path conditions are sampled (seeded, at
+    Every condition is checked by direct graph search on the result: the
+    distance conditions G-3..G-5 by breadth-first sweeps over the
+    permutation arrays (``_sweep``), the rest by walking cycles and balls.
+    Distance-ratio and labeled-path conditions are sampled (seeded, at
     most ``samples`` probes) since their claims are uniform.  The report
     maps each condition name to pass, measured and bound entries.
     """
@@ -670,43 +644,35 @@ def verify_conditions(original, result, r, R, samples=200, seed=0):
 
     # G-3: distances off the ring dominate the original distances
     rng = np.random.default_rng(seed)
-    adj0 = _undirected_adjacency(
-        {v: original.perm_a[v] for v in range(n0)},
-        {v: original.perm_b[v] for v in range(n0)},
-        n0,
-    )
-    adj1 = _undirected_adjacency(
-        {v: graph.perm_a[v] for v in range(graph.n)},
-        {v: graph.perm_b[v] for v in range(graph.n)},
-        graph.n,
-    )
+    nbrs0 = _step_rows(original.perm_a, original.perm_b)
+    nbrs1 = _step_rows(graph.perm_a, graph.perm_b)
     pool = sorted(orig_set)
     n_src = max(1, min(len(pool), samples // 10))
     sources = rng.choice(pool, size=n_src, replace=False)
     ratio = 0.0
     checked = 0
     for s in sources:
-        d0 = _undirected_distances(adj0, int(s))
-        d1 = _undirected_distances(adj1, int(s), blocked=ring_set)
+        d0 = _sweep(nbrs0, [s])
+        d1 = _sweep(nbrs1, [s], blocked=ring)
         targets = rng.choice(pool, size=min(len(pool), 10), replace=False)
         for t in targets:
-            t = int(t)
             if t == s or checked >= samples:
                 continue
             checked += 1
-            if t not in d1:
+            if d1[t] < 0:
                 continue
-            if t not in d0:
+            if d0[t] < 0:
                 ratio = float("inf")
             elif d1[t] > 0:
-                ratio = max(ratio, d0[t] / d1[t])
+                ratio = max(ratio, int(d0[t]) / int(d1[t]))
     bound3 = (4 * R + 1) * R * R
     report["G-3"] = {"pass": bool(ratio <= bound3), "measured": ratio, "bound": bound3}
 
     # G-4: the whole graph hangs below the ring in directed reach
-    dist_from_ring = _directed_distances(graph, ring)
-    worst4 = max(dist_from_ring) if ring else -1
-    reach_all = ring and min(dist_from_ring) >= 0
+    directed = nbrs1[:2]
+    dist_from_ring = _sweep(directed, ring)
+    worst4 = int(dist_from_ring.max()) if ring else -1
+    reach_all = bool(ring) and int(dist_from_ring.min()) >= 0
     bound4 = 8 * (4 * R + 1) ** 2 * (10 * R + 1)
     report["G-4"] = {
         "pass": bool(reach_all and worst4 <= bound4),
@@ -725,12 +691,12 @@ def verify_conditions(original, result, r, R, samples=200, seed=0):
         s = int(s)
         if s in ring_set:
             continue
-        dist = _directed_distances(graph, [s], blocked=ring_set)
+        dist = _sweep(directed, [s], blocked=ring)
         for word in words_r:
             t = _apply_word(steps1, word, s)
             if t not in orig_set or t in ring_set:
                 continue
-            d = dist[t]
+            d = int(dist[t])
             if d < 0 or d > bound5:
                 ok5 = False
                 worst5 = float("inf") if d < 0 else max(worst5, d)

@@ -1,5 +1,7 @@
 """Shared fixtures-by-hand for the test modules."""
 
+from collections import deque
+
 import numpy as np
 
 from freepd.errors import SurgeryError, WordError
@@ -312,3 +314,85 @@ def _weakly_connected(g):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == g.n
+
+
+# Queue-based graph searches over Python containers: the oracle for
+# surgery's array sweeps (``_sweep``, ``_undisturbed_set``).
+
+
+def undirected_adjacency(a_out, b_out, count):
+    """Neighbour lists of the undirected union of two vertex->vertex maps."""
+    adj = [[] for _ in range(count)]
+    for out in (a_out, b_out):
+        for v, w in out.items():
+            adj[v].append(w)
+            adj[w].append(v)
+    return adj
+
+
+def bfs_layers(adj, sources):
+    """Yield (vertex, distance) in breadth-first order from the sources."""
+    seen = {v: 0 for v in sources}
+    queue = deque(seen)
+    while queue:
+        v = queue.popleft()
+        d = seen[v]
+        yield v, d
+        for w in adj[v]:
+            if w not in seen:
+                seen[w] = d + 1
+                queue.append(w)
+
+
+def directed_distances(graph, sources, blocked=()):
+    """Distances along a- and b-edges, -1 where unreached or blocked."""
+    dist = [-1] * graph.n
+    queue = deque()
+    block = set(blocked)
+    for v in sources:
+        if v not in block and dist[v] < 0:
+            dist[v] = 0
+            queue.append(v)
+    while queue:
+        v = queue.popleft()
+        for w in (graph.perm_a[v], graph.perm_b[v]):
+            if w not in block and dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def undirected_distances(adj, source, blocked=()):
+    """Distances from one source as a dict; a blocked source reaches only itself."""
+    dist = {source: 0}
+    if source in blocked:
+        return dist
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in dist and w not in blocked:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def undisturbed_set(before, after, touched, r):
+    """Originals farther than r from every touched vertex, by set adjacency
+    over the union of the old and new edges."""
+    count = after.n
+    adj = [set() for _ in range(count)]
+    for perm in (after.perm_a, after.perm_b):
+        for v, w in enumerate(perm):
+            adj[v].add(w)
+            adj[w].add(v)
+    for perm in (before.perm_a, before.perm_b):
+        for v in range(before.n):
+            adj[v].add(perm[v])
+            adj[perm[v]].add(v)
+    near = set()
+    for v, d in bfs_layers([sorted(s) for s in adj], sorted(touched)):
+        if d > r:
+            break
+        near.add(v)
+    return [v for v in range(before.n) if v not in near]

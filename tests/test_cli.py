@@ -307,6 +307,26 @@ def test_surgery_cli_precondition_failure(tmp_path):
     }))
     res = run("surgery", small, "--R", 2, "--r", 1, "--out", tmp_path / "x.json")
     assert res.code == 1
+    assert json.loads((tmp_path / "x.json").read_text())["type"] == "SurgeryError"
+
+
+def test_surgery_failure_still_writes_a_report(tmp_path):
+    # two a-cycles of length 4, below the max(4R, 8) = 8 that R = 2 needs
+    graph = tmp_path / "short.json"
+    graph.write_text(json.dumps({
+        "n": 8,
+        "perm_a": [1, 2, 3, 0, 5, 6, 7, 4],
+        "perm_b": list(range(1, 8)) + [0],
+    }))
+    out = tmp_path / "result.json"
+    res = run("surgery", graph, "--R", 2, "--r", 1, "--out", out, "--verify")
+    assert res.code == 1
+    assert res.report_path == str(out)
+    report = json.loads(out.read_text())
+    assert sorted(report) == ["error", "graph", "type"]
+    assert report["graph"] == str(graph)
+    assert report["type"] == "SurgeryError"
+    assert "length 4" in report["error"]
 
 
 @pytest.mark.parametrize("number", ["100000000000000000000", "1" + "0" * 400])

@@ -10,19 +10,21 @@ import time
 import numpy as np
 import pytest
 
-from freepd import words
+from freepd import pdcore, words
 from freepd.errors import (
     DomainError,
     EntryError,
     FormatError,
     MissingEntryError,
     NotPositiveError,
+    NotStrictError,
     ParameterError,
     WordError,
 )
 from freepd.pdcore import (
     Domain,
     PDFunction,
+    PDVerdict,
     add_to_entries,
     canonical_words,
     check_pd,
@@ -383,6 +385,28 @@ def test_realize_prefix_domain_and_failures():
         realize(PDFunction(1, Domain.prefix("a"), {"a": 2.0}))
     with pytest.raises(DomainError):
         realize(delta(1, Domain.partial("aa", 1, 1)))
+
+
+def test_realize_rejects_a_factorization_that_misses_the_gram(monkeypatch):
+    C = random_nspd(2, 1, seed=4)
+    eigh = np.linalg.eigh
+
+    def perturbed(G):
+        vals, vecs = eigh(G)
+        return vals, vecs + 1e-6
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(NotPositiveError, match="failed to reproduce the Gram"):
+        realize(C)
+
+
+def test_random_nspd_rejects_an_instance_that_is_not_strict(monkeypatch):
+    def semidefinite(C, *args, **kwargs):
+        return PDVerdict("semidefinite", 0.0, (), np.zeros(0))
+
+    monkeypatch.setattr(pdcore, "check_pd", semidefinite)
+    with pytest.raises(NotStrictError, match="strictness guarantee"):
+        random_nspd(2, 1, seed=4)
 
 
 def test_random_nspd_contract():

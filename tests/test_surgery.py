@@ -2,16 +2,30 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freepd import surgery
 from freepd.errors import FormatError, SurgeryError
 from freepd.surgery import (
     LabeledGraph,
     SurgeryResult,
+    _step_rows,
+    _sweep,
     cycles,
     perform_surgery,
     verify_conditions,
 )
-from helpers import girth_permutation, r_separated, random_labeled_graph
+from helpers import (
+    bfs_layers,
+    directed_distances,
+    girth_permutation,
+    r_separated,
+    random_labeled_graph,
+    undirected_adjacency,
+    undirected_distances,
+    undisturbed_set,
+)
 
 
 def cyclic_gaps(cycle, picks):
@@ -270,3 +284,66 @@ def test_g1_census_positive_regime():
     assert rep["G-1"]["bound"] > 0
     assert len(res.W) > 0
     assert rep["G-1"]["pass"]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_sweep_matches_queue_bfs(data):
+    n = data.draw(st.integers(1, 60))
+    g = LabeledGraph(
+        n,
+        tuple(data.draw(st.permutations(range(n)))),
+        tuple(data.draw(st.permutations(range(n)))),
+    )
+    vertex = st.integers(0, n - 1)
+    sources = data.draw(st.lists(vertex, min_size=1, max_size=4, unique=True))
+    blocked = data.draw(st.lists(vertex, max_size=max(1, n // 4), unique=True))
+    if data.draw(st.booleans()):
+        blocked.append(sources[0])
+    depth = data.draw(st.sampled_from([None, 0, 1, 2]))
+
+    def cut(dist):
+        dist = np.asarray(dist)
+        return dist if depth is None else np.where(dist > depth, -1, dist)
+
+    # directed: a- and b-edges only
+    nbrs = _step_rows(g.perm_a, g.perm_b)
+    got = _sweep(nbrs[:2], sources, blocked, depth)
+    assert got.tolist() == cut(directed_distances(g, sources, blocked)).tolist()
+
+    # undirected: the four labeled step maps
+    adj = undirected_adjacency(dict(enumerate(g.perm_a)), dict(enumerate(g.perm_b)), n)
+    free = np.full(n, -1)
+    for v, d in bfs_layers(adj, sources):
+        free[v] = d
+    assert _sweep(nbrs, sources, depth=depth).tolist() == cut(free).tolist()
+    want = np.full(n, -1)
+    for s in sources:
+        if s in blocked:
+            continue  # the oracle reports a blocked source at 0; the sweep never enters it
+        for v, d in undirected_distances(adj, s, set(blocked)).items():
+            if want[v] < 0 or d < want[v]:
+                want[v] = d
+    assert _sweep(nbrs, sources, blocked, depth).tolist() == cut(want).tolist()
+
+
+def test_undisturbed_set_and_plain_report_on_a_wide_surgery(monkeypatch):
+    calls = []
+    real = surgery._undisturbed_set
+
+    def spy(before, after, touched, r):
+        calls.append((before, after, set(touched), r))
+        return real(before, after, touched, r)
+
+    monkeypatch.setattr(surgery, "_undisturbed_set", spy)
+    n, R = 2000, 40
+    g = random_labeled_graph(n, R, seed=3)
+    for r in (1, 2):
+        res = perform_surgery(g, R, r)
+        assert res.W and res.W == tuple(undisturbed_set(*calls[-1]))
+        assert all(type(v) is int for v in res.W)
+        rep = verify_conditions(g, res, r, R)
+        for name, entry in rep.items():
+            assert entry["pass"], (r, name, entry)
+            for key in ("pass", "measured", "bound"):
+                assert type(entry[key]) in (int, float, bool), (name, key)
