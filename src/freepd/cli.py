@@ -103,7 +103,17 @@ def _cmd_random(args) -> CommandResult:
 
 def _cmd_extend(args) -> CommandResult:
     C = load_function(args.pdf)
-    out = central_extension(C, args.radius)
+    try:
+        out = central_extension(C, args.radius)
+    except FreePDError as exc:
+        stage = getattr(exc, "stage", None)
+        path = _report_path(args.pdf)
+        write_json_atomic(
+            {"input": str(args.pdf), "error": str(exc), "type": type(exc).__name__,
+             "stage": None if stage is None else dict(zip("gjk", stage))},
+            path,
+        )
+        return CommandResult(1, f"extend failed: {exc}", str(path))
     save_function(out, args.out)
     summary = f"extended {args.pdf} to Ball({args.radius}) at {args.out}"
     return CommandResult(0, summary, str(args.out))

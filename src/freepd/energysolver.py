@@ -336,7 +336,7 @@ def _wprime_ratio(C: PDFunction, g1, g2, j: int, k: int) -> float:
     succeed almost surely.
     """
     # row i of G[2:, :2].T is <Theta(g)_j, Theta(g_i)_1>, <Theta(e)_k, Theta(g_i)_1>
-    G = pdcore._gram(C, [(g1, 1), (g2, 1), (C.domain.g, j), ((), k)], corner=True)
+    G = pdcore._gram(C, [(g1, 1), (g2, 1), (C.domain.g, j), ((), k)], corner=1)
     W = scipy.linalg.solve(G[:2, :2], G[2:, :2].T)
     sv = np.linalg.svd(W, compute_uv=False)
     if sv[0] <= 0.0:

@@ -15,7 +15,11 @@ extend_entry performs one such step and advances the stage bookkeeping.
 This module owns the one stage walk: _open_walk starts it beyond Ball(r),
 _write_and_advance alone orders the stages, and restrict_to_ball cuts the
 result onto Ball(R).  extend_ball drives it with a parameter policy, and the
-energy solver drives it for a whole family of functions.
+energy solver drives it for a whole family of functions.  The residuals of
+a stage come from its level's one interior factor (see hilbert): each stage
+function the walk writes on the same level inherits that level, so a level
+is gathered and factored once for its d*d stages.  A stage failure keeps
+its class and names the stage in its message and its stage attribute.
 The zeta = 0 choice at every stage is the central (maximal entropy)
 extension, which on two letters reproduces the multiplicative values
 C(uv) = C(u) C(v) along reduced products.
@@ -34,8 +38,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, NotStrictError, ParameterError
-from .hilbert import build_partial_space, residual_data, residual_from_gram
+from .errors import DomainError, FreePDError, NotStrictError, ParameterError
+from .hilbert import build_partial_space, hand_off, residual_data, residual_from_gram
 from .pdcore import (
     DEFAULT_TOL,
     Domain,
@@ -131,12 +135,30 @@ def legal_disk(C: PDFunction, tol: float = DEFAULT_TOL) -> tuple:
     gives semidefinite ones, everything outside fails.  Both |center| <= 1
     and 0 <= radius <= 1 hold since all working vectors are unit vectors.
     """
-    rd = residual_data(build_partial_space(C), tol=tol)
+    rd = _residuals(C, tol)
     return complex(rd.cross), float(rd.n_g * rd.n_e)
 
 
+def _stage_error(C: PDFunction, exc: FreePDError, message: str) -> FreePDError:
+    """exc, its class kept, with the stage named in its message and its
+    stage attribute set to (g, j, k), g as text."""
+    dom = C.domain
+    exc.stage = (word_to_str(dom.g), dom.j, dom.k)
+    exc.args = (f"{message} at stage ({exc.stage[0]}, {dom.j}, {dom.k}): {exc}",)
+    return exc
+
+
+def _residuals(C: PDFunction, tol: float):
+    """The residual data of C's stage; a failure names the stage."""
+    try:
+        return residual_data(build_partial_space(C), tol=tol)
+    except FreePDError as exc:
+        raise _stage_error(C, exc, "residuals failed")
+
+
 def _write_and_advance(C: PDFunction, rd, zeta: SzegoParameter) -> PDFunction:
-    """Fill the working slot with zeta's value and move to the next stage."""
+    """Fill the working slot with zeta's value and move to the next stage; a
+    successor on the same level inherits C's level (hilbert.hand_off)."""
     dom = C.domain
     d = C.d
     value = zeta.value * (rd.n_g * rd.n_e) + rd.cross
@@ -148,7 +170,9 @@ def _write_and_advance(C: PDFunction, rd, zeta: SzegoParameter) -> PDFunction:
         new_dom = Domain.partial(next_novel(dom.g), 1, 1)
     else:
         new_dom = Domain.partial(dom.g, slot // d + 1, slot % d + 1)
-    return fill_stage(C, value, new_dom)
+    nxt = fill_stage(C, value, new_dom)
+    hand_off(C, nxt, value)
+    return nxt
 
 
 def extend_entry(C: PDFunction, zeta, tol: float = DEFAULT_TOL) -> PDFunction:
@@ -161,21 +185,18 @@ def extend_entry(C: PDFunction, zeta, tol: float = DEFAULT_TOL) -> PDFunction:
     if C.domain.kind != "partial":
         raise DomainError("extend_entry needs a partially defined function")
     z = _as_zeta(zeta)
-    rd = residual_data(build_partial_space(C), tol=tol)
-    return _write_and_advance(C, rd, z)
+    return _write_and_advance(C, _residuals(C, tol), z)
 
 
 def _policy_step(C: PDFunction, policy: ParameterPolicy, tol: float) -> PDFunction:
     dom = C.domain
-    rd = residual_data(build_partial_space(C), tol=tol)
+    rd = _residuals(C, tol)
     context = {"disk": (complex(rd.cross), float(rd.n_g * rd.n_e)), "residuals": rd}
     try:
         z = _as_zeta(policy.rule((dom.g, dom.j, dom.k), C, context))
     except Exception as exc:
-        raise ParameterError(
-            f"policy '{policy.name}' failed at stage "
-            f"({word_to_str(dom.g)}, {dom.j}, {dom.k}): {exc}"
-        ) from exc
+        raise _stage_error(C, ParameterError(str(exc)),
+                           f"policy '{policy.name}' failed") from exc
     return _write_and_advance(C, rd, z)
 
 
@@ -223,8 +244,8 @@ def toeplitz_step(seq, zeta, tol: float = DEFAULT_TOL) -> complex:
     Toeplitz matrix T[i, j] = c_{i-j} (negative indices by conjugation).
     Returns the value c_{N+1} = zeta * |(1-p)Phi_{N+1}| * |(1-p)Phi_0|
                                 + <p Phi_{N+1}, p Phi_0>,
-    with p the projection onto span(Phi_1, ..., Phi_N).  The same residual
-    routine as the group walk is used, on the Gram matrix ordered
+    with p the projection onto span(Phi_1, ..., Phi_N).  The same bordered
+    core factor as the group walk is used, on the Gram matrix ordered
     (Phi_1, ..., Phi_N, Phi_{N+1}, Phi_0) with the unknown corner masked.
     """
     c = np.asarray(seq, dtype=complex).ravel()

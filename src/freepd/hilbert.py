@@ -14,17 +14,32 @@ Every number here comes from a lower Cholesky factor M = L L* of a Gram
 matrix M[i, j] = <y_i, y_j>: row i of L holds the coordinates of y_i in an
 orthonormal basis whose first i + 1 vectors span y_0, ..., y_i, and the
 pivot L[i, i] is the norm of y_i's residual after projection onto y_0, ...,
-y_{i-1}.  Factoring the core plus one working vector therefore yields that
-vector's residual norm as the last pivot and its projection's coordinates as
-the last row; one such factor per working vector gives all three stage
-numbers.  This is one Schur-complement step, the one-step Szego-parameter
-extension of Bakonyi and Timotin.  Vectors never materialize: the stage
-Gram is pdcore's one Gram gather, its corner the undefined stage slot (NaN).
+y_{i-1}.  Bordering a core factor L with a vector y solves L v = M[core, y]:
+v conjugated is y's new row, so ||v|| is the length of y's projection and
+M[y, y] - ||v||^2 the square of its residual norm.  This is one
+Schur-complement step, the one-step Szego-parameter extension of Bakonyi
+and Timotin; the NaN corner never enters it.
+
+The d*d stages of a novel level g share their core's first part, the
+clique interior K_g minus {e, g}.  A _Level gathers the Gram over the pairs
+interior x [d], g x [d], e x [d] once (pdcore's one Gram gather; only its
+C(g) block may be NaN), factors the interior block once, and borders that
+factor with the 2d g/e vectors: their interior coordinates V and the 2d x 2d
+Schur block S = G[ge, ge] - V* V, the Gram of their residuals against the
+interior.  A stage (j, k) then factors only the rows (g, m < j) and
+(e, m < k) of S and borders them with (g, j) and (e, k); the interior part
+V* V of the cross term is added back.  The stage Q-Gram is served by index
+selection from the level Gram with the C(g) block read from the function's
+top row, so its values are those of a direct gather.  A function built by
+the walk on the same level inherits the level through hand_off, every other
+function builds its own on first use.  Vectors never materialize.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -37,7 +52,7 @@ from .errors import (
     ParameterError,
 )
 from .pdcore import DEFAULT_TOL, PDFunction
-from .words import Word
+from .words import Word, clique
 
 DEGENERACY_TOL = 1e-12
 
@@ -60,20 +75,88 @@ class StageIndexSets:
 
 
 @dataclass(frozen=True)
-class PartialHilbertSpace:
-    """Gram data over Q with exactly one undefined entry pair.
+class ResidualData:
+    """The three stage numbers: residual norms and the projected cross term."""
 
-    The matrix is indexed by indices.Q; the pair at positions (len(P),
-    len(P)+1), that is <Theta(g)_j, Theta(e)_k>, holds NaN.  The two
-    one-sided restrictions X_g and X_e are fully defined.
+    n_g: float
+    n_e: float
+    cross: complex
+
+
+class _Level:
+    """The data the d*d stages of one novel level g share.
+
+    pairs lists the level's (word, coordinate) pairs, the clique interior
+    K_g minus {e, g} times [d] (size of them), then g x [d], then e x [d];
+    gram is their read-only Gram, NaN where the building function had not
+    written C(g).  projections() computes the rest, once.
     """
 
-    indices: StageIndexSets
-    gram: np.ndarray
+    def __init__(self, C: PDFunction):
+        g, d = C.domain.g, C.d
+        interior = [h for h in clique(g).vertices if h != () and h != g]
+        self.g, self.d, self.size = g, d, len(interior) * d
+        self.pairs = tuple((h, m) for h in interior + [g, ()] for m in range(1, d + 1))
+        self.gram = pdcore._gram(C, self.pairs, corner=d)
+        self.gram.setflags(write=False)
+        self._projections = None
+
+    def projections(self) -> np.ndarray:
+        """V* V, the 2d x 2d Gram of the g/e vectors' projections onto the
+        interior, V their interior coordinates (see _core_coordinates).  An
+        interior pivot at or below DEFAULT_TOL raises NotStrictError."""
+        if self._projections is None:
+            V = _core_coordinates(self.gram, self.size)
+            self._projections = V.conj().T @ V
+        return self._projections
+
+
+class PartialHilbertSpace:
+    """The stage (g, j, k) of one function, served from its level.
+
+    gram is the stage Gram indexed by indices.Q, with NaN at the working
+    pair (positions len(P), len(P)+1), that is <Theta(g)_j, Theta(e)_k>;
+    the two one-sided restrictions X_g and X_e are fully defined.  schur is
+    the level's Schur block with this function's C(g) values.
+    """
+
+    def __init__(self, level: _Level, C: PDFunction, schur=None):
+        self.level, self.j, self.k = level, C.domain.j, C.domain.k
+        self.top = C._stack[-1]
+        if schur is not None:
+            self.schur = schur
+        self._residuals = None
 
     @property
     def core_size(self) -> int:
-        return len(self.indices.P)
+        return self.level.size + self.j + self.k - 2
+
+    @cached_property
+    def indices(self) -> StageIndexSets:
+        lv, j, k = self.level, self.j, self.k
+        n, d = lv.size, lv.d
+        P = lv.pairs[:n + j - 1] + lv.pairs[n + d:n + d + k - 1]
+        Q = P + (lv.pairs[n + j - 1], lv.pairs[n + d + k - 1])
+        return StageIndexSets(lv.g, d, j, k, P, Q)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        lv, j, k = self.level, self.j, self.k
+        n, d, m = lv.size, lv.d, self.core_size
+        q = [*range(n + j - 1), *range(n + d, n + d + k - 1), n + j - 1, n + d + k - 1]
+        G = lv.gram[np.ix_(q, q)]
+        rows, cols = [*range(n, n + j - 1), m], [*range(n + j - 1, m), m + 1]
+        G[np.ix_(rows, cols)] = self.top[:j, :k]
+        G[np.ix_(cols, rows)] = self.top[:j, :k].conj().T
+        G.setflags(write=False)
+        return G
+
+    @cached_property
+    def schur(self) -> np.ndarray:
+        n = self.level.size
+        S = self.level.gram[n:, n:] - self.level.projections()
+        S.setflags(write=False)
+        return S
 
     @property
     def core_gram(self) -> np.ndarray:
@@ -92,58 +175,77 @@ class PartialHilbertSpace:
         rows = list(range(m)) + [m + 1]
         return self.gram[np.ix_(rows, rows)]
 
-
-@dataclass(frozen=True)
-class ResidualData:
-    """The three stage numbers: residual norms and the projected cross term."""
-
-    n_g: float
-    n_e: float
-    cross: complex
+    def residuals(self) -> tuple:
+        """(n_g, n_e, cross): the rows (g, m < j), (e, m < k) of the Schur
+        block factored and bordered with (g, j), (e, k), the interior part
+        of the cross term added back.  A core pivot at or below DEFAULT_TOL
+        raises NotStrictError."""
+        if self._residuals is None:
+            d, j, k = self.level.d, self.j, self.k
+            P = self.level.projections()
+            rows = np.array([*range(j - 1), *range(d, d + k - 1), j - 1, d + k - 1])
+            n_g, n_e, cross = _border(self.schur[rows[:, None], rows], j + k - 2,
+                                      first=self.level.size)
+            self._residuals = (n_g, n_e, complex(cross + P[j - 1, d + k - 1]))
+        return self._residuals
 
 
 def build_partial_space(C: PDFunction) -> PartialHilbertSpace:
-    """Assemble the Q-Gram of a partial-domain function.
+    """The stage space of a partial-domain function.
 
-    Every entry except the working corner comes from C; a genuinely missing
-    value (the domain does not cover a needed quotient) raises the usual
-    missing-entry error.  A function never changes, so its space is built
-    once and kept in its _stage_space slot.
+    Every entry of its Gram except the working corner comes from C; a
+    genuinely missing value (the domain does not cover a needed quotient)
+    raises the usual missing-entry error.  A function never changes, so its
+    space is built once and kept in its _stage_space slot.
     """
     if C.domain.kind != "partial":
         raise DomainError("build_partial_space needs a partial-domain function")
     if C._stage_space is None:
-        dom = C.domain
-        idx = StageIndexSets.at(dom.g, C.d, dom.j, dom.k)
-        G = pdcore._gram(C, idx.Q, corner=True)
-        G.setflags(write=False)
-        C._stage_space = PartialHilbertSpace(indices=idx, gram=G)
+        C._stage_space = PartialHilbertSpace(_Level(C), C)
     return C._stage_space
 
 
-def _cholesky(M, tol: float, leading: int | None = None):
+def hand_off(C: PDFunction, nxt: PDFunction, value: complex):
+    """Give nxt, which is C with value written at its working slot, C's
+    level and a private copy of C's Schur block holding value at the working
+    pair, if nxt sits on the same level.  C's space does not change; one
+    without computed residuals has nothing to hand on."""
+    sp = C._stage_space
+    if sp is None or sp._residuals is None or nxt.domain.g != sp.level.g:
+        return
+    d = sp.level.d
+    a, b = sp.j - 1, d + sp.k - 1
+    P = sp.level.projections()
+    S = np.array(sp.schur)
+    S[a, b] = value - P[a, b]
+    S[b, a] = np.conj(value) - P[b, a]
+    S.setflags(write=False)
+    nxt._stage_space = PartialHilbertSpace(sp.level, nxt, S)
+
+
+def _cholesky(M, tol: float, first: int = 0):
     """Lower Cholesky factor L of a Hermitian matrix (M = L L*) and its pivots.
 
     The pivots are the diagonal of L; a pivot LAPACK could not take reads 0,
-    as does every pivot after it.  NotStrictError is raised when one of the
-    first `leading` pivots (all of them by default) is at or below tol.
+    as does every pivot after it.  NotStrictError is raised when a pivot is
+    at or below tol, its position counted from first.
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
     if M.ndim != 2 or M.shape != (n, n):
         raise ParameterError("a Cholesky factor needs a square matrix")
     scale = max(1.0, float(np.max(np.abs(M)))) if n else 1.0
-    if n and float(np.max(np.abs(M - M.conj().T))) > 1e-10 * scale:
-        raise ParameterError("a Cholesky factor needs a Hermitian matrix")
+    if n and not float(np.max(np.abs(M - M.conj().T))) <= 1e-10 * scale:
+        raise ParameterError("a Cholesky factor needs a finite Hermitian matrix")
     L, info = scipy.linalg.lapack.zpotrf(M, lower=1, clean=1)
     pivots = np.diag(L).real.copy()
     if info > 0:
         pivots[info - 1:] = 0.0
-    bad = np.flatnonzero(pivots[:leading] <= tol)
+    bad = np.flatnonzero(pivots <= tol)
     if bad.size:
         t = int(bad[0])
         raise NotStrictError(
-            f"Cholesky pivot collapsed at position {t} (pivot {pivots[t]:.3e})"
+            f"Cholesky pivot collapsed at position {first + t} (pivot {pivots[t]:.3e})"
         )
     return L, pivots
 
@@ -166,38 +268,56 @@ def ortho_matrices(M, tol: float = DEFAULT_TOL):
     return G, G / pivots
 
 
+def _core_coordinates(M: np.ndarray, m: int, first: int = 0) -> np.ndarray:
+    """V = L^-1 M[:m, m:], the coordinates of the vectors after a core of m
+    rows in the core factor M[:m, :m] = L L*: one zpotrf, then one
+    single-vector ztrsv per column (a multi-column triangular solve wakes an
+    OpenBLAS worker that then spins).  A core pivot at or below DEFAULT_TOL
+    raises NotStrictError, its position counted from first."""
+    V = np.zeros((m, M.shape[1] - m), dtype=complex)
+    if m:
+        L, _ = _cholesky(M[:m, :m], DEFAULT_TOL, first=first)
+        for c in range(V.shape[1]):
+            V[:, c] = scipy.linalg.blas.ztrsv(L, M[:m, m + c], lower=1)
+    return V
+
+
+def _border(M: np.ndarray, m: int, first: int = 0) -> tuple:
+    """(n_g, n_e, cross) of the last two rows of M over its leading m rows,
+    from their core coordinates; a residual square at or below 0 reads 0."""
+    V = _core_coordinates(M, m, first)
+    n_g, n_e = (math.sqrt(max(M[c, c].real - np.vdot(v, v).real, 0.0))
+                for v, c in zip(V.T, (m, m + 1)))
+    return n_g, n_e, complex(np.vdot(V[:, 0], V[:, 1]))
+
+
+def _checked(n_g: float, n_e: float, cross: complex, tol: float) -> ResidualData:
+    if not (n_g > tol and n_e > tol):  # NaN fails too
+        raise DegenerateStageError(
+            f"residual norm collapsed (n_g={n_g:.3e}, n_e={n_e:.3e})"
+        )
+    return ResidualData(n_g=n_g, n_e=n_e, cross=cross)
+
+
 def residual_from_gram(G: np.ndarray, core_size: int,
                        tol: float = DEGENERACY_TOL) -> ResidualData:
     """Residual data of a stage Gram: core at the front, the two working
     vectors in the last two rows (g-side first, e-side last).
 
-    The core plus one working vector is factored per side, so the NaN
-    corner never enters: the last pivot is the residual norm and the last
-    row the projection's coordinates.  A core pivot at or below DEFAULT_TOL
-    raises NotStrictError, a residual at or below tol DegenerateStageError.
-    The outcome does not depend on the core ordering, since an orthogonal
+    The core is factored once and bordered with each working vector, so the
+    NaN corner never enters.  A core pivot at or below DEFAULT_TOL raises
+    NotStrictError, a residual at or below tol DegenerateStageError.  The
+    outcome does not depend on the core ordering, since an orthogonal
     projection is basis-free.
     """
-    n = G.shape[0]
-    if core_size != n - 2:
+    G = np.asarray(G, dtype=complex)
+    if G.ndim != 2 or core_size != G.shape[0] - 2:
         raise ParameterError("core_size must be the matrix size minus two")
-    m = core_size
-    rows, norms = [], []
-    for last in (m, m + 1):
-        keep = list(range(m)) + [last]
-        L, pivots = _cholesky(G[np.ix_(keep, keep)], DEFAULT_TOL, leading=m)
-        rows.append(L[m, :m])
-        norms.append(float(pivots[m]))
-    n_g, n_e = norms
-    if n_g <= tol or n_e <= tol:
-        raise DegenerateStageError(
-            f"residual norm collapsed (n_g={n_g:.3e}, n_e={n_e:.3e})"
-        )
-    cross = complex(rows[0] @ np.conj(rows[1]))
-    return ResidualData(n_g=n_g, n_e=n_e, cross=cross)
+    return _checked(*_border(G, core_size), tol)
 
 
 def residual_data(space: PartialHilbertSpace,
                   tol: float = DEGENERACY_TOL) -> ResidualData:
-    """The stage numbers of a partial Hilbert space (see residual_from_gram)."""
-    return residual_from_gram(space.gram, space.core_size, tol=tol)
+    """The stage numbers of a partial Hilbert space, from its level's factor
+    (see PartialHilbertSpace.residuals and residual_from_gram)."""
+    return _checked(*space.residuals(), tol)

@@ -169,7 +169,8 @@ class PDFunction:
     domain, except beyond the stage position of a partial top.  Parsed and
     computed stacks pass one validator (_adopt).  Positivity is NOT checked
     here: check_pd passes verdicts, constructors pass data.  _stage_space
-    keeps the stage space hilbert.build_partial_space builds, once.
+    keeps the stage space hilbert.build_partial_space builds, once, or the
+    one the extension walk hands on (hilbert.hand_off).
     """
 
     __slots__ = ("d", "domain", "_stack", "_stage_space")
@@ -319,12 +320,13 @@ def _gram_slots(C: PDFunction, pairs):
     return quotients, slots[np.ix_(rows, rows)], np.array([c - 1 for _, c in pairs], int)
 
 
-def _gram(C: PDFunction, pairs, corner: bool = False) -> np.ndarray:
+def _gram(C: PDFunction, pairs, corner: int = 0) -> np.ndarray:
     """The one Gram assembly: G[i1, i2] = C(w2^-1 w1)[c1, c2] as one gather
     over validated pairs from [I, stack, NaN], each quotient rank at its
     canonical row (words.canonical_rows); a quotient outside the domain
     reads the NaN pad.  A NaN (outside the domain, an undefined slot)
-    raises, except at the corner of the last two pairs if corner is set."""
+    raises, except in the block of pairs[-2c:-c] against pairs[-c:] for
+    c = corner > 0: one stage's corner for 1, a level's C(g) for d."""
     table = _gram_slots(C, pairs)
     if table is None:  # read entry by entry, to name the first missing quotient
         q = [[mul(inverse(w2), w1) for w2, _ in pairs] for w1, _ in pairs]
@@ -343,7 +345,8 @@ def _gram(C: PDFunction, pairs, corner: bool = False) -> np.ndarray:
                      np.conj(stack[at, coords, coords[:, None]]))
     undefined = np.isnan(G)
     if corner:
-        undefined[-2, -1] = undefined[-1, -2] = False
+        undefined[-2 * corner:-corner, -corner:] = False
+        undefined[-corner:, -2 * corner:-corner] = False
     for i1, i2 in np.argwhere(undefined)[:1]:
         c = word_to_str(canonical_rep(q[i1][i2]) if table is None
                         else words.word_of_rank(quotients[slots[i1, i2] % n]))

@@ -3,6 +3,7 @@
 from collections import deque
 
 import numpy as np
+import scipy.linalg
 
 from freepd.errors import SurgeryError, WordError
 from freepd.pdcore import Domain, PDFunction
@@ -186,6 +187,24 @@ def reference_gram(C, pairs):
             q = mul(inverse(w2), w1)
             G[i1, i2] = C.scalar(q, c1, c2) if C.defined(q, c1, c2) else complex("nan")
     return G
+
+
+def two_factor_residuals(G, core_size):
+    """(n_g, n_e, cross) of a stage Gram by two Cholesky factors: the core
+    plus one working vector per side, the last pivot its residual norm and
+    the last row its projection's coordinates.  The corner never enters.
+    A pivot LAPACK could not take reads 0; core pivots are not checked."""
+    m = core_size
+    rows, norms = [], []
+    for last in (m, m + 1):
+        keep = list(range(m)) + [last]
+        L, info = scipy.linalg.lapack.zpotrf(G[np.ix_(keep, keep)], lower=1, clean=1)
+        pivots = np.diag(L).real.copy()
+        if info > 0:
+            pivots[info - 1:] = 0.0
+        rows.append(L[m, :m])
+        norms.append(float(pivots[m]))
+    return norms[0], norms[1], complex(rows[0] @ np.conj(rows[1]))
 
 
 def random_unit_complex(rng):

@@ -108,6 +108,26 @@ def test_energy_failure_still_writes_a_report(tmp_path, case, error):
     assert report["error"] and "energies" not in report
 
 
+def test_extend_failure_names_the_stage_in_a_report(tmp_path):
+    # C(a) = 1 makes Theta(a) = Theta(e), so the first stage's residuals vanish
+    fn = tmp_path / "semi.json"
+    save_function(PDFunction(1, Domain.ball(1), {"a": 1.0, "b": 0.2}), fn)
+    out = tmp_path / "big.json"
+    res = run("extend", fn, "--radius", 3, "--out", out)
+    assert res.code == 1 and not out.exists()
+    assert res.report_path == str(tmp_path / "semi.report.json")
+    report = json.loads((tmp_path / "semi.report.json").read_text())
+    assert report["input"] == str(fn)
+    assert report["type"] == "DegenerateStageError"
+    assert report["stage"] == {"g": "aa", "j": 1, "k": 1}
+    assert "(aa, 1, 1)" in report["error"] and "collapsed" in report["error"]
+    # a failure outside the walk has no stage
+    res = run("extend", fn, "--radius", 0, "--out", out)
+    assert res.code == 1
+    report = json.loads((tmp_path / "semi.report.json").read_text())
+    assert report["type"] == "ParameterError" and report["stage"] is None
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(freepd.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

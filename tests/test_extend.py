@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freepd.errors import DomainError, NotStrictError, ParameterError
+from freepd.errors import DegenerateStageError, DomainError, NotStrictError, ParameterError
 from freepd.extend import (
     DELTA_MIN,
     ParameterPolicy,
@@ -26,7 +28,13 @@ from freepd.pdcore import (
     stage_pairs,
 )
 from freepd.words import is_novel, next_novel, word_from_str
-from helpers import embed_toeplitz, letter_weights_function, novel_stages, reference_gram
+from helpers import (
+    embed_toeplitz,
+    letter_weights_function,
+    novel_stages,
+    reference_gram,
+    seeded_rim_policy,
+)
 
 
 def test_szego_parameter_validation():
@@ -155,6 +163,21 @@ def test_policy_failures_name_the_stage():
         extend_ball(C, 2, policy=ParameterPolicy(off_disk))
 
 
+def test_stage_failures_keep_their_class_and_name_the_stage():
+    semi = PDFunction(1, Domain.ball(1), {"a": 1.0, "b": 0.2})
+    with pytest.raises(DegenerateStageError, match=r"\(aa, 1, 1\)") as info:
+        central_extension(semi, 2)
+    assert info.value.stage == ("aa", 1, 1)
+    # a core that is not strict: C(a) = 1 makes Theta(bA) = Theta(b), and
+    # both lie in the interior of K_ba
+    entries = {w: 0.2 for w in ("b", "ab", "aB", "ba", "bb", "Ab")}
+    C = PDFunction(1, Domain.ball(2), {**entries, "a": 1.0, "aa": 1.0})
+    with pytest.raises(NotStrictError, match=r"\(ba, 1, 1\)") as info:
+        extend_entry(restrict_to_stage(C, "ba", 1, 1), 0.0)
+    assert not isinstance(info.value, DegenerateStageError)
+    assert info.value.stage == ("ba", 1, 1)
+
+
 def test_policy_context_carries_the_disk():
     seen = {}
 
@@ -201,6 +224,21 @@ def test_random_walks_stay_strict():
         if d == 1:
             brute = check_pd(restrict_to_ball(out, 2), brute_force=True)
             assert brute.status == "strict"
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 16), d=st.sampled_from([1, 2]), r=st.integers(0, 2),
+       grow=st.integers(0, 2), per_stage=st.booleans())
+def test_extend_ball_restricts_back_and_stays_strict(seed, d, r, grow, per_stage):
+    rng = np.random.default_rng(seed)
+    C = random_nspd(r, d, seed=seed)
+    z = 0.5 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+    policy = seeded_rim_policy(seed, spread=0.3, cap=0.5) if per_stage else constant_policy(z)
+    out = extend_ball(C, r + grow, policy=policy)
+    assert out.domain == Domain.ball(r + grow)
+    assert restrict_to_ball(out, r) == C
+    assert out._stack[:len(C._stack)].tobytes() == C._stack.tobytes()
+    assert check_pd(out).status == "strict"
 
 
 def _successor_stage_function(C, g, j, k, value):

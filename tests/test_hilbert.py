@@ -7,6 +7,8 @@ and explicit least-squares projections for the residual data.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freepd.errors import (
     DegenerateStageError,
@@ -21,15 +23,18 @@ from freepd.hilbert import (
     residual_data,
     residual_from_gram,
 )
+from freepd.extend import _open_walk, extend_entry
 from freepd.pdcore import (
     Domain,
     PDFunction,
+    _gram,
     check_pd,
     delta,
     random_nspd,
     restrict_to_stage,
 )
 from freepd.words import word_from_str
+from helpers import two_factor_residuals
 
 W = word_from_str
 
@@ -228,3 +233,50 @@ def test_stage_index_sets_constructor():
     s = StageIndexSets.at("aa", 2, 2, 1)
     assert (s.g, s.d, s.j, s.k) == (W("aa"), 2, 2, 1)
     assert s.Q == s.P + ((W("aa"), 2), (W("e"), 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 16), d=st.sampled_from([1, 2, 3]), steps=st.integers(0, 30))
+def test_level_kernel_matches_two_factor_oracle(seed, d, steps):
+    # stage by stage: small residuals make whole walks drift with any
+    # change of rounding
+    rng = np.random.default_rng(seed)
+    C = _open_walk(random_nspd(2, d, seed=seed))
+    for _ in range(steps):
+        C = extend_entry(C, 0.5 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()))
+    sp = build_partial_space(C)
+    assert np.array_equal(sp.gram, _gram(C, sp.indices.Q, corner=1), equal_nan=True)
+    assert sp.indices == StageIndexSets.at(C.domain.g, d, C.domain.j, C.domain.k)
+    rd = residual_data(sp)
+    n_g, n_e, cross = two_factor_residuals(sp.gram, sp.core_size)
+    assert abs(rd.n_g - n_g) <= 1e-12 and abs(rd.n_e - n_e) <= 1e-12
+    assert abs(rd.cross - cross) <= 1e-12
+
+
+def _copy(C):
+    return PDFunction._from_stack(C.d, C.domain, np.array(C._stack))
+
+
+def test_hand_off_leaves_the_predecessor_space_alone():
+    C = restrict_to_stage(random_nspd(2, 2, seed=4, margin=0.2), "ab", 1, 2)
+    sp = build_partial_space(C)
+    rd = residual_data(sp)
+    gram, schur = np.array(sp.gram), np.array(sp.schur)
+    nxt = extend_entry(C, 0.3 - 0.2j)
+    handed = nxt._stage_space
+    assert handed is not None and handed.level is sp.level
+    m = sp.core_size
+    assert np.isnan(sp.gram[m, m + 1]) and np.isnan(sp.gram[m + 1, m])
+    assert np.array_equal(sp.gram, gram, equal_nan=True)
+    assert np.array_equal(sp.schur, schur, equal_nan=True)
+    assert residual_data(sp) == rd
+    assert residual_data(build_partial_space(_copy(C))) == rd
+    # the handed-on space is the one the successor would build itself
+    own = build_partial_space(_copy(nxt))
+    assert residual_data(handed) == residual_data(own)
+    assert np.array_equal(handed.gram, own.gram, equal_nan=True)
+    assert np.array_equal(handed.schur, own.schur, equal_nan=True)
+    # the last stage of a level hands nothing on to the next level
+    last = extend_entry(nxt, 0.1)
+    assert last.domain == Domain.partial("ab", 2, 2)
+    assert extend_entry(last, 0.0)._stage_space is None

@@ -4,11 +4,16 @@ Hand-computed oracles come first; randomized checks are seeded loops so a
 failure always reproduces.
 """
 
+import json
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freepd import pdcore, words
 from freepd.errors import (
@@ -479,6 +484,36 @@ def test_json_roundtrip(tmp_path):
     save_function(cases[0], path1)
     save_function(cases[0], path2)
     assert path1.read_bytes() == path2.read_bytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 16), d=st.sampled_from([1, 2, 3]),
+       kind=st.sampled_from(["ball", "prefix", "partial"]), data=st.data())
+def test_json_round_trips_every_domain_kind(seed, d, kind, data):
+    if kind == "ball":
+        domain = Domain.ball(data.draw(st.integers(0, 3)))
+    else:
+        g = data.draw(st.sampled_from(words.canonical_ball(3)))
+        if kind == "prefix":
+            domain = Domain.prefix(g)
+        else:
+            domain = Domain.partial(g, data.draw(st.integers(1, d)), data.draw(st.integers(1, d)))
+    rng = np.random.default_rng(seed)
+    n = len(canonical_words(domain))
+    # any complex values, signed zeros and tiny and huge magnitudes included
+    parts = (rng.choice([-1.0, -0.0, 0.0, 1.0], size=(2, n, d, d))
+             * rng.uniform(size=(2, n, d, d)) * 10.0 ** rng.integers(-300, 300, (2, n, d, d)))
+    stack = np.empty((n, d, d), dtype=complex)
+    stack.real, stack.imag = parts
+    if kind == "partial":
+        stack[-1][pdcore._undefined_top(domain, d)] = np.nan
+    C = PDFunction._from_stack(d, domain, stack)
+    back = function_from_dict(json.loads(json.dumps(function_to_dict(C))))
+    assert back.domain == domain and back._stack.tobytes() == C._stack.tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        save_function(C, path)
+        assert load_function(path)._stack.tobytes() == C._stack.tobytes()
 
 
 def test_json_malformed_inputs(tmp_path):
