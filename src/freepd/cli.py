@@ -74,6 +74,20 @@ def _load_json(path):
         raise FormatError(str(path), f"{path} is not valid JSON: {exc}") from exc
 
 
+def _failed(verb, path, inputs, exc, staged=False) -> CommandResult:
+    """Write the report of a failed command and exit 1.
+
+    The report holds the ``inputs`` fields, the error and its type, then for
+    a stage walk the failing stage (null when none is named).
+    """
+    report = {**inputs, "error": str(exc), "type": type(exc).__name__}
+    if staged:
+        stage = getattr(exc, "stage", None)
+        report["stage"] = None if stage is None else dict(zip("gjk", stage))
+    write_json_atomic(report, path)
+    return CommandResult(1, f"{verb} failed: {exc}", str(path))
+
+
 def _cmd_check(args) -> CommandResult:
     C = load_function(args.pdf)
     verdict = check_pd(C, tol=args.tol, brute_force=args.brute_force)
@@ -106,14 +120,8 @@ def _cmd_extend(args) -> CommandResult:
     try:
         out = central_extension(C, args.radius)
     except FreePDError as exc:
-        stage = getattr(exc, "stage", None)
-        path = _report_path(args.pdf)
-        write_json_atomic(
-            {"input": str(args.pdf), "error": str(exc), "type": type(exc).__name__,
-             "stage": None if stage is None else dict(zip("gjk", stage))},
-            path,
-        )
-        return CommandResult(1, f"extend failed: {exc}", str(path))
+        return _failed("extend", _report_path(args.pdf), {"input": str(args.pdf)},
+                       exc, staged=True)
     save_function(out, args.out)
     summary = f"extended {args.pdf} to Ball({args.radius}) at {args.out}"
     return CommandResult(0, summary, str(args.out))
@@ -139,12 +147,7 @@ def _cmd_energy(args) -> CommandResult:
             values[str(key)] = rep.energy
             lines.append(f"r={key}: {_fmt(rep.energy)}")
     except FreePDError as exc:
-        write_json_atomic(
-            {"a": str(args.a), "b": str(args.b), "error": str(exc),
-             "type": type(exc).__name__},
-            path,
-        )
-        return CommandResult(1, f"energy failed: {exc}", str(path))
+        return _failed("energy", path, {"a": str(args.a), "b": str(args.b)}, exc)
     write_json_atomic({"a": str(args.a), "b": str(args.b), "energies": values}, path)
     return CommandResult(0, "\n".join(lines), str(path))
 
@@ -173,13 +176,8 @@ def _cmd_solve(args) -> CommandResult:
         raise
     except FreePDError as exc:
         outdir.mkdir(parents=True, exist_ok=True)
-        write_json_atomic(
-            {"config": str(cfg_path), "error": str(exc), "type": type(exc).__name__},
-            outdir / "report.json",
-        )
-        return CommandResult(
-            1, f"solve failed: {exc}", str(outdir / "report.json")
-        )
+        return _failed("solve", outdir / "report.json", {"config": str(cfg_path)},
+                       exc, staged=True)
     for name, fn in extensions.items():
         save_function(fn, outdir / f"{name}.json")
     payload = report.to_dict()
@@ -203,11 +201,7 @@ def _cmd_surgery(args) -> CommandResult:
     try:
         result = perform_surgery(g, args.R, args.r)
     except SurgeryError as exc:
-        write_json_atomic(
-            {"graph": str(args.graph), "error": str(exc), "type": type(exc).__name__},
-            args.out,
-        )
-        return CommandResult(1, f"surgery failed: {exc}", str(args.out))
+        return _failed("surgery", args.out, {"graph": str(args.graph)}, exc)
     payload = result.to_dict()
     code = 0
     inserted = result.graph.n - g.n

@@ -57,7 +57,7 @@ from .errors import (
     SingularizationError,
     SolveError,
 )
-from .extend import DELTA_MIN, SzegoParameter, _open_walk, extend_entry
+from .extend import DELTA_MIN, SzegoParameter, _open_walk, _stage_error, extend_entry
 from .hilbert import _cholesky, build_partial_space, ortho_matrices, residual_data
 from .pdcore import (
     DEFAULT_TOL,
@@ -1005,12 +1005,7 @@ def configuration_from_dict(obj, functions) -> Configuration:
         if not isinstance(item, list) or len(item) != 2:
             raise FormatError("edges", f"bad edge entry {item!r}")
         edges.append((str(item[0]), str(item[1])))
-    shape = obj["shape"]
-    if shape not in ("tree", "cycle"):
-        raise FormatError("shape", f"shape must be 'tree' or 'cycle', got {shape!r}")
-    r, d = obj["r"], obj["d"]
-    if isinstance(r, bool) or not isinstance(r, int):
-        raise FormatError("r", "r must be an integer")
+    d = obj["d"]
     if isinstance(d, bool) or not isinstance(d, int):
         raise FormatError("d", "d must be an integer")
     root = obj.get("root")
@@ -1021,8 +1016,8 @@ def configuration_from_dict(obj, functions) -> Configuration:
         raise FormatError("vertices", f"no function supplied for {missing[0]!r}")
     try:
         return Configuration(
-            shape=shape,
-            r=r,
+            shape=obj["shape"],
+            r=obj["r"],
             d=d,
             vertices=names,
             edges=tuple(edges),
@@ -1150,7 +1145,9 @@ def solve_configuration(config: Configuration, R: int, eps: float,
     into the stage's sigma slack.
 
     Returns (extensions, report): the extensions on Ball(R) keyed by vertex,
-    and a SolverReport with per-stage and per-edge records.
+    and a SolverReport with per-stage and per-edge records.  A FreePDError
+    raised inside a stage keeps its class and names the stage, in its
+    message and its ``stage`` attribute.
     """
     if not isinstance(config, Configuration):
         raise ParameterError("solve_configuration needs a Configuration")
@@ -1174,119 +1171,123 @@ def solve_configuration(config: Configuration, R: int, eps: float,
     records = []
     while len(cur[verts[0]].domain.g) <= R:
         g, j, k = _stage_of(cur[verts[0]])
-        stage_name = f"({word_to_str(g)}, {j}, {k})"
-        t = len(records)
-        if sigma_schedule is None:
-            sigma_t = eps / 4.0 * 2.0 ** (-t)
-        elif t < len(sigma_schedule):
-            sigma_t = sigma_schedule[t]
-        else:
-            raise BudgetError(f"sigma schedule exhausted at stage {stage_name}")
-        pe = {
-            e: partial_relative_energy(cur[e[0]], cur[e[1]], tol=tol).energy
-            for e in edge_seq
-        }
-
-        eta_func = 0.0
-        drift = 0.0
-        certs = {}
-        work, ppe = cur, pe
-        if len(g) >= MIN_SINGULAR_LENGTH:
-            eta_prime = math.sqrt(1.0 + sigma_t / max(pe.values())) - 1.0
-            eta_func = _eta_budget([cur[v] for v in verts], eta_prime, tol)
-            for _ in range(6):
-                fam, certs = make_singular([cur[v] for v in verts], eta_func,
-                                           seed=int(rng.integers(2 ** 31)), tol=tol)
-                work = dict(zip(verts, fam))
-                # each member's two-sided stage energy against its original
-                if not any(
-                    max(partial_relative_energy(cur[v], work[v], tol=tol).energy,
-                        partial_relative_energy(work[v], cur[v], tol=tol).energy)
-                    > 1.0 + eta_prime * (1.0 + 1e-9)
-                    for v in verts
-                ):
-                    break
-                eta_func /= 4.0
+        try:
+            t = len(records)
+            if sigma_schedule is None:
+                sigma_t = eps / 4.0 * 2.0 ** (-t)
+            elif t < len(sigma_schedule):
+                sigma_t = sigma_schedule[t]
             else:
-                raise SolveError(
-                    f"stage {stage_name}: the singular perturbation kept "
-                    "overshooting its energy allowance"
-                )
-            drift = max(l1_distance(work[v], cur[v]) for v in verts)
-            ppe = {
-                e: partial_relative_energy(work[e[0]], work[e[1]], tol=tol).energy
+                raise BudgetError("sigma schedule exhausted")
+            pe = {
+                e: partial_relative_energy(cur[e[0]], cur[e[1]], tol=tol).energy
                 for e in edge_seq
             }
 
-        slack_allowance = max(tol_edge, sigma_t / (4.0 * max(1, len(edge_seq))))
-        slack_used = 0.0
-        iters = 0
-        if config.shape == "tree":
-            zetas = {config.root: 0j}
-            for v, w in edge_seq:
-                cert = certs.get((min(pos[v], pos[w]), max(pos[v], pos[w])))
-                inits = (0j,) if cert is not None else (0j, zetas[w])
+            eta_func = 0.0
+            drift = 0.0
+            certs = {}
+            work, ppe = cur, pe
+            if len(g) >= MIN_SINGULAR_LENGTH:
+                eta_prime = math.sqrt(1.0 + sigma_t / max(pe.values())) - 1.0
+                eta_func = _eta_budget([cur[v] for v in verts], eta_prime, tol)
+                for _ in range(6):
+                    fam, certs = make_singular([cur[v] for v in verts], eta_func,
+                                               seed=int(rng.integers(2 ** 31)), tol=tol)
+                    work = dict(zip(verts, fam))
+                    # each member's two-sided stage energy against its original
+                    if not any(
+                        max(partial_relative_energy(cur[v], work[v], tol=tol).energy,
+                            partial_relative_energy(work[v], cur[v], tol=tol).energy)
+                        > 1.0 + eta_prime * (1.0 + 1e-9)
+                        for v in verts
+                    ):
+                        break
+                    eta_func /= 4.0
+                else:
+                    raise SolveError(
+                        "the singular perturbation kept overshooting its"
+                        " energy allowance"
+                    )
+                drift = max(l1_distance(work[v], cur[v]) for v in verts)
+                ppe = {
+                    e: partial_relative_energy(work[e[0]], work[e[1]], tol=tol).energy
+                    for e in edge_seq
+                }
+
+            slack_allowance = max(tol_edge, sigma_t / (4.0 * max(1, len(edge_seq))))
+            slack_used = 0.0
+            iters = 0
+            if config.shape == "tree":
+                zetas = {config.root: 0j}
+                for v, w in edge_seq:
+                    cert = certs.get((min(pos[v], pos[w]), max(pos[v], pos[w])))
+                    inits = (0j,) if cert is not None else (0j, zetas[w])
+                    try:
+                        zv, _, it = _solve_edge_impl(
+                            _pair_data(work[v], work[w], tol), zetas[w], ppe[(v, w)],
+                            tol_edge, max_iter, int(rng.integers(2 ** 31)), inits, tol,
+                        )
+                    except SolveError as exc:
+                        bound = ppe[(v, w)] + slack_allowance
+                        if exc.value is not None and exc.value <= bound:
+                            zv, it = exc.best, max_iter
+                            slack_used = max(slack_used, exc.value - ppe[(v, w)])
+                        else:
+                            raise SolveError(
+                                f"edge {v}->{w}: {exc}",
+                                best=exc.best,
+                                value=exc.value,
+                            ) from exc
+                    zetas[v] = zv.value
+                    iters += it
+            else:
                 try:
-                    zv, _, it = _solve_edge_impl(
-                        _pair_data(work[v], work[w], tol), zetas[w], ppe[(v, w)],
-                        tol_edge, max_iter, int(rng.integers(2 ** 31)), inits, tol,
+                    params, _, it, _ = _solve_cycle_impl(
+                        [work[v] for v in cyc], [ppe[e] for e in edge_seq],
+                        tol_edge, max_iter, int(rng.integers(2 ** 31)), tol,
                     )
                 except SolveError as exc:
-                    if exc.value is not None and exc.value <= ppe[(v, w)] + slack_allowance:
-                        zv, it = exc.best, max_iter
-                        slack_used = max(slack_used, exc.value - ppe[(v, w)])
-                    else:
-                        raise SolveError(
-                            f"stage {stage_name}, edge {v}->{w}: {exc}",
-                            best=exc.best,
-                            value=exc.value,
-                        ) from exc
-                zetas[v] = zv.value
+                    ok = False
+                    if isinstance(exc.best, list):
+                        trial = {v: p.value for v, p in zip(cyc, exc.best)}
+                        after = {
+                            e: stage_energy(work[e[0]], work[e[1]], trial[e[0]],
+                                            trial[e[1]], tol=tol)
+                            for e in edge_seq
+                        }
+                        if all(after[e] <= ppe[e] + slack_allowance for e in edge_seq):
+                            params, it = exc.best, max_iter
+                            slack_used = max(after[e] - ppe[e] for e in edge_seq)
+                            ok = True
+                    if not ok:
+                        raise
+                zetas = {v: p.value for v, p in zip(cyc, params)}
                 iters += it
-        else:
-            try:
-                params, _, it, _ = _solve_cycle_impl(
-                    [work[v] for v in cyc], [ppe[e] for e in edge_seq],
-                    tol_edge, max_iter, int(rng.integers(2 ** 31)), tol,
-                )
-            except SolveError as exc:
-                ok = False
-                if isinstance(exc.best, list):
-                    trial = {v: p.value for v, p in zip(cyc, exc.best)}
-                    after = {
-                        e: stage_energy(work[e[0]], work[e[1]], trial[e[0]],
-                                        trial[e[1]], tol=tol)
-                        for e in edge_seq
-                    }
-                    if all(after[e] <= ppe[e] + slack_allowance for e in edge_seq):
-                        params, it = exc.best, max_iter
-                        slack_used = max(after[e] - ppe[e] for e in edge_seq)
-                        ok = True
-                if not ok:
-                    raise SolveError(
-                        f"stage {stage_name}: {exc}", best=exc.best, value=exc.value
-                    ) from exc
-            zetas = {v: p.value for v, p in zip(cyc, params)}
-            iters += it
 
-        after = {
-            e: stage_energy(work[e[0]], work[e[1]], zetas[e[0]], zetas[e[1]], tol=tol)
-            for e in edge_seq
-        }
-        cur = {v: extend_entry(work[v], zetas[v], tol=tol) for v in verts}
-        records.append(
-            {
-                "stage": (g, j, k),
-                "sigma": sigma_t,
-                "eta": eta_func,
-                "drift": drift,
-                "before": pe,
-                "after": after,
-                "zetas": dict(zetas),
-                "iterations": iters,
-                "slack": slack_used,
+            after = {
+                e: stage_energy(work[e[0]], work[e[1]], zetas[e[0]], zetas[e[1]],
+                                tol=tol)
+                for e in edge_seq
             }
-        )
+            cur = {v: extend_entry(work[v], zetas[v], tol=tol) for v in verts}
+            records.append(
+                {
+                    "stage": (g, j, k),
+                    "sigma": sigma_t,
+                    "eta": eta_func,
+                    "drift": drift,
+                    "before": pe,
+                    "after": after,
+                    "zetas": dict(zetas),
+                    "iterations": iters,
+                    "slack": slack_used,
+                }
+            )
+        except FreePDError as exc:
+            if getattr(exc, "stage", None) is not None:
+                raise
+            raise _stage_error(cur[verts[0]], exc, "stopped")
 
     outputs = {v: restrict_to_ball(cur[v], R) for v in verts}
 

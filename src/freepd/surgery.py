@@ -15,9 +15,13 @@ directed b-walk meets the whole ring.
 
 ``verify_conditions`` re-derives the seven advertised guarantees G-1..G-7
 from the output by direct graph search and reports a measured constant
-next to each pass flag; nothing is trusted from the construction.  Every
-distance search, here and in the rewiring, is one breadth-first sweep
-(``_sweep``) over rows of the permutation arrays, a whole level at a time.
+next to each pass flag; nothing is trusted from the construction.
+
+Inside this module a graph is one vertex-indexed integer array per label,
+rewired in place and grown as vertices are inserted.  Cycles are labelled
+by pointer jumping (``_cycle_labels``: each vertex's least cycle vertex and
+its position from it); every distance search is one breadth-first sweep
+(``_sweep``) over rows of the arrays and their inverses, a level at a time.
 
 Vertices are plain integers.  Originals are ``0..n-1``; inserted vertices
 are numbered consecutively from ``n`` in creation order, which together
@@ -107,37 +111,38 @@ class LabeledGraph:
         except _FieldError as exc:
             raise FormatError(exc.key, str(exc)) from exc
 
-    def steps(self):
-        """The four labeled step maps: a, b, then their inverses."""
-        return (self.perm_a, self.perm_b, _invert(self.perm_a), _invert(self.perm_b))
 
+def _cycle_labels(perm):
+    """Each vertex's cycle by pointer jumping (Wyllie's list ranking).
 
-def _invert(perm):
-    inv = [0] * len(perm)
-    for v, w in enumerate(perm):
-        inv[w] = v
-    return tuple(inv)
-
-
-def _orbit_cycles(out):
-    """Cycle decomposition of a vertex->vertex bijection given as a dict.
-
-    Cycles start at their least vertex and are listed by that least vertex.
+    Returns ``(least, pos)``: the least vertex of the cycle through ``v``
+    and the number of steps from it to ``v``, each after ceil(log2 n)
+    doubling rounds of whole-array gathers.  Cycle sizes are
+    ``np.bincount(least)``.
     """
-    seen = set()
-    result = []
-    for v in sorted(out):
-        if v in seen:
-            continue
-        cyc = [v]
-        seen.add(v)
-        w = out[v]
-        while w != v:
-            cyc.append(w)
-            seen.add(w)
-            w = out[w]
-        result.append(cyc)
-    return result
+    perm = ahead = np.asarray(perm, dtype=np.intp)
+    n = perm.size
+    rounds = (n - 1).bit_length()
+    least = np.arange(n)
+    for _ in range(rounds):  # least over a window of 2^t steps from v
+        least = np.minimum(least, least[ahead])
+        ahead = ahead[ahead]
+    root = least == np.arange(n)
+    ahead = np.where(root, least, perm)
+    rank = (~root).astype(np.intp)
+    for _ in range(rounds):  # steps from v on to its least vertex
+        rank += rank[ahead]
+        ahead = ahead[ahead]
+    size = np.bincount(least, minlength=n)[least]
+    return least, (size - rank) % size
+
+
+def _cycle_list(perm):
+    """The cycles of ``perm`` as arrays, each starting at its least vertex,
+    listed by that least vertex."""
+    least, pos = _cycle_labels(perm)
+    size = np.bincount(least)
+    return np.split(np.lexsort((pos, least)), np.cumsum(size[size > 0])[:-1])
 
 
 def cycles(g, label):
@@ -148,7 +153,7 @@ def cycles(g, label):
         perm = g.perm_b
     else:
         raise SurgeryError(f"edge label must be 'a' or 'b', got {label!r}")
-    return _orbit_cycles({v: perm[v] for v in range(g.n)})
+    return [c.tolist() for c in _cycle_list(perm)]
 
 
 def _greedy_positions(length, gap, candidates):
@@ -219,35 +224,69 @@ class SurgeryResult:
         )
 
 
-def _pairs_and_triple(items):
-    # consecutive pairs, closing with one triple when the count is odd
-    if len(items) < 2:
-        raise SurgeryError("anchor grouping needs at least two vertices")
-    if len(items) % 2:
-        head, tail = items[:-3], [list(items[-3:])]
-    else:
-        head, tail = items, []
-    return [list(head[i : i + 2]) for i in range(0, len(head), 2)] + tail
-
-
-def _ring_edges(group):
-    return list(zip(group, list(group[1:]) + [group[0]]))
-
-
-def _cycle_through(out, v):
-    cyc = [v]
-    w = out[v]
-    while w != v:
-        cyc.append(w)
-        w = out[w]
-    return cyc
-
-
-def _check_rewiring(a_out, b_out, stage, count):
-    verts = set(range(count))
-    for name, out in (("a", a_out), ("b", b_out)):
-        if set(out) != verts or set(out.values()) != verts:
+def _check_rewiring(a, b, stage):
+    for name, perm in (("a", a), ("b", b)):
+        if not np.array_equal(np.sort(perm), np.arange(perm.size)):
             raise SurgeryError(f"{stage} broke the {name}-edge bijection")
+
+
+def _shorten_cycles(label, out, other, touched, anchor, gamma, min_len):
+    """Stages 1 and 2: cut every ``out``-cycle and plant two bypass classes.
+
+    Every cycle is cut at gamma-separated anchors ``v`` with ``anchor[v]``,
+    each cut closing the arc up to the anchor into a cycle of its own.  At
+    every anchor, fresh vertices x1 and x2 go into the ``other``-edges
+    leaving the anchor and its second successor, with the ``out``-edge
+    x1 -> x2; the anchors of a cycle are grouped in consecutive pairs (a
+    triple closing an odd count) and each group's x2 -> x1 edges form a
+    ring.  Anchors are read off the frozen cycle list, in whose order the
+    i-th anchor's x1 and x2 are numbered ``out.size + 2i`` and one more.
+    Returns the grown ``out``, ``other`` and ``touched`` and the x1 and x2
+    tuples.
+    """
+    cuts, closes, seconds, partner = [], [], [], []
+    for cyc in _cycle_list(out):
+        cand = np.flatnonzero(anchor[cyc]).tolist()
+        cyc, length = cyc.tolist(), cyc.size
+        if length < min_len:
+            raise SurgeryError(
+                f"{label}-cycle through vertex {cyc[0]} has length {length};"
+                f" every cycle entering its stage needs length >= {min_len}"
+            )
+        marks = _greedy_positions(length, gamma, cand)
+        if len(marks) < 2:
+            raise SurgeryError(
+                f"{label}-cycle through vertex {cyc[0]} offers {len(marks)} usable"
+                " anchor(s); the rewiring needs two"
+            )
+        m, base = len(marks), len(cuts)
+        group = [i ^ 1 for i in range(m)]
+        if m % 2:
+            group[-3:] = [m - 2, m - 1, m - 3]
+        for i, p in enumerate(marks):
+            cuts.append(cyc[p])
+            closes.append(cyc[(marks[i - 1] + 1) % length])
+            seconds.append(cyc[(p + 2) % length])
+            partner.append(base + group[i])
+
+    count, k = out.size, len(cuts)
+    cuts, closes, seconds = (np.array(x, dtype=np.intp)
+                             for x in (cuts, closes, seconds))
+    x1 = count + 2 * np.arange(k)
+    x2 = x1 + 1
+    succ, t1, t2 = out[cuts], other[cuts], other[seconds]
+    touched = np.concatenate([touched, np.ones(2 * k, dtype=bool)])
+    touched[np.concatenate([cuts, closes, seconds, succ, t1, t2])] = True
+    out[cuts] = closes
+    other[cuts] = x1
+    other[seconds] = x2
+    out = np.concatenate([out, np.column_stack([x2, x1[partner]]).ravel()])
+    other = np.concatenate([other, np.column_stack([t1, t2]).ravel()])
+    stage = f"the {label}-cycle stage"
+    _check_rewiring(*((out, other) if label == "a" else (other, out)), stage)
+    if 2 * k > 2 * count / gamma:
+        raise SurgeryError(f"{stage} exceeded its insertion budget")
+    return out, other, touched, tuple(x1.tolist()), tuple(x2.tolist())
 
 
 def perform_surgery(g, R, r):
@@ -267,79 +306,15 @@ def perform_surgery(g, R, r):
     n0 = g.n
     gamma = max(R, 4)
     min_len = max(4 * R, 2 * gamma)
-    a_out = {v: g.perm_a[v] for v in range(n0)}
-    b_out = {v: g.perm_b[v] for v in range(n0)}
-    touched = set()
-    fresh = [n0]
-    inserted = {name: [] for name in _INSERTED_CLASSES}
-
-    def new_vertex(cls):
-        v = fresh[0]
-        fresh[0] += 1
-        inserted[cls].append(v)
-        return v
-
-    def set_edge(out, x, y):
-        old = out.get(x)
-        if old is not None:
-            touched.add(old)
-        touched.add(x)
-        touched.add(y)
-        out[x] = y
-
-    def split_edge(out, x, w):
-        # x -> out[x] becomes x -> w -> out[x]
-        t = out[x]
-        set_edge(out, x, w)
-        set_edge(out, w, t)
-
-    def shorten_cycles(label, bypass, anchor_ok):
-        # Cut every label-cycle at gamma-separated anchors p, those with
-        # anchor_ok(cyc[p], cyc[p + 2]), and plant the two bypass classes
-        # on the other label's edges.  Insertion points are read off the
-        # frozen cycle list, not the mutating edge maps.
-        out, other = (a_out, b_out) if label == "a" else (b_out, a_out)
-        total = 0
-        for cyc in _orbit_cycles(dict(out)):
-            length = len(cyc)
-            total += length
-            if length < min_len:
-                raise SurgeryError(
-                    f"{label}-cycle through vertex {cyc[0]} has length {length};"
-                    f" every cycle entering its stage needs length >= {min_len}"
-                )
-            cand = [
-                i for i in range(length) if anchor_ok(cyc[i], cyc[(i + 2) % length])
-            ]
-            marks = _greedy_positions(length, gamma, cand)
-            if len(marks) < 2:
-                raise SurgeryError(
-                    f"{label}-cycle through vertex {cyc[0]} offers {len(marks)} usable"
-                    " anchor(s); the rewiring needs two"
-                )
-            for i, p in enumerate(marks):
-                q = marks[i - 1]
-                set_edge(out, cyc[p], cyc[(q + 1) % length])
-            first, second = {}, {}
-            for p in marks:
-                v = cyc[p]
-                x1 = new_vertex(bypass[0])
-                x2 = new_vertex(bypass[1])
-                first[v], second[v] = x1, x2
-                split_edge(other, v, x1)
-                split_edge(other, cyc[(p + 2) % length], x2)
-                set_edge(out, x1, x2)
-            for group in _pairs_and_triple([cyc[p] for p in marks]):
-                for x, y in _ring_edges(group):
-                    set_edge(out, second[x], first[y])
-        stage = f"the {label}-cycle stage"
-        _check_rewiring(a_out, b_out, stage, fresh[0])
-        if len(inserted[bypass[0]]) + len(inserted[bypass[1]]) > 2 * total / gamma:
-            raise SurgeryError(f"{stage} exceeded its insertion budget")
+    a = np.array(g.perm_a, dtype=np.intp)
+    b = np.array(g.perm_b, dtype=np.intp)
+    touched = np.zeros(n0, dtype=bool)
 
     # ---- stage 1: shorten the a-cycles, plant D/D' bypasses ----
-    shorten_cycles("a", ("D", "D_prime"), lambda v, w: True)
-    worst = max(len(c) for c in _orbit_cycles(dict(a_out)))
+    a, b, touched, D, D_prime = _shorten_cycles(
+        "a", a, b, touched, np.ones(n0, dtype=bool), gamma, min_len
+    )
+    worst = int(np.bincount(_cycle_labels(a)[0]).max())
     if worst > 2 * gamma:
         raise SurgeryError(f"stage 1 left an a-cycle of length {worst} (> {2 * gamma})")
 
@@ -347,9 +322,14 @@ def perform_surgery(g, R, r):
     # Anchors are restricted to original vertices whose second b-successor
     # is also original, so both fresh vertices end up adjacent to
     # originals.
-    shorten_cycles("b", ("E", "E_prime"), lambda v, w: v < n0 and w < n0)
-    for label, out in (("a", a_out), ("b", b_out)):
-        worst = max(len(c) for c in _orbit_cycles(dict(out)))
+    anchor = (np.arange(b.size) < n0) & (b[b] < n0)
+    b, a, touched, E, E_prime = _shorten_cycles(
+        "b", b, a, touched, anchor, gamma, min_len
+    )
+    a_least, b_least = _cycle_labels(a)[0], _cycle_labels(b)[0]
+    a_len, b_len = np.bincount(a_least), np.bincount(b_least)
+    for label, size in (("a", a_len), ("b", b_len)):
+        worst = int(size.max())
         if worst > 4 * gamma:
             raise SurgeryError(
                 f"stage 2 left a {label}-cycle of length {worst} (> {4 * gamma})"
@@ -362,141 +342,113 @@ def perform_surgery(g, R, r):
     # only if the a-cycle receiving its ring vertex stays short and the
     # two b-cycles it wants to splice are unclaimed with admissible
     # combined length, which keeps every post-splice cycle within the
-    # advertised bound no matter the scale.
-    count = fresh[0]
-    a_cyc_id, a_cyc_len = _cycle_index(a_out, count)
-    b_cyc_id, b_cyc_len = _cycle_index(b_out, count)
-    inv_a = {w: v for v, w in a_out.items()}
-    nbrs = _step_rows([a_out[v] for v in range(count)], [b_out[v] for v in range(count)])
+    # advertised bound no matter the scale.  Cycles are named by their
+    # least vertex.
+    count = a.size
+    nbrs = _step_rows(a, b)
+    pred = nbrs[2, :n0]
+    ca, cb, cb2 = a_least[:n0], b_least[:n0], b_least[pred]
     cap = 2 * (4 * R + 1)
-    a_load = {}
-    claimed = set()
+    pair_ok = (cb == cb2) | (b_len[cb] + b_len[cb2] <= cap)
+    a_load = np.zeros(count, dtype=np.intp)
+    claimed = np.zeros(count, dtype=bool)
+    dist_to_ring = np.full(count, np.inf)
     ring = []
 
-    def admissible(v):
-        u = inv_a[v]
-        ca = a_cyc_id[v]
-        if a_cyc_len[ca] + a_load.get(ca, 0) + 1 > cap:
-            return False
-        cb, cb2 = b_cyc_id[v], b_cyc_id[u]
-        if cb in claimed or cb2 in claimed:
-            return False
-        if cb != cb2 and b_cyc_len[cb] + b_cyc_len[cb2] > cap:
-            return False
-        return True
-
-    dist_to_ring = np.full(count, np.inf)
+    def admissible():
+        return pair_ok & (a_len[ca] + a_load[ca] < cap) & ~claimed[cb] & ~claimed[cb2]
 
     def seat(v):
         ring.append(v)
-        u = inv_a[v]
-        ca = a_cyc_id[v]
-        a_load[ca] = a_load.get(ca, 0) + 1
-        claimed.add(b_cyc_id[v])
-        claimed.add(b_cyc_id[u])
+        a_load[ca[v]] += 1
+        claimed[[cb[v], cb2[v]]] = True
         dist = _sweep(nbrs, [v])
         np.minimum(dist_to_ring, np.where(dist < 0, np.inf, dist), out=dist_to_ring)
 
-    for v in range(n0):
-        if dist_to_ring[v] >= 10 * R and admissible(v):
-            seat(v)
+    # A seat only claims cycles and shortens distances, so the next seat
+    # of the in-order scan is the first candidate past the last one.
+    v = 0
+    while True:
+        ok = np.flatnonzero(admissible()[v:] & (dist_to_ring[v:n0] >= 10 * R))
+        if not ok.size:
+            break
+        v += int(ok[0])
+        seat(v)
+        v += 1
     while len(ring) < 4:
-        best = None
-        seated = set(ring)
-        for v in range(n0):
-            if v in seated or not admissible(v):
-                continue
-            key = (dist_to_ring[v], -v)
-            if best is None or key > best[0]:
-                best = (key, v)
-        if best is None:
+        ok = admissible()
+        if not ok.any():
             raise SurgeryError(
                 "cannot seat a b-ring of four vertices; the input is too"
                 " small or its cycles too entangled"
             )
-        seat(best[1])
+        seat(int(np.argmax(np.where(ok, dist_to_ring[:n0], -np.inf))))
 
-    pred = {}
-    for v in ring:
-        u = inv_a[v]
-        ell = new_vertex("B")
-        split_edge(a_out, u, ell)
-        inv_a[v] = ell
-        inv_a[ell] = u
-        pred[v] = u
-    ring_verts = inserted["B"]
-    for x, y in _ring_edges(ring_verts):
-        set_edge(b_out, x, y)
+    # each ring vertex v gets a B vertex on its incoming a-edge, u -> B -> v
+    ring = np.array(ring, dtype=np.intp)
+    pred = pred[ring]
+    B = np.arange(count, count + ring.size)
+    a[pred] = B
+    a = np.concatenate([a, ring])
+    b = np.concatenate([b, np.roll(B, -1)])
+    touched = np.concatenate([touched, np.ones(ring.size, dtype=bool)])
+    touched[ring] = touched[pred] = True
 
-    cut = set()
-    ring_set = set(ring)
-    for v in ring:
-        cyc_v = _cycle_through(b_out, v)
-        cyc_u = _cycle_through(b_out, pred[v])
-        if set(cyc_v) == set(cyc_u):
+    # Splice the b-cycles of v and u into one, swapping the b-edges of
+    # their least vertices other than v (originals come first in vertex
+    # order).  Every seat claimed its two b-cycles, so no other seat, ring
+    # vertex or splice touches them and the stage-2 labels stay valid.
+    for v, u in zip(ring.tolist(), pred.tolist()):
+        lv, lu = b_least[v], b_least[u]
+        if lv == lu:
             continue
-        w1 = _splice_pick(cyc_v, ring_set, cut, n0)
-        w2 = _splice_pick(cyc_u, ring_set, cut, n0)
-        t1, t2 = b_out[w1], b_out[w2]
-        set_edge(b_out, w1, t2)
-        set_edge(b_out, w2, t1)
-        cut.add(w1)
-        cut.add(w2)
+        free = np.flatnonzero(b_least == lv)
+        free = free[free != v]
+        if not free.size:
+            raise SurgeryError("no vertex available to splice; cycles too short")
+        w = np.array([free[0], lu])
+        t = b[w]
+        b[w] = t[::-1]
+        touched[w] = touched[t] = True
 
-    count = fresh[0]
-    _check_rewiring(a_out, b_out, "stage 3", count)
-    if len(ring_verts) > 5 * n0 / R:
+    count = a.size
+    _check_rewiring(a, b, "stage 3")
+    if B.size > 5 * n0 / R:
         raise SurgeryError("stage 3 exceeded its insertion budget")
     if count - n0 > 9 * n0 / R:
         raise SurgeryError(
             f"inserted {count - n0} vertices, over the ledger bound {9 * n0 / R:.1f}"
         )
-    ring_cycle = set(_cycle_through(b_out, ring_verts[0]))
-    if ring_cycle != set(ring_verts):
+    if not _one_cycle(_cycle_labels(b)[0], B):
         raise SurgeryError("the B vertices do not form a single b-cycle")
-    a_in_final = {w: v for v, w in a_out.items()}
-    b_in_final = {w: v for v, w in b_out.items()}
-    for name in _INSERTED_CLASSES:
-        for x in inserted[name]:
-            nbrs = (a_out[x], b_out[x], a_in_final[x], b_in_final[x])
-            if not any(y < n0 for y in nbrs):
-                raise SurgeryError(f"inserted vertex {x} has no original neighbor")
+    inserted = {"D": D, "D_prime": D_prime, "E": E, "E_prime": E_prime,
+                "B": tuple(B.tolist())}
+    stranded = _stranded(_step_rows(a, b), np.arange(count) < n0)
+    for x in (x for name in _INSERTED_CLASSES for x in inserted[name]):
+        if stranded[x]:
+            raise SurgeryError(f"inserted vertex {x} has no original neighbor")
 
-    graph = LabeledGraph(
-        count,
-        tuple(a_out[v] for v in range(count)),
-        tuple(b_out[v] for v in range(count)),
-    )
-    undisturbed = _undisturbed_set(g, graph, touched, r)
+    graph = LabeledGraph(count, tuple(a.tolist()), tuple(b.tolist()))
+    undisturbed = _undisturbed_set(g, graph, np.flatnonzero(touched), r)
     return SurgeryResult(
         graph=graph,
         original=frozenset(range(n0)),
         W=tuple(undisturbed),
-        B=tuple(ring_verts),
-        inserted={k: tuple(v) for k, v in inserted.items()},
+        B=inserted["B"],
+        inserted=inserted,
     )
 
 
-def _splice_pick(cyc, ring_set, cut, n0):
-    # least original vertex that is free to lose its b-edge; inserted
-    # vertices only as a last resort (an all-fresh 4-ring has no original)
-    for pool in (
-        sorted(x for x in cyc if x < n0 and x not in ring_set and x not in cut),
-        sorted(x for x in cyc if x not in ring_set and x not in cut),
-    ):
-        if pool:
-            return pool[0]
-    raise SurgeryError("no vertex available to splice; cycles too short")
+def _one_cycle(least, verts):
+    """Whether ``verts`` is exactly the vertex set of one cycle of labels ``least``."""
+    verts = sorted(verts)
+    return np.array_equal(np.flatnonzero(least == least[verts[0]]), verts)
 
 
-def _cycle_index(out, count):
-    cyc_id = [0] * count
-    cyc_len = []
-    for k, cyc in enumerate(_orbit_cycles(dict(out))):
-        cyc_len.append(len(cyc))
-        for v in cyc:
-            cyc_id[v] = k
-    return cyc_id, cyc_len
+def _stranded(nbrs, original):
+    """Mask of the vertices outside ``original`` (a mask) with no original
+    among their neighbours in the rows of ``nbrs``."""
+    return ~original & ~original[nbrs].any(axis=0)
 
 
 def _step_rows(perm_a, perm_b):
@@ -544,7 +496,7 @@ def _undisturbed_set(before, after, touched, r):
     distance and the search runs on the new graph alone.
     """
     nbrs = _step_rows(after.perm_a, after.perm_b)
-    near = _sweep(nbrs, list(touched), depth=r)
+    near = _sweep(nbrs, touched, depth=r)
     return np.flatnonzero(near[: before.n] < 0).tolist()
 
 
@@ -609,8 +561,9 @@ def verify_conditions(original, result, r, R, samples=200, seed=0):
     ring_set = set(ring)
     report = {}
 
-    steps0 = original.steps()
-    steps1 = graph.steps()
+    nbrs0 = _step_rows(original.perm_a, original.perm_b)
+    nbrs1 = _step_rows(graph.perm_a, graph.perm_b)
+    steps0, steps1 = nbrs0.tolist(), nbrs1.tolist()
 
     # G-1: census of undisturbed labeled r-balls
     good = 0
@@ -629,12 +582,12 @@ def verify_conditions(original, result, r, R, samples=200, seed=0):
     }
 
     # G-2: one b-ring, everything else short
-    a_cycles = cycles(graph, "a")
-    b_cycles = cycles(graph, "b")
-    ring_is_cycle = bool(ring) and any(set(c) == ring_set for c in b_cycles)
-    others = [len(c) for c in a_cycles]
-    others += [len(c) for c in b_cycles if set(c) != ring_set]
-    worst = max(others) if others else 0
+    a_len = np.bincount(_cycle_labels(graph.perm_a)[0])
+    b_least = _cycle_labels(graph.perm_b)[0]
+    b_len = np.bincount(b_least)
+    ring_is_cycle = bool(ring) and _one_cycle(b_least, ring_set)
+    others = np.delete(b_len, b_least[ring[0]]) if ring_is_cycle else b_len
+    worst = int(max(a_len.max(), others.max()))
     cap = 2 * (4 * R + 1)
     report["G-2"] = {
         "pass": bool(ring_is_cycle and worst <= cap and len(ring) <= n0 / R),
@@ -644,8 +597,6 @@ def verify_conditions(original, result, r, R, samples=200, seed=0):
 
     # G-3: distances off the ring dominate the original distances
     rng = np.random.default_rng(seed)
-    nbrs0 = _step_rows(original.perm_a, original.perm_b)
-    nbrs1 = _step_rows(graph.perm_a, graph.perm_b)
     pool = sorted(orig_set)
     n_src = max(1, min(len(pool), samples // 10))
     sources = rng.choice(pool, size=n_src, replace=False)
@@ -705,18 +656,13 @@ def verify_conditions(original, result, r, R, samples=200, seed=0):
     report["G-5"] = {"pass": bool(ok5), "measured": worst5, "bound": bound5}
 
     # G-6: every fresh vertex touches an original
-    a_in = _invert(graph.perm_a)
-    b_in = _invert(graph.perm_b)
-    bad6 = 0
-    fresh = [v for v in range(graph.n) if v not in orig_set]
-    for v in fresh:
-        nbrs = (graph.perm_a[v], graph.perm_b[v], a_in[v], b_in[v])
-        if not any(w in orig_set for w in nbrs):
-            bad6 += 1
+    is_orig = np.zeros(graph.n, dtype=bool)
+    is_orig[pool] = True
+    bad6 = int(_stranded(nbrs1, is_orig).sum())
     report["G-6"] = {"pass": bad6 == 0, "measured": bad6, "bound": 0}
 
     # G-7: no short loops anywhere
-    shortest = min(len(c) for c in a_cycles + b_cycles)
+    shortest = int(min(a_len[a_len > 0].min(), b_len[b_len > 0].min()))
     report["G-7"] = {"pass": bool(shortest >= 4), "measured": shortest, "bound": 4}
 
     return report

@@ -335,6 +335,28 @@ def _weakly_connected(g):
     return len(seen) == g.n
 
 
+def orbit_cycles(out):
+    """Cycle decomposition of a vertex->vertex bijection given as a dict,
+    walked vertex by vertex: the oracle for ``surgery._cycle_labels``.
+
+    Cycles start at their least vertex and are listed by that least vertex.
+    """
+    seen = set()
+    result = []
+    for v in sorted(out):
+        if v in seen:
+            continue
+        cyc = [v]
+        seen.add(v)
+        w = out[v]
+        while w != v:
+            cyc.append(w)
+            seen.add(w)
+            w = out[w]
+        result.append(cyc)
+    return result
+
+
 # Queue-based graph searches over Python containers: the oracle for
 # surgery's array sweeps (``_sweep``, ``_undisturbed_set``).
 

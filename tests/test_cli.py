@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import freepd
-from freepd import cli
+from freepd import cli, energysolver
 from freepd.cli import dispatch, main
-from freepd.extend import toeplitz_step
+from freepd.errors import DegenerateStageError, ParameterError
+from freepd.extend import _stage_error, toeplitz_step
 from freepd.pdcore import Domain, PDFunction, load_function, save_function
 from freepd.words import ball
 from helpers import random_labeled_graph
@@ -198,6 +199,35 @@ def test_solve_restriction_failure_still_writes_report(tmp_path, monkeypatch):
     assert report["restriction_energy"]["a"] == pytest.approx(1.1)
     for name in ("a", "b", "c"):
         assert (out / f"{name}.json").exists()
+
+
+def _failing_edge_solve(*args, **kwargs):
+    raise ParameterError("eta must be a positive real number")
+
+
+def _failing_stage_write(C, zeta, tol):
+    raise _stage_error(C, DegenerateStageError("collapsed"), "residuals failed")
+
+
+@pytest.mark.parametrize("name, fake, kind, error", [
+    ("_solve_edge_impl", _failing_edge_solve, "ParameterError",
+     "stopped at stage (aaa, 1, 1): eta must be a positive real number"),
+    ("extend_entry", _failing_stage_write, "DegenerateStageError",
+     "residuals failed at stage (aaa, 1, 1): collapsed"),
+], ids=["plain", "already-staged"])
+def test_solve_failure_names_the_stage_in_a_report(tmp_path, monkeypatch, name, fake,
+                                                   kind, error):
+    monkeypatch.setattr(energysolver, name, fake)
+    cfg = _tree_config(tmp_path)
+    out = tmp_path / "solved"
+    res = run("solve", "--config", cfg, "--radius", 3, "--epsilon", 0.01, "--out", out)
+    assert res.code == 1
+    assert res.summary == f"solve failed: {error}"
+    report = json.loads((out / "report.json").read_text())
+    assert list(report) == ["config", "error", "type", "stage"]
+    assert report["error"] == error
+    assert report["type"] == kind
+    assert report["stage"] == {"g": "aaa", "j": 1, "k": 1}
 
 
 def test_solve_same_seed_gives_identical_files(tmp_path):

@@ -336,6 +336,11 @@ def test_configuration_from_dict_round_trip_and_errors():
         configuration_from_dict({**obj, "edges": [["a"]]}, functions)
     with pytest.raises(FormatError):
         configuration_from_dict([1, 2], functions)
+    for key, value in (("shape", "star"), ("shape", ["tree"]), ("r", "1"),
+                       ("r", True), ("r", -1), ("d", "1")):
+        with pytest.raises(FormatError) as info:
+            configuration_from_dict({**obj, key: value}, functions)
+        assert info.value.key == key
 
 
 def test_solve_configuration_walks_the_novel_stages_in_order():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from freepd.errors import FormatError, SurgeryError
 from freepd.surgery import (
     LabeledGraph,
     SurgeryResult,
+    _cycle_labels,
     _step_rows,
     _sweep,
     cycles,
@@ -20,6 +23,7 @@ from helpers import (
     bfs_layers,
     directed_distances,
     girth_permutation,
+    orbit_cycles,
     r_separated,
     random_labeled_graph,
     undirected_adjacency,
@@ -57,6 +61,24 @@ def test_cycles_partition():
                 assert c[0] == min(c)
                 for i, v in enumerate(c):
                     assert perm[v] == c[(i + 1) % len(c)]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_cycle_labels_match_the_orbit_walk(data):
+    n = data.draw(st.integers(1, 40))
+    fixed = data.draw(st.sets(st.integers(0, n - 1)))
+    moved = [v for v in range(n) if v not in fixed]
+    perm = list(range(n))
+    for v, w in zip(moved, data.draw(st.permutations(moved))):
+        perm[v] = w
+    want = orbit_cycles(dict(enumerate(perm)))
+    least, pos = _cycle_labels(perm)
+    size = np.bincount(least)
+    for cyc in want:
+        for i, v in enumerate(cyc):
+            assert (least[v], pos[v], size[least[v]]) == (cyc[0], i, len(cyc))
+    assert cycles(LabeledGraph(n, tuple(perm), tuple(range(n))), "a") == want
 
 
 def test_cycles_bad_label():
@@ -347,3 +369,68 @@ def test_undisturbed_set_and_plain_report_on_a_wide_surgery(monkeypatch):
             assert entry["pass"], (r, name, entry)
             for key in ("pass", "measured", "bound"):
                 assert type(entry[key]) in (int, float, bool), (name, key)
+
+
+def _inverse_pair(n, R, seed):
+    # b runs every a-cycle backwards: each component is one a-cycle, so the
+    # ring takes many seats and the splices run many times
+    g = random_labeled_graph(n, R, seed=seed, connected=False)
+    inv = [0] * n
+    for v, w in enumerate(g.perm_a):
+        inv[w] = v
+    return LabeledGraph(n, g.perm_a, tuple(inv))
+
+
+def _torus(k, m):
+    # a-cycles are the rows and b-cycles the columns of a k x m grid: wide
+    # enough that the in-order ring pass meets candidates at exactly 10R
+    a = [(v // m) * m + (v + 1) % m for v in range(k * m)]
+    b = [(v + m) % (k * m) for v in range(k * m)]
+    return LabeledGraph(k * m, tuple(a), tuple(b))
+
+
+def _sha256(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# Digests of the surgery artifact and of the verification report, pinned
+# so that a refactor of the rewiring cannot move a single vertex unseen.
+PINNED = [
+    (lambda: random_labeled_graph(200, 2, seed=0), 2, 1,
+     "7fc209a87e8882f712307c00e875631e871538cca97fb0213faf4bfe8dc545d6",
+     "90a43910d43778073a5cf63c11d7f5b1001a173638d54a2955352c64f2ffad6a"),
+    (lambda: random_labeled_graph(360, 3, seed=1, connected=False), 3, 1,
+     "755107307f1dadfc324d291085f90ce8665a95b11c6e602306b70cc18b91ff3e",
+     "b752c90475175d3fc039bc98697f9dc1fda6b0bef708a27914308131fc55ce35"),
+    (lambda: random_labeled_graph(600, 2, seed=2, connected=False), 2, 2,
+     "180605922bad49e70e2e99e3a74b8210820c156c2307c1ebb1d12baa4d08d22a",
+     "a8ddbebc880a196c55c550ff7277056d51e7cfee875aa6572b9237494b436ff1"),
+    (lambda: _inverse_pair(400, 2, seed=0), 2, 1,
+     "7d7b40985d8f9f2800a54273c69157536f0ec3351cb016e59ca7526a277b17e9",
+     "d449a17431cacf0bec3b2bb2a4ab9120e7dbe31ff5896e594175c9864dc2074c"),
+    (lambda: random_labeled_graph(600, 20, seed=1), 20, 0,
+     "f3e3608a228a3385dcde2b105a673f4d5d4b65f2ce8d666df7c2251326aaa0a5",
+     "36786008671b9d14f56119fd52b9a5d2599d70e2f6f1892af827e1371290da42"),
+    (lambda: _torus(40, 40), 2, 1,
+     "8f5f24915b52fb47b3a41aaf65fb3576454adac9ee4180b4265fdaabb68ea648",
+     "1b062728e2c5a1aa612b5dda24741bd513317dae8eb9c63d513fe43d6d3df9ac"),
+]
+
+
+@pytest.mark.parametrize("make, R, r, result_sha, report_sha", PINNED)
+def test_surgery_outputs_are_pinned(make, R, r, result_sha, report_sha):
+    g = make()
+    res = perform_surgery(g, R, r)
+    assert _sha256(res.to_dict()) == result_sha
+    assert _sha256(verify_conditions(g, res, r, R)) == report_sha
+
+
+def test_surgery_error_message_is_pinned():
+    pa = list(range(1, 6)) + [0] + list(range(6, 47)) + [47]
+    g = LabeledGraph(48, tuple(pa), girth_permutation(48, 8, np.random.default_rng(0)))
+    with pytest.raises(SurgeryError) as info:
+        perform_surgery(g, 2, 1)
+    assert str(info.value) == (
+        "a-cycle through vertex 0 has length 6; every cycle entering its stage"
+        " needs length >= 8"
+    )
