@@ -52,7 +52,7 @@ from .errors import (
     ParameterError,
 )
 from .pdcore import DEFAULT_TOL, PDFunction
-from .words import Word, clique
+from .words import Word
 
 DEGENERACY_TOL = 1e-12
 
@@ -93,11 +93,10 @@ class _Level:
     """
 
     def __init__(self, C: PDFunction):
-        g, d = C.domain.g, C.d
-        interior = [h for h in clique(g).vertices if h != () and h != g]
-        self.g, self.d, self.size = g, d, len(interior) * d
-        self.pairs = tuple((h, m) for h in interior + [g, ()] for m in range(1, d + 1))
-        self.gram = pdcore._gram(C, self.pairs, corner=d)
+        self.g, self.d = C.domain.g, C.d
+        self.pairs, table = pdcore._clique_pairs(self.g, self.d, level=True)
+        self.size = len(self.pairs) - 2 * self.d
+        self.gram = pdcore._gram(C, self.pairs, corner=self.d, table=table)
         self.gram.setflags(write=False)
         self._projections = None
 
@@ -133,18 +132,17 @@ class PartialHilbertSpace:
 
     @cached_property
     def indices(self) -> StageIndexSets:
-        lv, j, k = self.level, self.j, self.k
-        n, d = lv.size, lv.d
-        P = lv.pairs[:n + j - 1] + lv.pairs[n + d:n + d + k - 1]
-        Q = P + (lv.pairs[n + j - 1], lv.pairs[n + d + k - 1])
-        return StageIndexSets(lv.g, d, j, k, P, Q)
+        lv = self.level
+        P, work = pdcore._stage_rows(lv.size, lv.d, self.j, self.k)
+        P = tuple(lv.pairs[i] for i in P)
+        return StageIndexSets(lv.g, lv.d, self.j, self.k, P, P + tuple(lv.pairs[i] for i in work))
 
     @cached_property
     def gram(self) -> np.ndarray:
         lv, j, k = self.level, self.j, self.k
-        n, d, m = lv.size, lv.d, self.core_size
-        q = [*range(n + j - 1), *range(n + d, n + d + k - 1), n + j - 1, n + d + k - 1]
-        G = lv.gram[np.ix_(q, q)]
+        n, m = lv.size, self.core_size
+        P, work = pdcore._stage_rows(n, lv.d, j, k)
+        G = lv.gram[np.ix_(P + work, P + work)]
         rows, cols = [*range(n, n + j - 1), m], [*range(n + j - 1, m), m + 1]
         G[np.ix_(rows, cols)] = self.top[:j, :k]
         G[np.ix_(cols, rows)] = self.top[:j, :k].conj().T

@@ -320,14 +320,31 @@ def _gram_slots(C: PDFunction, pairs):
     return quotients, slots[np.ix_(rows, rows)], np.array([c - 1 for _, c in pairs], int)
 
 
-def _gram(C: PDFunction, pairs, corner: int = 0) -> np.ndarray:
+def _clique_pairs(g, d: int, level: bool = False):
+    """K_g x [d] (a level's: K_g - {e, g}, then g, then e, times [d]) and its
+    _gram_slots, read off the clique's own table: no word is sorted or hashed."""
+    K = clique(g)
+    at, top = range(len(K.vertices)), K.vertices.index(g)
+    at = [*at[1:top], *at[top + 1:], top, 0] if level else at
+    rows = np.repeat(at, d)
+    pairs = tuple((K.vertices[a], m) for a in at for m in range(1, d + 1))
+    return pairs, (K.quotients, K.slots[np.ix_(rows, rows)], np.tile(np.arange(d), len(at)))
+
+
+def _stage_rows(n: int, d: int, j: int, k: int):
+    """Where stage (j, k)'s P and working pair sit among its level's pairs."""
+    return [*range(n + j - 1), *range(n + d, n + d + k - 1)], [n + j - 1, n + d + k - 1]
+
+
+def _gram(C: PDFunction, pairs, corner: int = 0, table=None) -> np.ndarray:
     """The one Gram assembly: G[i1, i2] = C(w2^-1 w1)[c1, c2] as one gather
     over validated pairs from [I, stack, NaN], each quotient rank at its
     canonical row (words.canonical_rows); a quotient outside the domain
     reads the NaN pad.  A NaN (outside the domain, an undefined slot)
     raises, except in the block of pairs[-2c:-c] against pairs[-c:] for
-    c = corner > 0: one stage's corner for 1, a level's C(g) for d."""
-    table = _gram_slots(C, pairs)
+    c = corner > 0: one stage's corner for 1, a level's C(g) for d.  A
+    clique's pairs pass its table (_clique_pairs) instead."""
+    table = _gram_slots(C, pairs) if table is None else table
     if table is None:  # read entry by entry, to name the first missing quotient
         q = [[mul(inverse(w2), w1) for w2, _ in pairs] for w1, _ in pairs]
         G = np.array([[C._value(q[i1][i2], c1, c2) for i2, (_, c2) in enumerate(pairs)]
@@ -384,12 +401,9 @@ def stage_pairs(g, d: int, j: int, k: int):
     g = _as_word(g)
     if not (1 <= j <= d and 1 <= k <= d):
         raise ParameterError(f"stage coordinates ({j},{k}) out of range for d={d}")
-    interior = [h for h in clique(g).vertices if h != () and h != g]
-    P = [(h, m) for h in interior for m in range(1, d + 1)]
-    P += [(g, m) for m in range(1, j)]
-    P += [((), m) for m in range(1, k)]
-    Q = P + [(g, j), ((), k)]
-    return tuple(P), tuple(Q)
+    pairs, _ = _clique_pairs(g, d, level=True)
+    P, work = _stage_rows(len(pairs) - 2 * d, d, j, k)
+    return tuple(pairs[i] for i in P), tuple(pairs[i] for i in P + work)
 
 
 @dataclass(frozen=True)
@@ -412,22 +426,17 @@ class PDVerdict:
 
 def _partial_stage_families(C: PDFunction):
     dom, d = C.domain, C.d
-    for l in range(1, d + 1):
-        for m in range(1, d + 1):
-            if (l, m) > (dom.j, dom.k):
-                return
-            P, Q = stage_pairs(dom.g, d, l, m)
-            if (l, m) == (dom.j, dom.k):
-                # current stage: the two one-sided restrictions are the
-                # largest fully defined principal submatrices
-                yield P + ((dom.g, l),)
-                yield P + (((), m),)
-                return
-            yield Q
+    pairs, (quotients, slots, coords) = _clique_pairs(dom.g, d, level=True)
+    stages = [(l, m) for l in range(1, d + 1) for m in range(1, d + 1) if (l, m) <= (dom.j, dom.k)]
+    for l, m in stages:
+        P, work = _stage_rows(len(pairs) - 2 * d, d, l, m)
+        # the current stage: its one-sided restrictions, the largest defined minors
+        for at in [P + work] if (l, m) < (dom.j, dom.k) else [P + work[:1], P + work[1:]]:
+            yield tuple(pairs[i] for i in at), (quotients, slots[np.ix_(at, at)], coords[at])
 
 
 def _gram_families(C: PDFunction, brute_force: bool, cap: int):
-    yield tuple(((), m) for m in range(1, C.d + 1))
+    yield tuple(((), m) for m in range(1, C.d + 1)), None
     dom = C.domain
     if brute_force:
         if dom.kind == "partial":
@@ -445,12 +454,12 @@ def _gram_families(C: PDFunction, brute_force: bool, cap: int):
                 raise ParameterError(
                     f"brute-force clique of size {len(E)} exceeds the cap {cap}"
                 )
-            yield tuple((h, m) for h in E for m in range(1, C.d + 1))
+            yield tuple((h, m) for h in E for m in range(1, C.d + 1)), None
     else:
         # the novel levels of the domain, the partial top excepted
         levels = canonical_words(dom)
         for h in levels[:-1] if dom.kind == "partial" else levels:
-            yield tuple((w, m) for w in clique(h).vertices for m in range(1, C.d + 1))
+            yield _clique_pairs(h, C.d)
     if dom.kind == "partial":
         yield from _partial_stage_families(C)
 
@@ -467,8 +476,8 @@ def check_pd(C: PDFunction, tol: float = DEFAULT_TOL, brute_force: bool = False,
     """
     worst = None
     strict = True
-    for pairs in _gram_families(C, brute_force, cap):
-        G = _gram(C, pairs)
+    for pairs, table in _gram_families(C, brute_force, cap):  # None: _gram looks it up
+        G = _gram(C, pairs, table=table)
         vals, vecs = np.linalg.eigh(G)
         lam = float(vals[0])
         thr = tol * len(pairs)
@@ -504,15 +513,14 @@ def realize(C: PDFunction, tol: float = DEFAULT_TOL) -> Realization:
     radius r, over K_g for a prefix domain (so every needed product stays
     inside the data).  Eigenvalues in [-tol*n, 0] are clipped to zero; worse
     ones raise."""
-    dom = C.domain
+    dom, table = C.domain, None
     if dom.kind == "ball":
-        E = words.ball(dom.r // 2)
+        pairs = tuple((h, m) for h in words.ball(dom.r // 2) for m in range(1, C.d + 1))
     elif dom.kind == "prefix":
-        E = clique(dom.g).vertices
+        pairs, table = _clique_pairs(dom.g, C.d)
     else:
         raise DomainError("cannot realize a partially specified function")
-    pairs = tuple((h, m) for h in E for m in range(1, C.d + 1))
-    G = _gram(C, pairs)
+    G = _gram(C, pairs, table=table)
     vals, vecs = np.linalg.eigh(G)
     thr = tol * len(pairs)
     if vals[0] < -thr:

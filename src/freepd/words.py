@@ -20,7 +20,9 @@ and of the inverse.  Since the Cayley graph is the 4-regular tree, a
 quotient l^-1 h is s^-1 t for the suffixes s, t of l and h after their
 longest common prefix, and its rank follows from the pieces' ranks by
 arithmetic (_canonical_quotients).  Left translation does not change
-quotients, so a word list is moved to start at e before it is ranked.
+quotients, so a word list is moved to start at e before it is ranked.  The
+cliques of all novel levels of one length, and their quotient tables, come
+from one descent of the tree and one batched table pass (_clique_table).
 """
 
 from __future__ import annotations
@@ -141,6 +143,7 @@ _POW3 = 3 ** np.arange(40, dtype=np.int64)
 # _OFFSET[n] is the shortlex rank of the first word of length n, ball_size(n - 1)
 _OFFSET = np.concatenate([[0], 2 * _POW3 - 1])
 _AFTER = np.array([_ALLOWED_AFTER[x] for x in range(4)])
+_CHUNK = 8192  # quotient-table pairs batched at once (_quotient_tables), to bound memory
 
 
 def _ranks(L: np.ndarray) -> np.ndarray:
@@ -285,10 +288,12 @@ def next_novel(w: Word) -> Word:
     return ws[i] if i < len(ws) else (0,) * (len(w) + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Clique:
     level: Word
     vertices: tuple  # shortlex order
+    quotients: np.ndarray  # with slots, the quotient table of vertices
+    slots: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -299,14 +304,8 @@ def clique(g: Word) -> Clique:
     is unchanged and the unique-maximal-clique property genuinely fails
     (e.g. two maximal cliques contain the edge (e, b·a^-1)).
 
-    Computed as {e, g} together with the common neighborhood of e and g,
-    in one scan of the ranks of ball(|g|): h is kept when both h and g^-1 h
-    lie in I_g, i.e. when the canonical representative of each has rank at
-    most rank g.  Uniqueness of the maximal clique through (e, g) forces
-    this set to be a clique, but that is a theorem about the group, not
-    about this code, so we assert pairwise adjacency before returning: every
-    canonical quotient in the vertices' quotient table, which the Gram
-    matrices over K_g then reuse, has rank at most rank g.
+    K_g is {e, g} and the common neighborhood of e and g, the h with h and
+    g^-1 h in I_g, read off the cliques of its length (_clique_table).
     """
     if not g:
         raise WordError("K_g is defined for g != e only")
@@ -315,20 +314,66 @@ def clique(g: Word) -> Clique:
             f"level {word_to_str(g)} adds no new edge (its inverse precedes it); "
             "K_g is defined for novel levels only"
         )
-    ws, top = ball(len(g)), int(_ranks(np.array([g + (-1,)]))[0])
-    if not 0 <= top < len(ws) or ws[top] != g:
+    i = canonical_ranks(len(g)).get(g, -1) - len(canonical_ball(len(g) - 1))  # in its length
+    if i < 0:
         raise WordError(f"{g!r} is not a reduced word")
-    tree = _tree(len(g))
-    h = np.flatnonzero(np.minimum(np.arange(len(ws)), tree.inv) <= top)  # I_g
-    moved, _ = _canonical_quotients(tree, h, top)
-    vertices = tuple(ws[i] for i in h[moved <= top])
-    quotients, slots = quotient_table(vertices)
-    for a, b in np.argwhere(quotients[slots % len(quotients)] > top)[:1]:
-        raise WordError(
-            f"common neighborhood of (e, {word_to_str(g)}) is not a clique: "
-            f"({word_to_str(vertices[a])}, {word_to_str(vertices[b])}) not adjacent"
-        )
-    return Clique(level=g, vertices=vertices)
+    ws, (offsets, ranks, tables) = ball(len(g)), _clique_table(len(g))
+    return Clique(g, tuple(ws[h] for h in ranks[offsets[i]:offsets[i + 1]]), *tables[i])
+
+
+@lru_cache(maxsize=None)
+def _clique_table(n: int):
+    """(offsets, ranks, tables): the i-th novel level of length n has clique
+    ranks[offsets[i]:offsets[i + 1]] (shortlex) and quotient table
+    tables[i].  K_g is prefix-closed, so one descent from e grows them all
+    on a (level, rank) frontier: a child h stays when the canonical forms
+    of h and g^-1 h rank at most g.  The table builder asserts the clique."""
+    tree, tops = _tree(n), np.arange(_OFFSET[n], _OFFSET[n + 1])
+    tops = tops[tops < tree.inv[tops]]
+    found = [(np.arange(len(tops)), np.zeros(len(tops), np.int64))]
+    for l in range(n):
+        width = 4 if l == 0 else 3  # e has four children, other words three
+        level, rank = found[-1]
+        level = np.repeat(level, width)
+        rank = ((3 * (rank - _OFFSET[l]) + _OFFSET[l + 1])[:, None] + np.arange(width)).ravel()
+        top = tops[level]
+        keep = ((np.minimum(rank, tree.inv[rank]) <= top)
+                & (_canonical_quotients(tree, rank, top)[0] <= top))
+        found.append((level[keep], rank[keep]))
+    level, rank = (np.concatenate(a) for a in zip(*found))
+    ranks = rank[np.argsort(level, kind="stable")]  # each layer is sorted already
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(level, minlength=len(tops)))])
+    return offsets, ranks, _quotient_tables(tree, offsets, ranks, tops)
+
+
+def _quotient_tables(tree: _Tree, offsets, ranks, tops=None) -> list:
+    """(quotients, slots) of each list ranks[offsets[i]:offsets[i + 1]] (see
+    quotient_table), built for the lists starting in one _CHUNK of pairs at
+    a time.  With tops, a quotient ranked above tops[i] raises WordError."""
+    sizes = np.diff(offsets)
+    ends = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    cuts = np.append(np.unique(ends[:-1] // _CHUNK, return_index=True)[1], len(sizes))
+    out = []
+    for i, j in zip(cuts[:-1], cuts[1:]):
+        own = np.repeat(np.arange(i, j), sizes[i:j] ** 2)  # each pair's list
+        at, k = np.arange(ends[i], ends[j]) - ends[own], sizes[own]
+        a, b = ranks[offsets[own] + at // k], ranks[offsets[own] + at % k]
+        canon, mirrored = _canonical_quotients(tree, a, b)
+        for p in np.flatnonzero(canon > tops[own])[:1] if tops is not None else ():
+            g, h, l = (word_to_str(word_of_rank(x)) for x in (tops[own[p]], a[p], b[p]))
+            raise WordError(f"common neighborhood of (e, {g}) is not a clique: "
+                            f"({h}, {l}) not adjacent")
+        span = int(canon.max()) + 1
+        unique, where = np.unique((own - i) * span + canon, return_inverse=True)
+        starts = np.searchsorted(unique, np.arange(j - i + 1) * span)
+        for c, k in enumerate(sizes[i:j]):
+            quotients = unique[starts[c]:starts[c + 1]] - c * span
+            at = slice(ends[i + c] - ends[i], ends[i + c + 1] - ends[i])
+            slots = (where[at] - starts[c] + mirrored[at] * len(quotients)).reshape(k, k)
+            for x in (quotients, slots):
+                x.setflags(write=False)
+            out.append((quotients, slots))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -341,24 +386,13 @@ def quotient_table(ws: tuple):
     slots[a, b] is the position of ws[b]^-1 ws[a] in it, plus
     len(quotients) where the quotient is the inverse of the ranked word.
     The list is first moved by ws[0]^-1, which changes no quotient, so the
-    tree arrays go up to the longest moved word only.  Keying by the words
-    lets a level's clique, its stage Grams and its positivity Gram share
-    one table.
+    tree arrays go up to the longest moved word only.  Cliques carry theirs.
     """
-    if ws[0]:
-        t = inverse(ws[0])
-        ws = [mul(t, w) for w in ws]
+    t = inverse(ws[0])
+    ws = [mul(t, w) for w in ws]
     m = max(map(len, ws))
-    L = np.full((len(ws), m + 1), -1)
-    for i, w in enumerate(ws):
-        L[i, :len(w)] = w
-    r = _ranks(L)
-    canon, mirrored = _canonical_quotients(_tree(m), r[:, None], r[None, :])
-    quotients, at = np.unique(canon.ravel(), return_inverse=True)
-    slots = at.reshape(canon.shape) + mirrored * len(quotients)
-    quotients.setflags(write=False)
-    slots.setflags(write=False)
-    return quotients, slots
+    L = np.array([w + (-1,) * (m + 1 - len(w)) for w in ws])
+    return _quotient_tables(_tree(m), np.array([0, len(ws)]), _ranks(L))[0]
 
 
 def maximal_cliques(vertices, iset: IndexSet):

@@ -10,6 +10,9 @@ from freepd.pdcore import Domain, PDFunction
 from freepd.surgery import _greedy_positions
 from freepd.words import (
     _ALLOWED_AFTER,
+    _canonical_quotients,
+    _ranks,
+    _tree,
     adjacent,
     ball,
     clique,
@@ -17,6 +20,7 @@ from freepd.words import (
     inverse,
     is_novel,
     mul,
+    quotient_table,
     shortlex_key,
     word_to_str,
 )
@@ -104,6 +108,28 @@ def novel_stages(r, R, d):
     """
     levels = sorted_novel(w for w in ball(R) if len(w) > r)
     return [(g, j, k) for g in levels for j in range(1, d + 1) for k in range(1, d + 1)]
+
+
+def scan_clique(g):
+    """The vertices of K_g by one scan of the ranks of Ball(|g|): h is kept
+    when both h and g^-1 h lie in I_g, that is when the canonical
+    representative of each has rank at most rank g.  The result is asserted
+    to be a clique: every canonical quotient in the quotient table of the
+    vertices has rank at most rank g.  An oracle for words.clique, which
+    grows every clique of a word length by descent instead.
+    """
+    ws, top = ball(len(g)), int(_ranks(np.array([g + (-1,)]))[0])
+    tree = _tree(len(g))
+    h = np.flatnonzero(np.minimum(np.arange(len(ws)), tree.inv) <= top)  # I_g
+    moved, _ = _canonical_quotients(tree, h, top)
+    vertices = tuple(ws[i] for i in h[moved <= top])
+    quotients, slots = quotient_table(vertices)
+    for a, b in np.argwhere(quotients[slots % len(quotients)] > top)[:1]:
+        raise WordError(
+            f"common neighborhood of (e, {word_to_str(g)}) is not a clique: "
+            f"({word_to_str(vertices[a])}, {word_to_str(vertices[b])}) not adjacent"
+        )
+    return vertices
 
 
 def predecessor_clique(g):

@@ -241,6 +241,41 @@ def test_extend_ball_restricts_back_and_stays_strict(seed, d, r, grow, per_stage
     assert check_pd(out).status == "strict"
 
 
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 16), d=st.sampled_from([1, 2, 3]),
+       margin=st.sampled_from([1e-3, 1e-2, 0.1, 0.5]), R=st.integers(2, 5))
+def test_central_extension_of_radius_one_data_is_the_reversed_product(seed, d, margin, R):
+    """For radius-1 data the central extension is C(x1...xn) = C(xn)...C(x1).
+
+    Why: the central choice (zero Szego parameter) makes the two new
+    residuals of every stage orthogonal, so the realizing vectors are Markov
+    along the Cayley tree: Phi(x1...xn) projects onto everything placed
+    before it through Phi(x1...x(n-1)) alone.  As C(e) = I, the vectors
+    Phi(h)_m are orthonormal, and the coefficients of that projection are
+    <Phi(x1...xn)_j, Phi(x1...x(n-1))_m> = C(xn)_{j,m}; reading the inner
+    product against Phi(e)_k then gives C(x1...xn) = C(xn) C(x1...x(n-1)).
+    The products here use numpy alone, so the identity checks the whole
+    walk (level Gram, interior factor, Schur block, hand-off) against code
+    it shares nothing with.
+    """
+    R = min(R, 4) if d == 3 else R
+    rng = np.random.default_rng(seed)
+    letter = {}
+    for x in "ab":
+        M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        letter[x] = (1 - margin) * M / np.linalg.norm(M, 2)  # strict contractions
+        letter[x.upper()] = letter[x].conj().T
+    C = central_extension(PDFunction(d, Domain.ball(1), {x: letter[x] for x in "ab"}), R)
+    sphere = [""]  # the reduced words of one length, as text
+    for _ in range(R):
+        sphere = [w + x for w in sphere for x in "abAB" if not w or w[-1] != x.swapcase()]
+        for w in sphere:
+            want = np.eye(d)
+            for x in w:  # C(x1...xn) = C(xn) C(x1...x(n-1))
+                want = letter[x] @ want
+            assert np.abs(C.entry(w) - want).max() < 1e-12, (w, d, margin)
+
+
 def _successor_stage_function(C, g, j, k, value):
     """Plug a candidate value into the working slot, bypassing extend_entry."""
     d = C.d

@@ -171,6 +171,7 @@ def test_cleared_caches_give_the_same_grams():
     caches = _library_caches()
     assert any(c is words.quotient_table for c in caches)
     assert any(c is words.clique for c in caches)
+    assert any(c is words._clique_table for c in caches)
     C = random_nspd(3, 2, seed=5)
     pairs = [(h, m) for h in ball(1) for m in (1, 2)]
 
@@ -184,6 +185,7 @@ def test_cleared_caches_give_the_same_grams():
         cache.cache_clear()
     assert words.quotient_table.cache_info().currsize == 0
     assert words.clique.cache_info().currsize == 0
+    assert words._clique_table.cache_info().currsize == 0
     after = grams()
     assert all(_same_bits(a, b) for a, b in zip(before, after))
 

@@ -21,7 +21,13 @@ from freepd.words import (
     word_from_str,
     word_to_str,
 )
-from helpers import predecessor, predecessor_clique, reference_quotients, successor
+from helpers import (
+    predecessor,
+    predecessor_clique,
+    reference_quotients,
+    scan_clique,
+    successor,
+)
 
 A, B, Ai, Bi = 0, 1, 2, 3
 
@@ -276,28 +282,49 @@ def test_index_set_inverts_each_radius_once(monkeypatch):
     assert len(calls) == sum(ball_size(r) for r in range(1, 5))
 
 
-def test_clique_and_its_grams_share_one_quotient_table():
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_length_tables_match_the_scan_oracle():
+    # every novel level up to length 6 (728 levels): the descent's vertices
+    # are the scan's, and the table the clique carries is, bit for bit, the
+    # one quotient_table builds for the same list
+    levels = words.canonical_ball(6)
+    assert len(levels) == 728
+    for g in levels:
+        K = clique(g)
+        assert K.level == g and K.vertices == scan_clique(g), word_to_str(g)
+        quotients, slots = words.quotient_table(K.vertices)
+        assert _same_array(K.quotients, quotients) and _same_array(K.slots, slots)
+    for bad in ((), word_from_str("A"), word_from_str("bA"), (A, Ai, B), (A, 5)):
+        with pytest.raises(WordError):
+            clique(bad)
+
+
+def test_clique_and_its_grams_share_one_quotient_table(monkeypatch):
     from freepd.hilbert import build_partial_space
     from freepd.pdcore import check_pd, random_nspd, restrict_to_stage
 
     C = random_nspd(3, 2, seed=2)
-    g = word_from_str("ab")
-    words.clique.cache_clear()
-    words.quotient_table.cache_clear()
-    words.clique(g)
-    assert words.quotient_table.cache_info().misses == 1
-    # the d^2 stage Grams of level ab read the clique's own table
-    for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        build_partial_space(restrict_to_stage(C, g, j, k))
-    assert words.quotient_table.cache_info().misses == 1
-    # and check_pd's Gram over K_ab adds no table of its own
-    words.clique.cache_clear()
-    words.quotient_table.cache_clear()
-    for h in words.canonical_ball(3):
-        words.clique(h)
-    tables = words.quotient_table.cache_info().misses
+    passes = []
+    real = words._quotient_tables
+    monkeypatch.setattr(words, "_quotient_tables",
+                        lambda tree, offsets, *rest: passes.append(len(offsets) - 1)
+                        or real(tree, offsets, *rest))
+    for cache in (words.clique, words._clique_table, words.quotient_table):
+        cache.cache_clear()
     check_pd(C)
-    assert words.quotient_table.cache_info().misses == tables + 1  # the e block
+    # one descent and table pass for each of the lengths 1, 2, 3 (2, 6 and
+    # 18 levels), and no table of a level's own: the one list table built
+    # is the e block's
+    assert words._clique_table.cache_info().misses == 3
+    assert words.quotient_table.cache_info().misses == 1
+    assert sorted(passes) == [1, 2, 6, 18]
+    # the d^2 stage Grams of level ab read the clique's table as well
+    for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        build_partial_space(restrict_to_stage(C, word_from_str("ab"), j, k))
+    assert len(passes) == 4
 
 
 def test_rank_decode_follows_the_ball_order():
@@ -351,23 +378,52 @@ def test_rank_table_matches_word_arithmetic(picked, with_e, shift):
 
 def test_clique_assertion_names_the_pair_outside_the_index_set(monkeypatch):
     g = word_from_str("aab")
-    vertices = clique(g).vertices
-    real = words.quotient_table
+    top = int(words._ranks(np.array([g + (-1,)]))[0])
+    real = words._canonical_quotients
 
-    def corrupt(ws):
-        quotients, slots = real(ws)
-        wrong = np.array(quotients)
-        wrong[-1] = words.canonical_rows(len(g)).size  # a rank past Ball(|g|)
-        return wrong, slots
+    def corrupt(tree, a, b):
+        # the quotient of one pair of K_g, (e, g), leaves Ball(|g|); only the
+        # table builder pairs e with another word
+        canon, mirrored = real(tree, a, b)
+        return np.where((a == 0) & (b == top), ball_size(len(g)), canon), mirrored
 
-    quotients, slots = real(vertices)
-    a, b = np.argwhere(slots % len(quotients) == len(quotients) - 1)[0]
     words.clique.cache_clear()
-    monkeypatch.setattr(words, "quotient_table", corrupt)
+    words._clique_table.cache_clear()
+    monkeypatch.setattr(words, "_canonical_quotients", corrupt)
     try:
         with pytest.raises(WordError) as err:
             clique(g)
     finally:
         words.clique.cache_clear()
-    pair = f"({word_to_str(vertices[a])}, {word_to_str(vertices[b])}) not adjacent"
-    assert pair in str(err.value)
+        words._clique_table.cache_clear()
+    assert "of (e, aab) is not a clique: (e, aab) not adjacent" in str(err.value)
+
+
+# reduced words, short (so products often cancel) or of length 19 (int64
+# ranks reach words of length 39, so products of two stay ranked)
+_WORDS = st.one_of(st.sampled_from(ball(4)), _long_word(19))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(u=_WORDS, v=_WORDS, w=_WORDS)
+def test_mul_is_associative(u, v, w):
+    assert mul(mul(u, v), w) == mul(u, mul(v, w))
+    assert mul(u, inverse(u)) == () and mul((), v) == v == mul(v, ())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(u=_WORDS, v=_WORDS, short=st.tuples(st.sampled_from(ball(5)), st.sampled_from(ball(5))))
+def test_ranks_follow_products(u, v, short):
+    def rank(w):
+        return int(words._ranks(np.array([list(w) + [-1]]))[0])
+
+    # the rank of a product decodes to the product
+    uv = mul(u, v)
+    assert words.word_of_rank(rank(uv)) == uv
+    # where nothing cancels, the rank of u v is arithmetic on the ranks
+    u, v = short
+    x = words.inv_letter(u[-1]) if u else -1
+    y = v[0] if v else -1
+    if not u or x != y:
+        tree = words._tree(max(len(u), len(v), 1))
+        assert int(words._product(tree, rank(u), rank(v), x, y)) == rank(u + v)
