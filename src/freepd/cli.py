@@ -89,6 +89,8 @@ def _failed(verb, path, inputs, exc, staged=False) -> CommandResult:
 
 
 def _cmd_check(args) -> CommandResult:
+    if not 0 <= args.tol < float("inf"):  # NaN fails too
+        raise FormatError("tol", f"--tol must be a finite number >= 0, got {args.tol!r}")
     C = load_function(args.pdf)
     verdict = check_pd(C, tol=args.tol, brute_force=args.brute_force)
     report = {
@@ -223,7 +225,9 @@ def _cmd_toeplitz(args) -> CommandResult:
     try:
         seq = [complex(x) for x in args.seq.split(",") if x.strip()]
     except ValueError:
-        raise FormatError("seq", f"--seq must be comma-separated numbers, got {args.seq!r}")
+        seq = None
+    if seq is None or not all(abs(z) < float("inf") for z in seq):  # NaN fails too
+        raise FormatError("seq", f"--seq must be comma-separated finite numbers, got {args.seq!r}")
     parts = args.zeta.split(",")
     if len(parts) != 2:
         raise FormatError("zeta", "--zeta takes re,im")

@@ -60,7 +60,6 @@ from .errors import (
 from .extend import DELTA_MIN, SzegoParameter, _open_walk, _stage_error, extend_entry
 from .hilbert import _cholesky, build_partial_space, ortho_matrices, residual_data
 from .pdcore import (
-    DEFAULT_TOL,
     Domain,
     PDFunction,
     check_pd,
@@ -108,6 +107,9 @@ PAIR_TOL = 1e-8
 # Number of candidate mixing weights per function.
 S_GRID = 32
 
+# Random four-entry perturbations make_singular draws per family member.
+MAX_TRIES = 400
+
 # The four-entry perturbation needs |g| at this length or longer, so that the
 # touched words g1^-1 g, g2^-1 g, g1^-1, g2^-1 are pairwise distinct interior
 # levels.
@@ -117,6 +119,9 @@ ARMIJO_STEP = 0.1
 ARMIJO_SHRINK = 0.5
 ARMIJO_SLOPE = 1e-4
 MAX_ITER = 10_000
+
+# A solved edge's stage energy may exceed the pair's partial energy by this much.
+TOL_EDGE = 1e-6
 
 # Parameters are projected onto this closed disk, strictly inside the rim.
 RIM = 1.0 - DELTA_MIN
@@ -139,7 +144,7 @@ def _stage_of(C: PDFunction):
     return (C.domain.g, C.domain.j, C.domain.k)
 
 
-def _pair_data(C: PDFunction, D: PDFunction, tol: float):
+def _pair_data(C: PDFunction, D: PDFunction):
     if C.d != D.d:
         raise DomainError("the two functions have different dimensions")
     if _stage_of(C) != _stage_of(D):
@@ -180,18 +185,17 @@ def _coord_product(vals, x, m: int):
     return top, complex(np.conj(x[m]) * x[m + 1])
 
 
-def stage_energy(C: PDFunction, D: PDFunction, zeta, mu,
-                 tol: float = DEFAULT_TOL) -> float:
+def stage_energy(C: PDFunction, D: PDFunction, zeta, mu) -> float:
     """Relative energy of the one-step extensions C^zeta, D^mu.
 
     Both functions must sit at the same stage (g, j, k); the undefined corner
     of each stage Gram is filled from its own residual data and the returned
     number is the top generalized eigenvalue of the completed pencil.
     """
-    spC, rdC, spD, rdD = _pair_data(C, D, tol)
+    spC, rdC, spD, rdD = _pair_data(C, D)
     G_C = _filled(spC, rdC, _zval(zeta))
     G_D = _filled(spD, rdD, _zval(mu))
-    vals, _ = _top_generalized_eig(G_C, G_D, tol)
+    vals, _ = _top_generalized_eig(G_C, G_D)
     return float(vals[-1])
 
 
@@ -221,8 +225,7 @@ class ExtensionComponents:
         return self.beta * np.conj(self.beta_prime)
 
 
-def extension_components(C: PDFunction, D: PDFunction, zeta, mu,
-                         tol: float = DEFAULT_TOL) -> ExtensionComponents:
+def extension_components(C: PDFunction, D: PDFunction, zeta, mu) -> ExtensionComponents:
     """Achiever components of the pair (C^zeta, D^mu).
 
     The canonical coordinate of the achiever at (g, j) is alpha / n_g and at
@@ -231,10 +234,10 @@ def extension_components(C: PDFunction, D: PDFunction, zeta, mu,
     coordinates rescaled by the target residual norms.  Requires the top
     generalized eigenvalue to be simple to within GAP_TOL relative.
     """
-    spC, rdC, spD, rdD = _pair_data(C, D, tol)
+    spC, rdC, spD, rdD = _pair_data(C, D)
     G_C = _filled(spC, rdC, _zval(zeta))
     G_D = _filled(spD, rdD, _zval(mu))
-    vals, x = _top_generalized_eig(G_C, G_D, tol)
+    vals, x = _top_generalized_eig(G_C, G_D)
     m = spC.core_size
     top, product = _coord_product(vals, x, m)
     if product is None:
@@ -251,7 +254,7 @@ def extension_components(C: PDFunction, D: PDFunction, zeta, mu,
 
 
 def energy_gradient(C: PDFunction, D: PDFunction, zeta, mu, side: str,
-                    varsigma, tol: float = DEFAULT_TOL) -> float:
+                    varsigma) -> float:
     """Directional derivative of zeta/mu -> energy(C^zeta, D^mu).
 
     side selects which parameter moves; varsigma is the unit direction in
@@ -264,7 +267,7 @@ def energy_gradient(C: PDFunction, D: PDFunction, zeta, mu, side: str,
     s = complex(varsigma)
     if not np.isfinite(s.real) or not np.isfinite(s.imag) or abs(abs(s) - 1.0) > 1e-9:
         raise ParameterError("the direction must be a unit complex number")
-    comps = extension_components(C, D, zeta, mu, tol=tol)
+    comps = extension_components(C, D, zeta, mu)
     if side == "zeta":
         return float(-2.0 * comps.energy * np.real(s * comps.alpha_pair))
     return float(2.0 * np.real(s * comps.beta_pair))
@@ -294,7 +297,7 @@ class SingularityCertificate:
         return (self.kappa * self.theta) ** 2 / (2.0 - 2.0 * abs(z) ** 2)
 
 
-def coordinate_rows(C: PDFunction, tol: float = DEFAULT_TOL) -> np.ndarray:
+def coordinate_rows(C: PDFunction) -> np.ndarray:
     """Core rows of the canonical-to-orthogonal coordinate change at a stage.
 
     Row i (over the stage core) of the returned matrix gives, for each of the
@@ -308,7 +311,7 @@ def coordinate_rows(C: PDFunction, tol: float = DEFAULT_TOL) -> np.ndarray:
     n = m + 2
     if m == 0:
         return np.zeros((0, n), dtype=complex)
-    Gm, Nm = ortho_matrices(np.array(sp.core_gram), tol)
+    Gm, Nm = ortho_matrices(np.array(sp.core_gram))
     norms = 1.0 / np.abs(np.diag(Nm))
     # column i of Gm holds the conjugated coefficients of the i-th orthogonal
     # vector, so (stage Gram)[:, :m] @ Gm has <y_q, z_i> at [q, i]
@@ -344,11 +347,11 @@ def _wprime_ratio(C: PDFunction, g1, g2, j: int, k: int) -> float:
     return float(sv[-1] / sv[0])
 
 
-def _min_core_norm(C: PDFunction, tol: float) -> float:
+def _min_core_norm(C: PDFunction) -> float:
     sp = build_partial_space(C)
     if sp.core_size == 0:
         return np.inf
-    _, pivots = _cholesky(sp.core_gram, tol)
+    _, pivots = _cholesky(sp.core_gram)
     return float(np.min(pivots))
 
 
@@ -362,8 +365,7 @@ def _pairs_separated(rows) -> bool:
     return True
 
 
-def make_singular(family, eta: float, seed=0, tol: float = DEFAULT_TOL,
-                  max_tries: int = 400):
+def make_singular(family, eta: float, seed=0):
     """Perturb a stage family into one with trivially intersecting kernels.
 
     Two moves, both small in the l1 metric: first each member gets four of
@@ -396,7 +398,7 @@ def make_singular(family, eta: float, seed=0, tol: float = DEFAULT_TOL,
             f"got {len(g)}"
         )
     for idx, C in enumerate(fam):
-        if check_pd(C, tol).status != "strict":
+        if check_pd(C).status != "strict":
             raise NotStrictError(f"family member {idx} is not strict")
 
     rng = np.random.default_rng(seed)
@@ -411,7 +413,7 @@ def make_singular(family, eta: float, seed=0, tol: float = DEFAULT_TOL,
     primed = []
     for idx, C in enumerate(fam):
         accepted = None
-        for attempt in range(max_tries):
+        for attempt in range(MAX_TRIES):
             if attempt == 0:
                 lam = np.zeros(4, dtype=complex)
             else:
@@ -419,14 +421,14 @@ def make_singular(family, eta: float, seed=0, tol: float = DEFAULT_TOL,
             cand = pdcore.add_to_entries(C, cells, lam)
             if _wprime_ratio(cand, g1, g2, j, k) < DET_TOL:
                 continue
-            if check_pd(cand, tol).status != "strict":
+            if check_pd(cand).status != "strict":
                 continue
             accepted = cand
             break
         if accepted is None:
             raise SingularizationError(
                 f"no admissible four-entry perturbation for member {idx} "
-                f"within {max_tries} samples"
+                f"within {MAX_TRIES} samples"
             )
         primed.append(accepted)
 
@@ -440,7 +442,7 @@ def make_singular(family, eta: float, seed=0, tol: float = DEFAULT_TOL,
             for i in range(n_fam)
         ]
         trial = [mix_with_delta(Cp, s) for Cp, s in zip(primed, weights)]
-        trial_rows = [coordinate_rows(Dm, tol) for Dm in trial]
+        trial_rows = [coordinate_rows(Dm) for Dm in trial]
         if _pairs_separated(trial_rows):
             mixed, rows = trial, trial_rows
             break
@@ -450,7 +452,7 @@ def make_singular(family, eta: float, seed=0, tol: float = DEFAULT_TOL,
         )
 
     kernels = [scipy.linalg.null_space(A) for A in rows]
-    core_mins = [_min_core_norm(Dm, tol) for Dm in mixed]
+    core_mins = [_min_core_norm(Dm) for Dm in mixed]
     certificates = {}
     for l in range(n_fam):
         for m in range(l + 1, n_fam):
@@ -494,7 +496,7 @@ PAIR_STOP = 5e-6
 CHAIN_ROUNDS = 24
 
 
-def _solve_edge_impl(pair, mu, base, tol_edge, max_iter, seed, inits, tol,
+def _solve_edge_impl(pair, mu, base, tol_edge, max_iter, seed, inits,
                      grad_tol=GRAD_TOL):
     spC, rdC, spD, rdD = pair
     G_D = _filled(spD, rdD, _zval(mu))
@@ -508,13 +510,13 @@ def _solve_edge_impl(pair, mu, base, tol_edge, max_iter, seed, inits, tol,
         # eigensolver certifies; such a candidate is never a keeper, so any
         # evaluation failure just reads as an infinite energy
         try:
-            vals, _ = _top_generalized_eig(_filled(spC, rdC, z), G_D, tol)
+            vals, _ = _top_generalized_eig(_filled(spC, rdC, z), G_D)
         except FreePDError:
             return np.inf
         return float(vals[-1])
 
     def value_and_pair(z):
-        vals, x = _top_generalized_eig(_filled(spC, rdC, z), G_D, tol)
+        vals, x = _top_generalized_eig(_filled(spC, rdC, z), G_D)
         top, product = _coord_product(vals, x, m)
         return top, (0j if product is None else product * scale)
 
@@ -621,35 +623,33 @@ def _solve_edge_impl(pair, mu, base, tol_edge, max_iter, seed, inits, tol,
     )
 
 
-def solve_edge(C: PDFunction, D: PDFunction, mu, certificate=None,
-               tol_edge: float = 1e-6, max_iter: int = MAX_ITER, seed=0,
-               inits=(0j,), tol: float = DEFAULT_TOL) -> SzegoParameter:
+def solve_edge(C: PDFunction, D: PDFunction, mu, max_iter: int = MAX_ITER,
+               seed=0) -> SzegoParameter:
     """Choose zeta minimizing the energy of (C^zeta, D^mu).
 
-    Projected gradient descent with Armijo backtracking, started from each
-    value in inits in turn, terminating as soon as the energy is within
-    tol_edge of the partial (pre-extension) energy of the pair, which is a
-    lower bound for every zeta.  A certificate from make_singular guarantees
-    an interior minimizer at exactly the partial energy; it is accepted here
-    for provenance but the projection onto |zeta| <= 1 - 1e-6 already keeps
-    iterates compact.  Exceeding max_iter raises a SolveError carrying the
-    best parameter seen.
+    Projected gradient descent with Armijo backtracking from zeta = 0,
+    terminating as soon as the energy is within TOL_EDGE of the partial
+    (pre-extension) energy of the pair, which is a lower bound for every
+    zeta.  A certificate from make_singular guarantees an interior minimizer
+    at exactly the partial energy; the projection onto |zeta| <= 1 - 1e-6
+    keeps iterates compact.  Exceeding max_iter raises a SolveError carrying
+    the best parameter seen.
     """
-    base = partial_relative_energy(C, D, tol=tol).energy
-    zeta, _, _ = _solve_edge_impl(_pair_data(C, D, tol), mu, base, tol_edge, max_iter,
-                                  seed, inits, tol)
+    base = partial_relative_energy(C, D).energy
+    zeta, _, _ = _solve_edge_impl(_pair_data(C, D), mu, base, TOL_EDGE, max_iter,
+                                  seed, (0j,))
     return zeta
 
 
-def _solve_cycle_impl(family, base_energies, tol_edge, max_iter, seed, tol):
+def _solve_cycle_impl(family, base_energies, seed):
     fam = list(family)
     n_fam = len(fam)
     if n_fam < 2:
         raise ParameterError("a cycle needs at least two functions")
-    data = [_pair_data(fam[i], fam[(i + 1) % n_fam], tol) for i in range(n_fam)]
+    data = [_pair_data(fam[i], fam[(i + 1) % n_fam]) for i in range(n_fam)]
     if base_energies is None:
         base = [
-            partial_relative_energy(fam[i], fam[(i + 1) % n_fam], tol=tol).energy
+            partial_relative_energy(fam[i], fam[(i + 1) % n_fam]).energy
             for i in range(n_fam)
         ]
     else:
@@ -661,8 +661,7 @@ def _solve_cycle_impl(family, base_energies, tol_edge, max_iter, seed, tol):
     def edge_value(i, zc, zd):
         spC, rdC, spD, rdD = data[i]
         try:
-            vals, _ = _top_generalized_eig(
-                _filled(spC, rdC, zc), _filled(spD, rdD, zd), tol)
+            vals, _ = _top_generalized_eig(_filled(spC, rdC, zc), _filled(spD, rdD, zd))
         except FreePDError:
             return np.inf
         return float(vals[-1])
@@ -687,10 +686,7 @@ def _solve_cycle_impl(family, base_energies, tol_edge, max_iter, seed, tol):
         for i in range(n_fam):
             spC, rdC, spD, rdD = data[i]
             vals, x = _top_generalized_eig(
-                _filled(spC, rdC, zs[i]),
-                _filled(spD, rdD, zs[(i + 1) % n_fam]),
-                tol,
-            )
+                _filled(spC, rdC, zs[i]), _filled(spD, rdD, zs[(i + 1) % n_fam]))
             m = spC.core_size
             try:
                 top, coord = _coord_product(vals, x, m)
@@ -721,7 +717,7 @@ def _solve_cycle_impl(family, base_energies, tol_edge, max_iter, seed, tol):
         return np.array([_project(complex(a, b)) for a, b in zip(u[0::2], u[1::2])])
 
     zs = np.zeros(n_fam, dtype=complex)
-    target = n_fam * tol_edge * tol_edge
+    target = n_fam * TOL_EDGE * TOL_EDGE
     best_zs, best_f = zs.copy(), f_value(zs)
     used = 0
     # Chain phase: walk the cycle backwards re-solving each source parameter
@@ -733,16 +729,16 @@ def _solve_cycle_impl(family, base_energies, tol_edge, max_iter, seed, tol):
     # also copes with the near-degenerate achievers that flatten the joint
     # Jacobian close to the zero set.
     history = [zs.copy()]
-    chain_tol = tol_edge * 1e-2
+    chain_tol = TOL_EDGE * 1e-2
     for _ in range(CHAIN_ROUNDS):
-        if best_f <= target or used >= max_iter // 2:
+        if best_f <= target or used >= MAX_ITER // 2:
             break
         for n in range(n_fam - 1, -1, -1):
-            budget = max(1, min(400, max_iter // 2 - used))
+            budget = max(1, min(400, MAX_ITER // 2 - used))
             try:
                 zeta, _, it = _solve_edge_impl(
                     data[n], zs[(n + 1) % n_fam], base[n],
-                    chain_tol, budget, seed, (zs[n],), tol, grad_tol=np.inf)
+                    chain_tol, budget, seed, (zs[n],), grad_tol=np.inf)
             except SolveError as exc:
                 zeta, it = exc.best, budget
             zs[n] = zeta.value
@@ -775,7 +771,7 @@ def _solve_cycle_impl(family, base_energies, tol_edge, max_iter, seed, tol):
     damping = 1e-3
     satisfied = False
     polish = 0
-    while used < max_iter:
+    while used < MAX_ITER:
         used += 1
         try:
             res, J, energies, pairs = residuals_jacobian(zs)
@@ -837,9 +833,7 @@ def _params(zs) -> list:
     return [SzegoParameter(complex(z)) for z in zs]
 
 
-def solve_cycle_params(family, base_energies=None, tol_edge: float = 1e-6,
-                       max_iter: int = MAX_ITER, seed=0,
-                       tol: float = DEFAULT_TOL) -> list:
+def solve_cycle_params(family, base_energies=None, seed=0) -> list:
     """Joint parameters zeta_1..zeta_N for a directed cycle of stage functions.
 
     Minimizes the sum of squared deviations of the edge energies
@@ -847,11 +841,10 @@ def solve_cycle_params(family, base_energies=None, tol_edge: float = 1e-6,
     partial pair energies when not supplied) by damped Gauss-Newton steps
     projected onto the parameter disk, with the exact per-edge derivatives;
     each parameter appears in two edge terms, once per side.  Terminates
-    when the objective falls below N * tol_edge^2 or the gradient norm
-    below 1e-8.
+    when the objective falls below N * TOL_EDGE^2 or the gradient norm
+    below 1e-8, and gives up after MAX_ITER iterations.
     """
-    params, _, _, _ = _solve_cycle_impl(family, base_energies, tol_edge,
-                                        max_iter, seed, tol)
+    params, _, _, _ = _solve_cycle_impl(family, base_energies, seed)
     return params
 
 
@@ -1099,7 +1092,7 @@ class SolverReport:
         return _over_budget(self.restriction_energy, eps)
 
 
-def _eta_budget(family, eta_prime: float, tol: float) -> float:
+def _eta_budget(family, eta_prime: float) -> float:
     """Function-l1 allowance keeping two-sided stage energies under 1+eta_prime.
 
     The transport perturbation bound controls operator norms: a Gram-level l1
@@ -1119,7 +1112,7 @@ def _eta_budget(family, eta_prime: float, tol: float) -> float:
         _, slots, coords = pdcore._gram_slots(C, sp.indices.Q)
         keys = (slots * C.d + coords[:, None]) * C.d + coords[None, :]
         for G, last in ((sp.x_g_gram, m), (sp.x_e_gram, m + 1)):
-            lam = _strict_min_eig(G, tol, "a stage restriction Gram")
+            lam = _strict_min_eig(G, "a stage restriction Gram")
             budget = min(budget, s * lam / 2.0)
             sub = np.r_[:m, last]
             counts = np.unique(keys[np.ix_(sub, sub)], return_counts=True)[1]
@@ -1128,9 +1121,7 @@ def _eta_budget(family, eta_prime: float, tol: float) -> float:
 
 
 def solve_configuration(config: Configuration, R: int, eps: float,
-                        sigma_schedule=None, tol_edge: float = 1e-6,
-                        max_iter: int = MAX_ITER, seed=0,
-                        tol: float = DEFAULT_TOL):
+                        sigma_schedule=None, seed=0):
     """Extend every vertex function to Ball(R) with controlled edge energies.
 
     Drives extend's stage walk beyond the data ball for every vertex at once
@@ -1180,7 +1171,7 @@ def solve_configuration(config: Configuration, R: int, eps: float,
             else:
                 raise BudgetError("sigma schedule exhausted")
             pe = {
-                e: partial_relative_energy(cur[e[0]], cur[e[1]], tol=tol).energy
+                e: partial_relative_energy(cur[e[0]], cur[e[1]]).energy
                 for e in edge_seq
             }
 
@@ -1190,15 +1181,15 @@ def solve_configuration(config: Configuration, R: int, eps: float,
             work, ppe = cur, pe
             if len(g) >= MIN_SINGULAR_LENGTH:
                 eta_prime = math.sqrt(1.0 + sigma_t / max(pe.values())) - 1.0
-                eta_func = _eta_budget([cur[v] for v in verts], eta_prime, tol)
+                eta_func = _eta_budget([cur[v] for v in verts], eta_prime)
                 for _ in range(6):
                     fam, certs = make_singular([cur[v] for v in verts], eta_func,
-                                               seed=int(rng.integers(2 ** 31)), tol=tol)
+                                               seed=int(rng.integers(2 ** 31)))
                     work = dict(zip(verts, fam))
                     # each member's two-sided stage energy against its original
                     if not any(
-                        max(partial_relative_energy(cur[v], work[v], tol=tol).energy,
-                            partial_relative_energy(work[v], cur[v], tol=tol).energy)
+                        max(partial_relative_energy(cur[v], work[v]).energy,
+                            partial_relative_energy(work[v], cur[v]).energy)
                         > 1.0 + eta_prime * (1.0 + 1e-9)
                         for v in verts
                     ):
@@ -1211,11 +1202,11 @@ def solve_configuration(config: Configuration, R: int, eps: float,
                     )
                 drift = max(l1_distance(work[v], cur[v]) for v in verts)
                 ppe = {
-                    e: partial_relative_energy(work[e[0]], work[e[1]], tol=tol).energy
+                    e: partial_relative_energy(work[e[0]], work[e[1]]).energy
                     for e in edge_seq
                 }
 
-            slack_allowance = max(tol_edge, sigma_t / (4.0 * max(1, len(edge_seq))))
+            slack_allowance = max(TOL_EDGE, sigma_t / (4.0 * max(1, len(edge_seq))))
             slack_used = 0.0
             iters = 0
             if config.shape == "tree":
@@ -1225,13 +1216,13 @@ def solve_configuration(config: Configuration, R: int, eps: float,
                     inits = (0j,) if cert is not None else (0j, zetas[w])
                     try:
                         zv, _, it = _solve_edge_impl(
-                            _pair_data(work[v], work[w], tol), zetas[w], ppe[(v, w)],
-                            tol_edge, max_iter, int(rng.integers(2 ** 31)), inits, tol,
+                            _pair_data(work[v], work[w]), zetas[w], ppe[(v, w)],
+                            TOL_EDGE, MAX_ITER, int(rng.integers(2 ** 31)), inits,
                         )
                     except SolveError as exc:
                         bound = ppe[(v, w)] + slack_allowance
                         if exc.value is not None and exc.value <= bound:
-                            zv, it = exc.best, max_iter
+                            zv, it = exc.best, MAX_ITER
                             slack_used = max(slack_used, exc.value - ppe[(v, w)])
                         else:
                             raise SolveError(
@@ -1245,19 +1236,18 @@ def solve_configuration(config: Configuration, R: int, eps: float,
                 try:
                     params, _, it, _ = _solve_cycle_impl(
                         [work[v] for v in cyc], [ppe[e] for e in edge_seq],
-                        tol_edge, max_iter, int(rng.integers(2 ** 31)), tol,
+                        int(rng.integers(2 ** 31)),
                     )
                 except SolveError as exc:
                     ok = False
                     if isinstance(exc.best, list):
                         trial = {v: p.value for v, p in zip(cyc, exc.best)}
                         after = {
-                            e: stage_energy(work[e[0]], work[e[1]], trial[e[0]],
-                                            trial[e[1]], tol=tol)
+                            e: stage_energy(work[e[0]], work[e[1]], trial[e[0]], trial[e[1]])
                             for e in edge_seq
                         }
                         if all(after[e] <= ppe[e] + slack_allowance for e in edge_seq):
-                            params, it = exc.best, max_iter
+                            params, it = exc.best, MAX_ITER
                             slack_used = max(after[e] - ppe[e] for e in edge_seq)
                             ok = True
                     if not ok:
@@ -1266,11 +1256,10 @@ def solve_configuration(config: Configuration, R: int, eps: float,
                 iters += it
 
             after = {
-                e: stage_energy(work[e[0]], work[e[1]], zetas[e[0]], zetas[e[1]],
-                                tol=tol)
+                e: stage_energy(work[e[0]], work[e[1]], zetas[e[0]], zetas[e[1]])
                 for e in edge_seq
             }
-            cur = {v: extend_entry(work[v], zetas[v], tol=tol) for v in verts}
+            cur = {v: extend_entry(work[v], zetas[v]) for v in verts}
             records.append(
                 {
                     "stage": (g, j, k),
@@ -1292,7 +1281,7 @@ def solve_configuration(config: Configuration, R: int, eps: float,
     outputs = {v: restrict_to_ball(cur[v], R) for v in verts}
 
     energies_before, energies_after, restriction_drift, restriction_energy = (
-        _final_energies(config, outputs, R, tol)
+        _final_energies(config, outputs, R)
     )
     report = SolverReport(
         edges=tuple(edge_seq),
@@ -1321,19 +1310,17 @@ def _encost(before: dict, after: dict) -> float:
     return float(worst)
 
 
-def _final_energies(config: Configuration, extensions, R: int, tol: float):
+def _final_energies(config: Configuration, extensions, R: int):
     """Edge energies before (over B_r) and after (over B_{R//2}), then per
     vertex the l1 distance and two-sided relative energy between the
     extension cut back to Ball(2r) and the original."""
     edges = config.edge_order()
     before = {
-        e: relative_energy(config.functions[e[0]], config.functions[e[1]],
-                           r=config.r, tol=tol).energy
+        e: relative_energy(config.functions[e[0]], config.functions[e[1]], r=config.r).energy
         for e in edges
     }
     after = {
-        e: relative_energy(extensions[e[0]], extensions[e[1]], r=R // 2,
-                           tol=tol).energy
+        e: relative_energy(extensions[e[0]], extensions[e[1]], r=R // 2).energy
         for e in edges
     }
     drift = {}
@@ -1342,8 +1329,8 @@ def _final_energies(config: Configuration, extensions, R: int, tol: float):
         C = config.functions[v]
         cut = restrict_to_ball(extensions[v], 2 * config.r)
         drift[v] = l1_distance(cut, C)
-        forward = relative_energy(C, cut, r=config.r, tol=tol).energy
-        backward = relative_energy(cut, C, r=config.r, tol=tol).energy
+        forward = relative_energy(C, cut, r=config.r).energy
+        backward = relative_energy(cut, C, r=config.r).energy
         restriction[v] = max(forward, backward)
     return before, after, drift, restriction
 
@@ -1354,8 +1341,7 @@ def _over_budget(restriction_energy: dict, eps: float) -> str:
     )
 
 
-def encost_report(config: Configuration, extensions, eps: float,
-                  tol: float = DEFAULT_TOL) -> float:
+def encost_report(config: Configuration, extensions, eps: float) -> float:
     """Extension energy cost of a set of extensions against a configuration.
 
     M is the largest, over the edges, of (energy of the extended pair over
@@ -1375,7 +1361,7 @@ def encost_report(config: Configuration, extensions, eps: float,
     R = next(iter(domains)).r
     if R < 2 * config.r:
         raise DomainError(f"extensions must cover the data ball Ball({2 * config.r})")
-    before, after, _, restriction = _final_energies(config, extensions, R, tol)
+    before, after, _, restriction = _final_energies(config, extensions, R)
     bad = _over_budget(restriction, eps)
     if bad:
         raise ParameterError(f"restriction energies exceed 1 + eps for: {bad}")

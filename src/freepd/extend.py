@@ -127,7 +127,7 @@ def constant_policy(z) -> ParameterPolicy:
     )
 
 
-def legal_disk(C: PDFunction, tol: float = DEFAULT_TOL) -> tuple:
+def legal_disk(C: PDFunction) -> tuple:
     """The disk of values completing the current stage positively.
 
     Returns (center, radius).  Values v with |v - center| < radius give
@@ -135,7 +135,7 @@ def legal_disk(C: PDFunction, tol: float = DEFAULT_TOL) -> tuple:
     gives semidefinite ones, everything outside fails.  Both |center| <= 1
     and 0 <= radius <= 1 hold since all working vectors are unit vectors.
     """
-    rd = _residuals(C, tol)
+    rd = _residuals(C)
     return complex(rd.cross), float(rd.n_g * rd.n_e)
 
 
@@ -148,10 +148,10 @@ def _stage_error(C: PDFunction, exc: FreePDError, message: str) -> FreePDError:
     return exc
 
 
-def _residuals(C: PDFunction, tol: float):
+def _residuals(C: PDFunction):
     """The residual data of C's stage; a failure names the stage."""
     try:
-        return residual_data(build_partial_space(C), tol=tol)
+        return residual_data(build_partial_space(C))
     except FreePDError as exc:
         raise _stage_error(C, exc, "residuals failed")
 
@@ -171,11 +171,11 @@ def _write_and_advance(C: PDFunction, rd, zeta: SzegoParameter) -> PDFunction:
     else:
         new_dom = Domain.partial(dom.g, slot // d + 1, slot % d + 1)
     nxt = fill_stage(C, value, new_dom)
-    hand_off(C, nxt, value)
+    hand_off(C, nxt)
     return nxt
 
 
-def extend_entry(C: PDFunction, zeta, tol: float = DEFAULT_TOL) -> PDFunction:
+def extend_entry(C: PDFunction, zeta) -> PDFunction:
     """One extension step at the current stage of a partial function.
 
     The output lives on the successor stage and restricts to C exactly.
@@ -185,12 +185,12 @@ def extend_entry(C: PDFunction, zeta, tol: float = DEFAULT_TOL) -> PDFunction:
     if C.domain.kind != "partial":
         raise DomainError("extend_entry needs a partially defined function")
     z = _as_zeta(zeta)
-    return _write_and_advance(C, _residuals(C, tol), z)
+    return _write_and_advance(C, _residuals(C), z)
 
 
-def _policy_step(C: PDFunction, policy: ParameterPolicy, tol: float) -> PDFunction:
+def _policy_step(C: PDFunction, policy: ParameterPolicy) -> PDFunction:
     dom = C.domain
-    rd = _residuals(C, tol)
+    rd = _residuals(C)
     context = {"disk": (complex(rd.cross), float(rd.n_g * rd.n_e)), "residuals": rd}
     try:
         z = _as_zeta(policy.rule((dom.g, dom.j, dom.k), C, context))
@@ -205,12 +205,7 @@ def _open_walk(C: PDFunction) -> PDFunction:
     return restrict_to_stage(C, next_novel((3,) * C.domain.r), 1, 1)
 
 
-def extend_ball(
-    C: PDFunction,
-    R: int,
-    policy: ParameterPolicy | None = None,
-    tol: float = DEFAULT_TOL,
-) -> PDFunction:
+def extend_ball(C: PDFunction, R: int, policy: ParameterPolicy | None = None) -> PDFunction:
     """Extend a function on Ball(r) to Ball(R) stage by stage.
 
     Novel levels of B_R are visited in shortlex order, all d*d coordinates
@@ -228,16 +223,16 @@ def extend_ball(
         policy = central_policy()
     cur = _open_walk(C)
     while len(cur.domain.g) <= R:
-        cur = _policy_step(cur, policy, tol)
+        cur = _policy_step(cur, policy)
     return restrict_to_ball(cur, R)
 
 
-def central_extension(C: PDFunction, R: int, tol: float = DEFAULT_TOL) -> PDFunction:
+def central_extension(C: PDFunction, R: int) -> PDFunction:
     """The zeta = 0 extension of a ball function out to radius R."""
-    return extend_ball(C, R, policy=central_policy(), tol=tol)
+    return extend_ball(C, R, policy=central_policy())
 
 
-def toeplitz_step(seq, zeta, tol: float = DEFAULT_TOL) -> complex:
+def toeplitz_step(seq, zeta) -> complex:
     """One Schur extension step for a scalar positive definite sequence.
 
     seq = (c_0, ..., c_N) with c_0 = 1 must have a strictly positive
@@ -251,17 +246,19 @@ def toeplitz_step(seq, zeta, tol: float = DEFAULT_TOL) -> complex:
     c = np.asarray(seq, dtype=complex).ravel()
     if c.size == 0:
         raise ParameterError("the sequence must contain at least c_0")
+    if not np.isfinite(c).all():
+        raise ParameterError("the sequence must be finite")
     if abs(c[0] - 1.0) > 1e-12:
         raise ParameterError(f"c_0 must equal 1, got {c[0]}")
     z = _as_zeta(zeta)
     N = c.size - 1
     T = scipy.linalg.toeplitz(np.append(c, complex("nan")))
     lam = scipy.linalg.eigvalsh(T[:N + 1, :N + 1])
-    if lam[0] <= tol * c.size:
+    if lam[0] <= DEFAULT_TOL * c.size:
         raise NotStrictError(
             f"the Toeplitz matrix is not strictly positive (min eig {lam[0]:.3e})"
         )
     order = list(range(1, N + 2)) + [0]
     G = T[np.ix_(order, order)]
-    rd = residual_from_gram(G, core_size=N, tol=tol)
+    rd = residual_from_gram(G, core_size=N)
     return complex(z.value * (rd.n_g * rd.n_e) + rd.cross)

@@ -28,9 +28,9 @@ factor with the 2d g/e vectors: their interior coordinates V and the 2d x 2d
 Schur block S = G[ge, ge] - V* V, the Gram of their residuals against the
 interior.  A stage (j, k) then factors only the rows (g, m < j) and
 (e, m < k) of S and borders them with (g, j) and (e, k); the interior part
-V* V of the cross term is added back.  The stage Q-Gram is served by index
-selection from the level Gram with the C(g) block read from the function's
-top row, so its values are those of a direct gather.  A function built by
+V* V of the cross term is added back.  The stage Q-Gram and S are served
+from the level with the C(g) block read from the function's own top row, so
+their values are those of a direct gather.  A function built by
 the walk on the same level inherits the level through hand_off, every other
 function builds its own on first use.  Vectors never materialize.
 """
@@ -53,8 +53,6 @@ from .errors import (
 )
 from .pdcore import DEFAULT_TOL, PDFunction
 from .words import Word
-
-DEGENERACY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,11 +117,9 @@ class PartialHilbertSpace:
     the level's Schur block with this function's C(g) values.
     """
 
-    def __init__(self, level: _Level, C: PDFunction, schur=None):
+    def __init__(self, level: _Level, C: PDFunction):
         self.level, self.j, self.k = level, C.domain.j, C.domain.k
         self.top = C._stack[-1]
-        if schur is not None:
-            self.schur = schur
         self._residuals = None
 
     @property
@@ -151,8 +147,10 @@ class PartialHilbertSpace:
 
     @cached_property
     def schur(self) -> np.ndarray:
-        n = self.level.size
-        S = self.level.gram[n:, n:] - self.level.projections()
+        n, d = self.level.size, self.level.d
+        S = np.array(self.level.gram[n:, n:])
+        S[:d, d:], S[d:, :d] = self.top, self.top.conj().T
+        S -= self.level.projections()
         S.setflags(write=False)
         return S
 
@@ -203,30 +201,21 @@ def build_partial_space(C: PDFunction) -> PartialHilbertSpace:
     return C._stage_space
 
 
-def hand_off(C: PDFunction, nxt: PDFunction, value: complex):
-    """Give nxt, which is C with value written at its working slot, C's
-    level and a private copy of C's Schur block holding value at the working
-    pair, if nxt sits on the same level.  C's space does not change; one
-    without computed residuals has nothing to hand on."""
+def hand_off(C: PDFunction, nxt: PDFunction):
+    """Give nxt, the function C's walk step wrote, C's level if it sits on
+    the same one; nxt's own space reads its C(g) values from its top row.
+    C's space does not change."""
     sp = C._stage_space
-    if sp is None or sp._residuals is None or nxt.domain.g != sp.level.g:
-        return
-    d = sp.level.d
-    a, b = sp.j - 1, d + sp.k - 1
-    P = sp.level.projections()
-    S = np.array(sp.schur)
-    S[a, b] = value - P[a, b]
-    S[b, a] = np.conj(value) - P[b, a]
-    S.setflags(write=False)
-    nxt._stage_space = PartialHilbertSpace(sp.level, nxt, S)
+    if sp is not None and nxt.domain.g == sp.level.g:
+        nxt._stage_space = PartialHilbertSpace(sp.level, nxt)
 
 
-def _cholesky(M, tol: float, first: int = 0):
+def _cholesky(M, first: int = 0):
     """Lower Cholesky factor L of a Hermitian matrix (M = L L*) and its pivots.
 
     The pivots are the diagonal of L; a pivot LAPACK could not take reads 0,
     as does every pivot after it.  NotStrictError is raised when a pivot is
-    at or below tol, its position counted from first.
+    at or below DEFAULT_TOL, its position counted from first.
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
@@ -239,7 +228,7 @@ def _cholesky(M, tol: float, first: int = 0):
     pivots = np.diag(L).real.copy()
     if info > 0:
         pivots[info - 1:] = 0.0
-    bad = np.flatnonzero(pivots <= tol)
+    bad = np.flatnonzero(pivots <= DEFAULT_TOL)
     if bad.size:
         t = int(bad[0])
         raise NotStrictError(
@@ -248,16 +237,16 @@ def _cholesky(M, tol: float, first: int = 0):
     return L, pivots
 
 
-def ortho_matrices(M, tol: float = DEFAULT_TOL):
+def ortho_matrices(M):
     """Orthogonalization matrices of M in input order, from its Cholesky factor.
 
     Returns (G, N): G is the unit upper triangular orthogonalization matrix
     (its column k holds the coefficients turning y-coordinates into the k-th
     orthogonal vector's coordinates, conjugated), N = L^-* the
     orthonormalization matrix, so that (N^-1)* (N^-1) equals M and
-    G = N diag(L).  A pivot (residual norm) at or below tol raises.
+    G = N diag(L).  A pivot (residual norm) at or below DEFAULT_TOL raises.
     """
-    L, pivots = _cholesky(M, tol)
+    L, pivots = _cholesky(M)
     if not pivots.size:
         return L, L.copy()
     # inverting the unit lower triangular L diag(L)^-1 keeps G's diagonal
@@ -274,7 +263,7 @@ def _core_coordinates(M: np.ndarray, m: int, first: int = 0) -> np.ndarray:
     raises NotStrictError, its position counted from first."""
     V = np.zeros((m, M.shape[1] - m), dtype=complex)
     if m:
-        L, _ = _cholesky(M[:m, :m], DEFAULT_TOL, first=first)
+        L, _ = _cholesky(M[:m, :m], first=first)
         for c in range(V.shape[1]):
             V[:, c] = scipy.linalg.blas.ztrsv(L, M[:m, m + c], lower=1)
     return V
@@ -289,33 +278,31 @@ def _border(M: np.ndarray, m: int, first: int = 0) -> tuple:
     return n_g, n_e, complex(np.vdot(V[:, 0], V[:, 1]))
 
 
-def _checked(n_g: float, n_e: float, cross: complex, tol: float) -> ResidualData:
-    if not (n_g > tol and n_e > tol):  # NaN fails too
+def _checked(n_g: float, n_e: float, cross: complex) -> ResidualData:
+    if not (n_g > DEFAULT_TOL and n_e > DEFAULT_TOL):  # NaN fails too
         raise DegenerateStageError(
             f"residual norm collapsed (n_g={n_g:.3e}, n_e={n_e:.3e})"
         )
     return ResidualData(n_g=n_g, n_e=n_e, cross=cross)
 
 
-def residual_from_gram(G: np.ndarray, core_size: int,
-                       tol: float = DEGENERACY_TOL) -> ResidualData:
+def residual_from_gram(G: np.ndarray, core_size: int) -> ResidualData:
     """Residual data of a stage Gram: core at the front, the two working
     vectors in the last two rows (g-side first, e-side last).
 
     The core is factored once and bordered with each working vector, so the
     NaN corner never enters.  A core pivot at or below DEFAULT_TOL raises
-    NotStrictError, a residual at or below tol DegenerateStageError.  The
+    NotStrictError, a residual norm at or below it DegenerateStageError.  The
     outcome does not depend on the core ordering, since an orthogonal
     projection is basis-free.
     """
     G = np.asarray(G, dtype=complex)
     if G.ndim != 2 or core_size != G.shape[0] - 2:
         raise ParameterError("core_size must be the matrix size minus two")
-    return _checked(*_border(G, core_size), tol)
+    return _checked(*_border(G, core_size))
 
 
-def residual_data(space: PartialHilbertSpace,
-                  tol: float = DEGENERACY_TOL) -> ResidualData:
+def residual_data(space: PartialHilbertSpace) -> ResidualData:
     """The stage numbers of a partial Hilbert space, from its level's factor
     (see PartialHilbertSpace.residuals and residual_from_gram)."""
-    return _checked(*space.residuals(), tol)
+    return _checked(*space.residuals())

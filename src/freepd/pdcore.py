@@ -69,6 +69,9 @@ from .words import (
 DEFAULT_TOL = 1e-10
 MIRROR_TOL = 1e-12
 
+# The largest maximal clique the brute-force positivity check gathers a Gram for.
+BRUTE_FORCE_CAP = 64
+
 
 def _as_word(key) -> Word:
     """Accept a word as a tuple of letters or as text; validate either way."""
@@ -435,7 +438,7 @@ def _partial_stage_families(C: PDFunction):
             yield tuple(pairs[i] for i in at), (quotients, slots[np.ix_(at, at)], coords[at])
 
 
-def _gram_families(C: PDFunction, brute_force: bool, cap: int):
+def _gram_families(C: PDFunction, brute_force: bool):
     yield tuple(((), m) for m in range(1, C.d + 1)), None
     dom = C.domain
     if brute_force:
@@ -450,9 +453,9 @@ def _gram_families(C: PDFunction, brute_force: bool, cap: int):
             key=lambda E: (len(E), tuple(map(shortlex_key, E))),
         )
         for E in found:
-            if len(E) > cap:
+            if len(E) > BRUTE_FORCE_CAP:
                 raise ParameterError(
-                    f"brute-force clique of size {len(E)} exceeds the cap {cap}"
+                    f"brute-force clique of size {len(E)} exceeds the cap {BRUTE_FORCE_CAP}"
                 )
             yield tuple((h, m) for h in E for m in range(1, C.d + 1)), None
     else:
@@ -464,8 +467,7 @@ def _gram_families(C: PDFunction, brute_force: bool, cap: int):
         yield from _partial_stage_families(C)
 
 
-def check_pd(C: PDFunction, tol: float = DEFAULT_TOL, brute_force: bool = False,
-             cap: int = 64) -> PDVerdict:
+def check_pd(C: PDFunction, tol: float = DEFAULT_TOL, brute_force: bool = False) -> PDVerdict:
     """Classify C as strict, semidefinite or not_pd, with an extremal witness.
 
     The default family is one Gram matrix per novel level (plus the stage
@@ -473,10 +475,14 @@ def check_pd(C: PDFunction, tol: float = DEFAULT_TOL, brute_force: bool = False,
     clique of the domain graph instead.  Eigenvalues are compared against
     tol scaled by the matrix dimension; crossing below the negative threshold
     ends the scan immediately with that clique and eigenvector as certificate.
+    tol must be a finite real number >= 0; it is the package's one tolerance
+    a caller sets, every other check reads DEFAULT_TOL.
     """
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tol must be a finite real number >= 0, got {tol!r}")
     worst = None
     strict = True
-    for pairs, table in _gram_families(C, brute_force, cap):  # None: _gram looks it up
+    for pairs, table in _gram_families(C, brute_force):  # None: _gram looks it up
         G = _gram(C, pairs, table=table)
         vals, vecs = np.linalg.eigh(G)
         lam = float(vals[0])
@@ -508,11 +514,11 @@ class Realization:
         return self.factors[self.indices.index((_as_word(w), j))]
 
 
-def realize(C: PDFunction, tol: float = DEFAULT_TOL) -> Realization:
+def realize(C: PDFunction) -> Realization:
     """Factor the Gram of C into vectors: over B_{r//2} for a ball domain of
     radius r, over K_g for a prefix domain (so every needed product stays
-    inside the data).  Eigenvalues in [-tol*n, 0] are clipped to zero; worse
-    ones raise."""
+    inside the data).  Eigenvalues in [-DEFAULT_TOL*n, 0] are clipped to
+    zero; worse ones raise."""
     dom, table = C.domain, None
     if dom.kind == "ball":
         pairs = tuple((h, m) for h in words.ball(dom.r // 2) for m in range(1, C.d + 1))
@@ -522,7 +528,7 @@ def realize(C: PDFunction, tol: float = DEFAULT_TOL) -> Realization:
         raise DomainError("cannot realize a partially specified function")
     G = _gram(C, pairs, table=table)
     vals, vecs = np.linalg.eigh(G)
-    thr = tol * len(pairs)
+    thr = DEFAULT_TOL * len(pairs)
     if vals[0] < -thr:
         raise NotPositiveError(
             f"minimum Gram eigenvalue {vals[0]:.3e} is below the tolerance -{thr:.1e}"

@@ -98,15 +98,15 @@ def _eigvalsh(G) -> np.ndarray:
     return w
 
 
-def _strict_min_eig(G, tol: float, name: str) -> float:
-    """The least eigenvalue of G; NotStrictError unless it exceeds tol * n."""
+def _strict_min_eig(G, name: str) -> float:
+    """The least eigenvalue of G; NotStrictError unless it exceeds DEFAULT_TOL * n."""
     lam = float(_eigvalsh(G)[0])
-    if lam <= tol * G.shape[0]:
+    if lam <= DEFAULT_TOL * G.shape[0]:
         raise NotStrictError(f"{name} is not strictly positive (min eigenvalue {lam:.3e})")
     return lam
 
 
-def _top_generalized_eig(G_C, G_D, tol: float):
+def _top_generalized_eig(G_C, G_D):
     """All generalized eigenvalues of G_D x = lambda G_C x plus the top achiever.
 
     G_C must be strict (checked by zheevr).  The pencil (G_D - G_C, G_C) is
@@ -118,7 +118,7 @@ def _top_generalized_eig(G_C, G_D, tol: float):
     its largest coordinate rotated to the positive real axis so repeated
     calls agree, and certified by its Rayleigh quotient.
     """
-    _strict_min_eig(G_C, tol, "the base Gram matrix")
+    _strict_min_eig(G_C, "the base Gram matrix")
     A = G_D - G_C
     _require_finite(A)
     vals, vecs, info = zhegvd(A, G_C, itype=1, jobz="V", uplo="L")
@@ -138,10 +138,10 @@ def _top_generalized_eig(G_C, G_D, tol: float):
     return vals, x
 
 
-def _energy_report(G_C, G_D, tol: float, restriction: str, pairs) -> EnergyReport:
+def _energy_report(G_C, G_D, restriction: str, pairs) -> EnergyReport:
     """The top pencil energy with a unit achiever; G_D must be strict too."""
-    _strict_min_eig(G_D, tol, f"the comparison Gram ({restriction})")
-    vals, x = _top_generalized_eig(G_C, G_D, tol)
+    _strict_min_eig(G_D, f"the comparison Gram ({restriction})")
+    vals, x = _top_generalized_eig(G_C, G_D)
     return EnergyReport(float(vals[-1]), x / np.linalg.norm(x), restriction, tuple(pairs))
 
 
@@ -149,9 +149,7 @@ def _ball_pairs(r: int, d: int) -> list:
     return [(w, j) for w in ball(r) for j in range(1, d + 1)]
 
 
-def relative_energy(
-    C: PDFunction, D: PDFunction, r: int | None = None, tol: float = DEFAULT_TOL
-) -> EnergyReport:
+def relative_energy(C: PDFunction, D: PDFunction, r: int | None = None) -> EnergyReport:
     """Relative energy of (C, D) over the index set B_r x [d].
 
     Both functions must live on the same Ball(R) domain with 2r <= R, since
@@ -172,12 +170,10 @@ def relative_energy(
     pairs = _ball_pairs(r, C.d)
     G_C = pdcore._gram(C, pairs)
     G_D = pdcore._gram(D, pairs)
-    return _energy_report(G_C, G_D, tol, "full", pairs)
+    return _energy_report(G_C, G_D, "full", pairs)
 
 
-def partial_relative_energy(
-    C: PDFunction, D: PDFunction, tol: float = DEFAULT_TOL
-) -> EnergyReport:
+def partial_relative_energy(C: PDFunction, D: PDFunction) -> EnergyReport:
     """Relative energy of two stage-partial functions on the same stage.
 
     The transport operator of a stage acts on the two enlargements X_g and
@@ -193,15 +189,13 @@ def partial_relative_energy(
     idx = sC.indices
     core = list(idx.P)
     sides = (
-        _energy_report(sC.x_g_gram, sD.x_g_gram, tol, "X_g", core + [(idx.g, idx.j)]),
-        _energy_report(sC.x_e_gram, sD.x_e_gram, tol, "X_e", core + [((), idx.k)]),
+        _energy_report(sC.x_g_gram, sD.x_g_gram, "X_g", core + [(idx.g, idx.j)]),
+        _energy_report(sC.x_e_gram, sD.x_e_gram, "X_e", core + [((), idx.k)]),
     )
     return max(sides, key=lambda rep: rep.energy)
 
 
-def energy_schedule(
-    C: PDFunction, D: PDFunction, radii=None, tol: float = DEFAULT_TOL
-) -> list:
+def energy_schedule(C: PDFunction, D: PDFunction, radii=None) -> list:
     """Relative energies along an increasing list of radii.
 
     The resulting energies are nondecreasing: each index set contains the
@@ -217,7 +211,7 @@ def energy_schedule(
         raise ParameterError("no radii requested")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ParameterError("radii must be strictly increasing")
-    return [relative_energy(C, D, r=r, tol=tol) for r in radii]
+    return [relative_energy(C, D, r=r) for r in radii]
 
 
 def perturbation_bound_check(L, M, sigma: float) -> bool:

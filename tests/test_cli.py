@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import freepd
-from freepd import cli, energysolver
+from freepd import cli, energysolver, hilbert
 from freepd.cli import dispatch, main
 from freepd.errors import DegenerateStageError, ParameterError
 from freepd.extend import _stage_error, toeplitz_step
@@ -55,6 +55,20 @@ def test_check_rejects_non_pd(tmp_path):
     report = json.loads((tmp_path / "bad.report.json").read_text())
     assert report["status"] == "not_pd"
     assert report["witness"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_check_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tmp_path, tol):
+    fn = tmp_path / "bad.json"
+    fn.write_text(json.dumps({
+        "d": 1,
+        "domain": {"kind": "ball", "r": 1},
+        "entries": {"a": [[[2.0, 0.0]]], "b": [[[0.0, 0.0]]]},
+    }))
+    res = run("check", fn, "--tol", tol)
+    assert res.code == 2
+    assert "'tol'" in res.summary
+    assert not (tmp_path / "bad.report.json").exists()
 
 
 def test_energy_identity_prints_ones(tmp_path):
@@ -152,6 +166,9 @@ def test_toeplitz_rejects_bad_input():
     assert run("toeplitz", "--seq", "1,2", "--zeta", "0,0").code == 1
     assert run("toeplitz", "--seq", "1,0.5", "--zeta", "7").code == 2
     assert run("toeplitz", "--seq", "x", "--zeta", "0,0").code == 2
+    for seq in ("1,nan", "1,inf", "nan"):
+        res = run("toeplitz", "--seq", seq, "--zeta", "0,0")
+        assert res.code == 2 and "'seq'" in res.summary
 
 
 def _tree_config(tmp_path):
@@ -205,7 +222,7 @@ def _failing_edge_solve(*args, **kwargs):
     raise ParameterError("eta must be a positive real number")
 
 
-def _failing_stage_write(C, zeta, tol):
+def _failing_stage_write(C, zeta):
     raise _stage_error(C, DegenerateStageError("collapsed"), "residuals failed")
 
 
@@ -228,6 +245,27 @@ def test_solve_failure_names_the_stage_in_a_report(tmp_path, monkeypatch, name, 
     assert report["error"] == error
     assert report["type"] == kind
     assert report["stage"] == {"g": "aaa", "j": 1, "k": 1}
+
+
+def _no_descent(*args, **kwargs):
+    raise AssertionError("the edge descent ran on a degenerate stage")
+
+
+def test_solve_stops_before_descent_on_a_residual_at_the_threshold(tmp_path, monkeypatch):
+    # a residual norm of 1e-11 is below DEFAULT_TOL, the one residual threshold
+    residuals = hilbert.PartialHilbertSpace.residuals
+    monkeypatch.setattr(hilbert.PartialHilbertSpace, "residuals",
+                        lambda self: (1e-11, *residuals(self)[1:]))
+    monkeypatch.setattr(energysolver, "_solve_edge_impl", _no_descent)
+    cfg = _tree_config(tmp_path)
+    out = tmp_path / "solved"
+    res = run("solve", "--config", cfg, "--radius", 3, "--epsilon", 0.01, "--out", out)
+    assert res.code == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["type"] == "DegenerateStageError"
+    assert report["stage"] == {"g": "aaa", "j": 1, "k": 1}
+    assert report["error"].startswith(
+        "stopped at stage (aaa, 1, 1): residual norm collapsed (n_g=1.000e-11")
 
 
 def test_solve_same_seed_gives_identical_files(tmp_path):

@@ -194,12 +194,12 @@ def test_solve_edge_identical_functions_reaches_unit_energy():
 def test_solve_edge_singular_pairs_converge_fast_and_stationary():
     rng = np.random.default_rng(31)
     for seed in (2, 12, 33):
-        _, sing, cert = _singular_pair(seed)
+        _, sing, _ = _singular_pair(seed)
         C, D = sing
         mu = _disk_point(rng, 0.5)
         base = partial_relative_energy(C, D).energy
         # the iteration cap doubles as the convergence-speed assertion
-        zeta = solve_edge(C, D, mu, certificate=cert, max_iter=1000)
+        zeta = solve_edge(C, D, mu, max_iter=1000)
         e = stage_energy(C, D, zeta.value, mu)
         assert e <= base + 1e-6
         for s in (1, -1, 1j, -1j):
@@ -404,6 +404,38 @@ def test_solve_configuration_cycle_controls_edge_energies():
     _assert_driver_report(cfg, report, 1e-3)
     assert report.encost <= 1.01
     assert encost_report(cfg, ext, 1e-3) == pytest.approx(report.encost)
+
+
+# Iteration counts and energies of one seeded family solved r=1 -> R=3, as
+# the solver computed them when these pins were taken; any change to the
+# descent, its thresholds or its random draws moves the counts.
+SOLVE_PINS = {
+    "path": (
+        _path_config, 463,
+        [39, 13, 9, 15, 20, 54, 98, 27, 41, 22, 15, 9, 12, 20, 16, 20, 8, 25],
+        {("a", "b"): 1.0768805473723242, ("b", "c"): 1.0764566578334553},
+    ),
+    "cycle": (
+        _cycle_config, 4461,
+        [224, 424, 122, 140, 260, 338, 913, 270, 149, 163, 186, 152, 123, 227,
+         185, 170, 195, 220],
+        {("a", "b"): 1.0768805473723242, ("b", "c"): 1.0764566578334553,
+         ("c", "a"): 1.066110818983475},
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SOLVE_PINS))
+def test_solve_configuration_pinned_iterations_and_energies(shape):
+    make, total, per_stage, energies = SOLVE_PINS[shape]
+    cfg = make(_ball2_family(seeds=(200, 201, 202, 203)))
+    _, report = solve_configuration(cfg, R=3, eps=1e-3, seed=0)
+    assert report.iterations_total == total
+    assert [rec["iterations"] for rec in report.stage_records] == per_stage
+    assert report.energies_after.keys() == energies.keys()
+    for e, x in energies.items():
+        assert abs(report.energies_after[e] - x) <= 1e-12
+    assert abs(report.encost - 1.0) <= 1e-12
 
 
 def test_solve_configuration_budget_error():

@@ -352,6 +352,9 @@ def test_toeplitz_step_examples():
         toeplitz_step([1.0, 1.0], 0)
     with pytest.raises(ParameterError):
         toeplitz_step([1, 0.5], 1.0)
+    for bad in ([1, np.nan], [1, np.inf], [np.nan]):
+        with pytest.raises(ParameterError, match="finite"):
+            toeplitz_step(bad, 0)
 
 
 def test_toeplitz_step_keeps_sequences_positive():

@@ -256,6 +256,10 @@ def test_check_pd_hand_examples():
     quad = (alpha.conj() @ G @ alpha).real
     assert quad == pytest.approx(-1.0, abs=1e-12)
     assert quad < 0
+    for tol in (np.nan, np.inf, -1.0, "1e-9"):
+        with pytest.raises(ParameterError, match="tol"):
+            check_pd(bad, tol=tol)
+    assert check_pd(bad, tol=0).status == "not_pd"
 
 
 def test_check_pd_clique_and_brute_modes_agree():

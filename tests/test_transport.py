@@ -97,7 +97,7 @@ def test_pencil_on_an_ill_conditioned_base_matches_closed_form():
     G_C = (Q * lam) @ Q.conj().T
     u = rng.normal(size=n) + 1j * rng.normal(size=n)
     G_D = G_C + np.outer(u, u.conj())
-    vals, x = _top_generalized_eig(G_C, G_D, DEFAULT_TOL)
+    vals, x = _top_generalized_eig(G_C, G_D)
     expected = 1.0 + float(np.sum(np.abs(Q.conj().T @ u) ** 2 / lam))
     assert vals[-1] == pytest.approx(expected, rel=1e-6)
     assert np.real(x.conj() @ G_C @ x) == pytest.approx(1.0, rel=1e-6)
@@ -117,7 +117,7 @@ def test_kernel_matches_scipy_bit_for_bit():
         G_C, G_D = _random_hpd(rng, n), _random_hpd(rng, n)
         for G in (G_C, G_D):
             assert np.array_equal(_eigvalsh(G), scipy.linalg.eigvalsh(G))
-        vals, x = _top_generalized_eig(G_C, G_D, DEFAULT_TOL)
+        vals, x = _top_generalized_eig(G_C, G_D)
         ref_vals, ref_vecs = scipy.linalg.eigh(G_D - G_C, G_C)
         assert np.array_equal(vals, ref_vals + 1.0)
         y = ref_vecs[:, -1]
@@ -133,10 +133,10 @@ def test_kernel_rejects_non_finite_grams():
     with pytest.raises(ValueError):
         _eigvalsh(bad)
     with pytest.raises(ValueError):
-        _top_generalized_eig(bad, G, DEFAULT_TOL)
+        _top_generalized_eig(bad, G)
     bad[2, 1] = complex("inf")
     with pytest.raises(ValueError):
-        _top_generalized_eig(G, bad, DEFAULT_TOL)
+        _top_generalized_eig(G, bad)
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.5])
@@ -146,7 +146,7 @@ def test_kernel_rejects_a_base_at_the_strictness_floor(scale):
     G_C = np.diag([floor, 1.0, 2.0]).astype(complex)
     assert _eigvalsh(G_C)[0] == floor
     with pytest.raises(NotStrictError, match="base Gram"):
-        _top_generalized_eig(G_C, np.eye(n, dtype=complex), DEFAULT_TOL)
+        _top_generalized_eig(G_C, np.eye(n, dtype=complex))
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
@@ -160,7 +160,7 @@ def test_small_kernels_leave_no_blas_thread_spinning():
     G_C, G_D, G = (M @ M.conj().T for M in (A, B, V))
     G[-2, -1] = G[-1, -2] = complex("nan")
     time.sleep(0.3)  # let any worker woken before this test fall idle
-    _top_generalized_eig(G_C, G_D, DEFAULT_TOL)
+    _top_generalized_eig(G_C, G_D)
     residual_from_gram(G, 32)
     start = time.process_time()
     time.sleep(0.3)
