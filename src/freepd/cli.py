@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,6 +75,18 @@ def _load_json(path):
         raise FormatError(str(path), f"{path} is not valid JSON: {exc}") from exc
 
 
+def _finite(flag, text) -> float:
+    """The value of a float flag, which must be a finite number; otherwise
+    FormatError naming the flag."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise FormatError(flag, f"--{flag} must be a finite number, got {text!r}")
+    return x
+
+
 def _failed(verb, path, inputs, exc, staged=False) -> CommandResult:
     """Write the report of a failed command and exit 1.
 
@@ -111,7 +124,8 @@ def _cmd_check(args) -> CommandResult:
 
 
 def _cmd_random(args) -> CommandResult:
-    C = random_nspd(args.r, args.d, seed=args.seed, margin=args.margin)
+    margin = _finite("margin", args.margin)
+    C = random_nspd(args.r, args.d, seed=args.seed, margin=margin)
     save_function(C, args.out)
     summary = f"wrote a d={args.d} function on Ball({args.r}) to {args.out}"
     return CommandResult(0, summary, str(args.out))
@@ -155,6 +169,7 @@ def _cmd_energy(args) -> CommandResult:
 
 
 def _cmd_solve(args) -> CommandResult:
+    epsilon = _finite("epsilon", args.epsilon)
     cfg_path = Path(args.config)
     obj = _load_json(cfg_path)
     if not isinstance(obj, dict):
@@ -172,7 +187,7 @@ def _cmd_solve(args) -> CommandResult:
         config = configuration_from_dict(obj, functions)
         outdir.mkdir(parents=True, exist_ok=True)
         extensions, report = solve_configuration(
-            config, args.radius, args.epsilon, seed=args.seed
+            config, args.radius, epsilon, seed=args.seed
         )
     except FormatError:
         raise
@@ -185,7 +200,7 @@ def _cmd_solve(args) -> CommandResult:
     payload = report.to_dict()
     payload["config"] = str(cfg_path)
     write_json_atomic(payload, outdir / "report.json")
-    bad = report.over_budget(args.epsilon)
+    bad = report.over_budget(epsilon)
     if bad:
         return CommandResult(
             1, f"solve failed: restriction energies exceed 1 + eps for: {bad}",
@@ -231,10 +246,7 @@ def _cmd_toeplitz(args) -> CommandResult:
     parts = args.zeta.split(",")
     if len(parts) != 2:
         raise FormatError("zeta", "--zeta takes re,im")
-    try:
-        zeta = complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise FormatError("zeta", f"--zeta must be two numbers, got {args.zeta!r}")
+    zeta = complex(_finite("zeta", parts[0]), _finite("zeta", parts[1]))
     value = toeplitz_step(seq, zeta)
     return CommandResult(0, f"c_{len(seq)} = {_fmt_complex(value)}", "")
 
@@ -256,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--margin", type=float, default=0.1)
+    p.add_argument("--margin", default="0.1")
     p.add_argument("--out", required=True)
     p.set_defaults(run=_cmd_random)
 
@@ -276,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="extend a configuration with controlled energies")
     p.add_argument("--config", required=True)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(run=_cmd_solve)

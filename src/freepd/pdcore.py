@@ -22,8 +22,12 @@ the mirror is materialized on read.  A function is one read-only (N, d, d)
 stack ranked in the global shortlex order of canonical words, which every
 domain's words begin (words.canonical_ball); a partial top is the last row,
 its undefined slots a complex NaN.  Restrictions are slices and every Gram
-is one gather (_gram) from [I, stack, NaN] through words.quotient_table,
-whose quotient ranks words.canonical_rows maps to rows.
+is one gather (_gather) from [I, stack, NaN] through a quotient table
+(words.quotient_table, or a clique's own), whose quotient ranks
+words.canonical_rows maps to rows.  The gather takes a stack of tables of
+one size too: check_pd visits the levels a word length at a time, reading
+their tables from the length's clique table and passing the Grams of one
+clique size to one stacked eigh, then scans the results in level order.
 """
 
 from __future__ import annotations
@@ -339,37 +343,45 @@ def _stage_rows(n: int, d: int, j: int, k: int):
     return [*range(n + j - 1), *range(n + d, n + d + k - 1)], [n + j - 1, n + d + k - 1]
 
 
+def _gather(C: PDFunction, quotients, slots, coords) -> np.ndarray:
+    """The one Gram assembly: G[..., i1, i2] = C(w2^-1 w1)[c1, c2] as one
+    gather from [I, stack, NaN] for a table (quotients, slots, coords) (see
+    _gram_slots) whose slots may stack several Grams of one size, each
+    quotient rank at its canonical row (words.canonical_rows); a quotient
+    outside the domain reads the NaN pad."""
+    n, N, d = len(quotients), len(C._stack), C.d
+    lookup = words.canonical_rows(_radius(C.domain))
+    rows = 1 + np.minimum(lookup[np.minimum(quotients, len(lookup) - 1)], N)
+    stack = np.concatenate([np.eye(d, dtype=complex)[None], C._stack,
+                            np.full((1, d, d), complex("nan"))]).ravel()
+    # a mirrored slot reads the conjugate transpose of its quotient's value
+    mirrored = slots >= n
+    cell = coords[:, None] * d + coords
+    G = stack[rows[slots - n * mirrored] * (d * d) + np.where(mirrored, cell.T, cell)]
+    return np.conj(G, out=G, where=mirrored)
+
+
 def _gram(C: PDFunction, pairs, corner: int = 0, table=None) -> np.ndarray:
-    """The one Gram assembly: G[i1, i2] = C(w2^-1 w1)[c1, c2] as one gather
-    over validated pairs from [I, stack, NaN], each quotient rank at its
-    canonical row (words.canonical_rows); a quotient outside the domain
-    reads the NaN pad.  A NaN (outside the domain, an undefined slot)
-    raises, except in the block of pairs[-2c:-c] against pairs[-c:] for
-    c = corner > 0: one stage's corner for 1, a level's C(g) for d.  A
-    clique's pairs pass its table (_clique_pairs) instead."""
+    """The Gram over validated pairs, gathered (_gather) through their
+    table; a clique's pairs pass its table (_clique_pairs) instead of
+    looking it up.  A NaN (outside the domain, an undefined slot) raises,
+    except in the block of pairs[-2c:-c] against pairs[-c:] for c = corner
+    > 0: one stage's corner for 1, a level's C(g) for d."""
     table = _gram_slots(C, pairs) if table is None else table
     if table is None:  # read entry by entry, to name the first missing quotient
         q = [[mul(inverse(w2), w1) for w2, _ in pairs] for w1, _ in pairs]
         G = np.array([[C._value(q[i1][i2], c1, c2) for i2, (_, c2) in enumerate(pairs)]
                       for i1, (_, c1) in enumerate(pairs)])
     else:
-        quotients, slots, coords = table
-        n, N, d = len(quotients), len(C._stack), C.d
-        lookup = words.canonical_rows(_radius(C.domain))
-        rows = 1 + np.minimum(lookup[np.minimum(quotients, len(lookup) - 1)], N)
-        stack = np.concatenate([np.eye(d, dtype=complex)[None], C._stack,
-                                np.full((1, d, d), complex("nan"))])
-        at = rows[slots % n]
-        # a mirrored slot reads the conjugate transpose of its quotient's value
-        G = np.where(slots < n, stack[at, coords[:, None], coords],
-                     np.conj(stack[at, coords, coords[:, None]]))
+        quotients, slots, _ = table
+        G = _gather(C, *table)
     undefined = np.isnan(G)
     if corner:
         undefined[-2 * corner:-corner, -corner:] = False
         undefined[-corner:, -2 * corner:-corner] = False
     for i1, i2 in np.argwhere(undefined)[:1]:
         c = word_to_str(canonical_rep(q[i1][i2]) if table is None
-                        else words.word_of_rank(quotients[slots[i1, i2] % n]))
+                        else words.word_of_rank(quotients[slots[i1, i2] % len(quotients)]))
         raise MissingEntryError(c, f"the Gram reads C({c}), which is missing or partial")
     return G
 
@@ -438,63 +450,110 @@ def _partial_stage_families(C: PDFunction):
             yield tuple(pairs[i] for i in at), (quotients, slots[np.ix_(at, at)], coords[at])
 
 
-def _gram_families(C: PDFunction, brute_force: bool):
-    yield tuple(((), m) for m in range(1, C.d + 1)), None
+def _brute_force_families(C: PDFunction):
+    """Every maximal clique of the domain graph (check_pd's brute force)."""
     dom = C.domain
-    if brute_force:
-        if dom.kind == "partial":
-            ws = words.ball(len(dom.g))  # I_g before its top level g
-            base = index_set(ws[ws.index(dom.g) - 1])
-        else:
-            base = index_set((3,) * dom.r if dom.kind == "ball" else dom.g)
-        verts = sorted(base.members, key=shortlex_key)
-        found = sorted(
-            (tuple(sorted(cl, key=shortlex_key)) for cl in maximal_cliques(verts, base)),
-            key=lambda E: (len(E), tuple(map(shortlex_key, E))),
-        )
-        for E in found:
-            if len(E) > BRUTE_FORCE_CAP:
-                raise ParameterError(
-                    f"brute-force clique of size {len(E)} exceeds the cap {BRUTE_FORCE_CAP}"
-                )
-            yield tuple((h, m) for h in E for m in range(1, C.d + 1)), None
-    else:
-        # the novel levels of the domain, the partial top excepted
-        levels = canonical_words(dom)
-        for h in levels[:-1] if dom.kind == "partial" else levels:
-            yield _clique_pairs(h, C.d)
     if dom.kind == "partial":
-        yield from _partial_stage_families(C)
+        ws = words.ball(len(dom.g))  # I_g before its top level g
+        base = index_set(ws[ws.index(dom.g) - 1])
+    else:
+        base = index_set((3,) * dom.r if dom.kind == "ball" else dom.g)
+    verts = sorted(base.members, key=shortlex_key)
+    found = sorted(
+        (tuple(sorted(cl, key=shortlex_key)) for cl in maximal_cliques(verts, base)),
+        key=lambda E: (len(E), tuple(map(shortlex_key, E))),
+    )
+    for E in found:
+        if len(E) > BRUTE_FORCE_CAP:
+            raise ParameterError(
+                f"brute-force clique of size {len(E)} exceeds the cap {BRUTE_FORCE_CAP}"
+            )
+        yield tuple((h, m) for h in E for m in range(1, C.d + 1)), None
+
+
+def _family_spectra(C: PDFunction, families):
+    """(least eigenvalue, its eigenvector, Gram size, pairs) of each family
+    of (pairs, table), one eigh each; pairs is a function returning them."""
+    for pairs, table in families:  # None: _gram looks the table up
+        vals, vecs = np.linalg.eigh(_gram(C, pairs, table=table))
+        yield float(vals[0]), vecs[:, 0], len(pairs), lambda pairs=pairs: pairs
+
+
+def _level_spectra(C: PDFunction):
+    """_family_spectra of the Grams over K_h x [d], h the novel levels of
+    the domain but a partial top, a word length at a time: the levels of
+    length n are a prefix of words._clique_table(n), and its Grams of one
+    clique size are gathered (_gather) and passed to eigh together, at most
+    about words._CHUNK entries at once.  Yielded in level order, so that a
+    NaN raises (in the level's own _gram) where a level at a time would."""
+    dom, d = C.domain, C.d
+    levels = canonical_words(dom)
+    count, n = len(levels) - (dom.kind == "partial"), 0
+    while (at := (words.ball_size(n) - 1) // 2) < count:  # the levels shorter than n + 1
+        n += 1
+        offsets, _, tables = words._clique_table(n)
+        sizes = np.diff(offsets)[:count - at]
+        lam, vec, missing = np.empty(len(sizes)), [None] * len(sizes), np.zeros(len(sizes), bool)
+        order = np.argsort(sizes, kind="stable")  # one clique size at a time
+        for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+            k = int(sizes[group[0]])
+            step = max(1, words._CHUNK // (k * d) ** 2)
+            for batch in (group[i:i + step] for i in range(0, len(group), step)):
+                # one table for the batch: its levels' quotients end to end,
+                # and each slot moved to its level's place among them
+                quotients = [tables[i][0] for i in batch]
+                own = np.array([len(q) for q in quotients])[:, None, None]
+                quotients = np.concatenate(quotients)
+                slots = np.stack([tables[i][1] for i in batch])
+                start = np.cumsum(own).reshape(own.shape) - own
+                slots += start + (slots >= own) * (len(quotients) - own)
+                rows = np.repeat(np.arange(k), d)
+                G = _gather(C, quotients, slots[:, rows[:, None], rows], np.tile(np.arange(d), k))
+                bad = missing[batch] = np.isnan(G).any(axis=(1, 2))
+                vals, vecs = np.linalg.eigh(np.where(bad[:, None, None], 0, G) if bad.any() else G)
+                lam[batch], least = vals[:, 0], vecs[:, :, 0].copy()
+                for b, i in enumerate(batch):
+                    vec[i] = least[b]
+        for i, h in enumerate(levels[at:at + len(sizes)]):
+            if missing[i]:  # raises, naming the first quotient missing
+                pairs, table = _clique_pairs(h, d)
+                _gram(C, pairs, table=table)
+            yield float(lam[i]), vec[i], len(vec[i]), lambda h=h: _clique_pairs(h, d)[0]
 
 
 def check_pd(C: PDFunction, tol: float = DEFAULT_TOL, brute_force: bool = False) -> PDVerdict:
     """Classify C as strict, semidefinite or not_pd, with an extremal witness.
 
     The default family is one Gram matrix per novel level (plus the stage
-    restrictions on partial domains); brute_force=True checks every maximal
-    clique of the domain graph instead.  Eigenvalues are compared against
-    tol scaled by the matrix dimension; crossing below the negative threshold
-    ends the scan immediately with that clique and eigenvector as certificate.
-    tol must be a finite real number >= 0; it is the package's one tolerance
-    a caller sets, every other check reads DEFAULT_TOL.
+    restrictions on partial domains), checked a word length at a time with
+    one eigh per clique size (_level_spectra); brute_force=True checks
+    every maximal clique of the domain graph instead.  The e block comes
+    first.  Eigenvalues are compared against tol scaled by the matrix
+    dimension; crossing below the negative threshold ends the scan with that
+    clique and eigenvector as certificate, and a tie for the least
+    eigenvalue goes to the first Gram scanned.  tol must be a finite real
+    number >= 0; it is the package's one tolerance a caller sets, every
+    other check reads DEFAULT_TOL.
     """
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= 0):
         raise ParameterError(f"tol must be a finite real number >= 0, got {tol!r}")
+    e_block = [(tuple(((), m) for m in range(1, C.d + 1)), None)]
+    spectra = [_family_spectra(C, e_block),
+               _family_spectra(C, _brute_force_families(C)) if brute_force else _level_spectra(C)]
+    if C.domain.kind == "partial":
+        spectra.append(_family_spectra(C, _partial_stage_families(C)))
     worst = None
     strict = True
-    for pairs, table in _gram_families(C, brute_force):  # None: _gram looks it up
-        G = _gram(C, pairs, table=table)
-        vals, vecs = np.linalg.eigh(G)
-        lam = float(vals[0])
-        thr = tol * len(pairs)
+    for lam, vec, size, pairs in (s for family in spectra for s in family):
+        thr = tol * size
         if lam <= thr:
             strict = False
         if worst is None or lam < worst[0]:
-            worst = (lam, pairs, np.array(vecs[:, 0]))
+            worst = (lam, pairs, vec)
         if lam < -thr:
-            return PDVerdict("not_pd", lam, pairs, np.array(vecs[:, 0]))
+            return PDVerdict("not_pd", lam, pairs(), np.array(vec))
     lam, pairs, vec = worst
-    return PDVerdict("strict" if strict else "semidefinite", lam, pairs, vec)
+    return PDVerdict("strict" if strict else "semidefinite", lam, pairs(), np.array(vec))
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,10 @@ class _FieldError(SurgeryError):
 
 def _as_perm(name, values, n):
     try:
-        perm = tuple(int(x) for x in values)
+        perm = tuple(map(int, values))
     except (TypeError, ValueError):
         raise _FieldError(name, f"{name} must be a sequence of integers") from None
-    if len(perm) != n or sorted(perm) != list(range(n)):
+    if len(perm) != n or not np.array_equal(np.sort(perm), np.arange(n)):
         raise _FieldError(name, f"{name} is not a bijection of range({n})")
     return perm
 

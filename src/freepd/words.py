@@ -23,6 +23,8 @@ arithmetic (_canonical_quotients).  Left translation does not change
 quotients, so a word list is moved to start at e before it is ranked.  The
 cliques of all novel levels of one length, and their quotient tables, come
 from one descent of the tree and one batched table pass (_clique_table).
+A table is built from half the pairs of its list: h^-1 l is the inverse of
+l^-1 h, so the pairs a <= b are ranked and the rest are their mirrors.
 """
 
 from __future__ import annotations
@@ -143,7 +145,9 @@ _POW3 = 3 ** np.arange(40, dtype=np.int64)
 # _OFFSET[n] is the shortlex rank of the first word of length n, ball_size(n - 1)
 _OFFSET = np.concatenate([[0], 2 * _POW3 - 1])
 _AFTER = np.array([_ALLOWED_AFTER[x] for x in range(4)])
-_CHUNK = 8192  # quotient-table pairs batched at once (_quotient_tables), to bound memory
+# quotient-table pairs a <= b (_quotient_tables) and Gram entries (pdcore's
+# level Grams) batched at once, to bound memory
+_CHUNK = 8192
 
 
 def _ranks(L: np.ndarray) -> np.ndarray:
@@ -349,30 +353,44 @@ def _clique_table(n: int):
 def _quotient_tables(tree: _Tree, offsets, ranks, tops=None) -> list:
     """(quotients, slots) of each list ranks[offsets[i]:offsets[i + 1]] (see
     quotient_table), built for the lists starting in one _CHUNK of pairs at
-    a time.  With tops, a quotient ranked above tops[i] raises WordError."""
+    a time.  Only the pairs a <= b of a list are ranked: slots[b, a] is
+    slots[a, b] with the mirror flag flipped, since l^-1 h is the inverse
+    of h^-1 l (and e, on the diagonal, is its own).  With tops, a quotient
+    ranked above tops[i] raises WordError."""
     sizes = np.diff(offsets)
-    ends = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    ends = np.concatenate([[0], np.cumsum(sizes * (sizes + 1) // 2)])  # pairs a <= b
+    full = np.concatenate([[0], np.cumsum(sizes * sizes)])
     cuts = np.append(np.unique(ends[:-1] // _CHUNK, return_index=True)[1], len(sizes))
     out = []
     for i, j in zip(cuts[:-1], cuts[1:]):
-        own = np.repeat(np.arange(i, j), sizes[i:j] ** 2)  # each pair's list
-        at, k = np.arange(ends[i], ends[j]) - ends[own], sizes[own]
-        a, b = ranks[offsets[own] + at // k], ranks[offsets[own] + at % k]
+        # the triangle row <= col of every list, row by row: row r of a list
+        # of size k holds the columns r .. k - 1
+        lists = np.repeat(np.arange(i, j), sizes[i:j])
+        r = np.arange(len(lists)) - (offsets[lists] - offsets[i])
+        width = sizes[lists] - r
+        own, row = np.repeat(lists, width), np.repeat(r, width)  # each pair's list and row
+        col = row + np.arange(ends[j] - ends[i]) - np.repeat(np.cumsum(width) - width, width)
+        k = sizes[own]
+        a, b = ranks[offsets[own] + row], ranks[offsets[own] + col]
         canon, mirrored = _canonical_quotients(tree, a, b)
         for p in np.flatnonzero(canon > tops[own])[:1] if tops is not None else ():
             g, h, l = (word_to_str(word_of_rank(x)) for x in (tops[own[p]], a[p], b[p]))
             raise WordError(f"common neighborhood of (e, {g}) is not a clique: "
                             f"({h}, {l}) not adjacent")
-        span = int(canon.max()) + 1
-        unique, where = np.unique((own - i) * span + canon, return_inverse=True)
+        span, rel = int(canon.max()) + 1, own - i
+        unique, where = np.unique(rel * span + canon, return_inverse=True)
         starts = np.searchsorted(unique, np.arange(j - i + 1) * span)
+        where, n = where - starts[rel], np.diff(starts)[rel]  # within the pair's list
+        slots = np.empty(full[j] - full[i], np.int64)
+        at = full[own] - full[i]
+        slots[at + col * k + row] = where + ~mirrored * n  # the mirrors first, so
+        slots[at + row * k + col] = where + mirrored * n  # that the diagonal keeps its own
         for c, k in enumerate(sizes[i:j]):
             quotients = unique[starts[c]:starts[c + 1]] - c * span
-            at = slice(ends[i + c] - ends[i], ends[i + c + 1] - ends[i])
-            slots = (where[at] - starts[c] + mirrored[at] * len(quotients)).reshape(k, k)
-            for x in (quotients, slots):
+            table = slots[full[i + c] - full[i]:full[i + c + 1] - full[i]].reshape(k, k)
+            for x in (quotients, table):
                 x.setflags(write=False)
-            out.append((quotients, slots))
+            out.append((quotients, table))
     return out
 
 

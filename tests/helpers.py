@@ -5,8 +5,9 @@ from collections import deque
 import numpy as np
 import scipy.linalg
 
+from freepd import pdcore
 from freepd.errors import SurgeryError, WordError
-from freepd.pdcore import Domain, PDFunction
+from freepd.pdcore import DEFAULT_TOL, Domain, PDFunction, PDVerdict
 from freepd.surgery import _greedy_positions
 from freepd.words import (
     _ALLOWED_AFTER,
@@ -213,6 +214,40 @@ def reference_gram(C, pairs):
             q = mul(inverse(w2), w1)
             G[i1, i2] = C.scalar(q, c1, c2) if C.defined(q, c1, c2) else complex("nan")
     return G
+
+
+def level_spectra(C):
+    """(least eigenvalue, its eigenvector, pairs) of each Gram of check_pd's
+    default family, one level at a time with one Gram and one eigh each:
+    the e block, K_h x [d] for every novel level h of the domain but a
+    partial top, then a partial domain's stage restrictions."""
+    dom, d = C.domain, C.d
+    families = [(tuple(((), m) for m in range(1, d + 1)), None)]
+    levels = pdcore.canonical_words(dom)
+    families += [pdcore._clique_pairs(h, d)
+                 for h in (levels[:-1] if dom.kind == "partial" else levels)]
+    if dom.kind == "partial":
+        families += list(pdcore._partial_stage_families(C))
+    for pairs, table in families:
+        vals, vecs = np.linalg.eigh(pdcore._gram(C, pairs, table=table))
+        yield float(vals[0]), np.array(vecs[:, 0]), pairs
+
+
+def level_at_a_time_check_pd(C, tol=DEFAULT_TOL):
+    """check_pd's default mode as a scan of level_spectra: the oracle for
+    the check that batches the levels of one word length."""
+    worst = None
+    strict = True
+    for lam, vec, pairs in level_spectra(C):
+        thr = tol * len(pairs)
+        if lam <= thr:
+            strict = False
+        if worst is None or lam < worst[0]:
+            worst = (lam, pairs, vec)
+        if lam < -thr:
+            return PDVerdict("not_pd", lam, pairs, vec)
+    lam, pairs, vec = worst
+    return PDVerdict("strict" if strict else "semidefinite", lam, pairs, vec)
 
 
 def two_factor_residuals(G, core_size):

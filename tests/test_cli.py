@@ -171,6 +171,22 @@ def test_toeplitz_rejects_bad_input():
         assert res.code == 2 and "'seq'" in res.summary
 
 
+@pytest.mark.parametrize("number", ["nan", "inf", "-inf", "x"])
+def test_float_flags_reject_what_is_not_a_finite_number(tmp_path, number):
+    # --flag=value, since argparse would read a bare -inf as a flag
+    for zeta in (f"{number},0", f"0,{number}"):
+        res = run("toeplitz", "--seq", "1,0.5", f"--zeta={zeta}")
+        assert res.code == 2 and "'zeta'" in res.summary
+    res = run("random", "--r", 1, "--d", 1, f"--margin={number}", "--out", tmp_path / "fn.json")
+    assert res.code == 2 and "'margin'" in res.summary
+    assert not (tmp_path / "fn.json").exists()
+    cfg = _tree_config(tmp_path)
+    res = run("solve", "--config", cfg, "--radius", 3, f"--epsilon={number}",
+              "--out", tmp_path / "out")
+    assert res.code == 2 and "'epsilon'" in res.summary
+    assert not (tmp_path / "out").exists()
+
+
 def _tree_config(tmp_path):
     run("random", "--r", 2, "--d", 1, "--seed", 9, "--out", tmp_path / "vfn.json")
     cfg = tmp_path / "cfg.json"

@@ -51,7 +51,7 @@ from freepd.pdcore import (
 )
 from freepd.hilbert import build_partial_space
 from freepd.words import ball, clique, inverse, mul, word_from_str, word_to_str
-from helpers import reference_gram
+from helpers import level_at_a_time_check_pd, level_spectra, reference_gram
 
 W = word_from_str
 
@@ -178,8 +178,14 @@ def test_cleared_caches_give_the_same_grams():
     def grams():
         # a fresh stage function, since a function keeps its stage space
         stage = restrict_to_stage(C, "aab", 1, 2)
-        return [gram_indexed(C, pairs), build_partial_space(stage).gram]
+        verdict = check_pd(C)
+        return [gram_indexed(C, pairs), build_partial_space(stage).gram,
+                verdict.witness_vector, np.array([verdict.min_eigenvalue])]
 
+    def module_state():
+        return {(m.__name__, k): id(v) for m in (pdcore, words) for k, v in vars(m).items()}
+
+    state = module_state()
     before = grams()
     for cache in caches:
         cache.cache_clear()
@@ -188,6 +194,12 @@ def test_cleared_caches_give_the_same_grams():
     assert words._clique_table.cache_info().currsize == 0
     after = grams()
     assert all(_same_bits(a, b) for a, b in zip(before, after))
+    # what the batched check keeps between calls lives in the caches cleared
+    # above: it reads each length's tables from _clique_table, and it binds
+    # no module name and leaves nothing on the function
+    assert words._clique_table.cache_info().currsize == 3
+    assert module_state() == state
+    assert C._stage_space is None
 
 
 def test_constructor_canonicalizes_and_mirrors():
@@ -309,6 +321,109 @@ def test_check_pd_partial_domain():
 
     bad = PDFunction(1, dom, {"a": 2.0, "b": 0.0})
     assert check_pd(bad).status == "not_pd"
+
+
+def _verdict_or_error(C):
+    """check_pd's verdict and the oracle's, or the word each names on a miss."""
+    out = []
+    for check in (check_pd, level_at_a_time_check_pd):
+        try:
+            out.append(check(C))
+        except MissingEntryError as err:
+            out.append((err.word, str(err)))
+    return out
+
+
+def _same_verdict(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return (a.status == b.status
+            and np.float64(a.min_eigenvalue).tobytes() == np.float64(b.min_eigenvalue).tobytes()
+            and a.witness_indices == b.witness_indices
+            and a.witness_vector.dtype == b.witness_vector.dtype
+            and _same_bits(a.witness_vector, b.witness_vector))
+
+
+def _with_stack(C, stack):
+    """C with another stack, past the validator: a hole (NaN) where the
+    domain defines a value reaches the Grams only this way."""
+    out = object.__new__(PDFunction)
+    out.d, out.domain, out._stack, out._stage_space = C.d, C.domain, stack, None
+    return out
+
+
+def _constant(d, r, t):
+    """C(w) = t I for every w != e: cliques of one size share their Gram, so
+    their least eigenvalues tie bit for bit."""
+    n = len(canonical_words(Domain.ball(r)))
+    stack = np.tile(t * np.eye(d, dtype=complex), (n, 1, 1))
+    return PDFunction._from_stack(d, Domain.ball(r), stack)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["ball", "prefix", "partial"])
+@pytest.mark.parametrize("flavour", ["strict", "semidefinite", "not_pd", "tie"])
+@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 16), hole=st.sampled_from((False, False, True)), data=st.data())
+def test_check_pd_matches_the_level_at_a_time_oracle(d, kind, flavour, seed, hole, data):
+    r = data.draw(st.integers(2, {1: 4, 2: 3, 3: 2}[d]), label="r")
+    if flavour == "tie":
+        C = _constant(d, r, 0.9)
+    else:
+        C = random_nspd(r, d, seed=seed)
+        if flavour == "semidefinite":  # the unit-vector part, singular on large cliques
+            C = PDFunction._from_stack(d, C.domain, C._stack / 0.9)
+    levels, first = canonical_words(C.domain), 0
+    if flavour == "not_pd":
+        # a level with a later one of its length, so the failing Gram is not
+        # the last of its batch
+        first = data.draw(st.sampled_from(
+            [i for i, (w, v) in enumerate(zip(levels, levels[1:])) if len(w) == len(v)]))
+        C = add_to_entries(C, [(levels[first], 1, 1)], [3.0])
+    if kind != "ball":
+        # a domain that keeps the failing level whole
+        g = data.draw(st.sampled_from(levels[first + (kind == "partial"):]), label="g")
+        if kind == "prefix":
+            dom = Domain.prefix(g)
+            C = PDFunction._from_stack(d, dom, C._stack[:len(canonical_words(dom))])
+        else:
+            j, k = data.draw(st.tuples(st.integers(1, d), st.integers(1, d)), label="j, k")
+            C = restrict_to_stage(C, g, j, k)
+    if hole:
+        stack = np.array(C._stack)
+        stack[data.draw(st.integers(0, len(stack) - 1), label="hole")] = np.nan
+        C = _with_stack(C, stack)
+    new, oracle = _verdict_or_error(C)
+    assert _same_verdict(new, oracle), (new, oracle)
+
+
+def test_check_pd_ties_go_to_the_first_level_of_the_least():
+    for d, r in ((1, 4), (2, 3), (3, 2)):
+        C = _constant(d, r, 0.9)
+        least = min(lam for lam, _, _ in level_spectra(C))
+        ties = [pairs for lam, _, pairs in level_spectra(C) if lam == least]
+        assert len(ties) >= 2
+        new, oracle = _verdict_or_error(C)
+        assert _same_verdict(new, oracle)
+        assert new.status == "strict" and new.witness_indices == ties[0]
+
+
+def test_check_pd_fails_at_a_level_inside_its_length():
+    C = random_nspd(4, 2, seed=4)
+    levels = canonical_words(C.domain)
+    for w in (levels[4], levels[30]):  # inside lengths 2 and 4
+        bad = add_to_entries(C, [(w, 2, 1)], [3.0])
+        new, oracle = _verdict_or_error(bad)
+        assert _same_verdict(new, oracle)
+        assert new.status == "not_pd" and w in new.witness_words()
+        # a hole past the failing level is never read
+        stack = np.array(bad._stack)
+        stack[-1] = np.nan
+        assert _same_verdict(check_pd(_with_stack(bad, stack)), new)
+    stack = np.array(C._stack)
+    stack[30] = np.nan
+    new, oracle = _verdict_or_error(_with_stack(C, stack))
+    assert new == oracle and new[0] == word_to_str(levels[30])
 
 
 def test_partial_domain_scalar_access_and_masks():

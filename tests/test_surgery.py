@@ -135,6 +135,23 @@ def test_graph_validation():
         LabeledGraph(True, (0,), (0,))
 
 
+def test_graph_fields_take_what_int_takes():
+    # each entry passes through int(), and the result must be a bijection
+    for values, want in (((2.0, 0.5, 1), (2, 0, 1)), (("1", "0", "2"), (1, 0, 2)),
+                         ((True, False, 2), (1, 0, 2)), (np.array([2, 0, 1]), (2, 0, 1)),
+                         ("120", (1, 2, 0))):
+        perm = LabeledGraph(3, values, (0, 1, 2)).perm_a
+        assert perm == want and all(type(x) is int for x in perm)
+    for values in ((0, 2 ** 70, 1), (-1, 0, 1), (0, 1, 3), (0, 1), (0, 1, 2, 3), (1.0, 1.5, 0)):
+        with pytest.raises(SurgeryError, match=r"^perm_a is not a bijection of range\(3\)$") as err:
+            LabeledGraph(3, values, (0, 1, 2))
+        assert err.value.key == "perm_a"
+    for values in ((0, None, 1), ("x", 0, 1), ([0], [1], [2]), 5, (0, 1.5j, 2)):
+        with pytest.raises(SurgeryError, match="^perm_b must be a sequence of integers$") as err:
+            LabeledGraph(3, (0, 1, 2), values)
+        assert err.value.key == "perm_b"
+
+
 def test_graph_json_round_trip():
     g = random_labeled_graph(48, 2, seed=5, connected=False)
     d = g.to_dict()
