@@ -87,6 +87,18 @@ def _finite(flag, text) -> float:
     return x
 
 
+def _seed(text) -> int:
+    """The value of --seed, which must be a nonnegative integer; otherwise
+    FormatError naming the flag."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise FormatError("seed", f"--seed must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _failed(verb, path, inputs, exc, staged=False) -> CommandResult:
     """Write the report of a failed command and exit 1.
 
@@ -125,7 +137,7 @@ def _cmd_check(args) -> CommandResult:
 
 def _cmd_random(args) -> CommandResult:
     margin = _finite("margin", args.margin)
-    C = random_nspd(args.r, args.d, seed=args.seed, margin=margin)
+    C = random_nspd(args.r, args.d, seed=_seed(args.seed), margin=margin)
     save_function(C, args.out)
     summary = f"wrote a d={args.d} function on Ball({args.r}) to {args.out}"
     return CommandResult(0, summary, str(args.out))
@@ -150,6 +162,8 @@ def _cmd_energy(args) -> CommandResult:
         try:
             radii = [int(x) for x in args.radii.split(",") if x.strip()]
         except ValueError:
+            radii = []
+        if not radii:
             raise FormatError("radii", f"--radii must be integers, got {args.radii!r}")
     else:
         radii = list(range(1, min(A.domain.r, B.domain.r) // 2 + 1)) or [None]
@@ -170,6 +184,7 @@ def _cmd_energy(args) -> CommandResult:
 
 def _cmd_solve(args) -> CommandResult:
     epsilon = _finite("epsilon", args.epsilon)
+    seed = _seed(args.seed)
     cfg_path = Path(args.config)
     obj = _load_json(cfg_path)
     if not isinstance(obj, dict):
@@ -187,7 +202,7 @@ def _cmd_solve(args) -> CommandResult:
         config = configuration_from_dict(obj, functions)
         outdir.mkdir(parents=True, exist_ok=True)
         extensions, report = solve_configuration(
-            config, args.radius, epsilon, seed=args.seed
+            config, args.radius, epsilon, seed=seed
         )
     except FormatError:
         raise
@@ -267,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="emit a random strictly positive definite function")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--margin", default="0.1")
     p.add_argument("--out", required=True)
     p.set_defaults(run=_cmd_random)
@@ -289,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--epsilon", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(run=_cmd_solve)
 

@@ -33,12 +33,20 @@ Conventions: stage functions are partial-domain PDFunctions; a configuration
 of radius r carries data on Ball(2r) so that its edge energies over the index
 set B_r x [d] are computable, matching the transport module's convention.
 Every completed-stage pencil is solved by transport._top_generalized_eig,
-the package's one generalized-eigenvalue kernel.
+the package's one generalized-eigenvalue kernel, through one _StagePencil
+per stage pair and stage.  It keeps the pair's last solved point, so each
+pencil is solved once: descent asks again for the point it has just
+accepted, its Armijo step, Newton candidate or Levenberg-Marquardt trial,
+and the stage asks again for its solved parameters.  The re-use is exact:
+the completed corners are all that differs between requests, a point is
+re-used only when both are bit for bit the kept ones, and the kernel is
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 
@@ -154,14 +162,46 @@ def _pair_data(C: PDFunction, D: PDFunction):
     return spC, residual_data(spC), spD, residual_data(spD)
 
 
-def _filled(space, rd, zeta: complex) -> np.ndarray:
-    """The stage Gram with the working corner set to zeta * n_g * n_e + cross."""
-    G = np.array(space.gram)
-    m = space.core_size
-    value = zeta * (rd.n_g * rd.n_e) + rd.cross
-    G[m, m + 1] = value
-    G[m + 1, m] = np.conj(value)
-    return G
+class _StagePencil:
+    """The completed-stage pencil of one stage pair, solved once per point.
+
+    solve(zeta_c, zeta_d) sets each side's working corner to
+    zeta * (n_g * n_e) + cross and returns the kernel's (vals, x), which the
+    caller must not modify.  The last successful solve is kept and handed
+    back while both corners are bit for bit the kept ones; a failed solve
+    keeps nothing, so asking again solves, and fails, again.
+    """
+
+    def __init__(self, pair):
+        spC, rdC, spD, rdD = pair
+        self.core_size = spC.core_size
+        self.scale_C = rdC.n_g * rdC.n_e
+        self.scale_D = rdD.n_g * rdD.n_e
+        self._gram_C, self._cross_C = spC.gram, rdC.cross
+        self._gram_D, self._cross_D = spD.gram, rdD.cross
+        self._key = self._solved = None
+
+    def _filled(self, gram, value) -> np.ndarray:
+        G = np.array(gram)
+        m = self.core_size
+        G[m, m + 1] = value
+        G[m + 1, m] = np.conj(value)
+        return G
+
+    def solve(self, zeta_c, zeta_d):
+        c = zeta_c * self.scale_C + self._cross_C
+        d = zeta_d * self.scale_D + self._cross_D
+        key = struct.pack("4d", c.real, c.imag, d.real, d.imag)
+        if key != self._key:
+            self._solved = _top_generalized_eig(self._filled(self._gram_C, c),
+                                                self._filled(self._gram_D, d))
+            self._key = key
+        return self._solved
+
+    def energy(self, zeta, mu) -> float:
+        """stage_energy of this pair at the Szego parameters zeta, mu."""
+        vals, _ = self.solve(_zval(zeta), _zval(mu))
+        return float(vals[-1])
 
 
 def _coord_product(vals, x, m: int):
@@ -192,11 +232,7 @@ def stage_energy(C: PDFunction, D: PDFunction, zeta, mu) -> float:
     of each stage Gram is filled from its own residual data and the returned
     number is the top generalized eigenvalue of the completed pencil.
     """
-    spC, rdC, spD, rdD = _pair_data(C, D)
-    G_C = _filled(spC, rdC, _zval(zeta))
-    G_D = _filled(spD, rdD, _zval(mu))
-    vals, _ = _top_generalized_eig(G_C, G_D)
-    return float(vals[-1])
+    return _StagePencil(_pair_data(C, D)).energy(zeta, mu)
 
 
 @dataclass(frozen=True)
@@ -234,10 +270,8 @@ def extension_components(C: PDFunction, D: PDFunction, zeta, mu) -> ExtensionCom
     coordinates rescaled by the target residual norms.  Requires the top
     generalized eigenvalue to be simple to within GAP_TOL relative.
     """
-    spC, rdC, spD, rdD = _pair_data(C, D)
-    G_C = _filled(spC, rdC, _zval(zeta))
-    G_D = _filled(spD, rdD, _zval(mu))
-    vals, x = _top_generalized_eig(G_C, G_D)
+    spC, rdC, _, rdD = pair = _pair_data(C, D)
+    vals, x = _StagePencil(pair).solve(_zval(zeta), _zval(mu))
     m = spC.core_size
     top, product = _coord_product(vals, x, m)
     if product is None:
@@ -496,29 +530,31 @@ PAIR_STOP = 5e-6
 CHAIN_ROUNDS = 24
 
 
-def _solve_edge_impl(pair, mu, base, tol_edge, max_iter, seed, inits,
+def _solve_edge_impl(pencil, mu, base, tol_edge, max_iter, seed, inits,
                      grad_tol=GRAD_TOL):
-    spC, rdC, spD, rdD = pair
-    G_D = _filled(spD, rdD, _zval(mu))
+    # value and value_and_pair read one _StagePencil, so the iteration after
+    # an accepted Armijo step or Newton candidate gets the pencil that
+    # accepting it solved back without a kernel call.  That is exact: a
+    # point is re-used only when both completed corners match bit for bit.
+    mu = _zval(mu)
     target = base + tol_edge
     rng = np.random.default_rng(seed)
-    m = spC.core_size
-    scale = rdC.n_g * rdC.n_e
+    m = pencil.core_size
 
     def value(z):
         # candidate points near the rim can push the pencil past what the
         # eigensolver certifies; such a candidate is never a keeper, so any
         # evaluation failure just reads as an infinite energy
         try:
-            vals, _ = _top_generalized_eig(_filled(spC, rdC, z), G_D)
+            vals, _ = pencil.solve(z, mu)
         except FreePDError:
             return np.inf
         return float(vals[-1])
 
     def value_and_pair(z):
-        vals, x = _top_generalized_eig(_filled(spC, rdC, z), G_D)
+        vals, x = pencil.solve(z, mu)
         top, product = _coord_product(vals, x, m)
-        return top, (0j if product is None else product * scale)
+        return top, (0j if product is None else product * pencil.scale_C)
 
     def newton_candidate(z, v0):
         # one root-finding step on the gradient field: the coupling dies at
@@ -636,32 +672,30 @@ def solve_edge(C: PDFunction, D: PDFunction, mu, max_iter: int = MAX_ITER,
     the best parameter seen.
     """
     base = partial_relative_energy(C, D).energy
-    zeta, _, _ = _solve_edge_impl(_pair_data(C, D), mu, base, TOL_EDGE, max_iter,
-                                  seed, (0j,))
+    zeta, _, _ = _solve_edge_impl(_StagePencil(_pair_data(C, D)), mu, base, TOL_EDGE,
+                                  max_iter, seed, (0j,))
     return zeta
 
 
-def _solve_cycle_impl(family, base_energies, seed):
+def _cycle_pencils(family) -> list:
+    """The stage pencil of each cycle edge (i, i+1), in order."""
     fam = list(family)
-    n_fam = len(fam)
-    if n_fam < 2:
+    if len(fam) < 2:
         raise ParameterError("a cycle needs at least two functions")
-    data = [_pair_data(fam[i], fam[(i + 1) % n_fam]) for i in range(n_fam)]
-    if base_energies is None:
-        base = [
-            partial_relative_energy(fam[i], fam[(i + 1) % n_fam]).energy
-            for i in range(n_fam)
-        ]
-    else:
-        base = [float(b) for b in base_energies]
-        if len(base) != n_fam:
-            raise ParameterError("need one base energy per edge")
+    return [_StagePencil(_pair_data(C, fam[(i + 1) % len(fam)]))
+            for i, C in enumerate(fam)]
+
+
+def _solve_cycle_impl(pencils, base, seed):
+    # pencils[i] serves every evaluation of edge i, the chain phase's edge
+    # descents included, so the residuals at an accepted LM candidate re-use
+    # the pencils its trial solved
+    n_fam = len(pencils)
     rng = np.random.default_rng(seed)
 
     def edge_value(i, zc, zd):
-        spC, rdC, spD, rdD = data[i]
         try:
-            vals, _ = _top_generalized_eig(_filled(spC, rdC, zc), _filled(spD, rdD, zd))
+            vals, _ = pencils[i].solve(zc, zd)
         except FreePDError:
             return np.inf
         return float(vals[-1])
@@ -683,19 +717,16 @@ def _solve_cycle_impl(family, base_energies, seed):
         energies = np.zeros(n_fam)
         pairs = np.zeros(n_fam, dtype=complex)
         J = np.zeros((n_fam, 2 * n_fam))
-        for i in range(n_fam):
-            spC, rdC, spD, rdD = data[i]
-            vals, x = _top_generalized_eig(
-                _filled(spC, rdC, zs[i]), _filled(spD, rdD, zs[(i + 1) % n_fam]))
-            m = spC.core_size
+        for i, pencil in enumerate(pencils):
+            vals, x = pencil.solve(zs[i], zs[(i + 1) % n_fam])
             try:
-                top, coord = _coord_product(vals, x, m)
+                top, coord = _coord_product(vals, x, pencil.core_size)
             except DegenerateAchieverError as exc:
                 exc.edge = i
                 raise
             coord = 0j if coord is None else coord
-            alpha_pair = coord * (rdC.n_g * rdC.n_e)
-            beta_pair = coord * (rdD.n_g * rdD.n_e)
+            alpha_pair = coord * pencil.scale_C
+            beta_pair = coord * pencil.scale_D
             energies[i] = top
             res[i] = top - base[i]
             pairs[i] = alpha_pair
@@ -737,7 +768,7 @@ def _solve_cycle_impl(family, base_energies, seed):
             budget = max(1, min(400, MAX_ITER // 2 - used))
             try:
                 zeta, _, it = _solve_edge_impl(
-                    data[n], zs[(n + 1) % n_fam], base[n],
+                    pencils[n], zs[(n + 1) % n_fam], base[n],
                     chain_tol, budget, seed, (zs[n],), grad_tol=np.inf)
             except SolveError as exc:
                 zeta, it = exc.best, budget
@@ -844,7 +875,16 @@ def solve_cycle_params(family, base_energies=None, seed=0) -> list:
     when the objective falls below N * TOL_EDGE^2 or the gradient norm
     below 1e-8, and gives up after MAX_ITER iterations.
     """
-    params, _, _, _ = _solve_cycle_impl(family, base_energies, seed)
+    fam = list(family)
+    pencils = _cycle_pencils(fam)
+    if base_energies is None:
+        base = [partial_relative_energy(C, fam[(i + 1) % len(fam)]).energy
+                for i, C in enumerate(fam)]
+    else:
+        base = [float(b) for b in base_energies]
+        if len(base) != len(fam):
+            raise ParameterError("need one base energy per edge")
+    params, _, _, _ = _solve_cycle_impl(pencils, base, seed)
     return params
 
 
@@ -1209,14 +1249,17 @@ def solve_configuration(config: Configuration, R: int, eps: float,
             slack_allowance = max(TOL_EDGE, sigma_t / (4.0 * max(1, len(edge_seq))))
             slack_used = 0.0
             iters = 0
+            # one pencil per edge serves its descent and its "after" energy
+            pencils = {}
             if config.shape == "tree":
                 zetas = {config.root: 0j}
                 for v, w in edge_seq:
                     cert = certs.get((min(pos[v], pos[w]), max(pos[v], pos[w])))
                     inits = (0j,) if cert is not None else (0j, zetas[w])
+                    pencil = pencils[(v, w)] = _StagePencil(_pair_data(work[v], work[w]))
                     try:
                         zv, _, it = _solve_edge_impl(
-                            _pair_data(work[v], work[w]), zetas[w], ppe[(v, w)],
+                            pencil, zetas[w], ppe[(v, w)],
                             TOL_EDGE, MAX_ITER, int(rng.integers(2 ** 31)), inits,
                         )
                     except SolveError as exc:
@@ -1233,9 +1276,10 @@ def solve_configuration(config: Configuration, R: int, eps: float,
                     zetas[v] = zv.value
                     iters += it
             else:
+                pencils = dict(zip(edge_seq, _cycle_pencils([work[v] for v in cyc])))
                 try:
                     params, _, it, _ = _solve_cycle_impl(
-                        [work[v] for v in cyc], [ppe[e] for e in edge_seq],
+                        list(pencils.values()), [ppe[e] for e in edge_seq],
                         int(rng.integers(2 ** 31)),
                     )
                 except SolveError as exc:
@@ -1243,7 +1287,7 @@ def solve_configuration(config: Configuration, R: int, eps: float,
                     if isinstance(exc.best, list):
                         trial = {v: p.value for v, p in zip(cyc, exc.best)}
                         after = {
-                            e: stage_energy(work[e[0]], work[e[1]], trial[e[0]], trial[e[1]])
+                            e: pencils[e].energy(trial[e[0]], trial[e[1]])
                             for e in edge_seq
                         }
                         if all(after[e] <= ppe[e] + slack_allowance for e in edge_seq):
@@ -1256,7 +1300,7 @@ def solve_configuration(config: Configuration, R: int, eps: float,
                 iters += it
 
             after = {
-                e: stage_energy(work[e[0]], work[e[1]], zetas[e[0]], zetas[e[1]])
+                e: pencils[e].energy(zetas[e[0]], zetas[e[1]])
                 for e in edge_seq
             }
             cur = {v: extend_entry(work[v], zetas[v]) for v in verts}

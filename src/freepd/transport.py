@@ -126,11 +126,11 @@ def _top_generalized_eig(G_C, G_D):
         raise np.linalg.LinAlgError(f"zhegvd failed (info {info})")
     x = vecs[:, -1]
     vals = vals + 1.0
-    x = x / math.sqrt(float(np.real(np.conj(x) @ G_C @ x)))
-    i = int(np.argmax(np.abs(x)))
-    x = x * (np.conj(x[i]) / abs(x[i]))
+    x = x / math.sqrt((x.conj() @ G_C @ x).real)
+    i = int(np.abs(x).argmax())
+    x = x * (x[i].conj() / abs(x[i]))
     top = float(vals[-1])
-    rayleigh = float(np.real(np.conj(x) @ G_D @ x))
+    rayleigh = float((x.conj() @ G_D @ x).real)
     if abs(rayleigh - top) > RAYLEIGH_TOL * max(1.0, abs(top)):
         raise FreePDError(
             f"achieving vector fails its Rayleigh certificate: {rayleigh!r} vs {top!r}"

@@ -98,6 +98,17 @@ def test_energy_explicit_radii(tmp_path):
     assert run("energy", a, b, "--radii", "one").code == 2
 
 
+@pytest.mark.parametrize("radii", [" ", ",", " , "])
+def test_energy_radii_without_an_integer_exit_2(tmp_path, radii):
+    # the library refuses an empty radius list; only the empty default means all
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run("random", "--r", 2, "--d", 1, "--seed", 2, "--out", a)
+    run("random", "--r", 2, "--d", 1, "--seed", 5, "--out", b)
+    res = run("energy", a, b, "--radii", radii)
+    assert res.code == 2 and "'radii'" in res.summary
+    assert not (tmp_path / "a.report.json").exists()
+
+
 @pytest.mark.parametrize("case, error", [
     ("singular", "NotStrictError"),
     ("domains", "DomainError"),
@@ -185,6 +196,30 @@ def test_float_flags_reject_what_is_not_a_finite_number(tmp_path, number):
               "--out", tmp_path / "out")
     assert res.code == 2 and "'epsilon'" in res.summary
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_seed_flags_reject_what_is_not_a_nonnegative_integer(tmp_path, seed):
+    res = run("random", "--r", 1, "--d", 1, "--seed", seed, "--out", tmp_path / "fn.json")
+    assert res.code == 2 and "'seed'" in res.summary
+    assert not (tmp_path / "fn.json").exists()
+    cfg = _tree_config(tmp_path)
+    res = run("solve", "--config", cfg, "--radius", 3, "--epsilon", 0.01,
+              "--seed", seed, "--out", tmp_path / "out")
+    assert res.code == 2 and "'seed'" in res.summary
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_exits_2_through_main(tmp_path, capsys):
+    cfg = _tree_config(tmp_path)
+    capsys.readouterr()
+    for argv in (["random", "--r", "1", "--d", "1", "--seed", "-1",
+                  "--out", str(tmp_path / "fn.json")],
+                 ["solve", "--config", str(cfg), "--radius", "3", "--epsilon", "0.01",
+                  "--seed", "-1", "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "Traceback" not in err
 
 
 def _tree_config(tmp_path):

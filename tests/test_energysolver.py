@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from freepd import energysolver
 from freepd.energysolver import (
     Configuration,
     SingularityCertificate,
@@ -21,6 +22,7 @@ from freepd.errors import (
     BudgetError,
     DomainError,
     FormatError,
+    NotStrictError,
     ParameterError,
     SolveError,
 )
@@ -204,6 +206,50 @@ def test_solve_edge_singular_pairs_converge_fast_and_stationary():
         assert e <= base + 1e-6
         for s in (1, -1, 1j, -1j):
             assert abs(energy_gradient(C, D, zeta.value, mu, "zeta", s)) <= 1e-6
+
+
+def _completed(space, rd, zeta):
+    """A stage Gram with its working corner filled, built independently."""
+    G = np.array(space.gram)
+    m = space.core_size
+    G[m, m + 1] = zeta * (rd.n_g * rd.n_e) + rd.cross
+    G[m + 1, m] = np.conj(G[m, m + 1])
+    return G
+
+
+def test_stage_pencil_keeps_its_last_success_and_no_failure(monkeypatch):
+    pair = energysolver._pair_data(stage_function(3), stage_function(53))
+    pencil = energysolver._StagePencil(pair)
+    real = energysolver._top_generalized_eig
+    solved = []
+
+    def flaky(G_C, G_D):
+        solved.append(G_C.tobytes() + G_D.tobytes())
+        if len(solved) in (1, 3):
+            raise NotStrictError("the base Gram matrix is not strictly positive")
+        return real(G_C, G_D)
+
+    monkeypatch.setattr(energysolver, "_top_generalized_eig", flaky)
+    p, q = (0.3 - 0.1j, 0.2j), (-0.25 + 0j, 0.1 + 0.1j)
+    with pytest.raises(NotStrictError):
+        pencil.solve(*p)
+    # the failure was not kept: the same point is solved again, for real
+    vals, x = pencil.solve(*p)
+    assert len(solved) == 2 and solved[0] == solved[1]
+    spC, rdC, spD, rdD = pair
+    want_vals, want_x = real(_completed(spC, rdC, p[0]), _completed(spD, rdD, p[1]))
+    assert vals.tobytes() == want_vals.tobytes() and x.tobytes() == want_x.tobytes()
+    # a success is solved once
+    assert pencil.solve(*p)[0] is vals
+    assert len(solved) == 2
+    # a failure elsewhere keeps the last success; one entry, so q replaces p
+    with pytest.raises(NotStrictError):
+        pencil.solve(*q)
+    assert pencil.solve(*p)[0] is vals and len(solved) == 3
+    pencil.solve(*q)
+    pencil.solve(*q)
+    assert len(solved) == 4
+    assert pencil.solve(*p)[0].tobytes() == want_vals.tobytes() and len(solved) == 5
 
 
 def test_solve_edge_raises_with_best_iterate_on_tiny_cap():
@@ -423,6 +469,41 @@ SOLVE_PINS = {
          ("c", "a"): 1.066110818983475},
     ),
 }
+
+
+# Pencil-kernel calls of the same two solves.  Each stage pair's _StagePencil
+# answers a request for its last solved point without a kernel call, so these
+# count distinct consecutive points; they move with the descent's iterates
+# (as SOLVE_PINS do) and with what a stage pencil keeps.
+SOLVE_PENCILS = {"path": 1888, "cycle": 14074}
+
+
+@pytest.mark.parametrize("shape", sorted(SOLVE_PINS))
+def test_solve_configuration_solves_no_pencil_twice_in_a_row(shape, monkeypatch):
+    real = energysolver._top_generalized_eig
+    last = {}
+    counts = {"calls": 0, "repeats": 0}
+
+    def recording(G_C, G_D):
+        # a stage pair is known by its two Grams with the working corners blanked
+        n = G_C.shape[0]
+        blank = [np.array(G) for G in (G_C, G_D)]
+        for G in blank:
+            G[n - 2, n - 1] = G[n - 1, n - 2] = 0
+        pair = blank[0].tobytes() + blank[1].tobytes()
+        point = G_C.tobytes() + G_D.tobytes()
+        counts["calls"] += 1
+        counts["repeats"] += last.get(pair) == point
+        out = real(G_C, G_D)
+        last[pair] = point  # a failed solve is not kept, so it may be asked again
+        return out
+
+    monkeypatch.setattr(energysolver, "_top_generalized_eig", recording)
+    make, total, _, _ = SOLVE_PINS[shape]
+    cfg = make(_ball2_family(seeds=(200, 201, 202, 203)))
+    _, report = solve_configuration(cfg, R=3, eps=1e-3, seed=0)
+    assert report.iterations_total == total
+    assert counts == {"calls": SOLVE_PENCILS[shape], "repeats": 0}
 
 
 @pytest.mark.parametrize("shape", sorted(SOLVE_PINS))
