@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .energysolver import configuration_from_dict, solve_configuration
-from .errors import FormatError, FreePDError, SurgeryError
+from .errors import FormatError, FreePDError, ParameterError, SurgeryError
 from .extend import central_extension, toeplitz_step
 from .pdcore import (
     DEFAULT_TOL,
@@ -35,7 +35,7 @@ from .pdcore import (
     write_json_atomic,
 )
 from .surgery import LabeledGraph, perform_surgery, verify_conditions
-from .transport import relative_energy
+from .transport import _increasing_radii, energy_schedule
 from .words import word_to_str
 
 __all__ = ["CommandResult", "dispatch", "main"]
@@ -100,7 +100,7 @@ def _seed(text) -> int:
 
 
 def _failed(verb, path, inputs, exc, staged=False) -> CommandResult:
-    """Write the report of a failed command and exit 1.
+    """Write the report of a failed command; exit 2 on a FormatError, else 1.
 
     The report holds the ``inputs`` fields, the error and its type, then for
     a stage walk the failing stage (null when none is named).
@@ -110,6 +110,8 @@ def _failed(verb, path, inputs, exc, staged=False) -> CommandResult:
         stage = getattr(exc, "stage", None)
         report["stage"] = None if stage is None else dict(zip("gjk", stage))
     write_json_atomic(report, path)
+    if isinstance(exc, FormatError):
+        return CommandResult(2, f"malformed input at {exc.key!r}: {exc}", str(path))
     return CommandResult(1, f"{verb} failed: {exc}", str(path))
 
 
@@ -166,20 +168,18 @@ def _cmd_energy(args) -> CommandResult:
         if not radii:
             raise FormatError("radii", f"--radii must be integers, got {args.radii!r}")
     else:
-        radii = list(range(1, min(A.domain.r, B.domain.r) // 2 + 1)) or [None]
-    lines = []
-    values = {}
-    path = _report_path(args.a)
+        radii = list(range(1, min(A.domain.r, B.domain.r) // 2 + 1)) or [0]
+    path, inputs = _report_path(args.a), {"a": str(args.a), "b": str(args.b)}
     try:
-        for r in radii:
-            rep = relative_energy(A, B, r=r)
-            key = min(A.domain.r, B.domain.r) // 2 if r is None else r
-            values[str(key)] = rep.energy
-            lines.append(f"r={key}: {_fmt(rep.energy)}")
+        _increasing_radii(radii)
+    except ParameterError as exc:
+        return _failed("energy", path, inputs, FormatError("radii", f"{exc}, got {args.radii!r}"))
+    try:
+        values = {str(r): rep.energy for r, rep in zip(radii, energy_schedule(A, B, radii))}
     except FreePDError as exc:
-        return _failed("energy", path, {"a": str(args.a), "b": str(args.b)}, exc)
-    write_json_atomic({"a": str(args.a), "b": str(args.b), "energies": values}, path)
-    return CommandResult(0, "\n".join(lines), str(path))
+        return _failed("energy", path, inputs, exc)
+    write_json_atomic({**inputs, "energies": values}, path)
+    return CommandResult(0, "\n".join(f"r={r}: {_fmt(e)}" for r, e in values.items()), str(path))
 
 
 def _cmd_solve(args) -> CommandResult:

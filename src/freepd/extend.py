@@ -15,11 +15,13 @@ extend_entry performs one such step and advances the stage bookkeeping.
 This module owns the one stage walk: _open_walk starts it beyond Ball(r),
 _write_and_advance alone orders the stages, and restrict_to_ball cuts the
 result onto Ball(R).  extend_ball drives it with a parameter policy, and the
-energy solver drives it for a whole family of functions.  The residuals of
-a stage come from its level's one interior factor (see hilbert): each stage
-function the walk writes on the same level inherits that level, so a level
-is gathered and factored once for its d*d stages.  A stage failure keeps
-its class and names the stage in its message and its stage attribute.
+energy solver drives it for a whole family of functions.  Each step builds
+its successor by construction, the stack a copy of the predecessor's with
+one write.  The residuals of a stage come from its level's one interior
+factor (see hilbert): each stage function the walk writes on the same level
+inherits that level, gathered and factored once for its d*d stages, and its
+predecessor's stage factor, grown by one row.  A stage failure keeps its
+class and names the stage in its message and its stage attribute.
 The zeta = 0 choice at every stage is the central (maximal entropy)
 extension, which on two letters reproduces the multiplicative values
 C(uv) = C(u) C(v) along reduced products.
@@ -44,7 +46,7 @@ from .pdcore import (
     DEFAULT_TOL,
     Domain,
     PDFunction,
-    fill_stage,
+    _next_stage,
     restrict_to_ball,
     restrict_to_stage,
 )
@@ -158,7 +160,8 @@ def _residuals(C: PDFunction):
 
 def _write_and_advance(C: PDFunction, rd, zeta: SzegoParameter) -> PDFunction:
     """Fill the working slot with zeta's value and move to the next stage; a
-    successor on the same level inherits C's level (hilbert.hand_off)."""
+    successor on the same level inherits C's level and stage state
+    (hilbert.hand_off)."""
     dom = C.domain
     d = C.d
     value = zeta.value * (rd.n_g * rd.n_e) + rd.cross
@@ -167,10 +170,10 @@ def _write_and_advance(C: PDFunction, rd, zeta: SzegoParameter) -> PDFunction:
         # Level complete; the value at the inverse is forced by symmetry and
         # lives in the same stored matrix.  Skip ahead to the next novel
         # level, whose top matrix starts out fully undefined.
-        new_dom = Domain.partial(next_novel(dom.g), 1, 1)
+        new_dom = Domain("partial", g=next_novel(dom.g), j=1, k=1)
     else:
-        new_dom = Domain.partial(dom.g, slot // d + 1, slot % d + 1)
-    nxt = fill_stage(C, value, new_dom)
+        new_dom = Domain("partial", g=dom.g, j=slot // d + 1, k=slot % d + 1)
+    nxt = _next_stage(C, value, new_dom)
     hand_off(C, nxt)
     return nxt
 

@@ -26,13 +26,16 @@ interior x [d], g x [d], e x [d] once (pdcore's one Gram gather; only its
 C(g) block may be NaN), factors the interior block once, and borders that
 factor with the 2d g/e vectors: their interior coordinates V and the 2d x 2d
 Schur block S = G[ge, ge] - V* V, the Gram of their residuals against the
-interior.  A stage (j, k) then factors only the rows (g, m < j) and
-(e, m < k) of S and borders them with (g, j) and (e, k); the interior part
-V* V of the cross term is added back.  The stage Q-Gram and S are served
-from the level with the C(g) block read from the function's own top row, so
-their values are those of a direct gather.  A function built by
-the walk on the same level inherits the level through hand_off, every other
-function builds its own on first use.  Vectors never materialize.
+interior.  A stage (j, k) borders the factor of its core, the rows
+(g, m < j) and (e, m < k) of S, with (g, j) and (e, k) and adds back the
+interior part V* V of the cross term; the C(g) entries it reads come from
+the function's own top row.  A function the walk writes on the same level
+inherits, through hand_off, the level and its predecessor's core factor,
+grown by one row: (e, k - 1) within a row, its row the predecessor's e
+coordinates and pivot n_e (the g coordinates gain one entry from the value
+just written), or (g, j - 1) at a row start, onto the leading g rows.  So a
+stage takes one or two triangular solves.  Other functions build their
+level on first use and factor their core afresh.  Vectors never materialize.
 """
 
 from __future__ import annotations
@@ -98,13 +101,16 @@ class _Level:
         self.gram.setflags(write=False)
         self._projections = None
 
-    def projections(self) -> np.ndarray:
-        """V* V, the 2d x 2d Gram of the g/e vectors' projections onto the
-        interior, V their interior coordinates (see _core_coordinates).  An
+    def projections(self) -> tuple:
+        """(P, S): P = V* V, the 2d x 2d Gram of the g/e vectors' projections
+        onto the interior, V their interior coordinates (see
+        _core_coordinates), and the Schur block S = G[ge, ge] - P, whose
+        g x e blocks a stage reads from its own top row instead.  An
         interior pivot at or below DEFAULT_TOL raises NotStrictError."""
         if self._projections is None:
-            V = _core_coordinates(self.gram, self.size)
-            self._projections = V.conj().T @ V
+            V = _core_coordinates(self.gram, self.size)[1]
+            P = V.conj().T @ V
+            self._projections = P, self.gram[self.size:, self.size:] - P
         return self._projections
 
 
@@ -113,14 +119,15 @@ class PartialHilbertSpace:
 
     gram is the stage Gram indexed by indices.Q, with NaN at the working
     pair (positions len(P), len(P)+1), that is <Theta(g)_j, Theta(e)_k>;
-    the two one-sided restrictions X_g and X_e are fully defined.  schur is
-    the level's Schur block with this function's C(g) values.
+    the two one-sided restrictions X_g and X_e are fully defined.  grown is
+    the stage state hand_off passes on, if any, from which the core factor
+    grows.
     """
 
-    def __init__(self, level: _Level, C: PDFunction):
+    def __init__(self, level: _Level, C: PDFunction, grown=None):
         self.level, self.j, self.k = level, C.domain.j, C.domain.k
-        self.top = C._stack[-1]
-        self._residuals = None
+        self.top, self._grown = C._stack[-1], grown
+        self._state = self._residuals = None
 
     @property
     def core_size(self) -> int:
@@ -145,15 +152,6 @@ class PartialHilbertSpace:
         G.setflags(write=False)
         return G
 
-    @cached_property
-    def schur(self) -> np.ndarray:
-        n, d = self.level.size, self.level.d
-        S = np.array(self.level.gram[n:, n:])
-        S[:d, d:], S[d:, :d] = self.top, self.top.conj().T
-        S -= self.level.projections()
-        S.setflags(write=False)
-        return S
-
     @property
     def core_gram(self) -> np.ndarray:
         m = self.core_size
@@ -172,17 +170,35 @@ class PartialHilbertSpace:
         return self.gram[np.ix_(rows, rows)]
 
     def residuals(self) -> tuple:
-        """(n_g, n_e, cross): the rows (g, m < j), (e, m < k) of the Schur
-        block factored and bordered with (g, j), (e, k), the interior part
-        of the cross term added back.  A core pivot at or below DEFAULT_TOL
-        raises NotStrictError."""
+        """(n_g, n_e, cross): the core factor, grown from a handed-on stage
+        state or factored afresh, bordered with (g, j) and (e, k), and the
+        interior part of the cross term added back.  A core pivot at or
+        below DEFAULT_TOL raises NotStrictError."""
         if self._residuals is None:
-            d, j, k = self.level.d, self.j, self.k
-            P = self.level.projections()
-            rows = np.array([*range(j - 1), *range(d, d + k - 1), j - 1, d + k - 1])
-            n_g, n_e, cross = _border(self.schur[rows[:, None], rows], j + k - 2,
-                                      first=self.level.size)
-            self._residuals = (n_g, n_e, complex(cross + P[j - 1, d + k - 1]))
+            d, j, k, n = self.level.d, self.j, self.k, self.level.size
+            top, g, e = self.top, j - 1, d + k - 1
+            P, S = self.level.projections()
+            if self._grown is None:
+                B = np.array(S)
+                B[:d, d:], B[d:, :d] = top - P[:d, d:], top.conj().T - P[d:, :d]
+                rows = [*range(g), *range(d, e), g, e]
+                L, V = _core_coordinates(B[np.ix_(rows, rows)], j + k - 2, first=n)
+                v_g, v_e = V.T
+            else:
+                L, v_g, v_e, n_e = self._grown
+                if k > 1:  # the core gains (e, k - 1), next to the value just written
+                    L = _grow(L, v_e, n_e, n)
+                    # ztrsv's last step, which scales by the pivot's reciprocal
+                    x = (top[g, k - 2].conj() - P[e - 1, g] - np.vdot(v_e, v_g)) * (1.0 / n_e)
+                    v_g = np.concatenate((v_g, [x]))
+                else:  # a row starts: the core is the predecessor's g rows plus (g, j - 1)
+                    v = v_g[:g - 1]
+                    L = _grow(L[:g - 1, :g - 1], v, _norm(S[g - 1, g - 1], v), n)
+                    v_g = _solve(L, S[:g, g])
+                v_e = _solve(L, np.concatenate([top[:g, k - 1] - P[:g, e], S[d:e, e]]))
+            n_e = _norm(S[e, e], v_e)
+            self._state, self._grown = (L, v_g, v_e, n_e), None
+            self._residuals = (_norm(S[g, g], v_g), n_e, complex(np.vdot(v_g, v_e) + P[g, e]))
         return self._residuals
 
 
@@ -202,12 +218,13 @@ def build_partial_space(C: PDFunction) -> PartialHilbertSpace:
 
 
 def hand_off(C: PDFunction, nxt: PDFunction):
-    """Give nxt, the function C's walk step wrote, C's level if it sits on
-    the same one; nxt's own space reads its C(g) values from its top row.
-    C's space does not change."""
+    """Give nxt, the function C's walk step wrote, C's level and stage state
+    (core factor, core coordinates of the working pair, n_e) if it sits on
+    the same level; nxt's space reads its C(g) values from its top row and
+    keeps no reference to C or to C's space, which does not change."""
     sp = C._stage_space
     if sp is not None and nxt.domain.g == sp.level.g:
-        nxt._stage_space = PartialHilbertSpace(sp.level, nxt)
+        nxt._stage_space = PartialHilbertSpace(sp.level, nxt, sp._state)
 
 
 def _cholesky(M, first: int = 0):
@@ -231,10 +248,32 @@ def _cholesky(M, first: int = 0):
     bad = np.flatnonzero(pivots <= DEFAULT_TOL)
     if bad.size:
         t = int(bad[0])
-        raise NotStrictError(
-            f"Cholesky pivot collapsed at position {first + t} (pivot {pivots[t]:.3e})"
-        )
+        raise _collapsed(first + t, pivots[t])
     return L, pivots
+
+
+def _collapsed(position: int, pivot: float) -> NotStrictError:
+    return NotStrictError(f"Cholesky pivot collapsed at position {position} (pivot {pivot:.3e})")
+
+
+def _grow(L: np.ndarray, v: np.ndarray, pivot: float, first: int) -> np.ndarray:
+    """L bordered with a vector of core coordinates v, pivot checked as in _cholesky."""
+    m = len(v)
+    if not pivot > DEFAULT_TOL:  # NaN fails too
+        raise _collapsed(first + m, pivot)
+    out = np.zeros((m + 1, m + 1), dtype=complex, order="F")
+    out[:m, :m], out[m, :m], out[m, m] = L, v.conj(), pivot
+    return out
+
+
+def _solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b, one single-vector ztrsv (a multi-column one wakes a spinning OpenBLAS worker)."""
+    return scipy.linalg.blas.ztrsv(L, b, lower=1) if len(b) else np.zeros(0, dtype=complex)
+
+
+def _norm(square: complex, v: np.ndarray) -> float:
+    """A residual norm from the square norm and core coordinates v, or 0."""
+    return math.sqrt(max(square.real - np.vdot(v, v).real, 0.0))
 
 
 def ortho_matrices(M):
@@ -255,27 +294,13 @@ def ortho_matrices(M):
     return G, G / pivots
 
 
-def _core_coordinates(M: np.ndarray, m: int, first: int = 0) -> np.ndarray:
-    """V = L^-1 M[:m, m:], the coordinates of the vectors after a core of m
-    rows in the core factor M[:m, :m] = L L*: one zpotrf, then one
-    single-vector ztrsv per column (a multi-column triangular solve wakes an
-    OpenBLAS worker that then spins).  A core pivot at or below DEFAULT_TOL
+def _core_coordinates(M: np.ndarray, m: int, first: int = 0) -> tuple:
+    """(L, V): the core factor M[:m, :m] = L L* of the first m rows, one
+    zpotrf, and V = L^-1 M[:m, m:], the core coordinates of the vectors
+    after it, one _solve per column.  A core pivot at or below DEFAULT_TOL
     raises NotStrictError, its position counted from first."""
-    V = np.zeros((m, M.shape[1] - m), dtype=complex)
-    if m:
-        L, _ = _cholesky(M[:m, :m], first=first)
-        for c in range(V.shape[1]):
-            V[:, c] = scipy.linalg.blas.ztrsv(L, M[:m, m + c], lower=1)
-    return V
-
-
-def _border(M: np.ndarray, m: int, first: int = 0) -> tuple:
-    """(n_g, n_e, cross) of the last two rows of M over its leading m rows,
-    from their core coordinates; a residual square at or below 0 reads 0."""
-    V = _core_coordinates(M, m, first)
-    n_g, n_e = (math.sqrt(max(M[c, c].real - np.vdot(v, v).real, 0.0))
-                for v, c in zip(V.T, (m, m + 1)))
-    return n_g, n_e, complex(np.vdot(V[:, 0], V[:, 1]))
+    L = _cholesky(M[:m, :m], first=first)[0] if m else np.zeros((0, 0), dtype=complex)
+    return L, np.column_stack([_solve(L, M[:m, c]) for c in range(m, M.shape[1])])
 
 
 def _checked(n_g: float, n_e: float, cross: complex) -> ResidualData:
@@ -296,10 +321,11 @@ def residual_from_gram(G: np.ndarray, core_size: int) -> ResidualData:
     outcome does not depend on the core ordering, since an orthogonal
     projection is basis-free.
     """
-    G = np.asarray(G, dtype=complex)
-    if G.ndim != 2 or core_size != G.shape[0] - 2:
+    G, m = np.asarray(G, dtype=complex), core_size
+    if G.ndim != 2 or m != G.shape[0] - 2:
         raise ParameterError("core_size must be the matrix size minus two")
-    return _checked(*_border(G, core_size))
+    v_g, v_e = _core_coordinates(G, m)[1].T
+    return _checked(_norm(G[m, m], v_g), _norm(G[m + 1, m + 1], v_e), complex(np.vdot(v_g, v_e)))
 
 
 def residual_data(space: PartialHilbertSpace) -> ResidualData:

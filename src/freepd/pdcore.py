@@ -32,6 +32,7 @@ clique size to one stacked eigh, then scans the results in level order.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -174,13 +175,14 @@ class PDFunction:
     of {g, g^-1} may arrive, or both when they agree under conjugate
     transposition to within 1e-12.  The function must be total on its
     domain, except beyond the stage position of a partial top.  Parsed and
-    computed stacks pass one validator (_adopt).  Positivity is NOT checked
+    computed stacks pass one validator (_adopt), which a walk's successor
+    stage passes by construction (_next_stage).  Positivity is NOT checked
     here: check_pd passes verdicts, constructors pass data.  _stage_space
     keeps the stage space hilbert.build_partial_space builds, once, or the
     one the extension walk hands on (hilbert.hand_off).
     """
 
-    __slots__ = ("d", "domain", "_stack", "_stage_space")
+    __slots__ = ("d", "domain", "_stack", "_stage_space", "__weakref__")
 
     def __init__(self, d: int, domain: Domain, entries):
         n = _check_header(d, domain)
@@ -700,17 +702,20 @@ def restrict_to_stage(C: PDFunction, g, j: int, k: int) -> PDFunction:
     return PDFunction._from_stack(C.d, dom, np.concatenate([C._stack[:n - 1], top]))
 
 
-def fill_stage(C: PDFunction, value: complex, nxt: Domain) -> PDFunction:
-    """C with its working slot set to value, on the stage domain nxt that
-    follows: a later stage of the same level, or a later level whose rows
-    start out undefined (the validator checks that nxt fits)."""
-    dom = C.domain
-    grow = _check_header(C.d, nxt) - len(C._stack)
-    if dom.kind != "partial" or grow < 0:
-        raise DomainError("fill_stage moves a partial function to a later stage")
-    stack = np.concatenate([C._stack, np.full((grow, C.d, C.d), complex("nan"))])
-    stack[len(C._stack) - 1, dom.j - 1, dom.k - 1] = value
-    return PDFunction._from_stack(C.d, nxt, stack)
+def _next_stage(C: PDFunction, value: complex, nxt: Domain) -> PDFunction:
+    """C with its working slot set to value, on the walk's next stage nxt.
+    A finite value keeps C's validated NaN pattern exact, so the stack is
+    adopted as built; any other goes through the validator."""
+    n = len(C._stack)
+    stack = np.empty((n + (nxt.g != C.domain.g), C.d, C.d), dtype=complex)
+    stack[:n], stack[n:] = C._stack, complex("nan")
+    stack[n - 1, C.domain.j - 1, C.domain.k - 1] = value
+    if not cmath.isfinite(value):
+        return PDFunction._from_stack(C.d, nxt, stack)
+    stack.setflags(write=False)
+    out = object.__new__(PDFunction)
+    out.d, out.domain, out._stack, out._stage_space = C.d, nxt, stack, None
+    return out
 
 
 def l1_distance(C: PDFunction, D: PDFunction) -> float:

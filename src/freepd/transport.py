@@ -206,12 +206,17 @@ def energy_schedule(C: PDFunction, D: PDFunction, radii=None) -> list:
         raise DomainError("energy_schedule expects two functions on one ball")
     if radii is None:
         radii = list(range(C.domain.r // 2 + 1))
+    return [relative_energy(C, D, r=r) for r in _increasing_radii(radii)]
+
+
+def _increasing_radii(radii) -> list:
+    """Schedule radii as integers: at least one, strictly increasing."""
     radii = [int(r) for r in radii]
     if not radii:
         raise ParameterError("no radii requested")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ParameterError("radii must be strictly increasing")
-    return [relative_energy(C, D, r=r) for r in radii]
+    return radii
 
 
 def perturbation_bound_check(L, M, sigma: float) -> bool:

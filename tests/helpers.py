@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg
 
 from freepd import pdcore
-from freepd.errors import SurgeryError, WordError
+from freepd.errors import DomainError, SurgeryError, WordError
 from freepd.pdcore import DEFAULT_TOL, Domain, PDFunction, PDVerdict
 from freepd.surgery import _greedy_positions
 from freepd.words import (
@@ -89,6 +89,19 @@ def embed_toeplitz(c, n_target):
         else:
             entries[w] = [[0.0]]
     return PDFunction(1, dom, entries)
+
+
+def fill_stage(C, value, nxt):
+    """C with its working slot set to value, on any later stage domain nxt
+    (a later stage of the same level, or a later level whose rows start out
+    undefined), through the constructor's validator, which checks that nxt
+    fits: the walk's successor step for a next stage of the caller's choice."""
+    grow = pdcore._check_header(C.d, nxt) - len(C._stack)
+    if C.domain.kind != "partial" or grow < 0:
+        raise DomainError("fill_stage moves a partial function to a later stage")
+    stack = np.concatenate([C._stack, np.full((grow, C.d, C.d), complex("nan"))])
+    stack[len(C._stack) - 1, C.domain.j - 1, C.domain.k - 1] = value
+    return PDFunction._from_stack(C.d, nxt, stack)
 
 
 def letter_weights_function(ca, cb, r=1):

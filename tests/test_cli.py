@@ -109,6 +109,19 @@ def test_energy_radii_without_an_integer_exit_2(tmp_path, radii):
     assert not (tmp_path / "a.report.json").exists()
 
 
+@pytest.mark.parametrize("radii", ["1,1", "1,0", "2,1"])
+def test_energy_radii_not_increasing_exit_2_with_a_report(tmp_path, radii):
+    # the order rule is energy_schedule's, refused as malformed input
+    a = tmp_path / "a.json"
+    run("random", "--r", 2, "--d", 1, "--seed", 2, "--out", a)
+    res = run("energy", a, a, "--radii", radii)
+    assert res.code == 2 and "'radii'" in res.summary
+    assert res.report_path == str(tmp_path / "a.report.json")
+    report = json.loads((tmp_path / "a.report.json").read_text())
+    assert report["type"] == "FormatError" and "strictly increasing" in report["error"]
+    assert "energies" not in report
+
+
 @pytest.mark.parametrize("case, error", [
     ("singular", "NotStrictError"),
     ("domains", "DomainError"),

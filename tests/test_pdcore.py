@@ -34,7 +34,6 @@ from freepd.pdcore import (
     canonical_words,
     check_pd,
     delta,
-    fill_stage,
     function_from_dict,
     function_to_dict,
     gram,
@@ -51,7 +50,7 @@ from freepd.pdcore import (
 )
 from freepd.hilbert import build_partial_space
 from freepd.words import ball, clique, inverse, mul, word_from_str, word_to_str
-from helpers import level_at_a_time_check_pd, level_spectra, reference_gram
+from helpers import fill_stage, level_at_a_time_check_pd, level_spectra, reference_gram
 
 W = word_from_str
 

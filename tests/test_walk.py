@@ -1,0 +1,148 @@
+"""The stage walk's incremental steps against fresh builds.
+
+Each walk step builds its successor by construction (pdcore._next_stage)
+and hands the successor its level and stage state (hilbert.hand_off), from
+which the successor's core factor grows by one row.  The oracles here are
+the constructor's validator on a copy of each stage function and a stage
+space built afresh on that copy.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from freepd import hilbert
+from freepd.errors import DegenerateStageError, MissingEntryError, NotStrictError
+from freepd.extend import (
+    ParameterPolicy,
+    SzegoParameter,
+    _open_walk,
+    _write_and_advance,
+    central_policy,
+    extend_ball,
+    extend_entry,
+)
+from freepd.hilbert import ResidualData, build_partial_space, residual_data
+from freepd.pdcore import Domain, PDFunction, _next_stage, random_nspd, restrict_to_stage
+from freepd.words import next_novel
+from helpers import fill_stage, seeded_rim_policy
+
+
+def _copy(C):
+    return PDFunction._from_stack(C.d, C.domain, np.array(C._stack))
+
+
+def _recording(policy, seen):
+    def rule(stage, current, context):
+        seen.append(current)
+        return policy.rule(stage, current, context)
+
+    return ParameterPolicy(rule, name=policy.name)
+
+
+def _close(a: ResidualData, b: ResidualData, tol=1e-12):
+    return all(abs(x - y) <= tol for x, y in zip((a.n_g, a.n_e, a.cross), (b.n_g, b.n_e, b.cross)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("central", [True, False])
+def test_every_stage_function_matches_the_validator_and_a_fresh_space(d, central):
+    # Ball(2) -> Ball(3) crosses 18 level boundaries
+    policy = central_policy() if central else seeded_rim_policy(40 + d)
+    seen = []
+    extend_ball(random_nspd(2, d, seed=d), 3, _recording(policy, seen))
+    assert len(seen) == 18 * d * d
+    for prev, C in zip([None] + seen, seen):
+        assert not C._stack.flags.writeable
+        assert C == _copy(C)
+        sp = C._stage_space
+        first = (C.domain.j, C.domain.k) == (1, 1)
+        # within a level the space was handed on, and it shares the level
+        assert first or sp.level is prev._stage_space.level
+        rd, fresh = residual_data(sp), residual_data(build_partial_space(_copy(C)))
+        if central and d <= 2:
+            assert rd == fresh
+        else:
+            assert _close(rd, fresh)
+
+
+def test_two_successors_of_one_stage_grow_independently():
+    d = 3
+    stage = _open_walk(random_nspd(2, d, seed=11))
+    for _ in range(d + 1):  # to (g, 2, 2), mid-level
+        stage = extend_entry(stage, 0.2 + 0.1j)
+    kept = np.array(stage._stack)
+    walks = [extend_entry(stage, z) for z in (0.6j, -0.5)]
+    rng = np.random.default_rng(3)
+    # interleaved, so that state shared between the two would show
+    while walks[0].domain.g == stage.domain.g:
+        for i, C in enumerate(walks):
+            assert C._stage_space._grown is not None
+            fresh = build_partial_space(_copy(C))
+            assert _close(residual_data(C._stage_space), residual_data(fresh))
+            walks[i] = extend_entry(C, 0.7 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()))
+    assert walks[0].domain == walks[1].domain == Domain.partial(next_novel(stage.domain.g), 1, 1)
+    assert not np.array_equal(walks[0]._stack, walks[1]._stack)
+    assert stage._stack.tobytes() == kept.tobytes()
+
+
+def test_a_walk_leaves_kept_stages_alone_and_frees_the_others():
+    kept, copies, early = [], [], []
+
+    def rule(stage, current, context):
+        if len(early) < 4:
+            early.append(weakref.ref(current))
+        elif len(kept) < 4:
+            kept.append(current)
+            copies.append((current.domain, current._stack.tobytes()))
+        return 0.3 - 0.4j
+
+    out = extend_ball(random_nspd(2, 2, seed=5), 3, ParameterPolicy(rule))
+    gc.collect()
+    assert all(ref() is None for ref in early)
+    for C, (dom, data) in zip(kept, copies):
+        assert C.domain == dom and C._stack.tobytes() == data
+    assert out.domain == Domain.ball(3)
+
+
+def test_a_collapsing_pivot_on_a_handed_on_walk_raises_as_a_fresh_build(monkeypatch):
+    # a near-rim value at (g, 1, 1) pins (e, 1) almost onto (g, 1), so the
+    # pivot (e, 1) brings into the core at (g, 2, 2) is small, while the
+    # interior's and (g, 1)'s stay large
+    C = extend_entry(_open_walk(random_nspd(2, 2, seed=7)), 0.99999)
+    C = extend_entry(extend_entry(C, 0.0), 0.0)
+    assert (C.domain.j, C.domain.k) == (2, 2)
+    grown = C._stage_space._grown
+    entering = grown[3]
+    level = C._stage_space.level
+    interior = hilbert._cholesky(level.gram[:level.size, :level.size])[1]
+    others = min(interior.min(), abs(grown[0][0, 0]))
+    assert hilbert.DEFAULT_TOL < entering < others / 10
+    monkeypatch.setattr(hilbert, "DEFAULT_TOL", float(np.sqrt(entering * others)))
+    with pytest.raises(NotStrictError) as handed:
+        extend_entry(C, 0.0)
+    with pytest.raises(NotStrictError) as fresh:
+        extend_entry(_copy(C), 0.0)
+    assert type(handed.value) is NotStrictError
+    assert not isinstance(handed.value, DegenerateStageError)
+    assert str(handed.value) == str(fresh.value)
+    assert handed.value.stage == fresh.value.stage == ("aaa", 2, 2)
+    assert f"position {level.size + 1}" in str(handed.value)
+
+
+def test_a_non_finite_write_still_goes_through_the_validator():
+    C = _open_walk(random_nspd(2, 2, seed=2))
+    nxt = Domain.partial(C.domain.g, 1, 2)
+    with pytest.raises(MissingEntryError):
+        _next_stage(C, complex("nan"), nxt)
+    with pytest.raises(MissingEntryError):
+        _write_and_advance(C, ResidualData(1.0, 1.0, complex("nan")), SzegoParameter(0))
+    # an infinite value is no NaN, so the validator lets it through as before
+    assert _next_stage(C, complex("inf"), nxt) == fill_stage(C, complex("inf"), nxt)
+    # a finite one is the validated step, for a same-level and a new-level successor
+    assert _next_stage(C, 0.25j, nxt) == fill_stage(C, 0.25j, nxt)
+    last = restrict_to_stage(random_nspd(3, 2, seed=2), "aaa", 2, 2)
+    opened = Domain.partial(next_novel(last.domain.g), 1, 1)
+    assert _next_stage(last, 0.5, opened) == fill_stage(last, 0.5, opened)
