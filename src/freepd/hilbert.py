@@ -87,17 +87,17 @@ class ResidualData:
 class _Level:
     """The data the d*d stages of one novel level g share.
 
-    pairs lists the level's (word, coordinate) pairs, the clique interior
-    K_g minus {e, g} times [d] (size of them), then g x [d], then e x [d];
-    gram is their read-only Gram, NaN where the building function had not
-    written C(g).  projections() computes the rest, once.
+    gram is the read-only Gram of the level's (word, coordinate) pairs, the
+    clique interior K_g minus {e, g} times [d] (size of them), then g x [d],
+    then e x [d], NaN where the building function had not written C(g).
+    projections() computes the rest, once.
     """
 
     def __init__(self, C: PDFunction):
         self.g, self.d = C.domain.g, C.d
-        self.pairs, table = pdcore._clique_pairs(self.g, self.d, level=True)
-        self.size = len(self.pairs) - 2 * self.d
-        self.gram = pdcore._gram(C, self.pairs, corner=self.d, table=table)
+        table = pdcore._clique_pairs(self.g, self.d, level=True)[0]
+        self.size = len(table[2]) - 2 * self.d
+        self.gram = pdcore._gram(C, corner=self.d, table=table)
         self.gram.setflags(write=False)
         self._projections = None
 
@@ -135,10 +135,7 @@ class PartialHilbertSpace:
 
     @cached_property
     def indices(self) -> StageIndexSets:
-        lv = self.level
-        P, work = pdcore._stage_rows(lv.size, lv.d, self.j, self.k)
-        P = tuple(lv.pairs[i] for i in P)
-        return StageIndexSets(lv.g, lv.d, self.j, self.k, P, P + tuple(lv.pairs[i] for i in work))
+        return StageIndexSets.at(self.level.g, self.level.d, self.j, self.k)
 
     @cached_property
     def gram(self) -> np.ndarray:

@@ -20,11 +20,13 @@ matrices, which are exactly its fully defined principal submatrices.
 Only one of {g, g^-1} is stored, the shortlex-smaller (canonical) one, and
 the mirror is materialized on read.  A function is one read-only (N, d, d)
 stack ranked in the global shortlex order of canonical words, which every
-domain's words begin (words.canonical_ball); a partial top is the last row,
-its undefined slots a complex NaN.  Restrictions are slices and every Gram
-is one gather (_gather) from [I, stack, NaN] through a quotient table
-(words.quotient_table, or a clique's own), whose quotient ranks
-words.canonical_rows maps to rows.  The gather takes a stack of tables of
+domain's words begin; a partial top is the last row, its undefined slots a
+complex NaN.  Words are ranks here too, mapped to rows by the one tree of
+words._tree, and tuples only where they leave (canonical_items, witnesses,
+stage indices, errors).  Restrictions are slices and every Gram is one
+gather (_gather) from [I, stack, NaN] through a quotient table
+(words.quotient_table, or a clique's own), whose quotient ranks the tree's
+rows map to stack rows.  The gather takes a stack of tables of
 one size too: check_pd visits the levels a word length at a time, reading
 their tables from the length's clique table and passing the Grams of one
 clique size to one stacked eigh, then scans the results in level order.
@@ -37,9 +39,7 @@ import json
 import math
 import os
 import tempfile
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,8 +56,6 @@ from .errors import (
 )
 from .words import (
     Word,
-    canonical_ball,
-    canonical_ranks,
     clique,
     index_set,
     inverse,
@@ -65,7 +63,6 @@ from .words import (
     maximal_cliques,
     mul,
     quotient_table,
-    reduce_word,
     shortlex_key,
     word_from_str,
     word_to_str,
@@ -79,13 +76,13 @@ BRUTE_FORCE_CAP = 64
 
 
 def _as_word(key) -> Word:
-    """Accept a word as a tuple of letters or as text; validate either way."""
+    """Accept a word as a tuple of integer letters or as text; validate either way."""
     if isinstance(key, str):
         return word_from_str(key)
     w = tuple(key)
-    if not all(x in (0, 1, 2, 3) for x in w):
+    if not all(x in (0, 1, 2, 3) and not isinstance(x, (bool, np.bool_)) for x in w):
         raise WordError(f"bad letters in {w!r}")
-    if reduce_word(w) != w:
+    if words.rank_of(w) < 0:
         raise WordError(f"{word_to_str(w)} is not reduced")
     return w
 
@@ -141,12 +138,19 @@ def _radius(domain: Domain) -> int:
     return domain.r if domain.kind == "ball" else len(domain.g)
 
 
+def _size(domain: Domain) -> int:
+    """The row count N of a domain: its canonical words up to (3,) * r or g."""
+    r = _radius(domain)
+    last = words.ball_size(r) - 1 if domain.kind == "ball" else words.rank_of(domain.g)
+    return int(words._tree(r).rows[last + 1])
+
+
 def canonical_words(domain: Domain) -> tuple:
     """The canonical (novel) representatives a total function must specify,
     shortlex sorted: the first canonical words, up to (3,) * r or up to g."""
-    last = (3,) * domain.r if domain.kind == "ball" else domain.g
-    ws = canonical_ball(len(last))
-    return ws[:bisect_right(ws, shortlex_key(last), key=shortlex_key)]
+    inv = words._tree(_radius(domain)).inv
+    ranks = np.flatnonzero(np.arange(len(inv)) < inv)[:_size(domain)]
+    return tuple(map(words.ball(_radius(domain)).__getitem__, ranks))
 
 
 def _undefined_top(domain: Domain, d: int) -> np.ndarray:
@@ -162,7 +166,7 @@ def _check_header(d: int, domain: Domain) -> int:
         raise ParameterError("domain must be a Domain")
     if domain.kind == "partial" and (domain.j > d or domain.k > d):
         raise ParameterError("partial stage coordinates exceed d")
-    return len(canonical_words(domain))
+    return _size(domain)
 
 
 class PDFunction:
@@ -186,14 +190,12 @@ class PDFunction:
 
     def __init__(self, d: int, domain: Domain, entries):
         n = _check_header(d, domain)
-        rank = canonical_ranks(_radius(domain))
-        stack = np.full((n, d, d), complex("nan"))
-        given = {}  # row -> the word it was given as
+        self.domain, self._stack = domain, np.full((n, d, d), complex("nan"))  # for _row
+        stack, given = self._stack, {}  # given: row -> the word it was given as
         for key, raw in entries.items():
             w = _as_word(key)
-            c = canonical_rep(w)
-            i = rank.get(c, n) if c else -1
-            if i >= n:
+            i, flip = self._row(w)
+            if i is None and w:
                 text = word_to_str(w)
                 raise EntryError(text, f"{text} is outside the domain")
             arr = np.array(raw, dtype=complex)
@@ -203,8 +205,8 @@ class PDFunction:
                 raise ParameterError(
                     f"entry for {word_to_str(w)} has shape {arr.shape}, expected {(d, d)}"
                 )
-            val = arr if c == w else arr.conj().T
-            if i < 0:
+            val = arr.conj().T if flip else arr
+            if not w:
                 if not np.max(np.abs(val - np.eye(d))) <= MIRROR_TOL:
                     raise EntryError(word_to_str(w), "C(e) must be the d x d identity")
             elif i not in given:
@@ -248,11 +250,15 @@ class PDFunction:
         self.d, self.domain, self._stack, self._stage_space = d, domain, stack, None
 
     def _row(self, w: Word):
-        """(row, mirrored) of a nonempty word: the stack row of its canonical
-        representative (None outside the domain), and whether w is its inverse."""
-        c = canonical_rep(w)
-        i = canonical_ranks(_radius(self.domain)).get(c, len(self._stack))
-        return (i if i < len(self._stack) else None), c != w
+        """(row, mirrored) of a validated word: its canonical representative's
+        stack row (None at e and outside), and whether w is that one's inverse."""
+        r, rank = _radius(self.domain), words.rank_of(w)
+        if rank >= words.ball_size(r):
+            return None, False
+        tree = words._tree(r)
+        c = min(rank, int(tree.inv[rank]))
+        row = int(tree.rows[c])
+        return (row if 0 <= row < len(self._stack) else None), c != rank
 
     def _value(self, w: Word, j: int, k: int) -> complex:
         """C(w)_{j,k} as stored, mirrored as needed; NaN outside the domain."""
@@ -315,29 +321,29 @@ def _gram_slots(C: PDFunction, pairs):
     (word, coordinate) pairs; None when the words, moved so that the least
     is e, leave C's radius.  A moved word is itself a quotient, so then the
     Gram reads outside C, and no table is built for it."""
-    ws = sorted({w for w, _ in pairs}, key=shortlex_key) or [()]
-    if ws[0]:
-        t = inverse(ws[0])
-        moved = {w: mul(t, w) for w in ws}
-        pairs = [(moved[w], c) for w, c in pairs]
-        ws = sorted(moved.values(), key=shortlex_key)
-    if len(ws[-1]) > _radius(C.domain):
+    least = min((w for w, _ in pairs), key=words.rank_of, default=())
+    if least:
+        t = inverse(least)
+        pairs = [(mul(t, w), c) for w, c in pairs]
+    at = [words.rank_of(w) for w, _ in pairs]
+    ranks = sorted(set(at)) or [0]
+    if ranks[-1] >= words.ball_size(_radius(C.domain)):
         return None
-    quotients, slots = quotient_table(tuple(ws))
-    row = {w: a for a, w in enumerate(ws)}
-    rows = [row[w] for w, _ in pairs]
+    quotients, slots = quotient_table(tuple(ranks))
+    rows = np.searchsorted(ranks, at)
     return quotients, slots[np.ix_(rows, rows)], np.array([c - 1 for _, c in pairs], int)
 
 
 def _clique_pairs(g, d: int, level: bool = False):
-    """K_g x [d] (a level's: K_g - {e, g}, then g, then e, times [d]) and its
-    _gram_slots, read off the clique's own table: no word is sorted or hashed."""
+    """The _gram_slots table of K_g x [d] (a level's: K_g - {e, g}, then g,
+    then e, times [d]) off the clique's own, and a function building them."""
     K = clique(g)
-    at, top = range(len(K.vertices)), K.vertices.index(g)
+    at, top = range(len(K.ranks)), K.top
     at = [*at[1:top], *at[top + 1:], top, 0] if level else at
     rows = np.repeat(at, d)
-    pairs = tuple((K.vertices[a], m) for a in at for m in range(1, d + 1))
-    return pairs, (K.quotients, K.slots[np.ix_(rows, rows)], np.tile(np.arange(d), len(at)))
+    table = (K.quotients, K.slots[np.ix_(rows, rows)], np.tile(np.arange(d), len(at)))
+    return table, lambda: tuple((v, m) for v in map(K.vertices.__getitem__, at)
+                                for m in range(1, d + 1))
 
 
 def _stage_rows(n: int, d: int, j: int, k: int):
@@ -349,10 +355,10 @@ def _gather(C: PDFunction, quotients, slots, coords) -> np.ndarray:
     """The one Gram assembly: G[..., i1, i2] = C(w2^-1 w1)[c1, c2] as one
     gather from [I, stack, NaN] for a table (quotients, slots, coords) (see
     _gram_slots) whose slots may stack several Grams of one size, each
-    quotient rank at its canonical row (words.canonical_rows); a quotient
+    quotient rank at its canonical row (the tree's rows); a quotient
     outside the domain reads the NaN pad."""
     n, N, d = len(quotients), len(C._stack), C.d
-    lookup = words.canonical_rows(_radius(C.domain))
+    lookup = words._tree(_radius(C.domain)).rows
     rows = 1 + np.minimum(lookup[np.minimum(quotients, len(lookup) - 1)], N)
     stack = np.concatenate([np.eye(d, dtype=complex)[None], C._stack,
                             np.full((1, d, d), complex("nan"))]).ravel()
@@ -363,12 +369,12 @@ def _gather(C: PDFunction, quotients, slots, coords) -> np.ndarray:
     return np.conj(G, out=G, where=mirrored)
 
 
-def _gram(C: PDFunction, pairs, corner: int = 0, table=None) -> np.ndarray:
+def _gram(C: PDFunction, pairs=None, corner: int = 0, table=None) -> np.ndarray:
     """The Gram over validated pairs, gathered (_gather) through their
-    table; a clique's pairs pass its table (_clique_pairs) instead of
-    looking it up.  A NaN (outside the domain, an undefined slot) raises,
-    except in the block of pairs[-2c:-c] against pairs[-c:] for c = corner
-    > 0: one stage's corner for 1, a level's C(g) for d."""
+    table; a clique's Grams pass its table (_clique_pairs) in place of
+    pairs.  A NaN (outside the domain, an undefined slot) raises, except in
+    the block of rows [-2c:-c] against columns [-c:] for c = corner > 0 and
+    its mirror: one stage's corner for 1, a level's C(g) for d."""
     table = _gram_slots(C, pairs) if table is None else table
     if table is None:  # read entry by entry, to name the first missing quotient
         q = [[mul(inverse(w2), w1) for w2, _ in pairs] for w1, _ in pairs]
@@ -418,7 +424,7 @@ def stage_pairs(g, d: int, j: int, k: int):
     g = _as_word(g)
     if not (1 <= j <= d and 1 <= k <= d):
         raise ParameterError(f"stage coordinates ({j},{k}) out of range for d={d}")
-    pairs, _ = _clique_pairs(g, d, level=True)
+    pairs = _clique_pairs(g, d, level=True)[1]()
     P, work = _stage_rows(len(pairs) - 2 * d, d, j, k)
     return tuple(pairs[i] for i in P), tuple(pairs[i] for i in P + work)
 
@@ -443,7 +449,8 @@ class PDVerdict:
 
 def _partial_stage_families(C: PDFunction):
     dom, d = C.domain, C.d
-    pairs, (quotients, slots, coords) = _clique_pairs(dom.g, d, level=True)
+    (quotients, slots, coords), pairs = _clique_pairs(dom.g, d, level=True)
+    pairs = pairs()
     stages = [(l, m) for l in range(1, d + 1) for m in range(1, d + 1) if (l, m) <= (dom.j, dom.k)]
     for l, m in stages:
         P, work = _stage_rows(len(pairs) - 2 * d, d, l, m)
@@ -455,11 +462,8 @@ def _partial_stage_families(C: PDFunction):
 def _brute_force_families(C: PDFunction):
     """Every maximal clique of the domain graph (check_pd's brute force)."""
     dom = C.domain
-    if dom.kind == "partial":
-        ws = words.ball(len(dom.g))  # I_g before its top level g
-        base = index_set(ws[ws.index(dom.g) - 1])
-    else:
-        base = index_set((3,) * dom.r if dom.kind == "ball" else dom.g)
+    last = words.rank_of((3,) * dom.r if dom.kind == "ball" else dom.g) - (dom.kind == "partial")
+    base = index_set(words.word_of_rank(last))  # a partial domain's graph: I_g before g
     verts = sorted(base.members, key=shortlex_key)
     found = sorted(
         (tuple(sorted(cl, key=shortlex_key)) for cl in maximal_cliques(verts, base)),
@@ -489,11 +493,10 @@ def _level_spectra(C: PDFunction):
     about words._CHUNK entries at once.  Yielded in level order, so that a
     NaN raises (in the level's own _gram) where a level at a time would."""
     dom, d = C.domain, C.d
-    levels = canonical_words(dom)
-    count, n = len(levels) - (dom.kind == "partial"), 0
+    count, n = len(C._stack) - (dom.kind == "partial"), 0
     while (at := (words.ball_size(n) - 1) // 2) < count:  # the levels shorter than n + 1
         n += 1
-        offsets, _, tables = words._clique_table(n)
+        tops, offsets, _, tables = words._clique_table(n)
         sizes = np.diff(offsets)[:count - at]
         lam, vec, missing = np.empty(len(sizes)), [None] * len(sizes), np.zeros(len(sizes), bool)
         order = np.argsort(sizes, kind="stable")  # one clique size at a time
@@ -516,11 +519,11 @@ def _level_spectra(C: PDFunction):
                 lam[batch], least = vals[:, 0], vecs[:, :, 0].copy()
                 for b, i in enumerate(batch):
                     vec[i] = least[b]
-        for i, h in enumerate(levels[at:at + len(sizes)]):
+        for i, top in enumerate(tops[:len(sizes)]):
             if missing[i]:  # raises, naming the first quotient missing
-                pairs, table = _clique_pairs(h, d)
-                _gram(C, pairs, table=table)
-            yield float(lam[i]), vec[i], len(vec[i]), lambda h=h: _clique_pairs(h, d)[0]
+                _gram(C, table=_clique_pairs(words.word_of_rank(top), d)[0])
+            yield (float(lam[i]), vec[i], len(vec[i]),
+                   lambda top=top: _clique_pairs(words.word_of_rank(top), d)[1]())
 
 
 def check_pd(C: PDFunction, tol: float = DEFAULT_TOL, brute_force: bool = False) -> PDVerdict:
@@ -584,7 +587,8 @@ def realize(C: PDFunction) -> Realization:
     if dom.kind == "ball":
         pairs = tuple((h, m) for h in words.ball(dom.r // 2) for m in range(1, C.d + 1))
     elif dom.kind == "prefix":
-        pairs, table = _clique_pairs(dom.g, C.d)
+        table, pairs = _clique_pairs(dom.g, C.d)
+        pairs = pairs()
     else:
         raise DomainError("cannot realize a partially specified function")
     G = _gram(C, pairs, table=table)
@@ -628,14 +632,10 @@ def random_nspd(r: int, d: int, seed=0, margin: float = 0.1) -> PDFunction:
     u_b = unitary_group.rvs(dim, random_state=rng)
     gens = (u_a, u_b, u_a.conj().T, u_b.conj().T)
     reps = {(): np.eye(dim, dtype=complex)}
-    rows = []
-    for w in words.ball(r):
-        if not w:
-            continue
+    for w in words.ball(r)[1:]:
         reps[w] = reps[w[:-1]] @ gens[w[-1]]
-        if is_novel(w):
-            # <pi(w) e_j, e_k> is the (k, j) entry, hence the transpose
-            rows.append((1.0 - margin) * reps[w][:d, :d].T)
+    # <pi(w) e_j, e_k> is the (k, j) entry, hence the transpose
+    rows = [(1.0 - margin) * reps[w][:d, :d].T for w in canonical_words(Domain.ball(r))]
     out = PDFunction._from_stack(d, Domain.ball(r), np.array(rows, complex).reshape(-1, d, d))
     verdict = check_pd(out)
     if verdict.status != "strict" or verdict.min_eigenvalue < margin / 2:
@@ -678,7 +678,7 @@ def restrict_to_ball(C: PDFunction, r: int) -> PDFunction:
     if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= top:
         raise ParameterError(f"target radius must lie in [0, {top}]")
     ball = Domain.ball(r)
-    return PDFunction._from_stack(C.d, ball, C._stack[:len(canonical_words(ball))])
+    return PDFunction._from_stack(C.d, ball, C._stack[:_size(ball)])
 
 
 def restrict_to_stage(C: PDFunction, g, j: int, k: int) -> PDFunction:

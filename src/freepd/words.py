@@ -1,9 +1,9 @@
 """Reduced words in the rank-2 free group, shortlex order, and clique geometry.
 
-Words are stored as tuples of letter codes 0..3 standing for a, b, a^-1, b^-1
-in that fixed order; the empty tuple is the identity e.  All functions accept
-and return reduced words only (reduction happens on construction), so tuples
-double as canonical dictionary keys.
+Words cross the API as tuples of letter codes 0..3 standing for a, b, a^-1,
+b^-1 in that fixed order; the empty tuple is the identity e.  All functions
+accept and return reduced words only (reduction happens on construction), so
+tuples double as canonical dictionary keys.
 
 The generalized Cayley graph at level g has vertex set the whole group and an
 edge between distinct h, l whenever l^-1 h lies in the symmetric index set I_g.
@@ -13,23 +13,23 @@ exhaustively tested, and free of floating point.  The canonical words of
 a ball, an index set or an extension stage form a prefix of the shortlex
 order of all canonical words (see is_novel), so that order ranks storage.
 
-Level arithmetic runs on integers.  A word's shortlex rank is its position
-in ball(r), the same for every r that holds it, and each radius has cached
-tree arrays indexed by rank (_tree): letters, length, the ranks of suffixes
-and of the inverse.  Since the Cayley graph is the 4-regular tree, a
+Inside the package a word is its shortlex rank (rank_of, word_of_rank), its
+position in ball(r) for every r that holds it, so one tree of arrays indexed
+by rank, grown to the largest radius asked, serves every radius (_tree):
+letters, length, the ranks of suffixes and of the inverse, and the storage
+row of each canonical rank.  Since the Cayley graph is the 4-regular tree, a
 quotient l^-1 h is s^-1 t for the suffixes s, t of l and h after their
 longest common prefix, and its rank follows from the pieces' ranks by
 arithmetic (_canonical_quotients).  Left translation does not change
-quotients, so a word list is moved to start at e before it is ranked.  The
-cliques of all novel levels of one length, and their quotient tables, come
-from one descent of the tree and one batched table pass (_clique_table).
-A table is built from half the pairs of its list: h^-1 l is the inverse of
-l^-1 h, so the pairs a <= b are ranked and the rest are their mirrors.
+quotients, so a long word list is moved to start at e first.  The cliques
+of all novel levels of one length, and their quotient tables, come from one
+descent of the tree and one batched table pass (_clique_table).  A table is
+built from half the pairs of its list: h^-1 l is the inverse of l^-1 h, so
+the pairs a <= b are ranked and the rest are their mirrors.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -103,42 +103,15 @@ for _x in range(4):
 
 @lru_cache(maxsize=None)
 def ball(r: int) -> tuple:
-    """All reduced words of length <= r, in shortlex order."""
+    """All reduced words of length <= r, in shortlex order: the tree's rows."""
     if r < 0:
         raise WordError("radius must be nonnegative")
-    words = [()]
-    frontier = [()]
-    for _ in range(r):
-        nxt = []
-        for w in frontier:
-            prev = w[-1] if w else None
-            for y in _ALLOWED_AFTER[prev]:
-                nxt.append(w + (y,))
-        words.extend(nxt)
-        frontier = nxt
-    return tuple(words)
+    tree, m = _tree(r), ball_size(r)
+    return tuple(tuple(w[:n]) for w, n in zip(tree.letters[:m].tolist(), tree.length[:m].tolist()))
 
 
 def ball_size(r: int) -> int:
     return 1 if r == 0 else 2 * 3 ** r - 1
-
-
-@lru_cache(maxsize=None)
-def _ball_inverses(r: int) -> tuple:
-    """The inverses of ball(r), in the same order."""
-    return tuple(inverse(w) for w in ball(r))
-
-
-@lru_cache(maxsize=None)
-def canonical_ball(r: int) -> tuple:
-    """The canonical words of Ball(r) (novel, so e excluded), shortlex order."""
-    return tuple(w for w in ball(r) if is_novel(w))
-
-
-@lru_cache(maxsize=None)
-def canonical_ranks(r: int) -> dict:
-    """The 0-based rank of each word of canonical_ball(r), the same for all r."""
-    return {w: i for i, w in enumerate(canonical_ball(r))}
 
 
 _POW3 = 3 ** np.arange(40, dtype=np.int64)
@@ -174,20 +147,34 @@ def word_of_rank(rank) -> Word:
     return tuple(out)
 
 
+def rank_of(w) -> int:
+    """The shortlex rank of a word (its position in ball(r) for every r >=
+    len(w); see _ranks), or -1 when w is not a reduced word of letters 0..3."""
+    rank, prev = 0, None
+    for x in w:
+        if x not in (0, 1, 2, 3) or (prev is not None and x == inv_letter(prev)):
+            return -1
+        x = int(x)
+        rank = x if prev is None else 3 * rank + x - (x > inv_letter(prev))
+        prev = x
+    return ball_size(len(w) - 1) + rank if w else 0
+
+
 @dataclass(frozen=True)
 class _Tree:
     """The words of ball(r) as arrays indexed by shortlex rank: letters
     (padded with -1, one spare column), length, suffix[i, k] (the rank of
-    word i without its first k letters) and inv (the rank of the inverse)."""
+    word i without its first k letters), inv (the rank of the inverse) and
+    rows (one longer): the count of canonical ranks below i, -1 at e."""
 
     letters: np.ndarray
     length: np.ndarray
     suffix: np.ndarray
     inv: np.ndarray
+    rows: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def _tree(r: int) -> _Tree:
+def _build(r: int) -> _Tree:
     L = np.full((ball_size(r), r + 1), -1)
     level, at = np.arange(4)[:, None], 1
     for n in range(1, r + 1):
@@ -201,9 +188,25 @@ def _tree(r: int) -> _Tree:
                               for k in range(r + 1)])
     back = n[:, None] - 1 - np.arange(r + 1)
     inv = _ranks(np.where(back >= 0, (np.take_along_axis(L, np.maximum(back, 0), 1) + 2) % 4, -1))
-    for a in (L, n, suffix, inv):
+    rows = np.concatenate([[-1], np.cumsum(np.arange(len(inv)) < inv)])
+    for a in (L, n, suffix, inv, rows):
         a.setflags(write=False)
-    return _Tree(letters=L, length=n, suffix=suffix, inv=inv)
+    return _Tree(letters=L, length=n, suffix=suffix, inv=inv, rows=rows)
+
+
+@lru_cache(maxsize=1)
+def _grown() -> list:
+    """Holds the one tree; a functools cache, so cache_clear drops it."""
+    return []
+
+
+def _tree(r: int) -> _Tree:
+    """The one tree, built anew to radius r if shorter: radius r reads its
+    first ball_size(r) ranks, the tree of ball(r) with padding columns."""
+    held = _grown()
+    if not held or len(held[0].inv) < ball_size(r):
+        held[:] = [_build(r)]
+    return held[0]
 
 
 def _product(tree: _Tree, u, v, x, y):
@@ -230,20 +233,6 @@ def _canonical_quotients(tree: _Tree, a, b):
     return np.minimum(q, q_inv), q > q_inv
 
 
-@lru_cache(maxsize=None)
-def canonical_rows(r: int) -> np.ndarray:
-    """A lookup from shortlex rank to storage row, one entry per word of
-    ball(r) and one past them: the rank's position in canonical_ball(r),
-    -1 at e, and ball_size(r) at a non-canonical rank and past the ball."""
-    inv = _tree(r).inv
-    novel = np.arange(len(inv)) < inv
-    rows = np.where(novel, np.cumsum(novel) - 1, len(inv))
-    rows[0] = -1
-    rows = np.append(rows, len(inv))
-    rows.setflags(write=False)
-    return rows
-
-
 @dataclass(frozen=True)
 class IndexSet:
     """The symmetric set I_g of all h with h or h^-1 shortlex-preceding g."""
@@ -255,13 +244,11 @@ class IndexSet:
 
 @lru_cache(maxsize=None)
 def index_set(g: Word) -> IndexSet:
-    words = ball(len(g))
-    if g not in words:
+    n = rank_of(g) + 1
+    if not n:
         raise WordError(f"{g!r} is not a reduced word")
-    n = words.index(g) + 1
-    prefixes = words[:n]
-    members = frozenset(prefixes + _ball_inverses(len(g))[:n])
-    return IndexSet(origin=g, prefixes=prefixes, members=members)
+    words, inv = ball(len(g)), _tree(len(g)).inv[:n]
+    return IndexSet(g, words[:n], frozenset(words[:n] + tuple(map(words.__getitem__, inv))))
 
 
 def adjacent(h: Word, l: Word, iset: IndexSet) -> bool:
@@ -287,17 +274,29 @@ def next_novel(w: Word) -> Word:
     Extension walks visit novel levels only, so the stage after completing
     level g starts here rather than at the next word of the order.
     """
-    ws = canonical_ball(len(w))
-    i = bisect_right(ws, shortlex_key(w), key=shortlex_key)
-    return ws[i] if i < len(ws) else (0,) * (len(w) + 1)
+    i = rank_of(w) + 1
+    if not i:
+        raise WordError(f"{w!r} is not a reduced word")
+    inv = _tree(len(w)).inv
+    while i < len(inv) and inv[i] < i:
+        i += 1
+    return word_of_rank(i)
 
 
 @dataclass(frozen=True, eq=False)
 class Clique:
+    """K_g: the ranks of its vertices (g at ranks[top]) and their table."""
+
     level: Word
-    vertices: tuple  # shortlex order
-    quotients: np.ndarray  # with slots, the quotient table of vertices
+    ranks: np.ndarray
+    top: int
+    quotients: np.ndarray
     slots: np.ndarray
+
+    @property
+    def vertices(self) -> tuple:
+        """The vertices as words, in shortlex order."""
+        return tuple(map(ball(len(self.level)).__getitem__, self.ranks))
 
 
 @lru_cache(maxsize=None)
@@ -313,25 +312,28 @@ def clique(g: Word) -> Clique:
     """
     if not g:
         raise WordError("K_g is defined for g != e only")
-    if not is_novel(g):
+    top = rank_of(g)
+    if top < 0:
+        raise WordError(f"{g!r} is not a reduced word")
+    if _tree(len(g)).inv[top] < top:
         raise WordError(
             f"level {word_to_str(g)} adds no new edge (its inverse precedes it); "
             "K_g is defined for novel levels only"
         )
-    i = canonical_ranks(len(g)).get(g, -1) - len(canonical_ball(len(g) - 1))  # in its length
-    if i < 0:
-        raise WordError(f"{g!r} is not a reduced word")
-    ws, (offsets, ranks, tables) = ball(len(g)), _clique_table(len(g))
-    return Clique(g, tuple(ws[h] for h in ranks[offsets[i]:offsets[i + 1]]), *tables[i])
+    tops, offsets, ranks, tables = _clique_table(len(g))
+    i = np.searchsorted(tops, top)  # its place among the levels of its length
+    K = ranks[offsets[i]:offsets[i + 1]]
+    return Clique(g, K, int(np.searchsorted(K, top)), *tables[i])
 
 
 @lru_cache(maxsize=None)
 def _clique_table(n: int):
-    """(offsets, ranks, tables): the i-th novel level of length n has clique
-    ranks[offsets[i]:offsets[i + 1]] (shortlex) and quotient table
-    tables[i].  K_g is prefix-closed, so one descent from e grows them all
-    on a (level, rank) frontier: a child h stays when the canonical forms
-    of h and g^-1 h rank at most g.  The table builder asserts the clique."""
+    """(tops, offsets, ranks, tables): the i-th novel level of length n, of
+    rank tops[i], has clique ranks[offsets[i]:offsets[i + 1]] (shortlex) and
+    quotient table tables[i].  K_g is prefix-closed, so one descent from e
+    grows them all on a (level, rank) frontier: a child h stays when the
+    canonical forms of h and g^-1 h rank at most g.  The table builder
+    asserts the clique."""
     tree, tops = _tree(n), np.arange(_OFFSET[n], _OFFSET[n + 1])
     tops = tops[tops < tree.inv[tops]]
     found = [(np.arange(len(tops)), np.zeros(len(tops), np.int64))]
@@ -346,8 +348,9 @@ def _clique_table(n: int):
         found.append((level[keep], rank[keep]))
     level, rank = (np.concatenate(a) for a in zip(*found))
     ranks = rank[np.argsort(level, kind="stable")]  # each layer is sorted already
+    ranks.setflags(write=False)
     offsets = np.concatenate([[0], np.cumsum(np.bincount(level, minlength=len(tops)))])
-    return offsets, ranks, _quotient_tables(tree, offsets, ranks, tops)
+    return tops, offsets, ranks, _quotient_tables(tree, offsets, ranks, tops)
 
 
 def _quotient_tables(tree: _Tree, offsets, ranks, tops=None) -> list:
@@ -395,22 +398,18 @@ def _quotient_tables(tree: _Tree, offsets, ranks, tops=None) -> list:
 
 
 @lru_cache(maxsize=None)
-def quotient_table(ws: tuple):
-    """(quotients, slots) of distinct words ws, passed shortlex sorted so
-    that one list has one table.
+def quotient_table(ranks: tuple):
+    """(quotients, slots) of distinct words given by shortlex rank, sorted
+    so that one list has one table.
 
     quotients holds the sorted shortlex ranks of the canonical
-    representatives of the l^-1 h (h, l in ws), so e (rank 0) first;
-    slots[a, b] is the position of ws[b]^-1 ws[a] in it, plus
-    len(quotients) where the quotient is the inverse of the ranked word.
-    The list is first moved by ws[0]^-1, which changes no quotient, so the
-    tree arrays go up to the longest moved word only.  Cliques carry theirs.
+    representatives of the l^-1 h (h, l in the list), so e (rank 0) first;
+    slots[a, b] is the position of the b-th word's inverse times the a-th,
+    plus len(quotients) where the quotient is the inverse of the ranked
+    word.  Cliques carry theirs.
     """
-    t = inverse(ws[0])
-    ws = [mul(t, w) for w in ws]
-    m = max(map(len, ws))
-    L = np.array([w + (-1,) * (m + 1 - len(w)) for w in ws])
-    return _quotient_tables(_tree(m), np.array([0, len(ws)]), _ranks(L))[0]
+    tree = _tree(len(word_of_rank(max(ranks))))
+    return _quotient_tables(tree, np.array([0, len(ranks)]), np.array(ranks))[0]
 
 
 def maximal_cliques(vertices, iset: IndexSet):

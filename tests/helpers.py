@@ -1,5 +1,6 @@
 """Shared fixtures-by-hand for the test modules."""
 
+import sys
 from collections import deque
 
 import numpy as np
@@ -10,11 +11,13 @@ from freepd.errors import DomainError, SurgeryError, WordError
 from freepd.pdcore import DEFAULT_TOL, Domain, PDFunction, PDVerdict
 from freepd.surgery import _greedy_positions
 from freepd.words import (
+    _AFTER,
     _ALLOWED_AFTER,
     _canonical_quotients,
     _ranks,
     _tree,
     adjacent,
+    ball_size,
     ball,
     clique,
     index_set,
@@ -25,6 +28,44 @@ from freepd.words import (
     shortlex_key,
     word_to_str,
 )
+
+
+def library_caches():
+    """The functools caches of every loaded freepd module, collected as the
+    benchmark collects them to clear between rounds."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "freepd" or name.startswith("freepd.")):
+            continue
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)) and hasattr(value, "cache_info"):
+                found[id(value)] = value
+    return list(found.values())
+
+
+def canonical_ball(r):
+    """The canonical words of Ball(r) (novel, so e excluded), shortlex order."""
+    return tuple(w for w in ball(r) if is_novel(w))
+
+
+def tree_of_radius(r):
+    """(letters, length, suffix, inv) of ball(r) built for radius r alone:
+    the oracle for the one tree of words._tree, whose leading ranks and
+    columns must match it."""
+    L = np.full((ball_size(r), r + 1), -1)
+    level, at = np.arange(4)[:, None], 1
+    for n in range(1, r + 1):
+        if n > 1:  # each word of length n - 1 has three children, in order
+            level = np.column_stack([np.repeat(level, 3, axis=0),
+                                     _AFTER[level[:, -1]].ravel()])
+        L[at:at + len(level), :n] = level
+        at += len(level)
+    n = (L >= 0).sum(1)
+    suffix = np.column_stack([_ranks(np.pad(L[:, k:], ((0, 0), (0, k)), constant_values=-1))
+                              for k in range(r + 1)])
+    back = n[:, None] - 1 - np.arange(r + 1)
+    inv = _ranks(np.where(back >= 0, (np.take_along_axis(L, np.maximum(back, 0), 1) + 2) % 4, -1))
+    return L, n, suffix, inv
 
 
 # Shortlex neighbours by letter arithmetic: an oracle for the library's
@@ -134,10 +175,11 @@ def scan_clique(g):
     """
     ws, top = ball(len(g)), int(_ranks(np.array([g + (-1,)]))[0])
     tree = _tree(len(g))
-    h = np.flatnonzero(np.minimum(np.arange(len(ws)), tree.inv) <= top)  # I_g
+    h = np.flatnonzero(np.minimum(np.arange(len(ws)), tree.inv[:len(ws)]) <= top)  # I_g
     moved, _ = _canonical_quotients(tree, h, top)
-    vertices = tuple(ws[i] for i in h[moved <= top])
-    quotients, slots = quotient_table(vertices)
+    kept = h[moved <= top]
+    vertices = tuple(ws[i] for i in kept)
+    quotients, slots = quotient_table(tuple(kept))
     for a, b in np.argwhere(quotients[slots % len(quotients)] > top)[:1]:
         raise WordError(
             f"common neighborhood of (e, {word_to_str(g)}) is not a clique: "
@@ -237,8 +279,9 @@ def level_spectra(C):
     dom, d = C.domain, C.d
     families = [(tuple(((), m) for m in range(1, d + 1)), None)]
     levels = pdcore.canonical_words(dom)
-    families += [pdcore._clique_pairs(h, d)
-                 for h in (levels[:-1] if dom.kind == "partial" else levels)]
+    families += [(pairs(), table) for table, pairs in
+                 (pdcore._clique_pairs(h, d)
+                  for h in (levels[:-1] if dom.kind == "partial" else levels))]
     if dom.kind == "partial":
         families += list(pdcore._partial_stage_families(C))
     for pairs, table in families:

@@ -6,7 +6,6 @@ failure always reproduces.
 
 import json
 import os
-import sys
 import tempfile
 import time
 
@@ -49,8 +48,15 @@ from freepd.pdcore import (
     stage_pairs,
 )
 from freepd.hilbert import build_partial_space
-from freepd.words import ball, clique, inverse, mul, word_from_str, word_to_str
-from helpers import fill_stage, level_at_a_time_check_pd, level_spectra, reference_gram
+from freepd.words import ball, ball_size, clique, inverse, mul, word_from_str, word_to_str
+from helpers import (
+    canonical_ball,
+    fill_stage,
+    library_caches,
+    level_at_a_time_check_pd,
+    level_spectra,
+    reference_gram,
+)
 
 W = word_from_str
 
@@ -83,7 +89,7 @@ def test_gram_missing_entry_names_the_canonical_word():
 def test_gram_is_invariant_under_a_long_translation():
     C = random_nspd(4, 2, seed=3)
     t = (0, 1) * 12 + (0,)  # (ab)^12 a, of length 25
-    for g in words.canonical_ball(4)[::9]:
+    for g in canonical_ball(4)[::9]:
         K = clique(g).vertices
         G = gram(C, K)
         assert _same_bits(gram(C, [mul(t, h) for h in K]), G)
@@ -153,24 +159,12 @@ def test_gram_gather_matches_entrywise_reference(kind, d):
         assert err.value.word == word_to_str(g)
 
 
-def _library_caches():
-    """The functools caches of every loaded freepd module, collected as the
-    benchmark collects them to clear between rounds."""
-    found = {}
-    for name, module in list(sys.modules.items()):
-        if module is None or not (name == "freepd" or name.startswith("freepd.")):
-            continue
-        for value in vars(module).values():
-            if callable(getattr(value, "cache_clear", None)) and hasattr(value, "cache_info"):
-                found[id(value)] = value
-    return list(found.values())
-
-
 def test_cleared_caches_give_the_same_grams():
-    caches = _library_caches()
+    caches = library_caches()
     assert any(c is words.quotient_table for c in caches)
     assert any(c is words.clique for c in caches)
     assert any(c is words._clique_table for c in caches)
+    assert any(c is words._grown for c in caches)
     C = random_nspd(3, 2, seed=5)
     pairs = [(h, m) for h in ball(1) for m in (1, 2)]
 
@@ -191,12 +185,14 @@ def test_cleared_caches_give_the_same_grams():
     assert words.quotient_table.cache_info().currsize == 0
     assert words.clique.cache_info().currsize == 0
     assert words._clique_table.cache_info().currsize == 0
+    assert words._grown.cache_info().currsize == 0
     after = grams()
     assert all(_same_bits(a, b) for a, b in zip(before, after))
     # what the batched check keeps between calls lives in the caches cleared
     # above: it reads each length's tables from _clique_table, and it binds
     # no module name and leaves nothing on the function
     assert words._clique_table.cache_info().currsize == 3
+    assert len(words._grown()[0].inv) == ball_size(3)  # one tree, grown to C's radius
     assert module_state() == state
     assert C._stage_space is None
 
@@ -211,6 +207,46 @@ def test_constructor_canonicalizes_and_mirrors():
     D = PDFunction(2, Domain.prefix("a"), {"a": m})
     assert np.array_equal(D.entry("A"), m.conj().T)
     assert D.scalar("A", 2, 1) == np.conj(m[0, 1])
+
+
+def test_letters_are_integers_not_bools():
+    C = random_nspd(2, 1)
+    for bad in ((True,), (np.True_,), (0, False)):
+        with pytest.raises(WordError) as err:
+            C.scalar(bad, 1, 1)
+        assert str(err.value) == f"bad letters in {bad!r}"
+    # Python and NumPy integers of any width stay letters
+    for w in ((1,), (np.int64(1),), [np.int8(1)], np.array([1])):
+        assert C.scalar(w, 1, 1) == C.scalar("b", 1, 1)
+    assert C.scalar(np.array([0, 1], np.int8), 1, 1) == C.scalar("ab", 1, 1)
+
+
+def test_function_from_dict_reduces_each_word_once(monkeypatch):
+    C = random_nspd(5, 1, seed=4)
+    obj = function_to_dict(C)
+    calls = []
+    real = words.reduce_word
+    for module in (words, pdcore):  # wherever the package binds it
+        if getattr(module, "reduce_word", None) is real:
+            monkeypatch.setattr(module, "reduce_word", lambda w: calls.append(w) or real(w))
+    assert function_from_dict(obj) == C
+    assert len(calls) == len(obj["entries"]) == 242
+
+
+def test_a_cold_check_builds_the_one_tree_once(monkeypatch):
+    # the file's radius is asked first, when it is read, and every shorter
+    # clique length is then a slice of that tree
+    C = random_nspd(5, 1, seed=4)
+    obj = function_to_dict(C)
+    builds = []
+    real = words._build
+    monkeypatch.setattr(words, "_build", lambda r: builds.append(r) or real(r))
+    for cache in library_caches():
+        cache.cache_clear()
+    verdict = check_pd(function_from_dict(obj))
+    assert builds == [5]
+    assert verdict.status == "strict"
+    assert verdict.min_eigenvalue == check_pd(C).min_eigenvalue
 
 
 def test_constructor_rejects_bad_input():
@@ -613,7 +649,7 @@ def test_json_round_trips_every_domain_kind(seed, d, kind, data):
     if kind == "ball":
         domain = Domain.ball(data.draw(st.integers(0, 3)))
     else:
-        g = data.draw(st.sampled_from(words.canonical_ball(3)))
+        g = data.draw(st.sampled_from(canonical_ball(3)))
         if kind == "prefix":
             domain = Domain.prefix(g)
         else:

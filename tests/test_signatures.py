@@ -10,6 +10,7 @@ import inspect
 import pkgutil
 
 import freepd
+import freepd.words
 
 RETIRED = {"tol", "tol_edge", "certificate", "inits", "max_tries", "cap"}
 ALLOWED = {("freepd.pdcore", "check_pd", "tol")}
@@ -44,3 +45,14 @@ def test_no_public_signature_keeps_a_retired_knob():
     assert {("freepd.energysolver", "solve_configuration"), ("freepd.extend", "extend_entry"),
             ("freepd.pdcore", "check_pd"), ("freepd.pdcore", "PDFunction.__init__")} <= seen
     assert "tol" in inspect.signature(freepd.pdcore.check_pd).parameters
+
+
+def test_the_word_layers_the_bench_wraps_stay_public():
+    # perfbench/layers.py wraps words.clique (keyed by its first argument,
+    # the level) and words.index_set by name; a rename would leave their
+    # traced layers silently absent
+    words = freepd.words
+    assert callable(words.clique) and callable(words.index_set)
+    assert list(inspect.signature(words.clique).parameters) == ["g"]
+    assert list(inspect.signature(words.index_set).parameters) == ["g"]
+    assert words.clique((0, 1)).level == (0, 1) == words.index_set((0, 1)).origin

@@ -27,7 +27,7 @@ from freepd.extend import (
 from freepd.hilbert import ResidualData, build_partial_space, residual_data
 from freepd.pdcore import Domain, PDFunction, _next_stage, random_nspd, restrict_to_stage
 from freepd.words import next_novel
-from helpers import fill_stage, seeded_rim_policy
+from helpers import fill_stage, library_caches, seeded_rim_policy
 
 
 def _copy(C):
@@ -146,3 +146,33 @@ def test_a_non_finite_write_still_goes_through_the_validator():
     last = restrict_to_stage(random_nspd(3, 2, seed=2), "aaa", 2, 2)
     opened = Domain.partial(next_novel(last.domain.g), 1, 1)
     assert _next_stage(last, 0.5, opened) == fill_stage(last, 0.5, opened)
+
+
+def test_the_walk_does_no_tuple_word_work_per_level(monkeypatch):
+    # a stage and a level are ranks inside the walk: the tuple-word calls a
+    # walk makes do not grow with the number of levels it visits
+    import sys
+
+    from freepd import pdcore, words
+
+    counted = {name: getattr(words, name) for name in ("shortlex_key", "inverse", "mul")}
+    counted["canonical_rep"] = pdcore.canonical_rep
+    calls = []
+
+    def counting(fn):
+        return lambda *args: calls.append(fn) or fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.startswith("freepd"):
+            for attr, fn in counted.items():
+                if getattr(module, attr, None) is fn:
+                    monkeypatch.setattr(module, attr, counting(fn))
+    C = random_nspd(2, 2, seed=3)
+    counts = []
+    for R in (3, 4):  # 6 levels beyond Ball(2), then 24
+        for cache in library_caches():
+            cache.cache_clear()
+        calls.clear()
+        extend_ball(C, R, central_policy())
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

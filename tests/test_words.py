@@ -22,11 +22,13 @@ from freepd.words import (
     word_to_str,
 )
 from helpers import (
+    canonical_ball,
     predecessor,
     predecessor_clique,
     reference_quotients,
     scan_clique,
     successor,
+    tree_of_radius,
 )
 
 A, B, Ai, Bi = 0, 1, 2, 3
@@ -256,30 +258,64 @@ def test_next_novel_matches_a_successor_scan():
         assert words.next_novel(w) == g
 
 
+def test_next_novel_refuses_a_word_that_is_not_reduced():
+    for bad in ((0, 2), (A, Ai, B), (5,), (A, 4)):
+        with pytest.raises(WordError) as err:
+            words.next_novel(bad)
+        assert str(err.value) == f"{bad!r} is not a reduced word"
+
+
 def test_canonical_order_ranks_every_index_set():
     # the canonical words of I_g are a prefix of the global canonical order,
-    # and a novel g is the last of them
-    order = words.canonical_ball(5)
-    assert words.canonical_ranks(5) == {w: i for i, w in enumerate(order)}
+    # and a novel g is the last of them; the tree's rows give each canonical
+    # word its place in that order, which the domain of I_g stores
+    from freepd.pdcore import Domain, canonical_words
+
+    order = canonical_ball(5)
+    rows = words._tree(5).rows
+    assert [int(rows[words.rank_of(w)]) for w in order] == list(range(len(order)))
     for g in ball(4)[1:]:
         canon = sorted((h for h in index_set(g).members if is_novel(h)),
                        key=lambda h: (len(h), h))
-        assert tuple(canon) == order[:len(canon)]
+        assert tuple(canon) == order[:len(canon)] == canonical_words(Domain.prefix(g))
         if is_novel(g):
             assert canon[-1] == g
 
 
 def test_index_set_inverts_each_radius_once(monkeypatch):
-    calls = []
-    real = words.inverse
+    # index_set reads the inverses off the tree: no word is inverted as a
+    # tuple, and asking the levels in shortlex order builds the tree once per
+    # radius, as it grows, not once per level
+    levels, calls, builds = ball(4)[1:], [], []
+    real, build = words.inverse, words._build
     monkeypatch.setattr(words, "inverse", lambda w: calls.append(w) or real(w))
+    monkeypatch.setattr(words, "_build", lambda r: builds.append(r) or build(r))
     words.index_set.cache_clear()
-    words._ball_inverses.cache_clear()
-    for g in ball(4)[1:]:
-        index_set(g)
+    words._grown.cache_clear()
+    found = {g: index_set(g).members for g in levels}
     words.index_set.cache_clear()
-    # one inverse per word of each ball, not one per prefix per level
-    assert len(calls) == sum(ball_size(r) for r in range(1, 5))
+    assert calls == [] and builds == [1, 2, 3, 4]
+    for g, members in found.items():
+        prefixes = ball(len(g))[:ball(len(g)).index(g) + 1]
+        assert members == set(prefixes) | {real(h) for h in prefixes}
+
+
+def test_the_one_tree_slices_to_every_radius():
+    # grown to radius 7 first, so every smaller radius reads a slice of it
+    words._grown.cache_clear()
+    tree = words._tree(7)
+    for r in range(8):
+        assert words._tree(r) is tree
+        m = ball_size(r)
+        for got, want in zip((tree.letters[:m, :r + 1], tree.length[:m],
+                              tree.suffix[:m, :r + 1], tree.inv[:m]), tree_of_radius(r)):
+            assert _same_array(got, want), r
+        # the padding columns past r hold no letter, and the empty suffix
+        assert (tree.letters[:m, r + 1:] == -1).all() and (tree.suffix[:m, r + 1:] == 0).all()
+        novel = np.arange(m) < tree.inv[:m]
+        assert _same_array(tree.rows[:m + 1], np.concatenate([[-1], np.cumsum(novel)])), r
+    assert len(words._grown()) == 1
+    words._grown.cache_clear()
 
 
 def _same_array(a, b):
@@ -290,16 +326,22 @@ def test_length_tables_match_the_scan_oracle():
     # every novel level up to length 6 (728 levels): the descent's vertices
     # are the scan's, and the table the clique carries is, bit for bit, the
     # one quotient_table builds for the same list
-    levels = words.canonical_ball(6)
+    levels = canonical_ball(6)
     assert len(levels) == 728
     for g in levels:
         K = clique(g)
         assert K.level == g and K.vertices == scan_clique(g), word_to_str(g)
-        quotients, slots = words.quotient_table(K.vertices)
+        assert K.vertices[K.top] == g
+        quotients, slots = words.quotient_table(tuple(K.ranks))
         assert _same_array(K.quotients, quotients) and _same_array(K.slots, slots)
-    for bad in ((), word_from_str("A"), word_from_str("bA"), (A, Ai, B), (A, 5)):
+    for bad in ((), word_from_str("A"), word_from_str("bA"), (A, Ai, B), (A, 5), (5,)):
         with pytest.raises(WordError):
             clique(bad)
+    # a word that is not reduced is named as such, not blamed on novelty
+    for bad in ((A, Ai), (5,)):
+        with pytest.raises(WordError) as err:
+            clique(bad)
+        assert str(err.value) == f"{bad!r} is not a reduced word"
 
 
 def test_clique_and_its_grams_share_one_quotient_table(monkeypatch):
@@ -330,16 +372,18 @@ def test_clique_and_its_grams_share_one_quotient_table(monkeypatch):
 def test_rank_decode_follows_the_ball_order():
     for r in range(6):
         assert tuple(words.word_of_rank(i) for i in range(ball_size(r))) == ball(r)
+        assert [words.rank_of(w) for w in ball(r)] == list(range(ball_size(r)))
         tree = words._tree(r)
         for i, w in enumerate(ball(r)):
             assert tuple(x for x in tree.letters[i] if x >= 0) == w
             assert tree.length[i] == len(w)
             assert ball(r)[tree.inv[i]] == inverse(w)
-            assert [ball(r)[s] for s in tree.suffix[i]] == [w[k:] for k in range(r + 1)]
+            assert [ball(r)[s] for s in tree.suffix[i, :r + 1]] == [w[k:] for k in range(r + 1)]
     # ranks past any tree: a length-25 word and its neighbours in the order
     w = (0, 1) * 12 + (2,)
     L = np.array([list(w) + [-1]])
     rank = int(words._ranks(L)[0])
+    assert words.rank_of(w) == rank
     assert words.word_of_rank(rank) == w
     assert words.word_of_rank(rank + 1) == successor(w)
     assert words.word_of_rank(rank - 1) == predecessor(w)
@@ -364,7 +408,9 @@ def _long_word(draw, n=25):
 def test_rank_table_matches_word_arithmetic(picked, with_e, shift):
     ws = tuple(sorted({mul(shift, w) for w in picked + [()] * with_e},
                       key=lambda w: (len(w), w)))
-    quotients, slots = words.quotient_table(ws)
+    # moved by ws[0]^-1 to start at e, which changes no quotient, and ranked
+    t = inverse(ws[0])
+    quotients, slots = words.quotient_table(tuple(words.rank_of(mul(t, w)) for w in ws))
     n = len(quotients)
     assert quotients[0] == 0 and np.all(np.diff(quotients) > 0)
     seen = {}
