@@ -66,7 +66,7 @@ from .errors import (
     SolveError,
 )
 from .extend import DELTA_MIN, SzegoParameter, _open_walk, _stage_error, extend_entry
-from .hilbert import _cholesky, build_partial_space, ortho_matrices, residual_data
+from .hilbert import _cholesky, _core_coordinates, build_partial_space, residual_data
 from .pdcore import (
     Domain,
     PDFunction,
@@ -336,24 +336,16 @@ def coordinate_rows(C: PDFunction) -> np.ndarray:
 
     Row i (over the stage core) of the returned matrix gives, for each of the
     len(P) + 2 canonical stage vectors, its coefficient on the i-th
-    unnormalized Gram-Schmidt vector of the core.  Those coefficients are
-    inner products against core combinations only, so the undefined corner of
+    unnormalized Gram-Schmidt vector of the core.  With the core factor L,
+    a vector's coordinates in the orthonormal core basis are its row of L
+    (a core vector) or its conjugated core coordinates V (a working one);
+    the i-th Gram-Schmidt vector is L[i, i] times the i-th basis vector.
+    Only the core and its two borders are read, so the undefined corner of
     the stage Gram never enters.
     """
     sp = build_partial_space(C)
-    m = sp.core_size
-    n = m + 2
-    if m == 0:
-        return np.zeros((0, n), dtype=complex)
-    Gm, Nm = ortho_matrices(np.array(sp.core_gram))
-    norms = 1.0 / np.abs(np.diag(Nm))
-    # column i of Gm holds the conjugated coefficients of the i-th orthogonal
-    # vector, so (stage Gram)[:, :m] @ Gm has <y_q, z_i> at [q, i]
-    cross = sp.gram[:, :m] @ Gm
-    A = (cross / (norms ** 2)).T
-    if np.isnan(A).any():
-        raise FreePDError("coordinate rows touched an undefined entry")
-    return A
+    L, V = _core_coordinates(sp.gram, sp.core_size)
+    return np.hstack([L.T, V.conj()]) / np.diag(L)[:, None]
 
 
 def _l1_ball_sample(rng, n: int, radius: float) -> np.ndarray:
@@ -1149,7 +1141,9 @@ def _eta_budget(family, eta_prime: float) -> float:
         sp = build_partial_space(C)
         m = sp.core_size
         # a (stack slot, c1, c2) key is one oriented entry (quotient, c1, c2)
-        _, slots, coords = pdcore._gram_slots(C, sp.indices.Q)
+        _, slots, coords = pdcore._clique_pairs(C.domain.g, C.d, level=True)[0]
+        at = np.concatenate(pdcore._stage_rows(sp.level.size, C.d, C.domain.j, C.domain.k))
+        slots, coords = slots[np.ix_(at, at)], coords[at]
         keys = (slots * C.d + coords[:, None]) * C.d + coords[None, :]
         for G, last in ((sp.x_g_gram, m), (sp.x_e_gram, m + 1)):
             lam = _strict_min_eig(G, "a stage restriction Gram")

@@ -35,7 +35,10 @@ grown by one row: (e, k - 1) within a row, its row the predecessor's e
 coordinates and pivot n_e (the g coordinates gain one entry from the value
 just written), or (g, j - 1) at a row start, onto the leading g rows.  So a
 stage takes one or two triangular solves.  Other functions build their
-level on first use and factor their core afresh.  Vectors never materialize.
+level on first use and replay that step from the empty core at (1, 1)
+through every stage of the level up to their own, reading the values
+written at those stages from their own top row, so a walk's function and a
+copy of it agree bit for bit.  Vectors never materialize.
 """
 
 from __future__ import annotations
@@ -55,24 +58,6 @@ from .errors import (
     ParameterError,
 )
 from .pdcore import DEFAULT_TOL, PDFunction
-from .words import Word
-
-
-@dataclass(frozen=True)
-class StageIndexSets:
-    """The pinned indices P and the working set Q of a stage (g, j, k)."""
-
-    g: Word
-    d: int
-    j: int
-    k: int
-    P: tuple
-    Q: tuple
-
-    @staticmethod
-    def at(g, d: int, j: int, k: int) -> "StageIndexSets":
-        P, Q = pdcore.stage_pairs(g, d, j, k)
-        return StageIndexSets(pdcore._as_word(g), d, j, k, P, Q)
 
 
 @dataclass(frozen=True)
@@ -117,11 +102,11 @@ class _Level:
 class PartialHilbertSpace:
     """The stage (g, j, k) of one function, served from its level.
 
-    gram is the stage Gram indexed by indices.Q, with NaN at the working
-    pair (positions len(P), len(P)+1), that is <Theta(g)_j, Theta(e)_k>;
-    the two one-sided restrictions X_g and X_e are fully defined.  grown is
-    the stage state hand_off passes on, if any, from which the core factor
-    grows.
+    gram is the stage Gram indexed by the stage's pairs Q
+    (pdcore.stage_pairs), with NaN at the working pair (positions len(P),
+    len(P)+1), that is <Theta(g)_j, Theta(e)_k>; the two one-sided
+    restrictions X_g and X_e are fully defined.  grown is the stage state
+    hand_off passes on, if any, from which the core factor grows.
     """
 
     def __init__(self, level: _Level, C: PDFunction, grown=None):
@@ -132,10 +117,6 @@ class PartialHilbertSpace:
     @property
     def core_size(self) -> int:
         return self.level.size + self.j + self.k - 2
-
-    @cached_property
-    def indices(self) -> StageIndexSets:
-        return StageIndexSets.at(self.level.g, self.level.d, self.j, self.k)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -167,36 +148,45 @@ class PartialHilbertSpace:
         return self.gram[np.ix_(rows, rows)]
 
     def residuals(self) -> tuple:
-        """(n_g, n_e, cross): the core factor, grown from a handed-on stage
-        state or factored afresh, bordered with (g, j) and (e, k), and the
-        interior part of the cross term added back.  A core pivot at or
-        below DEFAULT_TOL raises NotStrictError."""
+        """(n_g, n_e, cross): the stage state, advanced once from a
+        handed-on one or replayed from (1, 1), and the interior part of the
+        cross term added back.  A core pivot at or below DEFAULT_TOL, of
+        this stage or of one the replay passes, raises NotStrictError."""
         if self._residuals is None:
-            d, j, k, n = self.level.d, self.j, self.k, self.level.size
-            top, g, e = self.top, j - 1, d + k - 1
+            d, g, e = self.level.d, self.j - 1, self.level.d + self.k - 1
+            state, last = self._grown, g * d + self.k - 1  # stages row-major
+            for t in range(last if state is not None else 0, last + 1):
+                state = self._advance(state, t // d + 1, t % d + 1)
+            self._state, self._grown = state, None
+            v_g, v_e, n_e = state[1:]
             P, S = self.level.projections()
-            if self._grown is None:
-                B = np.array(S)
-                B[:d, d:], B[d:, :d] = top - P[:d, d:], top.conj().T - P[d:, :d]
-                rows = [*range(g), *range(d, e), g, e]
-                L, V = _core_coordinates(B[np.ix_(rows, rows)], j + k - 2, first=n)
-                v_g, v_e = V.T
-            else:
-                L, v_g, v_e, n_e = self._grown
-                if k > 1:  # the core gains (e, k - 1), next to the value just written
-                    L = _grow(L, v_e, n_e, n)
-                    # ztrsv's last step, which scales by the pivot's reciprocal
-                    x = (top[g, k - 2].conj() - P[e - 1, g] - np.vdot(v_e, v_g)) * (1.0 / n_e)
-                    v_g = np.concatenate((v_g, [x]))
-                else:  # a row starts: the core is the predecessor's g rows plus (g, j - 1)
-                    v = v_g[:g - 1]
-                    L = _grow(L[:g - 1, :g - 1], v, _norm(S[g - 1, g - 1], v), n)
-                    v_g = _solve(L, S[:g, g])
-                v_e = _solve(L, np.concatenate([top[:g, k - 1] - P[:g, e], S[d:e, e]]))
-            n_e = _norm(S[e, e], v_e)
-            self._state, self._grown = (L, v_g, v_e, n_e), None
             self._residuals = (_norm(S[g, g], v_g), n_e, complex(np.vdot(v_g, v_e) + P[g, e]))
         return self._residuals
+
+    def _advance(self, state, j: int, k: int) -> tuple:
+        """The stage state (L, v_g, v_e, n_e) of stage (j, k) from the state
+        of the stage before it on the level, or at (1, 1) from the empty
+        core: the core factor, the core coordinates of (g, j) and (e, k)
+        and the residual norm of (e, k).  The C(g) values it reads, all
+        written before (j, k), come from this space's top row."""
+        d, n, top = self.level.d, self.level.size, self.top
+        g, e = j - 1, d + k - 1
+        P, S = self.level.projections()
+        if state is None:
+            L, v_g = np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=complex)
+        else:
+            L, v_g, v_e, n_e = state
+            if k > 1:  # the core gains (e, k - 1), next to the value written there
+                L = _grow(L, v_e, n_e, n)
+                # ztrsv's last step, which scales by the pivot's reciprocal
+                x = (top[g, k - 2].conj() - P[e - 1, g] - np.vdot(v_e, v_g)) * (1.0 / n_e)
+                v_g = np.concatenate((v_g, [x]))
+            else:  # a row starts: the core is the predecessor's g rows plus (g, j - 1)
+                v = v_g[:g - 1]
+                L = _grow(L[:g - 1, :g - 1], v, _norm(S[g - 1, g - 1], v), n)
+                v_g = _solve(L, S[:g, g])
+        v_e = _solve(L, np.concatenate([top[:g, k - 1] - P[:g, e], S[d:e, e]]))
+        return L, v_g, v_e, _norm(S[e, e], v_e)
 
 
 def build_partial_space(C: PDFunction) -> PartialHilbertSpace:
@@ -224,28 +214,22 @@ def hand_off(C: PDFunction, nxt: PDFunction):
         nxt._stage_space = PartialHilbertSpace(sp.level, nxt, sp._state)
 
 
-def _cholesky(M, first: int = 0):
+def _cholesky(M):
     """Lower Cholesky factor L of a Hermitian matrix (M = L L*) and its pivots.
 
-    The pivots are the diagonal of L; a pivot LAPACK could not take reads 0,
-    as does every pivot after it.  NotStrictError is raised when a pivot is
-    at or below DEFAULT_TOL, its position counted from first.
+    The caller vouches for M: square and Hermitian.  The pivots are the
+    diagonal of L; a pivot LAPACK could not take reads 0, as does every
+    pivot after it.  NotStrictError is raised when a pivot is at or below
+    DEFAULT_TOL or NaN.
     """
-    M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
-    if M.ndim != 2 or M.shape != (n, n):
-        raise ParameterError("a Cholesky factor needs a square matrix")
-    scale = max(1.0, float(np.max(np.abs(M)))) if n else 1.0
-    if n and not float(np.max(np.abs(M - M.conj().T))) <= 1e-10 * scale:
-        raise ParameterError("a Cholesky factor needs a finite Hermitian matrix")
     L, info = scipy.linalg.lapack.zpotrf(M, lower=1, clean=1)
     pivots = np.diag(L).real.copy()
     if info > 0:
         pivots[info - 1:] = 0.0
-    bad = np.flatnonzero(pivots <= DEFAULT_TOL)
+    bad = np.flatnonzero(~(pivots > DEFAULT_TOL))  # NaN fails too
     if bad.size:
         t = int(bad[0])
-        raise _collapsed(first + t, pivots[t])
+        raise _collapsed(t, pivots[t])
     return L, pivots
 
 
@@ -273,30 +257,12 @@ def _norm(square: complex, v: np.ndarray) -> float:
     return math.sqrt(max(square.real - np.vdot(v, v).real, 0.0))
 
 
-def ortho_matrices(M):
-    """Orthogonalization matrices of M in input order, from its Cholesky factor.
-
-    Returns (G, N): G is the unit upper triangular orthogonalization matrix
-    (its column k holds the coefficients turning y-coordinates into the k-th
-    orthogonal vector's coordinates, conjugated), N = L^-* the
-    orthonormalization matrix, so that (N^-1)* (N^-1) equals M and
-    G = N diag(L).  A pivot (residual norm) at or below DEFAULT_TOL raises.
-    """
-    L, pivots = _cholesky(M)
-    if not pivots.size:
-        return L, L.copy()
-    # inverting the unit lower triangular L diag(L)^-1 keeps G's diagonal
-    # exactly one
-    G = scipy.linalg.lapack.ztrtri(L / pivots, lower=1, unitdiag=1)[0].conj().T
-    return G, G / pivots
-
-
-def _core_coordinates(M: np.ndarray, m: int, first: int = 0) -> tuple:
+def _core_coordinates(M: np.ndarray, m: int) -> tuple:
     """(L, V): the core factor M[:m, :m] = L L* of the first m rows, one
     zpotrf, and V = L^-1 M[:m, m:], the core coordinates of the vectors
     after it, one _solve per column.  A core pivot at or below DEFAULT_TOL
-    raises NotStrictError, its position counted from first."""
-    L = _cholesky(M[:m, :m], first=first)[0] if m else np.zeros((0, 0), dtype=complex)
+    raises NotStrictError."""
+    L = _cholesky(M[:m, :m])[0] if m else np.zeros((0, 0), dtype=complex)
     return L, np.column_stack([_solve(L, M[:m, c]) for c in range(m, M.shape[1])])
 
 
@@ -313,14 +279,20 @@ def residual_from_gram(G: np.ndarray, core_size: int) -> ResidualData:
     vectors in the last two rows (g-side first, e-side last).
 
     The core is factored once and bordered with each working vector, so the
-    NaN corner never enters.  A core pivot at or below DEFAULT_TOL raises
-    NotStrictError, a residual norm at or below it DegenerateStageError.  The
-    outcome does not depend on the core ordering, since an orthogonal
-    projection is basis-free.
+    NaN corner never enters.  A matrix that is not square, or not finite and
+    Hermitian off its corner, raises ParameterError; a core pivot at or
+    below DEFAULT_TOL NotStrictError, a residual norm at or below it
+    DegenerateStageError.  The outcome does not depend on the core
+    ordering, since an orthogonal projection is basis-free.
     """
     G, m = np.asarray(G, dtype=complex), core_size
-    if G.ndim != 2 or m != G.shape[0] - 2:
-        raise ParameterError("core_size must be the matrix size minus two")
+    if G.ndim != 2 or G.shape != (m + 2, m + 2):
+        raise ParameterError("a stage Gram is square, core_size its size minus two")
+    H = np.array(G)
+    H[m, m + 1] = H[m + 1, m] = 0.0
+    scale = max(1.0, float(np.max(np.abs(H))))
+    if not float(np.max(np.abs(H - H.conj().T))) <= 1e-10 * scale:  # NaN fails too
+        raise ParameterError("a stage Gram must be finite and Hermitian off its corner")
     v_g, v_e = _core_coordinates(G, m)[1].T
     return _checked(_norm(G[m, m], v_g), _norm(G[m + 1, m + 1], v_e), complex(np.vdot(v_g, v_e)))
 

@@ -186,11 +186,11 @@ def partial_relative_energy(C: PDFunction, D: PDFunction) -> EnergyReport:
         raise DomainError("partial_relative_energy needs one common stage")
     sC = build_partial_space(C)
     sD = build_partial_space(D)
-    idx = sC.indices
-    core = list(idx.P)
+    dom = C.domain
+    P, Q = pdcore.stage_pairs(dom.g, C.d, dom.j, dom.k)
     sides = (
-        _energy_report(sC.x_g_gram, sD.x_g_gram, "X_g", core + [(idx.g, idx.j)]),
-        _energy_report(sC.x_e_gram, sD.x_e_gram, "X_e", core + [((), idx.k)]),
+        _energy_report(sC.x_g_gram, sD.x_g_gram, "X_g", P + Q[-2:-1]),
+        _energy_report(sC.x_e_gram, sD.x_e_gram, "X_e", P + Q[-1:]),
     )
     return max(sides, key=lambda rep: rep.energy)
 

@@ -184,8 +184,12 @@ def _build(r: int) -> _Tree:
         L[at:at + len(level), :n] = level
         at += len(level)
     n = (L >= 0).sum(1)
-    suffix = np.column_stack([_ranks(np.pad(L[:, k:], ((0, 0), (0, k)), constant_values=-1))
-                              for k in range(r + 1)])
+    # without its first k letters a word of length n and in-length rank x is
+    # the word of length n - k led by letter k whose later digits are x's last
+    left = n[:, None] - np.arange(r + 1)
+    place = _POW3[np.maximum(left - 1, 0)]
+    x = (np.arange(len(L)) - _OFFSET[n])[:, None]
+    suffix = np.where(left > 0, _OFFSET[np.maximum(left, 0)] + L * place + x % place, 0)
     back = n[:, None] - 1 - np.arange(r + 1)
     inv = _ranks(np.where(back >= 0, (np.take_along_axis(L, np.maximum(back, 0), 1) + 2) % 4, -1))
     rows = np.concatenate([[-1], np.cumsum(np.arange(len(inv)) < inv)])

@@ -324,6 +324,31 @@ def two_factor_residuals(G, core_size):
     return norms[0], norms[1], complex(rows[0] @ np.conj(rows[1]))
 
 
+def matches_two_factor_residuals(rd, sp, tol=1e-12):
+    """Whether residual data rd is within tol of two_factor_residuals of the
+    stage space sp's Gram."""
+    oracle = two_factor_residuals(sp.gram, sp.core_size)
+    return all(abs(x - y) <= tol for x, y in zip((rd.n_g, rd.n_e, rd.cross), oracle))
+
+
+def gram_schmidt_rows(G, core_size):
+    """energysolver.coordinate_rows by the core's orthogonalization matrix:
+    with the core factor L, Go = (L diag(L)^-1)^-* is unit upper triangular,
+    its column i the conjugated coefficients over the core of the i-th
+    unnormalized Gram-Schmidt vector z_i, so (G[:, :m] @ Go)[q, i] is
+    <y_q, z_i>, and y_q's coefficient on z_i that over ||z_i||^2 = L[i, i]^2.
+    Only the core columns are read, so the corner never enters."""
+    m = core_size
+    if m == 0:
+        return np.zeros((0, G.shape[0]), dtype=complex)
+    L, info = scipy.linalg.lapack.zpotrf(G[:m, :m], lower=1, clean=1)
+    assert info == 0
+    pivots = np.diag(L).real
+    # inverting the unit lower triangular L diag(L)^-1 keeps Go's diagonal exactly one
+    Go = scipy.linalg.lapack.ztrtri(L / pivots, lower=1, unitdiag=1)[0].conj().T
+    return (G[:, :m] @ Go / pivots ** 2).T
+
+
 def random_unit_complex(rng):
     phi = rng.uniform(0.0, 2.0 * np.pi)
     return complex(np.cos(phi), np.sin(phi))

@@ -27,9 +27,10 @@ from freepd.errors import (
     SolveError,
 )
 from freepd.extend import SzegoParameter, central_extension
-from freepd.pdcore import PDFunction, check_pd, l1_distance, random_nspd
+from freepd.hilbert import build_partial_space
+from freepd.pdcore import PDFunction, check_pd, l1_distance, random_nspd, restrict_to_stage
 from freepd.transport import partial_relative_energy, relative_energy
-from helpers import mix_functions, novel_stages, stage_function
+from helpers import gram_schmidt_rows, mix_functions, novel_stages, stage_function
 
 
 def _singular_pair(seed, eta=0.02):
@@ -41,6 +42,27 @@ def _singular_pair(seed, eta=0.02):
 def _disk_point(rng, radius=0.6):
     z = rng.standard_normal() + 1j * rng.standard_normal()
     return radius * z / max(1.0, abs(z))
+
+
+# ---------------------------------------------------------------------------
+# coordinate rows
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_coordinate_rows_match_the_gram_schmidt_oracle(d):
+    B = random_nspd(3, d, seed=30 + d)
+    # (a, 1, 1) has an empty core: K_a = {e, a}
+    assert coordinate_rows(restrict_to_stage(B, "a", 1, 1)).shape == (0, 2)
+    for g in ("a", "aa", "aB", "abA"):
+        for j in range(1, d + 1):
+            for k in range(1, d + 1):
+                C = restrict_to_stage(B, g, j, k)
+                sp = build_partial_space(C)
+                m = sp.core_size
+                A = coordinate_rows(C)
+                assert A.shape == (m, m + 2)
+                assert np.abs(A - gram_schmidt_rows(sp.gram, m)).max(initial=0.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +180,6 @@ def test_transport_scalars_match_measured_derivatives():
     rng = np.random.default_rng(9)
     h = 1e-5
     from freepd.extend import extend_ball
-    from freepd.pdcore import restrict_to_stage
     from helpers import seeded_rim_policy
 
     for t in range(6):

@@ -1,8 +1,7 @@
-"""Stage spaces, Gram-Schmidt matrices and residual data.
+"""Stage spaces and residual data.
 
-The two-by-two Gram-Schmidt example and the stage residuals are checked by
-hand; determinant formulas act as an independent oracle for the matrices,
-and explicit least-squares projections for the residual data.
+The stage residuals are checked by hand; explicit least-squares projections
+and two Cholesky factors of the stage Gram act as independent oracles.
 """
 
 import numpy as np
@@ -16,13 +15,7 @@ from freepd.errors import (
     NotStrictError,
     ParameterError,
 )
-from freepd.hilbert import (
-    StageIndexSets,
-    build_partial_space,
-    ortho_matrices,
-    residual_data,
-    residual_from_gram,
-)
+from freepd.hilbert import build_partial_space, residual_data, residual_from_gram
 from freepd.extend import _open_walk, extend_entry
 from freepd.pdcore import (
     Domain,
@@ -32,16 +25,17 @@ from freepd.pdcore import (
     delta,
     random_nspd,
     restrict_to_stage,
+    stage_pairs,
 )
 from freepd.words import word_from_str
-from helpers import two_factor_residuals
+from helpers import matches_two_factor_residuals
 
 W = word_from_str
 
 
 def test_build_partial_space_delta_stage():
     sp = build_partial_space(delta(1, Domain.partial("aa", 1, 1)))
-    assert sp.indices.Q == ((W("a"), 1), (W("aa"), 1), (W("e"), 1))
+    assert stage_pairs("aa", 1, 1, 1)[1] == ((W("a"), 1), (W("aa"), 1), (W("e"), 1))
     assert sp.core_size == 1
     expected = np.eye(3, dtype=complex)
     mask = np.isnan(sp.gram)
@@ -54,8 +48,9 @@ def test_build_partial_space_d2_stage():
     C = random_nspd(2, 2, seed=0, margin=0.2)
     sp = build_partial_space(restrict_to_stage(C, "aa", 2, 1))
     a, aa, e = W("a"), W("aa"), W("e")
-    assert sp.indices.P == ((a, 1), (a, 2), (aa, 1))
-    assert sp.indices.Q == sp.indices.P + ((aa, 2), (e, 1))
+    P, Q = stage_pairs("aa", 2, 2, 1)
+    assert P == ((a, 1), (a, 2), (aa, 1))
+    assert Q == P + ((aa, 2), (e, 1))
     assert sp.gram.shape == (5, 5)
     mask = np.isnan(sp.gram)
     assert mask[3, 4] and mask[4, 3] and mask.sum() == 2
@@ -82,60 +77,6 @@ def test_restrictions_stay_positive_on_random_instances():
 def test_build_partial_space_rejects_full_domains():
     with pytest.raises(DomainError):
         build_partial_space(delta(1, Domain.ball(1)))
-
-
-def test_ortho_matrices_identity():
-    G, N = ortho_matrices(np.eye(4))
-    assert np.array_equal(G, np.eye(4))
-    assert np.array_equal(N, np.eye(4))
-
-
-def test_ortho_matrices_two_by_two_hand_example():
-    c = 0.3 - 0.25j
-    M = np.array([[1, c], [np.conj(c), 1]])
-    G, N = ortho_matrices(M)
-    assert np.array_equal(G, np.array([[1, -c], [0, 1]]))
-    nrm = np.sqrt(1 - abs(c) ** 2)
-    assert np.allclose(N[:, 1], np.array([-c, 1]) / nrm, atol=1e-14)
-    Ninv = np.linalg.inv(N)
-    assert np.max(np.abs(Ninv.conj().T @ Ninv - M)) < 1e-14
-
-
-def _random_unit_diagonal_gram(rng, n):
-    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    M = A @ A.conj().T + 0.5 * n * np.eye(n)
-    s = 1 / np.sqrt(np.diag(M).real)
-    return M * np.outer(s, s)
-
-
-def test_ortho_matrices_roundtrip_and_determinant_formulas():
-    rng = np.random.default_rng(5)
-    for n in (2, 3, 4, 5):
-        for _ in range(8):
-            M = _random_unit_diagonal_gram(rng, n)
-            G, N = ortho_matrices(M)
-            assert np.allclose(np.diag(G), 1.0)
-            assert np.max(np.abs(np.tril(G, -1))) == 0.0
-            Ninv = np.linalg.inv(N)
-            assert np.max(np.abs(Ninv.conj().T @ Ninv - M)) < 1e-10
-
-            # determinant oracles for the last column
-            Msub, x = M[: n - 1, : n - 1], M[: n - 1, n - 1]
-            assert np.allclose(G[: n - 1, n - 1], -np.linalg.solve(Msub, x), atol=1e-8)
-            ratio = np.sqrt((np.linalg.det(Msub) / np.linalg.det(M)).real)
-            assert N[n - 1, n - 1].real == pytest.approx(ratio, abs=1e-8)
-            assert np.allclose(
-                N[: n - 1, n - 1], G[: n - 1, n - 1] * N[n - 1, n - 1], atol=1e-8
-            )
-
-
-def test_ortho_matrices_errors():
-    with pytest.raises(NotStrictError):
-        ortho_matrices(np.ones((2, 2)))
-    with pytest.raises(ParameterError):
-        ortho_matrices(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(ParameterError):
-        ortho_matrices(np.zeros((2, 3)))
 
 
 def test_residual_hand_examples():
@@ -195,6 +136,16 @@ def test_residual_from_gram_validates_core_size():
         residual_from_gram(np.eye(4), 1)
 
 
+def test_residual_from_gram_rejects_what_is_no_stage_gram():
+    G = _stage_gram(np.eye(5, dtype=complex))
+    skew, nan_core = np.array(G), np.array(G)
+    skew[0, 1] = 0.5  # its mirror stays 0
+    nan_core[0, 1] = nan_core[1, 0] = complex("nan")
+    for M in (np.zeros((5, 4)), skew, nan_core):
+        with pytest.raises(ParameterError):
+            residual_from_gram(M, 3)
+
+
 def _stage_gram(vectors):
     """The stage Gram of explicit vectors (rows), working corner masked."""
     G = vectors @ vectors.conj().T
@@ -229,12 +180,6 @@ def test_residual_matches_projection_oracle():
         assert abs(rd.cross - proj[0] @ proj[1].conj()) <= 1e-12
 
 
-def test_stage_index_sets_constructor():
-    s = StageIndexSets.at("aa", 2, 2, 1)
-    assert (s.g, s.d, s.j, s.k) == (W("aa"), 2, 2, 1)
-    assert s.Q == s.P + ((W("aa"), 2), (W("e"), 1))
-
-
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(seed=st.integers(0, 2 ** 16), d=st.sampled_from([1, 2, 3]), steps=st.integers(0, 30))
 def test_level_kernel_matches_two_factor_oracle(seed, d, steps):
@@ -245,12 +190,9 @@ def test_level_kernel_matches_two_factor_oracle(seed, d, steps):
     for _ in range(steps):
         C = extend_entry(C, 0.5 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()))
     sp = build_partial_space(C)
-    assert np.array_equal(sp.gram, _gram(C, sp.indices.Q, corner=1), equal_nan=True)
-    assert sp.indices == StageIndexSets.at(C.domain.g, d, C.domain.j, C.domain.k)
-    rd = residual_data(sp)
-    n_g, n_e, cross = two_factor_residuals(sp.gram, sp.core_size)
-    assert abs(rd.n_g - n_g) <= 1e-12 and abs(rd.n_e - n_e) <= 1e-12
-    assert abs(rd.cross - cross) <= 1e-12
+    Q = stage_pairs(C.domain.g, d, C.domain.j, C.domain.k)[1]
+    assert np.array_equal(sp.gram, _gram(C, Q, corner=1), equal_nan=True)
+    assert matches_two_factor_residuals(residual_data(sp), sp)
 
 
 def _copy(C):
@@ -270,10 +212,11 @@ def test_hand_off_leaves_the_predecessor_space_alone():
     assert np.array_equal(sp.gram, gram, equal_nan=True)
     assert all(np.array_equal(a, b) for a, b in zip(sp._state, state))
     assert residual_data(sp) == rd
-    assert residual_data(build_partial_space(_copy(C))) == rd
+    assert matches_two_factor_residuals(rd, sp)
     # the handed-on space is the one the successor would build itself
     own = build_partial_space(_copy(nxt))
     assert residual_data(handed) == residual_data(own)
+    assert matches_two_factor_residuals(residual_data(handed), own)
     assert np.array_equal(handed.gram, own.gram, equal_nan=True)
     assert all(np.array_equal(a, b) for a, b in zip(handed._state, own._state))
     # the last stage of a level hands nothing on to the next level

@@ -3,8 +3,10 @@
 Each walk step builds its successor by construction (pdcore._next_stage)
 and hands the successor its level and stage state (hilbert.hand_off), from
 which the successor's core factor grows by one row.  The oracles here are
-the constructor's validator on a copy of each stage function and a stage
-space built afresh on that copy.
+the constructor's validator on a copy of each stage function, the stage
+Gram of a space built afresh on that copy, and residuals from two Cholesky
+factors of that Gram.  A fresh space replays the walk's own recurrence
+from the level's first stage, so its stage state must match bit for bit.
 """
 
 import gc
@@ -27,7 +29,7 @@ from freepd.extend import (
 from freepd.hilbert import ResidualData, build_partial_space, residual_data
 from freepd.pdcore import Domain, PDFunction, _next_stage, random_nspd, restrict_to_stage
 from freepd.words import next_novel
-from helpers import fill_stage, library_caches, seeded_rim_policy
+from helpers import fill_stage, library_caches, matches_two_factor_residuals, seeded_rim_policy
 
 
 def _copy(C):
@@ -42,18 +44,18 @@ def _recording(policy, seen):
     return ParameterPolicy(rule, name=policy.name)
 
 
-def _close(a: ResidualData, b: ResidualData, tol=1e-12):
-    return all(abs(x - y) <= tol for x, y in zip((a.n_g, a.n_e, a.cross), (b.n_g, b.n_e, b.cross)))
+def _walk(d, policy):
+    """Every stage function of a Ball(2) -> Ball(3) walk, 18 levels."""
+    seen = []
+    extend_ball(random_nspd(2, d, seed=d), 3, _recording(policy, seen))
+    assert len(seen) == 18 * d * d
+    return seen
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("central", [True, False])
 def test_every_stage_function_matches_the_validator_and_a_fresh_space(d, central):
-    # Ball(2) -> Ball(3) crosses 18 level boundaries
-    policy = central_policy() if central else seeded_rim_policy(40 + d)
-    seen = []
-    extend_ball(random_nspd(2, d, seed=d), 3, _recording(policy, seen))
-    assert len(seen) == 18 * d * d
+    seen = _walk(d, central_policy() if central else seeded_rim_policy(40 + d))
     for prev, C in zip([None] + seen, seen):
         assert not C._stack.flags.writeable
         assert C == _copy(C)
@@ -61,11 +63,20 @@ def test_every_stage_function_matches_the_validator_and_a_fresh_space(d, central
         first = (C.domain.j, C.domain.k) == (1, 1)
         # within a level the space was handed on, and it shares the level
         assert first or sp.level is prev._stage_space.level
-        rd, fresh = residual_data(sp), residual_data(build_partial_space(_copy(C)))
-        if central and d <= 2:
-            assert rd == fresh
-        else:
-            assert _close(rd, fresh)
+        fresh = build_partial_space(_copy(C))
+        assert np.array_equal(sp.gram, fresh.gram, equal_nan=True)
+        assert matches_two_factor_residuals(residual_data(sp), fresh)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_copy_replays_the_handed_on_stage_state_bit_for_bit(d):
+    for C in _walk(d, seeded_rim_policy(60 + d)):
+        handed, fresh = C._stage_space, build_partial_space(_copy(C))
+        assert residual_data(fresh) == residual_data(handed)
+        assert len(fresh._state) == len(handed._state) == 4
+        for a, b in zip(handed._state, fresh._state):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_two_successors_of_one_stage_grow_independently():
@@ -81,7 +92,7 @@ def test_two_successors_of_one_stage_grow_independently():
         for i, C in enumerate(walks):
             assert C._stage_space._grown is not None
             fresh = build_partial_space(_copy(C))
-            assert _close(residual_data(C._stage_space), residual_data(fresh))
+            assert matches_two_factor_residuals(residual_data(C._stage_space), fresh)
             walks[i] = extend_entry(C, 0.7 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()))
     assert walks[0].domain == walks[1].domain == Domain.partial(next_novel(stage.domain.g), 1, 1)
     assert not np.array_equal(walks[0]._stack, walks[1]._stack)
