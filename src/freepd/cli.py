@@ -167,8 +167,10 @@ def _cmd_energy(args) -> CommandResult:
             radii = []
         if not radii:
             raise FormatError("radii", f"--radii must be integers, got {args.radii!r}")
-    else:
+    elif A.domain.kind == B.domain.kind == "ball":
         radii = list(range(1, min(A.domain.r, B.domain.r) // 2 + 1)) or [0]
+    else:  # no default off a ball: energy_schedule refuses the domains
+        radii = [0]
     path, inputs = _report_path(args.a), {"a": str(args.a), "b": str(args.b)}
     try:
         _increasing_radii(radii)

@@ -32,15 +32,16 @@ the same dependency order.
 Conventions: stage functions are partial-domain PDFunctions; a configuration
 of radius r carries data on Ball(2r) so that its edge energies over the index
 set B_r x [d] are computable, matching the transport module's convention.
-Every completed-stage pencil is solved by transport._top_generalized_eig,
-the package's one generalized-eigenvalue kernel, through one _StagePencil
-per stage pair and stage.  It keeps the pair's last solved point, so each
-pencil is solved once: descent asks again for the point it has just
-accepted, its Armijo step, Newton candidate or Levenberg-Marquardt trial,
-and the stage asks again for its solved parameters.  The re-use is exact:
-the completed corners are all that differs between requests, a point is
-re-used only when both are bit for bit the kept ones, and the kernel is
-deterministic.
+A stage pair (C^zeta, D^mu) is one _StagePencil(C, D): it checks the pair,
+keeps both sides' residual data and alone solves the completed-stage pencil,
+by transport._top_generalized_eig, the package's one generalized-eigenvalue
+kernel; everything else reads its energy, value or coupling.  It keeps the
+pair's last solved point, so each pencil is solved once: descent asks again
+for the point it has just accepted, its Armijo step, Newton candidate or
+Levenberg-Marquardt trial, and the stage asks again for its solved
+parameters.  The re-use is exact: the completed corners are all that
+differs between requests, a point is re-used only when both are bit for
+bit the kept ones, and the kernel is deterministic.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ from .errors import (
     SingularizationError,
     SolveError,
 )
-from .extend import DELTA_MIN, SzegoParameter, _open_walk, _stage_error, extend_entry
-from .hilbert import _cholesky, _core_coordinates, build_partial_space, residual_data
+from .extend import DELTA_MIN, SzegoParameter, _as_zeta, _open_walk, _stage_error, extend_entry
+from .hilbert import _core_coordinates, build_partial_space, residual_data
 from .pdcore import (
     Domain,
     PDFunction,
@@ -140,40 +141,31 @@ RIM = 1.0 - DELTA_MIN
 # ---------------------------------------------------------------------------
 
 
-def _zval(z) -> complex:
-    if isinstance(z, SzegoParameter):
-        return z.value
-    return SzegoParameter(z).value
-
-
 def _stage_of(C: PDFunction):
     if C.domain.kind != "partial":
         raise DomainError("stage operations need partial-domain functions")
     return (C.domain.g, C.domain.j, C.domain.k)
 
 
-def _pair_data(C: PDFunction, D: PDFunction):
-    if C.d != D.d:
-        raise DomainError("the two functions have different dimensions")
-    if _stage_of(C) != _stage_of(D):
-        raise DomainError("the two functions sit at different stages")
-    spC = build_partial_space(C)
-    spD = build_partial_space(D)
-    return spC, residual_data(spC), spD, residual_data(spD)
-
-
 class _StagePencil:
-    """The completed-stage pencil of one stage pair, solved once per point.
+    """The completed-stage pencil of the stage pair (C, D), solved once per point.
 
-    solve(zeta_c, zeta_d) sets each side's working corner to
-    zeta * (n_g * n_e) + cross and returns the kernel's (vals, x), which the
-    caller must not modify.  The last successful solve is kept and handed
-    back while both corners are bit for bit the kept ones; a failed solve
-    keeps nothing, so asking again solves, and fails, again.
+    Both functions sit at one stage (g, j, k) with one d; rd_C and rd_D are
+    their residual data.  solve(zeta_c, zeta_d) sets each side's working
+    corner to zeta * (n_g * n_e) + cross and returns the kernel's (vals, x),
+    which the caller must not modify.  The last successful solve is kept and
+    handed back while both corners are bit for bit the kept ones; a failed
+    solve keeps nothing, so asking again solves, and fails, again.  energy,
+    value and coupling read solve.
     """
 
-    def __init__(self, pair):
-        spC, rdC, spD, rdD = pair
+    def __init__(self, C: PDFunction, D: PDFunction):
+        if C.d != D.d:
+            raise DomainError("the two functions have different dimensions")
+        if _stage_of(C) != _stage_of(D):
+            raise DomainError("the two functions sit at different stages")
+        spC, spD = build_partial_space(C), build_partial_space(D)
+        self.rd_C, self.rd_D = rdC, rdD = residual_data(spC), residual_data(spD)
         self.core_size = spC.core_size
         self.scale_C = rdC.n_g * rdC.n_e
         self.scale_D = rdD.n_g * rdD.n_e
@@ -200,8 +192,25 @@ class _StagePencil:
 
     def energy(self, zeta, mu) -> float:
         """stage_energy of this pair at the Szego parameters zeta, mu."""
-        vals, _ = self.solve(_zval(zeta), _zval(mu))
+        vals, _ = self.solve(_as_zeta(zeta).value, _as_zeta(mu).value)
         return float(vals[-1])
+
+    def value(self, zeta_c, zeta_d) -> float:
+        """The top energy at two corner parameters, or np.inf where the
+        kernel cannot certify the pencil (a descent's trial point near the
+        rim is never a keeper, so its failure reads as an infinite energy)."""
+        try:
+            vals, _ = self.solve(zeta_c, zeta_d)
+        except FreePDError:
+            return np.inf
+        return float(vals[-1])
+
+    def coupling(self, zeta_c, zeta_d):
+        """(top energy, conj(x[m]) x[m+1]) of the achiever (_coord_product),
+        the product 0j where the spectrum collapses to one point."""
+        vals, x = self.solve(zeta_c, zeta_d)
+        top, product = _coord_product(vals, x, self.core_size)
+        return top, 0j if product is None else product
 
 
 def _coord_product(vals, x, m: int):
@@ -232,7 +241,7 @@ def stage_energy(C: PDFunction, D: PDFunction, zeta, mu) -> float:
     of each stage Gram is filled from its own residual data and the returned
     number is the top generalized eigenvalue of the completed pencil.
     """
-    return _StagePencil(_pair_data(C, D)).energy(zeta, mu)
+    return _StagePencil(C, D).energy(zeta, mu)
 
 
 @dataclass(frozen=True)
@@ -270,19 +279,19 @@ def extension_components(C: PDFunction, D: PDFunction, zeta, mu) -> ExtensionCom
     coordinates rescaled by the target residual norms.  Requires the top
     generalized eigenvalue to be simple to within GAP_TOL relative.
     """
-    spC, rdC, _, rdD = pair = _pair_data(C, D)
-    vals, x = _StagePencil(pair).solve(_zval(zeta), _zval(mu))
-    m = spC.core_size
+    pencil = _StagePencil(C, D)
+    vals, x = pencil.solve(_as_zeta(zeta).value, _as_zeta(mu).value)
+    m = pencil.core_size
     top, product = _coord_product(vals, x, m)
     if product is None:
         return ExtensionComponents(0j, 0j, 0j, 0j, energy=top)
     c_g = np.conj(x[m])
     c_e = np.conj(x[m + 1])
     return ExtensionComponents(
-        alpha=complex(c_g * rdC.n_g),
-        alpha_prime=complex(c_e * rdC.n_e),
-        beta=complex(c_g * rdD.n_g),
-        beta_prime=complex(c_e * rdD.n_e),
+        alpha=complex(c_g * pencil.rd_C.n_g),
+        alpha_prime=complex(c_e * pencil.rd_C.n_e),
+        beta=complex(c_g * pencil.rd_D.n_g),
+        beta_prime=complex(c_e * pencil.rd_D.n_e),
         energy=top,
     )
 
@@ -327,7 +336,7 @@ class SingularityCertificate:
     theta: float
 
     def bound(self, zeta) -> float:
-        z = _zval(zeta)
+        z = _as_zeta(zeta).value
         return (self.kappa * self.theta) ** 2 / (2.0 - 2.0 * abs(z) ** 2)
 
 
@@ -343,9 +352,17 @@ def coordinate_rows(C: PDFunction) -> np.ndarray:
     Only the core and its two borders are read, so the undefined corner of
     the stage Gram never enters.
     """
+    return _core_rows(C)[0]
+
+
+def _core_rows(C: PDFunction) -> tuple:
+    """coordinate_rows(C) and the least core pivot (inf on an empty core),
+    both from one core factor."""
     sp = build_partial_space(C)
     L, V = _core_coordinates(sp.gram, sp.core_size)
-    return np.hstack([L.T, V.conj()]) / np.diag(L)[:, None]
+    pivots = np.diag(L)
+    rows = np.hstack([L.T, V.conj()]) / pivots[:, None]
+    return rows, float(np.min(pivots.real, initial=np.inf))
 
 
 def _l1_ball_sample(rng, n: int, radius: float) -> np.ndarray:
@@ -371,14 +388,6 @@ def _wprime_ratio(C: PDFunction, g1, g2, j: int, k: int) -> float:
     if sv[0] <= 0.0:
         return 0.0
     return float(sv[-1] / sv[0])
-
-
-def _min_core_norm(C: PDFunction) -> float:
-    sp = build_partial_space(C)
-    if sp.core_size == 0:
-        return np.inf
-    _, pivots = _cholesky(sp.core_gram)
-    return float(np.min(pivots))
 
 
 def _pairs_separated(rows) -> bool:
@@ -461,16 +470,16 @@ def make_singular(family, eta: float, seed=0):
     n_fam = len(primed)
     point_mass = pdcore.delta(d, primed[0].domain)
     nus = [max(1.0, l1_distance(Cp, point_mass)) for Cp in primed]
-    mixed = rows = None
+    mixed = rows = core_mins = None
     for offset in range(S_GRID):
         weights = [
             eta / (2.0 * (((i + offset) % S_GRID) + 1) * S_GRID * nus[i])
             for i in range(n_fam)
         ]
         trial = [mix_with_delta(Cp, s) for Cp, s in zip(primed, weights)]
-        trial_rows = [coordinate_rows(Dm) for Dm in trial]
+        trial_rows, trial_mins = zip(*map(_core_rows, trial))
         if _pairs_separated(trial_rows):
-            mixed, rows = trial, trial_rows
+            mixed, rows, core_mins = trial, trial_rows, trial_mins
             break
     if mixed is None:
         raise SingularizationError(
@@ -478,7 +487,6 @@ def make_singular(family, eta: float, seed=0):
         )
 
     kernels = [scipy.linalg.null_space(A) for A in rows]
-    core_mins = [_min_core_norm(Dm) for Dm in mixed]
     certificates = {}
     for l in range(n_fam):
         for m in range(l + 1, n_fam):
@@ -524,29 +532,17 @@ CHAIN_ROUNDS = 24
 
 def _solve_edge_impl(pencil, mu, base, tol_edge, max_iter, seed, inits,
                      grad_tol=GRAD_TOL):
-    # value and value_and_pair read one _StagePencil, so the iteration after
-    # an accepted Armijo step or Newton candidate gets the pencil that
+    # every evaluation reads the one _StagePencil, so the iteration after an
+    # accepted Armijo step or Newton candidate gets the pencil that
     # accepting it solved back without a kernel call.  That is exact: a
     # point is re-used only when both completed corners match bit for bit.
-    mu = _zval(mu)
+    mu = _as_zeta(mu).value
     target = base + tol_edge
     rng = np.random.default_rng(seed)
-    m = pencil.core_size
-
-    def value(z):
-        # candidate points near the rim can push the pencil past what the
-        # eigensolver certifies; such a candidate is never a keeper, so any
-        # evaluation failure just reads as an infinite energy
-        try:
-            vals, _ = pencil.solve(z, mu)
-        except FreePDError:
-            return np.inf
-        return float(vals[-1])
 
     def value_and_pair(z):
-        vals, x = pencil.solve(z, mu)
-        top, product = _coord_product(vals, x, m)
-        return top, (0j if product is None else product * pencil.scale_C)
+        top, p = pencil.coupling(z, mu)
+        return top, p * pencil.scale_C
 
     def newton_candidate(z, v0):
         # one root-finding step on the gradient field: the coupling dies at
@@ -628,7 +624,7 @@ def _solve_edge_impl(pencil, mu, base, tol_edge, max_iter, seed, inits,
             gsq = gnorm * gnorm
             while step >= 1e-18:
                 candidate = _project(z - step * grad)
-                if value(candidate) <= e - ARMIJO_SLOPE * step * gsq:
+                if pencil.value(candidate, mu) <= e - ARMIJO_SLOPE * step * gsq:
                     z = candidate
                     moved = True
                     break
@@ -664,8 +660,8 @@ def solve_edge(C: PDFunction, D: PDFunction, mu, max_iter: int = MAX_ITER,
     the best parameter seen.
     """
     base = partial_relative_energy(C, D).energy
-    zeta, _, _ = _solve_edge_impl(_StagePencil(_pair_data(C, D)), mu, base, TOL_EDGE,
-                                  max_iter, seed, (0j,))
+    zeta, _, _ = _solve_edge_impl(_StagePencil(C, D), mu, base, TOL_EDGE, max_iter,
+                                  seed, (0j,))
     return zeta
 
 
@@ -674,8 +670,7 @@ def _cycle_pencils(family) -> list:
     fam = list(family)
     if len(fam) < 2:
         raise ParameterError("a cycle needs at least two functions")
-    return [_StagePencil(_pair_data(C, fam[(i + 1) % len(fam)]))
-            for i, C in enumerate(fam)]
+    return [_StagePencil(C, fam[(i + 1) % len(fam)]) for i, C in enumerate(fam)]
 
 
 def _solve_cycle_impl(pencils, base, seed):
@@ -685,17 +680,10 @@ def _solve_cycle_impl(pencils, base, seed):
     n_fam = len(pencils)
     rng = np.random.default_rng(seed)
 
-    def edge_value(i, zc, zd):
-        try:
-            vals, _ = pencils[i].solve(zc, zd)
-        except FreePDError:
-            return np.inf
-        return float(vals[-1])
-
     def f_value(zs):
         total = 0.0
-        for i in range(n_fam):
-            e = edge_value(i, zs[i], zs[(i + 1) % n_fam])
+        for i, pencil in enumerate(pencils):
+            e = pencil.value(zs[i], zs[(i + 1) % n_fam])
             if not np.isfinite(e):
                 return np.inf
             total += (e - base[i]) ** 2
@@ -710,13 +698,11 @@ def _solve_cycle_impl(pencils, base, seed):
         pairs = np.zeros(n_fam, dtype=complex)
         J = np.zeros((n_fam, 2 * n_fam))
         for i, pencil in enumerate(pencils):
-            vals, x = pencil.solve(zs[i], zs[(i + 1) % n_fam])
             try:
-                top, coord = _coord_product(vals, x, pencil.core_size)
+                top, coord = pencil.coupling(zs[i], zs[(i + 1) % n_fam])
             except DegenerateAchieverError as exc:
                 exc.edge = i
                 raise
-            coord = 0j if coord is None else coord
             alpha_pair = coord * pencil.scale_C
             beta_pair = coord * pencil.scale_D
             energies[i] = top
@@ -841,7 +827,7 @@ def _solve_cycle_impl(pencils, base, seed):
     if satisfied or best_f <= target:
         pick = best_zs if best_f <= target else zs
         energies = np.array(
-            [edge_value(i, pick[i], pick[(i + 1) % n_fam]) for i in range(n_fam)]
+            [pencil.value(pick[i], pick[(i + 1) % n_fam]) for i, pencil in enumerate(pencils)]
         )
         fv = float(np.sum((energies - np.array(base)) ** 2))
         return _params(pick), fv, used, energies
@@ -1250,23 +1236,21 @@ def solve_configuration(config: Configuration, R: int, eps: float,
                 for v, w in edge_seq:
                     cert = certs.get((min(pos[v], pos[w]), max(pos[v], pos[w])))
                     inits = (0j,) if cert is not None else (0j, zetas[w])
-                    pencil = pencils[(v, w)] = _StagePencil(_pair_data(work[v], work[w]))
+                    pencil = pencils[(v, w)] = _StagePencil(work[v], work[w])
                     try:
                         zv, _, it = _solve_edge_impl(
                             pencil, zetas[w], ppe[(v, w)],
                             TOL_EDGE, MAX_ITER, int(rng.integers(2 ** 31)), inits,
                         )
                     except SolveError as exc:
-                        bound = ppe[(v, w)] + slack_allowance
-                        if exc.value is not None and exc.value <= bound:
-                            zv, it = exc.best, MAX_ITER
-                            slack_used = max(slack_used, exc.value - ppe[(v, w)])
-                        else:
+                        if exc.value > ppe[(v, w)] + slack_allowance:
                             raise SolveError(
                                 f"edge {v}->{w}: {exc}",
                                 best=exc.best,
                                 value=exc.value,
                             ) from exc
+                        zv, it = exc.best, MAX_ITER
+                        slack_used = max(slack_used, exc.value - ppe[(v, w)])
                     zetas[v] = zv.value
                     iters += it
             else:
@@ -1277,19 +1261,12 @@ def solve_configuration(config: Configuration, R: int, eps: float,
                         int(rng.integers(2 ** 31)),
                     )
                 except SolveError as exc:
-                    ok = False
-                    if isinstance(exc.best, list):
-                        trial = {v: p.value for v, p in zip(cyc, exc.best)}
-                        after = {
-                            e: pencils[e].energy(trial[e[0]], trial[e[1]])
-                            for e in edge_seq
-                        }
-                        if all(after[e] <= ppe[e] + slack_allowance for e in edge_seq):
-                            params, it = exc.best, MAX_ITER
-                            slack_used = max(after[e] - ppe[e] for e in edge_seq)
-                            ok = True
-                    if not ok:
+                    trial = {v: p.value for v, p in zip(cyc, exc.best)}
+                    after = {e: pencils[e].energy(trial[e[0]], trial[e[1]]) for e in edge_seq}
+                    if any(after[e] > ppe[e] + slack_allowance for e in edge_seq):
                         raise
+                    params, it = exc.best, MAX_ITER
+                    slack_used = max(after[e] - ppe[e] for e in edge_seq)
                 zetas = {v: p.value for v, p in zip(cyc, params)}
                 iters += it
 

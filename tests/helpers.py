@@ -1,5 +1,6 @@
 """Shared fixtures-by-hand for the test modules."""
 
+import math
 import sys
 from collections import deque
 
@@ -407,6 +408,26 @@ def stage_function(seed, gs="aaaaa", d=1):
     C2 = random_nspd(2, d, seed=seed)
     C_full = extend_ball(C2, len(gs), policy=seeded_rim_policy(seed + 1000))
     return restrict_to_stage(C_full, gs, 1, 1)
+
+
+def eta_budget_oracle(family, eta_prime):
+    """energysolver._eta_budget rebuilt from each stage's own index list:
+    the restriction Grams X_g, X_e by gram_indexed over P + one working
+    pair, and the slot multiplicities from _gram_slots over Q
+    (pdcore.stage_pairs) rather than the level's clique table."""
+    s = math.sqrt(1.0 + eta_prime) - 1.0
+    budget, mult = np.inf, 1
+    for C in family:
+        P, Q = pdcore.stage_pairs(C.domain.g, C.d, C.domain.j, C.domain.k)
+        _, slots, coords = pdcore._gram_slots(C, Q)
+        keys = (slots * C.d + coords[:, None]) * C.d + coords[None, :]
+        m = len(P)
+        for last in (m, m + 1):
+            lam = scipy.linalg.eigvalsh(pdcore.gram_indexed(C, P + (Q[last],)))[0]
+            budget = min(budget, s * lam / 2.0)
+            sub = np.r_[:m, last]
+            mult = max(mult, int(np.unique(keys[np.ix_(sub, sub)], return_counts=True)[1].max()))
+    return float(budget / mult)
 
 
 def mix_functions(A, B, weight):

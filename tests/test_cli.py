@@ -12,7 +12,15 @@ from freepd import cli, energysolver, hilbert
 from freepd.cli import dispatch, main
 from freepd.errors import DegenerateStageError, ParameterError
 from freepd.extend import _stage_error, toeplitz_step
-from freepd.pdcore import Domain, PDFunction, load_function, save_function
+from freepd.pdcore import (
+    Domain,
+    PDFunction,
+    canonical_words,
+    load_function,
+    random_nspd,
+    restrict_to_stage,
+    save_function,
+)
 from freepd.words import ball
 from helpers import random_labeled_graph
 
@@ -145,6 +153,32 @@ def test_energy_failure_still_writes_a_report(tmp_path, case, error):
     assert report["a"] == str(a) and report["b"] == str(b)
     assert report["type"] == error
     assert report["error"] and "energies" not in report
+
+
+def _stage_file(tmp_path, kind):
+    """A Ball(3) function cut to the stage (aab, 1, 1) or the prefix up to aab."""
+    B = random_nspd(3, 1)
+    if kind == "partial":
+        C = restrict_to_stage(B, "aab", 1, 1)
+    else:
+        keep = set(canonical_words(Domain.prefix("aab")))
+        C = PDFunction(1, Domain.prefix("aab"),
+                       {w: x for w, x in B.canonical_items() if w in keep})
+    path = tmp_path / f"{kind}.json"
+    save_function(C, path)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["partial", "prefix"])
+@pytest.mark.parametrize("radii", [(), ("--radii", "1")], ids=["default", "listed"])
+def test_energy_off_a_ball_exits_1_with_a_report(tmp_path, kind, radii):
+    p = _stage_file(tmp_path, kind)
+    res = run("energy", p, p, *radii)
+    assert res.code == 1
+    assert res.report_path == str(tmp_path / f"{kind}.report.json")
+    report = json.loads((tmp_path / f"{kind}.report.json").read_text())
+    assert sorted(report) == ["a", "b", "error", "type"]
+    assert report["type"] == "DomainError" and "one ball" in report["error"]
 
 
 def test_extend_failure_names_the_stage_in_a_report(tmp_path):
@@ -416,6 +450,27 @@ def test_solve_malformed_config(tmp_path):
     assert "edges" in res.summary
 
 
+@pytest.mark.parametrize("content, key", [
+    ("[1, 2]", "configuration"),
+    ('{"vertices": {}}', "vertices"),
+    ('{"vertices": ["vfn.json"]}', "vertices"),
+    ('{"vertices": {"a": 3}}', "vertices"),
+    ("{not json", None),
+    (None, None),
+], ids=["not-an-object", "no-vertices", "vertex-list", "vertex-number", "not-json",
+        "unreadable"])
+def test_solve_unusable_config_exits_2_naming_the_key(tmp_path, content, key):
+    # a config that cannot be read or parsed is named by its path
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    out = tmp_path / "x"
+    res = run("solve", "--config", cfg, "--radius", 3, "--epsilon", 0.01, "--out", out)
+    assert res.code == 2
+    assert res.summary.startswith(f"malformed input at {key or str(cfg)!r}")
+    assert not out.exists()
+
+
 def test_solve_missing_vertex_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -440,6 +495,25 @@ def test_surgery_cli_with_verify(tmp_path):
     assert payload["graph"]["n"] - g.n == len(
         [v for vs in payload["inserted"].values() for v in vs]
     )
+
+
+def test_surgery_cli_verify_failure_exits_1_and_still_writes(tmp_path, monkeypatch):
+    real = cli.verify_conditions
+
+    def failing(*args):
+        report = real(*args)
+        report["G-3"] = {**report["G-3"], "pass": False}
+        return report
+
+    monkeypatch.setattr(cli, "verify_conditions", failing)
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(random_labeled_graph(240, 2, seed=5).to_dict()))
+    out = tmp_path / "surgery.json"
+    res = run("surgery", graph, "--R", 2, "--r", 1, "--out", out, "--verify")
+    assert res.code == 1 and res.summary.endswith("; FAILED G-3")
+    assert res.report_path == str(out)
+    payload = json.loads(out.read_text())
+    assert not payload["conditions"]["G-3"]["pass"] and "graph" in payload
 
 
 def test_surgery_cli_malformed_graph(tmp_path):

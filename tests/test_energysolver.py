@@ -26,11 +26,17 @@ from freepd.errors import (
     ParameterError,
     SolveError,
 )
-from freepd.extend import SzegoParameter, central_extension
-from freepd.hilbert import build_partial_space
+from freepd.extend import SzegoParameter, _open_walk, central_extension
+from freepd.hilbert import build_partial_space, residual_data
 from freepd.pdcore import PDFunction, check_pd, l1_distance, random_nspd, restrict_to_stage
 from freepd.transport import partial_relative_energy, relative_energy
-from helpers import gram_schmidt_rows, mix_functions, novel_stages, stage_function
+from helpers import (
+    eta_budget_oracle,
+    gram_schmidt_rows,
+    mix_functions,
+    novel_stages,
+    stage_function,
+)
 
 
 def _singular_pair(seed, eta=0.02):
@@ -239,8 +245,8 @@ def _completed(space, rd, zeta):
 
 
 def test_stage_pencil_keeps_its_last_success_and_no_failure(monkeypatch):
-    pair = energysolver._pair_data(stage_function(3), stage_function(53))
-    pencil = energysolver._StagePencil(pair)
+    C, D = stage_function(3), stage_function(53)
+    pencil = energysolver._StagePencil(C, D)
     real = energysolver._top_generalized_eig
     solved = []
 
@@ -257,8 +263,9 @@ def test_stage_pencil_keeps_its_last_success_and_no_failure(monkeypatch):
     # the failure was not kept: the same point is solved again, for real
     vals, x = pencil.solve(*p)
     assert len(solved) == 2 and solved[0] == solved[1]
-    spC, rdC, spD, rdD = pair
-    want_vals, want_x = real(_completed(spC, rdC, p[0]), _completed(spD, rdD, p[1]))
+    spC, spD = build_partial_space(C), build_partial_space(D)
+    want_vals, want_x = real(_completed(spC, residual_data(spC), p[0]),
+                             _completed(spD, residual_data(spD), p[1]))
     assert vals.tobytes() == want_vals.tobytes() and x.tobytes() == want_x.tobytes()
     # a success is solved once
     assert pencil.solve(*p)[0] is vals
@@ -271,6 +278,31 @@ def test_stage_pencil_keeps_its_last_success_and_no_failure(monkeypatch):
     pencil.solve(*q)
     assert len(solved) == 4
     assert pencil.solve(*p)[0].tobytes() == want_vals.tobytes() and len(solved) == 5
+
+
+def test_stage_pencil_reads_energy_value_and_coupling(monkeypatch):
+    C, D = stage_function(3), stage_function(53)
+    with pytest.raises(DomainError, match="different stages"):
+        energysolver._StagePencil(C, stage_function(4, gs="aaaab"))
+    with pytest.raises(DomainError, match="different dimensions"):
+        energysolver._StagePencil(C, stage_function(4, d=2))
+    z, mu = 0.3 - 0.1j, 0.2j
+    comp = extension_components(C, D, z, mu)
+    pencil = energysolver._StagePencil(C, D)
+    top, pair = pencil.coupling(z, mu)
+    assert top == pencil.value(z, mu) == pencil.energy(SzegoParameter(z), mu) == comp.energy
+    assert pair * pencil.scale_C == pytest.approx(comp.alpha_pair, rel=1e-12)
+    # equal Grams collapse the spectrum: every vector achieves, no coupling
+    same = energysolver._StagePencil(C, C)
+    assert same.coupling(z, z) == (pytest.approx(1.0, abs=1e-10), 0j)
+
+    def failing(G_C, G_D):
+        raise NotStrictError("the base Gram matrix is not strictly positive")
+
+    monkeypatch.setattr(energysolver, "_top_generalized_eig", failing)
+    assert pencil.value(0.1, mu) == np.inf
+    with pytest.raises(NotStrictError):
+        pencil.coupling(0.1, mu)
 
 
 def test_solve_edge_raises_with_best_iterate_on_tiny_cap():
@@ -332,17 +364,17 @@ def _ball2_family(weight=0.008, d=1, seeds=(100, 101, 102, 103)):
     ]
 
 
-def _path_config(fns):
+def _path_config(fns, r=1):
     return Configuration(
-        shape="tree", r=1, d=1, vertices=("a", "b", "c"),
+        shape="tree", r=r, d=1, vertices=("a", "b", "c"),
         edges=(("a", "b"), ("b", "c")),
         functions=dict(zip("abc", fns)), root="c",
     )
 
 
-def _cycle_config(fns):
+def _cycle_config(fns, r=1):
     return Configuration(
-        shape="cycle", r=1, d=1, vertices=("a", "b", "c"),
+        shape="cycle", r=r, d=1, vertices=("a", "b", "c"),
         edges=(("a", "b"), ("b", "c"), ("c", "a")),
         functions=dict(zip("abc", fns)),
     )
@@ -545,6 +577,93 @@ def test_solve_configuration_budget_error():
     cfg = _path_config(fns)
     with pytest.raises(BudgetError):
         solve_configuration(cfg, R=3, eps=1e-3, sigma_schedule=[1e-4], seed=0)
+
+
+# The SOLVE_PINS family with MAX_ITER capped at 3, so that every descent is
+# cut short.  Under a generous schedule (sigma 0.5 per stage) each stage
+# absorbs its capped solves into its slack: the per-stage iterations and
+# the slack each stage used, as the solver computed them when pinned.
+SLACK_PINS = {
+    "path": (6, [
+        0.0009619897899519891, 0.00010615050757967204, 1.125303327853544e-06,
+        0.0005801194625458805, 0.0001602442692905104, 0.0006217684717615413,
+        0.0002513687957237387, 0.0002029695998420067, 0.0003581548037210336,
+        0.00033702444884631255, 2.098585991738844e-05, 3.130593924094427e-07,
+        0.00022902946738168062, 5.104887530094082e-05, 5.085833034268461e-06,
+        9.556516568665074e-05, 1.077244967673252e-06, 0.0020979750088119253,
+    ]),
+    "cycle": (3, [
+        0.005929955383146446, 0.0029907500950272503, 0.000709046699009841,
+        0.004106814626224864, 0.0014828929004142566, 0.0003142420798873946,
+        0.005337642522170949, 0.0009172062032813955, 0.003199799744885601,
+        0.005380497315702115, 0.002800652031672568, 0.0010146789185485616,
+        0.0023777904947934747, 0.0015592163257831526, 0.00030724936523718327,
+        0.005837510581790273, 0.0007911390204253799, 0.00785547405614806,
+    ]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SLACK_PINS))
+def test_capped_descents_are_absorbed_into_the_stage_slack(shape, monkeypatch):
+    monkeypatch.setattr(energysolver, "MAX_ITER", 3)
+    per_stage, slacks = SLACK_PINS[shape]
+    cfg = SOLVE_PINS[shape][0](_ball2_family(seeds=(200, 201, 202, 203)))
+    _, report = solve_configuration(cfg, R=3, eps=0.5, sigma_schedule=[0.5] * 18)
+    assert [rec["iterations"] for rec in report.stage_records] == [per_stage] * 18
+    assert report.iterations_total == 18 * per_stage
+    assert [rec["slack"] for rec in report.stage_records] == slacks
+    allowance = 0.5 / (4.0 * len(cfg.edges))
+    assert all(0.0 < x <= allowance for x in slacks)
+
+
+@pytest.mark.parametrize("shape, stage, message", [
+    ("path", ("abA", 1, 1), "edge a->b: edge solve stalled"),
+    ("cycle", ("aba", 1, 1), "cycle solve stalled"),
+])
+def test_a_capped_descent_over_its_slack_stops_the_stage(shape, stage, message,
+                                                          monkeypatch):
+    # the default schedule halves sigma each stage, so the slack runs out
+    monkeypatch.setattr(energysolver, "MAX_ITER", 3)
+    cfg = SOLVE_PINS[shape][0](_ball2_family(seeds=(200, 201, 202, 203)))
+    with pytest.raises(SolveError) as info:
+        solve_configuration(cfg, R=3, eps=0.5)
+    assert info.value.stage == stage
+    assert message in str(info.value)
+
+
+def _ball4_family():
+    return [
+        mix_functions(random_nspd(4, 1, seed=100), random_nspd(4, 1, seed=s), 0.008)
+        for s in (101, 102, 103)
+    ]
+
+
+@pytest.mark.parametrize("shape", ["path", "cycle"])
+def test_solve_configuration_completes_a_singular_stage(shape, monkeypatch):
+    # r = 2 data on Ball(4): the first stage beyond it, (aaaaa, 1, 1), is
+    # long enough for the eta budget, make_singular, the overshoot check and
+    # the certified descent; a one-entry schedule then stops the next stage
+    calls = []
+    real = energysolver.make_singular
+    monkeypatch.setattr(energysolver, "make_singular",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    make = {"path": _path_config, "cycle": _cycle_config}[shape]
+    cfg = make(_ball4_family(), r=2)
+    with pytest.raises(BudgetError) as info:
+        solve_configuration(cfg, R=5, eps=1e-3, sigma_schedule=[1e-4])
+    assert info.value.stage == ("aaaab", 1, 1)
+    assert len(calls) == 1
+
+
+def test_eta_budget_matches_the_stage_index_oracle():
+    families = [[_open_walk(C) for C in _ball4_family()]]
+    B = random_nspd(3, 2, seed=9)
+    for stage in (("aaa", 1, 2), ("aBa", 2, 1), ("abA", 2, 2), ("aab", 1, 1)):
+        families.append([restrict_to_stage(B, *stage)])
+    families.append([stage_function(s, d=2) for s in (3, 4)])
+    for fam in families:
+        for eta_prime in (1e-4, 1e-2, 0.3):
+            assert energysolver._eta_budget(fam, eta_prime) == eta_budget_oracle(fam, eta_prime)
 
 
 def test_solve_configuration_rejects_bad_radius():
