@@ -9,7 +9,8 @@ files and flags; all randomness sits behind an explicit ``--seed``.
 
 Exit codes: 0 when every requested check or solve succeeded, 1 when a
 verdict, tolerance or solve failed (a JSON report is still written), 2
-when an input file is malformed (the first offending key is named).
+when an input file is malformed (the first offending key is named) or
+cannot be read, or an output cannot be written (its path is named).
 Numbers are printed with 12 significant digits and machine-readable JSON
 reports are written next to the inputs they describe.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .energysolver import configuration_from_dict, solve_configuration
-from .errors import FormatError, FreePDError, ParameterError, SurgeryError
+from .errors import FormatError, FreePDError, OutputError, ParameterError, SurgeryError
 from .extend import central_extension, toeplitz_step
 from .pdcore import (
     DEFAULT_TOL,
@@ -97,6 +98,14 @@ def _seed(text) -> int:
     if seed < 0:
         raise FormatError("seed", f"--seed must be a nonnegative integer, got {text!r}")
     return seed
+
+
+def _make_dir(path: Path) -> None:
+    """Create the output directory path; OutputError naming it on failure."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(exc.errno, exc.strerror or str(exc), str(path)) from exc
 
 
 def _failed(verb, path, inputs, exc, staged=False) -> CommandResult:
@@ -202,14 +211,14 @@ def _cmd_solve(args) -> CommandResult:
     outdir = Path(args.out)
     try:
         config = configuration_from_dict(obj, functions)
-        outdir.mkdir(parents=True, exist_ok=True)
+        _make_dir(outdir)
         extensions, report = solve_configuration(
             config, args.radius, epsilon, seed=seed
         )
     except FormatError:
         raise
     except FreePDError as exc:
-        outdir.mkdir(parents=True, exist_ok=True)
+        _make_dir(outdir)
         return _failed("solve", outdir / "report.json", {"config": str(cfg_path)},
                        exc, staged=True)
     for name, fn in extensions.items():
@@ -333,6 +342,8 @@ def dispatch(argv=None) -> CommandResult:
         return args.run(args)
     except FormatError as exc:
         return CommandResult(2, f"malformed input at {exc.key!r}: {exc}", "")
+    except OutputError as exc:
+        return CommandResult(2, f"cannot write {exc.filename}: {exc.strerror}", "")
     except (OSError, json.JSONDecodeError) as exc:
         return CommandResult(2, f"cannot load input: {exc}", "")
     except FreePDError as exc:

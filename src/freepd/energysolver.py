@@ -52,9 +52,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import pdcore
+from . import _linalg, pdcore
 from .errors import (
     BudgetError,
     DegenerateAchieverError,
@@ -383,7 +382,7 @@ def _wprime_ratio(C: PDFunction, g1, g2, j: int, k: int) -> float:
     """
     # row i of G[2:, :2].T is <Theta(g)_j, Theta(g_i)_1>, <Theta(e)_k, Theta(g_i)_1>
     G = pdcore._gram(C, [(g1, 1), (g2, 1), (C.domain.g, j), ((), k)], corner=1)
-    W = scipy.linalg.solve(G[:2, :2], G[2:, :2].T)
+    W = _linalg.solve(G[:2, :2], G[2:, :2].T)
     sv = np.linalg.svd(W, compute_uv=False)
     if sv[0] <= 0.0:
         return 0.0
@@ -486,7 +485,7 @@ def make_singular(family, eta: float, seed=0):
             "no mixing offset separated the kernels of the coordinate rows"
         )
 
-    kernels = [scipy.linalg.null_space(A) for A in rows]
+    kernels = [_linalg.null_space(A) for A in rows]
     certificates = {}
     for l in range(n_fam):
         for m in range(l + 1, n_fam):

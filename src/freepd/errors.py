@@ -87,6 +87,15 @@ class SurgeryError(FreePDError):
     """A surgery precondition failed or a rewiring conflict was detected."""
 
 
+class OutputError(OSError):
+    """An output file or directory could not be written.
+
+    An OSError rather than a FreePDError: the file system failed, not the
+    mathematics.  ``filename`` is the path the caller asked for, never a
+    temp file the write went through.
+    """
+
+
 class FormatError(FreePDError):
     """A JSON artifact is malformed.
 

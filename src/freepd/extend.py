@@ -38,18 +38,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DomainError, FreePDError, NotStrictError, ParameterError
+from . import _linalg
+from .errors import DomainError, FreePDError, ParameterError
 from .hilbert import build_partial_space, hand_off, residual_data, residual_from_gram
 from .pdcore import (
-    DEFAULT_TOL,
     Domain,
     PDFunction,
     _next_stage,
     restrict_to_ball,
     restrict_to_stage,
 )
+from .transport import _strict_min_eig
 from .words import next_novel, word_to_str
 
 __all__ = [
@@ -255,12 +255,8 @@ def toeplitz_step(seq, zeta) -> complex:
         raise ParameterError(f"c_0 must equal 1, got {c[0]}")
     z = _as_zeta(zeta)
     N = c.size - 1
-    T = scipy.linalg.toeplitz(np.append(c, complex("nan")))
-    lam = scipy.linalg.eigvalsh(T[:N + 1, :N + 1])
-    if lam[0] <= DEFAULT_TOL * c.size:
-        raise NotStrictError(
-            f"the Toeplitz matrix is not strictly positive (min eig {lam[0]:.3e})"
-        )
+    T = _linalg.toeplitz(np.append(c, complex("nan")))
+    _strict_min_eig(T[:N + 1, :N + 1], "the Toeplitz matrix")
     order = list(range(1, N + 2)) + [0]
     G = T[np.ix_(order, order)]
     rd = residual_from_gram(G, core_size=N)

@@ -39,6 +39,10 @@ level on first use and replay that step from the empty core at (1, 1)
 through every stage of the level up to their own, reading the values
 written at those stages from their own top row, so a walk's function and a
 copy of it agree bit for bit.  Vectors never materialize.
+
+The factors and solves are direct LAPACK and BLAS calls, zpotrf and one
+single-vector ztrsv per solve, read from freepd._linalg, which imports SciPy
+at the first call.
 """
 
 from __future__ import annotations
@@ -48,9 +52,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from . import pdcore
+from . import _linalg, pdcore
 from .errors import (
     DegenerateStageError,
     DomainError,
@@ -222,7 +225,7 @@ def _cholesky(M):
     pivot after it.  NotStrictError is raised when a pivot is at or below
     DEFAULT_TOL or NaN.
     """
-    L, info = scipy.linalg.lapack.zpotrf(M, lower=1, clean=1)
+    L, info = _linalg.zpotrf(M, lower=1, clean=1)
     pivots = np.diag(L).real.copy()
     if info > 0:
         pivots[info - 1:] = 0.0
@@ -249,7 +252,7 @@ def _grow(L: np.ndarray, v: np.ndarray, pivot: float, first: int) -> np.ndarray:
 
 def _solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """L^-1 b, one single-vector ztrsv (a multi-column one wakes a spinning OpenBLAS worker)."""
-    return scipy.linalg.blas.ztrsv(L, b, lower=1) if len(b) else np.zeros(0, dtype=complex)
+    return _linalg.ztrsv(L, b, lower=1) if len(b) else np.zeros(0, dtype=complex)
 
 
 def _norm(square: complex, v: np.ndarray) -> float:

@@ -51,6 +51,7 @@ from .errors import (
     MissingEntryError,
     NotPositiveError,
     NotStrictError,
+    OutputError,
     ParameterError,
     WordError,
 )
@@ -854,20 +855,28 @@ def function_from_dict(obj) -> PDFunction:
 
 
 def write_json_atomic(obj, path):
-    """Serialize obj as JSON at path through a same-directory temp file."""
+    """Serialize obj as JSON at path through a same-directory temp file.
+
+    A failed write leaves no temp file behind; an OSError on the way is
+    raised as OutputError naming path.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".freepd-", suffix=".json")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".freepd-", suffix=".json")
         with os.fdopen(fd, "w") as fh:
             json.dump(obj, fh, indent=1)
             fh.write("\n")
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise OutputError(exc.errno, exc.strerror or str(exc), path) from exc
         raise
 
 

@@ -23,6 +23,8 @@ arguments scipy.linalg.eigvalsh and scipy.linalg.eigh(A, B) pass for complex
 input.  The results are identical bit for bit; what goes is SciPy's
 per-call validation, dtype dispatch and work-size query, which at the
 pencil sizes of a solve (3 to 12 rows) cost several times the LAPACK work.
+The routines are read from freepd._linalg, which imports SciPy at the first
+call, so importing this module loads no SciPy.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import zheevr, zheevr_lwork, zhegvd
 
-from . import pdcore
+from . import _linalg, pdcore
 from .errors import DomainError, FreePDError, NotStrictError, ParameterError
 from .hilbert import build_partial_space
 from .pdcore import DEFAULT_TOL, PDFunction
@@ -79,7 +80,7 @@ def _heevr_work(n: int) -> tuple:
 
     A failed query would leave sizes that the zheevr call itself rejects.
     """
-    work, rwork, iwork, _ = zheevr_lwork(n, lower=1)
+    work, rwork, iwork, _ = _linalg.zheevr_lwork(n, lower=1)
     return int(work.real), int(rwork), int(iwork)
 
 
@@ -91,8 +92,8 @@ def _eigvalsh(G) -> np.ndarray:
     """
     _require_finite(G)
     lwork, lrwork, liwork = _heevr_work(G.shape[0])
-    w, _, _, _, info = zheevr(G, compute_v=0, lower=1, lwork=lwork, lrwork=lrwork,
-                              liwork=liwork)
+    w, _, _, _, info = _linalg.zheevr(G, compute_v=0, lower=1, lwork=lwork, lrwork=lrwork,
+                                      liwork=liwork)
     if info:
         raise np.linalg.LinAlgError(f"zheevr failed to converge (info {info})")
     return w
@@ -121,7 +122,7 @@ def _top_generalized_eig(G_C, G_D):
     _strict_min_eig(G_C, "the base Gram matrix")
     A = G_D - G_C
     _require_finite(A)
-    vals, vecs, info = zhegvd(A, G_C, itype=1, jobz="V", uplo="L")
+    vals, vecs, info = _linalg.zhegvd(A, G_C, itype=1, jobz="V", uplo="L")
     if info:
         raise np.linalg.LinAlgError(f"zhegvd failed (info {info})")
     x = vecs[:, -1]

@@ -201,14 +201,61 @@ def test_extend_failure_names_the_stage_in_a_report(tmp_path):
     assert report["type"] == "ParameterError" and report["stage"] is None
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that imports freepd from these sources."""
     src = str(Path(freepd.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, freepd.cli; print('scipy.stats' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=120)
+
+
+# runs one command through main, then prints the SciPy modules it loaded
+_COMMAND_PROBE = """
+import json, sys
+from freepd.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+sys.exit(code)
+"""
+
+
+def _fresh_command(*argv):
+    """(exit code, summary lines, SciPy modules loaded) of one command in a new interpreter."""
+    proc = _fresh_python(_COMMAND_PROBE, *argv)
+    *summary, modules = proc.stdout.splitlines()
+    return proc.returncode, summary, json.loads(modules)
+
+
+@pytest.mark.parametrize("package", ["scipy.stats", "scipy"])
+def test_cli_import_leaves_scipy_unloaded(package):
+    out = _fresh_python("import json, sys, freepd.cli; print(json.dumps(list(sys.modules)))")
+    assert out.returncode == 0, out.stderr
+    loaded = json.loads(out.stdout)
+    assert [m for m in loaded if m == package or m.startswith(package + ".")] == []
+
+
+def test_check_and_surgery_never_load_scipy(tmp_path):
+    fn = tmp_path / "fn.json"
+    save_function(random_nspd(3, 1, seed=4), fn)
+    code, summary, modules = _fresh_command("check", fn)
+    assert code == 0 and ": strict (" in summary[0]
+    assert modules == []
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(random_labeled_graph(240, 2, seed=5).to_dict()))
+    code, summary, modules = _fresh_command("surgery", graph, "--R", 2, "--r", 1,
+                                            "--out", tmp_path / "surgery.json", "--verify")
+    assert code == 0 and "all conditions pass" in summary[0]
+    assert modules == []
+
+
+def test_energy_loads_scipy_at_its_first_pencil(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_function(random_nspd(3, 1, seed=4), a)
+    save_function(random_nspd(3, 1, seed=5), b)
+    code, summary, modules = _fresh_command("energy", a, b)
+    assert code == 0 and "scipy.linalg" in modules
+    assert summary == run("energy", a, b).summary.splitlines()
 
 
 def test_toeplitz_matches_library():
@@ -569,6 +616,27 @@ def test_check_huge_integer_cell_exits_2_naming_the_entry(tmp_path, number):
 
 def test_missing_file_exits_2(tmp_path):
     assert run("check", tmp_path / "missing.json").code == 2
+
+
+def test_unwritable_output_exits_2_naming_it(tmp_path):
+    fn = tmp_path / "fn.json"
+    save_function(random_nspd(2, 1, seed=1), fn)
+    out = tmp_path / "missing" / "big.json"
+    res = run("extend", fn, "--radius", 3, "--out", out)
+    assert res.code == 2
+    assert res.summary == f"cannot write {out}: No such file or directory"
+    # an output that is a directory, and an output directory that is a file
+    (tmp_path / "dir").mkdir()
+    res = run("extend", fn, "--radius", 3, "--out", tmp_path / "dir")
+    assert res.code == 2 and res.summary.startswith(f"cannot write {tmp_path / 'dir'}: ")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "shape": "tree", "r": 1, "d": 1, "root": "u", "vertices": {"u": "fn.json"}, "edges": [],
+    }))
+    res = run("solve", "--config", config, "--radius", 2, "--epsilon", 0.1, "--out", fn)
+    assert res.code == 2 and res.summary.startswith(f"cannot write {fn}: ")
+    # no temp file is left behind
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "dir", "fn.json"]
 
 
 def test_bad_arguments_exit_2():

@@ -655,6 +655,35 @@ def test_solve_configuration_completes_a_singular_stage(shape, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("overshoots", [1, 6], ids=["first-draw", "every-draw"])
+def test_an_overshooting_singular_family_is_retried_with_a_quarter_of_its_eta(
+        overshoots, monkeypatch):
+    # the first `overshoots` draws hand back the family rotated by one
+    # member, whose stage energies against the originals are far above the
+    # two-sided allowance 1 + eta' (eta' about 5e-5 here)
+    etas = []
+    real = energysolver.make_singular
+
+    def rotated(fam, eta, **kw):
+        etas.append(eta)
+        out, certs = real(fam, eta, **kw)
+        return (out[1:] + out[:1] if len(etas) <= overshoots else out), certs
+
+    monkeypatch.setattr(energysolver, "make_singular", rotated)
+    cfg = _path_config(_ball4_family(), r=2)
+    error = BudgetError if overshoots == 1 else SolveError
+    with pytest.raises(error) as info:
+        solve_configuration(cfg, R=5, eps=1e-3, sigma_schedule=[1e-4])
+    if overshoots == 1:
+        assert info.value.stage == ("aaaab", 1, 1)
+        assert len(etas) == 2
+    else:
+        assert info.value.stage == ("aaaaa", 1, 1)
+        assert "kept overshooting" in str(info.value)
+        assert len(etas) == 6
+    assert all(b == a / 4.0 for a, b in zip(etas, etas[1:]))
+
+
 def test_eta_budget_matches_the_stage_index_oracle():
     families = [[_open_walk(C) for C in _ball4_family()]]
     B = random_nspd(3, 2, seed=9)
