@@ -29,7 +29,11 @@ gather (_gather) from [I, stack, NaN] through a quotient table
 rows map to stack rows.  The gather takes a stack of tables of
 one size too: check_pd visits the levels a word length at a time, reading
 their tables from the length's clique table and passing the Grams of one
-clique size to one stacked eigh, then scans the results in level order.
+clique size to one stacked eigvalsh, then scans the least eigenvalues in
+level order.  Only the witness needs an eigenvector: its Gram is gathered
+again for the one eigh of a check.  A witness among levels whose least
+eigenvalues tie to a few ulps is the first least under eigvalsh's
+rounding, which may not be the level an eigh scan picks.
 """
 
 from __future__ import annotations
@@ -479,27 +483,34 @@ def _brute_force_families(C: PDFunction):
 
 
 def _family_spectra(C: PDFunction, families):
-    """(least eigenvalue, its eigenvector, Gram size, pairs) of each family
-    of (pairs, table), one eigh each; pairs is a function returning them."""
+    """(least eigenvalue, Gram size, witness) of each family of (pairs,
+    table), one eigvalsh each; witness returns (pairs, Gram), for the one
+    eigh of check_pd's witness."""
     for pairs, table in families:  # None: _gram looks the table up
-        vals, vecs = np.linalg.eigh(_gram(C, pairs, table=table))
-        yield float(vals[0]), vecs[:, 0], len(pairs), lambda pairs=pairs: pairs
+        G = _gram(C, pairs, table=table)
+        yield float(np.linalg.eigvalsh(G)[0]), len(pairs), lambda pairs=pairs, G=G: (pairs, G)
 
 
 def _level_spectra(C: PDFunction):
     """_family_spectra of the Grams over K_h x [d], h the novel levels of
     the domain but a partial top, a word length at a time: the levels of
     length n are a prefix of words._clique_table(n), and its Grams of one
-    clique size are gathered (_gather) and passed to eigh together, at most
-    about words._CHUNK entries at once.  Yielded in level order, so that a
-    NaN raises (in the level's own _gram) where a level at a time would."""
+    clique size are gathered (_gather) and passed to eigvalsh together, at
+    most about words._CHUNK entries at once.  A witness gathers its level's
+    Gram again.  Yielded in level order, so that a NaN raises (in the
+    level's own _gram) where a level at a time would."""
     dom, d = C.domain, C.d
     count, n = len(C._stack) - (dom.kind == "partial"), 0
+
+    def witness(top):
+        table, pairs = _clique_pairs(words.word_of_rank(top), d)
+        return pairs(), _gram(C, table=table)
+
     while (at := (words.ball_size(n) - 1) // 2) < count:  # the levels shorter than n + 1
         n += 1
         tops, offsets, _, tables = words._clique_table(n)
         sizes = np.diff(offsets)[:count - at]
-        lam, vec, missing = np.empty(len(sizes)), [None] * len(sizes), np.zeros(len(sizes), bool)
+        lam, missing = np.empty(len(sizes)), np.zeros(len(sizes), bool)
         order = np.argsort(sizes, kind="stable")  # one clique size at a time
         for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
             k = int(sizes[group[0]])
@@ -516,15 +527,12 @@ def _level_spectra(C: PDFunction):
                 rows = np.repeat(np.arange(k), d)
                 G = _gather(C, quotients, slots[:, rows[:, None], rows], np.tile(np.arange(d), k))
                 bad = missing[batch] = np.isnan(G).any(axis=(1, 2))
-                vals, vecs = np.linalg.eigh(np.where(bad[:, None, None], 0, G) if bad.any() else G)
-                lam[batch], least = vals[:, 0], vecs[:, :, 0].copy()
-                for b, i in enumerate(batch):
-                    vec[i] = least[b]
+                lam[batch] = np.linalg.eigvalsh(np.where(bad[:, None, None], 0, G)
+                                                if bad.any() else G)[:, 0]
         for i, top in enumerate(tops[:len(sizes)]):
             if missing[i]:  # raises, naming the first quotient missing
-                _gram(C, table=_clique_pairs(words.word_of_rank(top), d)[0])
-            yield (float(lam[i]), vec[i], len(vec[i]),
-                   lambda top=top: _clique_pairs(words.word_of_rank(top), d)[1]())
+                witness(top)
+            yield float(lam[i]), int(sizes[i]) * d, lambda top=top: witness(top)
 
 
 def check_pd(C: PDFunction, tol: float = DEFAULT_TOL, brute_force: bool = False) -> PDVerdict:
@@ -532,34 +540,42 @@ def check_pd(C: PDFunction, tol: float = DEFAULT_TOL, brute_force: bool = False)
 
     The default family is one Gram matrix per novel level (plus the stage
     restrictions on partial domains), checked a word length at a time with
-    one eigh per clique size (_level_spectra); brute_force=True checks
+    one eigvalsh per clique size (_level_spectra); brute_force=True checks
     every maximal clique of the domain graph instead.  The e block comes
-    first.  Eigenvalues are compared against tol scaled by the matrix
-    dimension; crossing below the negative threshold ends the scan with that
-    clique and eigenvector as certificate, and a tie for the least
-    eigenvalue goes to the first Gram scanned.  tol must be a finite real
-    number >= 0; it is the package's one tolerance a caller sets, every
-    other check reads DEFAULT_TOL.
+    first.  Least eigenvalues, all from eigvalsh, are compared against tol
+    scaled by the matrix dimension; crossing below the negative threshold
+    ends the scan with that Gram as certificate, and a tie for the least
+    eigenvalue goes to the first Gram scanned.  The witness Gram is then
+    gathered again for the one eigh of the check, whose least eigenvector
+    is the witness vector.  Among levels whose least eigenvalues agree to
+    a few ulps, which one eigvalsh rounds lowest decides the witness, so it
+    may differ from the level an eigh scan would pick.  tol must be a
+    finite real number >= 0; it is the package's one tolerance a caller
+    sets, every other check reads DEFAULT_TOL.
     """
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= 0):
         raise ParameterError(f"tol must be a finite real number >= 0, got {tol!r}")
-    e_block = [(tuple(((), m) for m in range(1, C.d + 1)), None)]
+    d = C.d
+    # the list [e] has the one quotient e at every slot: a table that needs no tree
+    e_block = [(tuple(((), m) for m in range(1, d + 1)),
+                (np.zeros(1, np.int64), np.zeros((d, d), np.int64), np.arange(d)))]
     spectra = [_family_spectra(C, e_block),
                _family_spectra(C, _brute_force_families(C)) if brute_force else _level_spectra(C)]
     if C.domain.kind == "partial":
         spectra.append(_family_spectra(C, _partial_stage_families(C)))
-    worst = None
-    strict = True
-    for lam, vec, size, pairs in (s for family in spectra for s in family):
+    worst, status = None, "strict"
+    for lam, size, witness in (s for family in spectra for s in family):
         thr = tol * size
         if lam <= thr:
-            strict = False
+            status = "semidefinite"
         if worst is None or lam < worst[0]:
-            worst = (lam, pairs, vec)
+            worst = (lam, witness)
         if lam < -thr:
-            return PDVerdict("not_pd", lam, pairs(), np.array(vec))
-    lam, pairs, vec = worst
-    return PDVerdict("strict" if strict else "semidefinite", lam, pairs(), np.array(vec))
+            status, worst = "not_pd", (lam, witness)
+            break
+    lam, witness = worst
+    pairs, G = witness()
+    return PDVerdict(status, lam, pairs, np.array(np.linalg.eigh(G)[1][:, 0]))
 
 
 @dataclass(frozen=True)
@@ -609,6 +625,16 @@ def realize(C: PDFunction) -> Realization:
     return Realization(indices=pairs, gram=G, factors=F, reconstruction_error=err)
 
 
+def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A Haar-random dim x dim unitary: the Q of a complex Gaussian matrix,
+    each column's phase fixed by R's diagonal (Mezzadri 2007), drawn as
+    scipy.stats.unitary_group.rvs draws it, so that seeds keep their bits."""
+    z = 1 / math.sqrt(2) * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    q, r = np.linalg.qr(z)
+    phase = r.diagonal()
+    return q * (phase / abs(phase))
+
+
 def random_nspd(r: int, d: int, seed=0, margin: float = 0.1) -> PDFunction:
     """Random normalized strictly positive definite function on Ball(r).
 
@@ -624,13 +650,9 @@ def random_nspd(r: int, d: int, seed=0, margin: float = 0.1) -> PDFunction:
         raise ParameterError("d must be a positive integer")
     if not 0 < margin <= 1:
         raise ParameterError("margin must lie in (0, 1]")
-    # scipy.stats costs most of a cold import, and only this function uses it
-    from scipy.stats import unitary_group
-
     rng = np.random.default_rng(seed)
     dim = max(2 * d, 3)
-    u_a = unitary_group.rvs(dim, random_state=rng)
-    u_b = unitary_group.rvs(dim, random_state=rng)
+    u_a, u_b = _haar_unitary(rng, dim), _haar_unitary(rng, dim)
     gens = (u_a, u_b, u_a.conj().T, u_b.conj().T)
     reps = {(): np.eye(dim, dtype=complex)}
     for w in words.ball(r)[1:]:

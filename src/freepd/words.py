@@ -226,11 +226,16 @@ def _canonical_quotients(tree: _Tree, a, b):
     """For broadcast rank arrays a, b of tree words: the rank of the canonical
     representative of b^-1 a, and whether b^-1 a is the inverse of it.
 
-    With s, t the suffixes of b and a after their longest common prefix,
-    b^-1 a = s^-1 t and its inverse is t^-1 s; s and t differ in their first
-    letters, so neither product cancels and both ranks are arithmetic."""
-    La, Lb = tree.letters[a], tree.letters[b]
-    p = np.cumprod(La[..., :-1] == Lb[..., :-1], axis=-1).sum(-1)
+    The longest common prefix of a and b ends at the first column where
+    their padded letters differ.  The spare last column counts as a
+    mismatch, so two equal words (all their columns agree, padding too)
+    share the whole tree width.  With s, t the suffixes of b and a after
+    that prefix, b^-1 a = s^-1 t and its inverse is t^-1 s; s and t differ
+    in their first letters (or both are e), so neither product cancels and
+    both ranks are arithmetic."""
+    differ = tree.letters[a] != tree.letters[b]
+    differ[..., -1] = True
+    p = differ.argmax(-1)
     s, t = tree.suffix[b, p], tree.suffix[a, p]
     x, y = tree.letters[b, p], tree.letters[a, p]
     q, q_inv = _product(tree, tree.inv[s], t, x, y), _product(tree, tree.inv[t], s, y, x)

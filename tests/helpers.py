@@ -274,9 +274,10 @@ def reference_gram(C, pairs):
 
 def level_spectra(C):
     """(least eigenvalue, its eigenvector, pairs) of each Gram of check_pd's
-    default family, one level at a time with one Gram and one eigh each:
-    the e block, K_h x [d] for every novel level h of the domain but a
-    partial top, then a partial domain's stage restrictions."""
+    default family, one level at a time with one Gram each, its least
+    eigenvalue by eigvalsh and its eigenvector by eigh: the e block, K_h x
+    [d] for every novel level h of the domain but a partial top, then a
+    partial domain's stage restrictions."""
     dom, d = C.domain, C.d
     families = [(tuple(((), m) for m in range(1, d + 1)), None)]
     levels = pdcore.canonical_words(dom)
@@ -286,8 +287,8 @@ def level_spectra(C):
     if dom.kind == "partial":
         families += list(pdcore._partial_stage_families(C))
     for pairs, table in families:
-        vals, vecs = np.linalg.eigh(pdcore._gram(C, pairs, table=table))
-        yield float(vals[0]), np.array(vecs[:, 0]), pairs
+        G = pdcore._gram(C, pairs, table=table)
+        yield float(np.linalg.eigvalsh(G)[0]), np.array(np.linalg.eigh(G)[1][:, 0]), pairs
 
 
 def level_at_a_time_check_pd(C, tol=DEFAULT_TOL):

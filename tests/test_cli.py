@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -247,6 +248,21 @@ def test_check_and_surgery_never_load_scipy(tmp_path):
                                             "--out", tmp_path / "surgery.json", "--verify")
     assert code == 0 and "all conditions pass" in summary[0]
     assert modules == []
+
+
+@pytest.mark.parametrize("r, d, seed, digest", [
+    (3, 2, 7, "6f863c8b65e8a45e402c9f96232c2be0ac7c0d1f04dba81db11a235a17685c47"),
+    (2, 3, 11, "d39ae0ccac4acb187f2cf9b1d900d0f2ff2282dcd78e38839520be58110d59a7"),
+])
+def test_random_loads_no_scipy_and_keeps_its_seeded_files(tmp_path, r, d, seed, digest):
+    # the digests are of files written when random_nspd drew its unitaries
+    # with scipy.stats.unitary_group (SciPy 1.17.1)
+    out = tmp_path / "fn.json"
+    code, summary, modules = _fresh_command("random", "--r", r, "--d", d, "--seed", seed,
+                                            "--out", out)
+    assert code == 0 and summary == [f"wrote a d={d} function on Ball({r}) to {out}"]
+    assert modules == []
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_energy_loads_scipy_at_its_first_pencil(tmp_path):

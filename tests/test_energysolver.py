@@ -24,11 +24,20 @@ from freepd.errors import (
     FormatError,
     NotStrictError,
     ParameterError,
+    SingularizationError,
     SolveError,
 )
 from freepd.extend import SzegoParameter, _open_walk, central_extension
 from freepd.hilbert import build_partial_space, residual_data
-from freepd.pdcore import PDFunction, check_pd, l1_distance, random_nspd, restrict_to_stage
+from freepd.pdcore import (
+    PDFunction,
+    add_to_entries,
+    check_pd,
+    delta,
+    l1_distance,
+    random_nspd,
+    restrict_to_stage,
+)
 from freepd.transport import partial_relative_energy, relative_energy
 from helpers import (
     eta_budget_oracle,
@@ -102,6 +111,60 @@ def test_make_singular_pair_obeys_budget_and_separates():
         assert ev[0] / ev[-1] >= 1e-8
 
 
+def test_make_singular_draws_again_when_a_candidate_is_rejected(monkeypatch):
+    # in the point mass the working vectors are orthogonal to Theta(a)_1 and
+    # Theta(aa)_1, so W' vanishes and its unperturbed candidate is rejected;
+    # its first draw, inflated a thousandfold, passes W' but not strictness
+    S = stage_function(3)
+    fam, eta = [S, delta(1, S.domain)], 0.02
+    draws, ratios, inflate = [], [], [1000.0]
+    real_draw, real_ratio = energysolver._l1_ball_sample, energysolver._wprime_ratio
+    monkeypatch.setattr(energysolver, "_l1_ball_sample", lambda *args: draws.append(
+        real_draw(*args) * (inflate.pop() if inflate else 1.0)) or draws[-1])
+    monkeypatch.setattr(energysolver, "_wprime_ratio",
+                        lambda *args: ratios.append(real_ratio(*args)) or ratios[-1])
+    out, certs = make_singular(fam, eta=eta, seed=1)
+    # member 0 passes unperturbed; member 1 fails W' unperturbed, then
+    # strictness alone on the inflated draw, and passes a later draw
+    assert ratios[0] >= energysolver.DET_TOL and ratios[1] == 0.0
+    assert ratios[2] >= energysolver.DET_TOL and np.abs(draws[0]).sum() > 1.0
+    assert len(draws) == len(ratios) - 2 >= 2 and ratios[-1] >= energysolver.DET_TOL
+    assert np.abs(draws[-1]).sum() <= eta / 4
+    # the draw shifts four entries of distinct canonical rows, each counted
+    # with its mirror, and the mixing toward the point mass only shrinks them
+    assert 0 < l1_distance(out[1], fam[1]) <= 2 * np.abs(draws[-1]).sum()
+    assert all(check_pd(C).status == "strict" for C in out)
+    cert = certs[(0, 1)]
+    assert list(certs) == [(0, 1)] and cert.kappa > 0 and cert.theta > 0
+
+
+@pytest.mark.parametrize("member", [0, 1])
+def test_make_singular_names_the_member_no_draw_admits(monkeypatch, member):
+    fam = [stage_function(3), stage_function(53)]
+    real, tried = energysolver._wprime_ratio, []
+
+    def ratio(C, *args):
+        # a candidate lies within eta / 2 of its member in l1, and the two
+        # members lie farther apart
+        tried.append(l1_distance(C, fam[member]) <= 0.01)
+        return 0.0 if tried[-1] else real(C, *args)
+
+    monkeypatch.setattr(energysolver, "_wprime_ratio", ratio)
+    message = f"perturbation for member {member} within {energysolver.MAX_TRIES} samples"
+    with pytest.raises(SingularizationError, match=message):
+        make_singular(fam, eta=0.02, seed=0)
+    assert tried.count(True) == energysolver.MAX_TRIES
+
+
+def test_make_singular_raises_when_no_mixing_offset_separates(monkeypatch):
+    offsets = []
+    monkeypatch.setattr(energysolver, "_pairs_separated",
+                        lambda rows: offsets.append(rows) or False)
+    with pytest.raises(SingularizationError, match="no mixing offset separated"):
+        make_singular([stage_function(3), stage_function(53)], eta=0.02, seed=0)
+    assert len(offsets) == energysolver.S_GRID
+
+
 def test_make_singular_rejects_short_stages_and_bad_input():
     short = [stage_function(1, gs="aaa"), stage_function(2, gs="aaa")]
     with pytest.raises(ParameterError):
@@ -113,6 +176,10 @@ def test_make_singular_rejects_short_stages_and_bad_input():
         make_singular(good, eta=-0.5)
     with pytest.raises(ParameterError):
         make_singular([], eta=1e-3)
+    with pytest.raises(DomainError, match="different stages"):
+        make_singular(good + [stage_function(2, gs="aaaab")], eta=1e-3)
+    with pytest.raises(NotStrictError, match="member 1 is not strict"):
+        make_singular(good + [add_to_entries(good[0], [("a", 1, 1)], [3.0])], eta=1e-3)
 
 
 def test_certificate_bound_below_measured_energies():

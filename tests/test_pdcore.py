@@ -249,6 +249,39 @@ def test_a_cold_check_builds_the_one_tree_once(monkeypatch):
     assert verdict.min_eigenvalue == check_pd(C).min_eigenvalue
 
 
+@pytest.mark.parametrize("kind", ["ball", "prefix", "partial"])
+def test_a_cold_check_of_a_function_built_earlier_builds_its_tree_once(monkeypatch, kind):
+    # the e block reads a constant table, so the first tree asked is the
+    # function's own radius, and every clique length is a slice of it
+    C = random_nspd(5, 2, seed=4)
+    g = canonical_words(C.domain)[-3]
+    if kind == "prefix":
+        dom = Domain.prefix(g)
+        C = PDFunction._from_stack(2, dom, C._stack[:len(canonical_words(dom))])
+    elif kind == "partial":
+        C = restrict_to_stage(C, g, 2, 1)
+    warm = check_pd(C)
+    builds = []
+    real = words._build
+    monkeypatch.setattr(words, "_build", lambda r: builds.append(r) or real(r))
+    for cache in library_caches():
+        cache.cache_clear()
+    assert _same_verdict(check_pd(C), warm)
+    assert builds == [5]
+
+
+def test_haar_draws_match_scipy_bit_for_bit():
+    from scipy.stats import unitary_group
+
+    for seed in range(0, 200, 9):
+        for dim in (3, 4, 6, 8):
+            ours, scipys = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):  # the second draw continues the generator
+                U = pdcore._haar_unitary(ours, dim)
+                assert U.tobytes() == unitary_group.rvs(dim, random_state=scipys).tobytes()
+                assert np.abs(U.conj().T @ U - np.eye(dim)).max() <= 1e-14
+
+
 def test_constructor_rejects_bad_input():
     with pytest.raises(DomainError):
         PDFunction(1, Domain.prefix("a"), {"a": 0.5, "A": 0.4})
@@ -432,8 +465,39 @@ def test_check_pd_matches_the_level_at_a_time_oracle(d, kind, flavour, seed, hol
     assert _same_verdict(new, oracle), (new, oracle)
 
 
+def _level_class(lam, size):
+    thr = pdcore.DEFAULT_TOL * size
+    return "not_pd" if lam < -thr else "semidefinite" if lam <= thr else "strict"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_level_eigenvalues_match_an_eigh_scan(d):
+    # a strict random function, and a mixed one: the mean of its unit-vector
+    # part and that part's conjugate, singular on cliques larger than the
+    # two representations, with its last level pushed out of positivity.
+    # Ball(1) to Ball(5) hold the leading levels of Ball(6)
+    C = random_nspd(6, d, seed=40 + d)
+    unit = C._stack / 0.9
+    mixed = PDFunction._from_stack(d, C.domain, (unit + unit.conj()) / 2)
+    mixed = add_to_entries(mixed, [(canonical_words(C.domain)[-1], 1, 1)], [2.0])
+    classes = set()
+    for F in (C, mixed):
+        levels = canonical_words(F.domain)
+        tables = (pdcore._clique_pairs(h, d)[0] for h in levels)
+        scan = [float(np.linalg.eigh(pdcore._gram(F, table=t))[0][0]) for t in tables]
+        for r in range(1, 7):
+            spectra = list(pdcore._level_spectra(restrict_to_ball(F, r)))
+            assert len(spectra) == len(canonical_words(Domain.ball(r)))
+            for (lam, size, _), h, oracle in zip(spectra, levels, scan):
+                assert size == len(clique(h).ranks) * d
+                assert abs(lam - oracle) <= 1e-13
+                assert _level_class(lam, size) == _level_class(oracle, size)
+                classes.add(_level_class(lam, size))
+    assert classes == {"strict", "semidefinite", "not_pd"}
+
+
 def test_check_pd_ties_go_to_the_first_level_of_the_least():
-    for d, r in ((1, 4), (2, 3), (3, 2)):
+    for d, r in ((1, 4), (2, 3), (3, 3)):
         C = _constant(d, r, 0.9)
         least = min(lam for lam, _, _ in level_spectra(C))
         ties = [pairs for lam, _, pairs in level_spectra(C) if lam == least]
@@ -441,6 +505,19 @@ def test_check_pd_ties_go_to_the_first_level_of_the_least():
         new, oracle = _verdict_or_error(C)
         assert _same_verdict(new, oracle)
         assert new.status == "strict" and new.witness_indices == ties[0]
+
+
+def test_check_pd_certifies_the_gram_that_crossed_its_threshold(monkeypatch):
+    # an earlier, larger Gram with a lower least eigenvalue inside its own
+    # threshold is the worst so far, but the certificate is the later Gram
+    # that crosses below its smaller one
+    grams = {"large": -np.eye(10) * 5e-10, "small": np.diag([-4e-10, 1.0])}
+    levels = [(-5e-10, 10, lambda: ("large", grams["large"])),
+              (-4e-10, 2, lambda: ("small", grams["small"]))]
+    monkeypatch.setattr(pdcore, "_level_spectra", lambda C: iter(levels))
+    verdict = check_pd(delta(1, Domain.ball(1)))
+    assert verdict.status == "not_pd" and verdict.min_eigenvalue == -4e-10
+    assert verdict.witness_indices == "small" and abs(verdict.witness_vector[0]) == 1.0
 
 
 def test_check_pd_fails_at_a_level_inside_its_length():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from freepd import words
 from freepd.errors import WordError
+from freepd.pdcore import canonical_rep
 from freepd.words import (
     adjacent,
     ball,
@@ -358,15 +359,14 @@ def test_clique_and_its_grams_share_one_quotient_table(monkeypatch):
         cache.cache_clear()
     check_pd(C)
     # one descent and table pass for each of the lengths 1, 2, 3 (2, 6 and
-    # 18 levels), and no table of a level's own: the one list table built
-    # is the e block's
+    # 18 levels), and no list table at all: the e block's is a constant
     assert words._clique_table.cache_info().misses == 3
-    assert words.quotient_table.cache_info().misses == 1
-    assert sorted(passes) == [1, 2, 6, 18]
+    assert words.quotient_table.cache_info().misses == 0
+    assert sorted(passes) == [2, 6, 18]
     # the d^2 stage Grams of level ab read the clique's table as well
     for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
         build_partial_space(restrict_to_stage(C, word_from_str("ab"), j, k))
-    assert len(passes) == 4
+    assert len(passes) == 3
 
 
 def test_rank_decode_follows_the_ball_order():
@@ -420,6 +420,23 @@ def test_rank_table_matches_word_arithmetic(picked, with_e, shift):
         # equal quotients share a slot, and different ones do not
         assert seen.setdefault((c, mirrored), slots[a, b]) == slots[a, b]
     assert len(set(seen.values())) == len(seen)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_canonical_quotients_match_word_arithmetic_at_the_edges(r):
+    # a tree of radius r exactly, so that two words of length r agree on
+    # every column but the spare last one
+    tree, ws = words._build(r), ball(r)
+    full = [w for w in ws if len(w) == r]
+    pairs = [(w, w) for w in ws]  # a = b
+    pairs += [p for w in ws for p in (((), w), (w, ()))]  # e on either side
+    pairs += [p for w in full for n in range(1, r) for p in ((w[:n], w), (w, w[:n]))]
+    pairs += [(u, v) for u in full for v in full]  # both of full radius
+    a, b = (np.array([words.rank_of(p[i]) for p in pairs]) for i in (0, 1))
+    canon, mirrored = words._canonical_quotients(tree, a, b)
+    for (h, l), c, m in zip(pairs, canon.tolist(), mirrored.tolist()):
+        q = mul(inverse(l), h)
+        assert words.word_of_rank(c) == canonical_rep(q) and m == (canonical_rep(q) != q)
 
 
 def test_clique_assertion_names_the_pair_outside_the_index_set(monkeypatch):
