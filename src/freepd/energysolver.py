@@ -18,7 +18,10 @@ relative energy close to where it started.  Three ingredients make that work:
   beta conj(beta') enter, so the phase ambiguity of the achiever is harmless.
 * solve_edge and solve_cycle_params run projected gradient descent with
   Armijo backtracking on one parameter (tree edge, the target parameter being
-  already fixed) or jointly on all cycle parameters.
+  already fixed) or jointly on all cycle parameters.  The edge descent meets
+  every iterate it cannot use with one rule: return the best point (or, after
+  an exhausted Armijo search, the current one) if it meets the target, else
+  spend one of 8 bumps.
 
 The driver solve_configuration drives the extend module's one stage walk for
 every vertex at once, reading each stage off the current stage domain, so it
@@ -529,21 +532,19 @@ PAIR_STOP = 5e-6
 CHAIN_ROUNDS = 24
 
 
-def _solve_edge_impl(pencil, mu, base, tol_edge, max_iter, seed, inits,
-                     grad_tol=GRAD_TOL):
+def _solve_edge_impl(pencil, mu, target, max_iter, seed, inits, grad_tol=GRAD_TOL):
     # every evaluation reads the one _StagePencil, so the iteration after an
     # accepted Armijo step or Newton candidate gets the pencil that
     # accepting it solved back without a kernel call.  That is exact: a
     # point is re-used only when both completed corners match bit for bit.
     mu = _as_zeta(mu).value
-    target = base + tol_edge
     rng = np.random.default_rng(seed)
 
     def value_and_pair(z):
         top, p = pencil.coupling(z, mu)
         return top, p * pencil.scale_C
 
-    def newton_candidate(z, v0):
+    def newton_step(z, v0, gnorm):
         # one root-finding step on the gradient field: the coupling dies at
         # an interior minimum, so once the energy target is in hand this
         # drives |grad| to the stationarity tolerance quadratically where
@@ -563,7 +564,21 @@ def _solve_edge_impl(pencil, mu, base, tol_edge, max_iter, seed, inits,
             delta = np.linalg.solve(J, -np.array([v0.real, v0.imag]))
         except np.linalg.LinAlgError:
             return None
-        return _project(z + complex(delta[0], delta[1]))
+        cand = _project(z + complex(delta[0], delta[1]))
+        try:
+            e_c, pair_c = value_and_pair(cand)
+        except FreePDError:
+            return None
+        return cand if e_c <= target and abs(2.0 * e_c * pair_c) <= 0.7 * gnorm else None
+
+    def armijo_step(z, e, grad, gnorm):
+        step, gsq = ARMIJO_STEP, gnorm * gnorm
+        while step >= 1e-18:
+            candidate = _project(z - step * grad)
+            if pencil.value(candidate, mu) <= e - ARMIJO_SLOPE * step * gsq:
+                return candidate
+            step *= ARMIJO_SHRINK
+        return None
 
     best_z, best_e = 0j, np.inf
     used = 0
@@ -572,72 +587,44 @@ def _solve_edge_impl(pencil, mu, base, tol_edge, max_iter, seed, inits,
         bumps = 0
         while used < max_iter:
             used += 1
+            inward = False
             try:
                 e, pair = value_and_pair(z)
-            except DegenerateAchieverError:
-                if best_e <= target:
-                    return SzegoParameter(best_z), best_e, used
-                if bumps >= 8:
-                    break
-                bumps += 1
-                z = _project(z + 1e-7 * _unit(rng))
-                continue
-            except FreePDError:
-                # the iterate itself became uncertifiable (an init handed in
-                # from a previous sweep can sit essentially on the rim)
-                if best_e <= target:
-                    return SzegoParameter(best_z), best_e, used
-                if bumps >= 8:
-                    break
-                bumps += 1
-                z = _project(0.99 * z)
-                continue
-            if e < best_e:
-                best_e, best_z = e, z
-            grad = -2.0 * e * np.conj(pair)
-            gnorm = abs(grad)
-            # the descent stops only where the energy target is met and the
-            # point is stationary to within grad_tol in every direction
-            if e <= target and gnorm <= grad_tol:
-                return SzegoParameter(z), e, used
-            if e <= target and np.isfinite(grad_tol):
-                cand = newton_candidate(z, grad)
-                if cand is not None:
-                    try:
-                        e_c, pair_c = value_and_pair(cand)
-                    except FreePDError:
-                        e_c, pair_c = np.inf, 0j
-                    if e_c <= target and abs(2.0 * e_c * pair_c) <= 0.7 * gnorm:
-                        z = cand
-                        continue
-            if gnorm <= 1e-14 * max(1.0, e):
-                # numerically stationary yet above the target: a spurious
-                # critical point or a flat spot; nudge like the degenerate case
-                if bumps >= 8:
-                    break
-                bumps += 1
-                z = _project(z + 1e-7 * _unit(rng))
-                continue
-            step = ARMIJO_STEP
-            moved = False
-            gsq = gnorm * gnorm
-            while step >= 1e-18:
-                candidate = _project(z - step * grad)
-                if pencil.value(candidate, mu) <= e - ARMIJO_SLOPE * step * gsq:
-                    z = candidate
-                    moved = True
-                    break
-                step *= ARMIJO_SHRINK
-            if not moved:
-                if e <= target:
-                    # machine precision exhausted with the energy in hand
-                    return SzegoParameter(z), e, used
-                if bumps >= 8:
-                    break
-                bumps += 1
-                z = _project(z + 1e-7 * _unit(rng))
-        if used >= max_iter:
-            break
+            except FreePDError as exc:
+                # a degenerate achiever, or an iterate the kernel cannot
+                # certify (an init handed in from a previous sweep can sit
+                # essentially on the rim): fall back on the best point
+                keep, inward = (best_z, best_e), not isinstance(exc, DegenerateAchieverError)
+            else:
+                if e < best_e:
+                    best_e, best_z = e, z
+                grad = -2.0 * e * np.conj(pair)
+                gnorm = abs(grad)
+                # the descent stops only where the energy target is met and
+                # the point is stationary to within grad_tol in every direction
+                if e <= target and gnorm <= grad_tol:
+                    return SzegoParameter(z), used
+                move = None
+                if e <= target and np.isfinite(grad_tol):
+                    move = newton_step(z, grad, gnorm)
+                # numerically stationary yet above the target (a spurious
+                # critical point or a flat spot) keeps no point; an Armijo
+                # search that exhausts machine precision keeps its own
+                keep = (z, np.inf)
+                if move is None and gnorm > 1e-14 * max(1.0, e):
+                    move = armijo_step(z, e, grad, gnorm)
+                    keep = (z, e)
+                if move is not None:
+                    z = move
+                    continue
+            # the one recovery rule: return the kept point where it meets
+            # the target, else spend a bump (at most 8 per init)
+            if keep[1] <= target:
+                return SzegoParameter(keep[0]), used
+            if bumps >= 8:
+                break
+            bumps += 1
+            z = _project(0.99 * z if inward else z + 1e-7 * _unit(rng))
     raise SolveError(
         f"edge solve stalled at energy {best_e!r} against target {target!r} "
         f"after {used} iterations",
@@ -657,11 +644,16 @@ def solve_edge(C: PDFunction, D: PDFunction, mu, max_iter: int = MAX_ITER,
     at exactly the partial energy; the projection onto |zeta| <= 1 - 1e-6
     keeps iterates compact.  Exceeding max_iter raises a SolveError carrying
     the best parameter seen.
+
+    An iterate the descent cannot use meets one recovery rule: the best
+    point so far is returned at a degenerate achiever or an uncertifiable
+    point, and the current one after an exhausted Armijo search, if it
+    meets the target; otherwise, and always at a flat spot above the
+    target, one of 8 bumps moves an uncertifiable point inward (times
+    0.99) and any other aside (by 1e-7 in a random direction).
     """
-    base = partial_relative_energy(C, D).energy
-    zeta, _, _ = _solve_edge_impl(_StagePencil(C, D), mu, base, TOL_EDGE, max_iter,
-                                  seed, (0j,))
-    return zeta
+    target = partial_relative_energy(C, D).energy + TOL_EDGE
+    return _solve_edge_impl(_StagePencil(C, D), mu, target, max_iter, seed, (0j,))[0]
 
 
 def _cycle_pencils(family) -> list:
@@ -693,7 +685,6 @@ def _solve_cycle_impl(pencils, base, seed):
         # the target parameter; the same achiever products give both the
         # residuals and their exact Jacobian over the 2N real coordinates
         res = np.zeros(n_fam)
-        energies = np.zeros(n_fam)
         pairs = np.zeros(n_fam, dtype=complex)
         J = np.zeros((n_fam, 2 * n_fam))
         for i, pencil in enumerate(pencils):
@@ -704,7 +695,6 @@ def _solve_cycle_impl(pencils, base, seed):
                 raise
             alpha_pair = coord * pencil.scale_C
             beta_pair = coord * pencil.scale_D
-            energies[i] = top
             res[i] = top - base[i]
             pairs[i] = alpha_pair
             src = -2.0 * top * alpha_pair
@@ -714,15 +704,7 @@ def _solve_cycle_impl(pencils, base, seed):
             t = (i + 1) % n_fam
             J[i, 2 * t] = np.real(tgt)
             J[i, 2 * t + 1] = np.real(1j * tgt)
-        return res, J, energies, pairs
-
-    def pack(zs):
-        u = np.empty(2 * n_fam)
-        u[0::2], u[1::2] = zs.real, zs.imag
-        return u
-
-    def unpack(u):
-        return np.array([_project(complex(a, b)) for a, b in zip(u[0::2], u[1::2])])
+        return res, J, pairs
 
     zs = np.zeros(n_fam, dtype=complex)
     target = n_fam * TOL_EDGE * TOL_EDGE
@@ -744,9 +726,9 @@ def _solve_cycle_impl(pencils, base, seed):
         for n in range(n_fam - 1, -1, -1):
             budget = max(1, min(400, MAX_ITER // 2 - used))
             try:
-                zeta, _, it = _solve_edge_impl(
-                    pencils[n], zs[(n + 1) % n_fam], base[n],
-                    chain_tol, budget, seed, (zs[n],), grad_tol=np.inf)
+                zeta, it = _solve_edge_impl(
+                    pencils[n], zs[(n + 1) % n_fam], base[n] + chain_tol,
+                    budget, seed, (zs[n],), grad_tol=np.inf)
             except SolveError as exc:
                 zeta, it = exc.best, budget
             zs[n] = zeta.value
@@ -782,13 +764,12 @@ def _solve_cycle_impl(pencils, base, seed):
     while used < MAX_ITER:
         used += 1
         try:
-            res, J, energies, pairs = residuals_jacobian(zs)
+            res, J, pairs = residuals_jacobian(zs)
         except DegenerateAchieverError as exc:
             if satisfied or bumps >= 8:
                 break
             bumps += 1
-            i = getattr(exc, "edge", 0)
-            zs[i] = _project(zs[i] + 1e-7 * _unit(rng))
+            zs[exc.edge] = _project(zs[exc.edge] + 1e-7 * _unit(rng))
             continue
         f = float(res @ res)
         if f < best_f:
@@ -802,34 +783,28 @@ def _solve_cycle_impl(pencils, base, seed):
             # what an exact minimizer looks like
             polish += 1
             if polish > 60 or float(np.max(np.abs(pairs))) <= PAIR_STOP:
-                return _params(zs), f, used, energies
+                return _params(zs), used
         H = J.T @ J
-        moved = False
         for _ in range(40):
             try:
                 step = np.linalg.solve(H + damping * np.eye(2 * n_fam), J.T @ res)
             except np.linalg.LinAlgError:  # pragma: no cover
                 damping *= 10.0
                 continue
-            cand = unpack(pack(zs) - step)
+            # the 2N real coordinates are the float view of zs
+            cand = np.array([_project(complex(z)) for z in (zs.view(float) - step).view(complex)])
             if f_value(cand) < f:
                 zs = cand
                 damping = max(damping * 0.3, 1e-12)
-                moved = True
                 break
             damping *= 10.0
-        if not moved:
+        else:  # no damping moved
             if satisfied or bumps >= 8:
                 break
             bumps += 1
             zs = np.array([_project(z + 1e-7 * _unit(rng)) for z in zs])
     if satisfied or best_f <= target:
-        pick = best_zs if best_f <= target else zs
-        energies = np.array(
-            [pencil.value(pick[i], pick[(i + 1) % n_fam]) for i, pencil in enumerate(pencils)]
-        )
-        fv = float(np.sum((energies - np.array(base)) ** 2))
-        return _params(pick), fv, used, energies
+        return _params(best_zs if best_f <= target else zs), used
     raise SolveError(
         f"cycle solve stalled at objective {best_f!r} after {used} iterations",
         best=_params(best_zs),
@@ -861,8 +836,7 @@ def solve_cycle_params(family, base_energies=None, seed=0) -> list:
         base = [float(b) for b in base_energies]
         if len(base) != len(fam):
             raise ParameterError("need one base energy per edge")
-    params, _, _, _ = _solve_cycle_impl(pencils, base, seed)
-    return params
+    return _solve_cycle_impl(pencils, base, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1237,9 +1211,9 @@ def solve_configuration(config: Configuration, R: int, eps: float,
                     inits = (0j,) if cert is not None else (0j, zetas[w])
                     pencil = pencils[(v, w)] = _StagePencil(work[v], work[w])
                     try:
-                        zv, _, it = _solve_edge_impl(
-                            pencil, zetas[w], ppe[(v, w)],
-                            TOL_EDGE, MAX_ITER, int(rng.integers(2 ** 31)), inits,
+                        zv, it = _solve_edge_impl(
+                            pencil, zetas[w], ppe[(v, w)] + TOL_EDGE,
+                            MAX_ITER, int(rng.integers(2 ** 31)), inits,
                         )
                     except SolveError as exc:
                         if exc.value > ppe[(v, w)] + slack_allowance:
@@ -1255,7 +1229,7 @@ def solve_configuration(config: Configuration, R: int, eps: float,
             else:
                 pencils = dict(zip(edge_seq, _cycle_pencils([work[v] for v in cyc])))
                 try:
-                    params, _, it, _ = _solve_cycle_impl(
+                    params, it = _solve_cycle_impl(
                         list(pencils.values()), [ppe[e] for e in edge_seq],
                         int(rng.integers(2 ** 31)),
                     )

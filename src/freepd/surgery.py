@@ -198,31 +198,6 @@ class SurgeryResult:
             "inserted": {k: list(v) for k, v in self.inserted.items()},
         }
 
-    @classmethod
-    def from_dict(cls, data):
-        if not isinstance(data, dict):
-            raise FormatError("result", "surgery artifact must be a JSON object")
-        for key in ("graph", "original", "W", "B", "inserted"):
-            if key not in data:
-                raise FormatError(key, f"surgery artifact lacks the field {key!r}")
-        graph = LabeledGraph.from_dict(data["graph"])
-        for key in ("original", "W", "B"):
-            arr = data[key]
-            if not isinstance(arr, list) or any(
-                isinstance(x, bool) or not isinstance(x, int) for x in arr
-            ):
-                raise FormatError(key, f"{key} must be a list of integers")
-        inserted = data["inserted"]
-        if not isinstance(inserted, dict):
-            raise FormatError("inserted", "inserted must map class names to vertex lists")
-        return cls(
-            graph=graph,
-            original=frozenset(data["original"]),
-            W=tuple(data["W"]),
-            B=tuple(data["B"]),
-            inserted={k: tuple(v) for k, v in inserted.items()},
-        )
-
 
 def _check_rewiring(a, b, stage):
     for name, perm in (("a", a), ("b", b)):

@@ -247,7 +247,6 @@ class IndexSet:
     """The symmetric set I_g of all h with h or h^-1 shortlex-preceding g."""
 
     origin: Word
-    prefixes: tuple  # all h with h <= g, in shortlex order
     members: frozenset
 
 
@@ -257,7 +256,7 @@ def index_set(g: Word) -> IndexSet:
     if not n:
         raise WordError(f"{g!r} is not a reduced word")
     words, inv = ball(len(g)), _tree(len(g)).inv[:n]
-    return IndexSet(g, words[:n], frozenset(words[:n] + tuple(map(words.__getitem__, inv))))
+    return IndexSet(g, frozenset(words[:n] + tuple(map(words.__getitem__, inv))))
 
 
 def adjacent(h: Word, l: Word, iset: IndexSet) -> bool:

@@ -26,6 +26,7 @@ from freepd.words import (
     is_novel,
     mul,
     quotient_table,
+    rank_of,
     shortlex_key,
     word_to_str,
 )
@@ -123,8 +124,9 @@ def embed_toeplitz(c, n_target):
     g = (0,) * n_target
     dom = Domain.partial(g, 1, 1)
     entries = {}
-    for w in index_set(g).prefixes:
-        if w == () or w == g or not is_novel(w):
+    # the levels before a^n in shortlex order are the words of Ball(n - 1)
+    for w in ball(n_target - 1):
+        if w == () or not is_novel(w):
             continue
         if set(w) == {0}:
             entries[w] = [[c[len(w)]]]
@@ -203,7 +205,7 @@ def predecessor_clique(g):
     # predecessor already. Cap generously and fail loudly if exceeded.  Only
     # novel levels are visited: a non-novel level has the same graph as some
     # earlier one, so it can never be the least level, and K_h needs novelty.
-    for _ in range(4 * len(index_set(g).prefixes) + 8):
+    for _ in range(4 * (rank_of(g) + 1) + 8):
         if not is_novel(h):
             h = successor(h)
             continue

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from freepd.energysolver import (
 )
 from freepd.errors import (
     BudgetError,
+    DegenerateAchieverError,
     DomainError,
     FormatError,
     NotStrictError,
@@ -163,6 +166,24 @@ def test_make_singular_raises_when_no_mixing_offset_separates(monkeypatch):
     with pytest.raises(SingularizationError, match="no mixing offset separated"):
         make_singular([stage_function(3), stage_function(53)], eta=0.02, seed=0)
     assert len(offsets) == energysolver.S_GRID
+
+
+def test_pairs_separated_fails_on_a_shared_kernel_vector():
+    e = np.eye(3, dtype=complex)
+    # e[2] is killed by both e[:1] and e[1:2]; e[1:] moves it
+    assert not energysolver._pairs_separated([e[:1], e[1:2]])
+    assert energysolver._pairs_separated([e[:1], e[1:]])
+    # every pair is checked: only the last one shares a kernel vector
+    assert not energysolver._pairs_separated([e[1:], e[:1], e[1:2]])
+
+
+def test_make_singular_raises_when_a_kernel_separation_collapses(monkeypatch):
+    # a zero kernel column is moved by no row matrix: theta reads 0
+    monkeypatch.setattr(energysolver._linalg, "null_space",
+                        lambda A: np.zeros((A.shape[1], 1), dtype=complex))
+    with pytest.raises(SingularizationError,
+                       match=r"kernel separation collapsed for the pair \(0, 1\)"):
+        make_singular([stage_function(3), stage_function(53)], eta=0.02, seed=0)
 
 
 def test_make_singular_rejects_short_stages_and_bad_input():
@@ -378,6 +399,184 @@ def test_solve_edge_raises_with_best_iterate_on_tiny_cap():
         solve_edge(sing[0], sing[1], 0.4 + 0.1j, max_iter=2)
     assert info.value.best is not None
     assert info.value.value is not None
+
+
+# ---------------------------------------------------------------------------
+# the descents' recovery branches, on scripted pencils
+# ---------------------------------------------------------------------------
+
+
+class _ScriptedPencil:
+    """A stand-in stage pencil with top energy floor + 5 |z - centre|^2.
+
+    z is the source parameter; the target parameter is ignored, so scale_D
+    is 0, and the coupling is the one that makes the descents' gradients
+    exact.  Every request goes to the shared log as (kind, z).  script maps
+    a request's number, counted from 1 over the log, to an exception to
+    raise or to the answer to give in place of the model's.
+    """
+
+    scale_C, scale_D = 1.0, 0.0
+
+    def __init__(self, centre, floor, script=(), log=None):
+        self.centre, self.floor = centre, floor
+        self.script = dict(script)
+        self.log = [] if log is None else log
+
+    def _request(self, kind, z):
+        self.log.append((kind, z))
+        out = self.script.get(len(self.log))
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    def _energy(self, z):
+        return self.floor + 5.0 * abs(z - self.centre) ** 2
+
+    def value(self, zeta_c, zeta_d):
+        out = self._request("value", zeta_c)
+        return self._energy(zeta_c) if out is None else out
+
+    def coupling(self, zeta_c, zeta_d):
+        out = self._request("coupling", zeta_c)
+        if out is not None:
+            return out
+        e = self._energy(zeta_c)
+        return e, -np.conj(10.0 * (zeta_c - self.centre)) / (2.0 * e)
+
+
+def _log_digest(log):
+    points = np.array([z for _, z in log], dtype=complex)
+    return hashlib.sha256(points.tobytes()).hexdigest()[:16]
+
+
+def _log_kinds(log):
+    return "".join(kind[0] for kind, _ in log)
+
+
+_BASE = 1.5  # the partial energy; the edge target is _BASE + TOL_EDGE
+_DEGENERATE = DegenerateAchieverError("top eigenvalues too close")
+_UNCERTIFIED = NotStrictError("the base Gram matrix is not strictly positive")
+
+# name: (centre, floor, script, request kinds, outcome, iterations, digest).
+# Requests are numbered from 1; the outcome is the returned zeta, or the
+# SolveError's (best, value).  From zeta = 0 with centre 1e-4 the energy
+# target is met at once and the Newton candidate (requests 2-5 probe, 6
+# evaluates) lands on the centre; from centre 0.5 one Armijo step does.
+EDGE_RECOVERY = {
+    # the unscripted path, for reference
+    "newton": (1e-4, _BASE, {}, "c" * 7, 9.999999999999973e-05, 2, "6a23781591746400"),
+    # an iterate the descent cannot use, with the best point at the target:
+    # the best point (zeta = 0), not the iterate, is returned
+    "degenerate at target": (1e-4, _BASE, {7: _DEGENERATE}, "c" * 7, 0j, 2,
+                             "6a23781591746400"),
+    "uncertified at target": (1e-4, _BASE, {7: _UNCERTIFIED}, "c" * 7, 0j, 2,
+                              "6a23781591746400"),
+    # ... above the target: a degenerate point is bumped aside, an
+    # uncertifiable one (request 3, at 0.5) moved inward to 0.495
+    "degenerate above target": (0.5, _BASE, {1: _DEGENERATE}, "ccvc", 0.5 + 0j, 3,
+                                "ddfea04c24d552ef"),
+    "uncertified above target": (0.5, _BASE, {3: _UNCERTIFIED}, "cvccvc", 0.5 + 0j, 4,
+                                 "e2531a1fd81e9391"),
+    # a flat spot above an unreachable target: 8 bumps, then the cap on them
+    "flat": (0j, _BASE + 1.0, {}, "c" + "cvc" * 8, (0j, _BASE + 1.0), 17,
+             "0c5460364cbd30e2"),
+    # every point unusable: 8 bumps (aside / inward, and 0.99 * 0 = 0)
+    "degenerate throughout": (0.5, _BASE, {n: _DEGENERATE for n in range(1, 10)},
+                              "c" * 9, (0j, np.inf), 9, "ef6ef3c291f60ced"),
+    "uncertified throughout": (0.5, _BASE, {n: _UNCERTIFIED for n in range(1, 10)},
+                               "c" * 9, (0j, np.inf), 9, "81c611f35bff7949"),
+    # an Armijo search that runs out of steps (0.1 halved down to 1e-18, 57
+    # trial points): at the target the current point is returned, above it
+    # the point is bumped aside
+    "armijo exhausted at target": (
+        1e-4, _BASE, {6: _UNCERTIFIED, **{n: np.inf for n in range(7, 64)}},
+        "c" * 6 + "v" * 57, 0j, 1, "6ababbc42c836d54"),
+    "armijo exhausted above target": (
+        0.5, _BASE, {n: np.inf for n in range(2, 59)},
+        "c" + "v" * 57 + "cvc", 0.5 + 0j, 3, "c2c4de418de64a14"),
+    # the Newton candidate fails three ways, and one Armijo step follows
+    "newton probe raises": (1e-4, _BASE, {2: _UNCERTIFIED}, "ccvc", 1e-4 + 0j, 2,
+                            "54ba290bd8cb5956"),
+    "newton jacobian singular": (1e-4, _BASE, {n: (_BASE, 0j) for n in range(2, 6)},
+                                 "c" * 5 + "vc", 1e-4 + 0j, 2, "affa57a700930114"),
+    "newton candidate uncertified": (1e-4, _BASE, {6: _UNCERTIFIED}, "c" * 6 + "vc",
+                                     1e-4 + 0j, 2, "8e4d4672a8416f60"),
+}
+
+
+def _scripted_edge(monkeypatch, centre, floor, script, max_iter):
+    pencil = _ScriptedPencil(centre, floor, script)
+    monkeypatch.setattr(energysolver, "_StagePencil", lambda C, D: pencil)
+    monkeypatch.setattr(energysolver, "partial_relative_energy",
+                        lambda C, D: SimpleNamespace(energy=_BASE))
+    try:
+        outcome = solve_edge(None, None, 0.25j, max_iter=max_iter, seed=7).value
+    except SolveError as exc:
+        outcome = exc
+    return outcome, pencil.log
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_RECOVERY))
+def test_edge_descent_recovery_branches_keep_their_trajectories(name, monkeypatch):
+    centre, floor, script, kinds, want, iterations, digest = EDGE_RECOVERY[name]
+    got, log = _scripted_edge(monkeypatch, centre, floor, script, max_iter=100)
+    assert _log_kinds(log) == kinds
+    assert _log_digest(log) == digest
+    if isinstance(want, tuple):
+        assert (got.best.value, got.value) == want
+        assert str(got).endswith(f"after {iterations} iterations")
+        return
+    assert got == want
+    # the point is returned at iteration `iterations`: one fewer runs out
+    short, _ = _scripted_edge(monkeypatch, centre, floor, script, max_iter=iterations - 1)
+    assert isinstance(short, SolveError)
+    assert str(short).endswith(f"after {iterations - 1} iterations")
+
+
+_CYCLE_BASE = (1.5, 1.25)
+
+
+def _scripted_cycle(monkeypatch, centres, script):
+    log = []
+    pencils = [_ScriptedPencil(c, b, script, log) for c, b in zip(centres, _CYCLE_BASE)]
+    monkeypatch.setattr(energysolver, "_cycle_pencils", lambda family: pencils)
+    params = solve_cycle_params([None, None], _CYCLE_BASE, seed=7)
+    return [p.value for p in params], log
+
+
+# The first draw of the descents' seed-7 bumps, 1e-7 * _unit(rng).
+_BUMP = 4.1176947405490066e-10 + 9.999915222590758e-08j
+
+
+@pytest.mark.parametrize("edge", [0, 1])
+def test_cycle_descent_nudges_the_degenerate_edge(edge, monkeypatch):
+    # at zeta = 0 both energies sit at their bases, so the chain phase has
+    # nothing to do (requests 1-2); the first residual pass finds edge `edge`
+    # degenerate, and that edge's source parameter alone is bumped aside
+    params, log = _scripted_cycle(monkeypatch, (0j, 0j), {3 + edge: _DEGENERATE})
+    assert params == [_BUMP if i == edge else 0j for i in range(2)]
+    assert log[:3 + edge] == [("value", 0j), ("value", 0j)] + [("coupling", 0j)] * (1 + edge)
+    # the bumped point is satisfied with couplings below PAIR_STOP
+    assert log[3 + edge:] == [("coupling", z) for z in params]
+
+
+def test_cycle_descent_nudges_every_parameter_when_no_damping_moves(monkeypatch):
+    # requests 1-2 read the bases, so the chain phase is skipped; the first
+    # residual pass (3-4) is off target, and all 40 damped trial points
+    # (5-44) read an infinite objective, so every parameter is bumped; the
+    # bumped point (45-46) is scripted onto the target with no coupling
+    script = {1: _CYCLE_BASE[0], 2: _CYCLE_BASE[1],
+              **{n: np.inf for n in range(5, 45)},
+              45: (_CYCLE_BASE[0], 0j), 46: (_CYCLE_BASE[1], 0j)}
+    params, log = _scripted_cycle(monkeypatch, (0.3, -0.2j), script)
+    assert _log_kinds(log) == "vvcc" + "v" * 40 + "cc"
+    assert [z for _, z in log[:4]] == [0j] * 4
+    # a trial reads edge 0 only: an infinite energy ends the objective's sum
+    assert len({z for _, z in log[4:44]}) == 40
+    assert [z for _, z in log[44:]] == params
+    assert params[0] == _BUMP and 0.0 < abs(params[1]) <= 1e-7 + 1e-20
+    assert _log_digest(log) == "bf5ca170205a3611"
 
 
 def test_solve_cycle_identical_pair_zero_objective():

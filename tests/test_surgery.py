@@ -180,20 +180,6 @@ def test_graph_json_round_trip():
         assert info.value.key == key
 
 
-def test_result_json_round_trip():
-    g = random_labeled_graph(96, 2, seed=1)
-    res = perform_surgery(g, 2, 1)
-    d = res.to_dict()
-    back = SurgeryResult.from_dict(d)
-    assert back.graph == res.graph
-    assert back.original == res.original
-    assert back.W == res.W and back.B == res.B
-    assert back.inserted == res.inserted
-    with pytest.raises(FormatError) as info:
-        SurgeryResult.from_dict({k: v for k, v in d.items() if k != "B"})
-    assert info.value.key == "B"
-
-
 def test_surgery_girth_precondition():
     # one a-cycle of length 6 < max(4R, 8)
     pa = list(range(1, 6)) + [0] + list(range(6, 48))

@@ -133,8 +133,6 @@ def test_index_set_examples():
     assert index_set(w("b")).members == {(), w("a"), w("A"), w("b"), w("B")}
     expected = set(ball(1)) | {w("aa"), w("AA")}
     assert index_set(w("aa")).members == expected
-    # prefixes are exactly the shortlex segment up to g
-    assert index_set(w("aa")).prefixes == tuple(ball(1)) + (w("aa"),)
 
 
 def test_index_set_rejects_non_reduced_words():
@@ -149,7 +147,6 @@ def test_ball_is_a_prefix_domain():
         g_last = (Bi,) * r
         iset = index_set(g_last)
         assert iset.members == set(ball(r))
-        assert list(iset.prefixes) == list(ball(r))
 
 
 def test_clique_hand_examples():
