@@ -9,8 +9,7 @@ module's namespace; from then on a read such as ``_linalg.zpotrf`` is a
 plain attribute read that never reaches the hook again.
 """
 
-ROUTINES = ("zpotrf", "ztrsv", "zheevr", "zheevr_lwork", "zhegvd", "null_space", "solve",
-            "toeplitz")
+ROUTINES = ("zpotrf", "ztrsv", "zheevr", "zheevr_lwork", "zhegvd", "null_space", "toeplitz")
 
 
 def __getattr__(name):
@@ -26,7 +25,6 @@ def __getattr__(name):
         zheevr_lwork=lapack.zheevr_lwork,
         zhegvd=lapack.zhegvd,
         null_space=scipy.linalg.null_space,
-        solve=scipy.linalg.solve,
         toeplitz=scipy.linalg.toeplitz,
     )
     return globals()[name]

@@ -9,8 +9,8 @@ files and flags; all randomness sits behind an explicit ``--seed``.
 
 Exit codes: 0 when every requested check or solve succeeded, 1 when a
 verdict, tolerance or solve failed (a JSON report is still written), 2
-when an input file is malformed (the first offending key is named) or
-cannot be read, or an output cannot be written (its path is named).
+when an input file is malformed (the file and its first offending key are
+named) or cannot be read, or an output cannot be written (its path is named).
 Numbers are printed with 12 significant digits and machine-readable JSON
 reports are written next to the inputs they describe.
 """
@@ -18,7 +18,6 @@ reports are written next to the inputs they describe.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from .pdcore import (
     check_pd,
     load_function,
     random_nspd,
+    read_json,
     save_function,
     write_json_atomic,
 )
@@ -64,16 +64,6 @@ def _report_path(input_path) -> Path:
     p = Path(input_path)
     stem = p.name[: -len(".json")] if p.name.endswith(".json") else p.name
     return p.with_name(stem + ".report.json")
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise FormatError(str(path), f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(str(path), f"{path} is not valid JSON: {exc}") from exc
 
 
 def _finite(flag, text) -> float:
@@ -196,21 +186,10 @@ def _cmd_energy(args) -> CommandResult:
 def _cmd_solve(args) -> CommandResult:
     epsilon = _finite("epsilon", args.epsilon)
     seed = _seed(args.seed)
-    cfg_path = Path(args.config)
-    obj = _load_json(cfg_path)
-    if not isinstance(obj, dict):
-        raise FormatError("configuration", "the configuration must be a JSON object")
-    sources = obj.get("vertices")
-    if not isinstance(sources, dict) or not sources:
-        raise FormatError("vertices", "vertices must map names to function files")
-    functions = {}
-    for name, src in sources.items():
-        if not isinstance(src, str):
-            raise FormatError("vertices", f"vertex {name!r} must name a file")
-        functions[name] = load_function(cfg_path.parent / src)
-    outdir = Path(args.out)
+    cfg_path, outdir = Path(args.config), Path(args.out)
     try:
-        config = configuration_from_dict(obj, functions)
+        config = configuration_from_dict(read_json(cfg_path),
+                                         lambda src: load_function(cfg_path.parent / src))
         _make_dir(outdir)
         extensions, report = solve_configuration(
             config, args.radius, epsilon, seed=seed
@@ -240,7 +219,7 @@ def _cmd_solve(args) -> CommandResult:
 
 
 def _cmd_surgery(args) -> CommandResult:
-    g = LabeledGraph.from_dict(_load_json(args.graph))
+    g = LabeledGraph.from_dict(read_json(args.graph))
     try:
         result = perform_surgery(g, args.R, args.r)
     except SurgeryError as exc:
@@ -344,8 +323,6 @@ def dispatch(argv=None) -> CommandResult:
         return CommandResult(2, f"malformed input at {exc.key!r}: {exc}", "")
     except OutputError as exc:
         return CommandResult(2, f"cannot write {exc.filename}: {exc.strerror}", "")
-    except (OSError, json.JSONDecodeError) as exc:
-        return CommandResult(2, f"cannot load input: {exc}", "")
     except FreePDError as exc:
         return CommandResult(1, f"{type(exc).__name__}: {exc}", "")
 

@@ -385,7 +385,7 @@ def _wprime_ratio(C: PDFunction, g1, g2, j: int, k: int) -> float:
     """
     # row i of G[2:, :2].T is <Theta(g)_j, Theta(g_i)_1>, <Theta(e)_k, Theta(g_i)_1>
     G = pdcore._gram(C, [(g1, 1), (g2, 1), (C.domain.g, j), ((), k)], corner=1)
-    W = _linalg.solve(G[:2, :2], G[2:, :2].T)
+    W = np.linalg.solve(G[:2, :2], G[2:, :2].T)
     sv = np.linalg.svd(W, compute_uv=False)
     if sv[0] <= 0.0:
         return 0.0
@@ -961,29 +961,35 @@ class Configuration:
         return [(v, succ[v]) for v in order]
 
 
-def configuration_from_dict(obj, functions) -> Configuration:
+def configuration_from_dict(obj, load) -> Configuration:
     """Build a Configuration from its JSON dictionary form.
 
-    The JSON form references functions by name through the "vertices"
-    mapping; the caller resolves those references (file paths, usually) and
-    passes the loaded functions keyed by vertex name.  A malformed field, a
-    graph of the wrong shape included, raises FormatError naming it; a
-    function that does not fit raises the constructor's error.
+    The "vertices" mapping names each vertex's function by a source string,
+    and load(source) returns that function (the CLI reads the file of that
+    name beside the configuration).  The object and its vertex sources are
+    checked before any is loaded.  A malformed field, a graph of the wrong
+    shape included, raises FormatError naming it; a function that does not
+    fit raises the constructor's error.
     """
     if not isinstance(obj, dict):
-        raise FormatError("configuration", "the configuration must be an object")
-    for key in ("shape", "r", "d", "vertices", "edges"):
+        raise FormatError("configuration", "the configuration must be a JSON object")
+    sources = obj.get("vertices")
+    if not isinstance(sources, dict) or not sources:
+        raise FormatError("vertices", "vertices must map names to function files")
+    for name, src in sources.items():
+        if not isinstance(src, str):
+            raise FormatError("vertices", f"vertex {name!r} must name a file")
+    functions = {str(name): load(src) for name, src in sources.items()}
+    for key in ("shape", "r", "d", "edges"):
         if key not in obj:
             raise FormatError(key, f"missing configuration field {key!r}")
     allowed = {"shape", "r", "d", "vertices", "edges", "root"}
     for key in obj:
         if key not in allowed:
             raise FormatError(key, f"unknown configuration field {key!r}")
-    if not isinstance(obj["vertices"], dict) or not obj["vertices"]:
-        raise FormatError("vertices", "vertices must map names to function sources")
     if not isinstance(obj["edges"], list):
         raise FormatError("edges", "edges must be a list of [from, to] pairs")
-    names = tuple(str(v) for v in obj["vertices"])
+    names = tuple(map(str, sources))
     edges = []
     for item in obj["edges"]:
         if not isinstance(item, list) or len(item) != 2:
@@ -995,9 +1001,6 @@ def configuration_from_dict(obj, functions) -> Configuration:
     root = obj.get("root")
     if root is not None:
         root = str(root)
-    missing = [v for v in names if v not in functions]
-    if missing:
-        raise FormatError("vertices", f"no function supplied for {missing[0]!r}")
     try:
         return Configuration(
             shape=obj["shape"],
@@ -1005,7 +1008,7 @@ def configuration_from_dict(obj, functions) -> Configuration:
             d=d,
             vertices=names,
             edges=tuple(edges),
-            functions={v: functions[v] for v in names},
+            functions=functions,
             root=root,
         )
     except _FieldError as exc:
@@ -1083,6 +1086,12 @@ class SolverReport:
         return _over_budget(self.restriction_energy, eps)
 
 
+def _sqrt1pm1(x: float) -> float:
+    """sqrt(1 + x) - 1, written x / (1 + sqrt(1 + x)) so that it does not
+    cancel to 0 for tiny x."""
+    return x / (1.0 + math.sqrt(1.0 + x))
+
+
 def _eta_budget(family, eta_prime: float) -> float:
     """Function-l1 allowance keeping two-sided stage energies under 1+eta_prime.
 
@@ -1093,7 +1102,7 @@ def _eta_budget(family, eta_prime: float) -> float:
     the allowance is further divided by the largest multiplicity of any
     oriented entry across the stage restriction Grams.
     """
-    s = math.sqrt(1.0 + eta_prime) - 1.0
+    s = _sqrt1pm1(eta_prime)
     budget = np.inf
     mult = 1
     for C in family:
@@ -1173,7 +1182,7 @@ def solve_configuration(config: Configuration, R: int, eps: float,
             certs = {}
             work, ppe = cur, pe
             if len(g) >= MIN_SINGULAR_LENGTH:
-                eta_prime = math.sqrt(1.0 + sigma_t / max(pe.values())) - 1.0
+                eta_prime = _sqrt1pm1(sigma_t / max(pe.values()))
                 eta_func = _eta_budget([cur[v] for v in verts], eta_prime)
                 for _ in range(6):
                     fam, certs = make_singular([cur[v] for v in verts], eta_func,

@@ -134,11 +134,6 @@ class PartialHilbertSpace:
         return G
 
     @property
-    def core_gram(self) -> np.ndarray:
-        m = self.core_size
-        return self.gram[:m, :m]
-
-    @property
     def x_g_gram(self) -> np.ndarray:
         m = self.core_size
         rows = list(range(m)) + [m]

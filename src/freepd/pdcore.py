@@ -26,14 +26,17 @@ words._tree, and tuples only where they leave (canonical_items, witnesses,
 stage indices, errors).  Restrictions are slices and every Gram is one
 gather (_gather) from [I, stack, NaN] through a quotient table
 (words.quotient_table, or a clique's own), whose quotient ranks the tree's
-rows map to stack rows.  The gather takes a stack of tables of
-one size too: check_pd visits the levels a word length at a time, reading
-their tables from the length's clique table and passing the Grams of one
-clique size to one stacked eigvalsh, then scans the least eigenvalues in
-level order.  Only the witness needs an eigenvector: its Gram is gathered
-again for the one eigh of a check.  A witness among levels whose least
-eigenvalues tie to a few ulps is the first least under eigvalsh's
-rounding, which may not be the level an eigh scan picks.
+rows map to stack rows.  A word list that leaves C's radius once moved to
+start at e has no table: _gram_slots raises, naming the first moved word
+past the radius, the quotient at its row and e's column.  The gather takes
+a stack of tables of one size too: check_pd visits the levels a word
+length at a time, reading their tables from the length's clique table and
+passing the Grams of one clique size to one stacked eigvalsh, then scans
+the least eigenvalues in level order.  Only the witness needs an
+eigenvector: its Gram is gathered again for the one eigh of a check.  A
+witness among levels whose least eigenvalues tie to a few ulps is the
+first least under eigvalsh's rounding, which may not be the level an eigh
+scan picks.
 """
 
 from __future__ import annotations
@@ -323,17 +326,19 @@ def delta(d: int, domain: Domain) -> PDFunction:
 def _gram_slots(C: PDFunction, pairs):
     """The quotient ranks, the quotient slot of every Gram entry (see
     words.quotient_table) and the 0-based coordinates of validated
-    (word, coordinate) pairs; None when the words, moved so that the least
-    is e, leave C's radius.  A moved word is itself a quotient, so then the
-    Gram reads outside C, and no table is built for it."""
+    (word, coordinate) pairs.  The words are moved so that the least is e;
+    a moved word is itself the quotient at its row and e's column, so the
+    first that leaves C's radius raises MissingEntryError, naming it."""
     least = min((w for w, _ in pairs), key=words.rank_of, default=())
     if least:
         t = inverse(least)
         pairs = [(mul(t, w), c) for w, c in pairs]
-    at = [words.rank_of(w) for w, _ in pairs]
+    at, size = [words.rank_of(w) for w, _ in pairs], words.ball_size(_radius(C.domain))
+    for (w, _), rank in zip(pairs, at):
+        if rank >= size:
+            c = word_to_str(canonical_rep(w))
+            raise MissingEntryError(c, f"the Gram reads C({c}), which is missing or partial")
     ranks = sorted(set(at)) or [0]
-    if ranks[-1] >= words.ball_size(_radius(C.domain)):
-        return None
     quotients, slots = quotient_table(tuple(ranks))
     rows = np.searchsorted(ranks, at)
     return quotients, slots[np.ix_(rows, rows)], np.array([c - 1 for _, c in pairs], int)
@@ -380,21 +385,14 @@ def _gram(C: PDFunction, pairs=None, corner: int = 0, table=None) -> np.ndarray:
     pairs.  A NaN (outside the domain, an undefined slot) raises, except in
     the block of rows [-2c:-c] against columns [-c:] for c = corner > 0 and
     its mirror: one stage's corner for 1, a level's C(g) for d."""
-    table = _gram_slots(C, pairs) if table is None else table
-    if table is None:  # read entry by entry, to name the first missing quotient
-        q = [[mul(inverse(w2), w1) for w2, _ in pairs] for w1, _ in pairs]
-        G = np.array([[C._value(q[i1][i2], c1, c2) for i2, (_, c2) in enumerate(pairs)]
-                      for i1, (_, c1) in enumerate(pairs)])
-    else:
-        quotients, slots, _ = table
-        G = _gather(C, *table)
+    quotients, slots, coords = _gram_slots(C, pairs) if table is None else table
+    G = _gather(C, quotients, slots, coords)
     undefined = np.isnan(G)
     if corner:
         undefined[-2 * corner:-corner, -corner:] = False
         undefined[-corner:, -2 * corner:-corner] = False
     for i1, i2 in np.argwhere(undefined)[:1]:
-        c = word_to_str(canonical_rep(q[i1][i2]) if table is None
-                        else words.word_of_rank(quotients[slots[i1, i2] % len(quotients)]))
+        c = word_to_str(words.word_of_rank(quotients[slots[i1, i2] % len(quotients)]))
         raise MissingEntryError(c, f"the Gram reads C({c}), which is missing or partial")
     return G
 
@@ -876,6 +874,18 @@ def function_from_dict(obj) -> PDFunction:
         raise FormatError("domain.j", str(exc)) from None
 
 
+def read_json(path):
+    """The JSON value in the file at path; FormatError keyed by the path
+    when the file cannot be read or is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FormatError(str(path), f"cannot load {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(str(path), f"{path} is not valid JSON: {exc}") from exc
+
+
 def write_json_atomic(obj, path):
     """Serialize obj as JSON at path through a same-directory temp file.
 
@@ -907,9 +917,10 @@ def save_function(C: PDFunction, path):
 
 
 def load_function(path) -> PDFunction:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError("$", f"invalid JSON: {exc}")
-    return function_from_dict(obj)
+    """The function in the file at path (read_json, function_from_dict); a
+    malformed one keeps function_from_dict's key and names the file."""
+    obj = read_json(path)
+    try:
+        return function_from_dict(obj)
+    except FormatError as exc:
+        raise FormatError(exc.key, f"{path}: {exc}") from None

@@ -21,7 +21,8 @@ Inside this module a graph is one vertex-indexed integer array per label,
 rewired in place and grown as vertices are inserted.  Cycles are labelled
 by pointer jumping (``_cycle_labels``: each vertex's least cycle vertex and
 its position from it); every distance search is one breadth-first sweep
-(``_sweep``) over rows of the arrays and their inverses, a level at a time.
+(``_sweep``) over rows of the arrays and their inverses, a level at a time,
+and G-1 and G-5 read the vertices words reach from one walk (``_walk``).
 
 Vertices are plain integers.  Originals are ``0..n-1``; inserted vertices
 are numbered consecutively from ``n`` in creation order, which together
@@ -35,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import words
 from .errors import FormatError, SurgeryError
-from .words import ball, ball_size
 
 __all__ = [
     "LabeledGraph",
@@ -48,6 +49,7 @@ __all__ = [
 
 _GRAPH_KEYS = ("n", "perm_a", "perm_b")
 _INSERTED_CLASSES = ("D", "D_prime", "E", "E_prime", "B")
+_WALK_CAP = 1 << 22  # the most walks (words times roots) in one G-1 chunk
 
 
 class _FieldError(SurgeryError):
@@ -475,48 +477,37 @@ def _undisturbed_set(before, after, touched, r):
     return np.flatnonzero(near[: before.n] < 0).tolist()
 
 
-def _ball_match(steps0, steps1, root, radius):
-    """Rooted labeled ball isomorphism test between two step tables.
-
-    Walks both graphs in lockstep from the common root, pairing vertices
-    reached by identical letter walks.  The pairing must stay single
-    valued and injective, and every labeled edge inside either ball must
-    have its mirror inside the other.
-    """
-    fwd = {root: root}
-    back = {root: root}
-    frontier = [root]
-    for _ in range(radius):
-        nxt = []
-        for x in frontier:
-            y = fwd[x]
-            for l in range(4):
-                x2, y2 = steps0[l][x], steps1[l][y]
-                if x2 in fwd:
-                    if fwd[x2] != y2:
-                        return False
-                elif y2 in back:
-                    return False
-                else:
-                    fwd[x2] = y2
-                    back[y2] = x2
-                    nxt.append(x2)
-        frontier = nxt
-    for x, y in fwd.items():
-        for l in range(4):
-            x2, y2 = steps0[l][x], steps1[l][y]
-            if (x2 in fwd) != (y2 in back):
-                return False
-            if x2 in fwd and fwd[x2] != y2:
-                return False
-    return True
+def _walk(nbrs, r, roots):
+    """The vertex each word of ball(r) reaches from each root along the rows
+    of ``nbrs`` (_step_rows), one row per word in rank order.  Letters act
+    right to left, so a word moves its suffix's vertex by its first letter."""
+    tree = words._tree(r)
+    reach = np.empty((words.ball_size(r), len(roots)), dtype=np.intp)
+    reach[0] = roots
+    for n in range(1, r + 1):
+        at = slice(words.ball_size(n - 1), words.ball_size(n))
+        reach[at] = nbrs[tree.letters[at, :1], reach[tree.suffix[at, 1]]]
+    return reach
 
 
-def _apply_word(steps, word, v):
-    # letters act right to left, codes 0..3 index the step table directly
-    for letter in reversed(word):
-        v = steps[letter][v]
-    return v
+def _balls_kept(nbrs0, nbrs1, roots, r):
+    """Whether each root's labelled r-ball is the same in both graphs: two
+    words of ball(r), or one and a one-letter step of another (ball(r + 1)),
+    end at one vertex in one graph exactly when they do in the other.  So
+    each walk is labelled by the first word of ball(r) ending where it does
+    (ball_size(r) for none), the labels must agree, and roots go in chunks
+    of at most about _WALK_CAP walks."""
+    k, step = words.ball_size(r), max(1, _WALK_CAP // words.ball_size(r + 1))
+    kept = []
+    for at in range(0, len(roots), step):
+        chunk, labels = roots[at:at + step], []
+        for nbrs in (nbrs0, nbrs1):
+            keys = _walk(nbrs, r + 1, chunk) * len(chunk) + np.arange(len(chunk))
+            seen, first = np.unique(keys[:k], return_index=True)
+            i = np.searchsorted(seen, keys).clip(max=seen.size - 1)
+            labels.append(np.where(seen[i] == keys, first[i] // len(chunk), k))
+        kept.extend(np.all(labels[0] == labels[1], axis=0).tolist())
+    return kept
 
 
 def verify_conditions(original, result, r, R, samples=200, seed=0):
@@ -538,20 +529,12 @@ def verify_conditions(original, result, r, R, samples=200, seed=0):
 
     nbrs0 = _step_rows(original.perm_a, original.perm_b)
     nbrs1 = _step_rows(graph.perm_a, graph.perm_b)
-    steps0, steps1 = nbrs0.tolist(), nbrs1.tolist()
 
     # G-1: census of undisturbed labeled r-balls
-    good = 0
-    all_claimed_pass = True
-    for w in result.W:
-        if _ball_match(steps0, steps1, w, r):
-            good += 1
-        else:
-            all_claimed_pass = False
-    k_r = ball_size(r)
-    lower = (1.0 - 20.0 * k_r / R) * n0
+    good = sum(_balls_kept(nbrs0, nbrs1, result.W, r))
+    lower = (1.0 - 20.0 * words.ball_size(r) / R) * n0
     report["G-1"] = {
-        "pass": bool(all_claimed_pass and good >= lower),
+        "pass": bool(good == len(result.W) and good >= lower),
         "measured": good / n0,
         "bound": max(0.0, lower / n0),
     }
@@ -608,18 +591,15 @@ def verify_conditions(original, result, r, R, samples=200, seed=0):
 
     # G-5: short directed detours avoiding the ring realize every ball word
     bound5 = 256 * max(1, r) * (4 * R + 1) ** 2
-    words_r = [w for w in ball(r) if w]
-    n_src5 = max(1, min(len(pool), max(1, samples // max(1, len(words_r)))))
+    n_src5 = max(1, min(len(pool), samples // max(1, words.ball_size(r) - 1)))
     sources5 = rng.choice(pool, size=n_src5, replace=False)
     worst5 = 0
     ok5 = True
-    for s in sources5:
-        s = int(s)
+    for s, targets in zip(sources5.tolist(), _walk(nbrs1, r, sources5)[1:].T.tolist()):
         if s in ring_set:
             continue
         dist = _sweep(directed, [s], blocked=ring)
-        for word in words_r:
-            t = _apply_word(steps1, word, s)
+        for t in targets:
             if t not in orig_set or t in ring_set:
                 continue
             d = int(dist[t])

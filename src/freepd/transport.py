@@ -196,7 +196,7 @@ def partial_relative_energy(C: PDFunction, D: PDFunction) -> EnergyReport:
     return max(sides, key=lambda rep: rep.energy)
 
 
-def energy_schedule(C: PDFunction, D: PDFunction, radii=None) -> list:
+def energy_schedule(C: PDFunction, D: PDFunction, radii) -> list:
     """Relative energies along an increasing list of radii.
 
     The resulting energies are nondecreasing: each index set contains the
@@ -205,8 +205,6 @@ def energy_schedule(C: PDFunction, D: PDFunction, radii=None) -> list:
     """
     if C.domain.kind != "ball" or C.domain != D.domain:
         raise DomainError("energy_schedule expects two functions on one ball")
-    if radii is None:
-        radii = list(range(C.domain.r // 2 + 1))
     return [relative_energy(C, D, r=r) for r in _increasing_radii(radii)]
 
 

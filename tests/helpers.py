@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 
 from freepd import pdcore
-from freepd.errors import DomainError, SurgeryError, WordError
+from freepd.errors import DomainError, FormatError, SurgeryError, WordError
 from freepd.pdcore import DEFAULT_TOL, Domain, PDFunction, PDVerdict
 from freepd.surgery import _greedy_positions
 from freepd.words import (
@@ -418,7 +418,7 @@ def eta_budget_oracle(family, eta_prime):
     the restriction Grams X_g, X_e by gram_indexed over P + one working
     pair, and the slot multiplicities from _gram_slots over Q
     (pdcore.stage_pairs) rather than the level's clique table."""
-    s = math.sqrt(1.0 + eta_prime) - 1.0
+    s = eta_prime / (1.0 + math.sqrt(1.0 + eta_prime))  # sqrt(1 + eta') - 1, uncancelled
     budget, mult = np.inf, 1
     for C in family:
         P, Q = pdcore.stage_pairs(C.domain.g, C.d, C.domain.j, C.domain.k)
@@ -431,6 +431,17 @@ def eta_budget_oracle(family, eta_prime):
             sub = np.r_[:m, last]
             mult = max(mult, int(np.unique(keys[np.ix_(sub, sub)], return_counts=True)[1].max()))
     return float(budget / mult)
+
+
+def source_loader(functions):
+    """configuration_from_dict's load over a dict keyed by source: an unknown
+    source raises FormatError keyed by it, as the CLI's reader does for a
+    file it cannot read."""
+    def load(src):
+        if src not in functions:
+            raise FormatError(src, f"cannot load {src}")
+        return functions[src]
+    return load
 
 
 def mix_functions(A, B, weight):
@@ -521,6 +532,45 @@ def orbit_cycles(out):
             w = out[w]
         result.append(cyc)
     return result
+
+
+def ball_match(steps0, steps1, root, radius):
+    """Rooted labeled ball isomorphism test between two step tables (lists
+    of the four rows of surgery._step_rows): the oracle for surgery's G-1
+    census (``_balls_kept``).
+
+    Walks both graphs in lockstep from the common root, pairing vertices
+    reached by identical letter walks.  The pairing must stay single
+    valued and injective, and every labeled edge inside either ball must
+    have its mirror inside the other.
+    """
+    fwd = {root: root}
+    back = {root: root}
+    frontier = [root]
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            y = fwd[x]
+            for l in range(4):
+                x2, y2 = steps0[l][x], steps1[l][y]
+                if x2 in fwd:
+                    if fwd[x2] != y2:
+                        return False
+                elif y2 in back:
+                    return False
+                else:
+                    fwd[x2] = y2
+                    back[y2] = x2
+                    nxt.append(x2)
+        frontier = nxt
+    for x, y in fwd.items():
+        for l in range(4):
+            x2, y2 = steps0[l][x], steps1[l][y]
+            if (x2 in fwd) != (y2 in back):
+                return False
+            if x2 in fwd and fwd[x2] != y2:
+                return False
+    return True
 
 
 # Queue-based graph searches over Python containers: the oracle for

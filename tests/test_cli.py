@@ -265,6 +265,16 @@ def test_random_loads_no_scipy_and_keeps_its_seeded_files(tmp_path, r, d, seed, 
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_energy_names_a_malformed_second_file(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run("random", "--r", 2, "--d", 1, "--seed", 2, "--out", a)
+    b.write_text(json.dumps({"d": 1, "domain": {"kind": "ball", "r": 2}}))
+    res = run("energy", a, b)
+    assert res.code == 2
+    assert res.summary == f"malformed input at 'entries': {b}: missing required key 'entries'"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
+
 def test_energy_loads_scipy_at_its_first_pencil(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_function(random_nspd(3, 1, seed=4), a)
@@ -544,6 +554,17 @@ def test_solve_missing_vertex_file(tmp_path):
     res = run("solve", "--config", cfg, "--radius", 3, "--epsilon", 0.01,
               "--out", tmp_path / "x")
     assert res.code == 2
+
+
+def test_solve_names_a_malformed_vertex_file(tmp_path):
+    fn = tmp_path / "vfn.json"
+    fn.write_text(json.dumps({"d": 1, "domain": {"kind": "ball", "r": 2}}))
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "x"
+    res = run("solve", "--config", cfg, "--radius", 3, "--epsilon", 0.01, "--out", out)
+    assert res.code == 2
+    assert res.summary == f"malformed input at 'entries': {fn}: missing required key 'entries'"
+    assert not out.exists()
 
 
 def test_surgery_cli_with_verify(tmp_path):

@@ -47,6 +47,7 @@ from helpers import (
     gram_schmidt_rows,
     mix_functions,
     novel_stages,
+    source_loader,
     stage_function,
 )
 
@@ -681,31 +682,41 @@ def test_configuration_validation():
 
 def test_configuration_from_dict_round_trip_and_errors():
     fns = _ball2_family()
-    functions = dict(zip("abc", fns))
+    load = source_loader({f"{v}.json": fn for v, fn in zip("abc", fns)})
     obj = {
         "shape": "cycle", "r": 1, "d": 1,
         "vertices": {"a": "a.json", "b": "b.json", "c": "c.json"},
         "edges": [["a", "b"], ["b", "c"], ["c", "a"]],
     }
-    cfg = configuration_from_dict(obj, functions)
+    cfg = configuration_from_dict(obj, load)
     assert cfg.shape == "cycle" and cfg.vertices == ("a", "b", "c")
 
     for missing in ("shape", "r", "d", "vertices", "edges"):
         bad = {k: v for k, v in obj.items() if k != missing}
         with pytest.raises(FormatError) as info:
-            configuration_from_dict(bad, functions)
+            configuration_from_dict(bad, load)
         assert info.value.key == missing
     with pytest.raises(FormatError):
-        configuration_from_dict({**obj, "weird": 1}, functions)
+        configuration_from_dict({**obj, "weird": 1}, load)
     with pytest.raises(FormatError):
-        configuration_from_dict({**obj, "edges": [["a"]]}, functions)
+        configuration_from_dict({**obj, "edges": [["a"]]}, load)
     with pytest.raises(FormatError):
-        configuration_from_dict([1, 2], functions)
+        configuration_from_dict([1, 2], load)
     for key, value in (("shape", "star"), ("shape", ["tree"]), ("r", "1"),
                        ("r", True), ("r", -1), ("d", "1")):
         with pytest.raises(FormatError) as info:
-            configuration_from_dict({**obj, key: value}, functions)
+            configuration_from_dict({**obj, key: value}, load)
         assert info.value.key == key
+
+
+def test_configuration_from_dict_checks_every_source_before_loading():
+    loaded = []
+    obj = {"shape": "tree", "r": 1, "d": 1, "root": "b",
+           "vertices": {"a": "a.json", "b": 3}, "edges": [["a", "b"]]}
+    with pytest.raises(FormatError) as info:
+        configuration_from_dict(obj, loaded.append)
+    assert info.value.key == "vertices" and str(info.value) == "vertex 'b' must name a file"
+    assert loaded == []
 
 
 def test_solve_configuration_walks_the_novel_stages_in_order():
@@ -959,6 +970,15 @@ def test_eta_budget_matches_the_stage_index_oracle():
     for fam in families:
         for eta_prime in (1e-4, 1e-2, 0.3):
             assert energysolver._eta_budget(fam, eta_prime) == eta_budget_oracle(fam, eta_prime)
+
+
+def test_eta_budget_does_not_cancel_for_tiny_allowances():
+    # sqrt(1 + 1e-20) - 1 is 0.0 in floating point; the budget is linear
+    # in eta' for small eta', and stays so
+    fam = [stage_function(s) for s in (3, 4)]
+    tiny, small = energysolver._eta_budget(fam, 1e-20), energysolver._eta_budget(fam, 1e-10)
+    assert tiny > 0
+    assert tiny / small == pytest.approx(1e-10, rel=1e-9)
 
 
 def test_solve_configuration_rejects_bad_radius():

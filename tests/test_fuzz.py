@@ -10,6 +10,7 @@ from freepd.energysolver import configuration_from_dict
 from freepd.errors import DomainError, FormatError, ParameterError
 from freepd.pdcore import function_from_dict, function_to_dict, random_nspd, restrict_to_stage
 from freepd.surgery import LabeledGraph
+from helpers import source_loader
 
 FUZZ = settings(derandomize=True, max_examples=120, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -63,7 +64,8 @@ def _base_functions():
 
 BASE_FUNCTIONS = _base_functions()
 BASE_GRAPH = {"n": 5, "perm_a": [1, 2, 3, 4, 0], "perm_b": [2, 0, 4, 1, 3]}
-VERTEX_FUNCTIONS = {v: random_nspd(2, 1, seed=i) for i, v in enumerate("abc")}
+LOAD_VERTEX = source_loader({f"{v}.json": random_nspd(2, 1, seed=i)
+                             for i, v in enumerate("abc")})
 BASE_CONFIGS = [
     {"shape": "tree", "r": 1, "d": 1, "vertices": {v: f"{v}.json" for v in "abc"},
      "edges": [["a", "b"], ["b", "c"]], "root": "c"},
@@ -77,7 +79,7 @@ def test_unmutated_bases_load():
         function_from_dict(obj)
     LabeledGraph.from_dict(BASE_GRAPH)
     for obj in BASE_CONFIGS:
-        configuration_from_dict(obj, VERTEX_FUNCTIONS)
+        configuration_from_dict(obj, LOAD_VERTEX)
 
 
 @FUZZ
@@ -105,7 +107,7 @@ def test_graph_loader_raises_only_format_errors(data):
 def test_configuration_loader_raises_only_format_errors(data):
     obj = mutate(data, data.draw(st.sampled_from(BASE_CONFIGS)))
     try:
-        configuration_from_dict(obj, VERTEX_FUNCTIONS)
+        configuration_from_dict(obj, LOAD_VERTEX)
     except FormatError:
         pass
     except (ParameterError, DomainError):

@@ -105,6 +105,25 @@ def test_gram_of_far_apart_words_names_the_first_missing_quotient():
     assert err.value.word == "A" * 12 + "b" * 12
 
 
+def test_entries_outside_the_domain_read_as_undefined():
+    C = random_nspd(1, 1, seed=0)
+    assert C.defined("aa", 1, 1) is False
+    with pytest.raises(MissingEntryError) as err:
+        C.scalar("AA", 1, 1)
+    assert err.value.word == "aa"
+
+
+def test_gram_slots_name_the_first_moved_word_past_the_radius():
+    # moved so that the least word, b, is e: e, Baa, Bab, Baab; Baa is the
+    # first past radius 2, read at (aa's row, b's column), stored as AAb
+    C = random_nspd(2, 1, seed=4)
+    pairs = [(words.word_from_str(w), 1) for w in ("b", "aa", "ab", "aab")]
+    with pytest.raises(MissingEntryError) as err:
+        pdcore._gram_slots(C, pairs)
+    assert err.value.word == "AAb"
+    assert str(err.value) == "the Gram reads C(AAb), which is missing or partial"
+
+
 def test_gram_indexed_rejects_bad_coordinates():
     C = delta(1, Domain.ball(1))
     with pytest.raises(ParameterError):
@@ -816,7 +835,7 @@ def test_json_malformed_inputs(tmp_path):
     junk.write_text("{not json")
     with pytest.raises(FormatError) as err:
         load_function(junk)
-    assert err.value.key == "$"
+    assert err.value.key == str(junk)
 
 
 def test_check_pd_of_loaded_equals_original(tmp_path):

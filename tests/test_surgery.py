@@ -12,6 +12,7 @@ from freepd.errors import FormatError, SurgeryError
 from freepd.surgery import (
     LabeledGraph,
     SurgeryResult,
+    _balls_kept,
     _cycle_labels,
     _step_rows,
     _sweep,
@@ -20,6 +21,7 @@ from freepd.surgery import (
     verify_conditions,
 )
 from helpers import (
+    ball_match,
     bfs_layers,
     directed_distances,
     girth_permutation,
@@ -309,6 +311,43 @@ def test_g1_census_positive_regime():
     assert rep["G-1"]["bound"] > 0
     assert len(res.W) > 0
     assert rep["G-1"]["pass"]
+
+
+def _rewired_pair(seed, swaps=3):
+    """Step rows of a graph and of a copy in which a few roots (vertices of
+    the first half) take their other label's head on an a- or b-edge, by a
+    swap of two heads, and whose other vertices are renamed."""
+    rng = np.random.default_rng(seed)
+    g = random_labeled_graph(300, 2, seed=seed)
+    rows = np.array([g.perm_a, g.perm_b])
+    for _ in range(swaps):
+        label, u = rng.integers(2), rng.integers(150)
+        v = np.flatnonzero(rows[label] == rows[1 - label, u])[0]
+        rows[label, [u, v]] = rows[label, [v, u]]
+    name = np.concatenate([np.arange(150), 150 + rng.permutation(150)])
+    renamed = np.empty_like(rows)
+    renamed[:, name] = name[rows]
+    return _step_rows(g.perm_a, g.perm_b), _step_rows(*renamed)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_g1_census_matches_the_lockstep_oracle(seed, r):
+    nbrs0, nbrs1 = _rewired_pair(seed)
+    roots = list(range(150))
+    kept = _balls_kept(nbrs0, nbrs1, roots, r)
+    assert kept == [ball_match(nbrs0.tolist(), nbrs1.tolist(), v, r) for v in roots]
+    assert 0 < sum(kept) < len(roots)  # both verdicts occur
+
+
+def test_g1_census_is_the_same_in_small_chunks(monkeypatch):
+    nbrs0, nbrs1 = _rewired_pair(3)
+    roots = list(range(150))
+    whole = _balls_kept(nbrs0, nbrs1, roots, 2)
+    for cap in (3 * 53, 1):  # 53 walks a root at r = 2: three roots a chunk, then one
+        monkeypatch.setattr(surgery, "_WALK_CAP", cap)
+        assert _balls_kept(nbrs0, nbrs1, roots, 2) == whole
+    assert 0 < sum(whole) < len(roots)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
