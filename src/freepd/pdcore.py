@@ -47,6 +47,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -153,11 +154,17 @@ def _size(domain: Domain) -> int:
     return int(words._tree(r).rows[last + 1])
 
 
+def _canonical_ranks(r: int) -> np.ndarray:
+    """The ranks of the canonical words of ball(r), shortlex sorted: row i
+    of a stack is the word of rank _canonical_ranks(r)[i]."""
+    inv = words._tree(r).inv[:words.ball_size(r)]
+    return np.flatnonzero(np.arange(len(inv)) < inv)
+
+
 def canonical_words(domain: Domain) -> tuple:
     """The canonical (novel) representatives a total function must specify,
     shortlex sorted: the first canonical words, up to (3,) * r or up to g."""
-    inv = words._tree(_radius(domain)).inv
-    ranks = np.flatnonzero(np.arange(len(inv)) < inv)[:_size(domain)]
+    ranks = _canonical_ranks(_radius(domain))[:_size(domain)]
     return tuple(map(words.ball(_radius(domain)).__getitem__, ranks))
 
 
@@ -166,15 +173,159 @@ def _undefined_top(domain: Domain, d: int) -> np.ndarray:
     return np.arange(d * d).reshape(d, d) >= (domain.j - 1) * d + domain.k - 1
 
 
-def _check_header(d: int, domain: Domain) -> int:
-    """Validate d and the domain; returns the domain's row count N."""
+def _check_header(d: int, domain: Domain):
+    """Validate d and the domain."""
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ParameterError("d must be a positive integer")
     if not isinstance(domain, Domain):
         raise ParameterError("domain must be a Domain")
     if domain.kind == "partial" and (domain.j > d or domain.k > d):
         raise ParameterError("partial stage coordinates exceed d")
-    return _size(domain)
+
+
+def _bad_slots(d: int, domain: Domain, stack: np.ndarray, top: bool = True) -> np.ndarray:
+    """The (row, l, m) of the slots of the leading rows stack of a domain's
+    stack, in row order, whose NaN is wrong: NaN where the domain defines
+    the slot, or a number beyond the stage position of a partial top (the
+    last row, when top)."""
+    wrong = np.isnan(stack)
+    if top and domain.kind == "partial":
+        wrong[-1] ^= _undefined_top(domain, d)
+    return np.argwhere(wrong)
+
+
+def _slot_error(w: str, l: int, m: int, undefined: bool, name: str = None) -> EntryError:
+    """The error at slot (l, m), 0-based, of the row of canonical word text
+    w, named by the text the row was given as (name) or else w."""
+    where = f"C({w})[{l + 1},{m + 1}]"
+    if undefined:
+        return MissingEntryError(name or w, f"{where} is undefined, but the domain defines it")
+    return EntryError(name or w, f"{where} lies beyond the declared stage position and must be NaN")
+
+
+# letter codes as digits: the shortlex order of words of one length is their text's
+_CODES = str.maketrans(words.LETTER_CHARS, "0123")
+
+
+def _key_radius(domain: Domain, count: int) -> int:
+    """The radius of the key table (words._texts) that reads count entries
+    on the domain: the domain's own, unless it has more canonical words
+    shorter than its radius than there are entries, so that a row is
+    surely missing; then the least radius with more canonical words than
+    entries, which holds the first missing row.  Either way the table has
+    at most about six words per entry."""
+    r = _radius(domain)
+    if r == 0 or (r <= 40 and 3 ** (r - 1) <= count):
+        return r
+    rho = 1
+    while 3 ** rho < count + 2:
+        rho += 1
+    return min(rho, r)
+
+
+def _fill(d: int, domain: Domain, names: list, cells: np.ndarray, late=None):
+    """The stack of a function given as entries (the filler of PDFunction
+    and function_from_dict).  names[i] is the valid word text of the i-th
+    entry in the order given, and cells holds the entries' d x d values end
+    to end as given.  The last name may lack a value: late is then the
+    error its value raised, raised after its own outside test and the
+    checks of the entries before it.
+
+    Raises at the first entry, in the order given, that lies outside the
+    domain, is e but not the identity, or gives a row that an earlier entry
+    gave otherwise (beyond MIRROR_TOL, conjugate transposed for the
+    inverse); then at the first slot, in row order, whose NaN is wrong,
+    the slots of a row no entry gives included.  The stack is allocated
+    only up to the first row no entry gives, which lies within the key
+    table, so it holds no more rows than the entries hold."""
+    _check_header(d, domain)
+    r, rho = _radius(domain), _key_radius(domain, len(names))
+    tree, (texts, table), size = words._tree(rho), words._texts(rho), words.ball_size(rho)
+    rank = np.fromiter(map(table.get, names, repeat(-1)), np.int64, len(names))  # -1 past it
+    canon = np.minimum(rank, tree.inv[rank])
+    flip, row = canon != rank, tree.rows[canon]
+    # the rows of the domain within the key table; all of them, at its radius
+    n = _size(domain) if rho == r else 3 ** rho - 1
+    outside = row >= n
+    seen, longer = {}, np.flatnonzero(rank < 0)
+    if len(longer):  # words past the key table, by their text
+        top = word_to_str(domain.g).translate(_CODES) if domain.kind != "ball" else None
+        for i in longer.tolist():
+            code, back = names[i].translate(_CODES), names[i][::-1].swapcase().translate(_CODES)
+            least = min(code, back)
+            canon[i], flip[i], row[i] = size + seen.setdefault(least, len(seen)), back < code, -1
+            outside[i] = len(code) > r or (len(code) == r and top is not None and least > top)
+    bad = [(i, 0) for i in np.flatnonzero(outside)[:1]]
+    count = len(cells) // (d * d)
+    given = np.arange(count)
+    if count:
+        values = cells.reshape(count, d, d)
+        values = np.where(flip[:count, None, None], values.conj().transpose(0, 2, 1), values)
+        is_e = canon[:count] == 0
+        e = np.flatnonzero(is_e)
+        bad += [(i, 1) for i in e[~(np.abs(values[e] - np.eye(d)).max(axis=(1, 2)) <= MIRROR_TOL)][:1]]
+        _, first, where = np.unique(canon[:count], return_index=True, return_inverse=True)
+        first = first[where]
+        again = np.flatnonzero((first != given) & ~is_e)
+        agree = np.isclose(values[first[again]], values[again], rtol=0, atol=MIRROR_TOL,
+                           equal_nan=True).all(axis=(1, 2))
+        bad += [(i, 2) for i in again[~agree][:1]]
+        given = np.flatnonzero((first == given) & ~is_e)
+    if bad:
+        i, kind = min(bad)
+        name = names[i]
+        raise EntryError(name, (f"{name} is outside the domain", "C(e) must be the d x d identity",
+                                f"entries for {name} and its inverse are not conjugate "
+                                "transposes of each other")[kind])
+    if late is not None:
+        raise late
+    given = given[row[given] >= 0]
+    covered = np.zeros(n, bool)
+    covered[row[given]] = True
+    if domain.kind == "partial" and (domain.j, domain.k) == (1, 1) and rho == r:
+        covered[-1] = True  # its whole top is undefined
+    missing = [_slot_error(texts[_canonical_ranks(rho)[i]], 0, 0, True)
+               for i in np.flatnonzero(~covered)[:1]]
+    if missing and not covered[0]:  # no row to read before it, whatever d
+        raise missing[0]
+    stack = np.full((covered.argmin() if missing else n, d, d), complex("nan"))
+    given = given[row[given] < len(stack)]
+    if len(given):
+        stack[row[given]] = values[given]
+    for i, l, m in _bad_slots(d, domain, stack, top=not missing)[:1]:
+        k = given[row[given] == i][0]
+        raise _slot_error(texts[canon[k]], l, m, np.isnan(stack[i, l, m]), names[k])
+    if missing:
+        raise missing[0]
+    return stack
+
+
+class _Read(tuple):
+    """The entries of a file as function_from_dict reads them, all at once:
+    (names, cells) as _fill takes them."""
+
+
+def _read_each(d: int, entries) -> tuple:
+    """(names, cells, late) for _fill of entries that map words
+    (tuples or text) to d x d arrays, scalars when d = 1, read an entry at
+    a time; the first word or value that does not read ends the names, and
+    its error is late."""
+    names, values, late = [], [], None
+    for key, raw in entries.items():
+        try:
+            names.append(word_to_str(_as_word(key)))
+            arr = np.array(raw, dtype=complex)
+        except (WordError, TypeError, ValueError) as exc:
+            late = exc
+            break
+        if arr.shape == () and d == 1:
+            arr = arr.reshape(1, 1)
+        if arr.shape != (d, d):
+            late = ParameterError(f"entry for {names[-1]} has shape {arr.shape}, expected {(d, d)}")
+            break
+        values.append(arr.ravel())
+    cells = np.concatenate(values) if values else np.empty(0, complex)
+    return names, cells, late
 
 
 class PDFunction:
@@ -183,11 +334,14 @@ class PDFunction:
     Its values are one read-only complex (N, d, d) stack: row i is C(w) for
     the i-th word w of canonical_words(domain), and an undefined slot of a
     partial top row is NaN.  The constructor parses outside input: entries
-    maps words (tuples or text) to d x d arrays, scalars when d = 1.  Either
-    of {g, g^-1} may arrive, or both when they agree under conjugate
-    transposition to within 1e-12.  The function must be total on its
-    domain, except beyond the stage position of a partial top.  Parsed and
-    computed stacks pass one validator (_adopt), which a walk's successor
+    maps words (tuples or text) to d x d arrays, scalars when d = 1, read an
+    entry at a time (_read_each), or holds a file's entries as
+    function_from_dict reads them at once (_Read); one filler (_fill) makes
+    the stack of either.  Either of {g, g^-1} may arrive, or both when they
+    agree under conjugate transposition to within 1e-12.  The function must
+    be total on its domain, except beyond the stage position of a partial
+    top.  Errors name the first offending entry in the order given.  Parsed
+    and computed stacks pass one validator (_adopt), which a walk's successor
     stage passes by construction (_next_stage).  Positivity is NOT checked
     here: check_pd passes verdicts, constructors pass data.  _stage_space
     keeps the stage space hilbert.build_partial_space builds, once, or the
@@ -197,63 +351,27 @@ class PDFunction:
     __slots__ = ("d", "domain", "_stack", "_stage_space", "__weakref__")
 
     def __init__(self, d: int, domain: Domain, entries):
-        n = _check_header(d, domain)
-        self.domain, self._stack = domain, np.full((n, d, d), complex("nan"))  # for _row
-        stack, given = self._stack, {}  # given: row -> the word it was given as
-        for key, raw in entries.items():
-            w = _as_word(key)
-            i, flip = self._row(w)
-            if i is None and w:
-                text = word_to_str(w)
-                raise EntryError(text, f"{text} is outside the domain")
-            arr = np.array(raw, dtype=complex)
-            if arr.shape == () and d == 1:
-                arr = arr.reshape(1, 1)
-            if arr.shape != (d, d):
-                raise ParameterError(
-                    f"entry for {word_to_str(w)} has shape {arr.shape}, expected {(d, d)}"
-                )
-            val = arr.conj().T if flip else arr
-            if not w:
-                if not np.max(np.abs(val - np.eye(d))) <= MIRROR_TOL:
-                    raise EntryError(word_to_str(w), "C(e) must be the d x d identity")
-            elif i not in given:
-                stack[i], given[i] = val, w
-            elif not np.allclose(stack[i], val, rtol=0, atol=MIRROR_TOL, equal_nan=True):
-                raise EntryError(
-                    word_to_str(w),
-                    f"entries for {word_to_str(w)} and its inverse are not "
-                    "conjugate transposes of each other",
-                )
-        self._adopt(d, domain, stack, given)  # an absent row stays NaN
+        _check_header(d, domain)
+        read = entries if isinstance(entries, _Read) else _read_each(d, entries)
+        self._adopt(d, domain, _fill(d, domain, *read))
 
     @classmethod
     def _from_stack(cls, d: int, domain: Domain, stack: np.ndarray) -> "PDFunction":
         """A function from a computed stack, through the constructor's validator."""
         self = object.__new__(cls)
-        self._adopt(d, domain, stack, {})
+        self._adopt(d, domain, stack)
         return self
 
-    def _adopt(self, d: int, domain: Domain, stack: np.ndarray, given: dict):
+    def _adopt(self, d: int, domain: Domain, stack: np.ndarray):
         """The one validator of every function, parsed or computed: the
         complex (N, d, d) shape, and NaN exactly at the undefined slots of a
-        partial top.  Errors name the word given for the row, if any."""
-        n = _check_header(d, domain)
+        partial top."""
+        _check_header(d, domain)
+        n = _size(domain)
         if stack.shape != (n, d, d) or stack.dtype != complex:
             raise ParameterError(f"the domain needs a complex array of shape {(n, d, d)}")
-        undefined = np.isnan(stack)
-        expected = np.zeros_like(undefined)
-        if domain.kind == "partial":
-            expected[-1] = _undefined_top(domain, d)
-        for i, l, m in np.argwhere(undefined != expected)[:1]:
-            w = canonical_words(domain)[i]
-            name = word_to_str(given.get(i, w))
-            where = f"C({word_to_str(w)})[{l + 1},{m + 1}]"
-            if undefined[i, l, m]:
-                raise MissingEntryError(name, f"{where} is undefined, but the domain defines it")
-            raise EntryError(
-                name, f"{where} lies beyond the declared stage position and must be NaN"
-            )
+        for i, l, m in _bad_slots(d, domain, stack)[:1]:
+            raise _slot_error(word_to_str(canonical_words(domain)[i]), l, m, np.isnan(stack[i, l, m]))
         stack.setflags(write=False)
         self.d, self.domain, self._stack, self._stage_space = d, domain, stack, None
 
@@ -317,7 +435,8 @@ class PDFunction:
 
 def delta(d: int, domain: Domain) -> PDFunction:
     """The normalized point mass at e: identity there, zero elsewhere."""
-    stack = np.zeros((_check_header(d, domain), d, d), dtype=complex)
+    _check_header(d, domain)
+    stack = np.zeros((_size(domain), d, d), dtype=complex)
     if domain.kind == "partial":
         stack[-1][_undefined_top(domain, d)] = np.nan
     return PDFunction._from_stack(d, domain, stack)
@@ -712,7 +831,8 @@ def restrict_to_stage(C: PDFunction, g, j: int, k: int) -> PDFunction:
     target keeps is defined in it (the validator raises otherwise).
     """
     dom = Domain.partial(g, j, k)
-    n = _check_header(C.d, dom)
+    _check_header(C.d, dom)
+    n = _size(dom)
     keep = ~_undefined_top(dom, C.d)
     if len(C._stack) < (n if keep.any() else n - 1):
         w = word_to_str(canonical_words(dom)[len(C._stack)])
@@ -757,20 +877,23 @@ def l1_distance(C: PDFunction, D: PDFunction) -> float:
 
 
 def function_to_dict(C: PDFunction) -> dict:
-    dom = C.domain
+    """The JSON object form: the canonical words' texts (words._texts) in
+    shortlex order, each with its d x d matrix of [re, im] cells, null at
+    the undefined slots of a partial top."""
+    dom, (n, d) = C.domain, C._stack.shape[:2]
     if dom.kind == "ball":
         dd = {"kind": "ball", "r": dom.r}
     elif dom.kind == "prefix":
         dd = {"kind": "prefix", "g": word_to_str(dom.g)}
     else:
         dd = {"kind": "partial", "g": word_to_str(dom.g), "j": dom.j, "k": dom.k}
-    ent = {}
-    for w, arr in C.canonical_items():
-        ent[word_to_str(w)] = [
-            [None if np.isnan(z) else [float(z.real), float(z.imag)] for z in row]
-            for row in arr
-        ]
-    return {"d": C.d, "domain": dd, "entries": ent}
+    cells = np.ascontiguousarray(C._stack).view(float).reshape(n, d, d, 2).tolist()
+    if dom.kind == "partial":
+        for l, m in np.argwhere(_undefined_top(dom, d)).tolist():
+            cells[-1][l][m] = None
+    texts = words._texts(_radius(dom))[0]
+    keys = map(texts.__getitem__, _canonical_ranks(_radius(dom))[:n].tolist())
+    return {"d": d, "domain": dd, "entries": dict(zip(keys, cells))}
 
 
 def _expect_keys(obj: dict, allowed: set, where: str):
@@ -811,32 +934,62 @@ def _domain_from_dict(dd) -> Domain:
     raise FormatError("domain.kind", f"unknown domain kind {kind!r}")
 
 
-def _finite_number(x) -> bool:
-    """A finite float, or an integer in the int64 range: wider JSON integers
-    are refused, as many JSON readers refuse them."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return -2 ** 63 <= x < 2 ** 63
-    return isinstance(x, float) and math.isfinite(x)
+def _shaped(mats, d: int) -> bool:
+    """Whether every entry is a list of d lists of d cells, tested on the
+    sets of types and lengths of all entries and of all their rows."""
+    if not all(issubclass(t, list) for t in set(map(type, mats))) or set(map(len, mats)) - {d}:
+        return False
+    rows = list(chain.from_iterable(mats))
+    return all(issubclass(t, list) for t in set(map(type, rows))) and not set(map(len, rows)) - {d}
 
 
-def _cell_to_complex(cell, path: str, l: int, m: int) -> complex:
-    if cell is None:
-        return complex("nan")
-    ok = isinstance(cell, (list, tuple)) and len(cell) == 2 and all(map(_finite_number, cell))
-    if not ok:
-        raise FormatError(
-            path, f"position ({l},{m}) must be a finite [re, im] pair or null"
-        )
-    return complex(cell[0], cell[1])
+def _cell_values(cells):
+    """The cells as one complex array, null read as NaN; None when a cell is
+    neither null nor a pair of finite floats or integers within the int64
+    range (wider JSON integers are refused, as many JSON readers refuse
+    them).  The tests run on the sets of types and lengths of all cells and
+    of all their numbers at once."""
+    kinds = set(map(type, cells))
+    if not all(t is type(None) or issubclass(t, (list, tuple)) for t in kinds):
+        return None
+    pairs = [c for c in cells if c is not None] if type(None) in kinds else cells
+    if set(map(len, pairs)) - {2}:
+        return None
+    numbers = list(chain.from_iterable(pairs))
+    types = set(map(type, numbers))
+    if not all(issubclass(t, float) or issubclass(t, int) and not issubclass(t, bool) for t in types):
+        return None
+    if not all(issubclass(t, float) for t in types):
+        ints = [x for x in numbers if isinstance(x, int)]
+        if min(ints) < -2 ** 63 or max(ints) >= 2 ** 63:
+            return None
+    values = np.array(numbers, dtype=float)
+    if not np.isfinite(values).all():
+        return None
+    if type(None) not in kinds:
+        return values.view(complex)
+    out = np.full(len(cells), complex("nan"))
+    out[[c is not None for c in cells]] = values.view(complex)
+    return out
 
 
 def function_from_dict(obj) -> PDFunction:
     """Parse the JSON object form; FormatError names the first offending key.
 
-    This parses only: the JSON types, the word text, the d x d shape and the
-    cells, with null read as an undefined (NaN) slot.  The constructor
-    validates the result, and its errors are reported at the entry key they
-    concern, or at "domain.j" for stage coordinates beyond d.
+    The header is read first: d, then the domain, then entries.  The
+    entries are read per file, not per entry: each key is looked up in the
+    text table of words._texts, and the shapes, types and lengths of all
+    entries and cells are tested at once, then their numbers are read into
+    one array, with null read as an undefined (NaN) slot.  Keys may come in
+    any order, and either of g and g^-1 may be given, or both when they
+    agree to within 1e-12 under conjugate transposition.  The error names
+    the first offending entry in file order: first the first whose word
+    text, d x d shape or cells do not read; then "domain.j" for stage
+    coordinates beyond d; then the first that lies outside the domain, is
+    e but not the identity, or disagrees with its inverse; then the first
+    row, in shortlex order, with a missing entry or a wrongly null cell.
+    Memory is bounded by the file's own size: the text table and the stack
+    grow only with the entries given (_key_radius, _fill).
     """
     if not isinstance(obj, dict):
         raise FormatError("$", "top level must be an object")
@@ -851,23 +1004,29 @@ def function_from_dict(obj) -> PDFunction:
     ent = obj["entries"]
     if not isinstance(ent, dict):
         raise FormatError("entries", "entries must be an object")
-    parsed = {}
-    for key, mat in ent.items():
-        path = f"entries.{key}"
+    names, mats = list(ent), list(ent.values())
+    table = words._texts(_key_radius(domain, len(names)))[1]
+    # reading stops at the first entry whose word text, or else shape, does not read
+    stop = len(mats) if _shaped(mats, d) else next(
+        i for i, mat in enumerate(mats) if not _shaped([mat], d))
+    error = None if stop == len(mats) else f"entry must be a {d} x {d} array"
+    for i in [i for i, key in enumerate(names[:stop + 1]) if key not in table]:
         try:
-            w = word_from_str(key)
+            word_from_str(names[i])  # a word past the table, or else an error
         except WordError as exc:
-            raise FormatError(path, str(exc))
-        if not isinstance(mat, list) or len(mat) != d or any(
-            not isinstance(row, list) or len(row) != d for row in mat
-        ):
-            raise FormatError(path, f"entry must be a {d} x {d} array")
-        parsed[w] = [
-            [_cell_to_complex(cell, path, l + 1, m + 1) for m, cell in enumerate(row)]
-            for l, row in enumerate(mat)
-        ]
+            stop, error = i, str(exc)
+            break
+    cells = list(chain.from_iterable(chain.from_iterable(mats[:stop])))
+    values = _cell_values(cells)
+    if values is None:
+        at = next(i for i, cell in enumerate(cells) if _cell_values([cell]) is None)
+        raise FormatError(f"entries.{names[at // (d * d)]}",
+                          f"position ({at // d % d + 1},{at % d + 1}) must be a finite "
+                          "[re, im] pair or null")
+    if error is not None:
+        raise FormatError(f"entries.{names[stop]}", error)
     try:
-        return PDFunction(d, domain, parsed)
+        return PDFunction(d, domain, _Read((names, values)))
     except EntryError as exc:
         raise FormatError(f"entries.{exc.word}", str(exc)) from None
     except ParameterError as exc:
@@ -898,8 +1057,7 @@ def write_json_atomic(obj, path):
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".freepd-", suffix=".json")
         with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(obj, indent=1) + "\n")
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:

@@ -104,12 +104,13 @@ class LabeledGraph:
             raise FormatError("n", "vertex count must be an integer")
         for key in ("perm_a", "perm_b"):
             arr = data[key]
-            if not isinstance(arr, list) or any(
-                isinstance(x, bool) or not isinstance(x, int) for x in arr
+            # one pass over the items, then a test of each type they have
+            if not isinstance(arr, list) or not all(
+                issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, arr))
             ):
                 raise FormatError(key, f"{key} must be a list of integers")
         try:
-            return cls(n, tuple(data["perm_a"]), tuple(data["perm_b"]))
+            return cls(n, data["perm_a"], data["perm_b"])
         except _FieldError as exc:
             raise FormatError(exc.key, str(exc)) from exc
 

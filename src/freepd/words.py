@@ -25,7 +25,10 @@ quotients, so a long word list is moved to start at e first.  The cliques
 of all novel levels of one length, and their quotient tables, come from one
 descent of the tree and one batched table pass (_clique_table).  A table is
 built from half the pairs of its list: h^-1 l is the inverse of l^-1 h, so
-the pairs a <= b are ranked and the rest are their mirrors.
+the pairs a <= b are ranked and the rest are their mirrors.  Word text
+crosses the file boundary through one text table per radius (_texts), the
+texts of the tree's words in rank order and the map back, so a file's keys
+are read and written without parsing or spelling a word.
 """
 
 from __future__ import annotations
@@ -211,6 +214,17 @@ def _tree(r: int) -> _Tree:
     if not held or len(held[0].inv) < ball_size(r):
         held[:] = [_build(r)]
     return held[0]
+
+
+@lru_cache(maxsize=None)
+def _texts(r: int):
+    """(texts, ranks): the text of every word of ball(r) in shortlex order,
+    read off the one tree's letters, and the map from text to rank."""
+    tree, m, width = _tree(r), ball_size(r), max(r, 1)
+    chars = np.frombuffer(LETTER_CHARS.encode() + b"\0", np.uint8)[tree.letters[:m, :width]]
+    texts = np.ascontiguousarray(chars).view(f"S{width}").ravel().astype(f"U{width}").tolist()
+    texts[0] = "e"
+    return texts, dict(zip(texts, range(m)))
 
 
 def _product(tree: _Tree, u, v, x, y):

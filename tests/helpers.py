@@ -8,8 +8,16 @@ import numpy as np
 import scipy.linalg
 
 from freepd import pdcore
-from freepd.errors import DomainError, FormatError, SurgeryError, WordError
-from freepd.pdcore import DEFAULT_TOL, Domain, PDFunction, PDVerdict
+from freepd.errors import (
+    DomainError,
+    EntryError,
+    FormatError,
+    MissingEntryError,
+    ParameterError,
+    SurgeryError,
+    WordError,
+)
+from freepd.pdcore import DEFAULT_TOL, MIRROR_TOL, Domain, PDFunction, PDVerdict, canonical_rep
 from freepd.surgery import _greedy_positions
 from freepd.words import (
     _AFTER,
@@ -28,6 +36,7 @@ from freepd.words import (
     quotient_table,
     rank_of,
     shortlex_key,
+    word_from_str,
     word_to_str,
 )
 
@@ -140,7 +149,8 @@ def fill_stage(C, value, nxt):
     (a later stage of the same level, or a later level whose rows start out
     undefined), through the constructor's validator, which checks that nxt
     fits: the walk's successor step for a next stage of the caller's choice."""
-    grow = pdcore._check_header(C.d, nxt) - len(C._stack)
+    pdcore._check_header(C.d, nxt)
+    grow = pdcore._size(nxt) - len(C._stack)
     if C.domain.kind != "partial" or grow < 0:
         raise DomainError("fill_stage moves a partial function to a later stage")
     stack = np.concatenate([C._stack, np.full((grow, C.d, C.d), complex("nan"))])
@@ -431,6 +441,102 @@ def eta_budget_oracle(family, eta_prime):
             sub = np.r_[:m, last]
             mult = max(mult, int(np.unique(keys[np.ix_(sub, sub)], return_counts=True)[1].max()))
     return float(budget / mult)
+
+
+def _cell_to_complex(cell, path, l, m):
+    if cell is None:
+        return complex("nan")
+    ok = isinstance(cell, (list, tuple)) and len(cell) == 2 and all(
+        (isinstance(x, int) and not isinstance(x, bool) and -2 ** 63 <= x < 2 ** 63)
+        or (isinstance(x, float) and math.isfinite(x)) for x in cell)
+    if not ok:
+        raise FormatError(path, f"position ({l},{m}) must be a finite [re, im] pair or null")
+    return complex(cell[0], cell[1])
+
+
+def per_entry_function_from_dict(obj):
+    """(d, domain, stack) of a function's JSON object form, read an entry
+    and a cell at a time: the oracle of pdcore.function_from_dict, with its
+    FormatError keys and messages.  Rows are kept by canonical word and the
+    domain's canonical words are walked in shortlex order (successor) only
+    up to the first row that is wrong or missing, so a huge d or radius
+    allocates nothing."""
+    if not isinstance(obj, dict):
+        raise FormatError("$", "top level must be an object")
+    for key in ("d", "domain", "entries"):
+        if key not in obj:
+            raise FormatError(key, f"missing required key {key!r}")
+    pdcore._expect_keys(obj, {"d", "domain", "entries"}, "$")
+    d = obj["d"]
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise FormatError("d", "d must be a positive integer")
+    domain = pdcore._domain_from_dict(obj["domain"])
+    ent = obj["entries"]
+    if not isinstance(ent, dict):
+        raise FormatError("entries", "entries must be an object")
+    parsed = {}
+    for key, mat in ent.items():
+        path = f"entries.{key}"
+        try:
+            w = word_from_str(key)
+        except WordError as exc:
+            raise FormatError(path, str(exc))
+        if not isinstance(mat, list) or len(mat) != d or any(
+            not isinstance(row, list) or len(row) != d for row in mat
+        ):
+            raise FormatError(path, f"entry must be a {d} x {d} array")
+        parsed[w] = [[_cell_to_complex(cell, path, l + 1, m + 1) for m, cell in enumerate(row)]
+                     for l, row in enumerate(mat)]
+    try:
+        return d, domain, _per_entry_stack(d, domain, parsed)
+    except EntryError as exc:
+        raise FormatError(f"entries.{exc.word}", str(exc)) from None
+    except ParameterError as exc:
+        raise FormatError("domain.j", str(exc)) from None
+
+
+def _per_entry_stack(d, domain, entries):
+    pdcore._check_header(d, domain)
+    r = domain.r if domain.kind == "ball" else len(domain.g)
+
+    def inside(c):  # of a canonical word: at most the radius, and up to g
+        return len(c) <= r and (domain.kind == "ball" or shortlex_key(c) <= shortlex_key(domain.g))
+
+    rows, given = {}, {}
+    for w, raw in entries.items():
+        c, text = canonical_rep(w), word_to_str(w)
+        if w and not inside(c):
+            raise EntryError(text, f"{text} is outside the domain")
+        arr = np.array(raw, dtype=complex)
+        val = arr.conj().T if c != w else arr
+        if not w:
+            if not np.max(np.abs(val - np.eye(d))) <= MIRROR_TOL:
+                raise EntryError(text, "C(e) must be the d x d identity")
+        elif c not in rows:
+            rows[c], given[c] = val, w
+        elif not np.allclose(rows[c], val, rtol=0, atol=MIRROR_TOL, equal_nan=True):
+            raise EntryError(text, f"entries for {text} and its inverse are not "
+                                   "conjugate transposes of each other")
+    order, w = [], successor(())
+    while inside(w):
+        if is_novel(w):
+            order.append(w)
+            top = domain.kind == "partial" and w == domain.g
+            expected = (np.arange(d * d).reshape(d, d) >= (domain.j - 1) * d + domain.k - 1
+                        if top else np.zeros((d, d), bool))
+            if w not in rows:  # a row no entry gives: undefined throughout
+                if top and (domain.j, domain.k) == (1, 1):
+                    rows[w] = np.full((d, d), complex("nan"))
+                    break
+                text = word_to_str(w)
+                raise MissingEntryError(text, f"C({text})[1,1] is undefined, but the domain defines it")
+            for l, m in np.argwhere(np.isnan(rows[w]) != expected)[:1]:
+                name, where = word_to_str(given[w]), f"C({word_to_str(w)})[{l + 1},{m + 1}]"
+                if np.isnan(rows[w][l, m]):
+                    raise MissingEntryError(name, f"{where} is undefined, but the domain defines it")
+                raise EntryError(name, f"{where} lies beyond the declared stage position and must be NaN")
+        w = successor(w)
+    return np.array([rows[w] for w in order], complex).reshape(len(order), d, d)
 
 
 def source_loader(functions):

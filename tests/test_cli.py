@@ -651,6 +651,17 @@ def test_check_huge_integer_cell_exits_2_naming_the_entry(tmp_path, number):
     assert not (tmp_path / "huge.report.json").exists()
 
 
+@pytest.mark.parametrize("d", [10 ** 12, 2 ** 70])
+def test_check_huge_d_exits_2_naming_the_first_missing_entry(tmp_path, d):
+    # once an uncaught "array is too big" and exit 1
+    fn = tmp_path / "huge.json"
+    fn.write_text(json.dumps({"d": d, "domain": {"kind": "ball", "r": 1}, "entries": {}}))
+    res = run("check", fn)
+    assert res.code == 2
+    assert "malformed input at 'entries.a'" in res.summary
+    assert not (tmp_path / "huge.report.json").exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     assert run("check", tmp_path / "missing.json").code == 2
 

@@ -1,6 +1,9 @@
 """Mutation fuzz of the three JSON loaders: whatever a file holds, a loader
 raises nothing but FormatError (the CLI's exit 2), except for the documented
-unfit-function errors of a well-formed configuration."""
+unfit-function errors of a well-formed configuration; and the function
+reader gives what its per-entry oracle gives, stack or error."""
+
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +13,7 @@ from freepd.energysolver import configuration_from_dict
 from freepd.errors import DomainError, FormatError, ParameterError
 from freepd.pdcore import function_from_dict, function_to_dict, random_nspd, restrict_to_stage
 from freepd.surgery import LabeledGraph
-from helpers import source_loader
+from helpers import per_entry_function_from_dict, source_loader
 
 FUZZ = settings(derandomize=True, max_examples=120, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -60,6 +63,22 @@ def _base_functions():
     C = random_nspd(2, 2, seed=3)
     return [function_to_dict(random_nspd(1, 2, seed=1)),
             function_to_dict(restrict_to_stage(C, "ab", 2, 1))]
+
+
+def _both_ways():
+    """A Ball(3), d = 2 file in reversed key order that gives both g and
+    g^-1 for a few g, conjugate transposed, with integer cells and signed
+    zeros."""
+    obj = function_to_dict(random_nspd(3, 2, seed=5))
+    ent = obj["entries"]
+    ent["a"] = [[[0, -0.0], [1, 0]], [[-0.0, 2], [0.25, -0.0]]]
+    ent["ab"][0][1] = [-0.0, -0.0]
+    ent["bbb"][1][0] = [-3, 0.0]
+    for w in ("a", "ab", "aB", "ba", "bbb"):
+        m = ent[w]
+        ent[w[::-1].swapcase()] = [[[m[k][j][0], -m[k][j][1]] for k in range(2)] for j in range(2)]
+    obj["entries"] = dict(reversed(ent.items()))
+    return obj
 
 
 BASE_FUNCTIONS = _base_functions()
@@ -113,6 +132,38 @@ def test_configuration_loader_raises_only_format_errors(data):
     except (ParameterError, DomainError):
         # a well-formed file whose d or r the Ball(2), d = 1 functions do not fit
         assert (obj["r"], obj["d"]) != (1, 1)
+
+
+@FUZZ
+@given(st.data())
+def test_function_loader_matches_the_per_entry_oracle(data):
+    # the file-at-once reader gives the per-entry reader's stack bit for bit,
+    # or its error with the same key and message
+    obj = data.draw(st.sampled_from(BASE_FUNCTIONS + [_both_ways()]))
+    if data.draw(st.booleans()):  # the whole object, or its entries only
+        obj = mutate(data, obj)
+    else:
+        obj = dict(obj, entries=mutate(data, obj["entries"]))
+    try:
+        d, domain, stack = per_entry_function_from_dict(obj)
+    except FormatError as want:
+        with pytest.raises(FormatError) as got:
+            function_from_dict(obj)
+        assert (got.value.key, str(got.value)) == (want.key, str(want))
+    else:
+        C = function_from_dict(obj)
+        assert (C.d, C.domain) == (d, domain) and C._stack.tobytes() == stack.tobytes()
+
+
+def test_the_both_ways_base_reads_as_the_oracle_reads_it():
+    obj = _both_ways()
+    d, domain, stack = per_entry_function_from_dict(obj)
+    C = function_from_dict(obj)
+    assert C._stack.tobytes() == stack.tobytes()
+    # read from "A", conjugate transposed, with the signs of its zeros kept
+    assert list(obj["entries"]).index("A") < list(obj["entries"]).index("a")
+    z, w = C.scalar("a", 2, 1), C.scalar("a", 1, 1)
+    assert (z, w) == (2j, 0) and math.copysign(1, z.real) == math.copysign(1, w.imag) == -1
 
 
 @pytest.mark.parametrize("cell", [[10 ** 20, 0.0], [0.0, 10 ** 400], [float("nan"), 0.0]])

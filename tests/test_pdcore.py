@@ -240,7 +240,8 @@ def test_letters_are_integers_not_bools():
     assert C.scalar(np.array([0, 1], np.int8), 1, 1) == C.scalar("ab", 1, 1)
 
 
-def test_function_from_dict_reduces_each_word_once(monkeypatch):
+def test_function_from_dict_reduces_no_word(monkeypatch):
+    # every key is looked up in the text table, which holds reduced words only
     C = random_nspd(5, 1, seed=4)
     obj = function_to_dict(C)
     calls = []
@@ -249,7 +250,7 @@ def test_function_from_dict_reduces_each_word_once(monkeypatch):
         if getattr(module, "reduce_word", None) is real:
             monkeypatch.setattr(module, "reduce_word", lambda w: calls.append(w) or real(w))
     assert function_from_dict(obj) == C
-    assert len(calls) == len(obj["entries"]) == 242
+    assert len(obj["entries"]) == 242 and calls == []
 
 
 def test_a_cold_check_builds_the_one_tree_once(monkeypatch):
@@ -333,6 +334,24 @@ def test_constructor_rejects_bad_input():
         PDFunction(2, Domain.partial("aa", 2, 1), entries)
     with pytest.raises(DomainError):
         PDFunction(2, Domain.partial("aa", 1, 1), entries)
+
+
+def test_constructor_raises_at_the_first_offending_entry():
+    dom = Domain.prefix("a")
+    # a word or value that does not read comes after the entries before it
+    # and after its own word's outside test
+    with pytest.raises(WordError):
+        PDFunction(1, dom, {"a": 0.5, "aA": 0.1})
+    with pytest.raises(EntryError, match="b is outside"):
+        PDFunction(1, dom, {"b": 0.5, "aA": 0.1})
+    with pytest.raises(ValueError):
+        PDFunction(2, dom, {"a": [[0.1, 0.2], [0.3]]})
+    with pytest.raises(EntryError, match="b is outside"):
+        PDFunction(2, dom, {"b": [[0.1, 0.2], [0.3]]})
+    with pytest.raises(EntryError, match="not conjugate transposes"):
+        PDFunction(1, dom, {"a": 0.5, "A": 0.4, "b": [[0.1, 0.2], [0.3]]})
+    with pytest.raises(ParameterError, match="has shape"):
+        PDFunction(1, Domain.ball(1), {"a": 0.5, "A": 0.5, "b": [0.1, 0.2]})
 
 
 def test_check_pd_hand_examples():
@@ -801,6 +820,9 @@ def test_json_malformed_inputs(tmp_path):
     bad_shape = dict(base, entries=dict(base["entries"], a=[[[0.0, 0.0], [0.0, 0.0]]]))
     expect(bad_shape, "entries.a")
 
+    for cell in ([0.2], [0.2, 0.0, 0.0], "ab", 0.2):
+        expect(dict(base, entries=dict(base["entries"], b=[[cell]])), "entries.b")
+
     inconsistent = dict(base, entries=dict(base["entries"], A=[[[0.9, 0.0]]]))
     expect(inconsistent, "entries.A")
 
@@ -831,11 +853,43 @@ def test_json_malformed_inputs(tmp_path):
     expect({"d": 1, "domain": stage_dom,
             "entries": {"a": [[[0.1, 0.0]]], "b": zero1}}, "domain.j")
 
+    # a huge d with no entry is a missing entry, found before any allocation
+    for d in (10 ** 12, 2 ** 70):
+        expect({"d": d, "domain": {"kind": "ball", "r": 1}, "entries": {}}, "entries.a")
+
     junk = tmp_path / "junk.json"
     junk.write_text("{not json")
     with pytest.raises(FormatError) as err:
         load_function(junk)
     assert err.value.key == str(junk)
+
+
+def test_a_reader_builds_words_only_as_far_as_its_entries_reach(monkeypatch):
+    # a radius with more words than the file has entries is read through the
+    # key table of a small radius, and its missing rows and its words past
+    # that table are found all the same
+    builds = []
+    real = words._build
+    monkeypatch.setattr(words, "_build", lambda r: builds.append(r) or real(r))
+    for cache in library_caches():
+        cache.cache_clear()
+    one = [[[0.1, 0.0]]]
+    cases = [
+        ({"kind": "ball", "r": 40}, {"a": one}, "entries.b", "C(b)[1,1] is undefined"),
+        ({"kind": "ball", "r": 40}, {"a": one, "b": one, "a" * 41: one}, "entries." + "a" * 41,
+         "outside the domain"),
+        ({"kind": "ball", "r": 40}, {"b" * 30: one, "B" * 30: [[[0.2, 0.0]]]}, "entries." + "B" * 30,
+         "not conjugate transposes"),
+        ({"kind": "prefix", "g": "ab" * 30}, {"ba" * 30: one}, "entries." + "ba" * 30,
+         "outside the domain"),
+        ({"kind": "partial", "g": "a" * 60, "j": 1, "k": 1}, {"a" * 59: one, "A" * 59: one},
+         "entries.a", "C(a)[1,1] is undefined"),
+    ]
+    for domain, entries, key, message in cases:
+        with pytest.raises(FormatError) as err:
+            function_from_dict({"d": 1, "domain": domain, "entries": entries})
+        assert err.value.key == key and message in str(err.value)
+    assert max(builds) <= 2
 
 
 def test_check_pd_of_loaded_equals_original(tmp_path):
