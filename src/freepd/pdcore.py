@@ -237,7 +237,9 @@ def _fill(d: int, domain: Domain, names: list, cells: np.ndarray, late=None):
     inverse); then at the first slot, in row order, whose NaN is wrong,
     the slots of a row no entry gives included.  The stack is allocated
     only up to the first row no entry gives, which lies within the key
-    table, so it holds no more rows than the entries hold."""
+    table, so it holds no more rows than the entries hold; a d whose d x d
+    complex matrix cannot be addressed raises ParameterError before it,
+    which only a domain without rows (Ball(0), prefix e) gets to."""
     _check_header(d, domain)
     r, rho = _radius(domain), _key_radius(domain, len(names))
     tree, (texts, table), size = words._tree(rho), words._texts(rho), words.ball_size(rho)
@@ -288,6 +290,8 @@ def _fill(d: int, domain: Domain, names: list, cells: np.ndarray, late=None):
                for i in np.flatnonzero(~covered)[:1]]
     if missing and not covered[0]:  # no row to read before it, whatever d
         raise missing[0]
+    if d * d * np.dtype(complex).itemsize > np.iinfo(np.intp).max:  # only when no row is needed
+        raise ParameterError(f"d = {d} is too large: a d x d complex matrix cannot be addressed")
     stack = np.full((covered.argmin() if missing else n, d, d), complex("nan"))
     given = given[row[given] < len(stack)]
     if len(given):
@@ -987,9 +991,11 @@ def function_from_dict(obj) -> PDFunction:
     text, d x d shape or cells do not read; then "domain.j" for stage
     coordinates beyond d; then the first that lies outside the domain, is
     e but not the identity, or disagrees with its inverse; then the first
-    row, in shortlex order, with a missing entry or a wrongly null cell.
-    Memory is bounded by the file's own size: the text table and the stack
-    grow only with the entries given (_key_radius, _fill).
+    row, in shortlex order, with a missing entry or a wrongly null cell;
+    last "d" when no row is missing but a d x d complex matrix cannot be
+    addressed (so Ball(0) with a huge d).  Memory is bounded by the file's
+    own size: the text table and the stack grow only with the entries given
+    (_key_radius, _fill).
     """
     if not isinstance(obj, dict):
         raise FormatError("$", "top level must be an object")
@@ -1029,8 +1035,9 @@ def function_from_dict(obj) -> PDFunction:
         return PDFunction(d, domain, _Read((names, values)))
     except EntryError as exc:
         raise FormatError(f"entries.{exc.word}", str(exc)) from None
-    except ParameterError as exc:
-        raise FormatError("domain.j", str(exc)) from None
+    except ParameterError as exc:  # stage coordinates beyond d, or d too large to address
+        key = "domain.j" if domain.kind == "partial" and max(domain.j, domain.k) > d else "d"
+        raise FormatError(key, str(exc)) from None
 
 
 def read_json(path):

@@ -492,7 +492,8 @@ def per_entry_function_from_dict(obj):
     except EntryError as exc:
         raise FormatError(f"entries.{exc.word}", str(exc)) from None
     except ParameterError as exc:
-        raise FormatError("domain.j", str(exc)) from None
+        too_many = domain.kind == "partial" and max(domain.j, domain.k) > d
+        raise FormatError("domain.j" if too_many else "d", str(exc)) from None
 
 
 def _per_entry_stack(d, domain, entries):
@@ -536,6 +537,8 @@ def _per_entry_stack(d, domain, entries):
                     raise MissingEntryError(name, f"{where} is undefined, but the domain defines it")
                 raise EntryError(name, f"{where} lies beyond the declared stage position and must be NaN")
         w = successor(w)
+    if d * d * 16 > 2 ** 63 - 1:  # no d x d complex matrix fits in 64-bit addresses
+        raise ParameterError(f"d = {d} is too large: a d x d complex matrix cannot be addressed")
     return np.array([rows[w] for w in order], complex).reshape(len(order), d, d)
 
 

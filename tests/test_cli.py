@@ -662,6 +662,18 @@ def test_check_huge_d_exits_2_naming_the_first_missing_entry(tmp_path, d):
     assert not (tmp_path / "huge.report.json").exists()
 
 
+@pytest.mark.parametrize("d", [10 ** 12, 2 ** 70])
+def test_check_huge_d_on_ball_0_exits_2_naming_d(tmp_path, d):
+    # Ball(0) needs no entry, so the (0, d, d) stack was allocated and
+    # NumPy's "array is too big" ended the command with exit 1
+    fn = tmp_path / "huge.json"
+    fn.write_text(json.dumps({"d": d, "domain": {"kind": "ball", "r": 0}, "entries": {}}))
+    res = run("check", fn)
+    assert res.code == 2
+    assert "malformed input at 'd'" in res.summary
+    assert not (tmp_path / "huge.report.json").exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     assert run("check", tmp_path / "missing.json").code == 2
 

@@ -856,6 +856,12 @@ def test_json_malformed_inputs(tmp_path):
     # a huge d with no entry is a missing entry, found before any allocation
     for d in (10 ** 12, 2 ** 70):
         expect({"d": d, "domain": {"kind": "ball", "r": 1}, "entries": {}}, "entries.a")
+    # a domain without rows needs no entry: a d too large for one d x d
+    # complex matrix to be addressed is named, before the stack is allocated
+    for domain in ({"kind": "ball", "r": 0}, {"kind": "prefix", "g": "e"}):
+        for d in (759250125, 10 ** 12, 2 ** 70):
+            expect({"d": d, "domain": domain, "entries": {}}, "d")
+        assert function_from_dict({"d": 759250124, "domain": domain, "entries": {}}).d == 759250124
 
     junk = tmp_path / "junk.json"
     junk.write_text("{not json")

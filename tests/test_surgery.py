@@ -365,22 +365,41 @@ def test_sweep_matches_queue_bfs(data):
     if data.draw(st.booleans()):
         blocked.append(sources[0])
     depth = data.draw(st.sampled_from([None, 0, 1, 2]))
+    directed = directed_distances(g, sources, blocked)
+    until = data.draw(st.sampled_from([None, "empty", "drawn"]))
+    if until is not None:
+        until = [] if until == "empty" else data.draw(st.lists(vertex, max_size=3))
+        unreached = [v for v, d in enumerate(directed) if d < 0]
+        for pool in (sources, blocked, unreached):  # inside the sources, blocked, unreachable
+            if pool and data.draw(st.booleans()):
+                until.append(data.draw(st.sampled_from(pool)))
 
-    def cut(dist):
-        dist = np.asarray(dist)
-        return dist if depth is None else np.where(dist > depth, -1, dist)
+    def agrees(got, dist, block=()):
+        # depth cuts the oracle; until leaves exact distances where the
+        # sweep reached and at every vertex of until, and stops at the
+        # first level that settles all of until unless one is never reached
+        want = np.asarray(dist)
+        if depth is not None:
+            want = np.where(want > depth, -1, want)
+        if until is not None:
+            assert got[until].tolist() == want[until].tolist()
+            reached = got >= 0
+            assert got[reached].tolist() == want[reached].tolist()
+            levels = [want[v] for v in until if v not in block]
+            if min(levels, default=0) >= 0:
+                want = np.where(want > max(levels, default=0), -1, want)
+        assert got.tolist() == want.tolist()
 
     # directed: a- and b-edges only
     nbrs = _step_rows(g.perm_a, g.perm_b)
-    got = _sweep(nbrs[:2], sources, blocked, depth)
-    assert got.tolist() == cut(directed_distances(g, sources, blocked)).tolist()
+    agrees(_sweep(nbrs[:2], sources, blocked, depth, until), directed, blocked)
 
     # undirected: the four labeled step maps
     adj = undirected_adjacency(dict(enumerate(g.perm_a)), dict(enumerate(g.perm_b)), n)
     free = np.full(n, -1)
     for v, d in bfs_layers(adj, sources):
         free[v] = d
-    assert _sweep(nbrs, sources, depth=depth).tolist() == cut(free).tolist()
+    agrees(_sweep(nbrs, sources, depth=depth, until=until), free)
     want = np.full(n, -1)
     for s in sources:
         if s in blocked:
@@ -388,7 +407,67 @@ def test_sweep_matches_queue_bfs(data):
         for v, d in undirected_distances(adj, s, set(blocked)).items():
             if want[v] < 0 or d < want[v]:
                 want[v] = d
-    assert _sweep(nbrs, sources, blocked, depth).tolist() == cut(want).tolist()
+    agrees(_sweep(nbrs, sources, blocked, depth, until), want, blocked)
+
+
+def test_sweep_stops_at_the_level_that_settles_until():
+    # an a- and b-cycle of 100: vertices up to distance 3 either way, no further
+    n = 100
+    ring = tuple((v + 1) % n for v in range(n))
+    nbrs = _step_rows(ring, ring)
+    dist = _sweep(nbrs, [0], until=[3, 98])
+    assert np.flatnonzero(dist >= 0).tolist() == [0, 1, 2, 3, 97, 98, 99]
+    assert _sweep(nbrs, [0], until=[]).tolist() == [0] + [-1] * (n - 1)
+    assert _sweep(nbrs, [0], blocked=[50], until=[50]).max() == 0
+    # a vertex never reached lets the search run to exhaustion
+    assert (_sweep(nbrs, [0], blocked=[1, 99], until=[2]) == -1).sum() == n - 1
+    assert (_sweep(nbrs[:2], [0], blocked=[60], until=[70]) >= 0).sum() == 60
+
+
+def _cycles_graph(*cycles):
+    """A labeled graph whose a- and b-edges both run along the given cycles."""
+    perm = {v: c[(i + 1) % len(c)] for c in cycles for i, v in enumerate(c)}
+    walk = tuple(perm[v] for v in range(len(perm)))
+    return LabeledGraph(len(walk), walk, walk)
+
+
+def _claim(graph, n0, ring):
+    return SurgeryResult(graph=graph, original=frozenset(range(n0)), W=(), B=ring, inserted={})
+
+
+# Hand-built results whose G-3 and G-5 searches run to exhaustion.  With
+# samples = 80, ten per original, every original is a source of G-3 and of
+# G-5, and every original is a target of each G-3 source.
+EXHAUSTIVE = {
+    # two 4-cycles merged into one 8-cycle: 0 reaches 4..7 only after the surgery
+    "G-3 ratio inf": (_cycles_graph(range(4), range(4, 8)), _claim(_cycles_graph(range(8)), 8, ())),
+    # one 8-cycle with original 2 on the ring: the G-5 probe from 2 is skipped,
+    # and the ring cuts 0 off from its A- and B-neighbour 7 in directed search
+    "G-5 ring source, target cut off": (
+        _cycles_graph(range(8)), _claim(_cycles_graph(range(8)), 8, (2,))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXHAUSTIVE))
+def test_verify_branches_that_search_to_exhaustion(monkeypatch, name):
+    original, claim = EXHAUSTIVE[name]
+    report = verify_conditions(original, claim, 1, 2, samples=80)
+    real, sweeps = surgery._sweep, []
+
+    def full(nbrs, sources, blocked=None, depth=None, until=None):
+        sweeps.append((list(sources), until is not None))
+        return real(nbrs, sources, blocked, depth)
+
+    monkeypatch.setattr(surgery, "_sweep", full)
+    assert verify_conditions(original, claim, 1, 2, samples=80) == report
+    assert sum(until for _, until in sweeps) == 8 + 8 + 8 - len(claim.B)  # G-3 twice, G-5
+    if claim.B:
+        assert report["G-3"]["measured"] < float("inf")
+        assert [2] not in [sources for sources, until in sweeps[-7:]]
+        assert report["G-5"] == {"pass": False, "measured": float("inf"), "bound": 256 * 81}
+    else:
+        assert report["G-3"] == {"pass": False, "measured": float("inf"), "bound": 9 * 4}
+        assert report["G-5"]["pass"]
 
 
 def test_undisturbed_set_and_plain_report_on_a_wide_surgery(monkeypatch):
