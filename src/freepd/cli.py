@@ -118,7 +118,11 @@ def _cmd_check(args) -> CommandResult:
     if not 0 <= args.tol < float("inf"):  # NaN fails too
         raise FormatError("tol", f"--tol must be a finite number >= 0, got {args.tol!r}")
     C = load_function(args.pdf)
-    verdict = check_pd(C, tol=args.tol, brute_force=args.brute_force)
+    path = _report_path(args.pdf)
+    try:
+        verdict = check_pd(C, tol=args.tol, brute_force=args.brute_force)
+    except MemoryError as exc:  # a valid function whose Grams do not fit in memory
+        return _failed("check", path, {"input": str(args.pdf)}, MemoryError(str(exc)))
     report = {
         "input": str(args.pdf),
         "status": verdict.status,
@@ -127,7 +131,6 @@ def _cmd_check(args) -> CommandResult:
     }
     if verdict.status != "strict" and verdict.witness_indices:
         report["witness"] = [[word_to_str(w), j] for w, j in verdict.witness_indices]
-    path = _report_path(args.pdf)
     write_json_atomic(report, path)
     summary = (
         f"{args.pdf}: {verdict.status}"

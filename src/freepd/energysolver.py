@@ -45,6 +45,16 @@ Levenberg-Marquardt trial, and the stage asks again for its solved
 parameters.  The re-use is exact: the completed corners are all that
 differs between requests, a point is re-used only when both are bit for
 bit the kept ones, and the kernel is deterministic.
+
+The kernel needs a strict base Gram, and a stage pencil certifies most
+corners without an eigenvalue call.  Its source Gram varies only in the
+corner pair, so by Weyl's inequality moving the corner by Delta moves its
+least eigenvalue by at most |Delta|: a corner close enough to the last one
+checked by zheevr (_strict_min_eig) that this bound, less a slack for the
+rounding of both zheevr calls, stays above DEFAULT_TOL * n is strict too.
+A certified corner is one the check would have passed, so verdicts, results
+and iteration counts are those of checking every corner; a descent checks
+about once per pencil.
 """
 
 from __future__ import annotations
@@ -71,6 +81,7 @@ from .errors import (
 from .extend import DELTA_MIN, SzegoParameter, _as_zeta, _open_walk, _stage_error, extend_entry
 from .hilbert import _core_coordinates, build_partial_space, residual_data
 from .pdcore import (
+    DEFAULT_TOL,
     Domain,
     PDFunction,
     check_pd,
@@ -137,6 +148,10 @@ TOL_EDGE = 1e-6
 # Parameters are projected onto this closed disk, strictly inside the rim.
 RIM = 1.0 - DELTA_MIN
 
+# A stage pencil's Weyl certificate keeps WEYL_SLACK * n^2 * eps * tr(G_C)
+# above the strictness floor for rounding (see _StagePencil).
+WEYL_SLACK = 64
+
 
 # ---------------------------------------------------------------------------
 # Completed-stage pencils and their achievers
@@ -159,6 +174,22 @@ class _StagePencil:
     handed back while both corners are bit for bit the kept ones; a failed
     solve keeps nothing, so asking again solves, and fails, again.  energy,
     value and coupling read solve.
+
+    Before the kernel runs, the source Gram G_C(c) is shown strict as the
+    kernel requires.  The pencil keeps a reference (c_ref, lam_ref) from its
+    last successful _strict_min_eig; a corner c with
+    lam_ref - |c - c_ref| - slack > DEFAULT_TOL * n is certified by Weyl's
+    inequality (moving the corner pair by Delta moves every eigenvalue by at
+    most |Delta|), any other is checked by _strict_min_eig, which raises as
+    before or becomes the new reference.  slack = WEYL_SLACK * n^2 * eps *
+    tr(G_C) covers the rounding of the reference's zheevr and of the one the
+    certificate stands in for: each computed eigenvalue is within a small
+    multiple of n^2 * eps * ||G||_2 of the exact one (backward-stable
+    tridiagonal reduction, then MRRR), ||G||_2 <= tr G for a positive
+    definite G (the reference is one, and so is any certified G_C), and the
+    trace does not depend on the corner.  Every certified corner is thus one
+    the check would have passed; NaN and infinite corners fail the
+    comparison and reach the check, which raises ValueError.
     """
 
     def __init__(self, C: PDFunction, D: PDFunction):
@@ -174,6 +205,9 @@ class _StagePencil:
         self._gram_C, self._cross_C = spC.gram, rdC.cross
         self._gram_D, self._cross_D = spD.gram, rdD.cross
         self._key = self._solved = None
+        n = len(spC.gram)
+        self._slack = WEYL_SLACK * n * n * np.finfo(float).eps * float(np.trace(spC.gram).real)
+        self._ref = (0j, -math.inf)
 
     def _filled(self, gram, value) -> np.ndarray:
         G = np.array(gram)
@@ -187,8 +221,12 @@ class _StagePencil:
         d = zeta_d * self.scale_D + self._cross_D
         key = struct.pack("4d", c.real, c.imag, d.real, d.imag)
         if key != self._key:
-            self._solved = _top_generalized_eig(self._filled(self._gram_C, c),
-                                                self._filled(self._gram_D, d))
+            G_C = self._filled(self._gram_C, c)
+            c_ref, lam_ref = self._ref
+            # Weyl: no eigenvalue moved further than the corner (NaN fails too)
+            if not lam_ref - abs(c - c_ref) - self._slack > DEFAULT_TOL * len(G_C):
+                self._ref = (c, _strict_min_eig(G_C, "the base Gram matrix"))
+            self._solved = _top_generalized_eig(G_C, self._filled(self._gram_D, d))
             self._key = key
         return self._solved
 

@@ -17,14 +17,18 @@ identical Grams) and report the larger of the two.
 
 The pencil kernel _top_generalized_eig is the package's only
 generalized-eigenvalue solver; the energy solver uses it for every
-completed-stage pencil.  It calls LAPACK directly: zheevr for the
-strictness check of the base Gram and zhegvd for the pencil, with the
-arguments scipy.linalg.eigvalsh and scipy.linalg.eigh(A, B) pass for complex
-input.  The results are identical bit for bit; what goes is SciPy's
-per-call validation, dtype dispatch and work-size query, which at the
-pencil sizes of a solve (3 to 12 rows) cost several times the LAPACK work.
-The routines are read from freepd._linalg, which imports SciPy at the first
-call, so importing this module loads no SciPy.
+completed-stage pencil.  Its precondition is a strict base Gram (least
+eigenvalue above DEFAULT_TOL * n), which its two callers show:
+_energy_report by _strict_min_eig, and the energy solver's stage pencils
+by a Weyl certificate from their last _strict_min_eig (see energysolver).
+LAPACK is called directly: zhegvd for the pencil and zheevr for the
+strictness checks, with the arguments scipy.linalg.eigh(A, B) and
+scipy.linalg.eigvalsh pass for complex input.  The results are identical
+bit for bit; what goes is SciPy's per-call validation, dtype dispatch and
+work-size query, which at the pencil sizes of a solve (3 to 12 rows) cost
+several times the LAPACK work.  The routines are read from freepd._linalg,
+which imports SciPy at the first call, so importing this module loads no
+SciPy.
 """
 
 from __future__ import annotations
@@ -110,7 +114,10 @@ def _strict_min_eig(G, name: str) -> float:
 def _top_generalized_eig(G_C, G_D):
     """All generalized eigenvalues of G_D x = lambda G_C x plus the top achiever.
 
-    G_C must be strict (checked by zheevr).  The pencil (G_D - G_C, G_C) is
+    G_C must be strict, its least eigenvalue above DEFAULT_TOL * n.  The
+    kernel does not check it: each caller shows it first, _energy_report by
+    _strict_min_eig and a stage pencil by its Weyl certificate, and raises
+    NotStrictError otherwise.  The pencil (G_D - G_C, G_C) is
     handed to LAPACK's divide-and-conquer symmetric-definite solver zhegvd
     (itype 1, eigenvectors, lower triangle: what scipy.linalg.eigh(A, B)
     calls, called here without its per-call validation) and shifted back by
@@ -119,7 +126,6 @@ def _top_generalized_eig(G_C, G_D):
     its largest coordinate rotated to the positive real axis so repeated
     calls agree, and certified by its Rayleigh quotient.
     """
-    _strict_min_eig(G_C, "the base Gram matrix")
     A = G_D - G_C
     _require_finite(A)
     vals, vecs, info = _linalg.zhegvd(A, G_C, itype=1, jobz="V", uplo="L")
@@ -140,8 +146,9 @@ def _top_generalized_eig(G_C, G_D):
 
 
 def _energy_report(G_C, G_D, restriction: str, pairs) -> EnergyReport:
-    """The top pencil energy with a unit achiever; G_D must be strict too."""
+    """The top pencil energy with a unit achiever; both Grams must be strict."""
     _strict_min_eig(G_D, f"the comparison Gram ({restriction})")
+    _strict_min_eig(G_C, "the base Gram matrix")
     vals, x = _top_generalized_eig(G_C, G_D)
     return EnergyReport(float(vals[-1]), x / np.linalg.norm(x), restriction, tuple(pairs))
 

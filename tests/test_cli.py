@@ -674,6 +674,26 @@ def test_check_huge_d_on_ball_0_exits_2_naming_d(tmp_path, d):
     assert not (tmp_path / "huge.report.json").exists()
 
 
+def test_check_too_large_to_check_exits_1_and_still_writes(tmp_path, monkeypatch):
+    # d = 10**6 on Ball(0) is a valid file (its stack holds no bytes), but
+    # check_pd's d x d blocks do not fit in memory; the allocation failure is
+    # stood in for here, so no such block is ever requested
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+
+    def too_large(C, tol, brute_force):
+        assert C.d == 10 ** 6
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "check_pd", too_large)
+    fn = tmp_path / "big.json"
+    fn.write_text(json.dumps({"d": 10 ** 6, "domain": {"kind": "ball", "r": 0}, "entries": {}}))
+    res = run("check", fn)
+    assert res.code == 1 and res.summary.startswith("check failed: Unable to allocate 7.28 TiB")
+    assert res.report_path == str(tmp_path / "big.report.json")
+    report = json.loads((tmp_path / "big.report.json").read_text())
+    assert report == {"input": str(fn), "error": message, "type": "MemoryError"}
+
+
 def test_missing_file_exits_2(tmp_path):
     assert run("check", tmp_path / "missing.json").code == 2
 

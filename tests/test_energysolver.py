@@ -1,11 +1,12 @@
 import hashlib
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from freepd import energysolver
+from freepd import energysolver, transport
 from freepd.energysolver import (
     Configuration,
     SingularityCertificate,
@@ -25,6 +26,7 @@ from freepd.errors import (
     DegenerateAchieverError,
     DomainError,
     FormatError,
+    FreePDError,
     NotStrictError,
     ParameterError,
     SingularizationError,
@@ -33,6 +35,7 @@ from freepd.errors import (
 from freepd.extend import SzegoParameter, _open_walk, central_extension
 from freepd.hilbert import build_partial_space, residual_data
 from freepd.pdcore import (
+    DEFAULT_TOL,
     PDFunction,
     add_to_entries,
     check_pd,
@@ -41,7 +44,13 @@ from freepd.pdcore import (
     random_nspd,
     restrict_to_stage,
 )
-from freepd.transport import partial_relative_energy, relative_energy
+from freepd.transport import (
+    _eigvalsh,
+    _strict_min_eig,
+    _top_generalized_eig,
+    partial_relative_energy,
+    relative_energy,
+)
 from helpers import (
     eta_budget_oracle,
     gram_schmidt_rows,
@@ -392,6 +401,146 @@ def test_stage_pencil_reads_energy_value_and_coupling(monkeypatch):
     assert pencil.value(0.1, mu) == np.inf
     with pytest.raises(NotStrictError):
         pencil.coupling(0.1, mu)
+
+
+def _counting_checks(monkeypatch):
+    """The base Grams stage pencils hand to _strict_min_eig, as bytes."""
+    real, checked = energysolver._strict_min_eig, []
+
+    def counting(G, name):
+        if name == "the base Gram matrix":
+            checked.append(G.tobytes())
+        return real(G, name)
+
+    monkeypatch.setattr(energysolver, "_strict_min_eig", counting)
+    return checked
+
+
+def _checked_solve(spC, rdC, spD, rdD, zeta_c, zeta_d):
+    """A stage pencil's solve as it was before the certificate: every base
+    Gram checked by zheevr, then the kernel."""
+    G_C = _completed(spC, rdC, zeta_c)
+    _strict_min_eig(G_C, "the base Gram matrix")
+    return _top_generalized_eig(G_C, _completed(spD, rdD, zeta_d))
+
+
+def _outcome(solve, *point):
+    try:
+        vals, x = solve(*point)
+    except (FreePDError, ValueError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return vals.tobytes(), x.tobytes()
+
+
+def _corner_walk(rng, steps=60):
+    """Source parameters: small steps, jumps, returns to earlier points and
+    points on both sides of the rim, where the base Gram turns singular."""
+    walk = [_disk_point(rng)]
+    for _ in range(steps):
+        move = rng.choice(4, p=[0.6, 0.15, 0.15, 0.1])
+        if move == 0:
+            z = walk[-1] + 1e-3 * (rng.standard_normal() + 1j * rng.standard_normal())
+        elif move == 1:
+            z = _disk_point(rng, radius=0.95)
+        elif move == 2:
+            z = walk[rng.integers(len(walk))]
+        else:
+            phase = np.exp(2j * np.pi * rng.random())
+            z = phase * (1.0 - rng.choice([1e-2, 1e-5, 1e-8, 1e-9, 1e-10, 1e-11, 0.0, -1e-9]))
+        walk.append(complex(z))
+    return walk
+
+
+@pytest.mark.parametrize("seed", [3, 11, 19])
+def test_stage_pencil_certificate_keeps_every_solve_bit_for_bit(seed, monkeypatch):
+    C, D = stage_function(seed), stage_function(seed + 50)
+    spC, spD = build_partial_space(C), build_partial_space(D)
+    rdC, rdD = residual_data(spC), residual_data(spD)
+    pencil = energysolver._StagePencil(C, D)
+    checked = _counting_checks(monkeypatch)
+    rng = np.random.default_rng(seed)
+    walk = _corner_walk(rng)
+    outcomes = Counter()
+    for zeta_c in walk:
+        zeta_d = _disk_point(rng) if rng.random() < 0.5 else 0.2j
+        want = _outcome(lambda *p: _checked_solve(spC, rdC, spD, rdD, *p), zeta_c, zeta_d)
+        before = len(checked)
+        assert _outcome(pencil.solve, zeta_c, zeta_d) == want
+        outcomes[want[0] is NotStrictError, len(checked) == before] += 1
+    # the walk fails the check, passes it, and is certified without it
+    assert outcomes[True, False] and outcomes[False, False] and outcomes[False, True]
+    assert outcomes[True, True] == 0
+    for bad in (complex("nan"), complex(0.1, float("nan")), complex("inf")):
+        with pytest.raises(ValueError):
+            pencil.solve(bad, 0.2j)
+
+
+def test_stage_pencil_certifies_no_corner_at_or_below_the_floor(monkeypatch):
+    C, D = stage_function(7, gs="aaa"), stage_function(57, gs="aaa")
+    spC = build_partial_space(C)
+    rdC = residual_data(spC)
+    pencil = energysolver._StagePencil(C, D)
+    checked = _counting_checks(monkeypatch)
+    floor = DEFAULT_TOL * len(spC.gram)
+
+    def least(zeta):
+        return _eigvalsh(_completed(spC, rdC, zeta))[0]
+
+    # the base Gram's least eigenvalue falls through the floor near zeta = 1
+    lo, hi = 0.5, 1.0
+    assert least(lo) > floor >= least(hi)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if least(mid) > floor else (lo, mid)
+    # close in on the crossing a quarter of the remaining way at a time, then
+    # step past it
+    walk = [lo - 0.25 * 0.75 ** k for k in range(80)] + [hi, hi + 1e-12, 1.0]
+    certified = 0
+    for zeta in walk:
+        before = len(checked)
+        strict = least(zeta) > floor
+        if strict:  # the kernel may still fail its Rayleigh certificate here
+            pencil.value(zeta, 0j)
+        else:
+            with pytest.raises(NotStrictError, match="base Gram"):
+                pencil.solve(zeta, 0j)
+        if len(checked) == before:
+            certified += 1
+            assert strict
+    assert certified > 10 and len(checked) > 1
+    # at a fresh reference, a corner whose Weyl bound clears the floor by
+    # less than the slack is checked, and one that clears it by more is not
+    pencil.solve(0.5, 0j)
+    c_ref, lam_ref = pencil._ref
+    assert c_ref == 0.5 * pencil.scale_C + pencil._cross_C and lam_ref == least(0.5)
+    for margin, checks in ((0.5, 1), (2.0, 0)):
+        before = len(checked)
+        c = c_ref + (lam_ref - floor - margin * pencil._slack)
+        pencil.solve((c - pencil._cross_C) / pencil.scale_C, 0j)
+        assert len(checked) - before == checks
+        pencil.solve(0.5, 0j)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_stage_pencil_rejects_a_base_at_the_strictness_floor(scale, monkeypatch):
+    # the floor moved onto the least eigenvalue of a completed base Gram of
+    # order 4, where scale * tol * n is exact
+    C, D = stage_function(3, gs="aaa"), stage_function(53, gs="aaa")
+    spC = build_partial_space(C)
+    rdC = residual_data(spC)
+    G_C = _completed(spC, rdC, 0.9)
+    n = len(G_C)
+    lam = _eigvalsh(G_C)[0]
+    tol = lam / (scale * n)
+    assert n == 4 and scale * tol * n == lam
+    assert _eigvalsh(_completed(spC, rdC, 0j))[0] > lam / scale  # the reference clears it
+    pencil = energysolver._StagePencil(C, D)
+    pencil.solve(0j, 0j)
+    for module in (transport, energysolver):
+        monkeypatch.setattr(module, "DEFAULT_TOL", tol)
+    with pytest.raises(NotStrictError, match="base Gram"):
+        pencil.solve(0.9, 0j)
+    assert pencil.value(0.9, 0j) == np.inf
 
 
 def test_solve_edge_raises_with_best_iterate_on_tiny_cap():
@@ -807,6 +956,12 @@ SOLVE_PINS = {
 # (as SOLVE_PINS do) and with what a stage pencil keeps.
 SOLVE_PENCILS = {"path": 1888, "cycle": 14074}
 
+# zheevr checks of the base Gram among those kernel calls: a stage pencil
+# certifies a corner by Weyl's inequality from its last check, so each of the
+# path's 36 pencils (2 edges x 18 stages) checks once, and the cycle's 54
+# check 60 times.
+SOLVE_BASE_CHECKS = {"path": 36, "cycle": 60}
+
 
 @pytest.mark.parametrize("shape", sorted(SOLVE_PINS))
 def test_solve_configuration_solves_no_pencil_twice_in_a_row(shape, monkeypatch):
@@ -829,11 +984,13 @@ def test_solve_configuration_solves_no_pencil_twice_in_a_row(shape, monkeypatch)
         return out
 
     monkeypatch.setattr(energysolver, "_top_generalized_eig", recording)
+    checked = _counting_checks(monkeypatch)
     make, total, _, _ = SOLVE_PINS[shape]
     cfg = make(_ball2_family(seeds=(200, 201, 202, 203)))
     _, report = solve_configuration(cfg, R=3, eps=1e-3, seed=0)
     assert report.iterations_total == total
     assert counts == {"calls": SOLVE_PENCILS[shape], "repeats": 0}
+    assert len(checked) == SOLVE_BASE_CHECKS[shape]
 
 
 @pytest.mark.parametrize("shape", sorted(SOLVE_PINS))

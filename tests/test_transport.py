@@ -23,6 +23,7 @@ from freepd.pdcore import (
 from freepd.transport import (
     EnergyReport,
     _eigvalsh,
+    _energy_report,
     _top_generalized_eig,
     energy_schedule,
     partial_relative_energy,
@@ -140,13 +141,20 @@ def test_kernel_rejects_non_finite_grams():
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.5])
-def test_kernel_rejects_a_base_at_the_strictness_floor(scale):
+def test_energy_report_rejects_a_base_at_the_strictness_floor(scale):
+    # a strict base Gram is the kernel's precondition, which _energy_report
+    # checks after the comparison Gram; the stage pencils' own check is
+    # tested in test_energysolver
     n = 3
     floor = scale * DEFAULT_TOL * n
     G_C = np.diag([floor, 1.0, 2.0]).astype(complex)
     assert _eigvalsh(G_C)[0] == floor
     with pytest.raises(NotStrictError, match="base Gram"):
-        _top_generalized_eig(G_C, np.eye(n, dtype=complex))
+        _energy_report(G_C, np.eye(n, dtype=complex), "full", [])
+    with pytest.raises(NotStrictError, match="comparison Gram"):
+        _energy_report(np.eye(n, dtype=complex), G_C, "full", [])
+    with pytest.raises(NotStrictError, match="comparison Gram"):
+        _energy_report(G_C, G_C, "full", [])
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
