@@ -1,4 +1,5 @@
-"""The SciPy routines freepd calls, with SciPy imported at the first call.
+"""The SciPy routines freepd calls (eigenvalues alone come from NumPy),
+with SciPy imported at the first call.
 
 Importing ``scipy.linalg`` costs more than the rest of ``import freepd.cli``
 together (it pulls in ``numpy.f2py`` and ``numpy.testing``), and ``freepd
@@ -9,7 +10,7 @@ module's namespace; from then on a read such as ``_linalg.zpotrf`` is a
 plain attribute read that never reaches the hook again.
 """
 
-ROUTINES = ("zpotrf", "ztrsv", "zheevr", "zheevr_lwork", "zhegvd", "null_space", "toeplitz")
+ROUTINES = ("zpotrf", "ztrsv", "zhegvd", "null_space", "toeplitz")
 
 
 def __getattr__(name):
@@ -21,8 +22,6 @@ def __getattr__(name):
     globals().update(
         zpotrf=lapack.zpotrf,
         ztrsv=blas.ztrsv,
-        zheevr=lapack.zheevr,
-        zheevr_lwork=lapack.zheevr_lwork,
         zhegvd=lapack.zhegvd,
         null_space=scipy.linalg.null_space,
         toeplitz=scipy.linalg.toeplitz,

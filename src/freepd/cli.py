@@ -11,6 +11,9 @@ Exit codes: 0 when every requested check or solve succeeded, 1 when a
 verdict, tolerance or solve failed (a JSON report is still written), 2
 when an input file is malformed (the file and its first offending key are
 named) or cannot be read, or an output cannot be written (its path is named).
+Once its inputs load, a command names its report in ``args.failure`` (path,
+input fields, stage walk or not); dispatch turns any later library error but
+a FormatError, and any MemoryError, into that report and exit 1.
 Numbers are printed with 12 significant digits and machine-readable JSON
 reports are written next to the inputs they describe.
 """
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .energysolver import configuration_from_dict, solve_configuration
-from .errors import FormatError, FreePDError, OutputError, ParameterError, SurgeryError
+from .errors import FormatError, FreePDError, OutputError, ParameterError
 from .extend import central_extension, toeplitz_step
 from .pdcore import (
     DEFAULT_TOL,
@@ -98,8 +101,9 @@ def _make_dir(path: Path) -> None:
         raise OutputError(exc.errno, exc.strerror or str(exc), str(path)) from exc
 
 
-def _failed(verb, path, inputs, exc, staged=False) -> CommandResult:
-    """Write the report of a failed command; exit 2 on a FormatError, else 1.
+def _failed(verb, exc, path, inputs, staged=False) -> CommandResult:
+    """Write the report of a failed command, making its directory; exit 2 on
+    a FormatError, else 1.
 
     The report holds the ``inputs`` fields, the error and its type, then for
     a stage walk the failing stage (null when none is named).
@@ -108,6 +112,7 @@ def _failed(verb, path, inputs, exc, staged=False) -> CommandResult:
     if staged:
         stage = getattr(exc, "stage", None)
         report["stage"] = None if stage is None else dict(zip("gjk", stage))
+    _make_dir(Path(path).parent)
     write_json_atomic(report, path)
     if isinstance(exc, FormatError):
         return CommandResult(2, f"malformed input at {exc.key!r}: {exc}", str(path))
@@ -119,10 +124,8 @@ def _cmd_check(args) -> CommandResult:
         raise FormatError("tol", f"--tol must be a finite number >= 0, got {args.tol!r}")
     C = load_function(args.pdf)
     path = _report_path(args.pdf)
-    try:
-        verdict = check_pd(C, tol=args.tol, brute_force=args.brute_force)
-    except MemoryError as exc:  # a valid function whose Grams do not fit in memory
-        return _failed("check", path, {"input": str(args.pdf)}, MemoryError(str(exc)))
+    args.failure = (path, {"input": str(args.pdf)})
+    verdict = check_pd(C, tol=args.tol, brute_force=args.brute_force)
     report = {
         "input": str(args.pdf),
         "status": verdict.status,
@@ -149,11 +152,8 @@ def _cmd_random(args) -> CommandResult:
 
 def _cmd_extend(args) -> CommandResult:
     C = load_function(args.pdf)
-    try:
-        out = central_extension(C, args.radius)
-    except FreePDError as exc:
-        return _failed("extend", _report_path(args.pdf), {"input": str(args.pdf)},
-                       exc, staged=True)
+    args.failure = (_report_path(args.pdf), {"input": str(args.pdf)}, True)
+    out = central_extension(C, args.radius)
     save_function(out, args.out)
     summary = f"extended {args.pdf} to Ball({args.radius}) at {args.out}"
     return CommandResult(0, summary, str(args.out))
@@ -173,15 +173,12 @@ def _cmd_energy(args) -> CommandResult:
         radii = list(range(1, min(A.domain.r, B.domain.r) // 2 + 1)) or [0]
     else:  # no default off a ball: energy_schedule refuses the domains
         radii = [0]
-    path, inputs = _report_path(args.a), {"a": str(args.a), "b": str(args.b)}
+    path, inputs = args.failure = _report_path(args.a), {"a": str(args.a), "b": str(args.b)}
     try:
         _increasing_radii(radii)
     except ParameterError as exc:
-        return _failed("energy", path, inputs, FormatError("radii", f"{exc}, got {args.radii!r}"))
-    try:
-        values = {str(r): rep.energy for r, rep in zip(radii, energy_schedule(A, B, radii))}
-    except FreePDError as exc:
-        return _failed("energy", path, inputs, exc)
+        return _failed("energy", FormatError("radii", f"{exc}, got {args.radii!r}"), path, inputs)
+    values = {str(r): rep.energy for r, rep in zip(radii, energy_schedule(A, B, radii))}
     write_json_atomic({**inputs, "energies": values}, path)
     return CommandResult(0, "\n".join(f"r={r}: {_fmt(e)}" for r, e in values.items()), str(path))
 
@@ -190,19 +187,11 @@ def _cmd_solve(args) -> CommandResult:
     epsilon = _finite("epsilon", args.epsilon)
     seed = _seed(args.seed)
     cfg_path, outdir = Path(args.config), Path(args.out)
-    try:
-        config = configuration_from_dict(read_json(cfg_path),
-                                         lambda src: load_function(cfg_path.parent / src))
-        _make_dir(outdir)
-        extensions, report = solve_configuration(
-            config, args.radius, epsilon, seed=seed
-        )
-    except FormatError:
-        raise
-    except FreePDError as exc:
-        _make_dir(outdir)
-        return _failed("solve", outdir / "report.json", {"config": str(cfg_path)},
-                       exc, staged=True)
+    args.failure = (outdir / "report.json", {"config": str(cfg_path)}, True)
+    config = configuration_from_dict(read_json(cfg_path),
+                                     lambda src: load_function(cfg_path.parent / src))
+    _make_dir(outdir)
+    extensions, report = solve_configuration(config, args.radius, epsilon, seed=seed)
     for name, fn in extensions.items():
         save_function(fn, outdir / f"{name}.json")
     payload = report.to_dict()
@@ -223,10 +212,8 @@ def _cmd_solve(args) -> CommandResult:
 
 def _cmd_surgery(args) -> CommandResult:
     g = LabeledGraph.from_dict(read_json(args.graph))
-    try:
-        result = perform_surgery(g, args.R, args.r)
-    except SurgeryError as exc:
-        return _failed("surgery", args.out, {"graph": str(args.graph)}, exc)
+    args.failure = (args.out, {"graph": str(args.graph)})
+    result = perform_surgery(g, args.R, args.r)
     payload = result.to_dict()
     code = 0
     inserted = result.graph.n - g.n
@@ -318,10 +305,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv=None) -> CommandResult:
-    """Parse arguments and run one subcommand, catching library errors."""
+    """Parse arguments and run one subcommand, catching library errors.
+
+    Once the command has named its report (args.failure), a library error
+    other than a FormatError, or a MemoryError (written as plain
+    MemoryError), becomes that report, whose write may fail as any other.
+    """
     args = _build_parser().parse_args(argv)
+    args.failure = None
     try:
-        return args.run(args)
+        try:
+            return args.run(args)
+        except (FreePDError, MemoryError) as exc:
+            if args.failure is None or isinstance(exc, FormatError):
+                raise
+            exc = MemoryError(str(exc)) if isinstance(exc, MemoryError) else exc
+            return _failed(args.command, exc, *args.failure)
     except FormatError as exc:
         return CommandResult(2, f"malformed input at {exc.key!r}: {exc}", "")
     except OutputError as exc:

@@ -50,8 +50,8 @@ The kernel needs a strict base Gram, and a stage pencil certifies most
 corners without an eigenvalue call.  Its source Gram varies only in the
 corner pair, so by Weyl's inequality moving the corner by Delta moves its
 least eigenvalue by at most |Delta|: a corner close enough to the last one
-checked by zheevr (_strict_min_eig) that this bound, less a slack for the
-rounding of both zheevr calls, stays above DEFAULT_TOL * n is strict too.
+checked by _strict_min_eig that this bound, less a slack for the rounding
+of both eigenvalue calls, stays above DEFAULT_TOL * n is strict too.
 A certified corner is one the check would have passed, so verdicts, results
 and iteration counts are those of checking every corner; a descent checks
 about once per pencil.
@@ -182,13 +182,13 @@ class _StagePencil:
     inequality (moving the corner pair by Delta moves every eigenvalue by at
     most |Delta|), any other is checked by _strict_min_eig, which raises as
     before or becomes the new reference.  slack = WEYL_SLACK * n^2 * eps *
-    tr(G_C) covers the rounding of the reference's zheevr and of the one the
-    certificate stands in for: each computed eigenvalue is within a small
-    multiple of n^2 * eps * ||G||_2 of the exact one (backward-stable
-    tridiagonal reduction, then MRRR), ||G||_2 <= tr G for a positive
-    definite G (the reference is one, and so is any certified G_C), and the
-    trace does not depend on the corner.  Every certified corner is thus one
-    the check would have passed; NaN and infinite corners fail the
+    tr(G_C) covers the rounding of NumPy's eigvalsh in the reference and in
+    the call the certificate stands in for: each eigenvalue it computes
+    (backward-stable tridiagonal reduction, then dsterf) is within a small
+    multiple of n^2 * eps * ||G||_2 of the exact one, ||G||_2 <= tr G for a
+    positive definite G (the reference is one, and so is any certified G_C),
+    and the trace does not depend on the corner.  Every certified corner is
+    thus one the check would have passed; NaN and infinite corners fail the
     comparison and reach the check, which raises ValueError.
     """
 
@@ -914,6 +914,8 @@ class Configuration:
             raise _FieldError("shape", f"unknown shape {self.shape!r}")
         if isinstance(self.r, bool) or not isinstance(self.r, int) or self.r < 0:
             raise _FieldError("r", "the radius must be a nonnegative integer")
+        if isinstance(self.d, bool) or not isinstance(self.d, int):
+            raise _FieldError("d", "d must be an integer")
         if not self.vertices:
             raise _FieldError("vertices", "a configuration needs at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
@@ -1033,9 +1035,6 @@ def configuration_from_dict(obj, load) -> Configuration:
         if not isinstance(item, list) or len(item) != 2:
             raise FormatError("edges", f"bad edge entry {item!r}")
         edges.append((str(item[0]), str(item[1])))
-    d = obj["d"]
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise FormatError("d", "d must be an integer")
     root = obj.get("root")
     if root is not None:
         root = str(root)
@@ -1043,7 +1042,7 @@ def configuration_from_dict(obj, load) -> Configuration:
         return Configuration(
             shape=obj["shape"],
             r=obj["r"],
-            d=d,
+            d=obj["d"],
             vertices=names,
             edges=tuple(edges),
             functions=functions,
@@ -1193,7 +1192,6 @@ def solve_configuration(config: Configuration, R: int, eps: float,
             raise ParameterError("sigma_schedule must be positive throughout")
 
     verts = config.vertices
-    pos = {v: i for i, v in enumerate(verts)}
     edge_seq = config.edge_order()
     cyc = [v for v, _ in edge_seq]
 
@@ -1217,14 +1215,14 @@ def solve_configuration(config: Configuration, R: int, eps: float,
 
             eta_func = 0.0
             drift = 0.0
-            certs = {}
             work, ppe = cur, pe
-            if len(g) >= MIN_SINGULAR_LENGTH:
+            singular = len(g) >= MIN_SINGULAR_LENGTH
+            if singular:
                 eta_prime = _sqrt1pm1(sigma_t / max(pe.values()))
                 eta_func = _eta_budget([cur[v] for v in verts], eta_prime)
                 for _ in range(6):
-                    fam, certs = make_singular([cur[v] for v in verts], eta_func,
-                                               seed=int(rng.integers(2 ** 31)))
+                    fam, _ = make_singular([cur[v] for v in verts], eta_func,
+                                           seed=int(rng.integers(2 ** 31)))
                     work = dict(zip(verts, fam))
                     # each member's two-sided stage energy against its original
                     if not any(
@@ -1254,8 +1252,7 @@ def solve_configuration(config: Configuration, R: int, eps: float,
             if config.shape == "tree":
                 zetas = {config.root: 0j}
                 for v, w in edge_seq:
-                    cert = certs.get((min(pos[v], pos[w]), max(pos[v], pos[w])))
-                    inits = (0j,) if cert is not None else (0j, zetas[w])
+                    inits = (0j,) if singular else (0j, zetas[w])
                     pencil = pencils[(v, w)] = _StagePencil(work[v], work[w])
                     try:
                         zv, it = _solve_edge_impl(

@@ -304,11 +304,6 @@ def _fill(d: int, domain: Domain, names: list, cells: np.ndarray, late=None):
     return stack
 
 
-class _Read(tuple):
-    """The entries of a file as function_from_dict reads them, all at once:
-    (names, cells) as _fill takes them."""
-
-
 def _read_each(d: int, entries) -> tuple:
     """(names, cells, late) for _fill of entries that map words
     (tuples or text) to d x d arrays, scalars when d = 1, read an entry at
@@ -339,14 +334,14 @@ class PDFunction:
     the i-th word w of canonical_words(domain), and an undefined slot of a
     partial top row is NaN.  The constructor parses outside input: entries
     maps words (tuples or text) to d x d arrays, scalars when d = 1, read an
-    entry at a time (_read_each), or holds a file's entries as
-    function_from_dict reads them at once (_Read); one filler (_fill) makes
-    the stack of either.  Either of {g, g^-1} may arrive, or both when they
-    agree under conjugate transposition to within 1e-12.  The function must
-    be total on its domain, except beyond the stage position of a partial
-    top.  Errors name the first offending entry in the order given.  Parsed
-    and computed stacks pass one validator (_adopt), which a walk's successor
-    stage passes by construction (_next_stage).  Positivity is NOT checked
+    entry at a time (_read_each); function_from_dict reads a file's entries
+    at once, and one filler (_fill) makes the stack of either.  Either of
+    {g, g^-1} may arrive, or both when they agree under conjugate
+    transposition to within 1e-12.  The function must be total on its
+    domain, except beyond the stage position of a partial top.  Errors name
+    the first offending entry in the order given.  Parsed and computed
+    stacks pass one validator (_adopt), which a walk's successor stage
+    passes by construction (_next_stage).  Positivity is NOT checked
     here: check_pd passes verdicts, constructors pass data.  _stage_space
     keeps the stage space hilbert.build_partial_space builds, once, or the
     one the extension walk hands on (hilbert.hand_off).
@@ -356,8 +351,7 @@ class PDFunction:
 
     def __init__(self, d: int, domain: Domain, entries):
         _check_header(d, domain)
-        read = entries if isinstance(entries, _Read) else _read_each(d, entries)
-        self._adopt(d, domain, _fill(d, domain, *read))
+        self._adopt(d, domain, _fill(d, domain, *_read_each(d, entries)))
 
     @classmethod
     def _from_stack(cls, d: int, domain: Domain, stack: np.ndarray) -> "PDFunction":
@@ -467,16 +461,22 @@ def _gram_slots(C: PDFunction, pairs):
     return quotients, slots[np.ix_(rows, rows)], np.array([c - 1 for _, c in pairs], int)
 
 
-def _clique_pairs(g, d: int, level: bool = False):
-    """The _gram_slots table of K_g x [d] (a level's: K_g - {e, g}, then g,
-    then e, times [d]) off the clique's own, and a function building them."""
+def _clique_order(g, d: int, level: bool = False):
+    """K_g, its vertex positions in Gram order (a level's: K_g - {e, g}, then
+    g, then e) and a function building the pairs of K_g x [d] in it."""
     K = clique(g)
     at, top = range(len(K.ranks)), K.top
     at = [*at[1:top], *at[top + 1:], top, 0] if level else at
-    rows = np.repeat(at, d)
-    table = (K.quotients, K.slots[np.ix_(rows, rows)], np.tile(np.arange(d), len(at)))
-    return table, lambda: tuple((v, m) for v in map(K.vertices.__getitem__, at)
+    return K, at, lambda: tuple((v, m) for v in map(K.vertices.__getitem__, at)
                                 for m in range(1, d + 1))
+
+
+def _clique_pairs(g, d: int, level: bool = False):
+    """The _gram_slots table of K_g x [d] in _clique_order, off the
+    clique's own, and the function building its pairs."""
+    K, at, pairs = _clique_order(g, d, level)
+    rows = np.repeat(at, d)
+    return (K.quotients, K.slots[np.ix_(rows, rows)], np.tile(np.arange(d), len(at))), pairs
 
 
 def _stage_rows(n: int, d: int, j: int, k: int):
@@ -550,7 +550,7 @@ def stage_pairs(g, d: int, j: int, k: int):
     g = _as_word(g)
     if not (1 <= j <= d and 1 <= k <= d):
         raise ParameterError(f"stage coordinates ({j},{k}) out of range for d={d}")
-    pairs = _clique_pairs(g, d, level=True)[1]()
+    pairs = _clique_order(g, d, level=True)[2]()
     P, work = _stage_rows(len(pairs) - 2 * d, d, j, k)
     return tuple(pairs[i] for i in P), tuple(pairs[i] for i in P + work)
 
@@ -1032,7 +1032,7 @@ def function_from_dict(obj) -> PDFunction:
     if error is not None:
         raise FormatError(f"entries.{names[stop]}", error)
     try:
-        return PDFunction(d, domain, _Read((names, values)))
+        return PDFunction._from_stack(d, domain, _fill(d, domain, names, values))
     except EntryError as exc:
         raise FormatError(f"entries.{exc.word}", str(exc)) from None
     except ParameterError as exc:  # stage coordinates beyond d, or d too large to address

@@ -21,21 +21,19 @@ completed-stage pencil.  Its precondition is a strict base Gram (least
 eigenvalue above DEFAULT_TOL * n), which its two callers show:
 _energy_report by _strict_min_eig, and the energy solver's stage pencils
 by a Weyl certificate from their last _strict_min_eig (see energysolver).
-LAPACK is called directly: zhegvd for the pencil and zheevr for the
-strictness checks, with the arguments scipy.linalg.eigh(A, B) and
-scipy.linalg.eigvalsh pass for complex input.  The results are identical
-bit for bit; what goes is SciPy's per-call validation, dtype dispatch and
-work-size query, which at the pencil sizes of a solve (3 to 12 rows) cost
-several times the LAPACK work.  The routines are read from freepd._linalg,
-which imports SciPy at the first call, so importing this module loads no
-SciPy.
+The strictness checks read np.linalg.eigvalsh, as check_pd does.  The
+pencil calls LAPACK's zhegvd directly, with the arguments
+scipy.linalg.eigh(A, B) passes for complex input: the result is identical
+bit for bit, and what goes is SciPy's per-call validation, dtype dispatch
+and work-size query, which at a solve's pencil sizes (3 to 12 rows) cost
+several times the LAPACK work.  zhegvd is read from freepd._linalg, which
+imports SciPy at the first call, so importing this module loads no SciPy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -78,33 +76,15 @@ def _require_finite(A) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-@lru_cache(maxsize=None)
-def _heevr_work(n: int) -> tuple:
-    """zheevr's optimal (lwork, lrwork, liwork) for order n, which SciPy queries per call.
-
-    A failed query would leave sizes that the zheevr call itself rejects.
-    """
-    work, rwork, iwork, _ = _linalg.zheevr_lwork(n, lower=1)
-    return int(work.real), int(rwork), int(iwork)
-
-
 def _eigvalsh(G) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian G, bit for bit scipy.linalg.eigvalsh.
-
-    One zheevr call on the lower triangle, without eigenvectors; a
-    non-finite entry raises ValueError as SciPy's check_finite does.
-    """
+    """Ascending eigenvalues of a Hermitian G from its lower triangle, by
+    np.linalg.eigvalsh; a non-finite entry raises ValueError."""
     _require_finite(G)
-    lwork, lrwork, liwork = _heevr_work(G.shape[0])
-    w, _, _, _, info = _linalg.zheevr(G, compute_v=0, lower=1, lwork=lwork, lrwork=lrwork,
-                                      liwork=liwork)
-    if info:
-        raise np.linalg.LinAlgError(f"zheevr failed to converge (info {info})")
-    return w
+    return np.linalg.eigvalsh(G)
 
 
 def _strict_min_eig(G, name: str) -> float:
-    """The least eigenvalue of G; NotStrictError unless it exceeds DEFAULT_TOL * n."""
+    """The least eigenvalue of G (_eigvalsh); NotStrictError unless above DEFAULT_TOL * n."""
     lam = float(_eigvalsh(G)[0])
     if lam <= DEFAULT_TOL * G.shape[0]:
         raise NotStrictError(f"{name} is not strictly positive (min eigenvalue {lam:.3e})")
@@ -176,9 +156,8 @@ def relative_energy(C: PDFunction, D: PDFunction, r: int | None = None) -> Energ
             f"Gram over B_{r} reads entries on B_{2 * r}, but data stops at B_{R}"
         )
     pairs = _ball_pairs(r, C.d)
-    G_C = pdcore._gram(C, pairs)
-    G_D = pdcore._gram(D, pairs)
-    return _energy_report(G_C, G_D, "full", pairs)
+    table = pdcore._gram_slots(C, pairs)
+    return _energy_report(*(pdcore._gram(F, table=table) for F in (C, D)), "full", pairs)
 
 
 def partial_relative_energy(C: PDFunction, D: PDFunction) -> EnergyReport:

@@ -9,9 +9,15 @@ from pathlib import Path
 import pytest
 
 import freepd
-from freepd import cli, energysolver, hilbert
+from freepd import cli, energysolver, hilbert, pdcore
 from freepd.cli import dispatch, main
-from freepd.errors import DegenerateStageError, ParameterError
+from freepd.errors import (
+    DegenerateStageError,
+    FormatError,
+    ParameterError,
+    SingularizationError,
+    SurgeryError,
+)
 from freepd.extend import _stage_error, toeplitz_step
 from freepd.pdcore import (
     Domain,
@@ -692,6 +698,95 @@ def test_check_too_large_to_check_exits_1_and_still_writes(tmp_path, monkeypatch
     assert res.report_path == str(tmp_path / "big.report.json")
     report = json.loads((tmp_path / "big.report.json").read_text())
     assert report == {"input": str(fn), "error": message, "type": "MemoryError"}
+
+
+def _loaded_run(tmp_path, command):
+    """argv of command on valid inputs, the library call it makes once they
+    load, the path of its failure report and the input fields it repeats.
+    solve and surgery write into a directory that does not exist yet."""
+    fn, graph, out = tmp_path / "fn.json", tmp_path / "graph.json", tmp_path / "out"
+    run("random", "--r", 2, "--d", 1, "--seed", 3, "--out", fn)
+    cfg = _tree_config(tmp_path)
+    graph.write_text(json.dumps(random_labeled_graph(240, 2, seed=5).to_dict()))
+    return {
+        "check": (("check", fn), "check_pd", tmp_path / "fn.report.json", {"input": str(fn)}),
+        "extend": (("extend", fn, "--radius", 3, "--out", tmp_path / "big.json"),
+                   "central_extension", tmp_path / "fn.report.json", {"input": str(fn)}),
+        "energy": (("energy", fn, fn), "energy_schedule", tmp_path / "fn.report.json",
+                   {"a": str(fn), "b": str(fn)}),
+        "solve": (("solve", "--config", cfg, "--radius", 3, "--epsilon", 0.01, "--out", out),
+                  "solve_configuration", out / "report.json", {"config": str(cfg)}),
+        "surgery": (("surgery", graph, "--R", 2, "--r", 1, "--out", out / "s.json", "--verify"),
+                    "perform_surgery", out / "s.json", {"graph": str(graph)}),
+    }[command]
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands in for NumPy's own MemoryError subclass."""
+
+
+_COMMANDS = ["check", "extend", "energy", "solve", "surgery"]
+
+
+@pytest.mark.parametrize("error", [SingularizationError("injected"),
+                                   _ArrayMemoryError("injected")], ids=["library", "memory"])
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_a_failure_after_the_inputs_load_exits_1_with_a_report(tmp_path, monkeypatch, command,
+                                                               error):
+    argv, target, path, inputs = _loaded_run(tmp_path, command)
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, failing)
+    res = run(*argv)
+    assert (res.code, res.report_path) == (1, str(path))
+    assert res.summary == f"{command} failed: injected"
+    kind = "MemoryError" if isinstance(error, MemoryError) else "SingularizationError"
+    staged = {"stage": None} if command in ("extend", "solve") else {}
+    assert json.loads(path.read_text()) == {**inputs, "error": "injected", "type": kind, **staged}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_a_format_error_after_the_inputs_load_exits_2_without_a_report(tmp_path, monkeypatch,
+                                                                       command):
+    argv, target, path, _ = _loaded_run(tmp_path, command)
+
+    def malformed(*args, **kwargs):
+        raise FormatError("injected", "injected")
+
+    monkeypatch.setattr(cli, target, malformed)
+    res = run(*argv)
+    assert (res.code, res.report_path) == (2, "")
+    assert res.summary == "malformed input at 'injected': injected"
+    assert not path.exists()
+
+
+def test_check_brute_force_past_the_clique_cap_exits_1_with_a_report(tmp_path, monkeypatch):
+    # once exit 1 with no report
+    monkeypatch.setattr(pdcore, "BRUTE_FORCE_CAP", 2)
+    fn = tmp_path / "f.json"
+    run("random", "--r", 2, "--d", 1, "--seed", 3, "--out", fn)
+    res = run("check", fn, "--brute-force")
+    assert res.code == 1 and res.report_path == str(tmp_path / "f.report.json")
+    report = json.loads((tmp_path / "f.report.json").read_text())
+    assert report["input"] == str(fn) and report["type"] == "ParameterError"
+    assert report["error"].endswith("exceeds the cap 2")
+
+
+def test_surgery_verify_raising_exits_1_with_a_report(tmp_path, monkeypatch):
+    # once exit 1 with no report: only perform_surgery's failures were caught
+    def raising(*args):
+        raise SurgeryError("a G-check could not run")
+
+    monkeypatch.setattr(cli, "verify_conditions", raising)
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(random_labeled_graph(240, 2, seed=5).to_dict()))
+    out = tmp_path / "surgery.json"
+    res = run("surgery", graph, "--R", 2, "--r", 1, "--out", out, "--verify")
+    assert res.code == 1 and res.summary == "surgery failed: a G-check could not run"
+    assert json.loads(out.read_text()) == {
+        "graph": str(graph), "error": "a G-check could not run", "type": "SurgeryError"}
 
 
 def test_missing_file_exits_2(tmp_path):

@@ -36,12 +36,14 @@ from freepd.extend import SzegoParameter, _open_walk, central_extension
 from freepd.hilbert import build_partial_space, residual_data
 from freepd.pdcore import (
     DEFAULT_TOL,
+    Domain,
     PDFunction,
     add_to_entries,
     check_pd,
     delta,
     l1_distance,
     random_nspd,
+    restrict_to_ball,
     restrict_to_stage,
 )
 from freepd.transport import (
@@ -51,6 +53,7 @@ from freepd.transport import (
     partial_relative_energy,
     relative_energy,
 )
+from freepd.words import ball
 from helpers import (
     eta_budget_oracle,
     gram_schmidt_rows,
@@ -418,7 +421,7 @@ def _counting_checks(monkeypatch):
 
 def _checked_solve(spC, rdC, spD, rdD, zeta_c, zeta_d):
     """A stage pencil's solve as it was before the certificate: every base
-    Gram checked by zheevr, then the kernel."""
+    Gram checked by _strict_min_eig, then the kernel."""
     G_C = _completed(spC, rdC, zeta_c)
     _strict_min_eig(G_C, "the base Gram matrix")
     return _top_generalized_eig(G_C, _completed(spD, rdD, zeta_d))
@@ -858,6 +861,102 @@ def test_configuration_from_dict_round_trip_and_errors():
         assert info.value.key == key
 
 
+def _fields(fns, **fields):
+    """Configuration keywords of the path a -> b -> c over fns, fields replaced."""
+    return {"shape": "tree", "r": 1, "d": 1, "vertices": ("a", "b", "c"),
+            "edges": (("a", "b"), ("b", "c")), "functions": dict(zip("abc", fns)), "root": "c",
+            **fields}
+
+
+def _cycle_fields(fns, vertices="abc", edges=(("a", "b"), ("b", "c"), ("c", "a")), root=None):
+    return _fields(fns, shape="cycle", vertices=tuple(vertices), edges=edges,
+                   functions=dict(zip(vertices, fns * 2)), root=root)
+
+
+def _not_strict():
+    # positive definite but singular: every entry is one
+    return PDFunction(1, Domain.ball(2), {w: 1.0 for w in ball(2)})
+
+
+# the error class, a fragment of its message, and a call that raises it
+_VALIDATION_CASES = {
+    "stage-of-a-ball": (DomainError, "partial-domain",
+                        lambda fns: stage_energy(fns[0], fns[0], 0, 0)),
+    "gradient-side": (ParameterError, "side must be",
+                      lambda fns: energy_gradient(fns[0], fns[0], 0, 0, "eta", 1)),
+    "gradient-direction": (ParameterError, "unit complex",
+                           lambda fns: energy_gradient(fns[0], fns[0], 0, 0, "zeta", 0.5)),
+    "no-vertices": (ParameterError, "at least one vertex", lambda fns: Configuration(
+        **_fields(fns, vertices=(), edges=(), functions={}))),
+    "duplicate-vertices": (ParameterError, "distinct", lambda fns: Configuration(
+        **_fields(fns, vertices=("a", "a", "c")))),
+    "functions-off-the-vertices": (ParameterError, "exactly on the vertices",
+                                   lambda fns: Configuration(**_fields(fns[:2]))),
+    "not-strict": (NotStrictError, "vertex 'b' is not strict", lambda fns: Configuration(
+        **_fields([fns[0], _not_strict(), fns[2]]))),
+    "d-bool": (ParameterError, "d must be an integer",
+               lambda fns: Configuration(**_fields(fns, d=True))),
+    "d-text": (ParameterError, "d must be an integer",
+               lambda fns: Configuration(**_fields(fns, d="1"))),
+    "two-outgoing-edges": (ParameterError, "two outgoing edges", lambda fns: Configuration(
+        **_fields(fns, edges=(("a", "b"), ("a", "c"))))),
+    "not-a-tree": (ParameterError, "do not form a tree", lambda fns: Configuration(
+        **_fields(fns, edges=(("a", "b"), ("b", "a"))))),
+    "cycle-with-root": (ParameterError, "takes no root",
+                        lambda fns: Configuration(**_cycle_fields(fns, root="c"))),
+    "one-vertex-cycle": (ParameterError, "at least two vertices", lambda fns: Configuration(
+        **_cycle_fields(fns, vertices="a", edges=()))),
+    "two-cycles": (ParameterError, "single cycle", lambda fns: Configuration(
+        **_cycle_fields(fns, vertices="abcd",
+                        edges=(("a", "b"), ("b", "a"), ("c", "d"), ("d", "c"))))),
+    "solve-not-a-configuration": (ParameterError, "needs a Configuration",
+                                  lambda fns: solve_configuration(_fields(fns), 3, 0.01)),
+    "solve-eps": (ParameterError, "eps must be",
+                  lambda fns: solve_configuration(_path_config(fns), 3, 0.0)),
+    "solve-sigma": (ParameterError, "positive throughout", lambda fns: solve_configuration(
+        _path_config(fns), 3, 0.01, sigma_schedule=[0.01, -1.0])),
+    "encost-not-a-configuration": (ParameterError, "needs a Configuration",
+                                   lambda fns: encost_report(_fields(fns), {}, 0.01)),
+    "encost-keys": (ParameterError, "keyed exactly",
+                    lambda fns: encost_report(_path_config(fns), {"a": fns[0]}, 0.01)),
+    "encost-two-balls": (DomainError, "one common ball", lambda fns: encost_report(
+        _path_config(fns), {"a": fns[0], "b": fns[1], "c": restrict_to_ball(fns[2], 1)}, 0.01)),
+    "encost-short-of-the-data-ball": (DomainError, r"cover the data ball Ball\(2\)",
+                                      lambda fns: encost_report(_path_config(fns), {
+                                          v: restrict_to_ball(C, 1) for v, C in zip("abc", fns)
+                                      }, 0.01)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VALIDATION_CASES))
+def test_validation_branches_raise_their_error(case):
+    error, message, call = _VALIDATION_CASES[case]
+    with pytest.raises(error, match=message):
+        call(_ball2_family())
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"d": True}, "d"),
+    ({"d": 1.0}, "d"),
+    ({"edges": [["a", "b"], ["a", "c"]]}, "edges"),
+    ({"edges": [["a", "b"], ["b", "a"]]}, "edges"),
+    ({"shape": "cycle", "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}, "root"),
+    ({"shape": "cycle", "root": None, "vertices": {"a": "a.json"}, "edges": []}, "vertices"),
+    ({"shape": "cycle", "root": None, "vertices": {v: f"{v}.json" for v in "abcd"},
+      "edges": [["a", "b"], ["b", "a"], ["c", "d"], ["d", "c"]]}, "edges"),
+], ids=["d-bool", "d-float", "two-outgoing-edges", "not-a-tree", "cycle-with-root",
+        "one-vertex-cycle", "two-cycles"])
+def test_configuration_from_dict_names_the_field_a_configuration_refuses(fields, key):
+    fns = _ball2_family()
+    load = source_loader({f"{v}.json": fn for v, fn in zip("abcd", fns * 2)})
+    obj = {"shape": "tree", "r": 1, "d": 1, "root": "c",
+           "vertices": {v: f"{v}.json" for v in "abc"}, "edges": [["a", "b"], ["b", "c"]],
+           **fields}
+    with pytest.raises(FormatError) as info:
+        configuration_from_dict({k: v for k, v in obj.items() if v is not None}, load)
+    assert info.value.key == key
+
+
 def test_configuration_from_dict_checks_every_source_before_loading():
     loaded = []
     obj = {"shape": "tree", "r": 1, "d": 1, "root": "b",
@@ -956,7 +1055,7 @@ SOLVE_PINS = {
 # (as SOLVE_PINS do) and with what a stage pencil keeps.
 SOLVE_PENCILS = {"path": 1888, "cycle": 14074}
 
-# zheevr checks of the base Gram among those kernel calls: a stage pencil
+# Eigenvalue checks of the base Gram among those kernel calls: a stage pencil
 # certifies a corner by Weyl's inequality from its last check, so each of the
 # path's 36 pencils (2 edges x 18 stages) checks once, and the cycle's 54
 # check 60 times.
