@@ -10,7 +10,8 @@ files and flags; all randomness sits behind an explicit ``--seed``.
 Exit codes: 0 when every requested check or solve succeeded, 1 when a
 verdict, tolerance or solve failed (a JSON report is still written), 2
 when an input file is malformed (the file and its first offending key are
-named) or cannot be read, or an output cannot be written (its path is named).
+named) or cannot be read, or an output cannot be written (its path is named);
+an output's missing directory is made first.
 Once its inputs load, a command names its report in ``args.failure`` (path,
 input fields, stage walk or not); dispatch turns any later library error but
 a FormatError, and any MemoryError, into that report and exit 1.
@@ -102,8 +103,7 @@ def _make_dir(path: Path) -> None:
 
 
 def _failed(verb, exc, path, inputs, staged=False) -> CommandResult:
-    """Write the report of a failed command, making its directory; exit 2 on
-    a FormatError, else 1.
+    """Write the report of a failed command; exit 2 on a FormatError, else 1.
 
     The report holds the ``inputs`` fields, the error and its type, then for
     a stage walk the failing stage (null when none is named).
@@ -112,7 +112,6 @@ def _failed(verb, exc, path, inputs, staged=False) -> CommandResult:
     if staged:
         stage = getattr(exc, "stage", None)
         report["stage"] = None if stage is None else dict(zip("gjk", stage))
-    _make_dir(Path(path).parent)
     write_json_atomic(report, path)
     if isinstance(exc, FormatError):
         return CommandResult(2, f"malformed input at {exc.key!r}: {exc}", str(path))
@@ -125,7 +124,7 @@ def _cmd_check(args) -> CommandResult:
     C = load_function(args.pdf)
     path = _report_path(args.pdf)
     args.failure = (path, {"input": str(args.pdf)})
-    verdict = check_pd(C, tol=args.tol, brute_force=args.brute_force)
+    verdict = check_pd(C, tol=args.tol)
     report = {
         "input": str(args.pdf),
         "status": verdict.status,
@@ -256,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify positive definiteness of a stored function")
     p.add_argument("pdf", help="function JSON file")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--brute-force", action="store_true")
     p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("random", help="emit a random strictly positive definite function")
@@ -270,7 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="extend a function to a larger ball")
     p.add_argument("pdf", help="function JSON file")
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--policy", choices=["central"], default="central")
     p.add_argument("--out", required=True)
     p.set_defaults(run=_cmd_extend)
 

@@ -12,10 +12,9 @@ Positivity of a fully specified function is decided on the family
 {K_h : h a novel level of the domain}: every maximal clique of every level
 graph is a translate of some K_h, translates have identical Gram matrices,
 and the least level at which a given clique occurs is itself novel.  A
-brute-force mode enumerates all maximal cliques instead, kept around so the
-reduction stays falsifiable.  A partially specified top level (the state
-midway through an extension stage) is checked through the stage restriction
-matrices, which are exactly its fully defined principal submatrices.
+partially specified top level (the state midway through an extension stage)
+is checked through the stage restriction matrices, which are exactly its
+fully defined principal submatrices.
 
 Only one of {g, g^-1} is stored, the shortlex-smaller (canonical) one, and
 the mirror is materialized on read.  A function is one read-only (N, d, d)
@@ -66,10 +65,8 @@ from .errors import (
 from .words import (
     Word,
     clique,
-    index_set,
     inverse,
     is_novel,
-    maximal_cliques,
     mul,
     quotient_table,
     shortlex_key,
@@ -79,9 +76,6 @@ from .words import (
 
 DEFAULT_TOL = 1e-10
 MIRROR_TOL = 1e-12
-
-# The largest maximal clique the brute-force positivity check gathers a Gram for.
-BRUTE_FORCE_CAP = 64
 
 
 def _as_word(key) -> Word:
@@ -350,7 +344,7 @@ class PDFunction:
     __slots__ = ("d", "domain", "_stack", "_stage_space", "__weakref__")
 
     def __init__(self, d: int, domain: Domain, entries):
-        _check_header(d, domain)
+        _check_header(d, domain)  # before _read_each, so a bad d outranks bad entries
         self._adopt(d, domain, _fill(d, domain, *_read_each(d, entries)))
 
     @classmethod
@@ -585,30 +579,13 @@ def _partial_stage_families(C: PDFunction):
             yield tuple(pairs[i] for i in at), (quotients, slots[np.ix_(at, at)], coords[at])
 
 
-def _brute_force_families(C: PDFunction):
-    """Every maximal clique of the domain graph (check_pd's brute force)."""
-    dom = C.domain
-    last = words.rank_of((3,) * dom.r if dom.kind == "ball" else dom.g) - (dom.kind == "partial")
-    base = index_set(words.word_of_rank(last))  # a partial domain's graph: I_g before g
-    verts = sorted(base.members, key=shortlex_key)
-    found = sorted(
-        (tuple(sorted(cl, key=shortlex_key)) for cl in maximal_cliques(verts, base)),
-        key=lambda E: (len(E), tuple(map(shortlex_key, E))),
-    )
-    for E in found:
-        if len(E) > BRUTE_FORCE_CAP:
-            raise ParameterError(
-                f"brute-force clique of size {len(E)} exceeds the cap {BRUTE_FORCE_CAP}"
-            )
-        yield tuple((h, m) for h in E for m in range(1, C.d + 1)), None
-
-
 def _family_spectra(C: PDFunction, families):
     """(least eigenvalue, Gram size, witness) of each family of (pairs,
     table), one eigvalsh each; witness returns (pairs, Gram), for the one
-    eigh of check_pd's witness."""
-    for pairs, table in families:  # None: _gram looks the table up
-        G = _gram(C, pairs, table=table)
+    eigh of check_pd's witness.  Every family brings its table: the e
+    block its own, a stage restriction a slice of its level's."""
+    for pairs, table in families:
+        G = _gram(C, table=table)
         yield float(np.linalg.eigvalsh(G)[0]), len(pairs), lambda pairs=pairs, G=G: (pairs, G)
 
 
@@ -656,13 +633,12 @@ def _level_spectra(C: PDFunction):
             yield float(lam[i]), int(sizes[i]) * d, lambda top=top: witness(top)
 
 
-def check_pd(C: PDFunction, tol: float = DEFAULT_TOL, brute_force: bool = False) -> PDVerdict:
+def check_pd(C: PDFunction, tol: float = DEFAULT_TOL) -> PDVerdict:
     """Classify C as strict, semidefinite or not_pd, with an extremal witness.
 
-    The default family is one Gram matrix per novel level (plus the stage
+    The family is one Gram matrix per novel level (plus the stage
     restrictions on partial domains), checked a word length at a time with
-    one eigvalsh per clique size (_level_spectra); brute_force=True checks
-    every maximal clique of the domain graph instead.  The e block comes
+    one eigvalsh per clique size (_level_spectra).  The e block comes
     first.  Least eigenvalues, all from eigvalsh, are compared against tol
     scaled by the matrix dimension; crossing below the negative threshold
     ends the scan with that Gram as certificate, and a tie for the least
@@ -680,8 +656,7 @@ def check_pd(C: PDFunction, tol: float = DEFAULT_TOL, brute_force: bool = False)
     # the list [e] has the one quotient e at every slot: a table that needs no tree
     e_block = [(tuple(((), m) for m in range(1, d + 1)),
                 (np.zeros(1, np.int64), np.zeros((d, d), np.int64), np.arange(d)))]
-    spectra = [_family_spectra(C, e_block),
-               _family_spectra(C, _brute_force_families(C)) if brute_force else _level_spectra(C)]
+    spectra = [_family_spectra(C, e_block), _level_spectra(C)]
     if C.domain.kind == "partial":
         spectra.append(_family_spectra(C, _partial_stage_families(C)))
     worst, status = None, "strict"
@@ -1053,7 +1028,8 @@ def read_json(path):
 
 
 def write_json_atomic(obj, path):
-    """Serialize obj as JSON at path through a same-directory temp file.
+    """Serialize obj as JSON at path through a same-directory temp file,
+    making the directory first if it is missing.
 
     A failed write leaves no temp file behind; an OSError on the way is
     raised as OutputError naming path.
@@ -1062,7 +1038,11 @@ def write_json_atomic(obj, path):
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".freepd-", suffix=".json")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".freepd-", suffix=".json")
+        except FileNotFoundError:  # only a missing directory costs the second try
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".freepd-", suffix=".json")
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps(obj, indent=1) + "\n")
         os.replace(tmp, path)

@@ -9,9 +9,10 @@ The generalized Cayley graph at level g has vertex set the whole group and an
 edge between distinct h, l whenever l^-1 h lies in the symmetric index set I_g.
 Everything downstream (positive definiteness checks, extension stages) reduces
 to cliques of these graphs, so the combinatorics here is deliberately small,
-exhaustively tested, and free of floating point.  The canonical words of
-a ball, an index set or an extension stage form a prefix of the shortlex
-order of all canonical words (see is_novel), so that order ranks storage.
+exhaustively tested (the tests enumerate every maximal clique by
+Bron-Kerbosch), and free of floating point.  The canonical words of a ball,
+an index set or an extension stage form a prefix of the shortlex order of
+all canonical words (see is_novel), so that order ranks storage.
 
 Inside the package a word is its shortlex rank (rank_of, word_of_rank), its
 position in ball(r) for every r that holds it, so one tree of arrays indexed
@@ -273,11 +274,6 @@ def index_set(g: Word) -> IndexSet:
     return IndexSet(g, frozenset(words[:n] + tuple(map(words.__getitem__, inv))))
 
 
-def adjacent(h: Word, l: Word, iset: IndexSet) -> bool:
-    """Edge test in the generalized Cayley graph at iset.origin."""
-    return h != l and mul(inverse(l), h) in iset.members
-
-
 def is_novel(g: Word) -> bool:
     """Whether level g adds a new edge, i.e. g strictly precedes its inverse.
 
@@ -432,30 +428,3 @@ def quotient_table(ranks: tuple):
     """
     tree = _tree(len(word_of_rank(max(ranks))))
     return _quotient_tables(tree, np.array([0, len(ranks)]), np.array(ranks))[0]
-
-
-def maximal_cliques(vertices, iset: IndexSet):
-    """All maximal cliques of the induced subgraph on ``vertices`` (Bron-Kerbosch).
-
-    Small inputs only; used as the brute-force oracle against ``clique`` and by
-    the brute-force positive definiteness mode.
-    """
-    verts = list(vertices)
-    nbrs = {
-        v: {w for w in verts if w != v and adjacent(v, w, iset)} for v in verts
-    }
-    out = []
-
-    def expand(r, p, x):
-        if not p and not x:
-            out.append(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda v: len(nbrs[v] & p))
-        for v in list(p - nbrs[pivot]):
-            expand(r | {v}, p & nbrs[v], x & nbrs[v])
-            p.remove(v)
-            x.add(v)
-
-    expand(set(), set(verts), set())
-    return out
-

@@ -17,7 +17,17 @@ from freepd.errors import (
     SurgeryError,
     WordError,
 )
-from freepd.pdcore import DEFAULT_TOL, MIRROR_TOL, Domain, PDFunction, PDVerdict, canonical_rep
+from freepd.pdcore import (
+    DEFAULT_TOL,
+    MIRROR_TOL,
+    Domain,
+    PDFunction,
+    PDVerdict,
+    canonical_rep,
+    gram,
+    gram_indexed,
+    stage_pairs,
+)
 from freepd.surgery import _greedy_positions
 from freepd.words import (
     _AFTER,
@@ -25,7 +35,6 @@ from freepd.words import (
     _canonical_quotients,
     _ranks,
     _tree,
-    adjacent,
     ball_size,
     ball,
     clique,
@@ -199,6 +208,62 @@ def scan_clique(g):
             f"({word_to_str(vertices[a])}, {word_to_str(vertices[b])}) not adjacent"
         )
     return vertices
+
+
+def adjacent(h, l, iset):
+    """Edge test in the generalized Cayley graph at iset.origin."""
+    return h != l and mul(inverse(l), h) in iset.members
+
+
+def maximal_cliques(vertices, iset):
+    """All maximal cliques of the induced subgraph on ``vertices`` (Bron-Kerbosch).
+
+    Small inputs only: the oracle for words.clique and, through
+    brute_force_verdict, for check_pd's reduction to the level cliques.
+    """
+    verts = list(vertices)
+    nbrs = {
+        v: {w for w in verts if w != v and adjacent(v, w, iset)} for v in verts
+    }
+    out = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            out.append(frozenset(r))
+            return
+        pivot = max(p | x, key=lambda v: len(nbrs[v] & p))
+        for v in list(p - nbrs[pivot]):
+            expand(r | {v}, p & nbrs[v], x & nbrs[v])
+            p.remove(v)
+            x.add(v)
+
+    expand(set(), set(verts), set())
+    return out
+
+
+def brute_force_verdict(C, tol=DEFAULT_TOL):
+    """The status check_pd must reach, from every maximal clique of the
+    domain graph in place of the level cliques: the e block, the Gram of
+    each maximal clique of the graph of the domain's index set (for a
+    partial domain, I_g of the level before g), then a partial domain's
+    stage restrictions, the current stage by its two one-sided halves.
+    Grams come from the public gram, gram_indexed and stage_pairs alone,
+    and each least eigenvalue meets check_pd's threshold, tol times the
+    Gram's order."""
+    dom, d = C.domain, C.d
+    top = (3,) * dom.r if dom.kind == "ball" else dom.g
+    iset = index_set(predecessor(top) if dom.kind == "partial" else top)
+    grams = [gram(C, [()])]
+    grams += [gram(C, sorted(E, key=shortlex_key)) for E in maximal_cliques(iset.members, iset)]
+    if dom.kind == "partial":
+        stages = [(l, m) for l in range(1, d + 1) for m in range(1, d + 1) if (l, m) < (dom.j, dom.k)]
+        grams += [gram_indexed(C, stage_pairs(dom.g, d, l, m)[1]) for l, m in stages]
+        Q = stage_pairs(dom.g, d, dom.j, dom.k)[1]
+        grams += [gram_indexed(C, Q[:-1]), gram_indexed(C, Q[:-2] + Q[-1:])]
+    least = [(np.linalg.eigvalsh(G)[0], tol * len(G)) for G in grams]
+    if any(lam < -thr for lam, thr in least):
+        return "not_pd"
+    return "semidefinite" if any(lam <= thr for lam, thr in least) else "strict"
 
 
 def predecessor_clique(g):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import freepd
-from freepd import cli, energysolver, hilbert, pdcore
+from freepd import cli, energysolver, hilbert
 from freepd.cli import dispatch, main
 from freepd.errors import (
     DegenerateStageError,
@@ -52,7 +52,7 @@ def test_extend_then_check(tmp_path):
     fn = tmp_path / "fn.json"
     big = tmp_path / "big.json"
     run("random", "--r", 1, "--d", 2, "--seed", 7, "--out", fn)
-    res = run("extend", fn, "--radius", 4, "--policy", "central", "--out", big)
+    res = run("extend", fn, "--radius", 4, "--out", big)
     assert res.code == 0
     assert run("check", big).code == 0
     assert load_function(big).domain.r == 4
@@ -686,7 +686,7 @@ def test_check_too_large_to_check_exits_1_and_still_writes(tmp_path, monkeypatch
     # stood in for here, so no such block is ever requested
     message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
 
-    def too_large(C, tol, brute_force):
+    def too_large(C, tol):
         assert C.d == 10 ** 6
         raise MemoryError(message)
 
@@ -762,18 +762,6 @@ def test_a_format_error_after_the_inputs_load_exits_2_without_a_report(tmp_path,
     assert not path.exists()
 
 
-def test_check_brute_force_past_the_clique_cap_exits_1_with_a_report(tmp_path, monkeypatch):
-    # once exit 1 with no report
-    monkeypatch.setattr(pdcore, "BRUTE_FORCE_CAP", 2)
-    fn = tmp_path / "f.json"
-    run("random", "--r", 2, "--d", 1, "--seed", 3, "--out", fn)
-    res = run("check", fn, "--brute-force")
-    assert res.code == 1 and res.report_path == str(tmp_path / "f.report.json")
-    report = json.loads((tmp_path / "f.report.json").read_text())
-    assert report["input"] == str(fn) and report["type"] == "ParameterError"
-    assert report["error"].endswith("exceeds the cap 2")
-
-
 def test_surgery_verify_raising_exits_1_with_a_report(tmp_path, monkeypatch):
     # once exit 1 with no report: only perform_surgery's failures were caught
     def raising(*args):
@@ -796,10 +784,10 @@ def test_missing_file_exits_2(tmp_path):
 def test_unwritable_output_exits_2_naming_it(tmp_path):
     fn = tmp_path / "fn.json"
     save_function(random_nspd(2, 1, seed=1), fn)
+    # a missing output directory is made
     out = tmp_path / "missing" / "big.json"
     res = run("extend", fn, "--radius", 3, "--out", out)
-    assert res.code == 2
-    assert res.summary == f"cannot write {out}: No such file or directory"
+    assert res.code == 0 and load_function(out).domain == Domain.ball(3)
     # an output that is a directory, and an output directory that is a file
     (tmp_path / "dir").mkdir()
     res = run("extend", fn, "--radius", 3, "--out", tmp_path / "dir")
@@ -811,16 +799,32 @@ def test_unwritable_output_exits_2_naming_it(tmp_path):
     res = run("solve", "--config", config, "--radius", 2, "--epsilon", 0.1, "--out", fn)
     assert res.code == 2 and res.summary.startswith(f"cannot write {fn}: ")
     # no temp file is left behind
-    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "dir", "fn.json"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "big.json", "cfg.json", "dir", "fn.json", "missing"]
 
 
-def test_bad_arguments_exit_2():
-    with pytest.raises(SystemExit) as info:
-        dispatch(["check"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit):
-        dispatch(["extend", "x.json", "--radius", "3", "--policy", "fanciful",
-                  "--out", "y.json"])
+def test_a_result_into_a_missing_directory_is_written(tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(random_labeled_graph(240, 2, seed=5).to_dict()))
+    here, there = tmp_path / "s.json", tmp_path / "od" / "missing" / "s.json"
+    for out in (here, there):
+        res = run("surgery", graph, "--R", 2, "--r", 1, "--out", out)
+        assert (res.code, res.report_path) == (0, str(out))
+    assert there.read_bytes() == here.read_bytes()
+    assert sorted(p.name for p in (tmp_path / "od").rglob("*")) == ["missing", "s.json"]
+
+
+def test_bad_arguments_exit_2(capsys):
+    extend = ["extend", "x.json", "--radius", "3", "--out", "y.json"]
+    # check --brute-force and extend --policy are retired: argparse must not know them
+    for argv in (["check"], extend + ["--policy", "fanciful"], extend + ["--policy", "central"],
+                 ["check", "x.json", "--brute-force"]):
+        with pytest.raises(SystemExit) as info:
+            dispatch(argv)
+        assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --policy central" in err
+    assert "unrecognized arguments: --brute-force" in err
 
 
 def test_main_prints_and_returns(tmp_path, capsys):

@@ -29,6 +29,7 @@ from freepd.pdcore import (
 )
 from freepd.words import is_novel, next_novel, word_from_str
 from helpers import (
+    brute_force_verdict,
     embed_toeplitz,
     letter_weights_function,
     novel_stages,
@@ -222,8 +223,7 @@ def test_random_walks_stay_strict():
         verdict = check_pd(out)
         assert verdict.status == "strict", (seed, verdict.min_eigenvalue)
         if d == 1:
-            brute = check_pd(restrict_to_ball(out, 2), brute_force=True)
-            assert brute.status == "strict"
+            assert brute_force_verdict(restrict_to_ball(out, 2)) == "strict"
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)

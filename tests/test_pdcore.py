@@ -50,6 +50,7 @@ from freepd.pdcore import (
 from freepd.hilbert import build_partial_space
 from freepd.words import ball, ball_size, clique, inverse, mul, word_from_str, word_to_str
 from helpers import (
+    brute_force_verdict,
     canonical_ball,
     fill_stage,
     library_caches,
@@ -315,6 +316,10 @@ def test_constructor_rejects_bad_input():
         PDFunction(2, Domain.prefix("a"), {"a": 0.5})
     with pytest.raises(ParameterError):
         PDFunction(0, Domain.ball(0), {})
+    # the header is checked before the entries are read, even entries that are not a mapping
+    for d, domain in ((0, Domain.ball(1)), (1, "ball"), (1, Domain.partial("a", 2, 1))):
+        with pytest.raises(ParameterError):
+            PDFunction(d, domain, [("a", 0.5)])
     with pytest.raises(WordError):
         Domain.partial("bA", 1, 1)  # that level adds no edge
     # NaN marks an undefined slot, which only the top of a partial domain has
@@ -388,7 +393,7 @@ def test_check_pd_clique_and_brute_modes_agree():
         margin = float(rng.uniform(0.05, 0.9))
         C = random_nspd(r, d, seed=1000 + trial, margin=margin)
         assert check_pd(C).status == "strict"
-        assert check_pd(C, brute_force=True).status == "strict"
+        assert brute_force_verdict(C) == "strict"
 
         # break positivity by inflating one entry far beyond modulus 1
         entries = {w: np.array(a) for w, a in C.canonical_items()}
@@ -396,7 +401,32 @@ def test_check_pd_clique_and_brute_modes_agree():
         entries[wbad][0, 0] += 3.0
         broken = PDFunction(d, C.domain, entries)
         assert check_pd(broken).status == "not_pd"
-        assert check_pd(broken, brute_force=True).status == "not_pd"
+        assert brute_force_verdict(broken) == "not_pd"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_check_pd_agrees_with_brute_force_on_prefix_and_partial_domains(d):
+    # every level of Ball(2) as a prefix domain and at each of its stages,
+    # strict and broken by inflating one defined entry
+    C = random_nspd(2, d, seed=5 + d, margin=0.05)
+    rng = np.random.default_rng(d)
+    seen = set()
+    for g in canonical_words(Domain.ball(2)):
+        dom = Domain.prefix(g)
+        prefix = PDFunction(d, dom, dict(list(C.canonical_items())[:len(canonical_words(dom))]))
+        stages = [restrict_to_stage(C, g, j, k) for j in range(1, d + 1) for k in range(1, d + 1)]
+        for F in [prefix, *stages]:
+            entries = {w: np.array(a) for w, a in F.canonical_items()}
+            defined = [w for w, a in entries.items() if not np.isnan(a[0, 0])]
+            broken = []
+            if defined:  # none at the first stage of the first level
+                entries[defined[int(rng.integers(len(defined)))]][0, 0] += 3.0
+                broken = [PDFunction(d, F.domain, entries)]
+            for G in [F, *broken]:
+                status = check_pd(G).status
+                assert status == brute_force_verdict(G), (G.domain, status)
+                seen.add(status)
+    assert seen == {"strict", "not_pd"}
 
 
 def test_pd_entries_bounded_by_one_on_random_instances():

@@ -12,7 +12,7 @@ import pkgutil
 import freepd
 import freepd.words
 
-RETIRED = {"tol", "tol_edge", "certificate", "inits", "max_tries", "cap"}
+RETIRED = {"tol", "tol_edge", "certificate", "inits", "max_tries", "cap", "brute_force"}
 ALLOWED = {("freepd.pdcore", "check_pd", "tol")}
 
 

@@ -9,21 +9,21 @@ from freepd import words
 from freepd.errors import WordError
 from freepd.pdcore import canonical_rep
 from freepd.words import (
-    adjacent,
     ball,
     ball_size,
     clique,
     index_set,
     inverse,
     is_novel,
-    maximal_cliques,
     mul,
     reduce_word,
     word_from_str,
     word_to_str,
 )
 from helpers import (
+    adjacent,
     canonical_ball,
+    maximal_cliques,
     predecessor,
     predecessor_clique,
     reference_quotients,
