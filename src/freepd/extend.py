@@ -13,7 +13,7 @@ function and keeps later stages nondegenerate.
 
 extend_entry performs one such step and advances the stage bookkeeping.
 This module owns the one stage walk: _open_walk starts it beyond Ball(r),
-_write_and_advance alone orders the stages, and restrict_to_ball cuts the
+_write_and_advance alone orders its stages, and restrict_to_ball cuts the
 result onto Ball(R).  extend_ball drives it with a parameter policy, and the
 energy solver drives it for a whole family of functions.  Each step builds
 its successor by construction, the stack a copy of the predecessor's with
@@ -22,9 +22,18 @@ factor (see hilbert): each stage function the walk writes on the same level
 inherits that level, gathered and factored once for its d*d stages, and its
 predecessor's stage factor, grown by one row.  A stage failure keeps its
 class and names the stage in its message and its stage attribute.
+
 The zeta = 0 choice at every stage is the central (maximal entropy)
 extension, which on two letters reproduces the multiplicative values
-C(uv) = C(u) C(v) along reduced products.
+C(uv) = C(u) C(v) along reduced products.  central_extension computes it
+a level at a time, not a stage at a time: at zeta = 0 each stage leaves the
+residuals of (g, j) and (e, k) against the level's interior K orthogonal,
+so every cross term is the interior part <P_K Theta(g)_j, P_K Theta(e)_k>
+alone, and the level's whole top C(g) is the g x e block P[:d, d:] of the
+Gram P = V* V the level computes anyway (hilbert._Level.projections).  The
+stage residual norms are the Cholesky pivots of the Schur block S's g and
+e blocks, which name the stage a collapse falls at.  The result equals
+the central policy's walk to rounding, bit for bit at d <= 2.
 
 toeplitz_step is the rank-one classical analogue: one Schur step extending
 a finite positive definite Toeplitz sequence, used as an independent check
@@ -40,8 +49,16 @@ from typing import Callable
 import numpy as np
 
 from . import _linalg
-from .errors import DomainError, FreePDError, ParameterError
-from .hilbert import build_partial_space, hand_off, residual_data, residual_from_gram
+from .errors import DegenerateStageError, DomainError, FreePDError, ParameterError
+from .hilbert import (
+    _checked,
+    _factor,
+    _Level,
+    build_partial_space,
+    hand_off,
+    residual_data,
+    residual_from_gram,
+)
 from .pdcore import (
     Domain,
     PDFunction,
@@ -208,31 +225,80 @@ def _open_walk(C: PDFunction) -> PDFunction:
     return restrict_to_stage(C, next_novel((3,) * C.domain.r), 1, 1)
 
 
+def _target_radius(C: PDFunction, R: int) -> int:
+    """R as an int, checked against the ball C lives on."""
+    if C.domain.kind != "ball":
+        raise DomainError("extend_ball starts from a fully specified ball")
+    R = int(R)
+    if R < C.domain.r:
+        raise ParameterError(f"target radius {R} is below the source radius {C.domain.r}")
+    return R
+
+
 def extend_ball(C: PDFunction, R: int, policy: ParameterPolicy | None = None) -> PDFunction:
     """Extend a function on Ball(r) to Ball(R) stage by stage.
 
     Novel levels of B_R are visited in shortlex order, all d*d coordinates
     of each in row-major order; non-novel levels are mirrors and need no
     choice.  The walk is deterministic given the policy, and the output
-    restricted to B_r equals C bitwise.
+    restricted to B_r equals C bitwise.  With no policy the result is
+    central_extension(C, R).
     """
-    if C.domain.kind != "ball":
-        raise DomainError("extend_ball starts from a fully specified ball")
-    R = int(R)
-    r = C.domain.r
-    if R < r:
-        raise ParameterError(f"target radius {R} is below the source radius {r}")
     if policy is None:
-        policy = central_policy()
+        return central_extension(C, R)
+    R = _target_radius(C, R)
     cur = _open_walk(C)
     while len(cur.domain.g) <= R:
         cur = _policy_step(cur, policy)
     return restrict_to_ball(cur, R)
 
 
+def _central_level(C: PDFunction) -> PDFunction:
+    """The zeta = 0 walk over the level of C, a function at its first stage
+    (g, 1, 1), in one write: C(g) = P[:d, d:] of the level's projections,
+    on the next novel level's first stage.  Failures are the walk's: the
+    interior factor's NotStrictError at (g, 1, 1), or DegenerateStageError
+    at the first stage, row-major, whose n_g or n_e collapses, n_g at
+    (g, j, k) being the j-th Cholesky pivot of S's g block and n_e the k-th
+    of its e block."""
+    g, d = C.domain.g, C.d
+    try:
+        P, S = _Level(C).projections()
+    except FreePDError as exc:
+        raise _stage_error(C, exc, "residuals failed")
+    n_g, n_e = _factor(S[:d, :d])[1], _factor(S[d:, d:])[1]
+    # + 0.0 turns a -0.0 into 0.0, as the walk's sum with its zero terms does
+    nxt = _next_stage(C, P[:d, d:] + 0.0, Domain("partial", g=next_novel(g), j=1, k=1))
+    try:
+        for t in range(d * d):  # the level's stages, row-major
+            _checked(n_g[t // d], n_e[t % d], 0j)
+    except DegenerateStageError as exc:
+        stage = restrict_to_stage(nxt, g, t // d + 1, t % d + 1)
+        raise _stage_error(stage, exc, "residuals failed")
+    return nxt
+
+
 def central_extension(C: PDFunction, R: int) -> PDFunction:
-    """The zeta = 0 extension of a ball function out to radius R."""
-    return extend_ball(C, R, policy=central_policy())
+    """The zeta = 0 extension of a ball function out to radius R, a level at
+    a time.
+
+    Why one block read per level equals the walk: write a_j and b_k for
+    the residuals of (g, j) and (e, k) against the level's interior K.  If
+    the stages before (j, k) made a_m orthogonal to b_l for each (m, l) of
+    theirs, a_j projects onto the core's a's alone and b_k onto its b's
+    alone, two orthogonal spans, so the stage's projected cross term is the
+    interior part <P_K Theta(g)_j, P_K Theta(e)_k>.  zeta = 0 writes
+    exactly that, which makes a_j orthogonal to b_k in turn.  So C(g) is
+    the g x e block of the level's P = V* V (hilbert._Level.projections),
+    the residual norms are the Cholesky pivots of S's g and e blocks, and
+    the result is extend_ball(C, R, central_policy()) to rounding (bit for
+    bit at d <= 2), with the same failures.
+    """
+    R = _target_radius(C, R)
+    cur = _open_walk(C)
+    while len(cur.domain.g) <= R:
+        cur = _central_level(cur)
+    return restrict_to_ball(cur, R)
 
 
 def toeplitz_step(seq, zeta) -> complex:

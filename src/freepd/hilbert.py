@@ -26,9 +26,14 @@ interior x [d], g x [d], e x [d] once (pdcore's one Gram gather; only its
 C(g) block may be NaN), factors the interior block once, and borders that
 factor with the 2d g/e vectors: their interior coordinates V and the 2d x 2d
 Schur block S = G[ge, ge] - V* V, the Gram of their residuals against the
-interior.  A stage (j, k) borders the factor of its core, the rows
-(g, m < j) and (e, m < k) of S, with (g, j) and (e, k) and adds back the
-interior part V* V of the cross term; the C(g) entries it reads come from
+interior.  The central (zeta = 0) extension needs nothing more: it makes
+the g residuals orthogonal to the e residuals, so its C(g) is P's g x e
+block, P = V* V, and its stage residual norms are the Cholesky pivots of
+S's g and e blocks (extend.central_extension reads them a level at a
+time).  The walk, which takes any parameter, goes a stage at a time: a
+stage (j, k) borders the factor of its core, the rows (g, m < j) and
+(e, m < k) of S, with (g, j) and (e, k) and adds back the interior part
+V* V of the cross term; the C(g) entries it reads come from
 the function's own top row.  A function the walk writes on the same level
 inherits, through hand_off, the level and its predecessor's core factor,
 grown by one row: (e, k - 1) within a row, its row the predecessor's e
@@ -212,18 +217,24 @@ def hand_off(C: PDFunction, nxt: PDFunction):
         nxt._stage_space = PartialHilbertSpace(sp.level, nxt, sp._state)
 
 
-def _cholesky(M):
+def _factor(M):
     """Lower Cholesky factor L of a Hermitian matrix (M = L L*) and its pivots.
 
     The caller vouches for M: square and Hermitian.  The pivots are the
     diagonal of L; a pivot LAPACK could not take reads 0, as does every
-    pivot after it.  NotStrictError is raised when a pivot is at or below
-    DEFAULT_TOL or NaN.
+    pivot after it.
     """
     L, info = _linalg.zpotrf(M, lower=1, clean=1)
     pivots = np.diag(L).real.copy()
     if info > 0:
         pivots[info - 1:] = 0.0
+    return L, pivots
+
+
+def _cholesky(M):
+    """_factor(M), raising NotStrictError when a pivot is at or below
+    DEFAULT_TOL or NaN."""
+    L, pivots = _factor(M)
     bad = np.flatnonzero(~(pivots > DEFAULT_TOL))  # NaN fails too
     if bad.size:
         t = int(bad[0])

@@ -822,15 +822,20 @@ def restrict_to_stage(C: PDFunction, g, j: int, k: int) -> PDFunction:
     return PDFunction._from_stack(C.d, dom, np.concatenate([C._stack[:n - 1], top]))
 
 
-def _next_stage(C: PDFunction, value: complex, nxt: Domain) -> PDFunction:
-    """C with its working slot set to value, on the walk's next stage nxt.
-    A finite value keeps C's validated NaN pattern exact, so the stack is
-    adopted as built; any other goes through the validator."""
+def _next_stage(C: PDFunction, value, nxt: Domain) -> PDFunction:
+    """C with its working slot set to value, on the walk's next stage nxt;
+    a d x d value is the whole top row, written from C's level's first
+    stage, nxt then the next level's.  A finite value keeps C's validated
+    NaN pattern exact, so the stack is adopted as built; any other goes
+    through the validator."""
     n = len(C._stack)
     stack = np.empty((n + (nxt.g != C.domain.g), C.d, C.d), dtype=complex)
     stack[:n], stack[n:] = C._stack, complex("nan")
-    stack[n - 1, C.domain.j - 1, C.domain.k - 1] = value
-    if not cmath.isfinite(value):
+    if np.ndim(value):
+        stack[n - 1], finite = value, np.isfinite(value).all()
+    else:
+        stack[n - 1, C.domain.j - 1, C.domain.k - 1], finite = value, cmath.isfinite(value)
+    if not finite:
         return PDFunction._from_stack(C.d, nxt, stack)
     stack.setflags(write=False)
     out = object.__new__(PDFunction)
@@ -1027,6 +1032,38 @@ def read_json(path):
         raise FormatError(str(path), f"{path} is not valid JSON: {exc}") from exc
 
 
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=1), byte for byte, with each list (or tuple)
+    of plain ints and floats written by one call of json's C encoder, its
+    item separator that depth's ",\n" and indent; json.dumps with an indent
+    runs its pure-Python encoder throughout.  Every other scalar, and every
+    key, is json's own text.  Keys are text, as every key freepd writes is;
+    any other raises TypeError, where json.dumps would convert a number."""
+    encoders = {}  # by indent
+
+    def text(obj, pad: str) -> str:
+        inner = pad + " "
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            if all(type(x) is int or type(x) is float for x in obj):
+                if inner not in encoders:
+                    encoders[inner] = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
+                body = encoders[inner](obj)[1:-1]
+            else:
+                body = (",\n" + inner).join([text(x, inner) for x in obj])
+            return f"[\n{inner}{body}\n{pad}]"
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            body = (",\n" + inner).join([f"{json.encoder.encode_basestring_ascii(k)}: "
+                                         f"{text(v, inner)}" for k, v in obj.items()])
+            return f"{{\n{inner}{body}\n{pad}}}"
+        return json.dumps(obj)
+
+    return text(obj, "")
+
+
 def write_json_atomic(obj, path):
     """Serialize obj as JSON at path through a same-directory temp file,
     making the directory first if it is missing.
@@ -1044,7 +1081,7 @@ def write_json_atomic(obj, path):
             os.makedirs(directory, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".freepd-", suffix=".json")
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(obj, indent=1) + "\n")
+            fh.write(_json_text(obj) + "\n")
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:

@@ -4,7 +4,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freepd.errors import DegenerateStageError, DomainError, NotStrictError, ParameterError
+from freepd.errors import (
+    DegenerateStageError,
+    DomainError,
+    FreePDError,
+    NotStrictError,
+    ParameterError,
+)
 from freepd.extend import (
     DELTA_MIN,
     ParameterPolicy,
@@ -177,6 +183,74 @@ def test_stage_failures_keep_their_class_and_name_the_stage():
         extend_entry(restrict_to_stage(C, "ba", 1, 1), 0.0)
     assert not isinstance(info.value, DegenerateStageError)
     assert info.value.stage == ("ba", 1, 1)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 16), d=st.sampled_from([1, 2, 3]), r=st.integers(0, 2),
+       grow=st.integers(0, 3), letters=st.booleans())
+def test_central_extension_a_level_at_a_time_is_the_central_stage_walk(seed, d, r, grow,
+                                                                       letters):
+    """One block read per level (P[:d, d:] of the level's projections)
+    against the zeta = 0 stage walk: equal to 1e-14, bit for bit at d <= 2,
+    where every cross term the walk adds to P's entry is an exact zero."""
+    if letters:  # the d = 1, Ball(1) letter weights, |C(a)|, |C(b)| < 0.9
+        rng = np.random.default_rng(seed)
+        C = letter_weights_function(*(0.9 * rng.uniform(size=2)
+                                      * np.exp(2j * np.pi * rng.uniform(size=2))))
+    else:
+        C = random_nspd(r, d, seed=seed)
+    R = min(C.domain.r + grow, 5 if C.d == 1 else 4)  # a Ball(5), d = 3 walk takes seconds
+    level_path = central_extension(C, R)
+    walk = extend_ball(C, R, central_policy())
+    assert level_path.domain == walk.domain == Domain.ball(R)
+    assert np.abs(level_path._stack - walk._stack).max(initial=0.0) <= 1e-14
+    if C.d <= 2:
+        assert level_path._stack.tobytes() == walk._stack.tobytes()
+    assert check_pd(level_path).status == "strict"
+
+
+@pytest.mark.parametrize("ca, cb", [(-0.5, 0.0), (0.5, 0.0), (0.0, -0.5), (0.0, 0.0)])
+def test_central_extension_writes_the_walks_zeros(ca, cb):
+    # a zero letter puts exact zeros, -0.0 among them, in the levels' P;
+    # the walk's sums write 0.0, and files must not read -0.0 instead
+    C = letter_weights_function(ca, cb)
+    level_path = central_extension(C, 4)
+    assert level_path._stack.tobytes() == extend_ball(C, 4, central_policy())._stack.tobytes()
+
+
+def _with_a_unit_slot(d, unit, k):
+    """The Ball(1) function with C(a) = 0.3 I and C(b) = 0.2 I, but 1 at slot
+    (k, k) of C(unit): the direct sum of a strict function and the
+    one-dimensional representation unit -> 1, so Theta(unit)_k is
+    Theta(e)_k.  At the level aa, S's g and e blocks both lose pivot k; at
+    ab, where the interior is a, only the g block does (it reads C(b))."""
+    letters = {"a": 0.3 * np.eye(d), "b": 0.2 * np.eye(d)}
+    letters[unit][k - 1, k - 1] = 1.0
+    return PDFunction(d, Domain.ball(1), letters)
+
+
+# the interior of aaa, {a, aa}, has Theta(a) = Theta(aa) once C(a) = C(aa) = 1
+_COLLAPSED_INTERIOR = PDFunction(1, Domain.ball(2), {
+    **{w: 0.2 for w in ("b", "ab", "aB", "ba", "bb", "Ab")}, "a": 1.0, "aa": 1.0})
+
+
+@pytest.mark.parametrize("C, R, error, stage", [
+    (PDFunction(1, Domain.ball(1), {"a": 1.0, "b": 0.2}), 2, DegenerateStageError,
+     ("aa", 1, 1)),
+    (_with_a_unit_slot(2, "a", 2), 3, DegenerateStageError, ("aa", 1, 2)),
+    (_with_a_unit_slot(3, "a", 3), 3, DegenerateStageError, ("aa", 1, 3)),
+    (_with_a_unit_slot(2, "b", 2), 3, DegenerateStageError, ("ab", 2, 1)),
+    (_with_a_unit_slot(3, "b", 2), 3, DegenerateStageError, ("ab", 2, 1)),
+    (_with_a_unit_slot(3, "b", 3), 3, DegenerateStageError, ("ab", 3, 1)),
+    (_COLLAPSED_INTERIOR, 3, NotStrictError, ("aaa", 1, 1)),
+], ids=["semi", "d2-e-pivot", "d3-e-pivot", "d2-g-pivot", "d3-g-pivot-2", "d3-g-pivot-3",
+        "interior"])
+def test_central_extension_fails_where_the_stage_walk_fails(C, R, error, stage):
+    for extend in (central_extension, lambda C, R: extend_ball(C, R, central_policy())):
+        with pytest.raises(FreePDError) as info:
+            extend(C, R)
+        assert type(info.value) is error and info.value.stage == stage
+        assert str(info.value).startswith("residuals failed at stage ({}, {}, {}): ".format(*stage))
 
 
 def test_policy_context_carries_the_disk():

@@ -817,6 +817,33 @@ def test_json_round_trips_every_domain_kind(seed, d, kind, data):
         assert load_function(path)._stack.tobytes() == C._stack.tobytes()
 
 
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+# lists of plain numbers, with bools among them at times, which are not plain
+_JSON_NUMBERS = st.lists(st.integers() | st.floats(), min_size=1) | st.lists(
+    st.integers() | st.floats() | st.booleans(), min_size=1)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS | _JSON_NUMBERS | _JSON_NUMBERS.map(tuple),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(obj=_JSON_TREES)
+def test_json_writer_is_json_dumps_with_indent_one(obj):
+    # NaN, infinities, -0.0, escaped non-ASCII and empty containers included
+    assert pdcore._json_text(obj) == json.dumps(obj, indent=1)
+
+
+def test_json_writer_writes_files_as_json_does_and_refuses_other_keys(tmp_path):
+    obj = {"n": [2, 2.5], "é\n": [-0.0, float("nan")], "t": (), "u": {}, "v": [True, None]}
+    pdcore.write_json_atomic(obj, tmp_path / "o.json")
+    assert (tmp_path / "o.json").read_text() == json.dumps(obj, indent=1) + "\n"
+    for bad in ({1: 0}, {"x": {(1, 2): 0}}, {"x": {1, 2}}):
+        with pytest.raises(TypeError):
+            pdcore._json_text(bad)
+
+
 def test_json_malformed_inputs(tmp_path):
     def dump(C):
         return function_to_dict(C)
