@@ -1308,7 +1308,8 @@ def solve_configuration(config: Configuration, R: int, eps: float,
         except FreePDError as exc:
             if getattr(exc, "stage", None) is not None:
                 raise
-            raise _stage_error(cur[verts[0]], exc, "stopped")
+            dom = cur[verts[0]].domain
+            raise _stage_error(exc, "stopped", dom.g, dom.j, dom.k)
 
     outputs = {v: restrict_to_ball(cur[v], R) for v in verts}
 

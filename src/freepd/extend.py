@@ -32,8 +32,9 @@ so every cross term is the interior part <P_K Theta(g)_j, P_K Theta(e)_k>
 alone, and the level's whole top C(g) is the g x e block P[:d, d:] of the
 Gram P = V* V the level computes anyway (hilbert._Level.projections).  The
 stage residual norms are the Cholesky pivots of the Schur block S's g and
-e blocks, which name the stage a collapse falls at.  The result equals
-the central policy's walk to rounding, bit for bit at d <= 2.
+e blocks, which name the stage a collapse falls at.  The levels fill one
+working stack.  The result equals the central policy's walk to rounding,
+bit for bit at d <= 2.
 
 toeplitz_step is the rank-one classical analogue: one Schur step extending
 a finite positive definite Toeplitz sequence, used as an independent check
@@ -48,12 +49,13 @@ from typing import Callable
 
 import numpy as np
 
-from . import _linalg
+from . import _linalg, words
 from .errors import DegenerateStageError, DomainError, FreePDError, ParameterError
 from .hilbert import (
     _checked,
     _factor,
     _Level,
+    _level_gram,
     build_partial_space,
     hand_off,
     residual_data,
@@ -63,6 +65,7 @@ from .pdcore import (
     Domain,
     PDFunction,
     _next_stage,
+    _padded,
     restrict_to_ball,
     restrict_to_stage,
 )
@@ -158,12 +161,11 @@ def legal_disk(C: PDFunction) -> tuple:
     return complex(rd.cross), float(rd.n_g * rd.n_e)
 
 
-def _stage_error(C: PDFunction, exc: FreePDError, message: str) -> FreePDError:
+def _stage_error(exc: FreePDError, message: str, g, j: int, k: int) -> FreePDError:
     """exc, its class kept, with the stage named in its message and its
     stage attribute set to (g, j, k), g as text."""
-    dom = C.domain
-    exc.stage = (word_to_str(dom.g), dom.j, dom.k)
-    exc.args = (f"{message} at stage ({exc.stage[0]}, {dom.j}, {dom.k}): {exc}",)
+    exc.stage = (word_to_str(g), j, k)
+    exc.args = (f"{message} at stage ({exc.stage[0]}, {j}, {k}): {exc}",)
     return exc
 
 
@@ -172,7 +174,7 @@ def _residuals(C: PDFunction):
     try:
         return residual_data(build_partial_space(C))
     except FreePDError as exc:
-        raise _stage_error(C, exc, "residuals failed")
+        raise _stage_error(exc, "residuals failed", C.domain.g, C.domain.j, C.domain.k)
 
 
 def _write_and_advance(C: PDFunction, rd, zeta: SzegoParameter) -> PDFunction:
@@ -215,8 +217,8 @@ def _policy_step(C: PDFunction, policy: ParameterPolicy) -> PDFunction:
     try:
         z = _as_zeta(policy.rule((dom.g, dom.j, dom.k), C, context))
     except Exception as exc:
-        raise _stage_error(C, ParameterError(str(exc)),
-                           f"policy '{policy.name}' failed") from exc
+        raise _stage_error(ParameterError(str(exc)), f"policy '{policy.name}' failed",
+                           dom.g, dom.j, dom.k) from exc
     return _write_and_advance(C, rd, z)
 
 
@@ -253,34 +255,9 @@ def extend_ball(C: PDFunction, R: int, policy: ParameterPolicy | None = None) ->
     return restrict_to_ball(cur, R)
 
 
-def _central_level(C: PDFunction) -> PDFunction:
-    """The zeta = 0 walk over the level of C, a function at its first stage
-    (g, 1, 1), in one write: C(g) = P[:d, d:] of the level's projections,
-    on the next novel level's first stage.  Failures are the walk's: the
-    interior factor's NotStrictError at (g, 1, 1), or DegenerateStageError
-    at the first stage, row-major, whose n_g or n_e collapses, n_g at
-    (g, j, k) being the j-th Cholesky pivot of S's g block and n_e the k-th
-    of its e block."""
-    g, d = C.domain.g, C.d
-    try:
-        P, S = _Level(C).projections()
-    except FreePDError as exc:
-        raise _stage_error(C, exc, "residuals failed")
-    n_g, n_e = _factor(S[:d, :d])[1], _factor(S[d:, d:])[1]
-    # + 0.0 turns a -0.0 into 0.0, as the walk's sum with its zero terms does
-    nxt = _next_stage(C, P[:d, d:] + 0.0, Domain("partial", g=next_novel(g), j=1, k=1))
-    try:
-        for t in range(d * d):  # the level's stages, row-major
-            _checked(n_g[t // d], n_e[t % d], 0j)
-    except DegenerateStageError as exc:
-        stage = restrict_to_stage(nxt, g, t // d + 1, t % d + 1)
-        raise _stage_error(stage, exc, "residuals failed")
-    return nxt
-
-
 def central_extension(C: PDFunction, R: int) -> PDFunction:
     """The zeta = 0 extension of a ball function out to radius R, a level at
-    a time.
+    a time, on one working stack.
 
     Why one block read per level equals the walk: write a_j and b_k for
     the residuals of (g, j) and (e, k) against the level's interior K.  If
@@ -292,13 +269,37 @@ def central_extension(C: PDFunction, R: int) -> PDFunction:
     the g x e block of the level's P = V* V (hilbert._Level.projections),
     the residual norms are the Cholesky pivots of S's g and e blocks, and
     the result is extend_ball(C, R, central_policy()) to rounding (bit for
-    bit at d <= 2), with the same failures.
+    bit at d <= 2), with the same failures: the interior factor's
+    NotStrictError at (g, 1, 1), or DegenerateStageError at the first
+    stage, row-major, whose n_g or n_e collapses, n_g at (g, j, k) being
+    the j-th pivot of S's g block and n_e the k-th of its e block.
+
+    The levels fill one padded stack [I, rows, NaN] (pdcore._gather), grown
+    by one word length's NaN rows at a time: nothing sized by R exists
+    before length r + 1 is written.  No clique quotient ranks past its
+    level, so a level's Gram reads the rows the walk's function at its
+    first stage holds, its own as NaN: the walk's Gram, so the walk's bits.
     """
-    R = _target_radius(C, R)
-    cur = _open_walk(C)
-    while len(cur.domain.g) <= R:
-        cur = _central_level(cur)
-    return restrict_to_ball(cur, R)
+    R, d, n = _target_radius(C, R), C.d, C.domain.r
+    work = _padded(C)
+    while n < R:
+        n += 1
+        tops, first = words._clique_table(n)[0], len(work) - 1  # the levels of length n
+        work = np.concatenate([work[:-1], np.full((len(tops) + 1, d, d), complex("nan"))])
+        for row, g in enumerate(map(words.word_of_rank, tops), first):
+            try:
+                P, S = _Level(g, d, _level_gram(work, n, g, d)).projections()
+            except FreePDError as exc:
+                raise _stage_error(exc, "residuals failed", g, 1, 1)
+            n_g, n_e = _factor(S[:d, :d])[1], _factor(S[d:, d:])[1]
+            try:
+                for t in range(d * d):  # the level's stages, row-major
+                    _checked(n_g[t // d], n_e[t % d], 0j)
+            except DegenerateStageError as exc:
+                raise _stage_error(exc, "residuals failed", g, t // d + 1, t % d + 1)
+            # + 0.0 turns a -0.0 into 0.0, as the walk's sum with its zero terms does
+            work[row] = P[:d, d:] + 0.0
+    return PDFunction._from_stack(d, Domain.ball(R), work[1:-1])
 
 
 def toeplitz_step(seq, zeta) -> complex:

@@ -21,9 +21,9 @@ Schur-complement step, the one-step Szego-parameter extension of Bakonyi
 and Timotin; the NaN corner never enters it.
 
 The d*d stages of a novel level g share their core's first part, the
-clique interior K_g minus {e, g}.  A _Level gathers the Gram over the pairs
-interior x [d], g x [d], e x [d] once (pdcore's one Gram gather; only its
-C(g) block may be NaN), factors the interior block once, and borders that
+clique interior K_g minus {e, g}.  A _Level takes the Gram over the pairs
+interior x [d], g x [d], e x [d] its caller gathers once (_level_gram; only
+its C(g) block may be NaN), factors the interior block once, and borders that
 factor with the 2d g/e vectors: their interior coordinates V and the 2d x 2d
 Schur block S = G[ge, ge] - V* V, the Gram of their residuals against the
 interior.  The central (zeta = 0) extension needs nothing more: it makes
@@ -80,18 +80,15 @@ class ResidualData:
 class _Level:
     """The data the d*d stages of one novel level g share.
 
-    gram is the read-only Gram of the level's (word, coordinate) pairs, the
-    clique interior K_g minus {e, g} times [d] (size of them), then g x [d],
-    then e x [d], NaN where the building function had not written C(g).
-    projections() computes the rest, once.
+    gram, which the caller gathers (_level_gram), is the read-only Gram of
+    the level's (word, coordinate) pairs, the clique interior K_g minus
+    {e, g} times [d] (size of them), then g x [d], then e x [d], NaN where
+    C(g) is not written yet.  projections() computes the rest, once.
     """
 
-    def __init__(self, C: PDFunction):
-        self.g, self.d = C.domain.g, C.d
-        table = pdcore._clique_pairs(self.g, self.d, level=True)[0]
-        self.size = len(table[2]) - 2 * self.d
-        self.gram = pdcore._gram(C, corner=self.d, table=table)
-        self.gram.setflags(write=False)
+    def __init__(self, g, d: int, gram: np.ndarray):
+        self.g, self.d, self.size, self.gram = g, d, len(gram) - 2 * d, gram
+        gram.setflags(write=False)
         self._projections = None
 
     def projections(self) -> tuple:
@@ -203,8 +200,16 @@ def build_partial_space(C: PDFunction) -> PartialHilbertSpace:
     if C.domain.kind != "partial":
         raise DomainError("build_partial_space needs a partial-domain function")
     if C._stage_space is None:
-        C._stage_space = PartialHilbertSpace(_Level(C), C)
+        g = C.domain.g
+        gram = _level_gram(pdcore._padded(C), len(g), g, C.d)
+        C._stage_space = PartialHilbertSpace(_Level(g, C.d, gram), C)
     return C._stage_space
+
+
+def _level_gram(stack: np.ndarray, r: int, g, d: int) -> np.ndarray:
+    """The Gram of level g's pairs (see _Level) from a padded stack whose rows
+    reach radius r (pdcore._gram_at); a NaN outside C(g) raises."""
+    return pdcore._gram_at(stack, r, pdcore._clique_pairs(g, d, level=True)[0], corner=d)
 
 
 def hand_off(C: PDFunction, nxt: PDFunction):
@@ -225,7 +230,7 @@ def _factor(M):
     pivot after it.
     """
     L, info = _linalg.zpotrf(M, lower=1, clean=1)
-    pivots = np.diag(L).real.copy()
+    pivots = L.diagonal().real.copy()
     if info > 0:
         pivots[info - 1:] = 0.0
     return L, pivots

@@ -334,8 +334,9 @@ class PDFunction:
     transposition to within 1e-12.  The function must be total on its
     domain, except beyond the stage position of a partial top.  Errors name
     the first offending entry in the order given.  Parsed and computed
-    stacks pass one validator (_adopt), which a walk's successor stage
-    passes by construction (_next_stage).  Positivity is NOT checked
+    stacks pass one validator (_adopt): a walk's successor stage by
+    construction (_next_stage, one scalar write), and central_extension's
+    result once, from its working stack.  Positivity is NOT checked
     here: check_pd passes verdicts, constructors pass data.  _stage_space
     keeps the stage space hilbert.build_partial_space builds, once, or the
     one the extension walk hands on (hilbert.hand_off).
@@ -470,7 +471,7 @@ def _clique_pairs(g, d: int, level: bool = False):
     clique's own, and the function building its pairs."""
     K, at, pairs = _clique_order(g, d, level)
     rows = np.repeat(at, d)
-    return (K.quotients, K.slots[np.ix_(rows, rows)], np.tile(np.arange(d), len(at))), pairs
+    return (K.quotients, K.slots[rows[:, None], rows], np.arange(len(rows)) % d), pairs
 
 
 def _stage_rows(n: int, d: int, j: int, k: int):
@@ -478,37 +479,49 @@ def _stage_rows(n: int, d: int, j: int, k: int):
     return [*range(n + j - 1), *range(n + d, n + d + k - 1)], [n + j - 1, n + d + k - 1]
 
 
-def _gather(C: PDFunction, quotients, slots, coords) -> np.ndarray:
+def _padded(C: PDFunction) -> np.ndarray:
+    """[I, C's stack, NaN], the stack _gather reads."""
+    return np.concatenate([np.eye(C.d, dtype=complex)[None], C._stack,
+                           np.full((1, C.d, C.d), complex("nan"))])
+
+
+def _gather(stack: np.ndarray, r: int, quotients, slots, coords) -> np.ndarray:
     """The one Gram assembly: G[..., i1, i2] = C(w2^-1 w1)[c1, c2] as one
-    gather from [I, stack, NaN] for a table (quotients, slots, coords) (see
-    _gram_slots) whose slots may stack several Grams of one size, each
-    quotient rank at its canonical row (the tree's rows); a quotient
-    outside the domain reads the NaN pad."""
-    n, N, d = len(quotients), len(C._stack), C.d
-    lookup = words._tree(_radius(C.domain)).rows
-    rows = 1 + np.minimum(lookup[np.minimum(quotients, len(lookup) - 1)], N)
-    stack = np.concatenate([np.eye(d, dtype=complex)[None], C._stack,
-                            np.full((1, d, d), complex("nan"))]).ravel()
-    # a mirrored slot reads the conjugate transpose of its quotient's value
-    mirrored = slots >= n
-    cell = coords[:, None] * d + coords
-    G = stack[rows[slots - n * mirrored] * (d * d) + np.where(mirrored, cell.T, cell)]
-    return np.conj(G, out=G, where=mirrored)
+    gather from a padded stack [I, rows, NaN] (_padded, or the working
+    stack of extend.central_extension) for a table (quotients, slots,
+    coords) (see _gram_slots) whose slots may stack several Grams of one
+    size, each quotient rank at 1 + its canonical row (the tree's rows),
+    r at least the radius of the rows; a quotient past the rows reads the
+    NaN pad."""
+    N, d = len(stack) - 2, stack.shape[1]
+    lookup = words._tree(r).rows
+    values = stack[1 + np.minimum(lookup[np.minimum(quotients, len(lookup) - 1)], N)]
+    # a slot past the quotients is mirrored: the conjugate transpose of its quotient's value
+    values = np.concatenate([values, values.conj().transpose(0, 2, 1)]).ravel()
+    return values[slots * (d * d) + (coords[:, None] * d + coords)]
 
 
 def _gram(C: PDFunction, pairs=None, corner: int = 0, table=None) -> np.ndarray:
     """The Gram over validated pairs, gathered (_gather) through their
     table; a clique's Grams pass its table (_clique_pairs) in place of
-    pairs.  A NaN (outside the domain, an undefined slot) raises, except in
-    the block of rows [-2c:-c] against columns [-c:] for c = corner > 0 and
-    its mirror: one stage's corner for 1, a level's C(g) for d."""
-    quotients, slots, coords = _gram_slots(C, pairs) if table is None else table
-    G = _gather(C, quotients, slots, coords)
+    pairs.  See _gram_at for the NaN check and corner."""
+    table = _gram_slots(C, pairs) if table is None else table
+    return _gram_at(_padded(C), _radius(C.domain), table, corner)
+
+
+def _gram_at(stack: np.ndarray, r: int, table, corner: int = 0) -> np.ndarray:
+    """The Gram of a table gathered from a padded stack (see _gather).  A
+    NaN (outside the domain, an undefined slot) raises, except in the block
+    of rows [-2c:-c] against columns [-c:] for c = corner > 0 and its
+    mirror: one stage's corner for 1, a level's C(g) for d."""
+    quotients, slots, _ = table
+    G = _gather(stack, r, *table)
     undefined = np.isnan(G)
     if corner:
         undefined[-2 * corner:-corner, -corner:] = False
         undefined[-corner:, -2 * corner:-corner] = False
-    for i1, i2 in np.argwhere(undefined)[:1]:
+    if undefined.any():
+        i1, i2 = np.argwhere(undefined)[0]
         c = word_to_str(words.word_of_rank(quotients[slots[i1, i2] % len(quotients)]))
         raise MissingEntryError(c, f"the Gram reads C({c}), which is missing or partial")
     return G
@@ -598,7 +611,7 @@ def _level_spectra(C: PDFunction):
     Gram again.  Yielded in level order, so that a NaN raises (in the
     level's own _gram) where a level at a time would."""
     dom, d = C.domain, C.d
-    count, n = len(C._stack) - (dom.kind == "partial"), 0
+    count, n, stack = len(C._stack) - (dom.kind == "partial"), 0, _padded(C)
 
     def witness(top):
         table, pairs = _clique_pairs(words.word_of_rank(top), d)
@@ -623,7 +636,8 @@ def _level_spectra(C: PDFunction):
                 start = np.cumsum(own).reshape(own.shape) - own
                 slots += start + (slots >= own) * (len(quotients) - own)
                 rows = np.repeat(np.arange(k), d)
-                G = _gather(C, quotients, slots[:, rows[:, None], rows], np.tile(np.arange(d), k))
+                G = _gather(stack, _radius(dom), quotients, slots[:, rows[:, None], rows],
+                            np.tile(np.arange(d), k))
                 bad = missing[batch] = np.isnan(G).any(axis=(1, 2))
                 lam[batch] = np.linalg.eigvalsh(np.where(bad[:, None, None], 0, G)
                                                 if bad.any() else G)[:, 0]
@@ -823,19 +837,14 @@ def restrict_to_stage(C: PDFunction, g, j: int, k: int) -> PDFunction:
 
 
 def _next_stage(C: PDFunction, value, nxt: Domain) -> PDFunction:
-    """C with its working slot set to value, on the walk's next stage nxt;
-    a d x d value is the whole top row, written from C's level's first
-    stage, nxt then the next level's.  A finite value keeps C's validated
-    NaN pattern exact, so the stack is adopted as built; any other goes
-    through the validator."""
+    """C with its working slot set to value, on the walk's next stage nxt.
+    A finite value keeps C's validated NaN pattern exact, so the stack is
+    adopted as built; any other goes through the validator."""
     n = len(C._stack)
     stack = np.empty((n + (nxt.g != C.domain.g), C.d, C.d), dtype=complex)
     stack[:n], stack[n:] = C._stack, complex("nan")
-    if np.ndim(value):
-        stack[n - 1], finite = value, np.isfinite(value).all()
-    else:
-        stack[n - 1, C.domain.j - 1, C.domain.k - 1], finite = value, cmath.isfinite(value)
-    if not finite:
+    stack[n - 1, C.domain.j - 1, C.domain.k - 1] = value
+    if not cmath.isfinite(value):
         return PDFunction._from_stack(C.d, nxt, stack)
     stack.setflags(write=False)
     out = object.__new__(PDFunction)

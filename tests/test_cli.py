@@ -400,7 +400,8 @@ def _failing_edge_solve(*args, **kwargs):
 
 
 def _failing_stage_write(C, zeta):
-    raise _stage_error(C, DegenerateStageError("collapsed"), "residuals failed")
+    dom = C.domain
+    raise _stage_error(DegenerateStageError("collapsed"), "residuals failed", dom.g, dom.j, dom.k)
 
 
 @pytest.mark.parametrize("name, fake, kind, error", [

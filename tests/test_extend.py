@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -33,6 +35,7 @@ from freepd.pdcore import (
     restrict_to_stage,
     stage_pairs,
 )
+from freepd import words
 from freepd.words import is_novel, next_novel, word_from_str
 from helpers import (
     brute_force_verdict,
@@ -251,6 +254,51 @@ def test_central_extension_fails_where_the_stage_walk_fails(C, R, error, stage):
             extend(C, R)
         assert type(info.value) is error and info.value.stage == stage
         assert str(info.value).startswith("residuals failed at stage ({}, {}, {}): ".format(*stage))
+
+
+# sha256 of central_extension(random_nspd(2, d, seed=1), R)._stack.tobytes(), pinned
+# where the walk parity test above stops (R = 5 at d = 1, 4 at d >= 2); the largest
+# Grams here (53, 52 and 51 rows) stay below the 64 x 64 from which zpotrf's bits
+# depend on the BLAS thread count
+_CENTRAL_BYTES = {
+    (1, 6): "d1550516fb8cd29f6765a78182c47c3205e1dade922dac678dccf63e797969e6",
+    (2, 5): "1a4b9cf7e6b6474bc44ae87ea8f300ceae4716ade00e48abae911fdaf4eacaf0",
+    (3, 4): "ad4bfc0913b357023e2b84358fa6e947089ce66197ddff0b53aaacc151e814b2",
+}
+
+
+@pytest.mark.parametrize("d, R", list(_CENTRAL_BYTES))
+def test_central_extension_keeps_its_bytes_past_the_walk_parity_sizes(d, R):
+    out = central_extension(random_nspd(2, d, seed=1), R)
+    assert hashlib.sha256(out._stack.tobytes()).hexdigest() == _CENTRAL_BYTES[d, R]
+
+
+def test_central_extension_owns_a_read_only_stack():
+    C = random_nspd(2, 2, seed=4)
+    before = C._stack.tobytes()
+    out, again = central_extension(C, 4), central_extension(C, 4)
+    assert not out._stack.flags.writeable
+    assert not np.shares_memory(out._stack, C._stack)
+    assert not np.shares_memory(out._stack, again._stack)
+    assert C._stack.tobytes() == before
+    same = central_extension(C, C.domain.r)
+    assert same == C and same._stack.tobytes() == before
+
+
+def test_central_extension_grows_its_stack_a_word_length_at_a_time(monkeypatch):
+    # the stack takes the rows of one length at a time, so a radius far too
+    # large to size fails where its levels run out of memory, not up front
+    C, table = random_nspd(1, 2, seed=2), words._clique_table
+
+    def short_of_memory(n):
+        if n >= C.domain.r + 2:
+            raise MemoryError(f"no clique table of length {n}")
+        return table(n)
+
+    monkeypatch.setattr(words, "_clique_table", short_of_memory)
+    words.clique.cache_clear()  # so that a level's clique reads the table too
+    with pytest.raises(MemoryError, match="length 3$"):
+        central_extension(C, 10 ** 6)
 
 
 def test_policy_context_carries_the_disk():
