@@ -26,15 +26,14 @@ class and names the stage in its message and its stage attribute.
 The zeta = 0 choice at every stage is the central (maximal entropy)
 extension, which on two letters reproduces the multiplicative values
 C(uv) = C(u) C(v) along reduced products.  central_extension computes it
-a level at a time, not a stage at a time: at zeta = 0 each stage leaves the
-residuals of (g, j) and (e, k) against the level's interior K orthogonal,
-so every cross term is the interior part <P_K Theta(g)_j, P_K Theta(e)_k>
-alone, and the level's whole top C(g) is the g x e block P[:d, d:] of the
-Gram P = V* V the level computes anyway (hilbert._Level.projections).  The
-stage residual norms are the Cholesky pivots of the Schur block S's g and
-e blocks, which name the stage a collapse falls at.  The levels fill one
-working stack.  The result equals the central policy's walk to rounding,
-bit for bit at d <= 2.
+without the walk, by the order-r recurrence that the maximum-determinant
+structure implies (Grone, Johnson, Sa and Wolkowicz, LAA 58, 1984: the
+completion's inverse vanishes off the specified pattern; Bakonyi and
+Timotin, J. Funct. Anal. 246, 2007): C(g) is a linear combination of the
+C(gu) over a window of u in B_r, with coefficients that depend on the
+window alone.  It equals the central policy's walk to rounding, and hands
+a window near collapse to the walk, whose failures keep their class and
+stage.
 
 toeplitz_step is the rank-one classical analogue: one Schur step extending
 a finite positive definite Toeplitz sequence, used as an independent check
@@ -50,20 +49,19 @@ from typing import Callable
 import numpy as np
 
 from . import _linalg, words
-from .errors import DegenerateStageError, DomainError, FreePDError, ParameterError
+from .errors import DomainError, FreePDError, ParameterError
 from .hilbert import (
-    _checked,
     _factor,
-    _Level,
-    _level_gram,
     build_partial_space,
     hand_off,
     residual_data,
     residual_from_gram,
 )
 from .pdcore import (
+    DEFAULT_TOL,
     Domain,
     PDFunction,
+    _gather,
     _next_stage,
     _padded,
     restrict_to_ball,
@@ -256,50 +254,94 @@ def extend_ball(C: PDFunction, R: int, policy: ParameterPolicy | None = None) ->
 
 
 def central_extension(C: PDFunction, R: int) -> PDFunction:
-    """The zeta = 0 extension of a ball function out to radius R, a level at
-    a time, on one working stack.
+    """The zeta = 0 extension of a ball function out to radius R, by its
+    order-r recurrence, a word length at a time on one working stack.
 
-    Why one block read per level equals the walk: write a_j and b_k for
-    the residuals of (g, j) and (e, k) against the level's interior K.  If
-    the stages before (j, k) made a_m orthogonal to b_l for each (m, l) of
-    theirs, a_j projects onto the core's a's alone and b_k onto its b's
-    alone, two orthogonal spans, so the stage's projected cross term is the
-    interior part <P_K Theta(g)_j, P_K Theta(e)_k>.  zeta = 0 writes
-    exactly that, which makes a_j orthogonal to b_k in turn.  So C(g) is
-    the g x e block of the level's P = V* V (hilbert._Level.projections),
-    the residual norms are the Cholesky pivots of S's g and e blocks, and
-    the result is extend_ball(C, R, central_policy()) to rounding (bit for
-    bit at d <= 2), with the same failures: the interior factor's
-    NotStrictError at (g, 1, 1), or DegenerateStageError at the first
-    stage, row-major, whose n_g or n_e collapses, n_g at (g, j, k) being
-    the j-th pivot of S's g block and n_e the k-th of its e block.
+    For a novel g beyond Ball(r), the central extension projects Theta(g)
+    onto the interior of its level through its window Theta(gu), u in U(g),
+    the u of B_r - {e} whose gu ranks (canonically) below g, alone.
+    Translated by g^-1 the window is U(g) itself, so with G the Gram of
+    Ball(r) x [d] and A = G[U, U], the coefficients M = G[e, U] A^-1 depend
+    on U(g) alone, and C(g) = sum_u M_u C(gu) (M's d x d blocks).  The e
+    side's window E(g), the u whose g^-1 u ranks below g, carries the
+    residual of Theta(e).  Only u led by the inverse of g's last letter can
+    be in U(g), and only u led by g's first letter in E(g), so a type is a
+    side, a letter and a mask over a quarter of B_r - {e}: 22 types at
+    r = 2 and 32 at r = 3, each solved once per call.
 
-    The levels fill one padded stack [I, rows, NaN] (pdcore._gather), grown
-    by one word length's NaN rows at a time: nothing sized by R exists
-    before length r + 1 is written.  No clique quotient ranks past its
-    level, so a level's Gram reads the rows the walk's function at its
-    first stage holds, its own as NaN: the walk's Gram, so the walk's bits.
+    Per word length n: G is gathered from the stack (pdcore._gather; NaN
+    past the rows written, which no window reads, its quotients lying in
+    I_g), one words._canonical_quotients call gives every window, each new
+    type takes one factor of its window Gram bordered by e and one solve,
+    and the words whose same-length window words are written take one
+    batched product, wave after wave (up to eight at r = 2 and 3).  Values
+    are read through canonical rows and mirror flags, so only canonical
+    rows are written, and nothing sized by R exists before length r + 1 is.
+
+    A Cholesky pivot of A, of S_g = I - M G[U, e] or of its e-side analogue
+    S_e at or below sqrt(DEFAULT_TOL) hands the whole extension to
+    extend_ball(C, R, central_policy()), which raises the walk's failures
+    with their class and stage, or returns.  Otherwise the result is that
+    walk's to rounding.
     """
-    R, d, n = _target_radius(C, R), C.d, C.domain.r
-    work = _padded(C)
-    while n < R:
-        n += 1
-        tops, first = words._clique_table(n)[0], len(work) - 1  # the levels of length n
+    R, d, r = _target_radius(C, R), C.d, C.domain.r
+    work, u = _padded(C), np.arange(1, words.ball_size(r))  # B_r - {e}, by rank
+    quotients, slots = words.quotient_table(tuple(range(len(u) + 1)))
+    pairs = np.repeat(np.arange(len(u) + 1), d)  # Ball(r) x [d], by rank
+    table = quotients, slots[pairs[:, None], pairs], np.arange(len(pairs)) % d
+    # B_r - {e} by first letter: gu ranks below g only for u led by the inverse
+    # of g's last letter, and g^-1 u only for u led by g's first letter
+    lead = u[np.argsort(words._tree(r).letters[u, 0], kind="stable")].reshape(4, -1)
+    solved = {}  # (side, letter, window mask) -> coefficients (see _window_coefficients)
+    for n in range(r + 1, R + 1):
+        tree, first = words._tree(n), len(work) - 1
+        tops = np.arange(words._OFFSET[n], words._OFFSET[n + 1])
+        tops = tops[tops < tree.inv[tops]]  # the canonical words of length n
         work = np.concatenate([work[:-1], np.full((len(tops) + 1, d, d), complex("nan"))])
-        for row, g in enumerate(map(words.word_of_rank, tops), first):
-            try:
-                P, S = _Level(g, d, _level_gram(work, n, g, d)).projections()
-            except FreePDError as exc:
-                raise _stage_error(exc, "residuals failed", g, 1, 1)
-            n_g, n_e = _factor(S[:d, :d])[1], _factor(S[d:, d:])[1]
-            try:
-                for t in range(d * d):  # the level's stages, row-major
-                    _checked(n_g[t // d], n_e[t % d], 0j)
-            except DegenerateStageError as exc:
-                raise _stage_error(exc, "residuals failed", g, t // d + 1, t % d + 1)
+        G = _gather(work, n, *table)
+        x = np.stack([(tree.letters[tops, n - 1] + 2) % 4, tree.letters[tops, 0]])
+        b = np.stack([tree.inv[tops], tops])[..., None]
+        # b^-1 u: gu and g^-1 u for every g of length n and u led by x
+        q, flip = words._canonical_quotients(tree, lead[x], b)
+        window = q < tops[:, None]  # U(g), then E(g), over lead[x]
+        for side in (1, 0):  # E's types only screen; U's, last, give the coefficients
+            types, kind = np.unique(np.column_stack([x[side], window[side]]), axis=0,
+                                    return_inverse=True)
+            for t in types:
+                key = side, t.tobytes()
+                if key not in solved:
+                    solved[key] = _window_coefficients(G, lead[t[0]], t[1:] > 0, d)
+                if solved[key] is None:
+                    return extend_ball(C, R, central_policy())
+        coefficients = np.stack([solved[0, t.tobytes()] for t in types])[kind.ravel()]
+        at = np.where(window[0], q[0], 0)  # off U, row 0: the identity, times 0
+        rows, mirrored = 1 + tree.rows[at], window[0] & flip[0]
+        # a window word of length n waits for its row (-1: the spare False)
+        waits = np.where(at >= words._OFFSET[n], rows - first, -1)
+        todo = np.append(np.ones(len(tops), bool), False)
+        while todo.any():
+            ready = np.flatnonzero(todo[:-1] & ~todo[waits].any(1))
+            V = work[rows[ready]]
+            V = np.where(mirrored[ready, :, None, None], V.conj().transpose(0, 1, 3, 2), V)
             # + 0.0 turns a -0.0 into 0.0, as the walk's sum with its zero terms does
-            work[row] = P[:d, d:] + 0.0
+            work[first + ready] = np.einsum("njum,numk->njk", coefficients[ready], V) + 0.0
+            todo[ready] = False
     return PDFunction._from_stack(d, Domain.ball(R), work[1:-1])
+
+
+def _window_coefficients(G: np.ndarray, ranks: np.ndarray, mask: np.ndarray, d: int):
+    """The coefficients M = G[e, W] G[W, W]^-1 of the window W of the words
+    ranks[mask], in (d, len(ranks), d) with zeros off the mask, from G, the
+    Gram of Ball(r) x [d] in rank order; None when a Cholesky pivot of
+    G[W, W] or of its Schur block I - M G[W, e] is at or below
+    sqrt(DEFAULT_TOL) (NaN too)."""
+    at = np.append(ranks[mask, None] * d + np.arange(d), np.arange(d))  # W's pairs, then e's
+    F, m = G[np.ix_(at, at)], len(at) - d
+    if not (_factor(F)[1] > DEFAULT_TOL ** 0.5).all():
+        return None
+    out = np.zeros((d, len(ranks), d), complex)
+    out[:, mask] = np.linalg.solve(F[:m, :m], F[:m, m:]).conj().T.reshape(d, -1, d)
+    return out
 
 
 def toeplitz_step(seq, zeta) -> complex:

@@ -22,18 +22,16 @@ and Timotin; the NaN corner never enters it.
 
 The d*d stages of a novel level g share their core's first part, the
 clique interior K_g minus {e, g}.  A _Level takes the Gram over the pairs
-interior x [d], g x [d], e x [d] its caller gathers once (_level_gram; only
-its C(g) block may be NaN), factors the interior block once, and borders that
-factor with the 2d g/e vectors: their interior coordinates V and the 2d x 2d
-Schur block S = G[ge, ge] - V* V, the Gram of their residuals against the
-interior.  The central (zeta = 0) extension needs nothing more: it makes
-the g residuals orthogonal to the e residuals, so its C(g) is P's g x e
-block, P = V* V, and its stage residual norms are the Cholesky pivots of
-S's g and e blocks (extend.central_extension reads them a level at a
-time).  The walk, which takes any parameter, goes a stage at a time: a
-stage (j, k) borders the factor of its core, the rows (g, m < j) and
-(e, m < k) of S, with (g, j) and (e, k) and adds back the interior part
-V* V of the cross term; the C(g) entries it reads come from
+interior x [d], g x [d], e x [d] that build_partial_space gathers once
+(only its C(g) block may be NaN), factors the interior block once, and
+borders that factor with the 2d g/e vectors: their interior coordinates V
+and the 2d x 2d Schur block S = G[ge, ge] - V* V, the Gram of their
+residuals against the interior.  (The central, zeta = 0, extension needs
+no level: extend.central_extension runs its order-r recurrence over
+windows of the data ball.)  The walk, which takes any parameter, goes a
+stage at a time: a stage (j, k) borders the factor of its core, the rows
+(g, m < j) and (e, m < k) of S, with (g, j) and (e, k) and adds back the
+interior part V* V of the cross term; the C(g) entries it reads come from
 the function's own top row.  A function the walk writes on the same level
 inherits, through hand_off, the level and its predecessor's core factor,
 grown by one row: (e, k - 1) within a row, its row the predecessor's e
@@ -80,7 +78,7 @@ class ResidualData:
 class _Level:
     """The data the d*d stages of one novel level g share.
 
-    gram, which the caller gathers (_level_gram), is the read-only Gram of
+    gram, which build_partial_space gathers, is the read-only Gram of
     the level's (word, coordinate) pairs, the clique interior K_g minus
     {e, g} times [d] (size of them), then g x [d], then e x [d], NaN where
     C(g) is not written yet.  projections() computes the rest, once.
@@ -200,16 +198,10 @@ def build_partial_space(C: PDFunction) -> PartialHilbertSpace:
     if C.domain.kind != "partial":
         raise DomainError("build_partial_space needs a partial-domain function")
     if C._stage_space is None:
-        g = C.domain.g
-        gram = _level_gram(pdcore._padded(C), len(g), g, C.d)
-        C._stage_space = PartialHilbertSpace(_Level(g, C.d, gram), C)
+        g, d = C.domain.g, C.d
+        gram = pdcore._gram(C, table=pdcore._clique_pairs(g, d, level=True)[0], corner=d)
+        C._stage_space = PartialHilbertSpace(_Level(g, d, gram), C)
     return C._stage_space
-
-
-def _level_gram(stack: np.ndarray, r: int, g, d: int) -> np.ndarray:
-    """The Gram of level g's pairs (see _Level) from a padded stack whose rows
-    reach radius r (pdcore._gram_at); a NaN outside C(g) raises."""
-    return pdcore._gram_at(stack, r, pdcore._clique_pairs(g, d, level=True)[0], corner=d)
 
 
 def hand_off(C: PDFunction, nxt: PDFunction):

@@ -336,10 +336,10 @@ class PDFunction:
     the first offending entry in the order given.  Parsed and computed
     stacks pass one validator (_adopt): a walk's successor stage by
     construction (_next_stage, one scalar write), and central_extension's
-    result once, from its working stack.  Positivity is NOT checked
-    here: check_pd passes verdicts, constructors pass data.  _stage_space
-    keeps the stage space hilbert.build_partial_space builds, once, or the
-    one the extension walk hands on (hilbert.hand_off).
+    result once, from the working stack its recurrence fills.  Positivity
+    is NOT checked here: check_pd passes verdicts, constructors pass data.
+    _stage_space keeps the stage space hilbert.build_partial_space builds,
+    once, or the one the extension walk hands on (hilbert.hand_off).
     """
 
     __slots__ = ("d", "domain", "_stack", "_stage_space", "__weakref__")
@@ -488,11 +488,12 @@ def _padded(C: PDFunction) -> np.ndarray:
 def _gather(stack: np.ndarray, r: int, quotients, slots, coords) -> np.ndarray:
     """The one Gram assembly: G[..., i1, i2] = C(w2^-1 w1)[c1, c2] as one
     gather from a padded stack [I, rows, NaN] (_padded, or the working
-    stack of extend.central_extension) for a table (quotients, slots,
-    coords) (see _gram_slots) whose slots may stack several Grams of one
-    size, each quotient rank at 1 + its canonical row (the tree's rows),
-    r at least the radius of the rows; a quotient past the rows reads the
-    NaN pad."""
+    stack of extend.central_extension, which reads its data ball's Gram
+    once per word length, NaN where the rows are not written yet) for a
+    table (quotients, slots, coords) (see _gram_slots) whose slots may
+    stack several Grams of one size, each quotient rank at 1 + its
+    canonical row (the tree's rows), r at least the radius of the rows; a
+    quotient past the rows reads the NaN pad."""
     N, d = len(stack) - 2, stack.shape[1]
     lookup = words._tree(r).rows
     values = stack[1 + np.minimum(lookup[np.minimum(quotients, len(lookup) - 1)], N)]
@@ -504,18 +505,12 @@ def _gather(stack: np.ndarray, r: int, quotients, slots, coords) -> np.ndarray:
 def _gram(C: PDFunction, pairs=None, corner: int = 0, table=None) -> np.ndarray:
     """The Gram over validated pairs, gathered (_gather) through their
     table; a clique's Grams pass its table (_clique_pairs) in place of
-    pairs.  See _gram_at for the NaN check and corner."""
+    pairs.  A NaN (outside the domain, an undefined slot) raises, except in
+    the block of rows [-2c:-c] against columns [-c:] for c = corner > 0 and
+    its mirror: one stage's corner for 1, a level's C(g) for d."""
     table = _gram_slots(C, pairs) if table is None else table
-    return _gram_at(_padded(C), _radius(C.domain), table, corner)
-
-
-def _gram_at(stack: np.ndarray, r: int, table, corner: int = 0) -> np.ndarray:
-    """The Gram of a table gathered from a padded stack (see _gather).  A
-    NaN (outside the domain, an undefined slot) raises, except in the block
-    of rows [-2c:-c] against columns [-c:] for c = corner > 0 and its
-    mirror: one stage's corner for 1, a level's C(g) for d."""
     quotients, slots, _ = table
-    G = _gather(stack, r, *table)
+    G = _gather(_padded(C), _radius(C.domain), *table)
     undefined = np.isnan(G)
     if corner:
         undefined[-2 * corner:-corner, -corner:] = False

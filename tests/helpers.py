@@ -173,6 +173,22 @@ def letter_weights_function(ca, cb, r=1):
     return PDFunction(1, Domain.ball(1), {"a": [[ca]], "b": [[cb]]})
 
 
+def representation_function(m, r, d, seed):
+    """The Ball(r) function C(w) = (V* pi(w) V)^T, pi an m-dimensional unitary
+    representation with Haar generators and V a Haar isometry of C^d into C^m
+    (d <= m): positive definite, and semidefinite on every Gram of more than
+    m rows."""
+    rng = np.random.default_rng(seed)
+    u_a, u_b = pdcore._haar_unitary(rng, m), pdcore._haar_unitary(rng, m)
+    gens = (u_a, u_b, u_a.conj().T, u_b.conj().T)
+    V = pdcore._haar_unitary(rng, m)[:, :d]
+    reps = {(): np.eye(m, dtype=complex)}
+    for w in ball(r)[1:]:
+        reps[w] = reps[w[:-1]] @ gens[w[-1]]
+    rows = [(V.conj().T @ reps[w] @ V).T for w in pdcore.canonical_words(Domain.ball(r))]
+    return PDFunction._from_stack(d, Domain.ball(r), np.array(rows, complex).reshape(-1, d, d))
+
+
 def sorted_novel(words_iter):
     return sorted((w for w in words_iter if is_novel(w)), key=shortlex_key)
 

@@ -29,7 +29,13 @@ from freepd.energysolver import (
     stage_energy,
 )
 from freepd.errors import DegenerateAchieverError
-from freepd.extend import extend_ball, extend_entry, legal_disk, toeplitz_step
+from freepd.extend import (
+    central_extension,
+    extend_ball,
+    extend_entry,
+    legal_disk,
+    toeplitz_step,
+)
 from freepd.pdcore import Domain, PDFunction, check_pd, random_nspd, restrict_to_stage
 from freepd.surgery import perform_surgery, verify_conditions
 from freepd.transport import perturbation_bound_check, relative_energy
@@ -352,6 +358,11 @@ def test_criterion_08_certificates_bound_measured_energies():
 
 
 def test_criterion_09_path_and_cycle_extensions_keep_energies():
+    """Solves at R = 3 and R = 4.  At R = 3 the energies after are taken over
+    B_1, whose Grams read the data ball alone, so any extension that keeps
+    its data passes; at R = 4 they read extended entries over B_2.  The
+    plain central extensions of the family are the negative control: encost
+    1.0 at R = 3, and over the 1.01 bound at R = 4."""
     t0 = time.perf_counter()
     base = random_nspd(2, 1, seed=100)
     named = {
@@ -369,20 +380,24 @@ def test_criterion_09_path_and_cycle_extensions_keep_energies():
         ),
     )
     eps = 1e-3
-    for config in configs:
+    for config, R in itertools.product(configs, (3, 4)):
         before = {
             (u, v): relative_energy(named[u], named[v], r=1).energy
             for u, v in config.edges
         }
         assert max(before.values()) <= 1.1
-        extensions, report = solve_configuration(config, R=3, eps=eps, seed=0)
+        extensions, report = solve_configuration(config, R=R, eps=eps, seed=0)
         for u, v in config.edges:
             after = relative_energy(extensions[u], extensions[v], r=1).energy
             assert after <= before[(u, v)] + 1e-3, (config.shape, u, v, before[(u, v)], after)
-            assert abs(report.energies_after[(u, v)] - after) <= 1e-8
+            over = relative_energy(extensions[u], extensions[v], r=R // 2).energy
+            assert abs(report.energies_after[(u, v)] - over) <= 1e-8
         cost = encost_report(config, extensions, eps=eps)
-        assert cost <= 1.01, (config.shape, cost)
-    _verdict(9, t0, 600.0, "3-vertex path and 3-cycle, d = 1, r = 1, R = 3")
+        assert cost <= 1.01, (config.shape, R, cost)
+        central = {v: central_extension(named[v], R) for v in config.vertices}
+        control = encost_report(config, central, eps=eps)
+        assert (control <= 1.01) == (R == 3), (config.shape, R, control)
+    _verdict(9, t0, 600.0, "3-vertex path and 3-cycle, d = 1, r = 1, R = 3 and 4")
 
 
 # ---------------------------------------------------------------------------

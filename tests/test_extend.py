@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,11 +34,13 @@ from freepd.pdcore import (
     PDFunction,
     check_pd,
     delta,
+    mix_with_delta,
     random_nspd,
     restrict_to_ball,
     restrict_to_stage,
     stage_pairs,
 )
+import freepd
 from freepd import words
 from freepd.words import is_novel, next_novel, word_from_str
 from helpers import (
@@ -43,6 +49,7 @@ from helpers import (
     letter_weights_function,
     novel_stages,
     reference_gram,
+    representation_function,
     seeded_rim_policy,
 )
 
@@ -141,7 +148,8 @@ def test_extend_ball_matches_central_and_is_deterministic():
     b = extend_ball(C, 3, policy=central_policy())
     c = extend_ball(C, 3, policy=constant_policy(0))
     d = central_extension(C, 3)
-    assert a == b == c == d
+    assert b == c and a == d  # the walks bit for bit, and the recurrence
+    assert np.abs(a._stack - b._stack).max() <= 1e-14
     assert extend_ball(C, 3, policy=constant_policy(0.2 + 0.1j)) != a
     assert restrict_to_ball(a, 1) == C
 
@@ -193,9 +201,8 @@ def test_stage_failures_keep_their_class_and_name_the_stage():
        grow=st.integers(0, 3), letters=st.booleans())
 def test_central_extension_a_level_at_a_time_is_the_central_stage_walk(seed, d, r, grow,
                                                                        letters):
-    """One block read per level (P[:d, d:] of the level's projections)
-    against the zeta = 0 stage walk: equal to 1e-14, bit for bit at d <= 2,
-    where every cross term the walk adds to P's entry is an exact zero."""
+    """The order-r recurrence against the zeta = 0 stage walk: equal to
+    1e-14, with no NaN left in its stack."""
     if letters:  # the d = 1, Ball(1) letter weights, |C(a)|, |C(b)| < 0.9
         rng = np.random.default_rng(seed)
         C = letter_weights_function(*(0.9 * rng.uniform(size=2)
@@ -206,9 +213,8 @@ def test_central_extension_a_level_at_a_time_is_the_central_stage_walk(seed, d, 
     level_path = central_extension(C, R)
     walk = extend_ball(C, R, central_policy())
     assert level_path.domain == walk.domain == Domain.ball(R)
+    assert not np.isnan(level_path._stack).any()
     assert np.abs(level_path._stack - walk._stack).max(initial=0.0) <= 1e-14
-    if C.d <= 2:
-        assert level_path._stack.tobytes() == walk._stack.tobytes()
     assert check_pd(level_path).status == "strict"
 
 
@@ -257,13 +263,13 @@ def test_central_extension_fails_where_the_stage_walk_fails(C, R, error, stage):
 
 
 # sha256 of central_extension(random_nspd(2, d, seed=1), R)._stack.tobytes(), pinned
-# where the walk parity test above stops (R = 5 at d = 1, 4 at d >= 2); the largest
-# Grams here (53, 52 and 51 rows) stay below the 64 x 64 from which zpotrf's bits
+# where the walk parity test above stops (R = 5 at d = 1, 4 at d >= 2); at r = 2 a
+# window's Gram has at most 5d rows, far below the sizes from which LAPACK's bits
 # depend on the BLAS thread count
 _CENTRAL_BYTES = {
-    (1, 6): "d1550516fb8cd29f6765a78182c47c3205e1dade922dac678dccf63e797969e6",
-    (2, 5): "1a4b9cf7e6b6474bc44ae87ea8f300ceae4716ade00e48abae911fdaf4eacaf0",
-    (3, 4): "ad4bfc0913b357023e2b84358fa6e947089ce66197ddff0b53aaacc151e814b2",
+    (1, 6): "51abf0bcc142f7ce56730e355aa2881a3f24b29a123e15848e53cf44d4045032",
+    (2, 5): "f2f608c90f5b879e899411184bd919366e787bc17d3e5cf0a4dc80c3c0a4deb8",
+    (3, 4): "562cd5ee9573da2a3cd555a6e97edb7741b57bc0418349661bda6c8c3e92dc34",
 }
 
 
@@ -271,6 +277,61 @@ _CENTRAL_BYTES = {
 def test_central_extension_keeps_its_bytes_past_the_walk_parity_sizes(d, R):
     out = central_extension(random_nspd(2, d, seed=1), R)
     assert hashlib.sha256(out._stack.tobytes()).hexdigest() == _CENTRAL_BYTES[d, R]
+
+
+def _outcome(extend, C, R):
+    """extend(C, R), or the class, message and stage of the error it raises."""
+    try:
+        return extend(C, R)
+    except FreePDError as exc:
+        return type(exc), str(exc), exc.stage
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_central_extension_of_rank_deficient_data_ends_as_the_walk_does(mixed):
+    """Data from a representation of dimension m <= 6 is semidefinite on
+    Grams of more than m rows, which either path may meet; mixed toward the
+    point mass by s in [1e-14, 1e-6], it is strict with pivots near sqrt(s),
+    about the window screen sqrt(DEFAULT_TOL).  On each of 150 draws the
+    recurrence and the central walk end alike: the same failure (class,
+    message, stage), or values within 1e-12."""
+    rng = np.random.default_rng(31 + mixed)
+    for seed in range(150):
+        m, r, d, grow = (int(x) for x in rng.integers([1, 0, 1, 1], [7, 3, 3, 3]))
+        C = representation_function(m, r, min(d, m), seed)
+        if mixed:
+            C = mix_with_delta(C, 10.0 ** rng.uniform(-14, -6))
+        R = r + grow
+        got = _outcome(central_extension, C, R)
+        want = _outcome(lambda C, R: extend_ball(C, R, central_policy()), C, R)
+        if isinstance(want, PDFunction):
+            assert isinstance(got, PDFunction) and not np.isnan(got._stack).any(), seed
+            assert np.abs(got._stack - want._stack).max(initial=0.0) <= 1e-12, seed
+        else:
+            assert got == want, seed
+
+
+# prints the sha256 of central extensions' stacks, one a line
+_THREAD_PROBE = """
+import hashlib
+from freepd.extend import central_extension
+from freepd.pdcore import random_nspd
+for r, d, R in ((2, 1, 7), (2, 3, 5), (3, 2, 5)):
+    out = central_extension(random_nspd(r, d, seed=1), R)
+    print(hashlib.sha256(out._stack.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU runs one BLAS thread")
+def test_central_extension_bytes_do_not_depend_on_the_blas_thread_count():
+    # zpotrf of 64 rows and more hands work to a second BLAS thread, which
+    # moves bits; the recurrence factors windows of at most 14d rows (r = 3)
+    src = str(Path(freepd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = [subprocess.run([sys.executable, "-c", _THREAD_PROBE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(k)),
+                          timeout=120, check=True).stdout for k in (1, 2)]
+    assert out[0] == out[1] and len(out[0].split()) == 3
 
 
 def test_central_extension_owns_a_read_only_stack():
@@ -287,16 +348,20 @@ def test_central_extension_owns_a_read_only_stack():
 
 def test_central_extension_grows_its_stack_a_word_length_at_a_time(monkeypatch):
     # the stack takes the rows of one length at a time, so a radius far too
-    # large to size fails where its levels run out of memory, not up front
-    C, table = random_nspd(1, 2, seed=2), words._clique_table
+    # large to size fails where its windows run out of memory, not up front
+    C, quotients, lengths = random_nspd(1, 2, seed=2), words._canonical_quotients, []
 
-    def short_of_memory(n):
+    def short_of_memory(tree, a, b):  # the windows of one word length
+        lengths.append(n := int(tree.length[b].max()))
         if n >= C.domain.r + 2:
-            raise MemoryError(f"no clique table of length {n}")
-        return table(n)
+            raise MemoryError(f"no windows of length {n}")
+        return quotients(tree, a, b)
 
-    monkeypatch.setattr(words, "_clique_table", short_of_memory)
-    words.clique.cache_clear()  # so that a level's clique reads the table too
+    monkeypatch.setattr(words, "_canonical_quotients", short_of_memory)
+    with pytest.raises(MemoryError, match="length 3$"):
+        central_extension(C, 4)
+    # only once the patch is shown on the recurrence's path may the radius be huge
+    assert lengths[-2:] == [2, 3]
     with pytest.raises(MemoryError, match="length 3$"):
         central_extension(C, 10 ** 6)
 
