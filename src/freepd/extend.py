@@ -18,10 +18,11 @@ result onto Ball(R).  extend_ball drives it with a parameter policy, and the
 energy solver drives it for a whole family of functions.  Each step builds
 its successor by construction, the stack a copy of the predecessor's with
 one write.  The residuals of a stage come from its level's one interior
-factor (see hilbert): each stage function the walk writes on the same level
-inherits that level, gathered and factored once for its d*d stages, and its
-predecessor's stage factor, grown by one row.  A stage failure keeps its
-class and names the stage in its message and its stage attribute.
+factor and its own small core factor (see hilbert): each stage function
+the walk writes on the same level inherits that level, gathered and
+factored once for its d*d stages, and nothing else.  A stage failure
+keeps its class and names the stage in its message and its stage
+attribute.
 
 The zeta = 0 choice at every stage is the central (maximal entropy)
 extension, which on two letters reproduces the multiplicative values
@@ -177,8 +178,7 @@ def _residuals(C: PDFunction):
 
 def _write_and_advance(C: PDFunction, rd, zeta: SzegoParameter) -> PDFunction:
     """Fill the working slot with zeta's value and move to the next stage; a
-    successor on the same level inherits C's level and stage state
-    (hilbert.hand_off)."""
+    successor on the same level inherits C's level (hilbert.hand_off)."""
     dom = C.domain
     d = C.d
     value = zeta.value * (rd.n_g * rd.n_e) + rd.cross

@@ -29,19 +29,16 @@ and the 2d x 2d Schur block S = G[ge, ge] - V* V, the Gram of their
 residuals against the interior.  (The central, zeta = 0, extension needs
 no level: extend.central_extension runs its order-r recurrence over
 windows of the data ball.)  The walk, which takes any parameter, goes a
-stage at a time: a stage (j, k) borders the factor of its core, the rows
-(g, m < j) and (e, m < k) of S, with (g, j) and (e, k) and adds back the
-interior part V* V of the cross term; the C(g) entries it reads come from
-the function's own top row.  A function the walk writes on the same level
-inherits, through hand_off, the level and its predecessor's core factor,
-grown by one row: (e, k - 1) within a row, its row the predecessor's e
-coordinates and pivot n_e (the g coordinates gain one entry from the value
-just written), or (g, j - 1) at a row start, onto the leading g rows.  So a
-stage takes one or two triangular solves.  Other functions build their
-level on first use and replay that step from the empty core at (1, 1)
-through every stage of the level up to their own, reading the values
-written at those stages from their own top row, so a walk's function and a
-copy of it agree bit for bit.  Vectors never materialize.
+stage at a time, and a stage (j, k) needs nothing but its level and the
+C(g) values of its function's own top row: it takes S over its core, the
+rows (g, m < j) and (e, m < k), and its working pair (g, j), (e, k), puts
+the written C(g) values less their interior part V* V in the g x e block,
+factors the core once, borders it with the working pair (_bordered, as
+residual_from_gram does) and adds back the interior part of the cross
+term.  A function the walk writes on the same level inherits the level
+through hand_off, so each level is gathered and its interior factored
+once; any other function builds its level on first use, and a walk's
+function and a copy of it agree bit for bit.  Vectors never materialize.
 
 The factors and solves are direct LAPACK and BLAS calls, zpotrf and one
 single-vector ztrsv per solve, read from freepd._linalg, which imports SciPy
@@ -108,14 +105,12 @@ class PartialHilbertSpace:
     gram is the stage Gram indexed by the stage's pairs Q
     (pdcore.stage_pairs), with NaN at the working pair (positions len(P),
     len(P)+1), that is <Theta(g)_j, Theta(e)_k>; the two one-sided
-    restrictions X_g and X_e are fully defined.  grown is the stage state
-    hand_off passes on, if any, from which the core factor grows.
+    restrictions X_g and X_e are fully defined.
     """
 
-    def __init__(self, level: _Level, C: PDFunction, grown=None):
+    def __init__(self, level: _Level, C: PDFunction):
         self.level, self.j, self.k = level, C.domain.j, C.domain.k
-        self.top, self._grown = C._stack[-1], grown
-        self._state = self._residuals = None
+        self.top, self._residuals = C._stack[-1], None
 
     @property
     def core_size(self) -> int:
@@ -146,45 +141,23 @@ class PartialHilbertSpace:
         return self.gram[np.ix_(rows, rows)]
 
     def residuals(self) -> tuple:
-        """(n_g, n_e, cross): the stage state, advanced once from a
-        handed-on one or replayed from (1, 1), and the interior part of the
-        cross term added back.  A core pivot at or below DEFAULT_TOL, of
-        this stage or of one the replay passes, raises NotStrictError."""
+        """(n_g, n_e, cross) from the level's Schur block S, its g x e block
+        this space's C(g) values less their interior part, taken over the
+        stage's core and working pairs: one factor of that core bordered
+        with the working pair, and the interior part of the cross term
+        added back.  A core pivot at or below DEFAULT_TOL raises
+        NotStrictError at its position after the interior's."""
         if self._residuals is None:
-            d, g, e = self.level.d, self.j - 1, self.level.d + self.k - 1
-            state, last = self._grown, g * d + self.k - 1  # stages row-major
-            for t in range(last if state is not None else 0, last + 1):
-                state = self._advance(state, t // d + 1, t % d + 1)
-            self._state, self._grown = state, None
-            v_g, v_e, n_e = state[1:]
-            P, S = self.level.projections()
-            self._residuals = (_norm(S[g, g], v_g), n_e, complex(np.vdot(v_g, v_e) + P[g, e]))
+            lv, j, k = self.level, self.j, self.k
+            d, (P, S) = lv.d, lv.projections()
+            T = np.array(S)
+            T[:j, d:d + k] = block = self.top[:j, :k] - P[:j, d:d + k]
+            T[d:d + k, :j] = block.conj().T
+            core, work = pdcore._stage_rows(0, d, j, k)
+            at = np.array(core + work)
+            n_g, n_e, cross = _bordered(T.take(at, 0).take(at, 1), len(core), lv.size)
+            self._residuals = n_g, n_e, complex(cross + P[work[0], work[1]])
         return self._residuals
-
-    def _advance(self, state, j: int, k: int) -> tuple:
-        """The stage state (L, v_g, v_e, n_e) of stage (j, k) from the state
-        of the stage before it on the level, or at (1, 1) from the empty
-        core: the core factor, the core coordinates of (g, j) and (e, k)
-        and the residual norm of (e, k).  The C(g) values it reads, all
-        written before (j, k), come from this space's top row."""
-        d, n, top = self.level.d, self.level.size, self.top
-        g, e = j - 1, d + k - 1
-        P, S = self.level.projections()
-        if state is None:
-            L, v_g = np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=complex)
-        else:
-            L, v_g, v_e, n_e = state
-            if k > 1:  # the core gains (e, k - 1), next to the value written there
-                L = _grow(L, v_e, n_e, n)
-                # ztrsv's last step, which scales by the pivot's reciprocal
-                x = (top[g, k - 2].conj() - P[e - 1, g] - np.vdot(v_e, v_g)) * (1.0 / n_e)
-                v_g = np.concatenate((v_g, [x]))
-            else:  # a row starts: the core is the predecessor's g rows plus (g, j - 1)
-                v = v_g[:g - 1]
-                L = _grow(L[:g - 1, :g - 1], v, _norm(S[g - 1, g - 1], v), n)
-                v_g = _solve(L, S[:g, g])
-        v_e = _solve(L, np.concatenate([top[:g, k - 1] - P[:g, e], S[d:e, e]]))
-        return L, v_g, v_e, _norm(S[e, e], v_e)
 
 
 def build_partial_space(C: PDFunction) -> PartialHilbertSpace:
@@ -205,13 +178,12 @@ def build_partial_space(C: PDFunction) -> PartialHilbertSpace:
 
 
 def hand_off(C: PDFunction, nxt: PDFunction):
-    """Give nxt, the function C's walk step wrote, C's level and stage state
-    (core factor, core coordinates of the working pair, n_e) if it sits on
+    """Give nxt, the function C's walk step wrote, C's level if it sits on
     the same level; nxt's space reads its C(g) values from its top row and
     keeps no reference to C or to C's space, which does not change."""
     sp = C._stage_space
     if sp is not None and nxt.domain.g == sp.level.g:
-        nxt._stage_space = PartialHilbertSpace(sp.level, nxt, sp._state)
+        nxt._stage_space = PartialHilbertSpace(sp.level, nxt)
 
 
 def _factor(M):
@@ -228,31 +200,6 @@ def _factor(M):
     return L, pivots
 
 
-def _cholesky(M):
-    """_factor(M), raising NotStrictError when a pivot is at or below
-    DEFAULT_TOL or NaN."""
-    L, pivots = _factor(M)
-    bad = np.flatnonzero(~(pivots > DEFAULT_TOL))  # NaN fails too
-    if bad.size:
-        t = int(bad[0])
-        raise _collapsed(t, pivots[t])
-    return L, pivots
-
-
-def _collapsed(position: int, pivot: float) -> NotStrictError:
-    return NotStrictError(f"Cholesky pivot collapsed at position {position} (pivot {pivot:.3e})")
-
-
-def _grow(L: np.ndarray, v: np.ndarray, pivot: float, first: int) -> np.ndarray:
-    """L bordered with a vector of core coordinates v, pivot checked as in _cholesky."""
-    m = len(v)
-    if not pivot > DEFAULT_TOL:  # NaN fails too
-        raise _collapsed(first + m, pivot)
-    out = np.zeros((m + 1, m + 1), dtype=complex, order="F")
-    out[:m, :m], out[m, :m], out[m, m] = L, v.conj(), pivot
-    return out
-
-
 def _solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """L^-1 b, one single-vector ztrsv (a multi-column one wakes a spinning OpenBLAS worker)."""
     return _linalg.ztrsv(L, b, lower=1) if len(b) else np.zeros(0, dtype=complex)
@@ -263,13 +210,35 @@ def _norm(square: complex, v: np.ndarray) -> float:
     return math.sqrt(max(square.real - np.vdot(v, v).real, 0.0))
 
 
+def _core_factor(M: np.ndarray, m: int, first: int = 0) -> np.ndarray:
+    """The factor M[:m, :m] = L L* of the core, the first m rows, by
+    _factor; a pivot at or below DEFAULT_TOL (NaN too) raises
+    NotStrictError at its position plus first."""
+    if not m:
+        return np.zeros((0, 0), dtype=complex)
+    L, pivots = _factor(M[:m, :m])
+    if not pivots.min() > DEFAULT_TOL:  # NaN fails too
+        t = int(np.argmin(pivots > DEFAULT_TOL))
+        raise NotStrictError(
+            f"Cholesky pivot collapsed at position {first + t} (pivot {pivots[t]:.3e})")
+    return L
+
+
 def _core_coordinates(M: np.ndarray, m: int) -> tuple:
-    """(L, V): the core factor M[:m, :m] = L L* of the first m rows, one
-    zpotrf, and V = L^-1 M[:m, m:], the core coordinates of the vectors
-    after it, one _solve per column.  A core pivot at or below DEFAULT_TOL
-    raises NotStrictError."""
-    L = _cholesky(M[:m, :m])[0] if m else np.zeros((0, 0), dtype=complex)
+    """(L, V): the core factor L (_core_factor) and V = L^-1 M[:m, m:],
+    the core coordinates of the vectors after it, one _solve per column."""
+    L = _core_factor(M, m)
     return L, np.column_stack([_solve(L, M[:m, c]) for c in range(m, M.shape[1])])
+
+
+def _bordered(M: np.ndarray, m: int, first: int = 0) -> tuple:
+    """(n_g, n_e, cross) of the last two rows of M, the working pair,
+    against its first m, the core: one core factor (_core_factor, a pivot
+    raising at first plus its position) bordered with each working vector,
+    so the corner M[m, m + 1] never enters."""
+    L = _core_factor(M, m, first)
+    v_g, v_e = _solve(L, M[:m, m]), _solve(L, M[:m, m + 1])
+    return _norm(M[m, m], v_g), _norm(M[m + 1, m + 1], v_e), complex(np.vdot(v_g, v_e))
 
 
 def _checked(n_g: float, n_e: float, cross: complex) -> ResidualData:
@@ -299,8 +268,7 @@ def residual_from_gram(G: np.ndarray, core_size: int) -> ResidualData:
     scale = max(1.0, float(np.max(np.abs(H))))
     if not float(np.max(np.abs(H - H.conj().T))) <= 1e-10 * scale:  # NaN fails too
         raise ParameterError("a stage Gram must be finite and Hermitian off its corner")
-    v_g, v_e = _core_coordinates(G, m)[1].T
-    return _checked(_norm(G[m, m], v_g), _norm(G[m + 1, m + 1], v_e), complex(np.vdot(v_g, v_e)))
+    return _checked(*_bordered(G, m))
 
 
 def residual_data(space: PartialHilbertSpace) -> ResidualData:

@@ -339,7 +339,8 @@ class PDFunction:
     result once, from the working stack its recurrence fills.  Positivity
     is NOT checked here: check_pd passes verdicts, constructors pass data.
     _stage_space keeps the stage space hilbert.build_partial_space builds,
-    once, or the one the extension walk hands on (hilbert.hand_off).
+    once, or the one on its predecessor's level that the extension walk
+    hands on (hilbert.hand_off).
     """
 
     __slots__ = ("d", "domain", "_stack", "_stage_space", "__weakref__")
@@ -587,14 +588,20 @@ def _partial_stage_families(C: PDFunction):
             yield tuple(pairs[i] for i in at), (quotients, slots[np.ix_(at, at)], coords[at])
 
 
+def _least_vector(G: np.ndarray) -> np.ndarray:
+    """The least eigenvector of a Hermitian G, from its one eigh."""
+    return np.array(np.linalg.eigh(G)[1][:, 0])
+
+
 def _family_spectra(C: PDFunction, families):
     """(least eigenvalue, Gram size, witness) of each family of (pairs,
-    table), one eigvalsh each; witness returns (pairs, Gram), for the one
-    eigh of check_pd's witness.  Every family brings its table: the e
-    block its own, a stage restriction a slice of its level's."""
+    table), one eigvalsh each; witness returns (pairs, least eigenvector),
+    check_pd's one eigh.  Every family brings its table, a stage
+    restriction a slice of its level's."""
     for pairs, table in families:
         G = _gram(C, table=table)
-        yield float(np.linalg.eigvalsh(G)[0]), len(pairs), lambda pairs=pairs, G=G: (pairs, G)
+        yield (float(np.linalg.eigvalsh(G)[0]), len(pairs),
+               lambda pairs=pairs, G=G: (pairs, _least_vector(G)))
 
 
 def _level_spectra(C: PDFunction):
@@ -603,14 +610,17 @@ def _level_spectra(C: PDFunction):
     length n are a prefix of words._clique_table(n), and its Grams of one
     clique size are gathered (_gather) and passed to eigvalsh together, at
     most about words._CHUNK entries at once.  A witness gathers its level's
-    Gram again.  Yielded in level order, so that a NaN raises (in the
-    level's own _gram) where a level at a time would."""
+    Gram again for its eigh.  Yielded in level order, so that a NaN
+    raises (in the level's own _gram) where a level at a time would."""
     dom, d = C.domain, C.d
-    count, n, stack = len(C._stack) - (dom.kind == "partial"), 0, _padded(C)
+    count, n = len(C._stack) - (dom.kind == "partial"), 0
+    if count:  # the domain's tree first, so each clique length reads a slice of it
+        stack = _padded(C)
+        words._tree(_radius(dom))
 
     def witness(top):
         table, pairs = _clique_pairs(words.word_of_rank(top), d)
-        return pairs(), _gram(C, table=table)
+        return pairs(), _least_vector(_gram(C, table=table))
 
     while (at := (words.ball_size(n) - 1) // 2) < count:  # the levels shorter than n + 1
         n += 1
@@ -647,25 +657,28 @@ def check_pd(C: PDFunction, tol: float = DEFAULT_TOL) -> PDVerdict:
 
     The family is one Gram matrix per novel level (plus the stage
     restrictions on partial domains), checked a word length at a time with
-    one eigvalsh per clique size (_level_spectra).  The e block comes
-    first.  Least eigenvalues, all from eigvalsh, are compared against tol
-    scaled by the matrix dimension; crossing below the negative threshold
-    ends the scan with that Gram as certificate, and a tie for the least
-    eigenvalue goes to the first Gram scanned.  The witness Gram is then
-    gathered again for the one eigh of the check, whose least eigenvector
-    is the witness vector.  Among levels whose least eigenvalues agree to
-    a few ulps, which one eigvalsh rounds lowest decides the witness, so it
-    may differ from the level an eigh scan would pick.  tol must be a
-    finite real number >= 0; it is the package's one tolerance a caller
-    sets, every other check reads DEFAULT_TOL.
+    one eigvalsh per clique size (_level_spectra).  The e block, whose
+    Gram is I, comes first with least eigenvalue 1 and witness vector e_1,
+    read off without a Gram.  Least eigenvalues, all from eigvalsh, are
+    compared against tol scaled by the matrix dimension; crossing below the
+    negative threshold ends the scan with that Gram as certificate, and a
+    tie for the least eigenvalue goes to the first Gram scanned.  The
+    witness Gram is then gathered again for the one eigh of the check,
+    whose least eigenvector is the witness vector.  Among levels whose
+    least eigenvalues agree to a few ulps, which one eigvalsh rounds lowest
+    decides the witness, so it may differ from the level an eigh scan
+    would pick.  tol must be a finite real number >= 0; it is the
+    package's one tolerance a caller sets, every other check reads
+    DEFAULT_TOL.
     """
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= 0):
         raise ParameterError(f"tol must be a finite real number >= 0, got {tol!r}")
     d = C.d
-    # the list [e] has the one quotient e at every slot: a table that needs no tree
-    e_block = [(tuple(((), m) for m in range(1, d + 1)),
-                (np.zeros(1, np.int64), np.zeros((d, d), np.int64), np.arange(d)))]
-    spectra = [_family_spectra(C, e_block), _level_spectra(C)]
+    # the e block's Gram is I (_padded): its least eigenvalue 1 and its
+    # witness e_1, the vector eigh returns, need no table and no Gram
+    e_block = [(1.0, d, lambda: (tuple(((), m) for m in range(1, d + 1)),
+                                 np.eye(1, d, dtype=complex)[0]))]
+    spectra = [e_block, _level_spectra(C)]
     if C.domain.kind == "partial":
         spectra.append(_family_spectra(C, _partial_stage_families(C)))
     worst, status = None, "strict"
@@ -679,8 +692,7 @@ def check_pd(C: PDFunction, tol: float = DEFAULT_TOL) -> PDVerdict:
             status, worst = "not_pd", (lam, witness)
             break
     lam, witness = worst
-    pairs, G = witness()
-    return PDVerdict(status, lam, pairs, np.array(np.linalg.eigh(G)[1][:, 0]))
+    return PDVerdict(status, lam, *witness())
 
 
 @dataclass(frozen=True)

@@ -179,24 +179,34 @@ class _Tree:
 
 
 def _build(r: int) -> _Tree:
-    L = np.full((ball_size(r), r + 1), -1)
-    level, at = np.arange(4)[:, None], 1
-    for n in range(1, r + 1):
-        if n > 1:  # each word of length n - 1 has three children, in order
-            level = np.column_stack([np.repeat(level, 3, axis=0),
-                                     _AFTER[level[:, -1]].ravel()])
-        L[at:at + len(level), :n] = level
-        at += len(level)
-    n = (L >= 0).sum(1)
+    """The tree of ball(r), a column at a time, so that no temporary is
+    larger than one column of N ints."""
+    n = np.repeat(np.arange(r + 1), np.diff(_OFFSET[:r + 2]))
+    L = np.full((len(n), r + 1), -1)
+    L[1:5, 0] = np.arange(4) if r else []
+    for k in range(2, r + 1):  # each word of length k - 1 has three children, in order
+        (a, b), (c, e) = _OFFSET[k - 1:k + 1], _OFFSET[k:k + 2]
+        for col in range(k - 1):
+            L[c:e, col] = np.repeat(L[a:b, col], 3)
+        L[c:e, k - 1] = _AFTER[L[a:b, k - 2]].ravel()
     # without its first k letters a word of length n and in-length rank x is
     # the word of length n - k led by letter k whose later digits are x's last
-    left = n[:, None] - np.arange(r + 1)
-    place = _POW3[np.maximum(left - 1, 0)]
-    x = (np.arange(len(L)) - _OFFSET[n])[:, None]
-    suffix = np.where(left > 0, _OFFSET[np.maximum(left, 0)] + L * place + x % place, 0)
-    back = n[:, None] - 1 - np.arange(r + 1)
-    inv = _ranks(np.where(back >= 0, (np.take_along_axis(L, np.maximum(back, 0), 1) + 2) % 4, -1))
-    rows = np.concatenate([[-1], np.cumsum(np.arange(len(inv)) < inv)])
+    x = np.arange(len(n)) - _OFFSET[n]
+    suffix = np.zeros_like(L)
+    for k in range(r + 1):
+        left = n - k
+        place = _POW3[np.maximum(left - 1, 0)]
+        suffix[:, k] = np.where(left > 0, _OFFSET[np.maximum(left, 0)] + L[:, k] * place
+                                + x % place, 0)
+    # the inverse's letter i is the inverse of letter n - 1 - i, a digit as in _ranks
+    inv, at, prev = _OFFSET[n], np.arange(len(n)), None
+    for i in range(r):
+        back = np.maximum(n - 1 - i, 0)
+        letter = (L[at, back] + 2) % 4
+        digit = letter if prev is None else letter - (letter > (prev + 2) % 4)
+        inv += np.where(n > i, digit * _POW3[back], 0)
+        prev = letter
+    rows = np.concatenate([[-1], np.cumsum(at < inv)])
     for a in (L, n, suffix, inv, rows):
         a.setflags(write=False)
     return _Tree(letters=L, length=n, suffix=suffix, inv=inv, rows=rows)

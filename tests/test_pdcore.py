@@ -8,6 +8,7 @@ import json
 import os
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,8 +273,8 @@ def test_a_cold_check_builds_the_one_tree_once(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["ball", "prefix", "partial"])
 def test_a_cold_check_of_a_function_built_earlier_builds_its_tree_once(monkeypatch, kind):
-    # the e block reads a constant table, so the first tree asked is the
-    # function's own radius, and every clique length is a slice of it
+    # the level scan asks the function's own radius first, and every
+    # clique length is a slice of that tree
     C = random_nspd(5, 2, seed=4)
     g = canonical_words(C.domain)[-3]
     if kind == "prefix":
@@ -580,12 +581,32 @@ def test_check_pd_certifies_the_gram_that_crossed_its_threshold(monkeypatch):
     # threshold is the worst so far, but the certificate is the later Gram
     # that crosses below its smaller one
     grams = {"large": -np.eye(10) * 5e-10, "small": np.diag([-4e-10, 1.0])}
-    levels = [(-5e-10, 10, lambda: ("large", grams["large"])),
-              (-4e-10, 2, lambda: ("small", grams["small"]))]
+    levels = [(-5e-10, 10, lambda: ("large", pdcore._least_vector(grams["large"]))),
+              (-4e-10, 2, lambda: ("small", pdcore._least_vector(grams["small"])))]
     monkeypatch.setattr(pdcore, "_level_spectra", lambda C: iter(levels))
     verdict = check_pd(delta(1, Domain.ball(1)))
     assert verdict.status == "not_pd" and verdict.min_eigenvalue == -4e-10
     assert verdict.witness_indices == "small" and abs(verdict.witness_vector[0]) == 1.0
+
+
+def test_check_pd_reads_the_e_block_without_a_d_by_d_array():
+    # the e block's Gram is I: a check of a large d on Ball(0) holds no d x d
+    # table, Gram or pad (one complex one is 36 MB at d = 1500), and its
+    # witness is e_1, the vector eigh returns for I
+    d = 1500
+    C = delta(d, Domain.ball(0))
+    tracemalloc.start()
+    try:
+        verdict = check_pd(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * 16 / 8
+    assert verdict.status == "strict" and verdict.min_eigenvalue == 1.0
+    assert verdict.witness_indices == tuple(((), m) for m in range(1, d + 1))
+    assert verdict.witness_vector.tobytes() == np.eye(1, d, dtype=complex)[0].tobytes()
+    small = delta(3, Domain.ball(0))
+    assert _same_verdict(check_pd(small), level_at_a_time_check_pd(small))
 
 
 def test_check_pd_fails_at_a_level_inside_its_length():
