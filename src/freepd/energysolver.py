@@ -1146,9 +1146,7 @@ def _eta_budget(family, eta_prime: float) -> float:
         sp = build_partial_space(C)
         m = sp.core_size
         # a (stack slot, c1, c2) key is one oriented entry (quotient, c1, c2)
-        _, slots, coords = pdcore._clique_pairs(C.domain.g, C.d, level=True)[0]
-        at = np.concatenate(pdcore._stage_rows(sp.level.size, C.d, C.domain.j, C.domain.k))
-        slots, coords = slots[np.ix_(at, at)], coords[at]
+        _, slots, coords = pdcore._stage_table(C.domain.g, C.d, C.domain.j, C.domain.k)
         keys = (slots * C.d + coords[:, None]) * C.d + coords[None, :]
         for G, last in ((sp.x_g_gram, m), (sp.x_e_gram, m + 1)):
             lam = _strict_min_eig(G, "a stage restriction Gram")

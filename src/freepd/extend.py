@@ -17,12 +17,11 @@ _write_and_advance alone orders its stages, and restrict_to_ball cuts the
 result onto Ball(R).  extend_ball drives it with a parameter policy, and the
 energy solver drives it for a whole family of functions.  Each step builds
 its successor by construction, the stack a copy of the predecessor's with
-one write.  The residuals of a stage come from its level's one interior
-factor and its own small core factor (see hilbert): each stage function
-the walk writes on the same level inherits that level, gathered and
-factored once for its d*d stages, and nothing else.  A stage failure
-keeps its class and names the stage in its message and its stage
-attribute.
+one write.  The residuals of a stage come from its own stage Gram, its
+core factored once and bordered with the working pair (see hilbert); a
+stage function inherits nothing from its predecessor but its stack.  A
+stage failure keeps its class and names the stage in its message and its
+stage attribute.
 
 The zeta = 0 choice at every stage is the central (maximal entropy)
 extension, which on two letters reproduces the multiplicative values
@@ -54,7 +53,6 @@ from .errors import DomainError, FreePDError, ParameterError
 from .hilbert import (
     _factor,
     build_partial_space,
-    hand_off,
     residual_data,
     residual_from_gram,
 )
@@ -177,8 +175,8 @@ def _residuals(C: PDFunction):
 
 
 def _write_and_advance(C: PDFunction, rd, zeta: SzegoParameter) -> PDFunction:
-    """Fill the working slot with zeta's value and move to the next stage; a
-    successor on the same level inherits C's level (hilbert.hand_off)."""
+    """Fill the working slot with zeta's value and move to the next stage,
+    whose function builds its own stage space when asked."""
     dom = C.domain
     d = C.d
     value = zeta.value * (rd.n_g * rd.n_e) + rd.cross
@@ -190,9 +188,7 @@ def _write_and_advance(C: PDFunction, rd, zeta: SzegoParameter) -> PDFunction:
         new_dom = Domain("partial", g=next_novel(dom.g), j=1, k=1)
     else:
         new_dom = Domain("partial", g=dom.g, j=slot // d + 1, k=slot % d + 1)
-    nxt = _next_stage(C, value, new_dom)
-    hand_off(C, nxt)
-    return nxt
+    return _next_stage(C, value, new_dom)
 
 
 def extend_entry(C: PDFunction, zeta) -> PDFunction:

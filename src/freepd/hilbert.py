@@ -20,25 +20,15 @@ M[y, y] - ||v||^2 the square of its residual norm.  This is one
 Schur-complement step, the one-step Szego-parameter extension of Bakonyi
 and Timotin; the NaN corner never enters it.
 
-The d*d stages of a novel level g share their core's first part, the
-clique interior K_g minus {e, g}.  A _Level takes the Gram over the pairs
-interior x [d], g x [d], e x [d] that build_partial_space gathers once
-(only its C(g) block may be NaN), factors the interior block once, and
-borders that factor with the 2d g/e vectors: their interior coordinates V
-and the 2d x 2d Schur block S = G[ge, ge] - V* V, the Gram of their
-residuals against the interior.  (The central, zeta = 0, extension needs
-no level: extend.central_extension runs its order-r recurrence over
-windows of the data ball.)  The walk, which takes any parameter, goes a
-stage at a time, and a stage (j, k) needs nothing but its level and the
-C(g) values of its function's own top row: it takes S over its core, the
-rows (g, m < j) and (e, m < k), and its working pair (g, j), (e, k), puts
-the written C(g) values less their interior part V* V in the g x e block,
-factors the core once, borders it with the working pair (_bordered, as
-residual_from_gram does) and adds back the interior part of the cross
-term.  A function the walk writes on the same level inherits the level
-through hand_off, so each level is gathered and its interior factored
-once; any other function builds its level on first use, and a walk's
-function and a copy of it agree bit for bit.  Vectors never materialize.
+A stage space is its own stage Gram, gathered over the stage's pairs Q
+with one table (pdcore._stage_table), and its core size.  Its residuals
+are that Gram's core factored once and bordered with the working pair
+(_bordered), the one residual routine, which residual_from_gram, and
+through it extend.toeplitz_step, shares.  A function's space is built on
+first use and kept, so a walk's function and a copy of it agree bit for
+bit.  (The central, zeta = 0, extension needs no stage space:
+extend.central_extension runs its order-r recurrence over windows of the
+data ball.)  Vectors never materialize.
 
 The factors and solves are direct LAPACK and BLAS calls, zpotrf and one
 single-vector ztrsv per solve, read from freepd._linalg, which imports SciPy
@@ -49,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -72,61 +61,18 @@ class ResidualData:
     cross: complex
 
 
-class _Level:
-    """The data the d*d stages of one novel level g share.
-
-    gram, which build_partial_space gathers, is the read-only Gram of
-    the level's (word, coordinate) pairs, the clique interior K_g minus
-    {e, g} times [d] (size of them), then g x [d], then e x [d], NaN where
-    C(g) is not written yet.  projections() computes the rest, once.
-    """
-
-    def __init__(self, g, d: int, gram: np.ndarray):
-        self.g, self.d, self.size, self.gram = g, d, len(gram) - 2 * d, gram
-        gram.setflags(write=False)
-        self._projections = None
-
-    def projections(self) -> tuple:
-        """(P, S): P = V* V, the 2d x 2d Gram of the g/e vectors' projections
-        onto the interior, V their interior coordinates (see
-        _core_coordinates), and the Schur block S = G[ge, ge] - P, whose
-        g x e blocks a stage reads from its own top row instead.  An
-        interior pivot at or below DEFAULT_TOL raises NotStrictError."""
-        if self._projections is None:
-            V = _core_coordinates(self.gram, self.size)[1]
-            P = V.conj().T @ V
-            self._projections = P, self.gram[self.size:, self.size:] - P
-        return self._projections
-
-
 class PartialHilbertSpace:
-    """The stage (g, j, k) of one function, served from its level.
+    """The stage (g, j, k) of one function: its stage Gram and core size.
 
-    gram is the stage Gram indexed by the stage's pairs Q
-    (pdcore.stage_pairs), with NaN at the working pair (positions len(P),
-    len(P)+1), that is <Theta(g)_j, Theta(e)_k>; the two one-sided
-    restrictions X_g and X_e are fully defined.
+    gram is the read-only Gram indexed by the stage's pairs Q
+    (pdcore.stage_pairs), with NaN at the working pair (positions
+    core_size, core_size + 1), that is <Theta(g)_j, Theta(e)_k>; the two
+    one-sided restrictions X_g and X_e are fully defined.
     """
 
-    def __init__(self, level: _Level, C: PDFunction):
-        self.level, self.j, self.k = level, C.domain.j, C.domain.k
-        self.top, self._residuals = C._stack[-1], None
-
-    @property
-    def core_size(self) -> int:
-        return self.level.size + self.j + self.k - 2
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        lv, j, k = self.level, self.j, self.k
-        n, m = lv.size, self.core_size
-        P, work = pdcore._stage_rows(n, lv.d, j, k)
-        G = lv.gram[np.ix_(P + work, P + work)]
-        rows, cols = [*range(n, n + j - 1), m], [*range(n + j - 1, m), m + 1]
-        G[np.ix_(rows, cols)] = self.top[:j, :k]
-        G[np.ix_(cols, rows)] = self.top[:j, :k].conj().T
-        G.setflags(write=False)
-        return G
+    def __init__(self, gram: np.ndarray):
+        self.gram, self.core_size, self._residuals = gram, len(gram) - 2, None
+        gram.setflags(write=False)
 
     @property
     def x_g_gram(self) -> np.ndarray:
@@ -141,22 +87,11 @@ class PartialHilbertSpace:
         return self.gram[np.ix_(rows, rows)]
 
     def residuals(self) -> tuple:
-        """(n_g, n_e, cross) from the level's Schur block S, its g x e block
-        this space's C(g) values less their interior part, taken over the
-        stage's core and working pairs: one factor of that core bordered
-        with the working pair, and the interior part of the cross term
-        added back.  A core pivot at or below DEFAULT_TOL raises
-        NotStrictError at its position after the interior's."""
+        """(n_g, n_e, cross) of the stage Gram (_bordered), computed once.
+        A core pivot at or below DEFAULT_TOL raises NotStrictError at its
+        position in the core."""
         if self._residuals is None:
-            lv, j, k = self.level, self.j, self.k
-            d, (P, S) = lv.d, lv.projections()
-            T = np.array(S)
-            T[:j, d:d + k] = block = self.top[:j, :k] - P[:j, d:d + k]
-            T[d:d + k, :j] = block.conj().T
-            core, work = pdcore._stage_rows(0, d, j, k)
-            at = np.array(core + work)
-            n_g, n_e, cross = _bordered(T.take(at, 0).take(at, 1), len(core), lv.size)
-            self._residuals = n_g, n_e, complex(cross + P[work[0], work[1]])
+            self._residuals = _bordered(self.gram, self.core_size)
         return self._residuals
 
 
@@ -171,19 +106,10 @@ def build_partial_space(C: PDFunction) -> PartialHilbertSpace:
     if C.domain.kind != "partial":
         raise DomainError("build_partial_space needs a partial-domain function")
     if C._stage_space is None:
-        g, d = C.domain.g, C.d
-        gram = pdcore._gram(C, table=pdcore._clique_pairs(g, d, level=True)[0], corner=d)
-        C._stage_space = PartialHilbertSpace(_Level(g, d, gram), C)
+        dom = C.domain
+        table = pdcore._stage_table(dom.g, C.d, dom.j, dom.k)
+        C._stage_space = PartialHilbertSpace(pdcore._gram(C, table=table, corner=1))
     return C._stage_space
-
-
-def hand_off(C: PDFunction, nxt: PDFunction):
-    """Give nxt, the function C's walk step wrote, C's level if it sits on
-    the same level; nxt's space reads its C(g) values from its top row and
-    keeps no reference to C or to C's space, which does not change."""
-    sp = C._stage_space
-    if sp is not None and nxt.domain.g == sp.level.g:
-        nxt._stage_space = PartialHilbertSpace(sp.level, nxt)
 
 
 def _factor(M):
@@ -205,22 +131,21 @@ def _solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _linalg.ztrsv(L, b, lower=1) if len(b) else np.zeros(0, dtype=complex)
 
 
-def _norm(square: complex, v: np.ndarray) -> float:
-    """A residual norm from the square norm and core coordinates v, or 0."""
-    return math.sqrt(max(square.real - np.vdot(v, v).real, 0.0))
+def _norm(square: complex) -> float:
+    """A residual norm from its square, or 0."""
+    return math.sqrt(max(square.real, 0.0))
 
 
-def _core_factor(M: np.ndarray, m: int, first: int = 0) -> np.ndarray:
+def _core_factor(M: np.ndarray, m: int) -> np.ndarray:
     """The factor M[:m, :m] = L L* of the core, the first m rows, by
     _factor; a pivot at or below DEFAULT_TOL (NaN too) raises
-    NotStrictError at its position plus first."""
+    NotStrictError at its position."""
     if not m:
         return np.zeros((0, 0), dtype=complex)
     L, pivots = _factor(M[:m, :m])
     if not pivots.min() > DEFAULT_TOL:  # NaN fails too
         t = int(np.argmin(pivots > DEFAULT_TOL))
-        raise NotStrictError(
-            f"Cholesky pivot collapsed at position {first + t} (pivot {pivots[t]:.3e})")
+        raise NotStrictError(f"Cholesky pivot collapsed at position {t} (pivot {pivots[t]:.3e})")
     return L
 
 
@@ -231,14 +156,17 @@ def _core_coordinates(M: np.ndarray, m: int) -> tuple:
     return L, np.column_stack([_solve(L, M[:m, c]) for c in range(m, M.shape[1])])
 
 
-def _bordered(M: np.ndarray, m: int, first: int = 0) -> tuple:
+def _bordered(M: np.ndarray, m: int) -> tuple:
     """(n_g, n_e, cross) of the last two rows of M, the working pair,
-    against its first m, the core: one core factor (_core_factor, a pivot
-    raising at first plus its position) bordered with each working vector,
-    so the corner M[m, m + 1] never enters."""
-    L = _core_factor(M, m, first)
-    v_g, v_e = _solve(L, M[:m, m]), _solve(L, M[:m, m + 1])
-    return _norm(M[m, m], v_g), _norm(M[m + 1, m + 1], v_e), complex(np.vdot(v_g, v_e))
+    against its first m, the core: the core factor bordered with each
+    working vector (_core_coordinates, V), and P = V* V, the Gram of their
+    projections, so the corner M[m, m + 1] never enters.  P is one product,
+    not a vdot per pair: the solver's iteration counts follow the last bits
+    of these numbers, which tests/test_walk.py pins at d = 1."""
+    V = _core_coordinates(M, m)[1]
+    P = V.conj().T @ V
+    # 0j + turns a -0.0 cross term into 0.0
+    return _norm(M[m, m] - P[0, 0]), _norm(M[m + 1, m + 1] - P[1, 1]), complex(0j + P[0, 1])
 
 
 def _checked(n_g: float, n_e: float, cross: complex) -> ResidualData:
@@ -253,12 +181,13 @@ def residual_from_gram(G: np.ndarray, core_size: int) -> ResidualData:
     """Residual data of a stage Gram: core at the front, the two working
     vectors in the last two rows (g-side first, e-side last).
 
-    The core is factored once and bordered with each working vector, so the
-    NaN corner never enters.  A matrix that is not square, or not finite and
-    Hermitian off its corner, raises ParameterError; a core pivot at or
-    below DEFAULT_TOL NotStrictError, a residual norm at or below it
-    DegenerateStageError.  The outcome does not depend on the core
-    ordering, since an orthogonal projection is basis-free.
+    The core is factored once and bordered with each working vector
+    (_bordered), so the NaN corner never enters.  A matrix that is not
+    square, or not finite and Hermitian off its corner, raises
+    ParameterError; a core pivot at or below DEFAULT_TOL NotStrictError, a
+    residual norm at or below it DegenerateStageError.  The outcome does
+    not depend on the core ordering, since an orthogonal projection is
+    basis-free.
     """
     G, m = np.asarray(G, dtype=complex), core_size
     if G.ndim != 2 or G.shape != (m + 2, m + 2):
@@ -272,6 +201,6 @@ def residual_from_gram(G: np.ndarray, core_size: int) -> ResidualData:
 
 
 def residual_data(space: PartialHilbertSpace) -> ResidualData:
-    """The stage numbers of a partial Hilbert space, from its level's factor
-    (see PartialHilbertSpace.residuals and residual_from_gram)."""
+    """The stage numbers of a partial Hilbert space (see
+    PartialHilbertSpace.residuals and residual_from_gram)."""
     return _checked(*space.residuals())

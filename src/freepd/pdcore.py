@@ -339,8 +339,7 @@ class PDFunction:
     result once, from the working stack its recurrence fills.  Positivity
     is NOT checked here: check_pd passes verdicts, constructors pass data.
     _stage_space keeps the stage space hilbert.build_partial_space builds,
-    once, or the one on its predecessor's level that the extension walk
-    hands on (hilbert.hand_off).
+    once.
     """
 
     __slots__ = ("d", "domain", "_stack", "_stage_space", "__weakref__")
@@ -478,6 +477,16 @@ def _clique_pairs(g, d: int, level: bool = False):
 def _stage_rows(n: int, d: int, j: int, k: int):
     """Where stage (j, k)'s P and working pair sit among its level's pairs."""
     return [*range(n + j - 1), *range(n + d, n + d + k - 1)], [n + j - 1, n + d + k - 1]
+
+
+def _stage_table(g, d: int, j: int, k: int):
+    """The _gram_slots table of stage (g, j, k)'s pairs Q (stage_pairs):
+    K_g's slots at the stage's rows (_stage_rows) of its level's pairs."""
+    K, at, _ = _clique_order(g, d, level=True)
+    P, work = _stage_rows((len(at) - 2) * d, d, j, k)
+    rows = np.array(P + work)
+    vertices = np.repeat(at, d)[rows]
+    return K.quotients, K.slots[vertices[:, None], vertices], rows % d
 
 
 def _padded(C: PDFunction) -> np.ndarray:
@@ -797,6 +806,8 @@ def add_to_entries(C: PDFunction, cells, values) -> PDFunction:
     coordinates 1-based; the mirror C(w^-1) moves with it."""
     stack = np.array(C._stack)
     for (w, j, k), v in zip(cells, values):
+        if not (1 <= j <= C.d and 1 <= k <= C.d):
+            raise ParameterError(f"coordinates ({j},{k}) out of range for d={C.d}")
         i, flip = C._row(_as_word(w))
         if i is None:
             raise MissingEntryError(word_to_str(canonical_rep(_as_word(w))))

@@ -267,23 +267,6 @@ def _canonical_quotients(tree: _Tree, a, b):
     return np.minimum(q, q_inv), q > q_inv
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """The symmetric set I_g of all h with h or h^-1 shortlex-preceding g."""
-
-    origin: Word
-    members: frozenset
-
-
-@lru_cache(maxsize=None)
-def index_set(g: Word) -> IndexSet:
-    n = rank_of(g) + 1
-    if not n:
-        raise WordError(f"{g!r} is not a reduced word")
-    words, inv = ball(len(g)), _tree(len(g)).inv[:n]
-    return IndexSet(g, frozenset(words[:n] + tuple(map(words.__getitem__, inv))))
-
-
 def is_novel(g: Word) -> bool:
     """Whether level g adds a new edge, i.e. g strictly precedes its inverse.
 

@@ -3,6 +3,8 @@
 import math
 import sys
 from collections import deque
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -38,7 +40,6 @@ from freepd.words import (
     ball_size,
     ball,
     clique,
-    index_set,
     inverse,
     is_novel,
     mul,
@@ -224,6 +225,24 @@ def scan_clique(g):
             f"({word_to_str(vertices[a])}, {word_to_str(vertices[b])}) not adjacent"
         )
     return vertices
+
+
+@dataclass(frozen=True)
+class IndexSet:
+    """The symmetric set I_g of all h with h or h^-1 shortlex-preceding g."""
+
+    origin: tuple
+    members: frozenset
+
+
+@lru_cache(maxsize=None)
+def index_set(g) -> IndexSet:
+    """I_g from the tree: the words up to g's rank and their inverses."""
+    n = rank_of(g) + 1
+    if not n:
+        raise WordError(f"{g!r} is not a reduced word")
+    words, inv = ball(len(g)), _tree(len(g)).inv[:n]
+    return IndexSet(g, frozenset(words[:n] + tuple(map(words.__getitem__, inv))))
 
 
 def adjacent(h, l, iset):

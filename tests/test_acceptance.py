@@ -42,7 +42,6 @@ from freepd.transport import perturbation_bound_check, relative_energy
 from freepd.words import (
     ball,
     clique,
-    index_set,
     inverse,
     is_novel,
     mul,
@@ -53,6 +52,7 @@ from freepd.words import (
 from helpers import (
     brute_force_verdict,
     embed_toeplitz,
+    index_set,
     maximal_cliques,
     mix_functions,
     random_labeled_graph,

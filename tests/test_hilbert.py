@@ -206,19 +206,14 @@ def test_hand_off_leaves_the_predecessor_space_alone():
     rd = residual_data(sp)
     gram = np.array(sp.gram)
     nxt = extend_entry(C, 0.3 - 0.2j)
-    handed = nxt._stage_space
-    assert handed is not None and handed.level is sp.level
+    handed = build_partial_space(nxt)
     m = sp.core_size
     assert np.isnan(sp.gram[m, m + 1]) and np.isnan(sp.gram[m + 1, m])
     assert np.array_equal(sp.gram, gram, equal_nan=True)
     assert residual_data(sp) == rd
     assert matches_two_factor_residuals(rd, sp)
-    # the handed-on space is the one the successor would build itself
+    # the successor's space is the one a copy of it builds
     own = build_partial_space(_copy(nxt))
     assert residual_data(handed) == residual_data(own)
     assert matches_two_factor_residuals(residual_data(handed), own)
     assert np.array_equal(handed.gram, own.gram, equal_nan=True)
-    # the last stage of a level hands nothing on to the next level
-    last = extend_entry(nxt, 0.1)
-    assert last.domain == Domain.partial("ab", 2, 2)
-    assert extend_entry(last, 0.0)._stage_space is None

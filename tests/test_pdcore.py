@@ -1017,6 +1017,15 @@ def test_computed_functions_pass_the_constructor_validator():
     assert l1_distance(D, C) == pytest.approx(2 * 0.03)
 
 
+def test_add_to_entries_rejects_coordinates_outside_the_matrix():
+    # unchecked, j = 0 would wrap to C(w)[d, k] and j = d + 1 raise IndexError
+    C = random_nspd(1, 2, seed=0)
+    for j, k in ((0, 1), (1, 0), (3, 1), (2, 3)):
+        with pytest.raises(ParameterError, match=r"out of range for d=2"):
+            add_to_entries(C, [((0,), j, k)], [1.0])
+    assert add_to_entries(C, [((0,), 1, 2)], [0.0]) == C
+
+
 def test_stage_space_is_built_once_per_function():
     stage = restrict_to_stage(random_nspd(2, 1, seed=1), "ab", 1, 1)
     assert build_partial_space(stage) is build_partial_space(stage)

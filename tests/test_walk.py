@@ -1,15 +1,17 @@
 """The stage walk's steps against fresh builds.
 
 Each walk step builds its successor by construction (pdcore._next_stage)
-and hands the successor its level (hilbert.hand_off); the successor's
-residuals come from that level and its own top row alone.  The oracles
-here are the constructor's validator on a copy of each stage function,
-the stage Gram of a space built afresh on that copy, and residuals from
-two Cholesky factors of that Gram.  A fresh space computes the same
-residuals from its own level, so they must match bit for bit.
+and hands it nothing else: the successor's residuals come from its own
+stage Gram alone.  The oracles here are the constructor's validator on a
+copy of each stage function, the stage Gram of a space built afresh on
+that copy, and residuals from two Cholesky factors of that Gram.  A fresh
+space computes the same residuals from the same Gram, so they must match
+bit for bit.
 """
 
 import gc
+import hashlib
+import struct
 import weakref
 
 import numpy as np
@@ -23,10 +25,11 @@ from freepd.extend import (
     _open_walk,
     _write_and_advance,
     central_policy,
+    constant_policy,
     extend_ball,
     extend_entry,
 )
-from freepd.hilbert import ResidualData, build_partial_space, residual_data
+from freepd.hilbert import ResidualData, build_partial_space, residual_data, residual_from_gram
 from freepd.pdcore import Domain, PDFunction, _next_stage, random_nspd, restrict_to_stage
 from freepd.words import next_novel
 from helpers import fill_stage, library_caches, matches_two_factor_residuals, seeded_rim_policy
@@ -56,16 +59,38 @@ def _walk(d, policy):
 @pytest.mark.parametrize("central", [True, False])
 def test_every_stage_function_matches_the_validator_and_a_fresh_space(d, central):
     seen = _walk(d, central_policy() if central else seeded_rim_policy(40 + d))
-    for prev, C in zip([None] + seen, seen):
+    for C in seen:
         assert not C._stack.flags.writeable
         assert C == _copy(C)
         sp = C._stage_space
-        first = (C.domain.j, C.domain.k) == (1, 1)
-        # within a level the space was handed on, and it shares the level
-        assert first or sp.level is prev._stage_space.level
         fresh = build_partial_space(_copy(C))
         assert np.array_equal(sp.gram, fresh.gram, equal_nan=True)
+        assert residual_data(sp) == residual_from_gram(sp.gram, sp.core_size)
         assert matches_two_factor_residuals(residual_data(sp), fresh)
+
+
+# sha256 of the packed (n_g, n_e, cross.real, cross.imag) of the 72 stages of a
+# d = 1 Ball(2) -> Ball(4) walk, as the solver's iteration counts depend on
+# their last bits
+PINNED = {
+    "central": "f2f293d044200daff61c711699f7f6c34b1cb4929dbcceb8e730c04f17a1055a",
+    "constant": "5ac56f25e07b1d8692f857ad2e17de5affea8b37d8b484d1836d758cc1e465d0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_the_d1_stage_numbers_keep_their_bits(name):
+    policy = central_policy() if name == "central" else constant_policy(0.4 - 0.3j)
+    digest, count = hashlib.sha256(), []
+
+    def rule(stage, current, context):
+        rd = context["residuals"]
+        digest.update(struct.pack("<4d", rd.n_g, rd.n_e, rd.cross.real, rd.cross.imag))
+        count.append(stage)
+        return policy.rule(stage, current, context)
+
+    extend_ball(random_nspd(2, 1, seed=9), 4, ParameterPolicy(rule, name=policy.name))
+    assert len(count) == 72 and digest.hexdigest() == PINNED[name]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -86,9 +111,8 @@ def test_two_successors_of_one_stage_grow_independently():
     # interleaved, so that state shared between the two would show
     while walks[0].domain.g == stage.domain.g:
         for i, C in enumerate(walks):
-            assert C._stage_space is not None  # handed on
             fresh = build_partial_space(_copy(C))
-            assert matches_two_factor_residuals(residual_data(C._stage_space), fresh)
+            assert matches_two_factor_residuals(residual_data(build_partial_space(C)), fresh)
             walks[i] = extend_entry(C, 0.7 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()))
     assert walks[0].domain == walks[1].domain == Domain.partial(next_novel(stage.domain.g), 1, 1)
     assert not np.array_equal(walks[0]._stack, walks[1]._stack)
@@ -122,9 +146,10 @@ def test_a_collapsing_pivot_on_a_handed_on_walk_raises_as_a_fresh_build(monkeypa
     C = extend_entry(extend_entry(C, 0.0), 0.0)
     assert (C.domain.j, C.domain.k) == (2, 2)
     # the pivots of the stage core, interior then (g, 1), then (e, 1)
-    sp = C._stage_space
-    level, pivots = sp.level, hilbert._factor(sp.gram[:sp.core_size, :sp.core_size])[1]
-    entering, others = pivots[level.size + 1], pivots[:level.size + 1].min()
+    sp = build_partial_space(C)
+    at = sp.core_size - 1
+    pivots = hilbert._factor(sp.gram[:sp.core_size, :sp.core_size])[1]
+    entering, others = pivots[at], pivots[:at].min()
     assert hilbert.DEFAULT_TOL < entering < others / 10
     monkeypatch.setattr(hilbert, "DEFAULT_TOL", float(np.sqrt(entering * others)))
     with pytest.raises(NotStrictError) as handed:
@@ -135,7 +160,7 @@ def test_a_collapsing_pivot_on_a_handed_on_walk_raises_as_a_fresh_build(monkeypa
     assert not isinstance(handed.value, DegenerateStageError)
     assert str(handed.value) == str(fresh.value)
     assert handed.value.stage == fresh.value.stage == ("aaa", 2, 2)
-    assert f"position {level.size + 1}" in str(handed.value)
+    assert f"position {at}" in str(handed.value)
 
 
 def test_a_non_finite_write_still_goes_through_the_validator():

@@ -13,7 +13,6 @@ from freepd.words import (
     ball,
     ball_size,
     clique,
-    index_set,
     inverse,
     is_novel,
     mul,
@@ -24,6 +23,7 @@ from freepd.words import (
 from helpers import (
     adjacent,
     canonical_ball,
+    index_set,
     maximal_cliques,
     predecessor,
     predecessor_clique,
@@ -289,10 +289,10 @@ def test_index_set_inverts_each_radius_once(monkeypatch):
     real, build = words.inverse, words._build
     monkeypatch.setattr(words, "inverse", lambda w: calls.append(w) or real(w))
     monkeypatch.setattr(words, "_build", lambda r: builds.append(r) or build(r))
-    words.index_set.cache_clear()
+    index_set.cache_clear()
     words._grown.cache_clear()
     found = {g: index_set(g).members for g in levels}
-    words.index_set.cache_clear()
+    index_set.cache_clear()
     assert calls == [] and builds == [1, 2, 3, 4]
     for g, members in found.items():
         prefixes = ball(len(g))[:ball(len(g)).index(g) + 1]
