@@ -301,15 +301,17 @@ def central_extension(C: PDFunction, R: int) -> PDFunction:
         q, flip = words._canonical_quotients(tree, lead[x], b)
         window = q < tops[:, None]  # U(g), then E(g), over lead[x]
         for side in (1, 0):  # E's types only screen; U's, last, give the coefficients
-            types, kind = np.unique(np.column_stack([x[side], window[side]]), axis=0,
+            # a type is one byte row, its letter and its packed mask, as one void
+            packed = np.column_stack([x[side].astype(np.uint8), np.packbits(window[side], 1)])
+            types, kind = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
                                     return_inverse=True)
-            for t in types:
-                key = side, t.tobytes()
-                if key not in solved:
-                    solved[key] = _window_coefficients(G, lead[t[0]], t[1:] > 0, d)
-                if solved[key] is None:
+            for t in map(bytes, types):
+                if (side, t) not in solved:
+                    mask = np.unpackbits(np.frombuffer(t, np.uint8)[1:], count=lead.shape[1])
+                    solved[side, t] = _window_coefficients(G, lead[t[0]], mask > 0, d)
+                if solved[side, t] is None:
                     return extend_ball(C, R, central_policy())
-        coefficients = np.stack([solved[0, t.tobytes()] for t in types])[kind.ravel()]
+        coefficients = np.stack([solved[0, bytes(t)] for t in types])[kind]
         at = np.where(window[0], q[0], 0)  # off U, row 0: the identity, times 0
         rows, mirrored = 1 + tree.rows[at], window[0] & flip[0]
         # a window word of length n waits for its row (-1: the spare False)

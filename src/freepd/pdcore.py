@@ -36,6 +36,13 @@ eigenvector: its Gram is gathered again for the one eigh of a check.  A
 witness among levels whose least eigenvalues tie to a few ulps is the
 first least under eigvalsh's rounding, which may not be the level an eigh
 scan picks.
+
+A function file is written from the stack in one pass (save_function):
+the stack's floats are formatted once each and filled, with the word
+texts, into a d x d entry template, with no nested lists in between; its
+bytes are json.dumps of the object form with indent=1.  Every other JSON
+file (reports, graphs) goes through _json_text, and both through the one
+atomic writer, _write_atomic.
 """
 
 from __future__ import annotations
@@ -887,26 +894,6 @@ def l1_distance(C: PDFunction, D: PDFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def function_to_dict(C: PDFunction) -> dict:
-    """The JSON object form: the canonical words' texts (words._texts) in
-    shortlex order, each with its d x d matrix of [re, im] cells, null at
-    the undefined slots of a partial top."""
-    dom, (n, d) = C.domain, C._stack.shape[:2]
-    if dom.kind == "ball":
-        dd = {"kind": "ball", "r": dom.r}
-    elif dom.kind == "prefix":
-        dd = {"kind": "prefix", "g": word_to_str(dom.g)}
-    else:
-        dd = {"kind": "partial", "g": word_to_str(dom.g), "j": dom.j, "k": dom.k}
-    cells = np.ascontiguousarray(C._stack).view(float).reshape(n, d, d, 2).tolist()
-    if dom.kind == "partial":
-        for l, m in np.argwhere(_undefined_top(dom, d)).tolist():
-            cells[-1][l][m] = None
-    texts = words._texts(_radius(dom))[0]
-    keys = map(texts.__getitem__, _canonical_ranks(_radius(dom))[:n].tolist())
-    return {"d": d, "domain": dd, "entries": dict(zip(keys, cells))}
-
-
 def _expect_keys(obj: dict, allowed: set, where: str):
     extra = set(obj) - allowed
     if extra:
@@ -1073,7 +1060,7 @@ def _json_text(obj) -> str:
         if isinstance(obj, (list, tuple)):
             if not obj:
                 return "[]"
-            if all(type(x) is int or type(x) is float for x in obj):
+            if set(map(type, obj)) <= {int, float}:
                 if inner not in encoders:
                     encoders[inner] = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
                 body = encoders[inner](obj)[1:-1]
@@ -1091,9 +1078,9 @@ def _json_text(obj) -> str:
     return text(obj, "")
 
 
-def write_json_atomic(obj, path):
-    """Serialize obj as JSON at path through a same-directory temp file,
-    making the directory first if it is missing.
+def _write_atomic(text: str, path):
+    """Write text at path through a same-directory temp file, making the
+    directory first if it is missing.
 
     A failed write leaves no temp file behind; an OSError on the way is
     raised as OutputError naming path.
@@ -1108,7 +1095,7 @@ def write_json_atomic(obj, path):
             os.makedirs(directory, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".freepd-", suffix=".json")
         with os.fdopen(fd, "w") as fh:
-            fh.write(_json_text(obj) + "\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:
@@ -1121,8 +1108,35 @@ def write_json_atomic(obj, path):
         raise
 
 
+def write_json_atomic(obj, path):
+    """Serialize obj as JSON (_json_text) at path (_write_atomic)."""
+    _write_atomic(_json_text(obj) + "\n", path)
+
+
 def save_function(C: PDFunction, path):
-    write_json_atomic(function_to_dict(C), path)
+    """Write C at path (_write_atomic) as json.dumps(obj, indent=1) of its
+    object form, byte for byte: d, the domain, then the canonical words'
+    texts (words._texts) in shortlex order, each with its d x d matrix of
+    [re, im] cells, null at the undefined slots of a partial top.  The text
+    is formatted from the stack in one pass, with no nested lists: one
+    float repr per number, one format per cell, one d x d entry template
+    per row, one join."""
+    dom, (n, d), r = C.domain, C._stack.shape[:2], _radius(C.domain)
+    dd = {"kind": dom.kind, **({"r": r} if dom.kind == "ball" else {"g": word_to_str(dom.g)})}
+    if dom.kind == "partial":
+        dd.update(j=dom.j, k=dom.k)
+    numbers = map(float.__repr__, np.ascontiguousarray(C._stack).view(float).ravel().tolist())
+    cells = list(map("[\n     {},\n     {}\n    ]".format, *[numbers] * 2))
+    if dom.kind == "partial":
+        for i in np.flatnonzero(_undefined_top(dom, d)).tolist():
+            cells[(n - 1) * d * d + i] = "null"
+    row = "[\n    " + ",\n    ".join(["{}"] * d) + "\n   ]"
+    entry = '"{}": [\n   ' + ",\n   ".join([row] * d) + "\n  ]"
+    keys = map(words._texts(r)[0].__getitem__, _canonical_ranks(r)[:n].tolist())
+    body = ",\n  ".join(map(entry.format, keys, *[iter(cells)] * (d * d)))
+    entries = f"{{\n  {body}\n }}" if n else "{}"
+    header = json.dumps({"d": d, "domain": dd}, indent=1)[:-2]  # less its closing "\n}"
+    _write_atomic(f'{header},\n "entries": {entries}\n}}\n', path)
 
 
 def load_function(path) -> PDFunction:

@@ -178,35 +178,43 @@ class _Tree:
     rows: np.ndarray
 
 
-def _build(r: int) -> _Tree:
-    """The tree of ball(r), a column at a time, so that no temporary is
-    larger than one column of N ints."""
+_EMPTY = _Tree(letters=np.empty((0, 1), int), length=np.empty(0, int),
+               suffix=np.empty((0, 1), int), inv=np.empty(0, int), rows=np.array([-1]))
+
+
+def _build(r: int, tree: _Tree = _EMPTY) -> _Tree:
+    """The tree of ball(r) grown from the tree of a smaller ball (or none):
+    its ranks are copied, and only the new ranks are computed, a column at
+    a time, so that no temporary is larger than one column of N ints."""
+    lo, width = tree.letters.shape
     n = np.repeat(np.arange(r + 1), np.diff(_OFFSET[:r + 2]))
-    L = np.full((len(n), r + 1), -1)
+    L, suffix = np.full((len(n), r + 1), -1), np.zeros((len(n), r + 1), int)
+    L[:lo, :width], suffix[:lo, :width] = tree.letters, tree.suffix
     L[1:5, 0] = np.arange(4) if r else []
-    for k in range(2, r + 1):  # each word of length k - 1 has three children, in order
+    for k in range(max(2, n[lo]), r + 1):  # each word of length k - 1 has three children
         (a, b), (c, e) = _OFFSET[k - 1:k + 1], _OFFSET[k:k + 2]
         for col in range(k - 1):
             L[c:e, col] = np.repeat(L[a:b, col], 3)
         L[c:e, k - 1] = _AFTER[L[a:b, k - 2]].ravel()
     # without its first k letters a word of length n and in-length rank x is
     # the word of length n - k led by letter k whose later digits are x's last
-    x = np.arange(len(n)) - _OFFSET[n]
-    suffix = np.zeros_like(L)
+    at, m = np.arange(lo, len(n)), n[lo:]  # the new ranks and their lengths
+    x = at - _OFFSET[m]
     for k in range(r + 1):
-        left = n - k
+        left = m - k
         place = _POW3[np.maximum(left - 1, 0)]
-        suffix[:, k] = np.where(left > 0, _OFFSET[np.maximum(left, 0)] + L[:, k] * place
-                                + x % place, 0)
+        suffix[lo:, k] = np.where(left > 0, _OFFSET[np.maximum(left, 0)] + L[lo:, k] * place
+                                  + x % place, 0)
     # the inverse's letter i is the inverse of letter n - 1 - i, a digit as in _ranks
-    inv, at, prev = _OFFSET[n], np.arange(len(n)), None
+    inv, prev = _OFFSET[m], None
     for i in range(r):
-        back = np.maximum(n - 1 - i, 0)
+        back = np.maximum(m - 1 - i, 0)
         letter = (L[at, back] + 2) % 4
         digit = letter if prev is None else letter - (letter > (prev + 2) % 4)
-        inv += np.where(n > i, digit * _POW3[back], 0)
+        inv += np.where(m > i, digit * _POW3[back], 0)
         prev = letter
-    rows = np.concatenate([[-1], np.cumsum(at < inv)])
+    inv = np.concatenate([tree.inv, inv])
+    rows = np.concatenate([tree.rows, max(tree.rows[-1], 0) + np.cumsum(at < inv[lo:])])
     for a in (L, n, suffix, inv, rows):
         a.setflags(write=False)
     return _Tree(letters=L, length=n, suffix=suffix, inv=inv, rows=rows)
@@ -219,11 +227,11 @@ def _grown() -> list:
 
 
 def _tree(r: int) -> _Tree:
-    """The one tree, built anew to radius r if shorter: radius r reads its
-    first ball_size(r) ranks, the tree of ball(r) with padding columns."""
+    """The one tree, grown to radius r if shorter: radius r reads its first
+    ball_size(r) ranks, the tree of ball(r) with padding columns."""
     held = _grown()
     if not held or len(held[0].inv) < ball_size(r):
-        held[:] = [_build(r)]
+        held[:] = [_build(r, *held)]
     return held[0]
 
 

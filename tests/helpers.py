@@ -543,6 +543,27 @@ def eta_budget_oracle(family, eta_prime):
     return float(budget / mult)
 
 
+def function_to_dict(C):
+    """The JSON object form of C, built as nested lists: the oracle for
+    pdcore.save_function, whose file is json.dumps(function_to_dict(C),
+    indent=1) and a newline, byte for byte.  Keys are the canonical words'
+    texts in shortlex order, cells [re, im], null where a partial top is
+    NaN."""
+    dom, keys = C.domain, [word_to_str(w) for w in pdcore.canonical_words(C.domain)]
+    dd = {"kind": dom.kind}
+    if dom.kind == "ball":
+        dd["r"] = dom.r
+    else:
+        dd["g"] = word_to_str(dom.g)
+    if dom.kind == "partial":
+        dd.update(j=dom.j, k=dom.k)
+    cells = np.ascontiguousarray(C._stack).view(float).reshape(len(keys), C.d, C.d, 2).tolist()
+    if dom.kind == "partial":
+        for l, m in np.argwhere(np.isnan(C._stack[-1])).tolist():
+            cells[-1][l][m] = None
+    return {"d": C.d, "domain": dd, "entries": dict(zip(keys, cells))}
+
+
 def _cell_to_complex(cell, path, l, m):
     if cell is None:
         return complex("nan")

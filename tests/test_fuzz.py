@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from freepd.energysolver import configuration_from_dict
 from freepd.errors import DomainError, FormatError, ParameterError
-from freepd.pdcore import function_from_dict, function_to_dict, random_nspd, restrict_to_stage
+from freepd.pdcore import function_from_dict, random_nspd, restrict_to_stage
 from freepd.surgery import LabeledGraph
-from helpers import per_entry_function_from_dict, source_loader
+from helpers import function_to_dict, per_entry_function_from_dict, source_loader
 
 FUZZ = settings(derandomize=True, max_examples=120, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])

@@ -35,7 +35,6 @@ from freepd.pdcore import (
     check_pd,
     delta,
     function_from_dict,
-    function_to_dict,
     gram,
     gram_indexed,
     l1_distance,
@@ -54,6 +53,7 @@ from helpers import (
     brute_force_verdict,
     canonical_ball,
     fill_stage,
+    function_to_dict,
     library_caches,
     level_at_a_time_check_pd,
     level_spectra,
@@ -262,7 +262,7 @@ def test_a_cold_check_builds_the_one_tree_once(monkeypatch):
     obj = function_to_dict(C)
     builds = []
     real = words._build
-    monkeypatch.setattr(words, "_build", lambda r: builds.append(r) or real(r))
+    monkeypatch.setattr(words, "_build", lambda r, *tree: builds.append(r) or real(r, *tree))
     for cache in library_caches():
         cache.cache_clear()
     verdict = check_pd(function_from_dict(obj))
@@ -285,7 +285,7 @@ def test_a_cold_check_of_a_function_built_earlier_builds_its_tree_once(monkeypat
     warm = check_pd(C)
     builds = []
     real = words._build
-    monkeypatch.setattr(words, "_build", lambda r: builds.append(r) or real(r))
+    monkeypatch.setattr(words, "_build", lambda r, *tree: builds.append(r) or real(r, *tree))
     for cache in library_caches():
         cache.cache_clear()
     assert _same_verdict(check_pd(C), warm)
@@ -836,6 +836,9 @@ def test_json_round_trips_every_domain_kind(seed, d, kind, data):
         path = os.path.join(tmp, "f.json")
         save_function(C, path)
         assert load_function(path)._stack.tobytes() == C._stack.tobytes()
+        # the writer formats the stack itself: its bytes are json.dumps of the oracle's lists
+        with open(path, "rb") as fh:
+            assert fh.read() == (json.dumps(function_to_dict(C), indent=1) + "\n").encode()
 
 
 _JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
@@ -954,7 +957,7 @@ def test_a_reader_builds_words_only_as_far_as_its_entries_reach(monkeypatch):
     # that table are found all the same
     builds = []
     real = words._build
-    monkeypatch.setattr(words, "_build", lambda r: builds.append(r) or real(r))
+    monkeypatch.setattr(words, "_build", lambda r, *tree: builds.append(r) or real(r, *tree))
     for cache in library_caches():
         cache.cache_clear()
     one = [[[0.1, 0.0]]]

@@ -288,7 +288,7 @@ def test_index_set_inverts_each_radius_once(monkeypatch):
     levels, calls, builds = ball(4)[1:], [], []
     real, build = words.inverse, words._build
     monkeypatch.setattr(words, "inverse", lambda w: calls.append(w) or real(w))
-    monkeypatch.setattr(words, "_build", lambda r: builds.append(r) or build(r))
+    monkeypatch.setattr(words, "_build", lambda r, *tree: builds.append(r) or build(r, *tree))
     index_set.cache_clear()
     words._grown.cache_clear()
     found = {g: index_set(g).members for g in levels}
@@ -314,6 +314,27 @@ def test_the_one_tree_slices_to_every_radius():
         novel = np.arange(m) < tree.inv[:m]
         assert _same_array(tree.rows[:m + 1], np.concatenate([[-1], np.cumsum(novel)])), r
     assert len(words._grown()) == 1
+    words._grown.cache_clear()
+
+
+def test_a_grown_tree_is_the_tree_of_its_radius(monkeypatch):
+    # a tree grown from any smaller one by its new lengths alone matches the
+    # oracle built for its radius alone, rows included
+    for r in range(1, 9):
+        want = tree_of_radius(r)
+        novel = np.arange(ball_size(r)) < want[3]
+        for r0 in range(r):
+            tree = words._build(r, words._build(r0))
+            for got, oracle in zip((tree.letters, tree.length, tree.suffix, tree.inv), want):
+                assert _same_array(got, oracle), (r0, r)
+            assert _same_array(tree.rows, np.concatenate([[-1], np.cumsum(novel)])), (r0, r)
+    # the one tree grows from the tree it holds
+    given, real = [], words._build
+    monkeypatch.setattr(words, "_build", lambda r, *tree: given.append((r, *tree)) or real(r, *tree))
+    words._grown.cache_clear()
+    held = words._tree(3)
+    words._tree(6)
+    assert [g[0] for g in given] == [3, 6] and len(given[0]) == 1 and given[1][1] is held
     words._grown.cache_clear()
 
 
