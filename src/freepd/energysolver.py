@@ -1146,7 +1146,7 @@ def _eta_budget(family, eta_prime: float) -> float:
         sp = build_partial_space(C)
         m = sp.core_size
         # a (stack slot, c1, c2) key is one oriented entry (quotient, c1, c2)
-        _, slots, coords = pdcore._stage_table(C.domain.g, C.d, C.domain.j, C.domain.k)
+        (_, slots, coords), _ = pdcore._stage(C.domain.g, C.d, C.domain.j, C.domain.k)
         keys = (slots * C.d + coords[:, None]) * C.d + coords[None, :]
         for G, last in ((sp.x_g_gram, m), (sp.x_e_gram, m + 1)):
             lam = _strict_min_eig(G, "a stage restriction Gram")

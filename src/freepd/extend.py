@@ -15,13 +15,13 @@ extend_entry performs one such step and advances the stage bookkeeping.
 This module owns the one stage walk: _open_walk starts it beyond Ball(r),
 _write_and_advance alone orders its stages, and restrict_to_ball cuts the
 result onto Ball(R).  extend_ball drives it with a parameter policy, and the
-energy solver drives it for a whole family of functions.  Each step builds
-its successor by construction, the stack a copy of the predecessor's with
-one write.  The residuals of a stage come from its own stage Gram, its
-core factored once and bordered with the working pair (see hilbert); a
-stage function inherits nothing from its predecessor but its stack.  A
-stage failure keeps its class and names the stage in its message and its
-stage attribute.
+energy solver drives it for a whole family of functions.  Each step's
+successor is the predecessor's stack, copied with one write, through the
+one validator (pdcore._next_stage).  The residuals of a stage come from
+its own stage Gram, its core factored once and bordered with the working
+pair (see hilbert); a stage function inherits nothing from its predecessor
+but its stack.  A stage failure keeps its class and names the stage in its
+message and its stage attribute.
 
 The zeta = 0 choice at every stage is the central (maximal entropy)
 extension, which on two letters reproduces the multiplicative values
@@ -263,12 +263,12 @@ def central_extension(C: PDFunction, R: int) -> PDFunction:
     residual of Theta(e).  Only u led by the inverse of g's last letter can
     be in U(g), and only u led by g's first letter in E(g), so a type is a
     side, a letter and a mask over a quarter of B_r - {e}: 22 types at
-    r = 2 and 32 at r = 3, each solved once per call.
+    r = 2 and 32 at r = 3, each screened once per call.
 
     Per word length n: G is gathered from the stack (pdcore._gather; NaN
     past the rows written, which no window reads, its quotients lying in
     I_g), one words._canonical_quotients call gives every window, each new
-    type takes one factor of its window Gram bordered by e and one solve,
+    type one factor of its window Gram bordered by e (and a U type a solve),
     and the words whose same-length window words are written take one
     batched product, wave after wave (up to eight at r = 2 and 3).  Values
     are read through canonical rows and mirror flags, so only canonical
@@ -288,7 +288,7 @@ def central_extension(C: PDFunction, R: int) -> PDFunction:
     # B_r - {e} by first letter: gu ranks below g only for u led by the inverse
     # of g's last letter, and g^-1 u only for u led by g's first letter
     lead = u[np.argsort(words._tree(r).letters[u, 0], kind="stable")].reshape(4, -1)
-    solved = {}  # (side, letter, window mask) -> coefficients (see _window_coefficients)
+    solved = {}  # (side, letter, window mask) -> U's coefficients or E's Gram; None: screened out
     for n in range(r + 1, R + 1):
         tree, first = words._tree(n), len(work) - 1
         tops = np.arange(words._OFFSET[n], words._OFFSET[n + 1])
@@ -307,8 +307,9 @@ def central_extension(C: PDFunction, R: int) -> PDFunction:
                                     return_inverse=True)
             for t in map(bytes, types):
                 if (side, t) not in solved:
-                    mask = np.unpackbits(np.frombuffer(t, np.uint8)[1:], count=lead.shape[1])
-                    solved[side, t] = _window_coefficients(G, lead[t[0]], mask > 0, d)
+                    mask = np.unpackbits(np.frombuffer(t, np.uint8)[1:], count=lead.shape[1]) > 0
+                    F = _window_gram(G, lead[t[0]], mask, d)
+                    solved[side, t] = F if side or F is None else _window_coefficients(F, mask, d)
                 if solved[side, t] is None:
                     return extend_ball(C, R, central_policy())
         coefficients = np.stack([solved[0, bytes(t)] for t in types])[kind]
@@ -327,17 +328,21 @@ def central_extension(C: PDFunction, R: int) -> PDFunction:
     return PDFunction._from_stack(d, Domain.ball(R), work[1:-1])
 
 
-def _window_coefficients(G: np.ndarray, ranks: np.ndarray, mask: np.ndarray, d: int):
-    """The coefficients M = G[e, W] G[W, W]^-1 of the window W of the words
-    ranks[mask], in (d, len(ranks), d) with zeros off the mask, from G, the
-    Gram of Ball(r) x [d] in rank order; None when a Cholesky pivot of
-    G[W, W] or of its Schur block I - M G[W, e] is at or below
-    sqrt(DEFAULT_TOL) (NaN too)."""
+def _window_gram(G: np.ndarray, ranks: np.ndarray, mask: np.ndarray, d: int):
+    """The Gram F of the window W of the words ranks[mask] bordered by e,
+    from G, the Gram of Ball(r) x [d] in rank order; None when a Cholesky
+    pivot of F, that is of G[W, W] or of its Schur block I - M G[W, e], is
+    at or below sqrt(DEFAULT_TOL) (NaN too).  An E-side window ends here."""
     at = np.append(ranks[mask, None] * d + np.arange(d), np.arange(d))  # W's pairs, then e's
-    F, m = G[np.ix_(at, at)], len(at) - d
-    if not (_factor(F)[1] > DEFAULT_TOL ** 0.5).all():
-        return None
-    out = np.zeros((d, len(ranks), d), complex)
+    F = G[np.ix_(at, at)]
+    return F if (_factor(F)[1] > DEFAULT_TOL ** 0.5).all() else None
+
+
+def _window_coefficients(F: np.ndarray, mask: np.ndarray, d: int):
+    """The coefficients M = G[e, W] G[W, W]^-1 of a U-side window's Gram F
+    (_window_gram), in (d, len(mask), d) with zeros off the mask."""
+    m = len(F) - d
+    out = np.zeros((d, len(mask), d), complex)
     out[:, mask] = np.linalg.solve(F[:m, :m], F[:m, m:]).conj().T.reshape(d, -1, d)
     return out
 

@@ -21,12 +21,12 @@ Schur-complement step, the one-step Szego-parameter extension of Bakonyi
 and Timotin; the NaN corner never enters it.
 
 A stage space is its own stage Gram, gathered over the stage's pairs Q
-with one table (pdcore._stage_table), and its core size.  Its residuals
-are that Gram's core factored once and bordered with the working pair
-(_bordered), the one residual routine, which residual_from_gram, and
-through it extend.toeplitz_step, shares.  A function's space is built on
-first use and kept, so a walk's function and a copy of it agree bit for
-bit.  (The central, zeta = 0, extension needs no stage space:
+with one table, its level's sliced (pdcore._stage), and its core size.
+Its residuals are that Gram's core factored once and bordered with the
+working pair (_bordered), the one residual routine, which
+residual_from_gram, and through it extend.toeplitz_step, shares.  A
+function's space is built on first use and kept, so a walk's function and
+a copy of it agree bit for bit.  (The central, zeta = 0, extension needs no stage space:
 extend.central_extension runs its order-r recurrence over windows of the
 data ball.)  Vectors never materialize.
 
@@ -106,9 +106,8 @@ def build_partial_space(C: PDFunction) -> PartialHilbertSpace:
     if C.domain.kind != "partial":
         raise DomainError("build_partial_space needs a partial-domain function")
     if C._stage_space is None:
-        dom = C.domain
-        table = pdcore._stage_table(dom.g, C.d, dom.j, dom.k)
-        C._stage_space = PartialHilbertSpace(pdcore._gram(C, table=table, corner=1))
+        table = pdcore._stage(C.domain.g, C.d, C.domain.j, C.domain.k)[0]
+        C._stage_space = PartialHilbertSpace(pdcore._gram(C, table=table, corner=True))
     return C._stage_space
 
 

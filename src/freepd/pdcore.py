@@ -14,7 +14,8 @@ graph is a translate of some K_h, translates have identical Gram matrices,
 and the least level at which a given clique occurs is itself novel.  A
 partially specified top level (the state midway through an extension stage)
 is checked through the stage restriction matrices, which are exactly its
-fully defined principal submatrices.
+fully defined principal submatrices, read, as hilbert's stage spaces are,
+from a stage's table: its level's, sliced at the stage's rows (_stage).
 
 Only one of {g, g^-1} is stored, the shortlex-smaller (canonical) one, and
 the mirror is materialized on read.  A function is one read-only (N, d, d)
@@ -37,7 +38,8 @@ witness among levels whose least eigenvalues tie to a few ulps is the
 first least under eigvalsh's rounding, which may not be the level an eigh
 scan picks.
 
-A function file is written from the stack in one pass (save_function):
+Every function, parsed or computed, passes one validator (_adopt).  A
+function file is written from the stack in one pass (save_function):
 the stack's floats are formatted once each and filled, with the word
 texts, into a d x d entry template, with no nested lists in between; its
 bytes are json.dumps of the object form with indent=1.  Every other JSON
@@ -47,7 +49,6 @@ atomic writer, _write_atomic.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import os
@@ -341,12 +342,12 @@ class PDFunction:
     transposition to within 1e-12.  The function must be total on its
     domain, except beyond the stage position of a partial top.  Errors name
     the first offending entry in the order given.  Parsed and computed
-    stacks pass one validator (_adopt): a walk's successor stage by
-    construction (_next_stage, one scalar write), and central_extension's
-    result once, from the working stack its recurrence fills.  Positivity
-    is NOT checked here: check_pd passes verdicts, constructors pass data.
-    _stage_space keeps the stage space hilbert.build_partial_space builds,
-    once.
+    stacks pass one validator (_adopt), computed ones through _from_stack:
+    a walk's successor (_next_stage, one scalar write) and
+    central_extension's result, from the working stack its recurrence
+    fills, among them.  Positivity is NOT checked here: check_pd passes
+    verdicts, constructors pass data.  _stage_space keeps the stage space
+    hilbert.build_partial_space builds, once.
     """
 
     __slots__ = ("d", "domain", "_stack", "_stage_space", "__weakref__")
@@ -463,37 +464,27 @@ def _gram_slots(C: PDFunction, pairs):
     return quotients, slots[np.ix_(rows, rows)], np.array([c - 1 for _, c in pairs], int)
 
 
-def _clique_order(g, d: int, level: bool = False):
-    """K_g, its vertex positions in Gram order (a level's: K_g - {e, g}, then
-    g, then e) and a function building the pairs of K_g x [d] in it."""
+def _clique_pairs(g, d: int, level: bool = False):
+    """The _gram_slots table of K_g x [d], off the clique's own, and the
+    function building its pairs, in Gram order: K_g's vertices in shortlex
+    order, or a level's, K_g - {e, g}, then g, then e."""
     K = clique(g)
     at, top = range(len(K.ranks)), K.top
     at = [*at[1:top], *at[top + 1:], top, 0] if level else at
-    return K, at, lambda: tuple((v, m) for v in map(K.vertices.__getitem__, at)
-                                for m in range(1, d + 1))
-
-
-def _clique_pairs(g, d: int, level: bool = False):
-    """The _gram_slots table of K_g x [d] in _clique_order, off the
-    clique's own, and the function building its pairs."""
-    K, at, pairs = _clique_order(g, d, level)
     rows = np.repeat(at, d)
-    return (K.quotients, K.slots[rows[:, None], rows], np.arange(len(rows)) % d), pairs
+    return ((K.quotients, K.slots[rows[:, None], rows], np.arange(len(rows)) % d),
+            lambda: tuple((v, m) for v in map(K.vertices.__getitem__, at) for m in range(1, d + 1)))
 
 
-def _stage_rows(n: int, d: int, j: int, k: int):
-    """Where stage (j, k)'s P and working pair sit among its level's pairs."""
-    return [*range(n + j - 1), *range(n + d, n + d + k - 1)], [n + j - 1, n + d + k - 1]
-
-
-def _stage_table(g, d: int, j: int, k: int):
-    """The _gram_slots table of stage (g, j, k)'s pairs Q (stage_pairs):
-    K_g's slots at the stage's rows (_stage_rows) of its level's pairs."""
-    K, at, _ = _clique_order(g, d, level=True)
-    P, work = _stage_rows((len(at) - 2) * d, d, j, k)
-    rows = np.array(P + work)
-    vertices = np.repeat(at, d)[rows]
-    return K.quotients, K.slots[vertices[:, None], vertices], rows % d
+def _stage(g, d: int, j: int, k: int):
+    """The _gram_slots table of stage (g, j, k)'s pairs Q, P then the
+    working pair (stage_pairs), and the function building them: its
+    level's (_clique_pairs) sliced at the stage's rows."""
+    (quotients, slots, coords), pairs = _clique_pairs(g, d, level=True)
+    n = len(coords) - 2 * d  # K_g - {e, g}'s pairs, then g's, then e's
+    rows = [*range(n + j - 1), *range(n + d, n + d + k - 1), n + j - 1, n + d + k - 1]
+    return ((quotients, slots[np.ix_(rows, rows)], coords[rows]),
+            lambda: tuple(map(pairs().__getitem__, rows)))
 
 
 def _padded(C: PDFunction) -> np.ndarray:
@@ -519,19 +510,18 @@ def _gather(stack: np.ndarray, r: int, quotients, slots, coords) -> np.ndarray:
     return values[slots * (d * d) + (coords[:, None] * d + coords)]
 
 
-def _gram(C: PDFunction, pairs=None, corner: int = 0, table=None) -> np.ndarray:
+def _gram(C: PDFunction, pairs=None, corner: bool = False, table=None) -> np.ndarray:
     """The Gram over validated pairs, gathered (_gather) through their
-    table; a clique's Grams pass its table (_clique_pairs) in place of
-    pairs.  A NaN (outside the domain, an undefined slot) raises, except in
-    the block of rows [-2c:-c] against columns [-c:] for c = corner > 0 and
-    its mirror: one stage's corner for 1, a level's C(g) for d."""
+    table; a clique's or a stage's Grams pass its table (_clique_pairs,
+    _stage) in place of pairs.  A NaN (outside the domain, an undefined
+    slot) raises, except, when corner, at the last two rows' entry pair:
+    one stage's working pair."""
     table = _gram_slots(C, pairs) if table is None else table
     quotients, slots, _ = table
     G = _gather(_padded(C), _radius(C.domain), *table)
     undefined = np.isnan(G)
     if corner:
-        undefined[-2 * corner:-corner, -corner:] = False
-        undefined[-corner:, -2 * corner:-corner] = False
+        undefined[-2, -1] = undefined[-1, -2] = False
     if undefined.any():
         i1, i2 = np.argwhere(undefined)[0]
         c = word_to_str(words.word_of_rank(quotients[slots[i1, i2] % len(quotients)]))
@@ -569,9 +559,8 @@ def stage_pairs(g, d: int, j: int, k: int):
     g = _as_word(g)
     if not (1 <= j <= d and 1 <= k <= d):
         raise ParameterError(f"stage coordinates ({j},{k}) out of range for d={d}")
-    pairs = _clique_order(g, d, level=True)[2]()
-    P, work = _stage_rows(len(pairs) - 2 * d, d, j, k)
-    return tuple(pairs[i] for i in P), tuple(pairs[i] for i in P + work)
+    Q = _stage(g, d, j, k)[1]()
+    return Q[:-2], Q
 
 
 @dataclass(frozen=True)
@@ -592,42 +581,39 @@ class PDVerdict:
         return tuple(dict.fromkeys(w for w, _ in self.witness_indices))
 
 
-def _partial_stage_families(C: PDFunction):
-    dom, d = C.domain, C.d
-    (quotients, slots, coords), pairs = _clique_pairs(dom.g, d, level=True)
-    pairs = pairs()
-    stages = [(l, m) for l in range(1, d + 1) for m in range(1, d + 1) if (l, m) <= (dom.j, dom.k)]
-    for l, m in stages:
-        P, work = _stage_rows(len(pairs) - 2 * d, d, l, m)
-        # the current stage: its one-sided restrictions, the largest defined minors
-        for at in [P + work] if (l, m) < (dom.j, dom.k) else [P + work[:1], P + work[1:]]:
-            yield tuple(pairs[i] for i in at), (quotients, slots[np.ix_(at, at)], coords[at])
-
-
 def _least_vector(G: np.ndarray) -> np.ndarray:
     """The least eigenvector of a Hermitian G, from its one eigh."""
     return np.array(np.linalg.eigh(G)[1][:, 0])
 
 
-def _family_spectra(C: PDFunction, families):
-    """(least eigenvalue, Gram size, witness) of each family of (pairs,
-    table), one eigvalsh each; witness returns (pairs, least eigenvector),
-    check_pd's one eigh.  Every family brings its table, a stage
-    restriction a slice of its level's."""
-    for pairs, table in families:
-        G = _gram(C, table=table)
-        yield (float(np.linalg.eigvalsh(G)[0]), len(pairs),
-               lambda pairs=pairs, G=G: (pairs, _least_vector(G)))
+def _stage_spectra(C: PDFunction):
+    """(least eigenvalue, Gram size, witness) of each stage restriction of
+    C's partial top, one eigvalsh each, its Gram a slice of its stage's
+    table (_stage): each earlier stage's full Gram, then the current
+    stage's two one-sided halves, the largest defined minors, first less
+    e's working row, then less g's.  witness returns (pairs, least
+    eigenvector), check_pd's one eigh."""
+    dom, d = C.domain, C.d
+    stages = [(l, m) for l in range(1, d + 1) for m in range(1, d + 1) if (l, m) <= (dom.j, dom.k)]
+    for l, m in stages:
+        (quotients, slots, coords), pairs = _stage(dom.g, d, l, m)
+        Q = [*range(len(coords))]
+        for at in [Q] if (l, m) < (dom.j, dom.k) else [Q[:-1], Q[:-2] + Q[-1:]]:
+            G = _gram(C, table=(quotients, slots[np.ix_(at, at)], coords[at]))
+            yield (float(np.linalg.eigvalsh(G)[0]), len(at),
+                   lambda at=at, pairs=pairs, G=G: (tuple(map(pairs().__getitem__, at)),
+                                                     _least_vector(G)))
 
 
 def _level_spectra(C: PDFunction):
-    """_family_spectra of the Grams over K_h x [d], h the novel levels of
-    the domain but a partial top, a word length at a time: the levels of
-    length n are a prefix of words._clique_table(n), and its Grams of one
-    clique size are gathered (_gather) and passed to eigvalsh together, at
-    most about words._CHUNK entries at once.  A witness gathers its level's
-    Gram again for its eigh.  Yielded in level order, so that a NaN
-    raises (in the level's own _gram) where a level at a time would."""
+    """(least eigenvalue, Gram size, witness), as _stage_spectra's, of the
+    Grams over K_h x [d], h the novel levels of the domain but a partial
+    top, a word length at a time: the levels of length n are a prefix of
+    words._clique_table(n), and its Grams of one clique size are gathered
+    (_gather) and passed to eigvalsh together, at most about words._CHUNK
+    entries at once.  A witness gathers its level's Gram again for its
+    eigh.  Yielded in level order, so that a NaN raises (in the level's own
+    _gram) where a level at a time would."""
     dom, d = C.domain, C.d
     count, n = len(C._stack) - (dom.kind == "partial"), 0
     if count:  # the domain's tree first, so each clique length reads a slice of it
@@ -694,9 +680,7 @@ def check_pd(C: PDFunction, tol: float = DEFAULT_TOL) -> PDVerdict:
     # witness e_1, the vector eigh returns, need no table and no Gram
     e_block = [(1.0, d, lambda: (tuple(((), m) for m in range(1, d + 1)),
                                  np.eye(1, d, dtype=complex)[0]))]
-    spectra = [e_block, _level_spectra(C)]
-    if C.domain.kind == "partial":
-        spectra.append(_family_spectra(C, _partial_stage_families(C)))
+    spectra = [e_block, _level_spectra(C), _stage_spectra(C) if C.domain.kind == "partial" else ()]
     worst, status = None, "strict"
     for lam, size, witness in (s for family in spectra for s in family):
         thr = tol * size
@@ -862,19 +846,13 @@ def restrict_to_stage(C: PDFunction, g, j: int, k: int) -> PDFunction:
 
 
 def _next_stage(C: PDFunction, value, nxt: Domain) -> PDFunction:
-    """C with its working slot set to value, on the walk's next stage nxt.
-    A finite value keeps C's validated NaN pattern exact, so the stack is
-    adopted as built; any other goes through the validator."""
+    """C with its working slot set to value, on the walk's next stage nxt,
+    through the one validator (_adopt)."""
     n = len(C._stack)
     stack = np.empty((n + (nxt.g != C.domain.g), C.d, C.d), dtype=complex)
     stack[:n], stack[n:] = C._stack, complex("nan")
     stack[n - 1, C.domain.j - 1, C.domain.k - 1] = value
-    if not cmath.isfinite(value):
-        return PDFunction._from_stack(C.d, nxt, stack)
-    stack.setflags(write=False)
-    out = object.__new__(PDFunction)
-    out.d, out.domain, out._stack, out._stage_space = C.d, nxt, stack, None
-    return out
+    return PDFunction._from_stack(C.d, nxt, stack)
 
 
 def l1_distance(C: PDFunction, D: PDFunction) -> float:

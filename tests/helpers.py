@@ -389,7 +389,10 @@ def level_spectra(C):
     default family, one level at a time with one Gram each, its least
     eigenvalue by eigvalsh and its eigenvector by eigh: the e block, K_h x
     [d] for every novel level h of the domain but a partial top, then a
-    partial domain's stage restrictions."""
+    partial domain's stage restrictions: the pairs of each earlier stage
+    (pdcore._stage), then the current stage's less e's working pair and
+    less g's, their Grams gathered over the pairs (_gram_slots), not sliced
+    from the level's table."""
     dom, d = C.domain, C.d
     families = [(tuple(((), m) for m in range(1, d + 1)), None)]
     levels = pdcore.canonical_words(dom)
@@ -397,7 +400,11 @@ def level_spectra(C):
                  (pdcore._clique_pairs(h, d)
                   for h in (levels[:-1] if dom.kind == "partial" else levels))]
     if dom.kind == "partial":
-        families += list(pdcore._partial_stage_families(C))
+        stages = [(l, m) for l in range(1, d + 1) for m in range(1, d + 1) if (l, m) <= (dom.j, dom.k)]
+        for l, m in stages:
+            Q = pdcore._stage(dom.g, d, l, m)[1]()
+            halves = [Q] if (l, m) < (dom.j, dom.k) else [Q[:-1], Q[:-2] + Q[-1:]]
+            families += [(pairs, None) for pairs in halves]
     for pairs, table in families:
         G = pdcore._gram(C, pairs, table=table)
         yield float(np.linalg.eigvalsh(G)[0]), np.array(np.linalg.eigh(G)[1][:, 0]), pairs

@@ -930,6 +930,10 @@ def test_json_malformed_inputs(tmp_path):
               "entries": {"a": [[[0.1, 0.0]]], "b": zero1, "aa": [[[0.2, 0.0]]]}}
     expect(beyond, "entries.aa")
 
+    # a partial domain lives at a novel level; bA adds no edge
+    expect({"d": 1, "domain": {"kind": "partial", "g": "bA", "j": 1, "k": 1},
+            "entries": {}}, "domain.g")
+
     stage_dom = {"kind": "partial", "g": "aa", "j": 2, "k": 1}
     expect({"d": 1, "domain": stage_dom,
             "entries": {"a": [[[0.1, 0.0]]], "b": zero1}}, "domain.j")
@@ -1027,6 +1031,49 @@ def test_add_to_entries_rejects_coordinates_outside_the_matrix():
         with pytest.raises(ParameterError, match=r"out of range for d=2"):
             add_to_entries(C, [((0,), j, k)], [1.0])
     assert add_to_entries(C, [((0,), 1, 2)], [0.0]) == C
+
+
+_POINT = Domain.ball(1)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: pdcore._as_word((0, 2)), WordError, "aA is not reduced"),
+    (lambda: Domain.ball(-1), ParameterError, "ball radius"),
+    (lambda: Domain.partial("a", 0, 1), ParameterError, "stage coordinate j"),
+    (lambda: delta(1, _POINT).scalar("a", 0, 1), ParameterError, r"\(0,1\) out of range"),
+    (lambda: random_nspd(-1, 1), ParameterError, "radius must be"),
+    (lambda: random_nspd(1, 0), ParameterError, "d must be"),
+    (lambda: add_to_entries(delta(1, _POINT), [("ab", 1, 1)], [0.1]), MissingEntryError, "ab"),
+], ids=["non-reduced tuple", "negative ball", "zero stage j", "zero coordinate",
+        "negative radius", "zero d", "entry outside the domain"])
+def test_bad_arguments_raise_where_they_are_read(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+@pytest.mark.parametrize("other", [1, "C", None])
+def test_a_function_equals_only_functions_and_shows_its_shape(other):
+    C = delta(1, _POINT)
+    assert (C == other) is False and C != other
+    assert repr(C) == f"<PDFunction d=1 {_POINT} with 2 entries>"
+
+
+@pytest.mark.parametrize("failure", [KeyboardInterrupt, ValueError])
+def test_a_write_interrupted_past_its_temp_file_raises_what_interrupted_it(
+        tmp_path, monkeypatch, failure):
+    # the temp file's removal failing too (an OSError) neither masks the
+    # interruption nor turns it into an OutputError
+    def replace(src, dst):
+        raise failure("interrupted")
+
+    def unlink(path):
+        raise PermissionError(13, "cannot remove", path)
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(os, "unlink", unlink)
+    with pytest.raises(failure, match="interrupted"):
+        pdcore._write_atomic("{}\n", tmp_path / "out.json")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_stage_space_is_built_once_per_function():

@@ -5,9 +5,11 @@ is the only threshold a caller passes (freepd check --tol sets it).  Solver
 and search limits that no caller sets are module constants.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import freepd
 import freepd.words
@@ -48,12 +50,34 @@ def test_no_public_signature_keeps_a_retired_knob():
     assert "tol" in inspect.signature(freepd.pdcore.check_pd).parameters
 
 
+# the wrapped functions that left freepd, whose bench layers read absent: the
+# index set is a test oracle (helpers.index_set), stage residuals come from
+# hilbert._bordered, and stage pencils from energysolver._StagePencil
+ABSENT = {"freepd.words.index_set", "freepd.hilbert.ortho_matrices", "freepd.energysolver._pencil"}
+
+
+def _bench_targets():
+    """(module, attribute) of every Target(...) in perfbench/layers.py, read as text."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "layers.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Target":
+            yield node.args[1].value, node.args[2].value
+
+
 def test_the_word_layers_the_bench_wraps_stay_public():
-    # perfbench/layers.py wraps words.clique by name, keyed by its first
-    # argument, the level; a rename would leave its traced layer silently
-    # absent.  (Its words.index_set layer reads absent: the index set is a
-    # test oracle, helpers.index_set.)
+    # perfbench/layers.py wraps freepd functions by module and attribute; a
+    # rename or a fold would leave its traced layer silently absent
+    targets = list(_bench_targets())
+    assert len(targets) >= 20
+    missing = set()
+    for module, attr in targets:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.add(f"{module}.{attr}")
+    assert missing <= ABSENT, sorted(missing - ABSENT)
+    # words.clique is keyed by its first argument, the level
     words = freepd.words
-    assert callable(words.clique)
     assert list(inspect.signature(words.clique).parameters) == ["g"]
     assert words.clique((0, 1)).level == (0, 1) == index_set((0, 1)).origin

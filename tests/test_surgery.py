@@ -14,6 +14,7 @@ from freepd.surgery import (
     SurgeryResult,
     _balls_kept,
     _cycle_labels,
+    _greedy_positions,
     _step_rows,
     _sweep,
     cycles,
@@ -124,6 +125,17 @@ def test_r_separated_too_short():
         r_separated(list(range(12)), 0)
     # the feasibility floor itself is fine
     assert len(r_separated(list(range(4)), 2)) == 2
+
+
+@pytest.mark.parametrize("length, gap, candidates, marks", [
+    (10, 3, [], []),
+    (10, 3, [0, 1, 3, 4, 6, 8], [0, 3, 6]),
+    (10, 4, [0, 4, 8], [0, 4]),  # 8 lies within 4 of 0 around the wrap
+    (5, 3, [1, 4], [1]),
+])
+def test_greedy_positions_keep_gap_separated_picks_around_the_cycle(length, gap, candidates,
+                                                                    marks):
+    assert _greedy_positions(length, gap, candidates) == marks
 
 
 def test_graph_validation():

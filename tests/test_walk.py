@@ -1,10 +1,11 @@
 """The stage walk's steps against fresh builds.
 
-Each walk step builds its successor by construction (pdcore._next_stage)
-and hands it nothing else: the successor's residuals come from its own
-stage Gram alone.  The oracles here are the constructor's validator on a
-copy of each stage function, the stage Gram of a space built afresh on
-that copy, and residuals from two Cholesky factors of that Gram.  A fresh
+Each walk step builds its successor through the one validator
+(pdcore._next_stage, PDFunction._from_stack) and hands it nothing else:
+the successor's residuals come from its own stage Gram alone.  The
+oracles here are the constructor's validator on a copy of each stage
+function, the stage Gram of a space built afresh on that copy, and
+residuals from two Cholesky factors of that Gram.  A fresh
 space computes the same residuals from the same Gram, so they must match
 bit for bit.
 """
