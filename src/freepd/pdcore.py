@@ -193,7 +193,7 @@ def _bad_slots(d: int, domain: Domain, stack: np.ndarray, top: bool = True) -> n
     wrong = np.isnan(stack)
     if top and domain.kind == "partial":
         wrong[-1] ^= _undefined_top(domain, d)
-    return np.argwhere(wrong)
+    return np.argwhere(wrong) if wrong.any() else np.empty((0, 3), dtype=np.intp)
 
 
 def _slot_error(w: str, l: int, m: int, undefined: bool, name: str = None) -> EntryError:

@@ -20,10 +20,12 @@ next to each pass flag; nothing is trusted from the construction.
 Inside this module a graph is one vertex-indexed integer array per label,
 rewired in place and grown as vertices are inserted.  Cycles are labelled
 by pointer jumping (``_cycle_labels``: each vertex's least cycle vertex and
-its position from it); every distance search is one breadth-first sweep
-(``_sweep``) over rows of the arrays and their inverses, a level at a time,
-and G-1 and G-5 read the vertices words reach from one walk (``_walk``).
-The G-3 and G-5 searches stop once the vertices they read are settled.
+its position from it); a distance search from merged sources is one
+breadth-first sweep (``_sweep``) over rows of the arrays and their
+inverses, a level at a time, and G-1 and G-5 read the vertices words reach
+from one walk (``_walk``).  The G-3 and G-5 probes, each a source with its
+own targets, share one sweep per 64 (``_probes``: a bit per probe in a
+word per vertex), which stops once every probe's targets are settled.
 
 Vertices are plain integers.  Originals are ``0..n-1``; inserted vertices
 are numbered consecutively from ``n`` in creation order, which together
@@ -433,7 +435,8 @@ def _stranded(nbrs, original):
 def _step_rows(perm_a, perm_b):
     """Neighbour rows for ``_sweep``: a, b, then their inverses.
 
-    The first two rows alone give the directed search.
+    The first two rows alone give the directed search, and the last two its
+    in-neighbours (``_probes``).
     """
     rows = np.array([perm_a, perm_b], dtype=np.intp)
     inv = np.empty_like(rows)
@@ -441,17 +444,15 @@ def _step_rows(perm_a, perm_b):
     return np.concatenate([rows, inv])
 
 
-def _sweep(nbrs, sources, blocked=None, depth=None, until=None):
+def _sweep(nbrs, sources, blocked=None, depth=None):
     """Breadth-first distances from ``sources`` along the rows of ``nbrs``.
 
     ``nbrs`` is a ``(k, n)`` integer array whose row ``i`` maps every vertex
     to its ``i``-th neighbour.  Each level gathers the frontier's neighbours,
     keeps the unvisited ones and stops after ``depth`` levels when that is
-    given.  Blocked vertices are never entered, not even as sources.  When
-    ``until`` (vertices) is given, the search also stops at the first level
-    at which every one of them has a distance or is blocked.  Returns the
-    distances, exact wherever a vertex was reached, and -1 where it was not
-    reached before the search stopped.
+    given.  Blocked vertices are never entered, not even as sources.
+    Returns the distances, exact wherever a vertex was reached, and -1
+    where it was not reached before the search stopped.
     """
     dist = np.full(nbrs.shape[1], -1, dtype=np.intp)
     if blocked is not None:
@@ -459,20 +460,59 @@ def _sweep(nbrs, sources, blocked=None, depth=None, until=None):
     frontier = np.asarray(sources, dtype=np.intp)
     frontier = frontier[dist[frontier] == -1]
     dist[frontier] = 0
-    if until is not None:
-        until = np.asarray(until, dtype=np.intp)
     level = 0
     while frontier.size and level != depth:
-        if until is not None:
-            until = until[dist[until] == -1]
-            if not until.size:
-                break
         level += 1
         reached = nbrs[:, frontier].ravel()
         dist[reached[dist[reached] == -1]] = level
         frontier = np.flatnonzero(dist == level)
     dist[dist == -2] = -1
     return dist
+
+
+def _probes(into, sources, targets, blocked=None):
+    """Breadth-first distances from each source to each of its own targets.
+
+    ``into`` holds the in-neighbour rows of the search: ``_step_rows`` whole
+    for undirected search, its inverse rows ``[2:]`` for directed search.
+    Up to 64 probes share one sweep, one bit each of a word per vertex
+    (MS-BFS): a level ORs every vertex's in-neighbours' frontier words and
+    clears the visited bits.  Blocked vertices are never entered, not even
+    as sources, and a chunk stops once each of its probes has reached or
+    exhausted every target.  Returns one distance array per source, aligned
+    with its targets, with -1 where a target is unreachable.
+    """
+    out = []
+    for at in range(0, len(sources), 64):
+        src, tgt = sources[at:at + 64], targets[at:at + 64]
+        bit = np.uint64(1) << np.arange(len(src), dtype=np.uint64)
+        frontier = np.zeros(into.shape[1], dtype=np.uint64)
+        unseen = ~frontier
+        if blocked is not None:
+            unseen[np.asarray(blocked, dtype=np.intp)] = 0
+        np.bitwise_or.at(frontier, np.asarray(src, dtype=np.intp), bit)
+        frontier &= unseen
+        unseen ^= frontier
+        size = [len(t) for t in tgt]
+        vert = np.concatenate([np.asarray(t, dtype=np.intp) for t in tgt])
+        mask, pair = np.repeat(bit, size), np.arange(vert.size)
+        dist, level = np.full(vert.size, -1, dtype=np.intp), 0
+        while True:
+            dist[pair[frontier[vert] & mask != 0]] = level
+            # a (probe, target) pair waits while its probe has neither seen
+            # the target nor run out of frontier
+            live = unseen[vert] & mask & np.bitwise_or.reduce(frontier) != 0
+            vert, mask, pair = vert[live], mask[live], pair[live]
+            if not pair.size:
+                break
+            level += 1
+            new = frontier[into[0]]
+            for row in into[1:]:
+                new |= frontier[row]
+            frontier = new & unseen
+            unseen ^= frontier
+        out.extend(np.split(dist, np.cumsum(size)[:-1]))
+    return out
 
 
 def _undisturbed_set(before, after, touched, r):
@@ -526,8 +566,9 @@ def verify_conditions(original, result, r, R, samples=200, seed=0):
 
     Every condition is checked by direct graph search on the result: the
     distance conditions G-3..G-5 by breadth-first sweeps over the
-    permutation arrays (``_sweep``; a G-3 or G-5 probe stops once its
-    targets are settled), the rest by walking cycles and balls.
+    permutation arrays (G-4 by ``_sweep``; the G-3 and G-5 probes by
+    ``_probes``, up to 64 to a sweep that stops once their targets are
+    settled), the rest by walking cycles and balls.
     Distance-ratio and labeled-path conditions are sampled (seeded, at
     most ``samples`` probes) since their claims are uniform.  The report
     maps each condition name to pass, measured and bound entries.
@@ -567,31 +608,29 @@ def verify_conditions(original, result, r, R, samples=200, seed=0):
 
     # G-3: distances off the ring dominate the original distances
     rng = np.random.default_rng(seed)
-    pool = sorted(orig_set)
+    pool = np.array(sorted(orig_set), dtype=np.intp)  # choice would convert a list per draw
     n_src = max(1, min(len(pool), samples // 10))
     sources = rng.choice(pool, size=n_src, replace=False)
+    targets = [rng.choice(pool, size=min(len(pool), 10), replace=False) for _ in sources]
     ratio = 0.0
     checked = 0
-    for s in sources:
-        targets = rng.choice(pool, size=min(len(pool), 10), replace=False)
-        d0 = _sweep(nbrs0, [s], until=targets)
-        d1 = _sweep(nbrs1, [s], blocked=ring, until=targets)
-        for t in targets:
+    for s, tgt, d0, d1 in zip(sources, targets, _probes(nbrs0, sources, targets),
+                              _probes(nbrs1, sources, targets, blocked=ring)):
+        for t, x0, x1 in zip(tgt, d0.tolist(), d1.tolist()):
             if t == s or checked >= samples:
                 continue
             checked += 1
-            if d1[t] < 0:
+            if x1 < 0:
                 continue
-            if d0[t] < 0:
+            if x0 < 0:
                 ratio = float("inf")
-            elif d1[t] > 0:
-                ratio = max(ratio, int(d0[t]) / int(d1[t]))
+            elif x1 > 0:
+                ratio = max(ratio, x0 / x1)
     bound3 = (4 * R + 1) * R * R
     report["G-3"] = {"pass": bool(ratio <= bound3), "measured": ratio, "bound": bound3}
 
     # G-4: the whole graph hangs below the ring in directed reach
-    directed = nbrs1[:2]
-    dist_from_ring = _sweep(directed, ring)
+    dist_from_ring = _sweep(nbrs1[:2], ring)
     worst4 = int(dist_from_ring.max()) if ring else -1
     reach_all = bool(ring) and int(dist_from_ring.min()) >= 0
     bound4 = 8 * (4 * R + 1) ** 2 * (10 * R + 1)
@@ -607,13 +646,11 @@ def verify_conditions(original, result, r, R, samples=200, seed=0):
     sources5 = rng.choice(pool, size=n_src5, replace=False)
     worst5 = 0
     ok5 = True
-    for s, targets in zip(sources5.tolist(), _walk(nbrs1, r, sources5)[1:].T.tolist()):
-        if s in ring_set:
-            continue
-        targets = [t for t in targets if t in orig_set and t not in ring_set]
-        dist = _sweep(directed, [s], blocked=ring, until=targets)
-        for t in targets:
-            d = int(dist[t])
+    probes = [(s, [t for t in tgt if t in orig_set and t not in ring_set])
+              for s, tgt in zip(sources5.tolist(), _walk(nbrs1, r, sources5)[1:].T.tolist())
+              if s not in ring_set]
+    for dist in _probes(nbrs1[2:], [s for s, _ in probes], [t for _, t in probes], blocked=ring):
+        for d in dist.tolist():
             if d < 0 or d > bound5:
                 ok5 = False
                 worst5 = float("inf") if d < 0 else max(worst5, d)

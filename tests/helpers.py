@@ -811,7 +811,7 @@ def ball_match(steps0, steps1, root, radius):
 
 
 # Queue-based graph searches over Python containers: the oracle for
-# surgery's array sweeps (``_sweep``, ``_undisturbed_set``).
+# surgery's array sweeps (``_sweep``, ``_probes``, ``_undisturbed_set``).
 
 
 def undirected_adjacency(a_out, b_out, count):

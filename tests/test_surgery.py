@@ -15,6 +15,7 @@ from freepd.surgery import (
     _balls_kept,
     _cycle_labels,
     _greedy_positions,
+    _probes,
     _step_rows,
     _sweep,
     cycles,
@@ -377,41 +378,23 @@ def test_sweep_matches_queue_bfs(data):
     if data.draw(st.booleans()):
         blocked.append(sources[0])
     depth = data.draw(st.sampled_from([None, 0, 1, 2]))
-    directed = directed_distances(g, sources, blocked)
-    until = data.draw(st.sampled_from([None, "empty", "drawn"]))
-    if until is not None:
-        until = [] if until == "empty" else data.draw(st.lists(vertex, max_size=3))
-        unreached = [v for v, d in enumerate(directed) if d < 0]
-        for pool in (sources, blocked, unreached):  # inside the sources, blocked, unreachable
-            if pool and data.draw(st.booleans()):
-                until.append(data.draw(st.sampled_from(pool)))
 
-    def agrees(got, dist, block=()):
-        # depth cuts the oracle; until leaves exact distances where the
-        # sweep reached and at every vertex of until, and stops at the
-        # first level that settles all of until unless one is never reached
+    def agrees(got, dist):
         want = np.asarray(dist)
-        if depth is not None:
+        if depth is not None:  # depth cuts the oracle
             want = np.where(want > depth, -1, want)
-        if until is not None:
-            assert got[until].tolist() == want[until].tolist()
-            reached = got >= 0
-            assert got[reached].tolist() == want[reached].tolist()
-            levels = [want[v] for v in until if v not in block]
-            if min(levels, default=0) >= 0:
-                want = np.where(want > max(levels, default=0), -1, want)
         assert got.tolist() == want.tolist()
 
     # directed: a- and b-edges only
     nbrs = _step_rows(g.perm_a, g.perm_b)
-    agrees(_sweep(nbrs[:2], sources, blocked, depth, until), directed, blocked)
+    agrees(_sweep(nbrs[:2], sources, blocked, depth), directed_distances(g, sources, blocked))
 
     # undirected: the four labeled step maps
     adj = undirected_adjacency(dict(enumerate(g.perm_a)), dict(enumerate(g.perm_b)), n)
     free = np.full(n, -1)
     for v, d in bfs_layers(adj, sources):
         free[v] = d
-    agrees(_sweep(nbrs, sources, depth=depth, until=until), free)
+    agrees(_sweep(nbrs, sources, depth=depth), free)
     want = np.full(n, -1)
     for s in sources:
         if s in blocked:
@@ -419,21 +402,84 @@ def test_sweep_matches_queue_bfs(data):
         for v, d in undirected_distances(adj, s, set(blocked)).items():
             if want[v] < 0 or d < want[v]:
                 want[v] = d
-    agrees(_sweep(nbrs, sources, blocked, depth, until), want, blocked)
+    agrees(_sweep(nbrs, sources, blocked, depth), want)
 
 
-def test_sweep_stops_at_the_level_that_settles_until():
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_probes_match_queue_bfs(data):
+    n = data.draw(st.integers(1, 40))
+    g = LabeledGraph(
+        n,
+        tuple(data.draw(st.permutations(range(n)))),
+        tuple(data.draw(st.permutations(range(n)))),
+    )
+    # more than 64 probes run as two or three chunks of a word per vertex
+    count = data.draw(st.sampled_from([1, 5, 64, 65, 150]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sources = rng.integers(0, n, count).tolist()
+    targets = [rng.integers(0, n, rng.integers(0, 5)).tolist() for _ in sources]
+    blocked = data.draw(st.lists(st.integers(0, n - 1), max_size=max(1, n // 4), unique=True))
+    if data.draw(st.booleans()):
+        blocked.append(sources[0])  # a blocked source
+    targets[-1].append(sources[-1])  # a source that is its own target
+    if blocked:
+        targets[0].append(blocked[-1])  # a blocked target
+    unreached = [v for v, d in enumerate(directed_distances(g, [sources[0]], blocked)) if d < 0]
+    if unreached:
+        targets[0].append(unreached[0])  # a target the directed search cannot reach
+    nbrs = _step_rows(g.perm_a, g.perm_b)
+    adj = undirected_adjacency(dict(enumerate(g.perm_a)), dict(enumerate(g.perm_b)), n)
+
+    def agrees(got, oracle):
+        assert len(got) == len(sources)
+        for s, t, dist in zip(sources, targets, got):
+            want = oracle(s)
+            assert dist.tolist() == [want.get(v, -1) for v in t], (s, t)
+
+    # directed: the in-neighbours are the inverse rows
+    agrees(_probes(nbrs[2:], sources, targets, blocked),
+           lambda s: dict(enumerate(directed_distances(g, [s], blocked))))
+    # undirected: the four labeled step maps are their own in-neighbours
+    agrees(_probes(nbrs, sources, targets), lambda s: dict(bfs_layers(adj, [s])))
+    agrees(_probes(nbrs, sources, targets, blocked),
+           lambda s: {} if s in blocked else undirected_distances(adj, s, set(blocked)))
+
+
+class _Rows:
+    """Neighbour rows that count the reads of a search: ``_probes`` reads
+    its rows twice a level of each chunk."""
+
+    def __init__(self, rows):
+        self.rows, self.shape, self.reads = rows, rows.shape, 0
+
+    def __getitem__(self, at):
+        self.reads += 1
+        return self.rows[at]
+
+
+def test_probes_stop_at_the_level_that_settles_their_targets():
     # an a- and b-cycle of 100: vertices up to distance 3 either way, no further
     n = 100
     ring = tuple((v + 1) % n for v in range(n))
     nbrs = _step_rows(ring, ring)
-    dist = _sweep(nbrs, [0], until=[3, 98])
-    assert np.flatnonzero(dist >= 0).tolist() == [0, 1, 2, 3, 97, 98, 99]
-    assert _sweep(nbrs, [0], until=[]).tolist() == [0] + [-1] * (n - 1)
-    assert _sweep(nbrs, [0], blocked=[50], until=[50]).max() == 0
-    # a vertex never reached lets the search run to exhaustion
-    assert (_sweep(nbrs, [0], blocked=[1, 99], until=[2]) == -1).sum() == n - 1
-    assert (_sweep(nbrs[:2], [0], blocked=[60], until=[70]) >= 0).sum() == 60
+
+    def levels(into, sources, targets, blocked=None):
+        rows = _Rows(into)
+        dist = _probes(rows, sources, targets, blocked)
+        return [d.tolist() for d in dist], rows.reads // 2
+
+    assert levels(nbrs, [0], [[3, 98]]) == ([[3, 2]], 3)
+    assert levels(nbrs, [0], [[]]) == ([[]], 0)
+    assert levels(nbrs, [0], [[50]], blocked=[50]) == ([[-1]], 0)
+    assert levels(nbrs, [0, 7], [[0], [7]]) == ([[0], [0]], 0)
+    # a blocked source keeps no probe going; the longest probe sets the levels
+    assert levels(nbrs, [0, 5, 9], [[40], [7], [9, 13]], blocked=[0]) == ([[-1], [2], [0, 4]], 4)
+    # a target never reached lets its probe run until its frontier dies
+    assert levels(nbrs, [0], [[2]], blocked=[1, 99]) == ([[-1]], 1)
+    assert levels(nbrs[2:], [0], [[70]], blocked=[60]) == ([[-1]], 60)
+    # probes past the 64th run as a second chunk, three levels each
+    assert levels(nbrs, list(range(70)), [[(s + 3) % n] for s in range(70)]) == ([[3]] * 70, 6)
 
 
 def _cycles_graph(*cycles):
@@ -460,26 +506,44 @@ EXHAUSTIVE = {
 }
 
 
+def _sweep_each(into, sources, targets, blocked=None):
+    """``_probes`` as one full ``_sweep`` per probe: the in-neighbour rows
+    of a directed search are the inverses of its step rows."""
+    rows = into if len(into) == 4 else _step_rows(*into)[2:]
+    return [_sweep(rows, [s], blocked)[np.asarray(t, dtype=np.intp)]
+            for s, t in zip(sources, targets)]
+
+
 @pytest.mark.parametrize("name", sorted(EXHAUSTIVE))
 def test_verify_branches_that_search_to_exhaustion(monkeypatch, name):
     original, claim = EXHAUSTIVE[name]
     report = verify_conditions(original, claim, 1, 2, samples=80)
-    real, sweeps = surgery._sweep, []
+    probes = []
 
-    def full(nbrs, sources, blocked=None, depth=None, until=None):
-        sweeps.append((list(sources), until is not None))
-        return real(nbrs, sources, blocked, depth)
+    def full(into, sources, targets, blocked=None):
+        probes.append(list(sources))
+        return _sweep_each(into, sources, targets, blocked)
 
-    monkeypatch.setattr(surgery, "_sweep", full)
+    monkeypatch.setattr(surgery, "_probes", full)
     assert verify_conditions(original, claim, 1, 2, samples=80) == report
-    assert sum(until for _, until in sweeps) == 8 + 8 + 8 - len(claim.B)  # G-3 twice, G-5
+    assert sum(map(len, probes)) == 8 + 8 + 8 - len(claim.B)  # G-3 twice, G-5
     if claim.B:
         assert report["G-3"]["measured"] < float("inf")
-        assert [2] not in [sources for sources, until in sweeps[-7:]]
+        assert 2 not in probes[-1]
         assert report["G-5"] == {"pass": False, "measured": float("inf"), "bound": 256 * 81}
     else:
         assert report["G-3"] == {"pass": False, "measured": float("inf"), "bound": 9 * 4}
         assert report["G-5"]["pass"]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_verify_report_matches_a_sweep_per_probe(monkeypatch, r):
+    g = random_labeled_graph(900, 2, seed=4)
+    res = perform_surgery(g, 2, r)
+    report = verify_conditions(g, res, r, 2, samples=1000, seed=3)
+    monkeypatch.setattr(surgery, "_probes", _sweep_each)
+    assert verify_conditions(g, res, r, 2, samples=1000, seed=3) == report
+    assert all(entry["pass"] for entry in report.values())
 
 
 def test_undisturbed_set_and_plain_report_on_a_wide_surgery(monkeypatch):
